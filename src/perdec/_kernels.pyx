@@ -31,101 +31,76 @@ cdef signed char* _alloc_sc(Py_ssize_t n) except NULL:
     return p
 
 
-def star_scan(pow_tables, heads, members, kmax, lmin, bound, f_num):
+def star_scan(head_pows, gates, kmax, f_num):
     """See perdec._kernels_py.star_scan; identical contract and order."""
-    cdef Py_ssize_t nb = len(heads)
+    cdef Py_ssize_t nb = len(head_pows)
     cdef Py_ssize_t size = len(f_num)
-    cdef Py_ssize_t nt = len(pow_tables)
-    cdef Py_ssize_t stride_k = size
-    cdef Py_ssize_t stride_j = (bound + 1) * size
-    cdef Py_ssize_t j, k, x, b, z, i, idx
-    cdef int c_bound = bound
-    cdef int c_lmin = lmin
-
-    cdef Py_ssize_t* tab = _alloc_sz(nt * stride_j)
-    cdef Py_ssize_t* c_heads = NULL
+    cdef Py_ssize_t b, k, x, row_base, rows_total
     cdef Py_ssize_t* c_kmax = NULL
-    cdef Py_ssize_t* mem_off = NULL
-    cdef Py_ssize_t* mem_idx = NULL
+    cdef Py_ssize_t* row_off = NULL
+    cdef Py_ssize_t* tab = NULL
+    cdef signed char* gate = NULL
     cdef long long* values = NULL
-    cdef signed char* memo = NULL
     cdef Py_ssize_t* kvec = NULL
-    cdef Py_ssize_t* head_tab = NULL
-    cdef Py_ssize_t* scratch = NULL
-    cdef Py_ssize_t total_members = 0
+    cdef Py_ssize_t* head_row = NULL
     try:
-        for j in range(nt):
-            rows = pow_tables[j]
-            for k in range(bound + 1):
-                row = rows[k]
-                for x in range(size):
-                    tab[j * stride_j + k * stride_k + x] = row[x]
-        c_heads = _alloc_sz(nb)
-        c_kmax = _alloc_sz(nb)
-        mem_off = _alloc_sz(nb + 1)
+        # block b's exponent k lives in row row_off[b] + k - 1 of both
+        # tab (the head's power table) and gate (its premise bits over z)
+        c_kmax = _alloc_sz(nb if nb else 1)
+        row_off = _alloc_sz(nb + 1)
+        row_off[0] = 0
         for b in range(nb):
-            c_heads[b] = heads[b]
             c_kmax[b] = kmax[b]
-            total_members += len(members[b])
-        mem_idx = _alloc_sz(total_members if total_members else 1)
-        mem_off[0] = 0
-        idx = 0
+            row_off[b + 1] = row_off[b] + (c_kmax[b] if c_kmax[b] > 0 else 0)
+        rows_total = row_off[nb] * size
+        tab = _alloc_sz(rows_total if rows_total else 1)
+        gate = _alloc_sc(rows_total if rows_total else 1)
         for b in range(nb):
-            for i in members[b]:
-                mem_idx[idx] = i
-                idx += 1
-            mem_off[b + 1] = idx
-        values = _alloc_ll(size)
+            pows = head_pows[b]
+            masks = gates[b]
+            for k in range(1, c_kmax[b] + 1):
+                row = pows[k]
+                bits = masks[k]
+                row_base = (row_off[b] + k - 1) * size
+                for x in range(size):
+                    tab[row_base + x] = row[x]
+                    gate[row_base + x] = (bits >> x) & 1
+        values = _alloc_ll(size if size else 1)
         for x in range(size):
             values[x] = f_num[x]
-        # memo[(b*(bound+1) + k)*size + z]: -1 unknown, 0 false, 1 true
-        memo = _alloc_sc(nb * (bound + 1) * size if nb else 1)
-        for idx in range(nb * (bound + 1) * size):
-            memo[idx] = -1
         kvec = _alloc_sz(nb if nb else 1)
-        head_tab = _alloc_sz(nb if nb else 1)
-        scratch = _alloc_sz(size if size else 1)
-        for idx in range(size):
-            scratch[idx] = 0
-        return _star_loop(tab, stride_j, stride_k, c_heads, c_kmax, mem_off,
-                          mem_idx, values, memo, kvec, head_tab, scratch,
-                          nb, size, c_bound, c_lmin)
+        head_row = _alloc_sz(nb if nb else 1)
+        return _star_loop(tab, gate, c_kmax, row_off, values, kvec,
+                          head_row, nb, size)
     finally:
-        PyMem_Free(tab)
-        PyMem_Free(c_heads)
         PyMem_Free(c_kmax)
-        PyMem_Free(mem_off)
-        PyMem_Free(mem_idx)
+        PyMem_Free(row_off)
+        PyMem_Free(tab)
+        PyMem_Free(gate)
         PyMem_Free(values)
-        PyMem_Free(memo)
         PyMem_Free(kvec)
-        PyMem_Free(head_tab)
-        PyMem_Free(scratch)
+        PyMem_Free(head_row)
 
 
-cdef _star_loop(Py_ssize_t* tab, Py_ssize_t stride_j, Py_ssize_t stride_k,
-                Py_ssize_t* heads, Py_ssize_t* kmax, Py_ssize_t* mem_off,
-                Py_ssize_t* mem_idx, long long* values, signed char* memo,
-                Py_ssize_t* kvec, Py_ssize_t* head_tab, Py_ssize_t* scratch,
-                Py_ssize_t nb, Py_ssize_t size, int bound, int lmin):
+cdef _star_loop(Py_ssize_t* tab, signed char* gate, Py_ssize_t* kmax,
+                Py_ssize_t* row_off, long long* values, Py_ssize_t* kvec,
+                Py_ssize_t* head_row, Py_ssize_t nb, Py_ssize_t size):
     cdef Py_ssize_t b, z, pos, mask, w, applied, bits
-    cdef Py_ssize_t stamp = 0
     cdef long long value
     cdef bint gated, done
-    # nb == 0 still scans once with the empty exponent vector, matching
-    # itertools.product in the pure twin
+    # an empty exponent range scans nothing, and nb == 0 still scans once
+    # with the empty exponent vector, matching itertools.product
     for b in range(nb):
+        if kmax[b] < 1:
+            return None
         kvec[b] = 1
     while True:
         for b in range(nb):
-            head_tab[b] = heads[b] * stride_j + kvec[b] * stride_k
+            head_row[b] = (row_off[b] + kvec[b] - 1) * size
         for z in range(size):
             gated = True
             for b in range(nb):
-                if mem_off[b + 1] > mem_off[b] and not _premise(
-                        tab, stride_j, stride_k, heads, mem_off, mem_idx,
-                        memo, scratch, &stamp, b, kvec[b], z, size, bound,
-                        lmin):
+                if not gate[head_row[b] + z]:
                     gated = False
                     break
             if not gated:
@@ -138,7 +113,7 @@ cdef _star_loop(Py_ssize_t* tab, Py_ssize_t stride_j, Py_ssize_t stride_k,
                 applied = 0
                 while bits:
                     if bits & 1:
-                        w = tab[head_tab[b] + w]
+                        w = tab[head_row[b] + w]
                         applied += 1
                     bits >>= 1
                     b += 1
@@ -159,38 +134,6 @@ cdef _star_loop(Py_ssize_t* tab, Py_ssize_t stride_j, Py_ssize_t stride_k,
                 break
         if done:
             return None
-
-
-cdef bint _premise(Py_ssize_t* tab, Py_ssize_t stride_j, Py_ssize_t stride_k,
-                   Py_ssize_t* heads, Py_ssize_t* mem_off, Py_ssize_t* mem_idx,
-                   signed char* memo, Py_ssize_t* scratch, Py_ssize_t* stamp,
-                   Py_ssize_t b, Py_ssize_t k, Py_ssize_t z,
-                   Py_ssize_t size, int bound, int lmin):
-    cdef Py_ssize_t key = (b * (bound + 1) + k) * size + z
-    cdef signed char cached = memo[key]
-    if cached >= 0:
-        return cached == 1
-    cdef Py_ssize_t head_base = heads[b] * stride_j + k * stride_k
-    cdef Py_ssize_t m, i, base
-    cdef int l, l2
-    cdef bint ok = True, found
-    for m in range(mem_off[b], mem_off[b + 1]):
-        i = mem_idx[m]
-        base = i * stride_j
-        # stamped scratch marks the reachable targets i^l2 z for this member
-        stamp[0] += 1
-        for l2 in range(lmin, bound + 1):
-            scratch[tab[base + l2 * stride_k + z]] = stamp[0]
-        found = False
-        for l in range(lmin, bound + 1):
-            if scratch[tab[head_base + tab[base + l * stride_k + z]]] == stamp[0]:
-                found = True
-                break
-        if not found:
-            ok = False
-            break
-    memo[key] = 1 if ok else 0
-    return ok
 
 
 def compat_scan(pow_a, pow_b, f_num, bound, value_on_a):

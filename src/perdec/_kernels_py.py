@@ -14,72 +14,33 @@ from itertools import product
 from typing import Dict, Optional, Sequence, Tuple
 
 
-def star_scan(pow_tables, heads, members, kmax, lmin, bound, f_num):
+def star_scan(head_pows, gates, kmax, f_num):
     """First nonzero premise-gated mixed difference.
 
-    pow_tables[j][k][x] is transform j iterated k times (0 <= k <= bound);
-    heads[b] is block b's distinguished transform index; members[b] its
-    remaining transform indices; kmax[b] caps block b's exponent (1 for
-    blocks whose higher exponents follow by telescoping).  A premise for
-    block b at exponent k and point z requires, for every member i, some
-    l, l2 in [lmin, bound] with heads[b]^k i^l z = i^{l2} z.
+    head_pows[b][k][x] is block b's distinguished transform iterated k
+    times (1 <= k <= kmax[b]); gates[b][k] is a bitmask over z whose bit z
+    is set when block b's premise holds at exponent k and point z.
 
     Scans exponent vectors lexicographically (each component from 1) with
-    z ascending innermost; returns (kvec, z, value) for the first nonzero
-    alternating-sum difference of f_num, else None.
+    z ascending innermost, skipping z outside every block's gate; returns
+    (kvec, z, value) for the first nonzero alternating-sum difference of
+    f_num, else None.
     """
-    nb = len(heads)
-    size = len(f_num)
-    memo: Dict[Tuple[int, int, int], bool] = {}
-
-    def premise(b: int, k: int, z: int) -> bool:
-        key = (b, k, z)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        head_pow = pow_tables[heads[b]][k]
-        ok = True
-        for i in members[b]:
-            tabs = pow_tables[i]
-            targets = set()
-            for l2 in range(lmin, bound + 1):
-                targets.add(tabs[l2][z])
-            for l in range(lmin, bound + 1):
-                if head_pow[tabs[l][z]] in targets:
-                    break
-            else:
-                ok = False
-                break
-        memo[key] = ok
-        return ok
-
-    for kvec in product(*[range(1, kmax[b] + 1) for b in range(nb)]):
-        tables = [pow_tables[heads[b]][kvec[b]] for b in range(nb)]
-        for z in range(size):
-            gated = True
-            for b in range(nb):
-                if members[b] and not premise(b, kvec[b], z):
-                    gated = False
-                    break
-            if not gated:
-                continue
-            value = 0
-            for mask in range(1 << nb):
-                w = z
-                bits = mask
-                b = 0
-                applied = 0
-                while bits:
-                    if bits & 1:
-                        w = tables[b][w]
-                        applied += 1
-                    bits >>= 1
-                    b += 1
-                if (nb - applied) & 1:
-                    value -= f_num[w]
-                else:
-                    value += f_num[w]
-            if value:
+    nb = len(head_pows)
+    everywhere = (1 << len(f_num)) - 1
+    for kvec in product(*[range(1, top + 1) for top in kmax]):
+        live = everywhere
+        for b in range(nb):
+            live &= gates[b][kvec[b]]
+        if not live:
+            continue
+        # unit differences from the last block down, so each stencil
+        # point applies block 0's table first, as the compiled twin does
+        row = f_num
+        for b in range(nb - 1, -1, -1):
+            row = [row[w] - v for w, v in zip(head_pows[b][kvec[b]], row)]
+        for z, value in enumerate(row):
+            if value and live >> z & 1:
                 return tuple(kvec), z, value
     return None
 

@@ -33,12 +33,15 @@ def _fits_int64(f_num, bound: int) -> bool:
     return all(-_INT64_SAFE <= v <= _INT64_SAFE for v in f_num)
 
 
-def star_scan(pow_tables, heads, members, kmax, lmin, bound, f_num):
+def star_scan(head_pows, gates, kmax, bound, f_num):
+    """Route one partition-condition scan to the compiled or pure kernel.
+
+    bound, the exponent bound the power tables were built with, only takes
+    part in the route check.
+    """
     if _compiled is not None and _fits_int64(f_num, bound):
-        return _compiled.star_scan(pow_tables, heads, members, kmax,
-                                   lmin, bound, f_num)
-    return _pure.star_scan(pow_tables, heads, members, kmax,
-                           lmin, bound, f_num)
+        return _compiled.star_scan(head_pows, gates, kmax, f_num)
+    return _pure.star_scan(head_pows, gates, kmax, f_num)
 
 
 def compat_scan(pow_a, pow_b, f_num, bound, value_on_a):

@@ -17,10 +17,48 @@ def default_bound(size: int) -> int:
     """Default exponent search bound 2N.
 
     The power sequence of any self-map on N points has preperiod plus
-    period at most N, so 2N leaves headroom; sufficiency is property-tested
+    period at most N (the rho shape).  The partition-condition check caps
+    its head exponents exactly at that rho length (`distinct_power_count`)
+    and uses 2N only for premise exponents; relation search still
+    enumerates exponents up to 2N, whose sufficiency is property-tested
     against 4N rather than proved in code.
     """
     return 2 * size
+
+
+def distinct_power_count(powers: Sequence[Sequence[int]]) -> int:
+    """Number of distinct tables among powers[1:], where powers[k] = t^k.
+
+    Powers are rho-shaped, so this is the index of the first table that
+    repeats an earlier one (counting from t^1), minus one: the order of a
+    permutation, 1 for the identity, tail + cycle - 1 for a map with a
+    tail.  Every later power equals one of the counted ones.
+    """
+    seen = set()
+    for k in range(1, len(powers)):
+        if powers[k] in seen:
+            return k - 1
+        seen.add(powers[k])
+    return len(powers) - 1
+
+
+def iterate(t: Sequence[int], steps: int, x: int) -> int:
+    """t^steps(x) for any steps >= 0, in at most len(t) steps.
+
+    Walks x's forward orbit until it repeats, then reduces the remaining
+    steps modulo the cycle it entered.
+    """
+    path: list[int] = []
+    first: Dict[int, int] = {}
+    while steps:
+        if x in first:
+            mu = first[x]
+            return path[mu + steps % (len(path) - mu)]
+        first[x] = len(path)
+        path.append(x)
+        x = t[x]
+        steps -= 1
+    return x
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,11 @@ def values_from_json(items: Any, path: str = "values") -> RationalFunction:
         frac_from_json(v, f"{path}[{i}]") for i, v in enumerate(items)))
 
 
+def _rational_strings(items: Any, path: str) -> tuple[str, ...]:
+    """Validated rationals kept in their canonical string form."""
+    return tuple(frac_to_str(v) for v in values_from_json(items, path).values)
+
+
 def _int_field(doc: dict, key: str, path: str) -> int:
     v = doc.get(key)
     if not isinstance(v, int) or isinstance(v, bool):
@@ -395,8 +400,10 @@ def parse_result(doc: Any) -> Any:
                 transforms=tuple(
                     tuple(_int_list(t, f"candidates[{i}].transforms[{j}]"))
                     for j, t in enumerate(c.get("transforms", []))),
-                values=tuple(c.get("values", [])),
-                dual_weights=tuple(c.get("dual_weights", [])),
+                values=_rational_strings(c.get("values"),
+                                         f"candidates[{i}].values"),
+                dual_weights=_rational_strings(
+                    c.get("dual_weights"), f"candidates[{i}].dual_weights"),
             ))
         bound = doc.get("bound")
         if bound is not None and (not isinstance(bound, int)

@@ -32,7 +32,7 @@ from .core import (
     validate_system,
 )
 from .oracle import Decomposition, DualCertificate, oracle_decompose
-from .orbits import default_bound
+from .orbits import default_bound, distinct_power_count, iterate
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,34 @@ def _premise_witnesses(pow_tables, heads, members, kvec, z, lmin, bound):
     return tuple(sorted(out))
 
 
+def _premise_table(pow_tables, caps, lmin, bound):
+    """Premise rows shared by every partition and head of one check.
+
+    table[h][i][k] (h != i, 0 <= k <= caps[h]) is a bitmask over z whose
+    bit z is set when h^k i^l z = i^{l2} z for some l, l2 in [lmin, bound],
+    i.e. when h^k sends some point of the orbit {i^l z} back into it.
+    """
+    n = len(pow_tables)
+    size = len(pow_tables[0][0])
+    orbits = [[{tabs[l][z] for l in range(lmin, bound + 1)}
+               for z in range(size)] for tabs in pow_tables]
+    table = [[None] * n for _ in range(n)]
+    for h in range(n):
+        for i in range(n):
+            if i == h:
+                continue
+            rows = []
+            for k in range(caps[h] + 1):
+                head_pow = pow_tables[h][k]
+                row = 0
+                for z, orbit in enumerate(orbits[i]):
+                    if any(head_pow[w] in orbit for w in orbit):
+                        row |= 1 << z
+                rows.append(row)
+            table[h][i] = rows
+    return table
+
+
 def check_star(system: CommutingSystem, f: RationalFunction,
                bound: Optional[int] = None, *,
                premise_lmin: int = 0) -> Optional[StarViolation]:
@@ -117,9 +145,13 @@ def check_star(system: CommutingSystem, f: RationalFunction,
     Enumerates partitions (most blocks first, then lexicographic), then
     distinguished choices, then exponent vectors lexicographically, with z
     ascending innermost.  Premise exponents range over [premise_lmin,
-    bound]; the head exponent of a one-element block is capped at 1, since
-    its higher-exponent conclusions telescope into exponent-1 conclusions
-    at shifted points whose premises follow by commuting the shift through.
+    bound].  The head exponent of a one-element block is capped at 1,
+    since its higher-exponent conclusions telescope into exponent-1
+    conclusions at shifted points whose premises follow by commuting the
+    shift through.  Any other head h is capped at the number of distinct
+    powers among h^1..h^bound: a larger exponent repeats the table of a
+    smaller one, hence its premise and value, so it can never be the first
+    violation in scan order.
     """
     if len(f) != system.size:
         raise PreconditionError("function length does not match the domain")
@@ -130,14 +162,23 @@ def check_star(system: CommutingSystem, f: RationalFunction,
     if bound < 1:
         raise PreconditionError(f"bound must be >= 1, got {bound}")
     pow_tables = [power_table(t, bound) for t in system.transforms]
+    caps = [distinct_power_count(p) for p in pow_tables]
+    premise = _premise_table(pow_tables, caps, premise_lmin, bound)
+    everywhere = (1 << system.size) - 1
     f_num, denom = integer_values(f)
     for blocks in _partitions(system.n):
         for heads in product(*blocks):
             members = tuple(tuple(i for i in block if i != h)
                             for block, h in zip(blocks, heads))
-            kmax = [1 if len(block) == 1 else bound for block in blocks]
-            hit = kernels.star_scan(pow_tables, heads, members, kmax,
-                                    premise_lmin, bound, f_num)
+            kmax = [caps[h] if m else 1 for h, m in zip(heads, members)]
+            gates = []
+            for h, m, top in zip(heads, members, kmax):
+                rows = [everywhere] * (top + 1)
+                for i in m:
+                    rows = [g & p for g, p in zip(rows, premise[h][i])]
+                gates.append(rows)
+            hit = kernels.star_scan([pow_tables[h] for h in heads], gates,
+                                    kmax, bound, f_num)
             if hit is None:
                 continue
             kvec, z, value = hit
@@ -192,12 +233,6 @@ def replay_violation(system: CommutingSystem, f: RationalFunction,
             head_of[i] = h
             k_of[i] = k
     tables = system.transforms
-
-    def iterate(t, steps, x):
-        for _ in range(steps):
-            x = t[x]
-        return x
-
     for i, l, l2 in inst.premises:
         if l < 0 or l2 < 0:
             return False

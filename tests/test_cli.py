@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -282,6 +283,38 @@ def test_search_smoke_and_verify(tmp_path, capsys):
     saved = _write(tmp_path, "report.json", doc)
     code, verdict = _run(capsys, ["search", "--verify", saved])
     assert code == 0 and verdict["agrees"] is True
+
+
+def test_search_verify_rejects_a_non_rational_candidate(tmp_path, capsys):
+    report = {"result": "report", "n": 4, "max_size": 2, "trials": 1,
+              "seed": 0, "bound": None, "star_pass": 1, "star_fail": 0,
+              "oracle_feasible": 0, "oracle_infeasible": 1,
+              "necessity_checked": 0, "necessity_violations": 0,
+              "discrepancies": 0,
+              "candidates": [{"trial": 0, "size": 2,
+                              "transforms": [[1, 0], [1, 0], [0, 1], [0, 1]],
+                              "values": ["abc", "1"],
+                              "dual_weights": ["1", "-1"]}]}
+    saved = _write(tmp_path, "report.json", report)
+    code, doc = _run(capsys, ["search", "--verify", saved])
+    assert code == 2
+    assert doc["path"] == "candidates[0].values[0]"
+
+
+def test_star_check_verify_replays_huge_exponents_quickly(tmp_path, capsys):
+    # 0 -> 1 -> 2 -> 2, so t^(10**11) sends 0 to the fixed point 2
+    inst = {"kind": "finite", "size": 3, "transforms": [[1, 2, 2]],
+            "values": ["0", "0", "5"]}
+    cert = {"result": "violation",
+            "certificate": {"blocks": [[0]], "distinguished": [0],
+                            "exponents": [10 ** 11], "kind": "MixedDeltaNonzero",
+                            "premises": [], "value": "5", "z": 0}}
+    path = _write(tmp_path, "inst.json", inst)
+    saved = _write(tmp_path, "cert.json", cert)
+    start = time.perf_counter()
+    code, doc = _run(capsys, ["star-check", path, "--verify", saved])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and doc["agrees"] is True
 
 
 def test_stdin_instance(capsys, monkeypatch):

@@ -1,4 +1,6 @@
-import random
+import inspect
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -42,10 +44,10 @@ def test_dispatcher_routes_on_value_size(monkeypatch):
     sentinel = _Sentinel()
     monkeypatch.setattr(kernels, "_compiled", sentinel)
     tabs = [power_table((1, 0), 2)]
-    kernels.star_scan(tabs, (0,), ((),), [1], 0, 2, [0, 1])
+    kernels.star_scan(tabs, [[0, 3]], [1], 2, [0, 1])
     assert sentinel.calls == 1
     # oversized values must fall back to the pure twin
-    kernels.star_scan(tabs, (0,), ((),), [1], 0, 2, [0, 1 << 60])
+    kernels.star_scan(tabs, [[0, 3]], [1], 2, [0, 1 << 60])
     assert sentinel.calls == 1
     kernels.compat_scan(tabs[0], tabs[0], [0, 1 << 60], 2, True)
     assert sentinel.calls == 1
@@ -55,28 +57,46 @@ def test_dispatcher_routes_on_value_size(monkeypatch):
 
 @st.composite
 def star_cases(draw):
+    """Head power tables, arbitrary gate bitmasks and exponent caps."""
     size = draw(st.integers(1, 5))
-    ntrans = draw(st.integers(1, 3))
+    nb = draw(st.integers(0, 3))
     bound = draw(st.integers(1, 5))
-    tables = [tuple(draw(st.integers(0, size - 1)) for _ in range(size))
-              for _ in range(ntrans)]
-    pow_tables = [power_table(t, bound) for t in tables]
-    # random partition of the transform indices with one head per block
-    labels = [draw(st.integers(0, ntrans - 1)) for _ in range(ntrans)]
-    blocks = {}
-    for i, lab in enumerate(labels):
-        blocks.setdefault(lab, []).append(i)
-    heads = []
-    members = []
+    head_pows = []
+    gates = []
     kmax = []
-    for block in blocks.values():
-        h = draw(st.sampled_from(block))
-        heads.append(h)
-        members.append(tuple(i for i in block if i != h))
-        kmax.append(1 if len(block) == 1 else bound)
-    lmin = draw(st.integers(0, 1))
+    for _ in range(nb):
+        table = tuple(draw(st.integers(0, size - 1)) for _ in range(size))
+        head_pows.append(power_table(table, bound))
+        gates.append([draw(st.integers(0, (1 << size) - 1))
+                      for _ in range(bound + 1)])
+        kmax.append(draw(st.integers(0, bound)))
     f_num = [draw(st.integers(-50, 50)) for _ in range(size)]
-    return pow_tables, tuple(heads), tuple(members), kmax, lmin, bound, f_num
+    return head_pows, gates, kmax, f_num
+
+
+def _direct_star_scan(head_pows, gates, kmax, f_num):
+    """star_scan's contract as a plain loop over (kvec, z)."""
+    nb = len(head_pows)
+    for kvec in product(*[range(1, top + 1) for top in kmax]):
+        for z in range(len(f_num)):
+            if not all(gates[b][kvec[b]] >> z & 1 for b in range(nb)):
+                continue
+            value = 0
+            for subset in product((0, 1), repeat=nb):
+                w = z
+                for b in range(nb):
+                    if subset[b]:
+                        w = head_pows[b][kvec[b]][w]
+                value += (-1) ** (nb - sum(subset)) * f_num[w]
+            if value:
+                return kvec, z, value
+    return None
+
+
+@given(star_cases())
+@settings(max_examples=300, deadline=None)
+def test_star_scan_matches_a_direct_loop(case):
+    assert pure.star_scan(*case) == _direct_star_scan(*case)
 
 
 @needs_compiled
@@ -101,9 +121,8 @@ def test_compat_scan_compiled_matches_pure(size, bound, data):
 
 @needs_compiled
 def test_star_scan_zero_blocks_matches_pure():
-    tabs = [power_table((1, 2, 0), 3)]
     for f_num in ([0, 0, 0], [0, 7, 0]):
-        args = (tabs, (), (), [], 0, 3, f_num)
+        args = ([], [], [], f_num)
         assert compiled.star_scan(*args) == pure.star_scan(*args)
 
 
@@ -122,7 +141,20 @@ def test_compat_scan_reports_a_real_conflict():
 def test_big_values_still_give_exact_results():
     # the dispatcher must agree with pure even when routing varies
     tabs = [power_table((1, 0), 2)]
-    small = kernels.star_scan(tabs, (0,), ((),), [1], 0, 2, [0, 1])
-    big = kernels.star_scan(tabs, (0,), ((),), [1], 0, 2, [0, 1 << 62])
+    small = kernels.star_scan(tabs, [[0, 3]], [1], 2, [0, 1])
+    big = kernels.star_scan(tabs, [[0, 3]], [1], 2, [0, 1 << 62])
     assert small == ((1,), 0, 1)
     assert big == ((1,), 0, 1 << 62)
+
+
+def _parameters(source: str, name: str) -> list[str]:
+    start = source.index(f"def {name}(") + len(f"def {name}(")
+    return [p.strip() for p in source[start:source.index(")", start)].split(",")]
+
+
+@pytest.mark.parametrize("name", ["star_scan", "compat_scan"])
+def test_compiled_source_keeps_the_pure_signature(name):
+    # runs without Cython: the .pyx must take the pure twin's parameters
+    pyx = (Path(pure.__file__).parent / "_kernels.pyx").read_text()
+    pure_params = list(inspect.signature(getattr(pure, name)).parameters)
+    assert _parameters(pyx, name) == pure_params

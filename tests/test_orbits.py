@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perdec.core import PreconditionError, identity, validate_system
+from perdec.core import PreconditionError, identity, power_table, validate_system
 from perdec.orbits import (
     Partition,
     Relation,
     default_bound,
+    distinct_power_count,
     find_relation,
     invariance_classes,
+    iterate,
     joint_classes,
     prescribed_points,
 )
@@ -27,6 +29,53 @@ def _word(t, s, k, n, x):
 
 def test_default_bound_is_twice_the_size():
     assert default_bound(5) == 10
+
+
+def test_distinct_power_count_of_a_permutation_is_its_order():
+    t = (1, 2, 0, 4, 3)  # a 3-cycle and a 2-cycle: order 6
+    assert distinct_power_count(power_table(t, 10)) == 6
+    # a bound below the rho length caps the count
+    assert distinct_power_count(power_table(t, 4)) == 4
+
+
+def test_distinct_power_count_of_the_identity_is_one():
+    assert distinct_power_count(power_table(identity(4), 8)) == 1
+
+
+def test_distinct_power_count_with_a_tail():
+    # 0 -> 1 -> 2 <-> 3: tail 2, cycle 2
+    t = (1, 2, 3, 2)
+    assert distinct_power_count(power_table(t, 8)) == 2 + 2 - 1
+
+
+@given(sized_maps(max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_distinct_power_count_covers_every_power(case):
+    size, t = case
+    powers = power_table(t, 2 * size)
+    cap = distinct_power_count(powers)
+    counted = powers[1:cap + 1]
+    assert len(set(counted)) == cap
+    assert all(p in counted for p in powers[1:])
+
+
+@given(sized_maps(max_size=6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_iterate_matches_the_power_table(case, data):
+    size, t = case
+    powers = power_table(t, 4 * size)
+    x = data.draw(st.integers(0, size - 1))
+    for k in range(4 * size + 1):
+        assert iterate(t, k, x) == powers[k][x]
+
+
+def test_iterate_reduces_huge_exponents():
+    permutation = (1, 2, 0, 4, 3)  # order 6; 10**12 % 6 == 4
+    assert [iterate(permutation, 10 ** 12, x) for x in range(5)] == list(
+        power_table(permutation, 4)[4])
+    tail = (1, 2, 3, 2)  # every even exponent >= 2 gives t^2
+    assert [iterate(tail, 10 ** 12, x) for x in range(4)] == list(
+        power_table(tail, 2)[2])
 
 
 def test_partition_from_labels_orders_by_first_appearance():

@@ -196,6 +196,17 @@ def test_parse_result_errors_name_the_path():
     assert exc.value.path == "trials"
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("values", ["abc"]), ("values", "12"), ("values", [0.5]),
+    ("dual_weights", ["1/0"]), ("dual_weights", None)])
+def test_parse_result_validates_candidate_rationals(field, bad):
+    doc = result_to_json(_sample_results()[6])
+    doc["candidates"][0][field] = bad
+    with pytest.raises(ParseError) as exc:
+        parse_result(doc)
+    assert exc.value.path.startswith(f"candidates[0].{field}")
+
+
 def test_dumps_is_canonical():
     text = dumps({"b": 1, "a": [2, 3]})
     assert text.endswith("\n")

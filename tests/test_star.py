@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -14,10 +15,12 @@ from perdec.core import (
     power_table,
     validate_system,
 )
+from perdec.orbits import distinct_power_count
 from perdec.star import (
     StarInstance,
     StarViolation,
     _partitions,
+    _premise_table,
     check_star,
     check_star_abelian,
     check_two_symmetric,
@@ -93,19 +96,145 @@ def test_check_star_violations_replay(case):
         assert replay_violation(system, f, viol)
 
 
+def _premise_witness(pow_tables, h, k, i, z, lmin, bound):
+    """First (i, l, l2) with h^k i^l z = i^{l2} z, by explicit loops."""
+    for l in range(lmin, bound + 1):
+        for l2 in range(lmin, bound + 1):
+            if pow_tables[h][k][pow_tables[i][l][z]] == pow_tables[i][l2][z]:
+                return (i, l, l2)
+    return None
+
+
+def _definition_gates(pow_tables, h, members, top, lmin, bound):
+    """Premise bitmasks of one block for exponents 0..top, per point."""
+    size = len(pow_tables[h][0])
+    return [sum(1 << z for z in range(size)
+                if all(_premise_witness(pow_tables, h, k, i, z, lmin, bound)
+                       for i in members))
+            for k in range(top + 1)]
+
+
+@given(systems(max_size=5), st.integers(0, 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_premise_table_matches_the_definition(system, lmin, data):
+    bound = data.draw(st.integers(1, 2 * system.size))
+    pow_tables = [power_table(t, bound) for t in system.transforms]
+    caps = [distinct_power_count(p) for p in pow_tables]
+    table = _premise_table(pow_tables, caps, lmin, bound)
+    for h in range(system.n):
+        for i in range(system.n):
+            if i != h:
+                assert table[h][i] == _definition_gates(
+                    pow_tables, h, [i], caps[h], lmin, bound)
+
+
+@given(systems(max_size=5), st.integers(0, 10 ** 9))
+@settings(max_examples=40, deadline=None)
+def test_check_star_scans_each_distinct_head_power_once(system, seed):
+    # a decomposable f passes, so every partition and head gets scanned
+    f = generators.decomposable_function(random.Random(seed), system)
+    calls = []
+
+    def record(head_pows, gates, kmax, bound, f_num):
+        calls.append((head_pows, kmax))
+        return None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "star_scan", record)
+        assert check_star(system, f) is None
+    scans = [blocks for blocks in _partitions(system.n)
+             for _ in product(*blocks)]
+    assert len(calls) == len(scans)
+    for blocks, (head_pows, kmax) in zip(scans, calls):
+        for block, pows, top in zip(blocks, head_pows, kmax):
+            if len(block) == 1:
+                assert top == 1
+            else:
+                assert len(set(pows[1:top + 1])) == top
+                assert set(pows[1:top + 1]) == set(pows[1:])
+
+
 def _uncapped_star_verdict(system, f, bound):
-    """check_star without the exponent-1 cap on one-element blocks."""
+    """check_star with every block's exponent running up to bound."""
     pow_tables = [power_table(t, bound) for t in system.transforms]
     f_num, _ = integer_values(f)
     for blocks in _partitions(system.n):
         for heads in product(*blocks):
-            members = tuple(tuple(i for i in block if i != h)
-                            for block, h in zip(blocks, heads))
-            kmax = [bound] * len(blocks)
-            if kernels.star_scan(pow_tables, heads, members, kmax,
-                                 0, bound, f_num) is not None:
+            gates = [_definition_gates(pow_tables, h,
+                                       [i for i in block if i != h],
+                                       bound, 0, bound)
+                     for block, h in zip(blocks, heads)]
+            if kernels.star_scan([pow_tables[h] for h in heads], gates,
+                                 [bound] * len(blocks), bound,
+                                 f_num) is not None:
                 return False
     return True
+
+
+def _reference_check_star(system, f, bound, lmin):
+    """check_star from the definition: explicit premise loops, one-element
+    blocks at exponent 1, every other head exponent up to bound."""
+    pow_tables = [power_table(t, bound) for t in system.transforms]
+    for blocks in _partitions(system.n):
+        for heads in product(*blocks):
+            ranges = [range(1, 2 if len(block) == 1 else bound + 1)
+                      for block in blocks]
+            for kvec in product(*ranges):
+                for z in range(system.size):
+                    premises = [
+                        _premise_witness(pow_tables, h, k, i, z, lmin, bound)
+                        for block, h, k in zip(blocks, heads, kvec)
+                        for i in block if i != h]
+                    if None in premises:
+                        continue
+                    value = Fraction(0)
+                    for subset in product((0, 1), repeat=len(blocks)):
+                        w = z
+                        for use, h, k in zip(subset, heads, kvec):
+                            if use:
+                                w = pow_tables[h][k][w]
+                        sign = (-1) ** (len(blocks) - sum(subset))
+                        value += sign * f[w]
+                    if value:
+                        return StarViolation(
+                            StarInstance(blocks, heads, kvec,
+                                         tuple(sorted(premises)), z),
+                            value, "MixedDeltaNonzero")
+    return None
+
+
+@given(st.sampled_from([None, "mixed_kernel"]), st.integers(0, 1), st.data())
+@settings(max_examples=80, deadline=None)
+def test_check_star_matches_the_definition(style, lmin, data):
+    # mixed-kernel functions pass the all-singleton partition, so the scan
+    # goes on to the multi-element blocks and their premises
+    system, f = data.draw(systems_with_functions(max_size=5, style=style))
+    bound = data.draw(st.integers(1, 2 * system.size))
+    assert (check_star(system, f, bound, premise_lmin=lmin)
+            == _reference_check_star(system, f, bound, lmin))
+
+
+def test_replay_reduces_huge_exponents_by_the_orbit():
+    # 0 -> 1 -> 2 -> 2: a tail of two steps into a fixed point
+    system = validate_system([(1, 2, 2)], 3)
+    f = RationalFunction((Fraction(0), Fraction(0), Fraction(5)))
+    far = StarViolation(StarInstance(((0,),), (0,), (10 ** 11,), (), 0),
+                        Fraction(5), "MixedDeltaNonzero")
+    # two swaps in one block: premise and value depend on exponent parity
+    swaps = validate_system([(1, 0), (1, 0)], 2)
+    g = RationalFunction((Fraction(0), Fraction(1)))
+    odd = StarViolation(
+        StarInstance(((0, 1),), (0,), (10 ** 11 + 1,),
+                     ((1, 10 ** 11, 1),), 0),
+        Fraction(1), "MixedDeltaNonzero")
+    even = StarViolation(
+        StarInstance(((0, 1),), (0,), (10 ** 11,), ((1, 10 ** 11, 0),), 0),
+        Fraction(1), "MixedDeltaNonzero")
+    start = time.perf_counter()
+    assert replay_violation(system, f, far)
+    assert replay_violation(swaps, g, odd)
+    assert not replay_violation(swaps, g, even)  # even exponent: value 0
+    assert time.perf_counter() - start < 1.0
 
 
 @given(systems_with_functions(max_size=4))
