@@ -3,32 +3,30 @@
 Exit codes: 0 = pass/decomposed, 1 = violation/infeasible (certificate in
 the output), 2 = input error.  With --verify CERTFILE a subcommand re-checks
 a previously emitted result file against the instance instead of recomputing,
-exiting 0 when it replays and 1 when it does not.
+with the library's one checker for that certificate type, exiting 0 when it
+replays and 1 when it does not.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple, Union
 
 from . import serialize
 from .cohomology import (
-    BoundedTransfer,
     ConstrainedObstruction,
-    partial_sum_bound,
     solve_bounded_transfer,
+    verify_bounded_transfer,
 )
 from .core import (
     BoundTooSmallError,
-    CommutingSystem,
     Decomposition,
     NotCommutingError,
     PreconditionError,
     RangeError,
     RationalFunction,
-    is_invariant,
+    VerificationResult,
     verify_decomposition,
 )
 from .decomp import decompose_one, decompose_three, decompose_two
@@ -37,8 +35,12 @@ from .lattice import (
     lattice_decompose,
     lattice_oracle_decompose,
     mixed_delta_witness,
+    slice_partitions,
+    verify_lattice_parts,
+    verify_point_violation,
 )
-from .oracle import DualCertificate, kernel_basis, oracle_decompose
+from .oracle import DualCertificate, oracle_decompose, verify_dual
+from .orbits import invariance_classes
 from .serialize import Instance, ParseError, dumps, load_json, parse_instance
 from .star import (
     SearchReport,
@@ -73,212 +75,111 @@ def _read_result(path: str) -> Any:
     return serialize.parse_result(load_json(text))
 
 
+# a handler's (exit code, document), or the verdict of a --verify run
+Outcome = Union[Tuple[int, dict], VerificationResult]
+
+
 def _emit(doc: dict) -> None:
     sys.stdout.write(dumps(doc))
 
 
-def _verify_doc(agrees: bool, reason: str = "") -> Tuple[int, dict]:
-    doc: dict = {"result": "verified", "agrees": agrees}
-    if reason:
-        doc["reason"] = reason
-    return (0 if agrees else 1), doc
+def _verify_doc(verdict: VerificationResult) -> Tuple[int, dict]:
+    """Exit code and document of a --verify run."""
+    doc: dict = {"result": "verified", "agrees": verdict.ok}
+    if verdict.reason:
+        doc["reason"] = verdict.reason
+    return (0 if verdict.ok else 1), doc
 
 
 # ---------------------------------------------------------------------------
-# per-subcommand verification of previously emitted certificates
+# --verify: pick the library's checker for the instance kind and result type
 
 
-def _verify_decomposition_result(inst: Instance, result: Any) -> Tuple[int, dict]:
+def _replayed(ok: bool) -> VerificationResult:
+    return VerificationResult(ok, None if ok else "violation does not replay")
+
+
+def _unexpected(result: Any, command: str) -> VerificationResult:
+    return VerificationResult(False, f"unexpected result type "
+                                     f"{type(result).__name__} for {command}")
+
+
+def _tuple_of(result: Any, kind: type) -> bool:
+    """Lattice parts parse to LatticeWindows, point certificates to ints."""
+    return isinstance(result, tuple) and all(isinstance(p, kind)
+                                             for p in result)
+
+
+def _verify_decomposition_result(inst: Instance,
+                                 result: Any) -> VerificationResult:
     if isinstance(result, Decomposition):
         if len(result.parts) != inst.system.n:
-            return _verify_doc(False, "part count differs from transform count")
-        verdict = verify_decomposition(inst.system, inst.f, result)
-        return _verify_doc(verdict.ok, verdict.reason or "")
+            return VerificationResult(
+                False, "part count differs from transform count")
+        return verify_decomposition(inst.system, inst.f, result)
     if isinstance(result, StarViolation):
-        ok = replay_violation(inst.system, inst.f, result)
-        return _verify_doc(ok, "" if ok else "violation does not replay")
-    return _verify_doc(False, f"unexpected result type "
-                              f"{type(result).__name__} for decompose")
+        return _replayed(replay_violation(inst.system, inst.f, result))
+    return _unexpected(result, "decompose")
 
 
-def _verify_star_result(inst: Instance, result: Any,
-                        bound: Optional[int]) -> Tuple[int, dict]:
-    if isinstance(result, StarViolation):
-        if inst.kind == "finite":
-            ok = replay_violation(inst.system, inst.f, result)
-        elif inst.kind == "cyclic-group":
-            ok = replay_abelian_violation(inst.modulus, inst.shifts, inst.f,
-                                          result)
-        elif inst.kind == "z-window":
-            ok = replay_abelian_violation(None, inst.shifts, inst.f, result)
-        else:
-            return _verify_doc(False, "no star certificates on lattice windows")
-        return _verify_doc(ok, "" if ok else "violation does not replay")
-    if isinstance(result, tuple) and all(isinstance(c, int) for c in result):
-        if inst.kind != "lattice-window":
-            return _verify_doc(False, "point certificate needs a lattice window")
-        witness = _window_point_nonzero(inst.window, result)
-        return _verify_doc(witness, "" if witness
-                           else "mixed difference vanishes at the point")
-    return _verify_doc(False, f"unexpected result type "
-                              f"{type(result).__name__} for star-check")
-
-
-def _window_point_nonzero(window: LatticeWindow, point: Sequence[int]) -> bool:
-    d = len(window.dims)
-    if len(point) != d or any(not 0 <= point[j] < window.dims[j] - 1
-                              for j in range(d)):
-        return False
-    total = Fraction(0)
-    for mask in range(1 << d):
-        coords = tuple(point[j] + (mask >> j & 1) for j in range(d))
-        value = window.get(coords)
-        total += value if (d - bin(mask).count("1")) % 2 == 0 else -value
-    return total != 0
-
-
-def _verify_dual(system: CommutingSystem, f: RationalFunction,
-                 dual: DualCertificate) -> Tuple[int, dict]:
-    if len(dual.weights) != system.size:
-        return _verify_doc(False, "weight count differs from domain size")
-    if dual.pair(f) == 0:
-        return _verify_doc(False, "dual functional vanishes on f")
-    for j, t in enumerate(system.transforms):
-        for e in kernel_basis(t):
-            if dual.pair(e) != 0:
-                return _verify_doc(
-                    False, f"dual functional does not vanish on an "
-                           f"invariant function of transform {j}")
-    return _verify_doc(True)
-
-
-def _verify_oracle_result(inst: Instance, result: Any) -> Tuple[int, dict]:
+def _verify_star_result(inst: Instance, result: Any) -> VerificationResult:
     if inst.kind == "lattice-window":
-        if isinstance(result, tuple) and all(isinstance(p, LatticeWindow)
-                                             for p in result):
-            return _verify_lattice_parts(inst.window, result)
+        if _tuple_of(result, int):
+            return verify_point_violation(inst.window, result)
+        return _unexpected(result, "star-check on a lattice window")
+    if not isinstance(result, StarViolation):
+        return _unexpected(result, "star-check")
+    if inst.kind == "finite":
+        return _replayed(replay_violation(inst.system, inst.f, result))
+    # modulus is None on z-windows
+    return _replayed(replay_abelian_violation(inst.modulus, inst.shifts,
+                                              inst.f, result))
+
+
+def _verify_oracle_result(inst: Instance, result: Any) -> VerificationResult:
+    if inst.kind == "lattice-window":
+        if _tuple_of(result, LatticeWindow):
+            return verify_lattice_parts(inst.window, result)
         if isinstance(result, DualCertificate):
-            return _verify_window_dual(inst.window, result)
-        return _verify_doc(False, f"unexpected result type "
-                                  f"{type(result).__name__} for window oracle")
+            return verify_dual(slice_partitions(inst.window),
+                               RationalFunction(inst.window.values), result)
+        return _unexpected(result, "window oracle")
     if isinstance(result, Decomposition):
         return _verify_decomposition_result(inst, result)
     if isinstance(result, DualCertificate):
-        return _verify_dual(inst.system, inst.f, result)
-    return _verify_doc(False, f"unexpected result type "
-                              f"{type(result).__name__} for oracle")
+        return verify_dual([invariance_classes(t)
+                            for t in inst.system.transforms], inst.f, result)
+    return _unexpected(result, "oracle")
 
 
-def _verify_window_dual(window: LatticeWindow,
-                        dual: DualCertificate) -> Tuple[int, dict]:
-    if len(dual.weights) != window.size:
-        return _verify_doc(False, "weight count differs from window size")
-    f = RationalFunction(window.values)
-    if dual.pair(f) == 0:
-        return _verify_doc(False, "dual functional vanishes on f")
-    d = len(window.dims)
-    for j in range(d):
-        sums: dict = {}
-        for idx in range(window.size):
-            coords = window.coords(idx)
-            key = tuple(c for i, c in enumerate(coords) if i != j)
-            sums[key] = sums.get(key, Fraction(0)) + dual.weights[idx]
-        for key, total in sums.items():
-            if total != 0:
-                return _verify_doc(
-                    False, f"dual functional does not vanish on an axis-{j} "
-                           f"invariant indicator")
-    return _verify_doc(True)
+def _verify_lattice_result(inst: Instance, result: Any) -> VerificationResult:
+    if _tuple_of(result, LatticeWindow):
+        return verify_lattice_parts(inst.window, result)
+    if _tuple_of(result, int):
+        return verify_point_violation(inst.window, result)
+    return _unexpected(result, "lattice-decompose")
 
 
-def _verify_lattice_parts(window: LatticeWindow,
-                          parts: Sequence[LatticeWindow]) -> Tuple[int, dict]:
-    d = len(window.dims)
-    if len(parts) != d or any(p.dims != window.dims for p in parts):
-        return _verify_doc(False, "parts do not match the window shape")
-    for idx in range(window.size):
-        if sum(p.values[idx] for p in parts) != window.values[idx]:
-            return _verify_doc(False,
-                               f"parts do not sum to f at {window.coords(idx)}")
-    for j, p in enumerate(parts):
-        stride = window.strides()[j]
-        for idx in range(window.size):
-            coords = window.coords(idx)
-            if coords[j] + 1 < window.dims[j] \
-                    and p.values[idx + stride] != p.values[idx]:
-                return _verify_doc(False,
-                                   f"part {j} varies along axis {j} at {coords}")
-    return _verify_doc(True)
-
-
-def _verify_lattice_result(inst: Instance, result: Any) -> Tuple[int, dict]:
-    if isinstance(result, tuple) and result and all(
-            isinstance(p, LatticeWindow) for p in result):
-        return _verify_lattice_parts(inst.window, result)
-    if isinstance(result, tuple) and all(isinstance(c, int) for c in result):
-        ok = _window_point_nonzero(inst.window, result)
-        return _verify_doc(ok, "" if ok
-                           else "mixed difference vanishes at the point")
-    return _verify_doc(False, f"unexpected result type "
-                              f"{type(result).__name__} for lattice-decompose")
-
-
-def _verify_bounded_result(inst: Instance, result: Any) -> Tuple[int, dict]:
+def _verify_bounded_result(inst: Instance, result: Any) -> VerificationResult:
     t, s = inst.system.transforms
-    g = inst.f
-    if isinstance(result, BoundedTransfer):
-        h, c = result.solution, result.bound
-        if len(h) != inst.system.size:
-            return _verify_doc(False, "solution length differs from domain")
-        for x in range(inst.system.size):
-            if h[t[x]] - h[x] != g[x]:
-                return _verify_doc(False, f"transfer identity fails at {x}")
-        if not is_invariant(s, h):
-            return _verify_doc(False, "solution is not s-invariant")
-        fresh = partial_sum_bound(t, g)
-        if fresh != c:
-            return _verify_doc(False, "stored bound differs from recomputed")
-        if h.max_abs() > 2 * c:
-            return _verify_doc(False, "solution exceeds twice the bound")
-        return _verify_doc(True)
-    if isinstance(result, ConstrainedObstruction):
-        def walk(x, tk, sl):
-            for _ in range(sl):
-                x = s[x]
-            for _ in range(tk):
-                x = t[x]
-            return x
-
-        if walk(result.x, result.k, result.l) != walk(result.x, 0, result.l2):
-            return _verify_doc(False, "witness relation does not hold")
-        p = walk(result.x, 0, result.l)
-        total = Fraction(0)
-        for _ in range(result.k):
-            total += g[p]
-            p = t[p]
-        if total != result.total or total == 0:
-            return _verify_doc(False, "obstruction sum does not replay")
-        return _verify_doc(True)
-    return _verify_doc(False, f"unexpected result type "
-                              f"{type(result).__name__} for bounded-transfer")
+    return verify_bounded_transfer(t, s, inst.f, result)
 
 
-def _verify_report(result: Any, bound: Optional[int]) -> Tuple[int, dict]:
+def _verify_report(result: Any, bound: Optional[int]) -> VerificationResult:
     if not isinstance(result, SearchReport):
-        return _verify_doc(False, f"unexpected result type "
-                                  f"{type(result).__name__} for search")
+        return _unexpected(result, "search")
     for c in result.candidates:
         if _reverify_candidate(c.transforms, c.size, c.values, bound) is None:
-            return _verify_doc(False, f"candidate from trial {c.trial} "
-                                      f"does not re-verify")
-    return _verify_doc(True)
+            return VerificationResult(False, f"candidate from trial {c.trial} "
+                                             f"does not re-verify")
+    return VerificationResult(True)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _cmd_validate(args) -> Tuple[int, dict]:
+def _cmd_validate(args) -> Outcome:
     inst = _read_instance(args.instance)
     doc: dict = {"result": "ok", "kind": inst.kind}
     if inst.system is not None:
@@ -298,11 +199,12 @@ def _require_system(inst: Instance, what: str) -> None:
                          f"got kind {inst.kind!r}")
 
 
-def _cmd_decompose(args) -> Tuple[int, dict]:
+def _cmd_decompose(args) -> Outcome:
     inst = _read_instance(args.instance)
     _require_system(inst, "decompose")
     if args.verify:
-        return _verify_decomposition_result(inst, _read_result(args.verify))
+        return _verify_decomposition_result(inst,
+                                            _read_result(args.verify))
     ts = inst.system.transforms
     if inst.system.n == 1:
         outcome = decompose_one(ts[0], inst.f)
@@ -318,10 +220,10 @@ def _cmd_decompose(args) -> Tuple[int, dict]:
     return 1, serialize.violation_to_json(outcome)
 
 
-def _cmd_star_check(args) -> Tuple[int, dict]:
+def _cmd_star_check(args) -> Outcome:
     inst = _read_instance(args.instance)
     if args.verify:
-        return _verify_star_result(inst, _read_result(args.verify), args.bound)
+        return _verify_star_result(inst, _read_result(args.verify))
     if inst.kind == "finite":
         violation = check_star(inst.system, inst.f, args.bound)
     elif inst.kind == "cyclic-group":
@@ -339,8 +241,11 @@ def _cmd_star_check(args) -> Tuple[int, dict]:
     return 1, serialize.violation_to_json(violation)
 
 
-def _cmd_oracle(args) -> Tuple[int, dict]:
+def _cmd_oracle(args) -> Outcome:
     inst = _read_instance(args.instance)
+    if inst.kind == "z-window":
+        raise ParseError("the oracle needs total self-maps; z-window shifts "
+                         "are partial — use star-check")
     if args.verify:
         return _verify_oracle_result(inst, _read_result(args.verify))
     if inst.kind == "lattice-window":
@@ -348,16 +253,13 @@ def _cmd_oracle(args) -> Tuple[int, dict]:
         if isinstance(outcome, DualCertificate):
             return 1, serialize.dual_to_json(outcome)
         return 0, serialize.lattice_parts_to_json(inst.window.dims, outcome)
-    if inst.kind == "z-window":
-        raise ParseError("the oracle needs total self-maps; z-window shifts "
-                         "are partial — use star-check")
     outcome = oracle_decompose(inst.system, inst.f)
     if isinstance(outcome, Decomposition):
         return 0, serialize.decomposition_to_json(outcome)
     return 1, serialize.dual_to_json(outcome)
 
 
-def _cmd_lattice_decompose(args) -> Tuple[int, dict]:
+def _cmd_lattice_decompose(args) -> Outcome:
     inst = _read_instance(args.instance)
     if inst.kind != "lattice-window":
         raise ParseError("lattice-decompose needs a lattice-window instance, "
@@ -371,7 +273,7 @@ def _cmd_lattice_decompose(args) -> Tuple[int, dict]:
     return 0, serialize.lattice_parts_to_json(inst.window.dims, parts)
 
 
-def _cmd_bounded_transfer(args) -> Tuple[int, dict]:
+def _cmd_bounded_transfer(args) -> Outcome:
     inst = _read_instance(args.instance)
     _require_system(inst, "bounded-transfer")
     if inst.system.n != 2:
@@ -386,7 +288,7 @@ def _cmd_bounded_transfer(args) -> Tuple[int, dict]:
     return 0, serialize.bounded_to_json(outcome)
 
 
-def _cmd_search(args) -> Tuple[int, dict]:
+def _cmd_search(args) -> Outcome:
     if args.verify:
         return _verify_report(_read_result(args.verify), args.bound)
     report = search_counterexample(n=args.n, max_size=args.max_size,
@@ -442,7 +344,9 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        code, doc = args.handler(args)
+        outcome = args.handler(args)
+        code, doc = (_verify_doc(outcome)
+                     if isinstance(outcome, VerificationResult) else outcome)
     except ParseError as exc:
         _emit({"error": str(exc), "path": exc.path})
         return 2

@@ -16,12 +16,19 @@ from .core import (
     InternalContractViolation,
     PreconditionError,
     RationalFunction,
+    VerificationResult,
     commute_witness,
-    delta,
     identity,
     is_invariant,
 )
-from .orbits import Partition, _components, default_bound, find_relation, invariance_classes
+from .orbits import (
+    Partition,
+    _components,
+    default_bound,
+    find_relation,
+    invariance_classes,
+    iterate,
+)
 
 
 @dataclass(frozen=True)
@@ -209,7 +216,8 @@ def solve_transfer_constrained(
 
     Solvable iff the g-sum along T^i x, i < k, vanishes whenever
     T^k S^l x = S^{l2} x; the check happens on the quotient by s-classes,
-    and a failure is returned as that witness with its nonzero sum.
+    and a failure is returned as that witness with its nonzero sum, after
+    `verify_bounded_transfer` has replayed it.
     """
     _check_commute(t, s)
     if not is_invariant(s, g):
@@ -221,14 +229,14 @@ def solve_transfer_constrained(
         size = len(g)
         x = part.representative[h_q.points[0]]
         k = len(h_q.points)
-        u = x
-        for _ in range(k):
-            u = t[u]
-        link = find_relation(identity(size), s, u, x, default_bound(size))
+        link = find_relation(identity(size), s, iterate(t, k, x), x,
+                             default_bound(size))
         if link is None:
             raise InternalContractViolation(
                 "quotient cycle without a ground self-relation")
-        return ConstrainedObstruction(x, k, link.k, link.k2, h_q.total)
+        obstruction = ConstrainedObstruction(x, k, link.k, link.k2, h_q.total)
+        verify_bounded_transfer(t, s, g, obstruction).require("obstruction")
+        return obstruction
     values = tuple(h_q[part.class_of[x]] for x in range(len(g)))
     return RationalFunction(values)
 
@@ -281,8 +289,74 @@ def solve_bounded_transfer(
         for x in members:
             values[x] -= mid
     centered = RationalFunction(tuple(values))
-    if (not is_invariant(s, centered)
-            or delta(t, centered) != g
-            or centered.max_abs() > 2 * bound_c):
-        raise InternalContractViolation("recentering broke the solution")
+    _check_bounded(t, s, g, centered, bound_c).require(
+        "recentered solution")
     return BoundedTransfer(centered, bound_c)
+
+
+def _check_bounded(t: Sequence[int], s: Sequence[int], g: RationalFunction,
+                   h: RationalFunction,
+                   bound_c: Fraction) -> VerificationResult:
+    """h solves h(t(x)) - h(x) = g(x), is s-invariant and stays within 2C."""
+    for x in range(len(g)):
+        if h[t[x]] - h[x] != g[x]:
+            return VerificationResult(False, f"transfer identity fails at {x}")
+    if not is_invariant(s, h):
+        return VerificationResult(False, "solution is not s-invariant")
+    if h.max_abs() > 2 * bound_c:
+        return VerificationResult(False, "solution exceeds twice the bound")
+    return VerificationResult(True)
+
+
+def orbit_sum(t: Sequence[int], g: RationalFunction, x: int,
+              steps: int) -> Fraction:
+    """sum_{i < steps} g(t^i x) for any steps >= 0, in at most N steps:
+    the sum over x's tail, whole turns of its cycle, then a partial turn."""
+    orbit, _, start = _orbit_to_repeat(t, x)
+    prefix = [Fraction(0)]
+    for p in orbit:
+        prefix.append(prefix[-1] + g[p])
+    if steps <= len(orbit):
+        return prefix[steps]
+    turns, rest = divmod(steps - start, len(orbit) - start)
+    return prefix[start + rest] + turns * (prefix[-1] - prefix[start])
+
+
+def verify_bounded_transfer(
+    t: Sequence[int], s: Sequence[int], g: RationalFunction,
+    result: Union[BoundedTransfer, ConstrainedObstruction],
+) -> VerificationResult:
+    """Check either answer of `solve_bounded_transfer` against (t, s, g).
+
+    A BoundedTransfer (H, C) must solve h(t(x)) - h(x) = g(x) with H
+    s-invariant and sup |H| <= 2C, and C must equal the recomputed
+    `partial_sum_bound`.  A ConstrainedObstruction (x, k, l, l2, total)
+    must satisfy T^k S^l x = S^{l2} x, and the g-sum along T^i S^l x,
+    i < k, must equal its nonzero total.  Exponents are reduced along the
+    rho shape of each map, so any exponents replay in O(N) steps.
+    """
+    size = len(g)
+    if isinstance(result, BoundedTransfer):
+        if len(result.solution) != size:
+            return VerificationResult(False,
+                                      "solution length differs from domain")
+        verdict = _check_bounded(t, s, g, result.solution, result.bound)
+        if not verdict:
+            return verdict
+        if partial_sum_bound(t, g) != result.bound:
+            return VerificationResult(False,
+                                      "stored bound differs from recomputed")
+        return VerificationResult(True)
+    if isinstance(result, ConstrainedObstruction):
+        if not 0 <= result.x < size or min(result.k, result.l, result.l2) < 0:
+            return VerificationResult(
+                False, "witness point or exponent out of range")
+        start = iterate(s, result.l, result.x)
+        if iterate(t, result.k, start) != iterate(s, result.l2, result.x):
+            return VerificationResult(False, "witness relation does not hold")
+        total = orbit_sum(t, g, start, result.k)
+        if total != result.total or total == 0:
+            return VerificationResult(False, "obstruction sum does not replay")
+        return VerificationResult(True)
+    return VerificationResult(
+        False, f"unexpected result type {type(result).__name__}")

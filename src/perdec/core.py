@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
@@ -229,12 +230,24 @@ def integer_values(f: RationalFunction) -> tuple[list[int], int]:
         q = v.denominator
         g = gcd(denom, q)
         denom = denom // g * q
-    return [int(v * denom) for v in f], denom
+    return [v.numerator * (denom // v.denominator) for v in f], denom
 
 
 def delta(t: Sequence[int], f: RationalFunction) -> RationalFunction:
     """The difference x -> f(t(x)) - f(x)."""
     return f.compose(t) - f
+
+
+@lru_cache(maxsize=None)
+def mixed_corners(n: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """(factors applied, positive) per corner of an n-fold mixed difference.
+
+    The corner applying the factors in the subset counts positively when it
+    leaves out an even number of them.
+    """
+    return tuple((tuple(b for b in range(n) if mask >> b & 1),
+                  (n - bin(mask).count("1")) % 2 == 0)
+                 for mask in range(1 << n))
 
 
 def mixed_delta(system: CommutingSystem, powers: Sequence[int],
@@ -284,7 +297,7 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of verify_decomposition; falsy when invalid, with a reason tag."""
+    """Outcome of a certificate check; falsy when invalid, with a reason."""
 
     ok: bool
     reason: Optional[str] = None
@@ -292,18 +305,28 @@ class VerificationResult:
     def __bool__(self) -> bool:
         return self.ok
 
+    def require(self, what: str) -> None:
+        """Raise InternalContractViolation when `what` failed this check."""
+        if not self.ok:
+            raise InternalContractViolation(
+                f"{what} failed verification: {self.reason}")
+
 
 def verify_decomposition(system: CommutingSystem, f: RationalFunction,
                          decomposition: Decomposition) -> VerificationResult:
     """Exact check that parts sum to f and part j is T_j-invariant.
 
     Returns a truthy result on success; on failure the reason tag is
-    "SumMismatch(x)" or "NotInvariant(j,x)" for the first defect found.
+    "LengthMismatch(j)", "SumMismatch(x)" or "NotInvariant(j,x)" for the
+    first defect found.
     """
     if len(decomposition.parts) != system.n:
         raise PreconditionError(
             f"decomposition has {len(decomposition.parts)} parts, "
             f"system has {system.n} transforms")
+    for j, part in enumerate(decomposition.parts):
+        if len(part) != system.size:
+            return VerificationResult(False, f"LengthMismatch({j})")
     total = decomposition.total()
     for x in range(system.size):
         if total.values[x] != f.values[x]:

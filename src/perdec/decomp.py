@@ -11,10 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .cohomology import solve_transfer_pair
+from .cohomology import orbit_sum, solve_transfer_pair
 from .core import (
     BoundTooSmallError,
-    CommutingSystem,
     Decomposition,
     InternalContractViolation,
     PreconditionError,
@@ -23,28 +22,17 @@ from .core import (
     validate_system,
     verify_decomposition,
 )
-from .orbits import Relation, default_bound, find_relation, joint_classes
+from .orbits import (Relation, default_bound, find_relation, iterate,
+                     joint_classes)
 from .star import (
     StarInstance,
     StarViolation,
     check_star,
     compatibility_violation,
+    mixed_pair_violation,
 )
 
 DecompOutcome = Union[Decomposition, StarViolation]
-
-
-def _mixed_pair_violation(s: Sequence[int], t: Sequence[int],
-                          f: RationalFunction) -> Optional[StarViolation]:
-    """First point where the double difference along (s, t) is nonzero."""
-    for x in range(len(f)):
-        value = f[t[s[x]]] - f[t[x]] - f[s[x]] + f[x]
-        if value != 0:
-            instance = StarInstance(
-                blocks=((0,), (1,)), distinguished=(0, 1), exponents=(1, 1),
-                premises=(), z=x)
-            return StarViolation(instance, value, "MixedDeltaNonzero")
-    return None
 
 
 def decompose_one(t: Sequence[int], f: RationalFunction) -> DecompOutcome:
@@ -74,7 +62,7 @@ def decompose_two(s: Sequence[int], t: Sequence[int], f: RationalFunction,
     system = validate_system([s, t], len(f))
     if bound is None:
         bound = default_bound(system.size)
-    violation = _mixed_pair_violation(s, t, f)
+    violation = mixed_pair_violation(s, t, f)
     if violation is not None:
         return violation
     violation = compatibility_violation(s, t, f, bound, side="t")
@@ -90,34 +78,20 @@ def decompose_two(s: Sequence[int], t: Sequence[int], f: RationalFunction,
                 raise BoundTooSmallError(
                     f"no relation linking {x} to its representative {x0} "
                     f"within exponent bound {bound}")
-            base = x0
-            for _ in range(rel.k2):
-                base = t[base]
-            moved = x
-            for _ in range(rel.k):
-                moved = t[moved]
-            values[x] = f[base] - f[moved] + f[x]
+            values[x] = (f[iterate(t, rel.k2, x0)] - f[iterate(t, rel.k, x)]
+                         + f[x])
     g = RationalFunction(tuple(values))
     decomposition = Decomposition((g, f - g))
-    verdict = verify_decomposition(system, f, decomposition)
-    if not verdict:
-        raise InternalContractViolation(
-            f"two-part construction failed verification: {verdict.reason}")
+    verify_decomposition(system, f, decomposition).require(
+        "two-part construction")
     return decomposition
 
 
 def _forced_constant(t: Sequence[int], g: RationalFunction, x: int,
                      rel: Relation) -> Fraction:
     """-1/(k - k2) times the sum of g along T^i x for i in [k2, k)."""
-    k, k2 = rel.k, rel.k2
-    p = x
-    for _ in range(k2):
-        p = t[p]
-    total = Fraction(0)
-    for _ in range(k2, k):
-        total += g[p]
-        p = t[p]
-    return -total / (k - k2)
+    steps = rel.k - rel.k2
+    return -orbit_sum(t, g, iterate(t, rel.k2, x), steps) / steps
 
 
 def decompose_three(t: Sequence[int], s: Sequence[int], u: Sequence[int],
@@ -223,8 +197,6 @@ def decompose_three_report(
     h, l = sol_h.solution, sol_l.solution
     g = f - h - l
     decomposition = Decomposition((g, h, l))
-    verdict = verify_decomposition(system, f, decomposition)
-    if not verdict:
-        raise InternalContractViolation(
-            f"three-part construction failed verification: {verdict.reason}")
+    verify_decomposition(system, f, decomposition).require(
+        "three-part construction")
     return decomposition, {"branches": branches}

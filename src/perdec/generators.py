@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .core import CommutingSystem, RationalFunction, power, validate_system
+from .core import (CommutingSystem, RationalFunction, mixed_corners, power,
+                   validate_system)
 from .oracle import nullspace
 from .orbits import invariance_classes
 
@@ -105,14 +106,11 @@ def mixed_kernel_function(rng: random.Random,
     rows = []
     for x in range(size):
         coeff = [0] * size
-        for mask in range(1 << n):
+        for applied, positive in mixed_corners(n):
             w = x
-            applied = 0
-            for j in range(n):
-                if mask >> j & 1:
-                    w = system.transforms[j][w]
-                    applied += 1
-            coeff[w] += 1 if (n - applied) % 2 == 0 else -1
+            for j in applied:
+                w = system.transforms[j][w]
+            coeff[w] += 1 if positive else -1
         rows.append(coeff)
     basis = nullspace(rows, size)
     if not basis:

@@ -13,15 +13,21 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import (
-    InternalContractViolation,
     PreconditionError,
     RangeError,
     RationalFunction,
+    VerificationResult,
     as_fraction,
-    integer_values,
+    mixed_corners,
 )
-from .oracle import DualCertificate, linear_feasibility
-from .star import StarViolation, check_star_abelian
+from .oracle import DualCertificate, split_over_classes
+from .orbits import Partition
+from .star import (
+    StarViolation,
+    _shift_corners,
+    _shift_stencil,
+    check_star_abelian,
+)
 
 
 @dataclass(frozen=True)
@@ -88,16 +94,10 @@ class LatticeWindow:
 
     @property
     def size(self) -> int:
-        out = 1
-        for w in self.dims:
-            out *= w
-        return out
+        return _prod(self.dims)
 
     def strides(self) -> tuple[int, ...]:
-        out = [1] * len(self.dims)
-        for i in range(len(self.dims) - 2, -1, -1):
-            out[i] = out[i + 1] * self.dims[i + 1]
-        return tuple(out)
+        return _strides(self.dims)
 
     def get(self, coords: Sequence[int]) -> Fraction:
         return self.values[self.index(coords)]
@@ -137,6 +137,14 @@ def _prod(dims: Sequence[int]) -> int:
     return out
 
 
+def _strides(dims: Sequence[int]) -> tuple[int, ...]:
+    """Row-major strides, last axis fastest."""
+    out = [1] * len(dims)
+    for i in range(len(dims) - 2, -1, -1):
+        out[i] = out[i + 1] * dims[i + 1]
+    return tuple(out)
+
+
 class _Raw:
     """Mutable window scratch that tolerates extent-1 axes mid-recursion."""
 
@@ -144,10 +152,7 @@ class _Raw:
         self.dims = tuple(dims)
         self.values = values
         self.size = _prod(dims)
-        st = [1] * len(dims)
-        for i in range(len(dims) - 2, -1, -1):
-            st[i] = st[i + 1] * dims[i + 1]
-        self.strides = tuple(st)
+        self.strides = _strides(dims)
 
     def coords(self, idx: int) -> tuple[int, ...]:
         return tuple(idx // st % w
@@ -157,6 +162,17 @@ class _Raw:
         return sum(c * st for c, st in zip(coords, self.strides))
 
 
+def _mixed_delta_at(values: Sequence[Fraction], strides: Sequence[int],
+                    idx: int) -> Fraction:
+    """d-fold mixed forward difference at the point with row-major index
+    idx; the caller keeps every coordinate one below its upper edge."""
+    total = Fraction(0)
+    for applied, positive in mixed_corners(len(strides)):
+        value = values[idx + sum(strides[j] for j in applied)]
+        total += value if positive else -value
+    return total
+
+
 def _mixed_delta_witness(raw: _Raw) -> Optional[tuple[int, ...]]:
     """First point (lexicographic) where the full mixed difference is nonzero."""
     d = len(raw.dims)
@@ -164,26 +180,33 @@ def _mixed_delta_witness(raw: _Raw) -> Optional[tuple[int, ...]]:
         base = raw.coords(idx)
         if any(base[j] + 1 >= raw.dims[j] for j in range(d)):
             continue
-        total = Fraction(0)
-        for mask in range(1 << d):
-            offset_idx = idx
-            applied = 0
-            for j in range(d):
-                if mask >> j & 1:
-                    offset_idx += raw.strides[j]
-                    applied += 1
-            value = raw.values[offset_idx]
-            total += value if (d - applied) % 2 == 0 else -value
-        if total != 0:
+        if _mixed_delta_at(raw.values, raw.strides, idx) != 0:
             return base
     return None
+
+
+def verify_point_violation(f: LatticeWindow,
+                           point: Sequence[int]) -> VerificationResult:
+    """Check a point certificate: the d-fold mixed forward difference of f
+    is evaluable and nonzero there, so no split into axis-constant parts
+    exists."""
+    if len(point) != len(f.dims) or any(not 0 <= c < w - 1
+                                        for c, w in zip(point, f.dims)):
+        return VerificationResult(
+            False, "point is not a stencil base inside the window")
+    if _mixed_delta_at(f.values, f.strides(), f.index(point)) == 0:
+        return VerificationResult(False,
+                                  "mixed difference vanishes at the point")
+    return VerificationResult(True)
 
 
 def mixed_delta_witness(f: LatticeWindow) -> Optional[tuple[int, ...]]:
     """First point where the d-fold mixed forward difference is nonzero,
     or None when it vanishes wherever evaluable."""
-    raw = _Raw(f.dims, list(f.values))
-    return _mixed_delta_witness(raw)
+    point = _mixed_delta_witness(_Raw(f.dims, list(f.values)))
+    if point is not None:
+        verify_point_violation(f, point).require("point certificate")
+    return point
 
 
 def lattice_mixed_delta_zero(f: LatticeWindow) -> bool:
@@ -202,16 +225,6 @@ def _axis_delta(raw: _Raw, axis: int) -> _Raw:
         here = raw.index(coords)
         out.values[idx] = raw.values[here + raw.strides[axis]] - raw.values[here]
     return out
-
-
-def _axis_constant_violation(raw: _Raw, axis: int) -> Optional[tuple[int, ...]]:
-    for idx in range(raw.size):
-        coords = raw.coords(idx)
-        if coords[axis] + 1 >= raw.dims[axis]:
-            continue
-        if raw.values[idx + raw.strides[axis]] != raw.values[idx]:
-            return coords
-    return None
 
 
 def _lift(part: _Raw, axis: int, new_extent: int, base: int) -> _Raw:
@@ -274,20 +287,41 @@ def lattice_decompose(f: LatticeWindow,
     if witness is not None:
         raise PreconditionError(
             f"mixed difference is nonzero at {witness}")
-    d = len(f.dims)
-    parts_raw = _decompose_axes(raw, list(range(d)), base)
+    parts_raw = _decompose_axes(raw, list(range(len(f.dims))), base)
     parts = tuple(LatticeWindow(f.dims, tuple(p.values)) for p in parts_raw)
-    total = [Fraction(0)] * f.size
-    for p in parts_raw:
-        for i in range(f.size):
-            total[i] += p.values[i]
-    if total != list(f.values):
-        raise InternalContractViolation("parts do not sum to the input")
-    for j, p in enumerate(parts_raw):
-        if _axis_constant_violation(p, j) is not None:
-            raise InternalContractViolation(
-                f"part {j} varies along its own axis")
+    verify_lattice_parts(f, parts).require("constructed parts")
     return parts
+
+
+def verify_lattice_parts(f: LatticeWindow,
+                         parts: Sequence[LatticeWindow]) -> VerificationResult:
+    """Check a lattice decomposition: one part per axis, shaped like f,
+    summing to f, part j constant along axis j."""
+    if len(parts) != len(f.dims) or any(p.dims != f.dims for p in parts):
+        return VerificationResult(False, "parts do not match the window shape")
+    for idx, target in enumerate(f.values):
+        if sum(p.values[idx] for p in parts) != target:
+            return VerificationResult(
+                False, f"parts do not sum to f at {f.coords(idx)}")
+    for j, (p, w, stride) in enumerate(zip(parts, f.dims, f.strides())):
+        for idx in range(f.size):
+            if idx // stride % w + 1 < w \
+                    and p.values[idx + stride] != p.values[idx]:
+                return VerificationResult(False, f"part {j} varies along "
+                                                 f"axis {j} at {f.coords(idx)}")
+    return VerificationResult(True)
+
+
+def slice_partitions(f: LatticeWindow) -> List[Partition]:
+    """Per axis j, the window's lines along axis j as a partition.
+
+    Functions constant along axis j are exactly those constant on these
+    classes.  A line is labelled by its point with coordinate j zeroed, so
+    class ids run over the other coordinates in row-major order.
+    """
+    return [Partition.from_labels([idx - idx // stride % w * stride
+                                   for idx in range(f.size)])
+            for w, stride in zip(f.dims, f.strides())]
 
 
 def lattice_oracle_decompose(
@@ -297,47 +331,15 @@ def lattice_oracle_decompose(
 
     Unknowns are one value per (axis, complement slice); feasibility gives
     parts directly, infeasibility an exact dual functional on the window.
+    Both are verified before they are returned.
     """
-    d = len(f.dims)
-    strides = f.strides()
-    # unknown ids: for axis j, one per combination of the other coordinates
-    offsets = [0]
-    slice_sizes = []
-    for j in range(d):
-        slice_sizes.append(f.size // f.dims[j])
-        offsets.append(offsets[-1] + slice_sizes[-1])
-    ncols = offsets[-1]
-
-    def slice_id(j: int, coords: Sequence[int]) -> int:
-        sid = 0
-        for i, (c, w) in enumerate(zip(coords, f.dims)):
-            if i == j:
-                continue
-            sid = sid * w + c
-        return offsets[j] + sid
-
-    rows = []
-    for idx in range(f.size):
-        coords = f.coords(idx)
-        row = [0] * ncols
-        for j in range(d):
-            row[slice_id(j, coords)] += 1
-        rows.append(row)
-    func = RationalFunction(f.values)
-    rhs, denom = integer_values(func)
-    solution, dual = linear_feasibility(rows, rhs, ncols)
-    if dual is not None:
-        certificate = DualCertificate(RationalFunction(
-            tuple(Fraction(w) for w in dual)))
-        if certificate.pair(func) == 0:
-            raise InternalContractViolation("window dual pairs to zero with f")
-        return certificate
-    parts = []
-    for j in range(d):
-        values = tuple(solution[slice_id(j, f.coords(idx))] / denom
-                       for idx in range(f.size))
-        parts.append(LatticeWindow(f.dims, values))
-    return tuple(parts)
+    outcome = split_over_classes(slice_partitions(f),
+                                 RationalFunction(f.values))
+    if isinstance(outcome, DualCertificate):
+        return outcome
+    parts = tuple(LatticeWindow(f.dims, values) for values in outcome)
+    verify_lattice_parts(f, parts).require("window oracle parts")
+    return parts
 
 
 @dataclass(frozen=True)
@@ -362,10 +364,8 @@ def z_window_counterexample(length: int = 10) -> ZWindowDemo:
         raise PreconditionError("window must have length at least 3")
     f = RationalFunction(tuple(Fraction(x) for x in range(length)))
     shifts = (1, 1)
-    mixed_ok = True
-    for z in range(length - 2):
-        if f[z + 2] - 2 * f[z + 1] + f[z] != 0:
-            mixed_ok = False
-            break
+    corners = _shift_corners(shifts)
+    mixed_ok = all(not _shift_stencil(f.values, corners, z, None)
+                   for z in range(length))
     violation = check_star_abelian(None, shifts, f)
     return ZWindowDemo(length, shifts, mixed_ok, violation)

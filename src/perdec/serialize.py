@@ -328,6 +328,9 @@ def parse_result(doc: Any) -> Any:
         blocks = cert.get("blocks")
         if not isinstance(blocks, list):
             raise ParseError("expected blocks list", "certificate.blocks")
+        premises = cert.get("premises", [])
+        if not isinstance(premises, list):
+            raise ParseError("expected premises list", "certificate.premises")
         instance = StarInstance(
             blocks=tuple(tuple(_int_list(b, f"certificate.blocks[{i}]"))
                          for i, b in enumerate(blocks)),
@@ -336,7 +339,7 @@ def parse_result(doc: Any) -> Any:
             exponents=tuple(_int_list(cert.get("exponents"),
                                       "certificate.exponents")),
             premises=tuple(tuple(_int_list(p, f"certificate.premises[{i}]"))
-                           for i, p in enumerate(cert.get("premises", []))),
+                           for i, p in enumerate(premises)),
             z=_int_field(cert, "z", "certificate.z"),
         )
         kind = cert.get("kind")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from . import kernels
 from .core import (
@@ -28,6 +28,7 @@ from .core import (
     RangeError,
     RationalFunction,
     integer_values,
+    mixed_corners,
     power_table,
     validate_system,
 )
@@ -208,23 +209,30 @@ def compare_premise_conventions(system: CommutingSystem, f: RationalFunction,
     }
 
 
-def replay_violation(system: CommutingSystem, f: RationalFunction,
-                     violation: StarViolation) -> bool:
-    """Re-derive a stored violation: structure, premises, and exact value."""
-    inst = violation.instance
-    covered = sorted(i for block in inst.blocks for i in block)
-    if covered != list(range(system.n)):
+def _well_formed(inst: StarInstance, n: int, size: int) -> bool:
+    """Blocks partition range(n), each with a head in it and an exponent
+    >= 1; one (i, l, l2) premise per non-head index; z in [0, size)."""
+    if not len(inst.blocks) == len(inst.distinguished) == len(inst.exponents):
         return False
-    if len(inst.distinguished) != len(inst.blocks):
+    covered = sorted(i for block in inst.blocks for i in block)
+    if covered != list(range(n)):
         return False
     for block, h, k in zip(inst.blocks, inst.distinguished, inst.exponents):
         if h not in block or k < 1:
             return False
     expected = sorted(i for block, h in zip(inst.blocks, inst.distinguished)
                       for i in block if i != h)
-    if sorted(i for i, _, _ in inst.premises) != expected:
+    if any(len(p) != 3 for p in inst.premises) \
+            or sorted(p[0] for p in inst.premises) != expected:
         return False
-    if not 0 <= inst.z < system.size:
+    return 0 <= inst.z < size
+
+
+def replay_violation(system: CommutingSystem, f: RationalFunction,
+                     violation: StarViolation) -> bool:
+    """Re-derive a stored violation: structure, premises, and exact value."""
+    inst = violation.instance
+    if not _well_formed(inst, system.n, system.size):
         return False
     head_of = {}
     k_of = {}
@@ -242,16 +250,11 @@ def replay_violation(system: CommutingSystem, f: RationalFunction,
         if left != right:
             return False
     value = Fraction(0)
-    nb = len(inst.blocks)
-    for mask in range(1 << nb):
+    for applied, positive in mixed_corners(len(inst.blocks)):
         w = inst.z
-        applied = 0
-        for b in range(nb):
-            if mask >> b & 1:
-                w = iterate(tables[inst.distinguished[b]], inst.exponents[b], w)
-                applied += 1
-        term = f[w]
-        value += term if (nb - applied) % 2 == 0 else -term
+        for b in applied:
+            w = iterate(tables[inst.distinguished[b]], inst.exponents[b], w)
+        value += f[w] if positive else -f[w]
     return value == violation.value and value != 0
 
 
@@ -272,6 +275,30 @@ def _natural_multiple(a: int, b: int, modulus: Optional[int]) -> Optional[int]:
             return m
         seen = (seen + a) % modulus
     return None
+
+
+def _shift_corners(offsets: Sequence[int]) -> list[tuple[int, bool]]:
+    """(offset, positive) per corner of the mixed difference whose factors
+    translate by the given offsets."""
+    return [(sum(offsets[b] for b in applied), positive)
+            for applied, positive in mixed_corners(len(offsets))]
+
+
+def _shift_stencil(values: Sequence, corners: Sequence[tuple[int, bool]],
+                   z: int, modulus: Optional[int]):
+    """Mixed difference of values at z on Z_modulus, or on a window of Z
+    when modulus is None, where it is None unless every corner lies
+    inside the window."""
+    size = len(values)
+    total = 0
+    for off, positive in corners:
+        w = z + off
+        if modulus is not None:
+            w %= modulus
+        elif not 0 <= w < size:
+            return None
+        total += values[w] if positive else -values[w]
+    return total
 
 
 def check_star_abelian(modulus: Optional[int], shifts: Sequence[int],
@@ -303,13 +330,6 @@ def check_star_abelian(modulus: Optional[int], shifts: Sequence[int],
     if bound is None:
         bound = 2 * size
     f_num, denom = integer_values(f)
-
-    def offset_point(z: int, off: int) -> Optional[int]:
-        if modulus is not None:
-            return (z + off) % modulus
-        w = z + off
-        return w if 0 <= w < size else None
-
     for blocks in _partitions(n):
         for heads in product(*blocks):
             kmax = [1 if len(block) == 1 else bound for block in blocks]
@@ -331,24 +351,11 @@ def check_star_abelian(modulus: Optional[int], shifts: Sequence[int],
                         break
                 if not gated:
                     continue
-                offsets = [kvec[b] * shifts[heads[b]] for b in range(nb)]
+                corners = _shift_corners(
+                    [kvec[b] * shifts[heads[b]] for b in range(nb)])
                 for z in range(size):
-                    value = 0
-                    evaluable = True
-                    for mask in range(1 << nb):
-                        off = 0
-                        applied = 0
-                        for b in range(nb):
-                            if mask >> b & 1:
-                                off += offsets[b]
-                                applied += 1
-                        w = offset_point(z, off)
-                        if w is None:
-                            evaluable = False
-                            break
-                        value += (f_num[w] if (nb - applied) % 2 == 0
-                                  else -f_num[w])
-                    if evaluable and value:
+                    value = _shift_stencil(f_num, corners, z, modulus)
+                    if value:
                         instance = StarInstance(
                             blocks, tuple(heads), tuple(kvec),
                             tuple(sorted(premises)), z)
@@ -362,16 +369,11 @@ def replay_abelian_violation(modulus: Optional[int], shifts: Sequence[int],
                              violation: StarViolation) -> bool:
     """Re-derive an abelian violation arithmetically."""
     inst = violation.instance
-    n = len(shifts)
-    size = len(f)
-    covered = sorted(i for block in inst.blocks for i in block)
-    if covered != list(range(n)) or not 0 <= inst.z < size:
+    if not _well_formed(inst, len(shifts), len(f)):
         return False
     head_of = {}
     k_of = {}
     for block, h, k in zip(inst.blocks, inst.distinguished, inst.exponents):
-        if h not in block or k < 1:
-            return False
         for i in block:
             head_of[i] = h
             k_of[i] = k
@@ -385,23 +387,10 @@ def replay_abelian_violation(modulus: Optional[int], shifts: Sequence[int],
                 return False
         elif (lhs - rhs) % modulus:
             return False
-    nb = len(inst.blocks)
-    value = Fraction(0)
-    for mask in range(1 << nb):
-        off = 0
-        applied = 0
-        for b in range(nb):
-            if mask >> b & 1:
-                off += inst.exponents[b] * shifts[inst.distinguished[b]]
-                applied += 1
-        if modulus is not None:
-            w = (inst.z + off) % modulus
-        else:
-            w = inst.z + off
-            if not 0 <= w < size:
-                return False
-        value += f[w] if (nb - applied) % 2 == 0 else -f[w]
-    return value == violation.value and value != 0
+    corners = _shift_corners([k * shifts[h] for h, k
+                              in zip(inst.distinguished, inst.exponents)])
+    value = _shift_stencil(f.values, corners, inst.z, modulus)
+    return value is not None and value == violation.value and value != 0
 
 
 def compatibility_violation(s: Sequence[int], t: Sequence[int],
@@ -447,6 +436,19 @@ def compatibility_violation(s: Sequence[int], t: Sequence[int],
                          "CompatibilityFailure")
 
 
+def mixed_pair_violation(s: Sequence[int], t: Sequence[int],
+                         f: RationalFunction) -> Optional[StarViolation]:
+    """First point where the double difference along (s, t) is nonzero."""
+    for x in range(len(f)):
+        value = f[t[s[x]]] - f[t[x]] - f[s[x]] + f[x]
+        if value != 0:
+            instance = StarInstance(
+                blocks=((0,), (1,)), distinguished=(0, 1), exponents=(1, 1),
+                premises=(), z=x)
+            return StarViolation(instance, value, "MixedDeltaNonzero")
+    return None
+
+
 def check_two_symmetric(s: Sequence[int], t: Sequence[int],
                         f: RationalFunction,
                         bound: Optional[int] = None) -> Optional[StarViolation]:
@@ -461,13 +463,9 @@ def check_two_symmetric(s: Sequence[int], t: Sequence[int],
     if bound is None:
         bound = default_bound(system.size)
     f_num, denom = integer_values(f)
-    for x in range(system.size):
-        value = (f[t[s[x]]] - f[t[x]] - f[s[x]] + f[x])
-        if value != 0:
-            instance = StarInstance(
-                blocks=((0,), (1,)), distinguished=(0, 1), exponents=(1, 1),
-                premises=(), z=x)
-            return StarViolation(instance, value, "MixedDeltaNonzero")
+    violation = mixed_pair_violation(s, t, f)
+    if violation is not None:
+        return violation
     for side in ("t", "s"):
         viol = compatibility_violation(s, t, f, bound, side=side,
                                        denom_hint=(f_num, denom))

@@ -1,8 +1,13 @@
+import contextlib
 import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from perdec.cli import run_command
 
@@ -20,6 +25,13 @@ Z_WINDOW_LINEAR = {
     "values": [str(x) for x in range(10)],
 }
 
+CYCLIC_SPLIT = {
+    "kind": "cyclic-group",
+    "modulus": 4,
+    "shifts": [1, 2, 3],
+    "values": ["2", "2", "2", "2"],
+}
+
 LATTICE_SEPARABLE = {
     "kind": "lattice-window",
     "dims": [2, 3],
@@ -30,6 +42,13 @@ LATTICE_CORNER = {
     "kind": "lattice-window",
     "dims": [2, 2],
     "values": ["0", "0", "0", "1"],
+}
+
+SWAP_TRANSFER = {
+    "kind": "finite",
+    "size": 2,
+    "transforms": [[1, 0], [1, 0]],
+    "values": ["1", "1"],
 }
 
 THREE_CYCLE_TRANSFER = {
@@ -203,6 +222,16 @@ def test_oracle_lattice_parts_and_dual(tmp_path, capsys):
     assert code == 0 and doc["agrees"] is True
 
 
+def test_oracle_verify_rejects_z_window(tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", Z_WINDOW_LINEAR)
+    dual = {"result": "infeasible",
+            "certificate": {"weights": ["1", "-1"] + ["0"] * 8}}
+    saved = _write(tmp_path, "dual.json", dual)
+    code, doc = _run(capsys, ["oracle", path, "--verify", saved])
+    assert code == 2
+    assert "star-check" in doc["error"]
+
+
 def test_lattice_decompose_and_gauge(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", LATTICE_SEPARABLE)
     code, doc = _run(capsys, ["lattice-decompose", path])
@@ -315,6 +344,146 @@ def test_star_check_verify_replays_huge_exponents_quickly(tmp_path, capsys):
     code, doc = _run(capsys, ["star-check", path, "--verify", saved])
     assert time.perf_counter() - start < 1.0
     assert code == 0 and doc["agrees"] is True
+
+
+def test_bounded_transfer_verify_replays_huge_exponents_quickly(tmp_path,
+                                                               capsys):
+    # t = s = swap: T^k S^l 0 = S^l2 0 needs k + l - l2 even, and the
+    # g-sum over k steps of g = 1 is k
+    k = 10 ** 11 + 1
+    cert = {"result": "constrained-obstruction",
+            "certificate": {"x": 0, "k": k, "l": 10 ** 11 + 1, "l2": 10 ** 11,
+                            "total": str(k)}}
+    path = _write(tmp_path, "inst.json", SWAP_TRANSFER)
+    saved = _write(tmp_path, "cert.json", cert)
+    start = time.perf_counter()
+    code, doc = _run(capsys, ["bounded-transfer", path, "--verify", saved])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and doc["agrees"] is True
+
+
+def test_bounded_transfer_verify_rejects_an_out_of_range_point(tmp_path,
+                                                               capsys):
+    cert = {"result": "constrained-obstruction",
+            "certificate": {"x": 7, "k": 1, "l": 1, "l2": 0, "total": "1"}}
+    path = _write(tmp_path, "inst.json", SWAP_TRANSFER)
+    saved = _write(tmp_path, "cert.json", cert)
+    code = run_command(["bounded-transfer", path, "--verify", saved])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    doc = json.loads(captured.out)
+    assert doc["agrees"] is False and doc["reason"]
+
+
+def test_decompose_verify_rejects_short_parts(tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", THREE_CYCLE_TRANSFER)
+    short = {"result": "decomposition", "parts": [["1", "1"], ["0", "0"]]}
+    saved = _write(tmp_path, "cert.json", short)
+    code = run_command(["decompose", path, "--verify", saved])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    assert json.loads(captured.out)["reason"] == "LengthMismatch(0)"
+
+
+def test_oracle_lattice_dual_with_one_weight_changed_is_rejected(tmp_path,
+                                                                 capsys):
+    path = _write(tmp_path, "inst.json", LATTICE_CORNER)
+    code, doc = _run(capsys, ["oracle", path])
+    assert code == 1 and doc["result"] == "infeasible"
+    weights = doc["certificate"]["weights"]
+    for i in range(len(weights)):
+        tampered = json.loads(json.dumps(doc))
+        tampered["certificate"]["weights"][i] = str(int(weights[i]) + 1)
+        bad = _write(tmp_path, f"bad{i}.json", tampered)
+        code, verdict = _run(capsys, ["oracle", path, "--verify", bad])
+        assert code == 1 and verdict["agrees"] is False
+
+
+def _certificates():
+    """(subcommand, instance, saved result) for one document of each
+    certificate type, produced by the command line itself."""
+    cases = [("decompose", FINITE_DOUBLE_SWAP), ("decompose", CYCLIC_SPLIT),
+             ("star-check", Z_WINDOW_LINEAR),
+             ("oracle", FINITE_DOUBLE_SWAP), ("oracle", LATTICE_CORNER),
+             ("oracle", LATTICE_SEPARABLE),
+             ("lattice-decompose", LATTICE_CORNER),
+             ("bounded-transfer", THREE_CYCLE_TRANSFER),
+             ("bounded-transfer", SWAP_TRANSFER)]
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, inst in cases:
+            path = Path(tmp) / "inst.json"
+            path.write_text(json.dumps(inst))
+            with contextlib.redirect_stdout(io.StringIO()) as buf:
+                run_command([command, str(path)])
+            out.append((command, inst, json.loads(buf.getvalue())))
+    return out
+
+
+CERTIFICATES = _certificates()
+
+
+def _field_paths(doc, prefix=()):
+    """Key or index paths into a JSON document, containers included; of a
+    list's elements only the first and the last."""
+    paths = [prefix] if prefix else []
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = [(i, doc[i]) for i in sorted({0, len(doc) - 1}) if doc]
+    else:
+        items = []
+    for key, value in items:
+        paths.extend(_field_paths(value, prefix + (key,)))
+    return paths
+
+
+MUTATION_SITES = [(command, inst, doc, path)
+                  for command, inst, doc in CERTIFICATES
+                  for path in _field_paths(doc)]
+
+_FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from([10 ** 11, -10 ** 11, 2 ** 64]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["0", "1", "-1", "1/2", "-7/3", "abc", "1/0", ""]),
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.lists(st.sampled_from(["0", "1", "-1/2"]), max_size=7),
+    st.dictionaries(st.sampled_from(["x", "point", "weights"]),
+                    st.integers(-2, 2), max_size=2),
+)
+
+
+@pytest.mark.parametrize(
+    "site", MUTATION_SITES,
+    ids=[f"{command}:{doc['result']}:{'.'.join(map(str, path))}"
+         for command, _, doc, path in MUTATION_SITES])
+@given(value=_FIELD_VALUES)
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_certificates_never_crash_or_hang(site, value):
+    command, inst, doc, path = site
+    mutated = json.loads(json.dumps(doc))
+    holder = mutated
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = Path(tmp) / "inst.json"
+        inst_path.write_text(json.dumps(inst))
+        cert_path = Path(tmp) / "cert.json"
+        cert_path.write_text(json.dumps(mutated))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command([command, str(inst_path),
+                                "--verify", str(cert_path)])
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < 1.0
+    json.loads(out.getvalue())
 
 
 def test_stdin_instance(capsys, monkeypatch):

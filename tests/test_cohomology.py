@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from perdec.cohomology import (
     solve_transfer_constrained,
     solve_transfer_mod_invariant,
     solve_transfer_pair,
+    verify_bounded_transfer,
 )
 from perdec.core import (
     PreconditionError,
@@ -244,3 +246,49 @@ def test_solve_bounded_transfer_obstruction_matches_constrained(system, data):
         assert bounded == constrained
     else:
         assert isinstance(bounded, BoundedTransfer)
+
+
+@given(systems(n=2), st.data())
+def test_verify_bounded_transfer_accepts_both_answers(system, data):
+    t, s = system.transforms
+    g = _invariant_function(s, data)
+    got = solve_bounded_transfer(t, s, g)
+    assert verify_bounded_transfer(t, s, g, got)
+    if isinstance(got, BoundedTransfer):
+        if got.bound:
+            tampered = BoundedTransfer(got.solution, got.bound * 2)
+            verdict = verify_bounded_transfer(t, s, g, tampered)
+            assert not verdict and "recomputed" in verdict.reason
+    else:
+        tampered = ConstrainedObstruction(got.x, got.k, got.l, got.l2,
+                                          got.total + 1)
+        assert not verify_bounded_transfer(t, s, g, tampered)
+
+
+@given(systems(n=2), st.data())
+def test_verify_bounded_transfer_reduces_huge_obstruction_exponents(system,
+                                                                   data):
+    t, s = system.transforms
+    g = _invariant_function(s, data)
+    got = solve_transfer_constrained(t, s, g)
+    if isinstance(got, RationalFunction):
+        return
+    # add a common multiple of every cycle length on the walked paths and
+    # extra k-turns of x's quotient cycle: the relation and sum must scale
+    big = 10 ** 12 * math.factorial(len(t))
+    huge = ConstrainedObstruction(got.x, got.k * (big + 1), got.l + big,
+                                  got.l2 + big, got.total * (big + 1))
+    assert verify_bounded_transfer(t, s, g, huge)
+
+
+def test_verify_bounded_transfer_rejects_out_of_range_witnesses():
+    t = (1, 0)
+    g = RationalFunction.constant(2, Fraction(1))
+    good = solve_transfer_constrained(t, t, g)
+    assert verify_bounded_transfer(t, t, g, good)
+    for x, k, l, l2 in ((7, 1, 1, 0), (-1, 1, 1, 0), (0, -1, 1, 0),
+                        (0, 1, -1, 0), (0, 1, 1, -2)):
+        bad = ConstrainedObstruction(x, k, l, l2, Fraction(1))
+        assert not verify_bounded_transfer(t, t, g, bad)
+    short = BoundedTransfer(RationalFunction((Fraction(0),)), Fraction(1))
+    assert not verify_bounded_transfer(t, t, g, short)

@@ -17,6 +17,7 @@ from perdec.core import (
     identity,
     integer_values,
     is_invariant,
+    mixed_corners,
     mixed_delta,
     power,
     power_table,
@@ -157,6 +158,14 @@ def test_is_invariant_iff_delta_zero(sized, data):
     assert is_invariant(t, f) == delta(t, f).is_zero()
 
 
+def test_mixed_corners_sign_by_factors_left_out():
+    assert mixed_corners(0) == (((), True),)
+    assert mixed_corners(2) == (((), True), ((0,), False), ((1,), False),
+                                ((0, 1), True))
+    for applied, positive in mixed_corners(3):
+        assert positive == ((3 - len(applied)) % 2 == 0)
+
+
 def test_verify_decomposition_reports_sum_mismatch():
     system = validate_system([(0, 1)], 2)
     f = RationalFunction.from_values([1, 1])
@@ -164,6 +173,16 @@ def test_verify_decomposition_reports_sum_mismatch():
     res = verify_decomposition(system, f, bad)
     assert not res
     assert res.reason == "SumMismatch(0)"
+
+
+def test_verify_decomposition_reports_short_parts():
+    system = validate_system([(1, 2, 0), (0, 1, 2)], 3)
+    f = RationalFunction.from_values([1, 1, 1])
+    short = Decomposition((RationalFunction.from_values([1, 1]),
+                           RationalFunction.from_values([0, 0])))
+    res = verify_decomposition(system, f, short)
+    assert not res
+    assert res.reason == "LengthMismatch(0)"
 
 
 def test_verify_decomposition_reports_non_invariance():

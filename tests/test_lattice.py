@@ -12,10 +12,13 @@ from perdec.lattice import (
     lattice_mixed_delta_zero,
     lattice_oracle_decompose,
     mixed_delta_witness,
+    slice_partitions,
     unrelated_check,
+    verify_lattice_parts,
+    verify_point_violation,
     z_window_counterexample,
 )
-from perdec.oracle import DualCertificate
+from perdec.oracle import DualCertificate, verify_dual
 from perdec.star import replay_abelian_violation
 from tests.conftest import rationals
 
@@ -187,6 +190,59 @@ def test_lattice_oracle_matches_mixed_delta_criterion(f):
                 key = tuple(c for i, c in enumerate(coords) if i != axis)
                 sums[key] = sums.get(key, Fraction(0)) + got.weights[idx]
             assert all(v == 0 for v in sums.values())
+
+
+@given(arbitrary_windows())
+@settings(max_examples=60, deadline=None)
+def test_lattice_oracle_results_pass_their_verifier(f):
+    got = lattice_oracle_decompose(f)
+    if isinstance(got, DualCertificate):
+        assert verify_dual(slice_partitions(f), RationalFunction(f.values),
+                           got)
+    else:
+        assert verify_lattice_parts(f, got)
+
+
+@given(arbitrary_windows())
+@settings(max_examples=40, deadline=None)
+def test_slice_partitions_group_points_by_their_other_coordinates(f):
+    for axis, part in enumerate(slice_partitions(f)):
+        keys = [tuple(c for i, c in enumerate(f.coords(idx)) if i != axis)
+                for idx in range(f.size)]
+        for a in range(f.size):
+            for b in range(f.size):
+                assert (part.class_of[a] == part.class_of[b]) \
+                    == (keys[a] == keys[b])
+
+
+def test_verify_lattice_parts_rejects_each_defect():
+    f = LatticeWindow((2, 2), tuple(Fraction(v) for v in (0, 1, 10, 11)))
+    parts = lattice_decompose(f)
+    assert verify_lattice_parts(f, parts)
+    assert not verify_lattice_parts(f, parts[:1])
+    shifted = LatticeWindow((2, 2), tuple(v + 1 for v in parts[0].values))
+    verdict = verify_lattice_parts(f, (shifted, parts[1]))
+    assert not verdict and "sum" in verdict.reason
+    # moving one unit between parts keeps the sum but breaks constancy
+    bumped = list(parts[0].values)
+    bumped[0] += 1
+    other = list(parts[1].values)
+    other[0] -= 1
+    verdict = verify_lattice_parts(
+        f, (LatticeWindow((2, 2), tuple(bumped)),
+            LatticeWindow((2, 2), tuple(other))))
+    assert not verdict and "varies" in verdict.reason
+
+
+def test_verify_point_violation_checks_range_and_value():
+    corner = LatticeWindow((2, 2), tuple(Fraction(v) for v in (0, 0, 0, 1)))
+    assert mixed_delta_witness(corner) == (0, 0)
+    assert verify_point_violation(corner, (0, 0))
+    for point in ((1, 1), (0,), (0, 0, 0), (-1, 0)):
+        assert not verify_point_violation(corner, point)
+    flat = LatticeWindow((3, 2), (Fraction(0),) * 6)
+    verdict = verify_point_violation(flat, (1, 0))
+    assert not verdict and "vanishes" in verdict.reason
 
 
 @given(separable_windows())

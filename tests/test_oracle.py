@@ -21,6 +21,7 @@ from perdec.oracle import (
     linear_feasibility,
     nullspace,
     oracle_decompose,
+    verify_dual,
 )
 from perdec.orbits import invariance_classes
 from tests.conftest import systems, systems_with_functions
@@ -162,3 +163,36 @@ def test_oracle_verdict_matches_span_membership(case):
     else:
         assert isinstance(got, DualCertificate)
         assert got.pair(f) != 0
+
+
+@given(systems_with_functions(), st.data())
+def test_verify_dual_matches_pairing_with_every_kernel_indicator(case, data):
+    system, f = case
+    basis = [e for t in system.transforms for e in kernel_basis(t)]
+    # weights from the annihilator of all indicators, sometimes perturbed,
+    # so both accepted and rejected functionals come up
+    null = nullspace([[int(v) for v in e] for e in basis], system.size)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(null),
+                                max_size=len(null)))
+    weights = [sum((c * vec[x] for c, vec in zip(coeffs, null)), Fraction(0))
+               for x in range(system.size)]
+    scale = math.lcm(*(w.denominator for w in weights))
+    weights = [w * scale for w in weights]
+    if data.draw(st.booleans()):
+        x = data.draw(st.integers(0, system.size - 1))
+        weights[x] += data.draw(st.integers(-2, 2))
+    dual = DualCertificate(RationalFunction(tuple(weights)))
+    expected = dual.pair(f) != 0 and all(dual.pair(e) == 0 for e in basis)
+    partitions = [invariance_classes(t) for t in system.transforms]
+    assert bool(verify_dual(partitions, f, dual)) == expected
+
+
+def test_verify_dual_rejects_a_wrong_weight_count():
+    system = validate_system([(1, 0)], 2)
+    f = RationalFunction((Fraction(0), Fraction(1)))
+    dual = oracle_decompose(system, f)
+    partitions = [invariance_classes((1, 0))]
+    assert verify_dual(partitions, f, dual)
+    short = DualCertificate(RationalFunction(dual.weights.values[:1]))
+    verdict = verify_dual(partitions, f, short)
+    assert not verdict and "count" in verdict.reason
