@@ -20,6 +20,7 @@ from .core import (
     commute_witness,
     identity,
     is_invariant,
+    iterate,
 )
 from .orbits import (
     Partition,
@@ -27,7 +28,6 @@ from .orbits import (
     default_bound,
     find_relation,
     invariance_classes,
-    iterate,
 )
 
 

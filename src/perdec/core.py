@@ -84,13 +84,37 @@ def compose(t: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
 
 
 def power(t: Sequence[int], k: int) -> tuple[int, ...]:
-    """Table of the k-th iterate of t, k >= 0."""
+    """Table of the k-th iterate of t, k >= 0, in O(N log k) by squaring."""
     if k < 0:
         raise RangeError(f"negative exponent {k}")
     out = tuple(range(len(t)))
-    for _ in range(k):
-        out = compose(t, out)
+    square = tuple(t)
+    while k:
+        if k & 1:
+            out = compose(square, out)
+        k >>= 1
+        if k:
+            square = compose(square, square)
     return out
+
+
+def iterate(t: Sequence[int], steps: int, x: int) -> int:
+    """t^steps(x) for any steps >= 0, in at most len(t) steps.
+
+    Walks x's forward orbit until it repeats, then reduces the remaining
+    steps modulo the cycle it entered.
+    """
+    path: list[int] = []
+    first: dict[int, int] = {}
+    while steps:
+        if x in first:
+            mu = first[x]
+            return path[mu + steps % (len(path) - mu)]
+        first[x] = len(path)
+        path.append(x)
+        x = t[x]
+        steps -= 1
+    return x
 
 
 def power_table(t: Sequence[int], kmax: int) -> list[tuple[int, ...]]:
@@ -154,8 +178,7 @@ def apply_word(system: CommutingSystem, exponents: Sequence[int], x: int) -> int
     for t, k in zip(system.transforms, exponents):
         if k < 0:
             raise RangeError(f"negative exponent {k}")
-        for _ in range(k):
-            x = t[x]
+        x = iterate(t, k, x)
     return x
 
 

@@ -19,11 +19,11 @@ from .core import (
     PreconditionError,
     RationalFunction,
     delta,
+    iterate,
     validate_system,
     verify_decomposition,
 )
-from .orbits import (Relation, default_bound, find_relation, iterate,
-                     joint_classes)
+from .orbits import Relation, default_bound, find_relation, joint_classes
 from .star import (
     StarInstance,
     StarViolation,

@@ -1,50 +1,78 @@
-"""Kernel selection: compiled scans when available and safe, else pure Python.
+"""Scan kernels: the inner loops of the partition and compatibility checks.
 
-The compiled twin works on C int64 values, so it is only used when the
-integer inputs comfortably fit (the pure twin has no such limit).  Set
-PERDEC_PURE=1 before import to force the pure implementations, e.g. for
-benchmarking or debugging.
+Values are integer numerators over a caller-held common denominator, so
+all comparisons are integer comparisons.
 """
 
 from __future__ import annotations
 
-import os
+from itertools import product
+from typing import Dict, Tuple
 
-from . import _kernels_py as _pure
-
+# perfbench's tracer reads implementation_name(), _compiled and the
+# kmax/bound/f_num parameter names of the two scans.
 _compiled = None
-if not os.environ.get("PERDEC_PURE"):
-    try:
-        from . import _kernels as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
-
-# mixed differences sum 2^nb terms; stay far inside int64 territory
-_INT64_SAFE = 1 << 57
 
 
 def implementation_name() -> str:
-    return "compiled" if _compiled is not None else "pure"
-
-
-def _fits_int64(f_num, bound: int) -> bool:
-    if bound >= (1 << 30) or len(f_num) >= (1 << 30):
-        return False
-    return all(-_INT64_SAFE <= v <= _INT64_SAFE for v in f_num)
+    return "pure"
 
 
 def star_scan(head_pows, gates, kmax, bound, f_num):
-    """Route one partition-condition scan to the compiled or pure kernel.
+    """First nonzero premise-gated mixed difference.
 
-    bound, the exponent bound the power tables were built with, only takes
-    part in the route check.
+    head_pows[b][k][x] is block b's distinguished transform iterated k
+    times (1 <= k <= kmax[b]); gates[b][k] is a bitmask over z whose bit z
+    is set when block b's premise holds at exponent k and point z.  bound,
+    the exponent bound the tables were built with, is not used by the scan.
+
+    Scans exponent vectors lexicographically (each component from 1) with
+    z ascending innermost, skipping z outside every block's gate; returns
+    (kvec, z, value) for the first nonzero alternating-sum difference of
+    f_num, else None.
     """
-    if _compiled is not None and _fits_int64(f_num, bound):
-        return _compiled.star_scan(head_pows, gates, kmax, f_num)
-    return _pure.star_scan(head_pows, gates, kmax, f_num)
+    nb = len(head_pows)
+    everywhere = (1 << len(f_num)) - 1
+    for kvec in product(*[range(1, top + 1) for top in kmax]):
+        live = everywhere
+        for b in range(nb):
+            live &= gates[b][kvec[b]]
+        if not live:
+            continue
+        # unit differences from the last block down, so each stencil
+        # point applies block 0's table first
+        row = f_num
+        for b in range(nb - 1, -1, -1):
+            row = [row[w] - v for w, v in zip(head_pows[b][kvec[b]], row)]
+        for z, value in enumerate(row):
+            if value and live >> z & 1:
+                return tuple(kvec), z, value
+    return None
 
 
 def compat_scan(pow_a, pow_b, f_num, bound, value_on_a):
-    if _compiled is not None and _fits_int64(f_num, bound):
-        return _compiled.compat_scan(pow_a, pow_b, f_num, bound, value_on_a)
-    return _pure.compat_scan(pow_a, pow_b, f_num, bound, value_on_a)
+    """First value conflict over relations A^k B^n x = A^{k2} B^{n2} x.
+
+    The compared value at (k, n, x) is f_num[A^k x] when value_on_a, else
+    f_num[B^n x].  Scans x ascending, then (k + n, k) ascending, recording
+    the first word reaching each image point; a conflict is the first word
+    whose point was already reached with a different compared value.
+
+    Returns (x, k, n, k2, n2, value, value2) with (k2, n2) the earlier
+    word and value2 its compared value, else None.
+    """
+    size = len(f_num)
+    for x in range(size):
+        first: Dict[int, Tuple[int, int, int]] = {}
+        for total in range(2 * bound + 1):
+            for k in range(max(0, total - bound), min(total, bound) + 1):
+                n = total - k
+                base = pow_b[n][x]
+                p = pow_a[k][base]
+                v = f_num[pow_a[k][x]] if value_on_a else f_num[base]
+                seen = first.get(p)
+                if seen is None:
+                    first[p] = (k, n, v)
+                elif seen[2] != v:
+                    return (x, k, n, seen[0], seen[1], v, seen[2])
+    return None

@@ -42,25 +42,6 @@ def distinct_power_count(powers: Sequence[Sequence[int]]) -> int:
     return len(powers) - 1
 
 
-def iterate(t: Sequence[int], steps: int, x: int) -> int:
-    """t^steps(x) for any steps >= 0, in at most len(t) steps.
-
-    Walks x's forward orbit until it repeats, then reduces the remaining
-    steps modulo the cycle it entered.
-    """
-    path: list[int] = []
-    first: Dict[int, int] = {}
-    while steps:
-        if x in first:
-            mu = first[x]
-            return path[mu + steps % (len(path) - mu)]
-        first[x] = len(path)
-        path.append(x)
-        x = t[x]
-        steps -= 1
-    return x
-
-
 @dataclass(frozen=True)
 class Partition:
     """class_of[x] is x's class id; representative[c] is the class minimum.

@@ -1,13 +1,15 @@
 """JSON wire formats with exact rationals.
 
 Rationals travel as strings "p" or "p/q" in lowest terms; no floating
-point appears anywhere.  Every result type round-trips:
-parse_result(result_to_json(r)) == r.
+point appears anywhere.  Parsing accepts exactly the ASCII forms
+-?[0-9]+ and -?[0-9]+/[0-9]+ (lowest terms not required).  Every result
+type round-trips: parse_result(result_to_json(r)) == r.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, List, Optional, Sequence, Union
@@ -37,12 +39,20 @@ def frac_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def frac_from_json(value: Any, path: str = "value") -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"expected exact rational, got {value!r}", path)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction(str) also takes exponents, whose parse cost grows with
+        # the exponent ("1e300000"), so only the "p" / "p/q" form gets there
+        if not _RATIONAL.fullmatch(value):
+            raise ParseError(f"bad rational literal {value!r}: expected "
+                             "\"p\" or \"p/q\" with decimal integers", path)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -445,3 +455,6 @@ def load_json(text: str) -> Any:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}")
+    except ValueError as exc:
+        # an integer literal over the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {exc}")

@@ -28,12 +28,13 @@ from .core import (
     RangeError,
     RationalFunction,
     integer_values,
+    iterate,
     mixed_corners,
     power_table,
     validate_system,
 )
 from .oracle import Decomposition, DualCertificate, oracle_decompose
-from .orbits import default_bound, distinct_power_count, iterate
+from .orbits import default_bound, distinct_power_count
 
 
 @dataclass(frozen=True)

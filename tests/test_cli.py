@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import perdec
 from perdec.cli import run_command
 
 FINITE_DOUBLE_SWAP = {
@@ -230,6 +233,25 @@ def test_oracle_verify_rejects_z_window(tmp_path, capsys):
     code, doc = _run(capsys, ["oracle", path, "--verify", saved])
     assert code == 2
     assert "star-check" in doc["error"]
+
+
+@pytest.mark.parametrize("values, path, reason", [
+    # Fraction would parse the exponent, at a cost growing with it
+    ('["1e300000", "1"]', "values[0]", "bad rational literal"),
+    # over the interpreter's 4300-digit limit for int(str)
+    ("[" + "7" * 5000 + ', "1"]', "", "invalid JSON"),
+])
+def test_oracle_rejects_oversized_numbers(tmp_path, capsys, values, path,
+                                          reason):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"kind": "finite", "size": 2, '
+                    '"transforms": [[1, 0], [1, 0]], "values": ' + values + "}")
+    start = time.perf_counter()
+    code, doc = _run(capsys, ["oracle", str(inst)])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert doc["path"] == path
+    assert doc["error"].startswith((path + ": " if path else "") + reason)
 
 
 def test_lattice_decompose_and_gauge(tmp_path, capsys):
@@ -505,3 +527,20 @@ def test_outputs_are_deterministic(tmp_path, capsys):
 
 def test_unknown_subcommand_is_input_error(capsys):
     assert run_command(["frobnicate"]) == 2
+
+
+def test_cli_loads_only_the_standard_library_and_perdec_sources():
+    # dependencies = [] and no compiled extension: a fresh interpreter
+    # without site-packages imports nothing else
+    src = str(Path(perdec.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import perdec.cli; "
+            "print(*sorted(sys.modules)); "
+            "print(*[m.__file__ for n, m in sys.modules.items() "
+            "if n.partition('.')[0] == 'perdec'])")
+    run = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    names, files = run.stdout.splitlines()
+    tops = {name.partition(".")[0] for name in names.split()}
+    assert "perdec" in tops
+    assert tops - {"__main__", "perdec"} <= sys.stdlib_module_names
+    assert all(path.endswith(".py") for path in files.split())

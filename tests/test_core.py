@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from perdec.core import (
     NotCommutingError,
     RangeError,
     RationalFunction,
+    apply_word,
     as_fraction,
     commute_witness,
     compose,
@@ -66,6 +68,27 @@ def test_power_and_power_table_agree():
     assert table[0] == identity(4)
     with pytest.raises(RangeError):
         power(t, -1)
+
+
+@given(sized_maps())
+def test_power_matches_the_power_table_on_any_map(case):
+    size, t = case
+    table = power_table(t, 2 * size + 3)
+    for k, expected in enumerate(table):
+        assert power(t, k) == expected
+
+
+def test_power_and_apply_word_reduce_huge_exponents():
+    # 4 -> 3 -> 0 -> 1 -> 2 -> 0: a two-step tail into a 3-cycle
+    t = (1, 2, 0, 0, 3)
+    system = validate_system([t, identity(5)], 5)
+    k = 10 ** 12 + 2
+    reduced = 2 + (k - 2) % 3
+    start = time.perf_counter()
+    assert power(t, k) == power(t, reduced)
+    assert [apply_word(system, [k, 10 ** 12], x) for x in range(5)] == list(
+        power(t, reduced))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_commuting_system_validates_pairs():

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perdec.core import PreconditionError, identity, power_table, validate_system
+from perdec.core import (
+    PreconditionError,
+    identity,
+    iterate,
+    power_table,
+    validate_system,
+)
 from perdec.orbits import (
     Partition,
     Relation,
@@ -12,7 +18,6 @@ from perdec.orbits import (
     distinct_power_count,
     find_relation,
     invariance_classes,
-    iterate,
     joint_classes,
     prescribed_points,
 )

@@ -39,7 +39,10 @@ def test_frac_string_round_trip(q):
 def test_frac_from_json_forms():
     assert frac_from_json(7) == 7
     assert frac_from_json("-3/6") == Fraction(-1, 2)
-    for bad in (1.5, True, None, [], "3/0", "x"):
+    assert frac_from_json("-3/4") == Fraction(-3, 4)
+    assert frac_from_json("2/4") == Fraction(1, 2)
+    for bad in (1.5, True, None, [], "3/0", "x", "1.5", " 3", "1_000", "+3",
+                "1e3", "3/-4", "\u0663"):
         with pytest.raises(ParseError):
             frac_from_json(bad)
 
