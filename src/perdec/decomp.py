@@ -1,9 +1,9 @@
-"""Constructive invariant-sum decompositions for two and three transforms.
+"""Constructive invariant-sum decompositions for one, two and three transforms.
 
-Both constructions return either a verified Decomposition or the
-StarViolation that blocks it; they never return an unverified result.
-For four or more transforms no construction is known and the linear
-oracle is the only decision procedure.
+Every construction returns either a verified Decomposition or the first
+StarViolation of `check_star`, the one producer of refusal certificates;
+none returns an unverified result.  For four or more transforms no
+construction is known and the linear oracle is the only decision procedure.
 """
 
 from __future__ import annotations
@@ -23,68 +23,75 @@ from .core import (
     validate_system,
     verify_decomposition,
 )
-from .orbits import Relation, default_bound, find_relation, joint_classes
-from .star import (
-    StarInstance,
-    StarViolation,
-    check_star,
-    compatibility_violation,
-    mixed_pair_violation,
-)
+from .orbits import Relation, default_bound, joint_classes
+from .star import StarViolation, check_star
 
 DecompOutcome = Union[Decomposition, StarViolation]
 
 
 def decompose_one(t: Sequence[int], f: RationalFunction) -> DecompOutcome:
     """One transform: f decomposes iff it is already t-invariant."""
-    validate_system([t], len(f))
-    for x in range(len(f)):
-        value = f[t[x]] - f[x]
-        if value != 0:
-            instance = StarInstance(blocks=((0,),), distinguished=(0,),
-                                    exponents=(1,), premises=(), z=x)
-            return StarViolation(instance, value, "MixedDeltaNonzero")
-    return Decomposition((f,))
+    system = validate_system([t], len(f))
+    # one block has no premises, and bound 1 keeps the power tables O(N)
+    violation = check_star(system, f, 1)
+    return Decomposition((f,)) if violation is None else violation
 
 
 def decompose_two(s: Sequence[int], t: Sequence[int], f: RationalFunction,
                   bound: Optional[int] = None) -> DecompOutcome:
     """Split f into an s-invariant and a t-invariant part, or refuse.
 
-    Succeeds iff the double difference vanishes and every relation
-    T^k S^n x = T^{k2} S^{n2} x (exponents <= bound) gives
-    f(T^k x) = f(T^{k2} x).  The s-invariant part is
-    g(x) = f(T^{k2} x0) - f(T^k x) + f(x) with x0 the representative of
-    x's joint class and (k, n, k2, n2) the first witness relation linking
-    x to x0; the value does not depend on the witness.  Parts come back
-    as (g, f - g) matching the argument order (s, t).
+    The s-invariant part g is built by propagation: on each joint class
+    g(x0) = f(x0) at the class minimum x0, g stays equal across every
+    s-edge and f - g across every t-edge, walking edges both ways.  Any
+    two decompositions differ by a function constant on joint classes,
+    which the pin at x0 fixes, so when f decomposes at all (g, f - g) is
+    the one decomposition with that pin.  Parts come back in the argument
+    order (s, t).
+
+    When the built parts fail verification the refusal is check_star's
+    first violation; bound limits only that search.  On a finite domain
+    that violation is always the all-singleton one, a point where the
+    double difference along (s, t) is nonzero.  Why: when the double
+    difference vanishes, D = f(t.) - f is s-invariant, so it is the
+    t-difference of an s-invariant function iff its sum around every
+    t-cycle of s-classes is zero.  Such a cycle t^m s^a x = s^b x sums to
+    f(s^b x) - f(s^a x); as f(s.) - f is t-invariant, f grows by that same
+    amount at each step along s^(a + r(b - a)) x, and a finite domain
+    forces it to be zero.
     """
     system = validate_system([s, t], len(f))
-    if bound is None:
-        bound = default_bound(system.size)
-    violation = mixed_pair_violation(s, t, f)
-    if violation is not None:
-        return violation
-    violation = compatibility_violation(s, t, f, bound, side="t")
-    if violation is not None:
-        return violation
-    joint = joint_classes(system, (0, 1))
-    values: list = [None] * system.size
-    for c in range(joint.n_classes):
-        x0 = joint.representative[c]
-        for x in joint.members(c):
-            rel = find_relation(s, t, x, x0, bound)
-            if rel is None:
-                raise BoundTooSmallError(
-                    f"no relation linking {x} to its representative {x0} "
-                    f"within exponent bound {bound}")
-            values[x] = (f[iterate(t, rel.k2, x0)] - f[iterate(t, rel.k, x)]
-                         + f[x])
+    if bound is not None and bound < 1:
+        raise PreconditionError(f"bound must be >= 1, got {bound}")
+    size = system.size
+    edges: list = [[] for _ in range(size)]
+    for x in range(size):
+        for y, across_t in ((s[x], False), (t[x], True)):
+            edges[x].append((y, across_t))
+            edges[y].append((x, across_t))
+    values: list = [None] * size
+    for x0 in range(size):
+        if values[x0] is not None:
+            continue
+        values[x0] = f[x0]
+        stack = [x0]
+        while stack:
+            x = stack.pop()
+            for y, across_t in edges[x]:
+                if values[y] is None:
+                    values[y] = (values[x] + f[y] - f[x] if across_t
+                                 else values[x])
+                    stack.append(y)
     g = RationalFunction(tuple(values))
     decomposition = Decomposition((g, f - g))
-    verify_decomposition(system, f, decomposition).require(
-        "two-part construction")
-    return decomposition
+    if verify_decomposition(system, f, decomposition):
+        return decomposition
+    violation = check_star(system, f, bound)
+    if violation is None:
+        raise InternalContractViolation(
+            "two-part construction failed verification but the partition "
+            "condition passes")
+    return violation
 
 
 def _forced_constant(t: Sequence[int], g: RationalFunction, x: int,

@@ -59,7 +59,7 @@ class StarViolation:
 
     instance: StarInstance
     value: Fraction
-    kind: str  # "MixedDeltaNonzero" | "CompatibilityFailure"
+    kind: str  # "MixedDeltaNonzero" | "CompatibilityFailure" (older output)
 
 
 @lru_cache(maxsize=None)
@@ -165,13 +165,18 @@ def check_star(system: CommutingSystem, f: RationalFunction,
         raise PreconditionError(f"bound must be >= 1, got {bound}")
     pow_tables = [power_table(t, bound) for t in system.transforms]
     caps = [distinct_power_count(p) for p in pow_tables]
-    premise = _premise_table(pow_tables, caps, premise_lmin, bound)
+    premise = None
     everywhere = (1 << system.size) - 1
     f_num, denom = integer_values(f)
     for blocks in _partitions(system.n):
         for heads in product(*blocks):
             members = tuple(tuple(i for i in block if i != h)
                             for block, h in zip(blocks, heads))
+            if premise is None and any(members):
+                # built on first need: the all-singleton partition, scanned
+                # first, has no premises, and most refusals stop there
+                premise = _premise_table(pow_tables, caps, premise_lmin,
+                                         bound)
             kmax = [caps[h] if m else 1 for h, m in zip(heads, members)]
             gates = []
             for h, m, top in zip(heads, members, kmax):
@@ -392,87 +397,6 @@ def replay_abelian_violation(modulus: Optional[int], shifts: Sequence[int],
                               in zip(inst.distinguished, inst.exponents)])
     value = _shift_stencil(f.values, corners, inst.z, modulus)
     return value is not None and value == violation.value and value != 0
-
-
-def compatibility_violation(s: Sequence[int], t: Sequence[int],
-                            f: RationalFunction, bound: int, *,
-                            side: str = "t",
-                            denom_hint=None) -> Optional[StarViolation]:
-    """First failure of the orbit-value compatibility condition.
-
-    Relations T^k S^n x = T^{k2} S^{n2} x with exponents <= bound must give
-    f(T^k x) = f(T^{k2} x) (side "t") or f(S^n x) = f(S^{n2} x) (side "s").
-    A failure is returned as a replayable one-block instance: the relation
-    is rebased at z = (head)^min x so the head exponent difference is
-    positive.  Transform indices refer to the system (s, t) = (0, 1).
-    """
-    f_num, denom = denom_hint if denom_hint else integer_values(f)
-    pow_s = power_table(s, bound)
-    pow_t = power_table(t, bound)
-    if side == "t":
-        head_idx, member_idx = 1, 0
-        head_pow, other_pow = pow_t, pow_s
-    elif side == "s":
-        head_idx, member_idx = 0, 1
-        head_pow, other_pow = pow_s, pow_t
-    else:
-        raise PreconditionError(f"side must be 't' or 's', got {side!r}")
-    hit = kernels.compat_scan(head_pow, other_pow, f_num, bound, True)
-    if hit is None:
-        return None
-    x, ka, na, kb, nb_, va, vb = hit
-    if ka > kb:
-        k, z_steps, l, l2, value = ka - kb, kb, na, nb_, va - vb
-    else:
-        k, z_steps, l, l2, value = kb - ka, ka, nb_, na, vb - va
-    z = head_pow[z_steps][x]
-    instance = StarInstance(
-        blocks=((0, 1),),
-        distinguished=(head_idx,),
-        exponents=(k,),
-        premises=((member_idx, l, l2),),
-        z=z,
-    )
-    return StarViolation(instance, Fraction(value, denom),
-                         "CompatibilityFailure")
-
-
-def mixed_pair_violation(s: Sequence[int], t: Sequence[int],
-                         f: RationalFunction) -> Optional[StarViolation]:
-    """First point where the double difference along (s, t) is nonzero."""
-    for x in range(len(f)):
-        value = f[t[s[x]]] - f[t[x]] - f[s[x]] + f[x]
-        if value != 0:
-            instance = StarInstance(
-                blocks=((0,), (1,)), distinguished=(0, 1), exponents=(1, 1),
-                premises=(), z=x)
-            return StarViolation(instance, value, "MixedDeltaNonzero")
-    return None
-
-
-def check_two_symmetric(s: Sequence[int], t: Sequence[int],
-                        f: RationalFunction,
-                        bound: Optional[int] = None) -> Optional[StarViolation]:
-    """Both one-sided compatibility conditions plus the mixed difference.
-
-    The T-side and S-side conditions are each equivalent to decomposability
-    (given the vanishing mixed difference), so their verdicts always agree;
-    the checks run in the order mixed difference, T side, S side, and the
-    first failure is returned.
-    """
-    system = validate_system([s, t], len(f))
-    if bound is None:
-        bound = default_bound(system.size)
-    f_num, denom = integer_values(f)
-    violation = mixed_pair_violation(s, t, f)
-    if violation is not None:
-        return violation
-    for side in ("t", "s"):
-        viol = compatibility_violation(s, t, f, bound, side=side,
-                                       denom_hint=(f_num, denom))
-        if viol is not None:
-            return viol
-    return None
 
 
 @dataclass(frozen=True)

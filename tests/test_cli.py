@@ -121,6 +121,20 @@ def test_decompose_violation_and_verify(tmp_path, capsys):
     assert doc["agrees"] is False
 
 
+def test_decompose_verify_accepts_an_earlier_compatibility_certificate(
+        tmp_path, capsys):
+    # decompose no longer emits this kind, but saved certificates replay
+    path = _write(tmp_path, "inst.json", FINITE_DOUBLE_SWAP)
+    cert = _write(tmp_path, "cert.json", {
+        "result": "violation",
+        "certificate": {"kind": "CompatibilityFailure", "blocks": [[0, 1]],
+                        "distinguished": [1], "exponents": [1],
+                        "premises": [[0, 0, 1]], "z": 0, "value": "1"}})
+    code, doc = _run(capsys, ["decompose", path, "--verify", cert])
+    assert code == 0
+    assert doc == {"result": "verified", "agrees": True}
+
+
 def test_decompose_success_and_verify(tmp_path, capsys):
     inst = {"kind": "cyclic-group", "modulus": 4, "shifts": [1, 2, 3],
             "values": ["2", "2", "2", "2"]}

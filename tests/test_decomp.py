@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,11 @@ from perdec import generators
 from perdec.core import (
     BoundTooSmallError,
     Decomposition,
+    PreconditionError,
     RationalFunction,
+    compose,
     is_invariant,
+    iterate,
     validate_system,
 )
 from perdec.decomp import (
@@ -20,7 +24,8 @@ from perdec.decomp import (
     decompose_two,
 )
 from perdec.oracle import DualCertificate, oracle_decompose
-from perdec.star import StarViolation, replay_violation
+from perdec.orbits import default_bound, find_relation, joint_classes
+from perdec.star import StarInstance, StarViolation, check_star, replay_violation
 from tests.conftest import systems, systems_with_functions, value_functions
 
 
@@ -33,6 +38,9 @@ def test_decompose_one_invariant_and_not():
     bad = RationalFunction((Fraction(0), Fraction(1), Fraction(1), Fraction(0)))
     viol = decompose_one(t, bad)
     assert isinstance(viol, StarViolation)
+    assert viol == StarViolation(
+        StarInstance(blocks=((0,),), distinguished=(0,), exponents=(1,),
+                     premises=(), z=0), Fraction(1), "MixedDeltaNonzero")
     assert replay_violation(validate_system([t], 4), bad, viol)
 
 
@@ -87,20 +95,79 @@ def test_decompose_two_is_bound_independent(case):
         assert isinstance(at_double, StarViolation)
 
 
+def _relation_formula_part(system, f):
+    """The s-invariant part g(x) = f(T^k2 x0) - f(T^k x) + f(x), where x0
+    is the minimum of x's joint class and T^k S^n x = T^k2 S^n2 x0 is the
+    first relation linking them."""
+    s, t = system.transforms
+    joint = joint_classes(system, (0, 1))
+    values = []
+    for x in range(system.size):
+        x0 = joint.representative[joint.class_of[x]]
+        rel = find_relation(s, t, x, x0, default_bound(system.size))
+        values.append(f[iterate(t, rel.k2, x0)] - f[iterate(t, rel.k, x)]
+                      + f[x])
+    return RationalFunction(tuple(values))
+
+
+@given(systems_with_functions(n=2, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_decompose_two_matches_the_relation_formula_and_check_star(case):
+    system, f = case
+    s, t = system.transforms
+    got = decompose_two(s, t, f)
+    if isinstance(got, Decomposition):
+        g = _relation_formula_part(system, f)
+        assert got.parts == (g, f - g)
+    else:
+        assert got == check_star(system, f)
+        assert replay_violation(system, f, got)
+
+
+def _commuting_pairs(max_size):
+    for size in range(1, max_size + 1):
+        maps = list(product(range(size), repeat=size))
+        for s in maps:
+            for t in maps:
+                if compose(s, t) == compose(t, s):
+                    yield size, s, t
+
+
+def test_decompose_two_on_every_small_commuting_pair():
+    pairs = 0
+    for size, s, t in _commuting_pairs(4):
+        pairs += 1
+        system = validate_system([s, t], size)
+        for p in range(size):
+            f = RationalFunction(tuple(Fraction(int(x == p))
+                                       for x in range(size)))
+            got = decompose_two(s, t, f)
+            oracle = oracle_decompose(system, f)
+            assert (isinstance(got, Decomposition)
+                    == isinstance(oracle, Decomposition))
+            if isinstance(got, StarViolation):
+                assert replay_violation(system, f, got)
+    assert pairs == 2976
+
+
 def test_decompose_two_bound_too_small():
+    # bound limits only the refusal search, so a decomposable f still splits
     m = 8
     plus = tuple((x + 1) % m for x in range(m))
     f = RationalFunction.constant(m, Fraction(3))
-    with pytest.raises(BoundTooSmallError):
-        decompose_two(plus, plus, f, bound=1)
+    got = decompose_two(plus, plus, f, bound=1)
+    assert got.parts == (f, RationalFunction.zero(m))
+    with pytest.raises(PreconditionError):
+        decompose_two(plus, plus, f, bound=0)
 
 
 def test_decompose_three_bound_too_small_propagates():
-    m = 8
-    plus = tuple((x + 1) % m for x in range(m))
-    f = RationalFunction.constant(m, Fraction(3))
+    t, s, u = (3, 0, 1, 2), (2, 3, 0, 1), (0, 1, 2, 3)
+    f = RationalFunction((Fraction(0), Fraction(-4, 3), Fraction(4, 3),
+                          Fraction(0)))
     with pytest.raises(BoundTooSmallError):
-        decompose_three(plus, plus, plus, f, bound=1)
+        decompose_three(t, s, u, f, bound=1)
+    assert isinstance(decompose_three(t, s, u, f), Decomposition)
 
 
 @given(systems(n=3, max_size=5), st.integers(0, 10 ** 9))
@@ -172,3 +239,22 @@ def test_decompose_three_engineered_branches(branch):
         assert is_invariant(t, g)
         assert is_invariant(s, h)
         assert is_invariant(u, l)
+
+
+@given(systems_with_functions(n=2, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_decompose_two_refuses_exactly_at_a_nonzero_double_difference(case):
+    system, f = case
+    s, t = system.transforms
+    nonzero = [(x, f[s[t[x]]] - f[s[x]] - f[t[x]] + f[x])
+               for x in range(system.size)]
+    nonzero = [(x, v) for x, v in nonzero if v != 0]
+    got = decompose_two(s, t, f)
+    if not nonzero:
+        assert isinstance(got, Decomposition)
+        return
+    z, value = nonzero[0]
+    assert got == StarViolation(
+        StarInstance(blocks=((0,), (1,)), distinguished=(0, 1),
+                     exponents=(1, 1), premises=(), z=z),
+        value, "MixedDeltaNonzero")

@@ -57,57 +57,6 @@ def test_star_scan_matches_a_direct_loop(case):
     assert kernels.star_scan(*case) == _direct_star_scan(*case)
 
 
-@given(st.integers(1, 5), st.integers(1, 5), st.data())
-@settings(max_examples=300, deadline=None)
-def test_compat_scan_matches_the_definition(size, bound, data):
-    a = tuple(data.draw(st.integers(0, size - 1)) for _ in range(size))
-    b = tuple(data.draw(st.integers(0, size - 1)) for _ in range(size))
-    f_num = [data.draw(st.integers(-2, 2)) for _ in range(size)]
-    value_on_a = data.draw(st.booleans())
-    pow_a, pow_b = power_table(a, bound), power_table(b, bound)
-
-    def compared(k, n, x):
-        return f_num[pow_a[k][x]] if value_on_a else f_num[pow_b[n][x]]
-
-    # words (k, n) with k, n <= bound, ordered by k + n, then k
-    words = sorted(product(range(bound + 1), repeat=2),
-                   key=lambda w: (w[0] + w[1], w[0]))
-
-    def first_words(x, prefix):
-        """Image -> first word reaching it, asserting no conflict."""
-        first = {}
-        for k, n in prefix:
-            v = compared(k, n, x)
-            seen = first.setdefault(pow_a[k][pow_b[n][x]], (k, n, v))
-            assert seen[2] == v
-        return first
-
-    hit = kernels.compat_scan(pow_a, pow_b, f_num, bound, value_on_a)
-    if hit is None:
-        for x in range(size):
-            first_words(x, words)
-        return
-    # the first word, in scan order, whose image an earlier word reached
-    # with a different value
-    x, k, n, k2, n2, v, v2 = hit
-    for y in range(x):
-        first_words(y, words)
-    first = first_words(x, words[:words.index((k, n))])
-    assert first[pow_a[k][pow_b[n][x]]] == (k2, n2, v2)
-    assert compared(k, n, x) == v != v2
-
-
-def test_compat_scan_reports_a_real_conflict():
-    swap = power_table((1, 0), 2)
-    hit = kernels.compat_scan(swap, swap, [0, 1], 2, True)
-    assert hit is not None
-    x, k, n, k2, n2, v, v2 = hit
-    assert swap[k][swap[n][x]] == swap[k2][swap[n2][x]]
-    assert v != v2
-    assert v == [0, 1][swap[k][x]]
-    assert v2 == [0, 1][swap[k2][x]]
-
-
 def test_big_values_still_give_exact_results():
     tabs = [power_table((1, 0), 2)]
     small = kernels.star_scan(tabs, [[0, 3]], [1], 2, [0, 1])

@@ -23,9 +23,7 @@ from perdec.star import (
     _premise_table,
     check_star,
     check_star_abelian,
-    check_two_symmetric,
     compare_premise_conventions,
-    compatibility_violation,
     replay_abelian_violation,
     replay_violation,
 )
@@ -299,47 +297,18 @@ def test_abelian_rejects_bad_inputs():
         check_star_abelian(0, (), RationalFunction.zero(0))
 
 
-def test_compatibility_violation_double_swap():
+def test_replay_accepts_a_compatibility_failure_certificate():
+    # check_star emits only MixedDeltaNonzero, but the older kind still
+    # replays: swap/swap with one block headed by 1, premise 1^1 0^0 z = 0^1 z
     swap = (1, 0)
-    f = RationalFunction((Fraction(0), Fraction(1)))
-    viol = compatibility_violation(swap, swap, f, bound=4, side="t")
-    assert viol is not None
-    assert viol.kind == "CompatibilityFailure"
-    inst = viol.instance
-    assert inst.blocks == ((0, 1),)
-    assert inst.distinguished == (1,)
-    assert inst.exponents[0] >= 1
-    # the full instance replays as a one-block partition-condition failure
     system = validate_system([swap, swap], 2)
+    inst = StarInstance(blocks=((0, 1),), distinguished=(1,), exponents=(1,),
+                        premises=((0, 0, 1),), z=0)
+    f = RationalFunction((Fraction(0), Fraction(1)))
+    viol = StarViolation(inst, Fraction(1), "CompatibilityFailure")
     assert replay_violation(system, f, viol)
-    sided = compatibility_violation(swap, swap, f, bound=4, side="s")
-    assert sided is not None and sided.instance.distinguished == (0,)
-    with pytest.raises(PreconditionError):
-        compatibility_violation(swap, swap, f, bound=4, side="x")
-
-
-@given(systems(n=2, max_size=5), st.data())
-@settings(max_examples=40, deadline=None)
-def test_compatibility_sides_agree_when_mixed_passes(system, data):
-    s, t = system.transforms
-    f = data.draw(value_functions(system.size))
-    mixed_ok = all(
-        f[t[s[x]]] - f[t[x]] - f[s[x]] + f[x] == 0
-        for x in range(system.size))
-    if not mixed_ok:
-        return
-    t_side = compatibility_violation(s, t, f, 2 * system.size, side="t")
-    s_side = compatibility_violation(s, t, f, 2 * system.size, side="s")
-    assert (t_side is None) == (s_side is None)
-
-
-@given(systems_with_functions(n=2, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_two_transform_checkers_agree(case):
-    system, f = case
-    s, t = system.transforms
-    symmetric = check_two_symmetric(s, t, f)
-    general = check_star(system, f)
-    assert (symmetric is None) == (general is None)
-    if symmetric is not None:
-        assert replay_violation(system, f, symmetric)
+    assert not replay_violation(
+        system, f, StarViolation(inst, Fraction(2), "CompatibilityFailure"))
+    assert not replay_violation(system, RationalFunction.zero(2),
+                                StarViolation(inst, Fraction(0),
+                                              "CompatibilityFailure"))
