@@ -165,11 +165,11 @@ def _verify_bounded_result(inst: Instance, result: Any) -> VerificationResult:
     return verify_bounded_transfer(t, s, inst.f, result)
 
 
-def _verify_report(result: Any, bound: Optional[int]) -> VerificationResult:
+def _verify_report(result: Any) -> VerificationResult:
     if not isinstance(result, SearchReport):
         return _unexpected(result, "search")
     for c in result.candidates:
-        if _reverify_candidate(c.transforms, c.size, c.values, bound) is None:
+        if _reverify_candidate(c.transforms, c.size, c.values) is None:
             return VerificationResult(False, f"candidate from trial {c.trial} "
                                              f"does not re-verify")
     return VerificationResult(True)
@@ -209,7 +209,7 @@ def _cmd_decompose(args) -> Outcome:
     if inst.system.n == 1:
         outcome = decompose_one(ts[0], inst.f)
     elif inst.system.n == 2:
-        outcome = decompose_two(ts[0], ts[1], inst.f, args.bound)
+        outcome = decompose_two(ts[0], ts[1], inst.f)
     elif inst.system.n == 3:
         outcome = decompose_three(ts[0], ts[1], ts[2], inst.f, args.bound)
     else:
@@ -225,7 +225,7 @@ def _cmd_star_check(args) -> Outcome:
     if args.verify:
         return _verify_star_result(inst, _read_result(args.verify))
     if inst.kind == "finite":
-        violation = check_star(inst.system, inst.f, args.bound)
+        violation = check_star(inst.system, inst.f)
     elif inst.kind == "cyclic-group":
         violation = check_star_abelian(inst.modulus, inst.shifts, inst.f,
                                        args.bound)
@@ -290,10 +290,10 @@ def _cmd_bounded_transfer(args) -> Outcome:
 
 def _cmd_search(args) -> Outcome:
     if args.verify:
-        return _verify_report(_read_result(args.verify), args.bound)
+        return _verify_report(_read_result(args.verify))
     report = search_counterexample(n=args.n, max_size=args.max_size,
                                    trials=args.trials, seed=args.seed,
-                                   workers=args.workers, bound=args.bound)
+                                   workers=args.workers)
     clean = (report.discrepancies == 0 and report.necessity_violations == 0
              and not report.candidates)
     return (0 if clean else 1), serialize.report_to_json(report)
@@ -311,8 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_instance:
             p.add_argument("instance",
                            help="instance file path, or - for standard input")
-        p.add_argument("--bound", type=int, default=None,
-                       help="exponent search bound override")
         if verify:
             p.add_argument("--verify", metavar="CERTFILE", default=None,
                            help="re-check a previously emitted result file "
@@ -321,8 +319,12 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     add("validate", _cmd_validate, verify=False)
-    add("decompose", _cmd_decompose)
-    add("star-check", _cmd_star_check)
+    add("decompose", _cmd_decompose).add_argument(
+        "--bound", type=int, default=None,
+        help="exponent bound of the three-transform relation search")
+    add("star-check", _cmd_star_check).add_argument(
+        "--bound", type=int, default=None,
+        help="head exponent bound on cyclic-group and z-window instances")
     add("oracle", _cmd_oracle)
     lat = add("lattice-decompose", _cmd_lattice_decompose)
     lat.add_argument("--base", type=int, default=0,

@@ -1,9 +1,12 @@
 """Constructive invariant-sum decompositions for one, two and three transforms.
 
-Every construction returns either a verified Decomposition or the first
-StarViolation of `check_star`, the one producer of refusal certificates;
-none returns an unverified result.  For four or more transforms no
-construction is known and the linear oracle is the only decision procedure.
+Every construction returns either a verified Decomposition or the
+violation of `check_star`, the one producer of refusal certificates; none
+returns an unverified result.  On a finite domain f decomposes exactly
+when its mixed difference vanishes (the proof is in `check_star`), so a
+refusal is always the first point where it does not, and it costs one
+O(N) stencil pass.  For four or more transforms only the linear oracle
+builds the parts.
 """
 
 from __future__ import annotations
@@ -32,13 +35,12 @@ DecompOutcome = Union[Decomposition, StarViolation]
 def decompose_one(t: Sequence[int], f: RationalFunction) -> DecompOutcome:
     """One transform: f decomposes iff it is already t-invariant."""
     system = validate_system([t], len(f))
-    # one block has no premises, and bound 1 keeps the power tables O(N)
-    violation = check_star(system, f, 1)
+    violation = check_star(system, f)
     return Decomposition((f,)) if violation is None else violation
 
 
-def decompose_two(s: Sequence[int], t: Sequence[int], f: RationalFunction,
-                  bound: Optional[int] = None) -> DecompOutcome:
+def decompose_two(s: Sequence[int], t: Sequence[int],
+                  f: RationalFunction) -> DecompOutcome:
     """Split f into an s-invariant and a t-invariant part, or refuse.
 
     The s-invariant part g is built by propagation: on each joint class
@@ -50,9 +52,9 @@ def decompose_two(s: Sequence[int], t: Sequence[int], f: RationalFunction,
     order (s, t).
 
     When the built parts fail verification the refusal is check_star's
-    first violation; bound limits only that search.  On a finite domain
-    that violation is always the all-singleton one, a point where the
-    double difference along (s, t) is nonzero.  Why: when the double
+    violation, a point where the double difference along (s, t) is
+    nonzero.  That this point exists on a finite domain is the n = 2 case
+    of check_star's theorem; directly: when the double
     difference vanishes, D = f(t.) - f is s-invariant, so it is the
     t-difference of an s-invariant function iff its sum around every
     t-cycle of s-classes is zero.  Such a cycle t^m s^a x = s^b x sums to
@@ -61,8 +63,6 @@ def decompose_two(s: Sequence[int], t: Sequence[int], f: RationalFunction,
     forces it to be zero.
     """
     system = validate_system([s, t], len(f))
-    if bound is not None and bound < 1:
-        raise PreconditionError(f"bound must be >= 1, got {bound}")
     size = system.size
     edges: list = [[] for _ in range(size)]
     for x in range(size):
@@ -86,7 +86,7 @@ def decompose_two(s: Sequence[int], t: Sequence[int], f: RationalFunction,
     decomposition = Decomposition((g, f - g))
     if verify_decomposition(system, f, decomposition):
         return decomposition
-    violation = check_star(system, f, bound)
+    violation = check_star(system, f)
     if violation is None:
         raise InternalContractViolation(
             "two-part construction failed verification but the partition "
@@ -129,12 +129,12 @@ def decompose_three_report(
     size = system.size
     if bound is None:
         bound = default_bound(size)
-    violation = check_star(system, f, bound)
+    violation = check_star(system, f)
     if violation is not None:
         return violation, {"branches": {}}
 
     big_f = delta(t, f)
-    two = decompose_two(s, u, big_f, bound)
+    two = decompose_two(s, u, big_f)
     if isinstance(two, StarViolation):
         raise InternalContractViolation(
             "derivative of a condition-passing function failed the "

@@ -14,32 +14,16 @@ from .core import CommutingSystem, PreconditionError, RangeError
 
 
 def default_bound(size: int) -> int:
-    """Default exponent search bound 2N.
+    """Default exponent search bound 2N for relation search.
 
     The power sequence of any self-map on N points has preperiod plus
-    period at most N (the rho shape).  The partition-condition check caps
-    its head exponents exactly at that rho length (`distinct_power_count`)
-    and uses 2N only for premise exponents; relation search still
-    enumerates exponents up to 2N, whose sufficiency is property-tested
-    against 4N rather than proved in code.
+    period at most N (the rho shape).  `find_relation` and
+    `prescribed_points`, and through them `decompose_three`, enumerate
+    exponents up to 2N; its sufficiency is property-tested against 4N
+    rather than proved in code.  The finite star check searches no
+    exponents at all.
     """
     return 2 * size
-
-
-def distinct_power_count(powers: Sequence[Sequence[int]]) -> int:
-    """Number of distinct tables among powers[1:], where powers[k] = t^k.
-
-    Powers are rho-shaped, so this is the index of the first table that
-    repeats an earlier one (counting from t^1), minus one: the order of a
-    permutation, 1 for the identity, tail + cycle - 1 for a map with a
-    tail.  Every later power equals one of the counted ones.
-    """
-    seen = set()
-    for k in range(1, len(powers)):
-        if powers[k] in seen:
-            return k - 1
-        seen.add(powers[k])
-    return len(powers) - 1
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,15 @@ class ParseError(ValueError):
 
 
 def frac_to_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """The "p" or "p/q" form.  Numbers past the interpreter's int-to-string
+    digit limit raise RangeError: input literals are capped at that limit
+    too, so every emitted rational stays readable."""
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        raise RangeError(f"result rational too large to write: {exc}")
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -273,7 +281,6 @@ def report_to_json(r: SearchReport) -> dict:
         "max_size": r.max_size,
         "trials": r.trials,
         "seed": r.seed,
-        "bound": r.bound,
         "star_pass": r.star_pass,
         "star_fail": r.star_fail,
         "oracle_feasible": r.oracle_feasible,
@@ -418,16 +425,11 @@ def parse_result(doc: Any) -> Any:
                 dual_weights=_rational_strings(
                     c.get("dual_weights"), f"candidates[{i}].dual_weights"),
             ))
-        bound = doc.get("bound")
-        if bound is not None and (not isinstance(bound, int)
-                                  or isinstance(bound, bool)):
-            raise ParseError("bound must be an integer or null", "bound")
         return SearchReport(
             n=_int_field(doc, "n", "n"),
             max_size=_int_field(doc, "max_size", "max_size"),
             trials=_int_field(doc, "trials", "trials"),
             seed=_int_field(doc, "seed", "seed"),
-            bound=bound,
             star_pass=_int_field(doc, "star_pass", "star_pass"),
             star_fail=_int_field(doc, "star_fail", "star_fail"),
             oracle_feasible=_int_field(doc, "oracle_feasible",

@@ -5,8 +5,11 @@ index per block, exponents k per block, and a base point z, the condition
 says: whenever every non-distinguished index i in a block with head h
 admits l, l2 with h^k i^l z = i^{l2} z, the mixed difference of f taken
 with the heads at their exponents must vanish at z.  This is necessary for
-decomposability for every n and sufficient for n <= 3; the miner at the
-bottom of this module hunts for counterexamples beyond that.
+decomposability for every n.  On a finite domain it is also sufficient,
+and already its all-singleton instance, the mixed difference, decides it
+(`check_star`).  On windows of Z, where the maps are partial, the mixed
+difference alone is not sufficient and the multi-element partitions of
+`check_star_abelian` add conclusions of their own.
 
 Violations carry a full replayable instance; `replay_violation` re-derives
 both the premises and the nonzero value from scratch.
@@ -34,7 +37,6 @@ from .core import (
     validate_system,
 )
 from .oracle import Decomposition, DualCertificate, oracle_decompose
-from .orbits import default_bound, distinct_power_count
 
 
 @dataclass(frozen=True)
@@ -89,130 +91,45 @@ def _partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(results)
 
 
-def _premise_witnesses(pow_tables, heads, members, kvec, z, lmin, bound):
-    """First (l, l2) pair per non-distinguished index, in scan order."""
-    out = []
-    for b, h in enumerate(heads):
-        head_pow = pow_tables[h][kvec[b]]
-        for i in members[b]:
-            tabs = pow_tables[i]
-            found = None
-            for l in range(lmin, bound + 1):
-                w = head_pow[tabs[l][z]]
-                for l2 in range(lmin, bound + 1):
-                    if w == tabs[l2][z]:
-                        found = (i, l, l2)
-                        break
-                if found:
-                    break
-            if found is None:
-                raise PreconditionError("premise witness vanished on replay")
-            out.append(found)
-    return tuple(sorted(out))
-
-
-def _premise_table(pow_tables, caps, lmin, bound):
-    """Premise rows shared by every partition and head of one check.
-
-    table[h][i][k] (h != i, 0 <= k <= caps[h]) is a bitmask over z whose
-    bit z is set when h^k i^l z = i^{l2} z for some l, l2 in [lmin, bound],
-    i.e. when h^k sends some point of the orbit {i^l z} back into it.
-    """
-    n = len(pow_tables)
-    size = len(pow_tables[0][0])
-    orbits = [[{tabs[l][z] for l in range(lmin, bound + 1)}
-               for z in range(size)] for tabs in pow_tables]
-    table = [[None] * n for _ in range(n)]
-    for h in range(n):
-        for i in range(n):
-            if i == h:
-                continue
-            rows = []
-            for k in range(caps[h] + 1):
-                head_pow = pow_tables[h][k]
-                row = 0
-                for z, orbit in enumerate(orbits[i]):
-                    if any(head_pow[w] in orbit for w in orbit):
-                        row |= 1 << z
-                rows.append(row)
-            table[h][i] = rows
-    return table
-
-
-def check_star(system: CommutingSystem, f: RationalFunction,
-               bound: Optional[int] = None, *,
-               premise_lmin: int = 0) -> Optional[StarViolation]:
+def check_star(system: CommutingSystem,
+               f: RationalFunction) -> Optional[StarViolation]:
     """First violation of the partition condition, or None when it passes.
 
-    Enumerates partitions (most blocks first, then lexicographic), then
-    distinguished choices, then exponent vectors lexicographically, with z
-    ascending innermost.  Premise exponents range over [premise_lmin,
-    bound].  The head exponent of a one-element block is capped at 1,
-    since its higher-exponent conclusions telescope into exponent-1
-    conclusions at shifted points whose premises follow by commuting the
-    shift through.  Any other head h is capped at the number of distinct
-    powers among h^1..h^bound: a larger exponent repeats the table of a
-    smaller one, hence its premise and value, so it can never be the first
-    violation in scan order.
+    On a finite domain the condition holds exactly when the all-singleton
+    mixed difference D_1...D_n f (D_j f = f o T_j - f) vanishes, so that is
+    the one partition scanned: every head at exponent 1, no premises, z
+    ascending.  The first nonzero point is returned as the all-singleton
+    instance; the other partitions can never add a violation.
+
+    Why the mixed difference suffices: let P f = f o T.  If (P - I)^2 f = 0
+    then D f is constant on each component of T, and its sum around the
+    component's cycle is zero, so D f = 0; hence ker(P - I) = ker(P - I)^2
+    and the functions split as Inv(T) + im(P - I).  The projection E onto
+    Inv(T) along im(P - I) is the cycle average, E f(x) = the mean of f over
+    the cycle that x's forward orbit enters, and it commutes with every P_i
+    of a commuting T_i, since T_i maps T-cycles onto T-cycles.  Now let
+    D_1...D_n f = 0.  Then D_2...D_n f is T_1-invariant, so D_2...D_n
+    (f - E_1 f) = (I - E_1) D_2...D_n f = 0; by induction on n, f - E_1 f
+    is a sum of T_2..T_n-invariant parts, and E_1 f is T_1-invariant.  The
+    condition is necessary for every partition, so passing the
+    all-singleton one means passing them all.  On windows of Z, where the
+    maps are partial, this fails; see `check_star_abelian`.
     """
     if len(f) != system.size:
         raise PreconditionError("function length does not match the domain")
-    if system.n == 0:
+    n = system.n
+    if n == 0:
         return None
-    if bound is None:
-        bound = default_bound(system.size)
-    if bound < 1:
-        raise PreconditionError(f"bound must be >= 1, got {bound}")
-    pow_tables = [power_table(t, bound) for t in system.transforms]
-    caps = [distinct_power_count(p) for p in pow_tables]
-    premise = None
-    everywhere = (1 << system.size) - 1
     f_num, denom = integer_values(f)
-    for blocks in _partitions(system.n):
-        for heads in product(*blocks):
-            members = tuple(tuple(i for i in block if i != h)
-                            for block, h in zip(blocks, heads))
-            if premise is None and any(members):
-                # built on first need: the all-singleton partition, scanned
-                # first, has no premises, and most refusals stop there
-                premise = _premise_table(pow_tables, caps, premise_lmin,
-                                         bound)
-            kmax = [caps[h] if m else 1 for h, m in zip(heads, members)]
-            gates = []
-            for h, m, top in zip(heads, members, kmax):
-                rows = [everywhere] * (top + 1)
-                for i in m:
-                    rows = [g & p for g, p in zip(rows, premise[h][i])]
-                gates.append(rows)
-            hit = kernels.star_scan([pow_tables[h] for h in heads], gates,
-                                    kmax, bound, f_num)
-            if hit is None:
-                continue
-            kvec, z, value = hit
-            premises = _premise_witnesses(pow_tables, heads, members, kvec,
-                                          z, premise_lmin, bound)
-            instance = StarInstance(blocks, tuple(heads), tuple(kvec),
-                                    premises, z)
-            return StarViolation(instance, Fraction(value, denom),
-                                 "MixedDeltaNonzero")
-    return None
-
-
-def compare_premise_conventions(system: CommutingSystem, f: RationalFunction,
-                                bound: Optional[int] = None) -> dict:
-    """Verdicts under both premise-exponent conventions (l from 0 or from 1).
-
-    Allowing l = 0 yields more premises, hence a check at least as strict.
-    Returns the two outcomes and whether the verdicts agree; disagreement
-    is flagged, not resolved.
-    """
-    with_zero = check_star(system, f, bound, premise_lmin=0)
-    positive = check_star(system, f, bound, premise_lmin=1)
-    return {
-        "with_zero": with_zero,
-        "positive_only": positive,
-        "agree": (with_zero is None) == (positive is None),
-    }
+    everywhere = (1 << system.size) - 1
+    hit = kernels.star_scan([power_table(t, 1) for t in system.transforms],
+                            [[everywhere, everywhere]] * n, [1] * n, 1, f_num)
+    if hit is None:
+        return None
+    kvec, z, value = hit
+    instance = StarInstance(tuple((j,) for j in range(n)), tuple(range(n)),
+                            kvec, (), z)
+    return StarViolation(instance, Fraction(value, denom), "MixedDeltaNonzero")
 
 
 def _well_formed(inst: StarInstance, n: int, size: int) -> bool:
@@ -418,7 +335,6 @@ class SearchReport:
     max_size: int
     trials: int
     seed: int
-    bound: Optional[int]
     star_pass: int
     star_fail: int
     oracle_feasible: int
@@ -429,11 +345,11 @@ class SearchReport:
     candidates: tuple[Candidate, ...]
 
 
-def _reverify_candidate(transforms, size, value_strings, bound):
+def _reverify_candidate(transforms, size, value_strings):
     """Fresh objects, fresh verdicts; returns the new dual weights or None."""
     system = validate_system([list(t) for t in transforms], size)
     f = RationalFunction(tuple(Fraction(v) for v in value_strings))
-    if check_star(system, f, bound) is not None:
+    if check_star(system, f) is not None:
         return None
     res = oracle_decompose(system, f)
     if isinstance(res, DualCertificate):
@@ -441,8 +357,8 @@ def _reverify_candidate(transforms, size, value_strings, bound):
     return None
 
 
-def _run_trials(n: int, max_size: int, start: int, stop: int, seed: int,
-                bound: Optional[int]) -> dict:
+def _run_trials(n: int, max_size: int, start: int, stop: int,
+                seed: int) -> dict:
     from . import generators
 
     counts = {key: 0 for key in (
@@ -454,7 +370,7 @@ def _run_trials(n: int, max_size: int, start: int, stop: int, seed: int,
         rng = random.Random(f"{seed}:{trial}")
         system = generators.random_commuting_system(rng, n, max_size)
         f = generators.random_function(rng, system)
-        violation = check_star(system, f, bound)
+        violation = check_star(system, f)
         if violation is None:
             counts["star_pass"] += 1
             res = oracle_decompose(system, f)
@@ -464,7 +380,7 @@ def _run_trials(n: int, max_size: int, start: int, stop: int, seed: int,
                     counts["discrepancies"] += 1
                 value_strings = tuple(str(v) for v in f)
                 weights = _reverify_candidate(
-                    system.transforms, system.size, value_strings, bound)
+                    system.transforms, system.size, value_strings)
                 if weights is None:
                     counts["discrepancies"] += 1
                 else:
@@ -488,15 +404,16 @@ def _run_trials(n: int, max_size: int, start: int, stop: int, seed: int,
 
 
 def search_counterexample(n: int, max_size: int, trials: int, seed: int,
-                          workers: int = 1,
-                          bound: Optional[int] = None) -> SearchReport:
+                          workers: int = 1) -> SearchReport:
     """Randomized hunt for star-pass but non-decomposable instances.
 
-    With n <= 3 this is a smoke regression: any star/oracle disagreement
-    counts as a discrepancy and must not happen.  With n >= 4 a star-pass
-    oracle-infeasible instance is a genuine find; it is re-verified from
-    scratch and shipped with its dual certificate.  Star-fail instances
-    are spot-checked (every 7th trial) for the necessity direction.
+    The systems are finite, where `check_star` is exact for every n, so
+    no n finds a candidate: the search is a regression of that theorem
+    and of the oracle.  With n <= 3 any star/oracle disagreement counts as
+    a discrepancy.  With n >= 4 a star-pass oracle-infeasible instance
+    would be re-verified from scratch and shipped with its dual
+    certificate.  Star-fail instances are spot-checked (every 7th trial
+    for n >= 4) for the necessity direction.
 
     Deterministic under a fixed seed: each trial reseeds from (seed,
     trial), so the worker count never changes the outcome.
@@ -509,7 +426,7 @@ def search_counterexample(n: int, max_size: int, trials: int, seed: int,
         raise PreconditionError("trials must be nonnegative")
     shards: list
     if workers <= 1 or trials < 2:
-        shards = [_run_trials(n, max_size, 0, trials, seed, bound)]
+        shards = [_run_trials(n, max_size, 0, trials, seed)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -519,14 +436,14 @@ def search_counterexample(n: int, max_size: int, trials: int, seed: int,
                  for lo in range(0, trials, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(_shard_entry,
-                                   [(n, max_size, lo, hi, seed, bound)
+                                   [(n, max_size, lo, hi, seed)
                                     for lo, hi in spans]))
     merged = {key: sum(s[key] for s in shards)
               for key in shards[0] if key != "candidates"}
     all_candidates = sorted(
         (c for s in shards for c in s["candidates"]), key=lambda c: c.trial)
     return SearchReport(
-        n=n, max_size=max_size, trials=trials, seed=seed, bound=bound,
+        n=n, max_size=max_size, trials=trials, seed=seed,
         candidates=tuple(all_candidates), **merged)
 
 

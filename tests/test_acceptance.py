@@ -387,7 +387,7 @@ def test_criterion_9_randomized_search_regressions():
     assert deep.necessity_violations == 0
     for candidate in deep.candidates:
         weights = star._reverify_candidate(
-            candidate.transforms, candidate.size, candidate.values, deep.bound)
+            candidate.transforms, candidate.size, candidate.values)
         assert weights == candidate.dual_weights
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0

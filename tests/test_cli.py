@@ -350,6 +350,46 @@ def test_search_smoke_and_verify(tmp_path, capsys):
     assert code == 0 and verdict["agrees"] is True
 
 
+def test_search_verify_ignores_a_legacy_bound_key(tmp_path, capsys):
+    # reports from releases whose search took a bound carry that key
+    code, doc = _run(capsys, ["search", "--n", "4", "--max-size", "4",
+                              "--trials", "20", "--seed", "3"])
+    assert code == 0 and "bound" not in doc
+    saved = _write(tmp_path, "report.json", dict(doc, bound=7))
+    code, verdict = _run(capsys, ["search", "--verify", saved])
+    assert code == 0 and verdict["agrees"] is True
+
+
+@pytest.mark.parametrize("command, accepted", [
+    ("validate", False), ("decompose", True), ("star-check", True),
+    ("oracle", False), ("lattice-decompose", False),
+    ("bounded-transfer", False), ("search", False)])
+def test_bound_is_an_option_only_where_it_is_read(tmp_path, capsys, command,
+                                                  accepted):
+    argv = [command] if command == "search" else [
+        command, _write(tmp_path, "inst.json", FINITE_DOUBLE_SWAP)]
+    code = run_command(argv + ["--bound", "3"])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code in (0, 1)
+        json.loads(captured.out)
+    else:
+        assert code == 2 and captured.out == ""
+        assert "--bound" in captured.err
+
+
+def test_decompose_rejects_results_past_the_digit_limit(tmp_path, capsys):
+    # six distinct 2000-digit denominators: the refusal's value multiplies
+    # four of them, past the 4300 digits an integer literal may have
+    inst = {"kind": "cyclic-group", "modulus": 6, "shifts": [2, 3],
+            "values": [f"1/{10 ** 1999 + 2 * i + 1}" for i in range(6)]}
+    path = _write(tmp_path, "inst.json", inst)
+    code = run_command(["decompose", path])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err
+    assert "too large" in json.loads(captured.out)["error"]
+
+
 def test_search_verify_rejects_a_non_rational_candidate(tmp_path, capsys):
     report = {"result": "report", "n": 4, "max_size": 2, "trials": 1,
               "seed": 0, "bound": None, "star_pass": 1, "star_fail": 0,

@@ -10,11 +10,11 @@ from perdec import generators
 from perdec.core import (
     BoundTooSmallError,
     Decomposition,
-    PreconditionError,
     RationalFunction,
     compose,
     is_invariant,
     iterate,
+    mixed_corners,
     validate_system,
 )
 from perdec.decomp import (
@@ -23,7 +23,7 @@ from perdec.decomp import (
     decompose_three_report,
     decompose_two,
 )
-from perdec.oracle import DualCertificate, oracle_decompose
+from perdec.oracle import DualCertificate, nullspace, oracle_decompose
 from perdec.orbits import default_bound, find_relation, joint_classes
 from perdec.star import StarInstance, StarViolation, check_star, replay_violation
 from tests.conftest import systems, systems_with_functions, value_functions
@@ -81,20 +81,6 @@ def test_decompose_two_matches_oracle(case):
         assert replay_violation(system, f, got)
 
 
-@given(systems_with_functions(n=2, max_size=6))
-@settings(max_examples=40, deadline=None)
-def test_decompose_two_is_bound_independent(case):
-    system, f = case
-    s, t = system.transforms
-    at_default = decompose_two(s, t, f)
-    at_double = decompose_two(s, t, f, bound=4 * system.size)
-    if isinstance(at_default, Decomposition):
-        # the constructed value is witness-independent, so parts match exactly
-        assert at_default == at_double
-    else:
-        assert isinstance(at_double, StarViolation)
-
-
 def _relation_formula_part(system, f):
     """The s-invariant part g(x) = f(T^k2 x0) - f(T^k x) + f(x), where x0
     is the minimum of x's joint class and T^k S^n x = T^k2 S^n2 x0 is the
@@ -150,15 +136,63 @@ def test_decompose_two_on_every_small_commuting_pair():
     assert pairs == 2976
 
 
+def _commuting_systems(max_size):
+    """Every multiset of two and of three pairwise commuting maps on at
+    most max_size points, as (size, maps) with the maps in sorted order."""
+    partners = {}
+    for _, s, t in _commuting_pairs(max_size):
+        partners.setdefault(s, set()).add(t)
+    for s, with_s in partners.items():
+        for t in sorted(with_s):
+            if t < s:
+                continue
+            yield len(s), (s, t)
+            for u in sorted(with_s & partners[t]):
+                if u >= t:
+                    yield len(s), (s, t, u)
+
+
+def _mixed_difference_rows(system):
+    """Integer matrix of f -> D_1...D_n f, D_j f = f o T_j - f."""
+    rows = []
+    for x in range(system.size):
+        row = [0] * system.size
+        for applied, positive in mixed_corners(system.n):
+            w = x
+            for j in applied:
+                w = system.transforms[j][w]
+            row[w] += 1 if positive else -1
+        rows.append(row)
+    return rows
+
+
+def test_mixed_difference_kernel_decomposes_on_every_small_system():
+    # on a finite domain the vanishing mixed difference is sufficient for
+    # every n: each kernel basis vector splits into invariant parts
+    counts = {2: 0, 3: 0}
+    oracle_calls = 0
+    for size, maps in _commuting_systems(4):
+        counts[len(maps)] += 1
+        system = validate_system(list(maps), size)
+        for vec in nullspace(_mixed_difference_rows(system), size):
+            f = RationalFunction(tuple(vec))
+            if any(is_invariant(t, f) for t in maps):
+                continue  # already a one-part decomposition
+            oracle_calls += 1
+            assert isinstance(oracle_decompose(system, f), Decomposition)
+    # multisets of maps on 4, 3, 2 and 1 points
+    assert counts == {2: 1540 + 84 + 7 + 1, 3: 5012 + 175 + 10 + 1}
+    assert oracle_calls > 0
+
+
 def test_decompose_two_bound_too_small():
-    # bound limits only the refusal search, so a decomposable f still splits
+    # the construction searches no exponents, so a decomposable f splits
+    # with the whole of it pinned into the first part
     m = 8
     plus = tuple((x + 1) % m for x in range(m))
     f = RationalFunction.constant(m, Fraction(3))
-    got = decompose_two(plus, plus, f, bound=1)
+    got = decompose_two(plus, plus, f)
     assert got.parts == (f, RationalFunction.zero(m))
-    with pytest.raises(PreconditionError):
-        decompose_two(plus, plus, f, bound=0)
 
 
 def test_decompose_three_bound_too_small_propagates():

@@ -15,7 +15,6 @@ from perdec.orbits import (
     Partition,
     Relation,
     default_bound,
-    distinct_power_count,
     find_relation,
     invariance_classes,
     joint_classes,
@@ -34,34 +33,6 @@ def _word(t, s, k, n, x):
 
 def test_default_bound_is_twice_the_size():
     assert default_bound(5) == 10
-
-
-def test_distinct_power_count_of_a_permutation_is_its_order():
-    t = (1, 2, 0, 4, 3)  # a 3-cycle and a 2-cycle: order 6
-    assert distinct_power_count(power_table(t, 10)) == 6
-    # a bound below the rho length caps the count
-    assert distinct_power_count(power_table(t, 4)) == 4
-
-
-def test_distinct_power_count_of_the_identity_is_one():
-    assert distinct_power_count(power_table(identity(4), 8)) == 1
-
-
-def test_distinct_power_count_with_a_tail():
-    # 0 -> 1 -> 2 <-> 3: tail 2, cycle 2
-    t = (1, 2, 3, 2)
-    assert distinct_power_count(power_table(t, 8)) == 2 + 2 - 1
-
-
-@given(sized_maps(max_size=6))
-@settings(max_examples=80, deadline=None)
-def test_distinct_power_count_covers_every_power(case):
-    size, t = case
-    powers = power_table(t, 2 * size)
-    cap = distinct_power_count(powers)
-    counted = powers[1:cap + 1]
-    assert len(set(counted)) == cap
-    assert all(p in counted for p in powers[1:])
 
 
 @given(sized_maps(max_size=6), st.data())

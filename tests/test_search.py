@@ -51,7 +51,7 @@ def test_search_four_transforms_smoke():
     assert 0 <= report.necessity_checked <= report.star_fail
     for cand in report.candidates:
         weights = _reverify_candidate(cand.transforms, cand.size,
-                                      cand.values, None)
+                                      cand.values)
         assert weights == cand.dual_weights
     # the report survives the wire format
     assert parse_result(result_to_json(report)) == report

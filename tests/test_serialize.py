@@ -144,7 +144,7 @@ def _sample_results():
     cycle = CycleObstruction((2, 5, 3), Fraction(7))
     constrained = ConstrainedObstruction(1, 3, 0, 2, Fraction(-2, 9))
     report = SearchReport(
-        n=4, max_size=5, trials=10, seed=3, bound=None,
+        n=4, max_size=5, trials=10, seed=3,
         star_pass=6, star_fail=4, oracle_feasible=5, oracle_infeasible=1,
         necessity_checked=2, necessity_violations=0, discrepancies=0,
         candidates=(Candidate(7, 2, ((1, 0), (0, 1)), ("1", "-1/2"),
