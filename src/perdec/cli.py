@@ -199,12 +199,21 @@ def _require_system(inst: Instance, what: str) -> None:
                          f"got kind {inst.kind!r}")
 
 
+def _reject_bound(args, where: str) -> None:
+    """An explicit --bound that this run would not read is an input error."""
+    if args.bound is not None:
+        raise ParseError(f"--bound is not read {where}")
+
+
 def _cmd_decompose(args) -> Outcome:
     inst = _read_instance(args.instance)
     _require_system(inst, "decompose")
     if args.verify:
+        _reject_bound(args, "by --verify")
         return _verify_decomposition_result(inst,
                                             _read_result(args.verify))
+    if inst.system.n <= 2:
+        _reject_bound(args, "for one or two transforms")
     ts = inst.system.transforms
     if inst.system.n == 1:
         outcome = decompose_one(ts[0], inst.f)
@@ -223,7 +232,10 @@ def _cmd_decompose(args) -> Outcome:
 def _cmd_star_check(args) -> Outcome:
     inst = _read_instance(args.instance)
     if args.verify:
+        _reject_bound(args, "by --verify")
         return _verify_star_result(inst, _read_result(args.verify))
+    if inst.kind in ("finite", "lattice-window"):
+        _reject_bound(args, f"on {inst.kind} instances")
     if inst.kind == "finite":
         violation = check_star(inst.system, inst.f)
     elif inst.kind == "cyclic-group":
@@ -321,10 +333,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add("validate", _cmd_validate, verify=False)
     add("decompose", _cmd_decompose).add_argument(
         "--bound", type=int, default=None,
-        help="exponent bound of the three-transform relation search")
+        help="exponent bound of the three-transform relation search; "
+             "an input error with fewer transforms or --verify")
     add("star-check", _cmd_star_check).add_argument(
         "--bound", type=int, default=None,
-        help="head exponent bound on cyclic-group and z-window instances")
+        help="head exponent bound on cyclic-group and z-window instances; "
+             "an input error on other kinds or with --verify")
     add("oracle", _cmd_oracle)
     lat = add("lattice-decompose", _cmd_lattice_decompose)
     lat.add_argument("--base", type=int, default=0,

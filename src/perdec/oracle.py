@@ -5,6 +5,14 @@ invariance-class indicators of the transforms.  The elimination works on
 integer rows (function values are scaled by a common denominator), tracks
 the row operations, and therefore hands out an exact dual functional
 whenever the system is infeasible.
+
+Rows are stored sparsely, as {column: nonzero int}: a class-incidence row
+has one 1 per partition plus its right side and one tracking entry, so the
+fraction-free elimination (integer row combinations, gcd-reduced) touches
+only nonzeros instead of m·(K + 1 + m) dense cells for m points and K
+classes.  Its pivot rule (smallest magnitude, first row on ties) and row
+arithmetic are those of the dense elimination it replaced, so solutions,
+duals and nullspace bases are the same.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     CommutingSystem,
@@ -53,52 +61,65 @@ def kernel_basis(t: Sequence[int]) -> List[RationalFunction]:
     return out
 
 
-def _reduce_row(row: List[int]) -> None:
-    """Divide by the gcd of all entries and make the first nonzero positive."""
+def _reduce_row(row: Dict[int, int]) -> None:
+    """Divide by the gcd of all entries and make the entry at the smallest
+    column positive; an empty row stays empty."""
     g = 0
-    for v in row:
+    for v in row.values():
         g = gcd(g, v)
         if g == 1:
             break
     if g > 1:
-        for i, v in enumerate(row):
-            row[i] = v // g
-    for v in row:
-        if v:
-            if v < 0:
-                for i, w in enumerate(row):
-                    row[i] = -w
-            return
+        for k in row:
+            row[k] //= g
+    if row and row[min(row)] < 0:
+        for k in row:
+            row[k] = -row[k]
 
 
-def _eliminate(work: List[List[int]], ncols: int) -> List[Tuple[int, int]]:
+def _eliminate(work: List[Dict[int, int]], ncols: int
+               ) -> List[Tuple[int, int]]:
     """Fraction-free forward elimination on the first ncols columns, in place.
 
-    Whole rows are combined, so columns past ncols (a right side, tracking
-    columns) follow along.  Pivots prefer the smallest nonzero magnitude in
-    the column, which keeps the integer entries from growing; rows are
-    gcd-reduced after each step.  Returns (column, row) per pivot.
+    Each row is a sparse dict {column: nonzero int}.  Whole rows are
+    combined, so columns past ncols (a right side, tracking columns) follow
+    along.  The pivot in a column is the row of smallest nonzero magnitude,
+    the first in the current row order on ties, which keeps the integer
+    entries from growing; each combined row is a·row − b·pivot row,
+    gcd-reduced, with the entry at its smallest column made positive.  The
+    cost grows with the nonzeros touched, not with m·(ncols + 1 + m) dense
+    cells.  Returns (column, row) per pivot.
     """
     m = len(work)
     rank = 0
     pivots: List[Tuple[int, int]] = []
     for col in range(ncols):
-        best = -1
-        for i in range(rank, m):
-            v = work[i][col]
-            if v and (best < 0 or abs(v) < abs(work[best][col])):
-                best = i
-        if best < 0:
+        hits = [i for i in range(rank, m) if col in work[i]]
+        if not hits:
             continue
+        best = min(hits, key=lambda i: abs(work[i][col]))
         work[rank], work[best] = work[best], work[rank]
-        piv = work[rank][col]
-        for i in range(rank + 1, m):
-            v = work[i][col]
-            if v:
-                g = gcd(piv, v)
-                a, b = piv // g, v // g
-                work[i] = [a * x - b * y for x, y in zip(work[i], work[rank])]
-                _reduce_row(work[i])
+        prow = work[rank]
+        piv = prow[col]
+        # the row that sat at rank now sits at best
+        for i in hits:
+            if i == best:
+                continue
+            if i == rank:
+                i = best
+            row = work[i]
+            v = row[col]
+            g = gcd(piv, v)
+            a, b = piv // g, v // g
+            new = {k: a * x for k, x in row.items()} if a != 1 else row
+            for k, y in prow.items():
+                x = new.get(k, 0) - b * y
+                if x:
+                    new[k] = x
+                else:
+                    del new[k]
+            _reduce_row(new)
+            work[i] = new
         pivots.append((col, rank))
         rank += 1
         if rank == m:
@@ -115,21 +136,29 @@ def linear_feasibility(
     free unknowns pinned to 0, or an integer row y with y A = 0, y b != 0.
     """
     m = len(rows)
-    # extended row: coefficient part | rhs | identity tracking part
-    work = [list(rows[i]) + [rhs[i]] + [1 if j == i else 0 for j in range(m)]
-            for i in range(m)]
+    # sparse extended row: coefficients at 0..ncols-1, the right side at
+    # ncols, identity tracking entry i at ncols + 1 + i
+    work = []
+    for i, row in enumerate(rows):
+        entry = {c: v for c, v in enumerate(row) if v}
+        if rhs[i]:
+            entry[ncols] = rhs[i]
+        entry[ncols + 1 + i] = 1
+        work.append(entry)
     pivots = _eliminate(work, ncols)
     for i in range(len(pivots), m):
-        if work[i][ncols]:
+        if work[i].get(ncols):
             # the tracked row combination proves infeasibility
-            return None, tuple(work[i][ncols + 1:])
+            return None, tuple(work[i].get(ncols + 1 + j, 0)
+                               for j in range(m))
     solution = [Fraction(0)] * ncols
     for col, row in reversed(pivots):
-        acc = Fraction(work[row][ncols])
-        for c in range(col + 1, ncols):
-            if work[row][c]:
-                acc -= work[row][c] * solution[c]
-        solution[col] = acc / work[row][col]
+        entry = work[row]
+        acc = Fraction(entry.get(ncols, 0))
+        for c, v in entry.items():
+            if col < c < ncols:
+                acc -= v * solution[c]
+        solution[col] = acc / entry[col]
     return solution, None
 
 
@@ -139,7 +168,7 @@ def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Fraction]]
     One basis vector per free column: that column is 1 and the pivot
     columns are back-solved.
     """
-    work = [list(r) for r in rows]
+    work = [{c: v for c, v in enumerate(row) if v} for row in rows]
     pivots = _eliminate(work, ncols)
     pivot_cols = {col for col, _ in pivots}
     basis = []
@@ -149,11 +178,12 @@ def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Fraction]]
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for col, row in reversed(pivots):
+            entry = work[row]
             acc = Fraction(0)
-            for c in range(col + 1, ncols):
-                if work[row][c] and vec[c]:
-                    acc -= work[row][c] * vec[c]
-            vec[col] = acc / work[row][col]
+            for c, v in entry.items():
+                if c > col and vec[c]:
+                    acc -= v * vec[c]
+            vec[col] = acc / entry[col]
         basis.append(vec)
     return basis
 

@@ -414,6 +414,9 @@ def parse_result(doc: Any) -> Any:
             if not isinstance(c, dict):
                 raise ParseError("expected candidate object",
                                  f"candidates[{i}]")
+            if not isinstance(c.get("transforms", []), list):
+                raise ParseError("expected a list of transform tables",
+                                 f"candidates[{i}].transforms")
             cands.append(Candidate(
                 trial=_int_field(c, "trial", f"candidates[{i}].trial"),
                 size=_int_field(c, "size", f"candidates[{i}].size"),

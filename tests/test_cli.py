@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -366,8 +367,9 @@ def test_search_verify_ignores_a_legacy_bound_key(tmp_path, capsys):
     ("bounded-transfer", False), ("search", False)])
 def test_bound_is_an_option_only_where_it_is_read(tmp_path, capsys, command,
                                                   accepted):
+    # three shifts of Z_4: both decompose and star-check read the bound
     argv = [command] if command == "search" else [
-        command, _write(tmp_path, "inst.json", FINITE_DOUBLE_SWAP)]
+        command, _write(tmp_path, "inst.json", CYCLIC_SPLIT)]
     code = run_command(argv + ["--bound", "3"])
     captured = capsys.readouterr()
     if accepted:
@@ -376,6 +378,39 @@ def test_bound_is_an_option_only_where_it_is_read(tmp_path, capsys, command,
     else:
         assert code == 2 and captured.out == ""
         assert "--bound" in captured.err
+
+
+ONE_SWAP = dict(FINITE_DOUBLE_SWAP, transforms=[[1, 0]])
+
+
+@pytest.mark.parametrize("command, inst", [
+    ("decompose", ONE_SWAP), ("decompose", FINITE_DOUBLE_SWAP),
+    ("decompose", dict(CYCLIC_SPLIT, shifts=[1, 2])),
+    ("star-check", FINITE_DOUBLE_SWAP), ("star-check", LATTICE_CORNER)],
+    ids=["decompose-one", "decompose-two", "decompose-cyclic-two",
+         "star-check-finite", "star-check-lattice"])
+def test_bound_where_the_instance_does_not_read_it_is_an_input_error(
+        tmp_path, capsys, command, inst):
+    path = _write(tmp_path, "inst.json", inst)
+    code, doc = _run(capsys, [command, path])
+    assert code in (0, 1)
+    code, err = _run(capsys, [command, path, "--bound", "3"])
+    assert code == 2
+    assert "--bound is not read" in err["error"]
+
+
+@pytest.mark.parametrize("command, inst", [("decompose", CYCLIC_SPLIT),
+                                           ("star-check", Z_WINDOW_LINEAR)])
+def test_bound_is_not_read_by_verify(tmp_path, capsys, command, inst):
+    path = _write(tmp_path, "inst.json", inst)
+    code, doc = _run(capsys, [command, path, "--bound", "3"])
+    assert code in (0, 1)
+    saved = _write(tmp_path, "result.json", doc)
+    code, verdict = _run(capsys, [command, path, "--verify", saved])
+    assert code == 0 and verdict["agrees"] is True
+    code, err = _run(capsys, [command, path, "--verify", saved,
+                              "--bound", "3"])
+    assert code == 2 and err["error"] == "--bound is not read by --verify"
 
 
 def test_decompose_rejects_results_past_the_digit_limit(tmp_path, capsys):
@@ -476,6 +511,23 @@ def test_oracle_lattice_dual_with_one_weight_changed_is_rejected(tmp_path,
         assert code == 1 and verdict["agrees"] is False
 
 
+def test_oracle_on_a_40_by_40_window_is_fast_and_its_dual_replays(tmp_path,
+                                                                  capsys):
+    # 1,600 points and 80 slice classes; the dense identity-tracked
+    # elimination needed about 3 s here, the sparse one about 0.1 s
+    rng = random.Random(40)
+    inst = {"kind": "lattice-window", "dims": [40, 40],
+            "values": [str(rng.randint(-9, 9)) for _ in range(1600)]}
+    path = _write(tmp_path, "inst.json", inst)
+    start = time.perf_counter()
+    code, doc = _run(capsys, ["oracle", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and doc["result"] == "infeasible"
+    saved = _write(tmp_path, "dual.json", doc)
+    code, verdict = _run(capsys, ["oracle", path, "--verify", saved])
+    assert code == 0 and verdict["agrees"] is True
+
+
 def _certificates():
     """(subcommand, instance, saved result) for one document of each
     certificate type, produced by the command line itself."""
@@ -540,26 +592,80 @@ _FIELD_VALUES = st.one_of(
           suppress_health_check=[HealthCheck.too_slow])
 def test_mutated_certificates_never_crash_or_hang(site, value):
     command, inst, doc, path = site
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = _write(Path(tmp), "inst.json", inst)
+        cert_path = _write(Path(tmp), "cert.json", _mutate(doc, path, value))
+        _assert_clean_run([command, inst_path, "--verify", cert_path])
+
+
+def _mutate(doc, path, value):
+    """A copy of doc with the field at path replaced by value."""
     mutated = json.loads(json.dumps(doc))
     holder = mutated
     for key in path[:-1]:
         holder = holder[key]
     holder[path[-1]] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        inst_path = Path(tmp) / "inst.json"
-        inst_path.write_text(json.dumps(inst))
-        cert_path = Path(tmp) / "cert.json"
-        cert_path.write_text(json.dumps(mutated))
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run_command([command, str(inst_path),
-                                "--verify", str(cert_path)])
-        elapsed = time.perf_counter() - start
+    return mutated
+
+
+def _assert_clean_run(argv):
+    """Exit 0, 1 or 2 within a second, one JSON document, no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    elapsed = time.perf_counter() - start
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert elapsed < 1.0
     json.loads(out.getvalue())
+
+
+INSTANCE_SITES = [(inst, path)
+                  for inst in (FINITE_DOUBLE_SWAP, CYCLIC_SPLIT,
+                               LATTICE_CORNER, Z_WINDOW_LINEAR)
+                  for path in _field_paths(inst)]
+
+
+@pytest.mark.parametrize(
+    "site", INSTANCE_SITES,
+    ids=[f"{inst['kind']}:{'.'.join(map(str, path))}"
+         for inst, path in INSTANCE_SITES])
+@given(value=_FIELD_VALUES)
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_instances_never_crash_or_hang(site, value):
+    inst, path = site
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = _write(Path(tmp), "inst.json", _mutate(inst, path, value))
+        for command in ("oracle", "decompose", "star-check"):
+            _assert_clean_run([command, inst_path])
+
+
+# the report shape `search` emits, with one candidate so that its fields
+# can be mutated too (a clean search reports none)
+SEARCH_REPORT = {"result": "report", "n": 2, "max_size": 2, "trials": 1,
+                 "seed": 0, "star_pass": 1, "star_fail": 0,
+                 "oracle_feasible": 0, "oracle_infeasible": 1,
+                 "necessity_checked": 0, "necessity_violations": 0,
+                 "discrepancies": 0,
+                 "candidates": [{"trial": 0, "size": 2,
+                                 "transforms": [[1, 0], [0, 1]],
+                                 "values": ["0", "1"],
+                                 "dual_weights": ["1", "-1"]}]}
+REPORT_SITES = _field_paths(SEARCH_REPORT)
+
+
+@pytest.mark.parametrize("path", REPORT_SITES,
+                         ids=[".".join(map(str, p)) for p in REPORT_SITES])
+@given(value=_FIELD_VALUES)
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_search_reports_never_crash_or_hang(path, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = _write(Path(tmp), "report.json",
+                       _mutate(SEARCH_REPORT, path, value))
+        _assert_clean_run(["search", "--verify", saved])
 
 
 def test_stdin_instance(capsys, monkeypatch):

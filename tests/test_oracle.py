@@ -1,12 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from perdec import generators
+from perdec import generators, oracle
 from perdec.core import (
     Decomposition,
     PreconditionError,
@@ -88,6 +89,144 @@ def test_nullspace_dimension_and_membership(case):
     if basis:
         basis_rank, _ = _ref_eliminate(basis, [0] * len(basis))
         assert basis_rank == len(basis)  # linearly independent
+
+
+# The dense elimination that the sparse one replaced, kept as the reference
+# for bit-identical outputs: same pivots, same row arithmetic, same signs.
+
+
+def _dense_reduce_row(row):
+    g = 0
+    for v in row:
+        g = math.gcd(g, v)
+        if g == 1:
+            break
+    if g > 1:
+        for i, v in enumerate(row):
+            row[i] = v // g
+    for v in row:
+        if v:
+            if v < 0:
+                for i, w in enumerate(row):
+                    row[i] = -w
+            return
+
+
+def _dense_eliminate(work, ncols):
+    m = len(work)
+    rank = 0
+    pivots = []
+    for col in range(ncols):
+        best = -1
+        for i in range(rank, m):
+            v = work[i][col]
+            if v and (best < 0 or abs(v) < abs(work[best][col])):
+                best = i
+        if best < 0:
+            continue
+        work[rank], work[best] = work[best], work[rank]
+        piv = work[rank][col]
+        for i in range(rank + 1, m):
+            v = work[i][col]
+            if v:
+                g = math.gcd(piv, v)
+                a, b = piv // g, v // g
+                work[i] = [a * x - b * y for x, y in zip(work[i], work[rank])]
+                _dense_reduce_row(work[i])
+        pivots.append((col, rank))
+        rank += 1
+        if rank == m:
+            break
+    return pivots
+
+
+def _dense_linear_feasibility(rows, rhs, ncols):
+    m = len(rows)
+    work = [list(rows[i]) + [rhs[i]] + [1 if j == i else 0 for j in range(m)]
+            for i in range(m)]
+    pivots = _dense_eliminate(work, ncols)
+    for i in range(len(pivots), m):
+        if work[i][ncols]:
+            return None, tuple(work[i][ncols + 1:])
+    solution = [Fraction(0)] * ncols
+    for col, row in reversed(pivots):
+        acc = Fraction(work[row][ncols])
+        for c in range(col + 1, ncols):
+            if work[row][c]:
+                acc -= work[row][c] * solution[c]
+        solution[col] = acc / work[row][col]
+    return solution, None
+
+
+def _dense_nullspace(rows, ncols):
+    work = [list(r) for r in rows]
+    pivots = _dense_eliminate(work, ncols)
+    pivot_cols = {col for col, _ in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for col, row in reversed(pivots):
+            acc = Fraction(0)
+            for c in range(col + 1, ncols):
+                if work[row][c] and vec[c]:
+                    acc -= work[row][c] * vec[c]
+            vec[col] = acc / work[row][col]
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Integer matrices of mixed density with some all-zero rows and a
+    right side that is nonzero somewhere."""
+    m = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 9))
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    entries = st.integers(-6, 6)
+    rows = []
+    for _ in range(m):
+        if draw(st.integers(0, 4)) == 0:
+            rows.append([0] * n)
+        else:
+            rows.append([draw(entries) if draw(st.floats(0, 1)) < density
+                         else 0 for _ in range(n)])
+    rhs = draw(st.lists(entries, min_size=m, max_size=m))
+    if not any(rhs):
+        rhs[draw(st.integers(0, m - 1))] = draw(st.sampled_from([-2, 1, 3]))
+    return rows, rhs, n
+
+
+def _assert_identical(rows, rhs, ncols):
+    # equal, not merely equivalent: same Fractions in the same places
+    assert (linear_feasibility(rows, rhs, ncols)
+            == _dense_linear_feasibility(rows, rhs, ncols))
+    assert nullspace(rows, ncols) == _dense_nullspace(rows, ncols)
+
+
+@given(_sparse_matrices())
+def test_sparse_elimination_is_bit_identical_to_the_dense_reference(case):
+    _assert_identical(*case)
+
+
+@given(systems(nmax=4, max_size=9), st.integers(0, 10 ** 9))
+def test_sparse_elimination_is_bit_identical_on_class_incidences(system,
+                                                                 seed):
+    f = generators.random_function(random.Random(f"incidence:{seed}"), system)
+    partitions = [invariance_classes(t) for t in system.transforms]
+    problems = []
+
+    def capture(rows, rhs, ncols):
+        problems.append((rows, rhs, ncols))
+        return linear_feasibility(rows, rhs, ncols)
+
+    # the rows, right side and column count split_over_classes builds
+    with mock.patch.object(oracle, "linear_feasibility", capture):
+        oracle.split_over_classes(partitions, f)
+    (problem,) = problems
+    _assert_identical(*problem)
 
 
 def test_kernel_basis_spans_invariant_functions():
