@@ -18,14 +18,12 @@ from .core import (
     RationalFunction,
     VerificationResult,
     commute_witness,
-    identity,
     is_invariant,
     iterate,
 )
 from .orbits import (
     Partition,
     _components,
-    default_bound,
     find_relation,
     invariance_classes,
 )
@@ -226,15 +224,13 @@ def solve_transfer_constrained(
     g_q = RationalFunction(tuple(g[rep] for rep in part.representative))
     h_q = solve_transfer(induced, g_q)
     if isinstance(h_q, CycleObstruction):
-        size = len(g)
         x = part.representative[h_q.points[0]]
         k = len(h_q.points)
-        link = find_relation(identity(size), s, iterate(t, k, x), x,
-                             default_bound(size))
+        link = find_relation(s, iterate(t, k, x), x)
         if link is None:
             raise InternalContractViolation(
                 "quotient cycle without a ground self-relation")
-        obstruction = ConstrainedObstruction(x, k, link.k, link.k2, h_q.total)
+        obstruction = ConstrainedObstruction(x, k, *link, h_q.total)
         verify_bounded_transfer(t, s, g, obstruction).require("obstruction")
         return obstruction
     values = tuple(h_q[part.class_of[x]] for x in range(len(g)))

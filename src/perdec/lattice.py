@@ -365,7 +365,7 @@ def z_window_counterexample(length: int = 10) -> ZWindowDemo:
     f = RationalFunction(tuple(Fraction(x) for x in range(length)))
     shifts = (1, 1)
     corners = _shift_corners(shifts)
-    mixed_ok = all(not _shift_stencil(f.values, corners, z, None)
+    mixed_ok = all(not _shift_stencil(f.values, corners, z)
                    for z in range(length))
-    violation = check_star_abelian(None, shifts, f)
+    violation = check_star_abelian(shifts, f)
     return ZWindowDemo(length, shifts, mixed_ok, violation)

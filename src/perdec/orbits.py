@@ -14,14 +14,14 @@ from .core import CommutingSystem, PreconditionError, RangeError
 
 
 def default_bound(size: int) -> int:
-    """Default exponent search bound 2N for relation search.
+    """Default exponent bound 2N of `prescribed_points` and `decompose_three`.
 
     The power sequence of any self-map on N points has preperiod plus
-    period at most N (the rho shape).  `find_relation` and
-    `prescribed_points`, and through them `decompose_three`, enumerate
-    exponents up to 2N; its sufficiency is property-tested against 4N
-    rather than proved in code.  The finite star check searches no
-    exponents at all.
+    period at most N (the rho shape), so the witness that
+    `prescribed_points` finds by orbit walks has exponents at most N and
+    fits this bound: only an explicit smaller bound changes its output.
+    `find_relation` takes no bound by default (the exact orbit meeting),
+    and the finite star check searches no exponents at all.
     """
     return 2 * size
 
@@ -119,9 +119,6 @@ class Relation:
     k2: int
     n2: int
 
-    def swapped(self) -> "Relation":
-        return Relation(self.k2, self.n2, self.k, self.n)
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.k, self.n, self.k2, self.n2)
 
@@ -138,54 +135,47 @@ def _word_grid(t: Sequence[int], s: Sequence[int], x: int,
     return grid
 
 
-def _reachable(maps: Sequence[Sequence[int]], x: int) -> set[int]:
-    """Forward closure of {x} under the given maps."""
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        p = frontier.pop()
-        for m in maps:
-            q = m[p]
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return seen
+def find_relation(s: Sequence[int], x: int, y: int,
+                  bound: Optional[int] = None) -> Optional[tuple[int, int]]:
+    """First (k, k2) with s^k x = s^{k2} y and both exponents <= bound.
 
-
-def find_relation(s: Sequence[int], t: Sequence[int], x: int, y: int,
-                  bound: int) -> Optional[Relation]:
-    """First relation T^k S^n x = T^{k2} S^{n2} y with exponents <= bound.
-
-    For x <= y the search order is lexicographic in
-    (k + n + k2 + n2, k, n, k2, n2); for x > y the result for (y, x) is
-    swapped, which makes the outcome symmetric in the two points.
-    Returns None when no relation exists within the bound.
+    The least k + k2 wins, ties going to the least exponent on min(x, y),
+    which makes the outcome symmetric in the two points.  The orbits meet
+    iff x and y share an `invariance_classes` class, and each repeats
+    within N steps, so bound None (no cap) finds the exact meeting.  A
+    hash join: the first index of every point on min(x, y)'s orbit goes
+    into a table, then the other orbit is walked until no later step can
+    win, in O(min(bound, N)).  Returns None when the orbits do not meet
+    within the bound.
     """
-    if bound < 1:
+    if bound is not None and bound < 1:
         raise PreconditionError(f"bound must be >= 1, got {bound}")
-    size = len(t)
+    size = len(s)
     if not (0 <= x < size and 0 <= y < size):
         raise RangeError(f"elements {x}, {y} must lie in [0, {size})")
-    if x == y:
-        return Relation(0, 0, 0, 0)
-    if x > y:
-        rel = find_relation(s, t, y, x, bound)
-        return None if rel is None else rel.swapped()
-    # Forward closures are cheap and decide absence at every bound at once.
-    if not (_reachable((s, t), x) & _reachable((s, t), y)):
+    # exponents past N - 1 only revisit points the walks have seen
+    limit = size - 1 if bound is None else min(bound, size - 1)
+    a, b = min(x, y), max(x, y)
+    first: Dict[int, int] = {}
+    p = a
+    for i in range(limit + 1):
+        if p in first:
+            break
+        first[p] = i
+        p = s[p]
+    best: Optional[tuple[int, int]] = None  # (k + k2, exponent on a)
+    q = b
+    for j in range(limit + 1):
+        if best is not None and j > best[0]:
+            break
+        i = first.get(q)
+        if i is not None and (best is None or (i + j, i) < best):
+            best = (i + j, i)
+        q = s[q]
+    if best is None:
         return None
-    gx = _word_grid(t, s, x, bound)
-    gy = _word_grid(t, s, y, bound)
-    for total in range(4 * bound + 1):
-        for k in range(min(total, bound) + 1):
-            for n in range(min(total - k, bound) + 1):
-                rest = total - k - n
-                px = gx[k][n]
-                for k2 in range(max(0, rest - bound), min(rest, bound) + 1):
-                    # n2 is forced, so ascending k2 is lexicographic here
-                    if px == gy[k2][rest - k2]:
-                        return Relation(k, n, k2, rest - k2)
-    return None
+    total, i = best
+    return (i, total - i) if x <= y else (total - i, i)
 
 
 def _self_relation_scan(t: Sequence[int], s: Sequence[int], x: int,
@@ -209,8 +199,10 @@ def prescribed_points(s: Sequence[int], t: Sequence[int],
 
     Maps each such x to one witness Relation (n/n2 fields hold the S
     exponents).  The fast path walks the induced map on S-classes, whose
-    first repeat gives T^k x ~ T^{k2} x within k <= N; the exhaustive
-    bounded scan only runs when that witness does not fit the bound.
+    first repeat gives T^k x ~ T^{k2} x within k <= N, and links the two
+    points by `find_relation` under s, whose exponents stay below N.  At
+    the default bound 2N that witness always fits, so the exhaustive
+    bounded scan only runs under an explicit smaller bound.
     """
     size = len(t)
     if bound is None:
@@ -218,7 +210,6 @@ def prescribed_points(s: Sequence[int], t: Sequence[int],
     if bound < 1:
         raise PreconditionError(f"bound must be >= 1, got {bound}")
     s_classes = invariance_classes(s)
-    ident = tuple(range(size))
     # induced map on S-classes; well-defined because s and t commute
     t_quot = [0] * s_classes.n_classes
     for c, rep in enumerate(s_classes.representative):
@@ -240,10 +231,9 @@ def prescribed_points(s: Sequence[int], t: Sequence[int],
         v = x
         for _ in range(k2):
             v = t[v]
-        link = find_relation(ident, s, u, v, bound)
-        if (link is not None and k <= bound
-                and link.k <= bound and link.k2 <= bound):
-            out[x] = Relation(k, link.k, k2, link.k2)
+        link = find_relation(s, u, v, bound)
+        if link is not None and k <= bound:
+            out[x] = Relation(k, link[0], k2, link[1])
             continue
         rel = _self_relation_scan(t, s, x, bound)
         if rel is not None:

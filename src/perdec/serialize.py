@@ -328,10 +328,16 @@ def result_to_json(result: Any, dims: Optional[Sequence[int]] = None) -> dict:
 
 
 def parse_result(doc: Any) -> Any:
-    """Inverse of result_to_json for every result tag."""
+    """Inverse of result_to_json for every result tag.
+
+    A passing star check's {"result": "pass"} parses to None, which is what
+    the checks return when they pass.
+    """
     if not isinstance(doc, dict):
         raise ParseError("result file must be a JSON object")
     tag = doc.get("result")
+    if tag == "pass":
+        return None
     if tag == "decomposition":
         parts = doc.get("parts")
         if not isinstance(parts, list) or not parts:

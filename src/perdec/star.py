@@ -181,23 +181,14 @@ def replay_violation(system: CommutingSystem, f: RationalFunction,
     return value == violation.value and value != 0
 
 
-def _natural_multiple(a: int, b: int, modulus: Optional[int]) -> Optional[int]:
-    """Smallest m >= 0 with m*a = b (over Z, or mod modulus), else None."""
-    if modulus is None:
-        if b == 0:
-            return 0
-        if a == 0:
-            return None
-        m, r = divmod(b, a)
-        return m if r == 0 and m >= 0 else None
-    a %= modulus
-    b %= modulus
-    seen = 0
-    for m in range(modulus):
-        if seen == b:
-            return m
-        seen = (seen + a) % modulus
-    return None
+def _natural_multiple(a: int, b: int) -> Optional[int]:
+    """Smallest m >= 0 with m*a = b over Z, else None."""
+    if b == 0:
+        return 0
+    if a == 0:
+        return None
+    m, r = divmod(b, a)
+    return m if r == 0 and m >= 0 else None
 
 
 def _shift_corners(offsets: Sequence[int]) -> list[tuple[int, bool]]:
@@ -208,45 +199,36 @@ def _shift_corners(offsets: Sequence[int]) -> list[tuple[int, bool]]:
 
 
 def _shift_stencil(values: Sequence, corners: Sequence[tuple[int, bool]],
-                   z: int, modulus: Optional[int]):
-    """Mixed difference of values at z on Z_modulus, or on a window of Z
-    when modulus is None, where it is None unless every corner lies
-    inside the window."""
+                   z: int):
+    """Mixed difference of values at z on a window of Z, or None unless
+    every corner lies inside the window."""
     size = len(values)
     total = 0
     for off, positive in corners:
         w = z + off
-        if modulus is not None:
-            w %= modulus
-        elif not 0 <= w < size:
+        if not 0 <= w < size:
             return None
         total += values[w] if positive else -values[w]
     return total
 
 
-def check_star_abelian(modulus: Optional[int], shifts: Sequence[int],
-                       f: RationalFunction,
+def check_star_abelian(shifts: Sequence[int], f: RationalFunction,
                        bound: Optional[int] = None) -> Optional[StarViolation]:
-    """Partition-condition verdict for translation systems.
+    """Partition-condition verdict on a window of Z (indices 0..len(f)-1)
+    with partial maps x -> x + a_i.
 
-    modulus m means the domain Z_m with maps x -> x + a_i mod m; None
-    means a window of Z (indices 0..len(f)-1) where conclusions are only
-    evaluated at points whose whole difference stencil stays in-window.
-    Premises become arithmetic: the head conclusion for block b at
-    exponent k applies when each member shift a_i has a natural multiple
-    equal to k * a_head (mod m when finite), removing the exponent search.
-    The stored premise triples are (i, 0, multiple).
+    Conclusions are only evaluated at points whose whole difference
+    stencil stays in-window.  Premises become arithmetic: the head
+    conclusion for block b at exponent k applies when each member shift
+    a_i has a natural multiple equal to k * a_head, removing the exponent
+    search; heads of larger blocks run up to bound (default 2 * len(f)).
+    The stored premise triples are (i, 0, multiple).  Translations of Z_m
+    are total maps on a finite set, where `check_star` decides alone.
     """
     size = len(f)
     for a in shifts:
         if not isinstance(a, int) or isinstance(a, bool):
             raise RangeError(f"shift {a!r} is not an integer")
-    if modulus is not None:
-        if modulus < 1:
-            raise RangeError(f"modulus must be positive, got {modulus}")
-        if size != modulus:
-            raise RangeError(
-                f"function length {size} does not match modulus {modulus}")
     n = len(shifts)
     if n == 0:
         return None
@@ -265,7 +247,7 @@ def check_star_abelian(modulus: Optional[int], shifts: Sequence[int],
                     for i in block:
                         if i == h:
                             continue
-                        mult = _natural_multiple(shifts[i], target, modulus)
+                        mult = _natural_multiple(shifts[i], target)
                         if mult is None:
                             gated = False
                             break
@@ -277,7 +259,7 @@ def check_star_abelian(modulus: Optional[int], shifts: Sequence[int],
                 corners = _shift_corners(
                     [kvec[b] * shifts[heads[b]] for b in range(nb)])
                 for z in range(size):
-                    value = _shift_stencil(f_num, corners, z, modulus)
+                    value = _shift_stencil(f_num, corners, z)
                     if value:
                         instance = StarInstance(
                             blocks, tuple(heads), tuple(kvec),
@@ -287,10 +269,9 @@ def check_star_abelian(modulus: Optional[int], shifts: Sequence[int],
     return None
 
 
-def replay_abelian_violation(modulus: Optional[int], shifts: Sequence[int],
-                             f: RationalFunction,
+def replay_abelian_violation(shifts: Sequence[int], f: RationalFunction,
                              violation: StarViolation) -> bool:
-    """Re-derive an abelian violation arithmetically."""
+    """Re-derive a window violation arithmetically."""
     inst = violation.instance
     if not _well_formed(inst, len(shifts), len(f)):
         return False
@@ -301,18 +282,12 @@ def replay_abelian_violation(modulus: Optional[int], shifts: Sequence[int],
             head_of[i] = h
             k_of[i] = k
     for i, l, mult in inst.premises:
-        if l != 0 or mult < 0:
-            return False
-        lhs = mult * shifts[i]
-        rhs = k_of[i] * shifts[head_of[i]]
-        if modulus is None:
-            if lhs != rhs:
-                return False
-        elif (lhs - rhs) % modulus:
+        if (l != 0 or mult < 0
+                or mult * shifts[i] != k_of[i] * shifts[head_of[i]]):
             return False
     corners = _shift_corners([k * shifts[h] for h, k
                               in zip(inst.distinguished, inst.exponents)])
-    value = _shift_stencil(f.values, corners, inst.z, modulus)
+    value = _shift_stencil(f.values, corners, inst.z)
     return value is not None and value == violation.value and value != 0
 
 

@@ -44,3 +44,34 @@ def systems_with_functions(draw, n=None, max_size: int = 7, style=None):
     rng = random.Random(f"fun:{seed}")
     f = generators.random_function(rng, system, style)
     return system, f
+
+
+def grid_relation(s, t, x, y, bound):
+    """Reference two-map relation search: the first (k, n, k2, n2) with
+    t^k s^n x = t^k2 s^n2 y and every exponent <= bound, in the order
+    (k + n + k2 + n2, k, n, k2, n2) for x <= y, and swapped for x > y.
+
+    Words are read off (bound + 1)^2 grids of t^k s^n x, one per point.
+    """
+    if x > y:
+        rel = grid_relation(s, t, y, x, bound)
+        return None if rel is None else (rel[2], rel[3], rel[0], rel[1])
+
+    def grid(p):
+        row = [p]
+        for _ in range(bound):
+            row.append(s[row[-1]])
+        rows = [row]
+        for _ in range(bound):
+            rows.append([t[q] for q in rows[-1]])
+        return rows
+
+    gx, gy = grid(x), grid(y)
+    for total in range(4 * bound + 1):
+        for k in range(min(total, bound) + 1):
+            for n in range(min(total - k, bound) + 1):
+                rest = total - k - n
+                for k2 in range(max(0, rest - bound), min(rest, bound) + 1):
+                    if gx[k][n] == gy[k2][rest - k2]:
+                        return (k, n, k2, rest - k2)
+    return None

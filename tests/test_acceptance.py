@@ -182,10 +182,10 @@ def test_criterion_5_z_window_linear_function_is_blocked():
     assert violation.instance.exponents == (1,)
     assert violation.value != 0
     f = RationalFunction(tuple(Fraction(x) for x in range(10)))
-    assert star.replay_abelian_violation(None, demo.shifts, f, violation)
+    assert star.replay_abelian_violation(demo.shifts, f, violation)
     # control: shift-invariant functions on the same window do pass
     constant = RationalFunction.constant(10, Fraction(3))
-    assert star.check_star_abelian(None, (1, 1), constant) is None
+    assert star.check_star_abelian((1, 1), constant) is None
     _announce(5, "f(x) = x on a length-10 window with shifts (1, 1) has zero "
                  "mixed difference yet is blocked at block {0, 1}, exponent 1")
 

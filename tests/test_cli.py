@@ -172,6 +172,94 @@ def test_star_check_pass(tmp_path, capsys):
     assert doc == {"result": "pass"}
 
 
+PASSING_STAR_CHECKS = {
+    "finite": SWAP_TRANSFER,
+    "cyclic-group": CYCLIC_SPLIT,
+    "z-window": dict(Z_WINDOW_LINEAR, values=["3"] * 10),
+    "lattice-window": LATTICE_SEPARABLE,
+}
+FAILING_STAR_CHECKS = {
+    "finite": FINITE_DOUBLE_SWAP,
+    "cyclic-group": dict(CYCLIC_SPLIT, values=["0", "1", "0", "0"]),
+    "z-window": Z_WINDOW_LINEAR,
+    "lattice-window": LATTICE_CORNER,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PASSING_STAR_CHECKS))
+def test_star_check_verify_takes_its_own_pass_output(tmp_path, capsys, kind):
+    # a pass carries no certificate, so --verify re-runs the check
+    path = _write(tmp_path, "inst.json", PASSING_STAR_CHECKS[kind])
+    code, doc = _run(capsys, ["star-check", path])
+    assert (code, doc) == (0, {"result": "pass"})
+    saved = _write(tmp_path, "pass.json", doc)
+    code, verdict = _run(capsys, ["star-check", path, "--verify", saved])
+    assert code == 0 and verdict == {"result": "verified", "agrees": True}
+    failing = _write(tmp_path, "fail.json", FAILING_STAR_CHECKS[kind])
+    code, doc = _run(capsys, ["star-check", failing])
+    assert code == 1
+    code, verdict = _run(capsys, ["star-check", failing, "--verify", saved])
+    assert code == 1 and verdict["agrees"] is False
+    assert verdict["reason"] == "the star check fails on this instance"
+
+
+def test_a_pass_is_not_a_result_of_other_commands(tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", CYCLIC_SPLIT)
+    saved = _write(tmp_path, "pass.json", {"result": "pass"})
+    code, verdict = _run(capsys, ["decompose", path, "--verify", saved])
+    assert code == 1 and verdict["agrees"] is False
+    assert verdict["reason"] == ("unexpected result type pass for "
+                                 "decompose")
+
+
+def test_star_check_verify_of_a_pass_rejects_an_explicit_bound(tmp_path,
+                                                               capsys):
+    path = _write(tmp_path, "inst.json", PASSING_STAR_CHECKS["z-window"])
+    saved = _write(tmp_path, "pass.json", {"result": "pass"})
+    code, err = _run(capsys, ["star-check", path, "--verify", saved,
+                              "--bound", "3"])
+    assert code == 2 and err["error"] == "--bound is not read by --verify"
+
+
+# emitted by the modular partition scan that cyclic-group star checks ran
+# before they went through the finite check; saved certificates replay
+EARLIER_CYCLIC_CERTIFICATE = {
+    "certificate": {"blocks": [[0], [1], [2]], "distinguished": [0, 1, 2],
+                    "exponents": [1, 1, 1], "kind": "MixedDeltaNonzero",
+                    "premises": [], "value": "4", "z": 0},
+    "result": "violation",
+}
+
+
+def test_star_check_verifies_an_earlier_cyclic_certificate(tmp_path, capsys):
+    inst = {"kind": "cyclic-group", "modulus": 6, "shifts": [2, 3, 4],
+            "values": ["1", "0", "0", "5/2", "0", "-1"]}
+    path = _write(tmp_path, "inst.json", inst)
+    cert = _write(tmp_path, "cert.json", EARLIER_CYCLIC_CERTIFICATE)
+    code, verdict = _run(capsys, ["star-check", path, "--verify", cert])
+    assert code == 0 and verdict == {"result": "verified", "agrees": True}
+    code, doc = _run(capsys, ["star-check", path])
+    assert (code, doc) == (1, EARLIER_CYCLIC_CERTIFICATE)
+
+
+def test_decompose_three_shifts_of_z192_is_fast_and_verifies(tmp_path,
+                                                             capsys):
+    # planted: periods 2 and 3 plus a constant, shifts 1, 2 and 3; the
+    # (bound + 1)^2 relation grids per point took about 5 s here, the
+    # orbit meetings about 0.03 s
+    inst = {"kind": "cyclic-group", "modulus": 192, "shifts": [1, 2, 3],
+            "values": [str(7 + 5 * (x % 2) + (x % 3) ** 2)
+                       for x in range(192)]}
+    path = _write(tmp_path, "inst.json", inst)
+    start = time.perf_counter()
+    code, doc = _run(capsys, ["decompose", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and doc["result"] == "decomposition"
+    saved = _write(tmp_path, "parts.json", doc)
+    code, verdict = _run(capsys, ["decompose", path, "--verify", saved])
+    assert code == 0 and verdict["agrees"] is True
+
+
 def test_star_check_z_window_certificate(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", Z_WINDOW_LINEAR)
     code, doc = _run(capsys, ["star-check", path])
@@ -367,9 +455,11 @@ def test_search_verify_ignores_a_legacy_bound_key(tmp_path, capsys):
     ("bounded-transfer", False), ("search", False)])
 def test_bound_is_an_option_only_where_it_is_read(tmp_path, capsys, command,
                                                   accepted):
-    # three shifts of Z_4: both decompose and star-check read the bound
+    # decompose reads the bound on three shifts of Z_4, star-check on a
+    # z-window
+    inst = Z_WINDOW_LINEAR if command == "star-check" else CYCLIC_SPLIT
     argv = [command] if command == "search" else [
-        command, _write(tmp_path, "inst.json", CYCLIC_SPLIT)]
+        command, _write(tmp_path, "inst.json", inst)]
     code = run_command(argv + ["--bound", "3"])
     captured = capsys.readouterr()
     if accepted:
@@ -386,9 +476,10 @@ ONE_SWAP = dict(FINITE_DOUBLE_SWAP, transforms=[[1, 0]])
 @pytest.mark.parametrize("command, inst", [
     ("decompose", ONE_SWAP), ("decompose", FINITE_DOUBLE_SWAP),
     ("decompose", dict(CYCLIC_SPLIT, shifts=[1, 2])),
-    ("star-check", FINITE_DOUBLE_SWAP), ("star-check", LATTICE_CORNER)],
+    ("star-check", FINITE_DOUBLE_SWAP), ("star-check", CYCLIC_SPLIT),
+    ("star-check", LATTICE_CORNER)],
     ids=["decompose-one", "decompose-two", "decompose-cyclic-two",
-         "star-check-finite", "star-check-lattice"])
+         "star-check-finite", "star-check-cyclic", "star-check-lattice"])
 def test_bound_where_the_instance_does_not_read_it_is_an_input_error(
         tmp_path, capsys, command, inst):
     path = _write(tmp_path, "inst.json", inst)

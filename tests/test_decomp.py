@@ -24,9 +24,14 @@ from perdec.decomp import (
     decompose_two,
 )
 from perdec.oracle import DualCertificate, nullspace, oracle_decompose
-from perdec.orbits import default_bound, find_relation, joint_classes
+from perdec.orbits import default_bound, joint_classes
 from perdec.star import StarInstance, StarViolation, check_star, replay_violation
-from tests.conftest import systems, systems_with_functions, value_functions
+from tests.conftest import (
+    grid_relation,
+    systems,
+    systems_with_functions,
+    value_functions,
+)
 
 
 def test_decompose_one_invariant_and_not():
@@ -90,9 +95,8 @@ def _relation_formula_part(system, f):
     values = []
     for x in range(system.size):
         x0 = joint.representative[joint.class_of[x]]
-        rel = find_relation(s, t, x, x0, default_bound(system.size))
-        values.append(f[iterate(t, rel.k2, x0)] - f[iterate(t, rel.k, x)]
-                      + f[x])
+        k, _, k2, _ = grid_relation(s, t, x, x0, default_bound(system.size))
+        values.append(f[iterate(t, k2, x0)] - f[iterate(t, k, x)] + f[x])
     return RationalFunction(tuple(values))
 
 

@@ -266,7 +266,7 @@ def test_z_window_counterexample():
     assert inst.exponents == (1,)
     assert viol.value == 1
     f = RationalFunction(tuple(Fraction(x) for x in range(10)))
-    assert replay_abelian_violation(None, demo.shifts, f, viol)
+    assert replay_abelian_violation(demo.shifts, f, viol)
     with pytest.raises(PreconditionError):
         z_window_counterexample(2)
 
@@ -277,4 +277,4 @@ def test_z_window_counterexample_all_lengths(length):
     assert demo.mixed_delta_zero
     assert demo.violation is not None
     f = RationalFunction(tuple(Fraction(x) for x in range(length)))
-    assert replay_abelian_violation(None, (1, 1), f, demo.violation)
+    assert replay_abelian_violation((1, 1), f, demo.violation)

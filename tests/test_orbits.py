@@ -1,11 +1,10 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perdec.core import (
     PreconditionError,
+    RangeError,
     identity,
     iterate,
     power_table,
@@ -13,14 +12,13 @@ from perdec.core import (
 )
 from perdec.orbits import (
     Partition,
-    Relation,
     default_bound,
     find_relation,
     invariance_classes,
     joint_classes,
     prescribed_points,
 )
-from tests.conftest import sized_maps, systems
+from tests.conftest import grid_relation, sized_maps, systems
 
 
 def _word(t, s, k, n, x):
@@ -109,69 +107,104 @@ def test_joint_classes_rejects_empty_subset():
 
 def test_find_relation_identity_pair():
     t = (1, 0)
-    assert find_relation(identity(2), t, 1, 1, 4) == Relation(0, 0, 0, 0)
+    assert find_relation(t, 1, 1, 4) == (0, 0)
+    assert find_relation(t, 1, 1) == (0, 0)
 
 
 def test_find_relation_basic_meeting():
     # t = +1 on Z_4: 0 and 2 meet with t^2 on one side
     t = tuple((x + 1) % 4 for x in range(4))
-    rel = find_relation(identity(4), t, 0, 2, 8)
-    assert rel is not None
-    k, n, k2, n2 = rel.as_tuple()
-    assert _word(t, identity(4), k, n, 0) == _word(t, identity(4), k2, n2, 2)
+    assert find_relation(t, 0, 2, 8) == (0, 2)
+    assert find_relation(t, 2, 0, 8) == (2, 0)
+    assert find_relation(t, 0, 2, 1) is None
 
 
 def test_find_relation_none_across_components():
     t = (0, 1)
-    s = (0, 1)
-    assert find_relation(s, t, 0, 1, 6) is None
+    assert find_relation(t, 0, 1, 6) is None
+    assert find_relation(t, 0, 1) is None
 
 
-@given(st.integers(2, 7), st.data())
-def test_find_relation_is_symmetric(size, data):
-    seed = data.draw(st.integers(0, 10 ** 6))
-    rng = random.Random(f"rel:{seed}")
-    a, b = rng.randrange(size), rng.randrange(size)
-    t = tuple((x + a) % size for x in range(size))
-    s = tuple((x + b) % size for x in range(size))
-    x, y = rng.randrange(size), rng.randrange(size)
-    bound = data.draw(st.integers(1, 2 * size))
-    r1 = find_relation(s, t, x, y, bound)
-    r2 = find_relation(s, t, y, x, bound)
+def test_find_relation_rejects_bad_inputs():
+    with pytest.raises(PreconditionError):
+        find_relation((1, 0), 0, 1, 0)
+    with pytest.raises(RangeError):
+        find_relation((1, 0), 0, 2)
+
+
+def test_find_relation_breaks_ties_on_the_smaller_point():
+    # 0 -> 1 <-> 2 and 3 -> 2: 0 and 3 meet at (2, 1) and at (1, 2), one
+    # total; the least exponent on the smaller point 0 wins
+    t = (1, 2, 1, 2)
+    assert find_relation(t, 0, 3) == (1, 2)
+    assert find_relation(t, 3, 0) == (2, 1)
+    t = (1, 2, 3, 4, 5, 2, 4)  # 0 -> 1 -> (2 3 4 5) and 6 -> 4
+    assert find_relation(t, 0, 6) == (2, 3)
+    assert find_relation(t, 6, 0) == (3, 2)
+    assert find_relation(t, 0, 6, 2) is None
+
+
+@given(sized_maps(max_size=8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_find_relation_equals_the_grid_search_with_an_identity_map(case,
+                                                                   data):
+    size, t = case
+    x = data.draw(st.integers(0, size - 1))
+    y = data.draw(st.integers(0, size - 1))
+    bound = data.draw(st.one_of(st.none(), st.integers(1, 2 * size + 2)))
+    # without a bound the orbits repeat within N steps, so 2N + 2 sees all
+    rel = grid_relation(identity(size), t, x, y, bound or 2 * size + 2)
+    expected = None if rel is None else (rel[0], rel[2])
+    assert rel is None or (rel[1], rel[3]) == (0, 0)
+    assert find_relation(t, x, y, bound) == expected
+
+
+@given(sized_maps(max_size=8), st.data())
+def test_find_relation_is_symmetric(case, data):
+    size, t = case
+    x = data.draw(st.integers(0, size - 1))
+    y = data.draw(st.integers(0, size - 1))
+    bound = data.draw(st.one_of(st.none(), st.integers(1, 2 * size)))
+    r1 = find_relation(t, x, y, bound)
+    r2 = find_relation(t, y, x, bound)
     if r1 is None:
         assert r2 is None
     else:
-        assert r2 == r1.swapped()
-        k, n, k2, n2 = r1.as_tuple()
-        assert _word(t, s, k, n, x) == _word(t, s, k2, n2, y)
-        assert max(k, n, k2, n2) <= bound
+        k, k2 = r1
+        assert r2 == (k2, k)
+        assert iterate(t, k, x) == iterate(t, k2, y)
+        assert bound is None or max(k, k2) <= bound
 
 
-@given(systems(n=2, max_size=7), st.data())
-def test_find_relation_found_within_default_bound_iff_same_class(system, data):
-    t, s = system.transforms
-    joint = joint_classes(system, (0, 1))
-    x = data.draw(st.integers(0, system.size - 1))
-    y = data.draw(st.integers(0, system.size - 1))
-    rel = find_relation(s, t, x, y, default_bound(system.size))
-    same = joint.class_of[x] == joint.class_of[y]
+@given(sized_maps(max_size=8), st.data())
+def test_find_relation_meets_iff_same_class(case, data):
+    size, t = case
+    classes = invariance_classes(t)
+    x = data.draw(st.integers(0, size - 1))
+    y = data.draw(st.integers(0, size - 1))
+    same = classes.class_of[x] == classes.class_of[y]
+    rel = find_relation(t, x, y)
     assert (rel is not None) == same
+    if same:
+        # the exact meeting needs no exponent past N - 1
+        assert max(rel) < size
+        assert find_relation(t, x, y, default_bound(size)) == rel
 
 
-@given(systems(n=2, max_size=7), st.data())
-def test_find_relation_monotone_in_bound(system, data):
-    t, s = system.transforms
-    x = data.draw(st.integers(0, system.size - 1))
-    y = data.draw(st.integers(0, system.size - 1))
+@given(sized_maps(max_size=8), st.data())
+def test_find_relation_monotone_in_bound(case, data):
+    size, t = case
+    x = data.draw(st.integers(0, size - 1))
+    y = data.draw(st.integers(0, size - 1))
     small = data.draw(st.integers(1, 4))
-    rel = find_relation(s, t, x, y, small)
+    rel = find_relation(t, x, y, small)
     if rel is not None:
         # a larger bound still succeeds and never returns a longer witness
-        rel2 = find_relation(s, t, x, y, small + 3)
-        assert rel2 is not None
-        assert sum(rel2.as_tuple()) <= sum(rel.as_tuple())
-        k, n, k2, n2 = rel2.as_tuple()
-        assert _word(t, s, k, n, x) == _word(t, s, k2, n2, y)
+        for larger in (small + 3, None):
+            rel2 = find_relation(t, x, y, larger)
+            assert rel2 is not None
+            assert sum(rel2) <= sum(rel)
+            assert iterate(t, rel2[0], x) == iterate(t, rel2[1], y)
 
 
 def test_prescribed_points_swap_and_identity():

@@ -1,4 +1,9 @@
+import contextlib
+import io
+import json
+import os
 import random
+import tempfile
 import time
 from fractions import Fraction
 from itertools import product
@@ -8,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perdec import generators, kernels
+from perdec.cli import run_command
 from perdec.core import (
     PreconditionError,
+    RangeError,
     RationalFunction,
     integer_values,
     power_table,
     validate_system,
 )
+from perdec.serialize import dumps, values_to_json, violation_to_json
 from perdec.star import (
     StarInstance,
     StarViolation,
@@ -201,50 +209,58 @@ def test_singleton_exponent_cap_preserves_the_verdict(case):
     assert passed == _uncapped_star_verdict(system, f, 2 * system.size)
 
 
-@given(st.integers(2, 6), st.data())
-def test_abelian_checker_matches_table_checker(m, data):
-    shifts = tuple(data.draw(st.integers(0, m - 1))
-                   for _ in range(data.draw(st.integers(1, 2))))
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cyclic_star_check_matches_the_definition(m, data):
+    # Z_m shifts are total maps on a finite set: the command's verdict and
+    # certificate are those of every partition scanned from the definition
+    shifts = [data.draw(st.integers(-m, 2 * m))
+              for _ in range(data.draw(st.integers(1, 3)))]
     f = data.draw(value_functions(m))
-    tables = [tuple((x + a) % m for x in range(m)) for a in shifts]
-    system = validate_system(tables, m)
-    table_verdict = check_star(system, f)
-    abelian_verdict = check_star_abelian(m, shifts, f)
-    assert (table_verdict is None) == (abelian_verdict is None)
-    if abelian_verdict is not None:
-        assert replay_abelian_violation(m, shifts, f, abelian_verdict)
-        # abelian instances replay on the table system too
-        assert replay_violation(system, f, abelian_verdict)
+    system = validate_system([tuple((x + a) % m for x in range(m))
+                              for a in shifts], m)
+    expected = _reference_check_star(system, f, 2 * m, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps({"kind": "cyclic-group", "modulus": m,
+                            "shifts": shifts, "values": values_to_json(f)}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run_command(["star-check", path])
+    doc = json.loads(out.getvalue())
+    if expected is None:
+        assert (code, doc) == (0, {"result": "pass"})
+    else:
+        assert (code, doc) == (1, violation_to_json(expected))
 
 
 def test_abelian_window_shift_two():
     f = RationalFunction(tuple(Fraction(x) for x in range(5)))
-    viol = check_star_abelian(None, (2,), f)
+    viol = check_star_abelian((2,), f)
     assert viol is not None
     assert viol.value == 2
-    assert replay_abelian_violation(None, (2,), f, viol)
+    assert replay_abelian_violation((2,), f, viol)
     periodic = RationalFunction(tuple(Fraction(x % 2) for x in range(5)))
-    assert check_star_abelian(None, (2,), periodic) is None
+    assert check_star_abelian((2,), periodic) is None
 
 
 def test_abelian_replay_rejects_out_of_window_points():
     f = RationalFunction(tuple(Fraction(x) for x in range(5)))
-    viol = check_star_abelian(None, (2,), f)
+    viol = check_star_abelian((2,), f)
     inst = viol.instance
     shifted = StarInstance(inst.blocks, inst.distinguished, inst.exponents,
                            inst.premises, z=4)  # z + 2 leaves the window
-    assert not replay_abelian_violation(None, (2,), f, StarViolation(
+    assert not replay_abelian_violation((2,), f, StarViolation(
         shifted, viol.value, viol.kind))
 
 
 def test_abelian_rejects_bad_inputs():
     f = RationalFunction.zero(4)
-    with pytest.raises(Exception):
-        check_star_abelian(3, (1,), f)  # length != modulus
-    with pytest.raises(Exception):
-        check_star_abelian(4, (True,), f)  # bool shift
-    with pytest.raises(Exception):
-        check_star_abelian(0, (), RationalFunction.zero(0))
+    with pytest.raises(RangeError):
+        check_star_abelian((True,), f)  # bool shift
+    with pytest.raises(RangeError):
+        check_star_abelian((1.5,), f)
 
 
 def test_replay_accepts_a_compatibility_failure_certificate():
