@@ -29,7 +29,7 @@ from .core import (
     VerificationResult,
     verify_decomposition,
 )
-from .decomp import decompose_one, decompose_three, decompose_two
+from .decomp import decompose_n, decompose_three, decompose_two
 from .lattice import (
     LatticeWindow,
     lattice_decompose,
@@ -219,18 +219,15 @@ def _cmd_decompose(args) -> Outcome:
         _reject_bound(args, "by --verify")
         return _verify_decomposition_result(inst,
                                             _read_result(args.verify))
-    if inst.system.n <= 2:
-        _reject_bound(args, "for one or two transforms")
+    if inst.system.n != 3:
+        _reject_bound(args, "unless there are three transforms")
     ts = inst.system.transforms
-    if inst.system.n == 1:
-        outcome = decompose_one(ts[0], inst.f)
-    elif inst.system.n == 2:
+    if inst.system.n == 2:
         outcome = decompose_two(ts[0], ts[1], inst.f)
     elif inst.system.n == 3:
         outcome = decompose_three(ts[0], ts[1], ts[2], inst.f, args.bound)
     else:
-        raise ParseError("no constructive decomposition for more than three "
-                         "transforms; use the oracle subcommand")
+        outcome = decompose_n(ts, inst.f)
     if isinstance(outcome, Decomposition):
         return 0, serialize.decomposition_to_json(outcome)
     return 1, serialize.violation_to_json(outcome)

@@ -22,7 +22,6 @@ from .core import (
     iterate,
 )
 from .orbits import (
-    Partition,
     _components,
     find_relation,
     invariance_classes,
@@ -113,16 +112,19 @@ def solve_transfer(
     return RationalFunction(tuple(values))
 
 
-def _forced_gamma_values(t: Sequence[int], g: RationalFunction,
-                         part: Partition) -> list:
-    """Per-class negated cycle average of g, the only correction that works."""
-    out = []
-    for c in range(part.n_classes):
-        orbit, _, start = _orbit_to_repeat(t, part.representative[c])
+def cycle_average(t: Sequence[int], g: RationalFunction) -> RationalFunction:
+    """E g(x): the mean of g over the cycle that x's forward orbit enters.
+
+    E is the projection onto the t-invariant functions along the image of
+    g -> g o t - g (see `decomp.decompose_n`); one cycle walk per class.
+    """
+    part = invariance_classes(t)
+    means = []
+    for rep in part.representative:
+        orbit, _, start = _orbit_to_repeat(t, rep)
         cycle = orbit[start:]
-        total = sum((g[p] for p in cycle), Fraction(0))
-        out.append(-total / len(cycle))
-    return out
+        means.append(sum((g[p] for p in cycle), Fraction(0)) / len(cycle))
+    return RationalFunction(tuple(means[c] for c in part.class_of))
 
 
 def solve_transfer_mod_invariant(
@@ -133,10 +135,7 @@ def solve_transfer_mod_invariant(
     Always solvable: on each class gamma is the negated average of g around
     the class's unique cycle, which zeroes the cycle sum.
     """
-    part = invariance_classes(t)
-    per_class = _forced_gamma_values(t, g, part)
-    gamma = RationalFunction(tuple(per_class[part.class_of[x]]
-                                   for x in range(len(g))))
+    gamma = -cycle_average(t, g)
     h = solve_transfer(t, g + gamma)
     if isinstance(h, CycleObstruction):
         raise InternalContractViolation(
@@ -178,9 +177,9 @@ def solve_transfer_pair(
         raise PreconditionError("right side is not s-invariant")
     part, induced = _quotient(t, s)
     g_q = RationalFunction(tuple(g[rep] for rep in part.representative))
-    qpart = invariance_classes(induced)
-    per_class = _forced_gamma_values(induced, g_q, qpart)
+    gamma_q = -cycle_average(induced, g_q)
     if class_values:
+        qpart = invariance_classes(induced)
         pinned: Dict[int, Fraction] = {}
         for element, value in class_values.items():
             qc = qpart.class_of[part.class_of[element]]
@@ -190,10 +189,8 @@ def solve_transfer_pair(
                     f"conflicting pinned constants on one class: "
                     f"{pinned[qc]} vs {value}")
             pinned[qc] = value
-        for qc, value in pinned.items():
-            per_class[qc] = value
-    gamma_q = RationalFunction(tuple(per_class[qpart.class_of[c]]
-                                     for c in range(part.n_classes)))
+        gamma_q = RationalFunction(tuple(
+            pinned.get(qpart.class_of[c], v) for c, v in enumerate(gamma_q)))
     h_q = solve_transfer(induced, g_q + gamma_q)
     if isinstance(h_q, CycleObstruction):
         if class_values:

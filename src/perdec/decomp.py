@@ -1,12 +1,14 @@
-"""Constructive invariant-sum decompositions for one, two and three transforms.
+"""Constructive invariant-sum decompositions of a function on a finite set.
 
 Every construction returns either a verified Decomposition or the
 violation of `check_star`, the one producer of refusal certificates; none
 returns an unverified result.  On a finite domain f decomposes exactly
-when its mixed difference vanishes (the proof is in `check_star`), so a
-refusal is always the first point where it does not, and it costs one
-O(N) stencil pass.  For four or more transforms only the linear oracle
-builds the parts.
+when its mixed difference vanishes, for every number of transforms, and
+`decompose_n` proves it by building the parts from cycle averages; a
+refusal is always the first point where the mixed difference does not
+vanish, and it costs one O(N) stencil pass.  `decompose_two` and
+`decompose_three` build the parts of the n = 2 and n = 3 cases in their
+own gauges, by propagation and by transfer equations.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .cohomology import orbit_sum, solve_transfer_pair
+from .cohomology import cycle_average, orbit_sum, solve_transfer_pair
 from .core import (
     BoundTooSmallError,
     Decomposition,
@@ -32,11 +34,58 @@ from .star import StarViolation, check_star
 DecompOutcome = Union[Decomposition, StarViolation]
 
 
-def decompose_one(t: Sequence[int], f: RationalFunction) -> DecompOutcome:
-    """One transform: f decomposes iff it is already t-invariant."""
-    system = validate_system([t], len(f))
+def decompose_n(transforms: Sequence[Sequence[int]],
+                f: RationalFunction) -> DecompOutcome:
+    """Split f into one T_j-invariant part per transform, or refuse.
+
+    Project, subtract, repeat: f_j = E_j(f - f_1 - ... - f_{j-1}) for
+    j < n, where E_j = `cycle_average` under T_j, and f_n is what remains.
+    Parts come back in the order of `transforms`.  When they fail
+    verification the refusal is check_star's violation, a point where the
+    mixed difference D_1...D_n f (D_j f = f o T_j - f) is nonzero.
+
+    Why this splits every f whose mixed difference vanishes: let P f =
+    f o T.  If (P - I)^2 f = 0 then D f is constant on each component of
+    T, and its sum around the component's cycle is zero, so D f = 0;
+    hence ker(P - I) = ker(P - I)^2 and the functions split as Inv(T) +
+    im(P - I).  The projection E onto Inv(T) along im(P - I) is the cycle
+    average, and it commutes with every P_i of a commuting T_i, since T_i
+    maps T-cycles onto T-cycles.  Write r_j = f - f_1 - ... - f_j =
+    (I - E_j) r_{j-1}, r_0 = f.  If D_j...D_n r_{j-1} = 0, then g =
+    D_{j+1}...D_n r_{j-1} is T_j-invariant, so D_{j+1}...D_n r_j =
+    (I - E_j) g = 0.  By induction D_n r_{n-1} = 0: the last part is
+    T_n-invariant, and f_j = E_j r_{j-1} is T_j-invariant by construction.
+    The mixed difference is necessary as well (it kills each invariant
+    part), so on a finite domain it decides decomposability for every n.
+
+    Denominators stay small: with L_i(x) the length of the T_i-cycle that
+    x's orbit enters, r_j(x) has a denominator dividing denom(f) times
+    L_1(x)...L_j(x).  By induction: E_j r_{j-1}(x) is a sum over the
+    T_j-cycle entered by x, divided by L_j(x), and each point c = T_j^m x
+    on that cycle has L_i(c) dividing L_i(x), because T_j^m maps the
+    T_i-cycle Z entered by x onto the one entered by c, whose points
+    T_i^|Z| fixes.  So every part value has a denominator dividing
+    denom(f) times n - 1 cycle lengths, at most denom(f) N^(n-1).
+    """
+    if not transforms:
+        raise PreconditionError("decomposition needs at least one transform")
+    system = validate_system(transforms, len(f))
+    parts = []
+    rest = f
+    for t in system.transforms[:-1]:
+        part = cycle_average(t, rest)
+        parts.append(part)
+        rest = rest - part
+    parts.append(rest)
+    decomposition = Decomposition(tuple(parts))
+    if verify_decomposition(system, f, decomposition):
+        return decomposition
     violation = check_star(system, f)
-    return Decomposition((f,)) if violation is None else violation
+    if violation is None:
+        raise InternalContractViolation(
+            "projection construction failed verification but the mixed "
+            "difference vanishes")
+    return violation
 
 
 def decompose_two(s: Sequence[int], t: Sequence[int],
@@ -54,7 +103,7 @@ def decompose_two(s: Sequence[int], t: Sequence[int],
     When the built parts fail verification the refusal is check_star's
     violation, a point where the double difference along (s, t) is
     nonzero.  That this point exists on a finite domain is the n = 2 case
-    of check_star's theorem; directly: when the double
+    of decompose_n's theorem; directly: when the double
     difference vanishes, D = f(t.) - f is s-invariant, so it is the
     t-difference of an s-invariant function iff its sum around every
     t-cycle of s-classes is zero.  Such a cycle t^m s^a x = s^b x sums to

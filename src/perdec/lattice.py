@@ -3,16 +3,19 @@
 Distinct unit shifts are unrelated: a word in two of them can only revisit
 a point if the exponents match exactly, so no self-relations exist and the
 vanishing mixed difference alone already characterizes decomposability.
-The decomposition is a telescoping induction along the last axis.
+The decomposition projects, subtracts and repeats, like `decomp.decompose_n`:
+the part of each axis but the first is the rest read off one base slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import (
+    InternalContractViolation,
     PreconditionError,
     RangeError,
     RationalFunction,
@@ -124,10 +127,8 @@ class LatticeWindow:
         if len(nd) != len(self.dims) or any(a > b for a, b
                                             in zip(nd, self.dims)):
             raise RangeError("restriction must shrink within the window")
-        sub = _Raw(nd, [Fraction(0)] * _prod(nd))
-        for idx in range(sub.size):
-            sub.values[idx] = self.get(sub.coords(idx))
-        return LatticeWindow(nd, tuple(sub.values))
+        return LatticeWindow(nd, tuple(self.get(c) for c
+                                       in product(*map(range, nd))))
 
 
 def _prod(dims: Sequence[int]) -> int:
@@ -145,23 +146,6 @@ def _strides(dims: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _Raw:
-    """Mutable window scratch that tolerates extent-1 axes mid-recursion."""
-
-    def __init__(self, dims: Sequence[int], values: List[Fraction]):
-        self.dims = tuple(dims)
-        self.values = values
-        self.size = _prod(dims)
-        self.strides = _strides(dims)
-
-    def coords(self, idx: int) -> tuple[int, ...]:
-        return tuple(idx // st % w
-                     for w, st in zip(self.dims, self.strides))
-
-    def index(self, coords: Sequence[int]) -> int:
-        return sum(c * st for c, st in zip(coords, self.strides))
-
-
 def _mixed_delta_at(values: Sequence[Fraction], strides: Sequence[int],
                     idx: int) -> Fraction:
     """d-fold mixed forward difference at the point with row-major index
@@ -173,14 +157,14 @@ def _mixed_delta_at(values: Sequence[Fraction], strides: Sequence[int],
     return total
 
 
-def _mixed_delta_witness(raw: _Raw) -> Optional[tuple[int, ...]]:
+def _mixed_delta_witness(f: LatticeWindow) -> Optional[tuple[int, ...]]:
     """First point (lexicographic) where the full mixed difference is nonzero."""
-    d = len(raw.dims)
-    for idx in range(raw.size):
-        base = raw.coords(idx)
-        if any(base[j] + 1 >= raw.dims[j] for j in range(d)):
+    strides = f.strides()
+    for idx in range(f.size):
+        base = tuple(idx // st % w for w, st in zip(f.dims, strides))
+        if any(c + 1 >= w for c, w in zip(base, f.dims)):
             continue
-        if _mixed_delta_at(raw.values, raw.strides, idx) != 0:
+        if _mixed_delta_at(f.values, strides, idx) != 0:
             return base
     return None
 
@@ -203,7 +187,7 @@ def verify_point_violation(f: LatticeWindow,
 def mixed_delta_witness(f: LatticeWindow) -> Optional[tuple[int, ...]]:
     """First point where the d-fold mixed forward difference is nonzero,
     or None when it vanishes wherever evaluable."""
-    point = _mixed_delta_witness(_Raw(f.dims, list(f.values)))
+    point = _mixed_delta_witness(f)
     if point is not None:
         verify_point_violation(f, point).require("point certificate")
     return point
@@ -215,82 +199,41 @@ def lattice_mixed_delta_zero(f: LatticeWindow) -> bool:
     return mixed_delta_witness(f) is None
 
 
-def _axis_delta(raw: _Raw, axis: int) -> _Raw:
-    """Forward difference along one axis; the window shrinks there by one."""
-    dims = list(raw.dims)
-    dims[axis] -= 1
-    out = _Raw(dims, [Fraction(0)] * _prod(dims))
-    for idx in range(out.size):
-        coords = out.coords(idx)
-        here = raw.index(coords)
-        out.values[idx] = raw.values[here + raw.strides[axis]] - raw.values[here]
-    return out
-
-
-def _lift(part: _Raw, axis: int, new_extent: int, base: int) -> _Raw:
-    """Cumulative sum along `axis` from the hyperplane coordinate = base.
-
-    The result has the given extent on that axis, vanishes on the base
-    hyperplane, and its forward axis difference reproduces `part`.
-    """
-    dims = list(part.dims)
-    dims[axis] = new_extent
-    out = _Raw(dims, [Fraction(0)] * _prod(dims))
-    for idx in range(out.size):
-        coords = list(out.coords(idx))
-        c = coords[axis]
-        acc = Fraction(0)
-        if c > base:
-            for i in range(base, c):
-                coords[axis] = i
-                acc += part.values[part.index(coords)]
-        elif c < base:
-            for i in range(c, base):
-                coords[axis] = i
-                acc -= part.values[part.index(coords)]
-        out.values[idx] = acc
-    return out
-
-
-def _decompose_axes(raw: _Raw, axes: Sequence[int], base: int) -> List[_Raw]:
-    """Split raw into one part per axis in `axes`, each constant along its
-    axis; assumes the mixed difference over `axes` vanishes."""
-    if len(axes) == 1:
-        return [_Raw(raw.dims, list(raw.values))]
-    last = axes[-1]
-    diff = _axis_delta(raw, last)
-    sub_parts = _decompose_axes(diff, axes[:-1], base)
-    base_eff = min(base, raw.dims[last] - 1)
-    parts = [_lift(p, last, raw.dims[last], base_eff) for p in sub_parts]
-    residue = _Raw(raw.dims, list(raw.values))
-    for p in parts:
-        for i in range(residue.size):
-            residue.values[i] -= p.values[i]
-    parts.append(residue)
-    return parts
-
-
 def lattice_decompose(f: LatticeWindow,
                       base: int = 0) -> Tuple[LatticeWindow, ...]:
     """Split f into d parts, part j constant along axis j, summing to f.
 
-    Requires the mixed difference of f to vanish (PreconditionError names
-    the violating point otherwise).  The construction differences along
-    the last axis, recursively decomposes, and lifts back by cumulative
-    summation from the hyperplane at coordinate `base` (clamped to the
-    current extent), so different bases exercise the gauge freedom.
+    Project, subtract, repeat: for the axes j = d-1 down to 1, part j is
+    the rest restricted to the slice x_j = min(base, w_j - 1) and spread
+    along axis j, and it is subtracted from the rest; part 0 is what
+    remains.  So part j vanishes on the base slice of every later axis,
+    the gauge that different bases vary.  When the mixed difference
+    vanishes the parts verify (the proof of `decomp.decompose_n`, with
+    the slice restriction as the projection); otherwise PreconditionError
+    names the first point where it does not.
     """
     if base < 0:
         raise PreconditionError(f"base hyperplane must be >= 0, got {base}")
-    raw = _Raw(f.dims, list(f.values))
-    witness = _mixed_delta_witness(raw)
-    if witness is not None:
-        raise PreconditionError(
-            f"mixed difference is nonzero at {witness}")
-    parts_raw = _decompose_axes(raw, list(range(len(f.dims))), base)
-    parts = tuple(LatticeWindow(f.dims, tuple(p.values)) for p in parts_raw)
-    verify_lattice_parts(f, parts).require("constructed parts")
-    return parts
+    rest = list(f.values)
+    parts = []
+    strides = f.strides()
+    for j in range(len(f.dims) - 1, 0, -1):
+        w, stride = f.dims[j], strides[j]
+        b = min(base, w - 1)
+        part = [rest[idx + (b - idx // stride % w) * stride]
+                for idx in range(f.size)]
+        rest = [r - p for r, p in zip(rest, part)]
+        parts.append(LatticeWindow(f.dims, tuple(part)))
+    parts.append(LatticeWindow(f.dims, tuple(rest)))
+    parts.reverse()
+    if verify_lattice_parts(f, parts):
+        return tuple(parts)
+    witness = _mixed_delta_witness(f)
+    if witness is None:
+        raise InternalContractViolation(
+            "slice construction failed verification but the mixed "
+            "difference vanishes")
+    raise PreconditionError(f"mixed difference is nonzero at {witness}")
 
 
 def verify_lattice_parts(f: LatticeWindow,

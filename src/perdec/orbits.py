@@ -198,11 +198,12 @@ def prescribed_points(s: Sequence[int], t: Sequence[int],
     """Points x with T^k S^l x = T^{k2} S^{l2} x, k > k2, exponents <= bound.
 
     Maps each such x to one witness Relation (n/n2 fields hold the S
-    exponents).  The fast path walks the induced map on S-classes, whose
-    first repeat gives T^k x ~ T^{k2} x within k <= N, and links the two
-    points by `find_relation` under s, whose exponents stay below N.  At
-    the default bound 2N that witness always fits, so the exhaustive
-    bounded scan only runs under an explicit smaller bound.
+    exponents).  The fast path walks the induced map on S-classes once
+    from each class, whose first repeat gives T^k x ~ T^{k2} x within
+    k <= N, and links the two points by `find_relation` under s, whose
+    exponents stay below N.  At the default bound 2N that witness always
+    fits, so the exhaustive bounded scan only runs under an explicit
+    smaller bound.
     """
     size = len(t)
     if bound is None:
@@ -214,23 +215,26 @@ def prescribed_points(s: Sequence[int], t: Sequence[int],
     t_quot = [0] * s_classes.n_classes
     for c, rep in enumerate(s_classes.representative):
         t_quot[c] = s_classes.class_of[t[rep]]
+    # (k2, k) of the first repeat T^k x ~ T^{k2} x depends only on the
+    # S-class of x: one induced walk per class
+    walks = []
+    for start in range(s_classes.n_classes):
+        seen: Dict[int, int] = {}
+        c = start
+        while c not in seen:
+            seen[c] = len(seen)
+            c = t_quot[c]
+        walks.append((seen[c], len(seen)))
     out: Dict[int, Relation] = {}
     for x in range(size):
-        seen: Dict[int, int] = {}
-        c = s_classes.class_of[x]
-        step = 0
-        while c not in seen:
-            seen[c] = step
-            c = t_quot[c]
-            step += 1
-        k2, k = seen[c], step
+        k2, k = walks[s_classes.class_of[x]]
         # recover S exponents linking T^k x and T^{k2} x
-        u = x
-        for _ in range(k):
-            u = t[u]
         v = x
         for _ in range(k2):
             v = t[v]
+        u = v
+        for _ in range(k - k2):
+            u = t[u]
         link = find_relation(s, u, v, bound)
         if link is not None and k <= bound:
             out[x] = Relation(k, link[0], k2, link[1])

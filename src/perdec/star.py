@@ -101,19 +101,10 @@ def check_star(system: CommutingSystem,
     ascending.  The first nonzero point is returned as the all-singleton
     instance; the other partitions can never add a violation.
 
-    Why the mixed difference suffices: let P f = f o T.  If (P - I)^2 f = 0
-    then D f is constant on each component of T, and its sum around the
-    component's cycle is zero, so D f = 0; hence ker(P - I) = ker(P - I)^2
-    and the functions split as Inv(T) + im(P - I).  The projection E onto
-    Inv(T) along im(P - I) is the cycle average, E f(x) = the mean of f over
-    the cycle that x's forward orbit enters, and it commutes with every P_i
-    of a commuting T_i, since T_i maps T-cycles onto T-cycles.  Now let
-    D_1...D_n f = 0.  Then D_2...D_n f is T_1-invariant, so D_2...D_n
-    (f - E_1 f) = (I - E_1) D_2...D_n f = 0; by induction on n, f - E_1 f
-    is a sum of T_2..T_n-invariant parts, and E_1 f is T_1-invariant.  The
-    condition is necessary for every partition, so passing the
-    all-singleton one means passing them all.  On windows of Z, where the
-    maps are partial, this fails; see `check_star_abelian`.
+    The proof that the mixed difference suffices on a finite domain is
+    constructive and lives in `decomp.decompose_n`, which builds the parts
+    by cycle averages.  On windows of Z, where the maps are partial, it
+    fails; see `check_star_abelian`.
     """
     if len(f) != system.size:
         raise PreconditionError("function length does not match the domain")

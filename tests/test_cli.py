@@ -154,13 +154,43 @@ def test_decompose_success_and_verify(tmp_path, capsys):
     assert code == 1 and doc["agrees"] is False
 
 
-def test_decompose_four_transforms_is_an_input_error(tmp_path, capsys):
-    inst = {"kind": "cyclic-group", "modulus": 3, "shifts": [1, 1, 1, 1],
-            "values": ["0", "0", "0"]}
+def test_decompose_four_transforms_splits_or_refuses_and_replays(tmp_path,
+                                                                  capsys):
+    # shifts 2 and 3 of Z_6, each twice: periods 2 and 3 split, a spike
+    # does not
+    inst = {"kind": "cyclic-group", "modulus": 6, "shifts": [2, 3, 4, 3],
+            "values": [str(5 * (x % 2) + (x % 3) ** 2) for x in range(6)]}
+    spike = dict(inst, values=["1", "0", "0", "0", "0", "0"])
+    for case, code_expected, result in ((inst, 0, "decomposition"),
+                                        (spike, 1, "violation")):
+        path = _write(tmp_path, "inst.json", case)
+        code, doc = _run(capsys, ["decompose", path])
+        assert code == code_expected and doc["result"] == result
+        if result == "decomposition":
+            assert len(doc["parts"]) == 4
+        else:
+            assert doc["certificate"]["kind"] == "MixedDeltaNonzero"
+            assert doc["certificate"]["blocks"] == [[0], [1], [2], [3]]
+        saved = _write(tmp_path, "result.json", doc)
+        code, verdict = _run(capsys, ["decompose", path, "--verify", saved])
+        assert code == 0 and verdict["agrees"] is True
+
+
+def test_decompose_four_shifts_of_z2048_is_fast_and_verifies(tmp_path,
+                                                             capsys):
+    # period 512 but not 256: shifts 128, 256 and 384 each take a
+    # nonzero cycle average, shift 512 the rest
+    inst = {"kind": "cyclic-group", "modulus": 2048,
+            "shifts": [128, 256, 384, 512],
+            "values": [str(x % 512 % 7 + x % 512 % 5) for x in range(2048)]}
     path = _write(tmp_path, "inst.json", inst)
+    start = time.perf_counter()
     code, doc = _run(capsys, ["decompose", path])
-    assert code == 2
-    assert "oracle" in doc["error"]
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and doc["result"] == "decomposition"
+    saved = _write(tmp_path, "parts.json", doc)
+    code, verdict = _run(capsys, ["decompose", path, "--verify", saved])
+    assert code == 0 and verdict["agrees"] is True
 
 
 def test_star_check_pass(tmp_path, capsys):
@@ -476,10 +506,12 @@ ONE_SWAP = dict(FINITE_DOUBLE_SWAP, transforms=[[1, 0]])
 @pytest.mark.parametrize("command, inst", [
     ("decompose", ONE_SWAP), ("decompose", FINITE_DOUBLE_SWAP),
     ("decompose", dict(CYCLIC_SPLIT, shifts=[1, 2])),
+    ("decompose", dict(CYCLIC_SPLIT, shifts=[1, 2, 3, 2])),
     ("star-check", FINITE_DOUBLE_SWAP), ("star-check", CYCLIC_SPLIT),
     ("star-check", LATTICE_CORNER)],
     ids=["decompose-one", "decompose-two", "decompose-cyclic-two",
-         "star-check-finite", "star-check-cyclic", "star-check-lattice"])
+         "decompose-cyclic-four", "star-check-finite", "star-check-cyclic",
+         "star-check-lattice"])
 def test_bound_where_the_instance_does_not_read_it_is_an_input_error(
         tmp_path, capsys, command, inst):
     path = _write(tmp_path, "inst.json", inst)
@@ -514,6 +546,26 @@ def test_decompose_rejects_results_past_the_digit_limit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and "Traceback" not in captured.err
     assert "too large" in json.loads(captured.out)["error"]
+
+
+def test_decompose_four_transforms_near_the_digit_limit_never_crashes(
+        tmp_path, capsys):
+    # 4300-digit input denominators q; the cycle average over shift 2
+    # makes the parts' denominator 3q, which fits the 4300 digits an
+    # integer literal may have for the first q and not for the second
+    for q, code_expected in ((10 ** 4299 + 1, 0), (4 * 10 ** 4299 + 1, 2)):
+        inst = {"kind": "cyclic-group", "modulus": 6, "shifts": [2, 3, 2, 3],
+                "values": [f"{5 * (x % 2) + (x % 3) ** 2}/{q}"
+                           for x in range(6)]}
+        path = _write(tmp_path, "inst.json", inst)
+        code = run_command(["decompose", path])
+        captured = capsys.readouterr()
+        assert code == code_expected and "Traceback" not in captured.err
+        doc = json.loads(captured.out)
+        if code == 2:
+            assert "too large" in doc["error"]
+        else:
+            assert doc["result"] == "decomposition"
 
 
 def test_search_verify_rejects_a_non_rational_candidate(tmp_path, capsys):

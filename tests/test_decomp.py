@@ -10,15 +10,17 @@ from perdec import generators
 from perdec.core import (
     BoundTooSmallError,
     Decomposition,
+    PreconditionError,
     RationalFunction,
     compose,
+    integer_values,
     is_invariant,
     iterate,
     mixed_corners,
     validate_system,
 )
 from perdec.decomp import (
-    decompose_one,
+    decompose_n,
     decompose_three,
     decompose_three_report,
     decompose_two,
@@ -34,19 +36,21 @@ from tests.conftest import (
 )
 
 
-def test_decompose_one_invariant_and_not():
+def test_decompose_n_of_one_transform_is_an_invariance_check():
     t = (1, 2, 2, 3)
     f = RationalFunction((Fraction(5), Fraction(5), Fraction(5), Fraction(-1)))
-    got = decompose_one(t, f)
+    got = decompose_n([t], f)
     assert isinstance(got, Decomposition)
     assert got.parts == (f,)
     bad = RationalFunction((Fraction(0), Fraction(1), Fraction(1), Fraction(0)))
-    viol = decompose_one(t, bad)
+    viol = decompose_n([t], bad)
     assert isinstance(viol, StarViolation)
     assert viol == StarViolation(
         StarInstance(blocks=((0,),), distinguished=(0,), exponents=(1,),
                      premises=(), z=0), Fraction(1), "MixedDeltaNonzero")
     assert replay_violation(validate_system([t], 4), bad, viol)
+    with pytest.raises(PreconditionError):
+        decompose_n([], f)
 
 
 def test_decompose_two_double_swap_fails_mixed():
@@ -172,7 +176,8 @@ def _mixed_difference_rows(system):
 
 def test_mixed_difference_kernel_decomposes_on_every_small_system():
     # on a finite domain the vanishing mixed difference is sufficient for
-    # every n: each kernel basis vector splits into invariant parts
+    # every n: each kernel basis vector splits into invariant parts, by
+    # the oracle and by decompose_n's projections
     counts = {2: 0, 3: 0}
     oracle_calls = 0
     for size, maps in _commuting_systems(4):
@@ -184,9 +189,58 @@ def test_mixed_difference_kernel_decomposes_on_every_small_system():
                 continue  # already a one-part decomposition
             oracle_calls += 1
             assert isinstance(oracle_decompose(system, f), Decomposition)
+            assert isinstance(decompose_n(maps, f), Decomposition)
     # multisets of maps on 4, 3, 2 and 1 points
     assert counts == {2: 1540 + 84 + 7 + 1, 3: 5012 + 175 + 10 + 1}
     assert oracle_calls > 0
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: systems_with_functions(n=n, max_size=6)))
+@settings(max_examples=100, deadline=None)
+def test_decompose_n_matches_oracle(case):
+    system, f = case
+    got = decompose_n(system.transforms, f)
+    oracle = oracle_decompose(system, f)
+    assert isinstance(got, Decomposition) == isinstance(oracle, Decomposition)
+    if isinstance(got, StarViolation):
+        assert got == check_star(system, f)
+        assert replay_violation(system, f, got)
+
+
+def _cycle_length(t, x):
+    """Length of the t-cycle that x's forward orbit enters."""
+    seen = {}
+    while x not in seen:
+        seen[x] = len(seen)
+        x = t[x]
+    return len(seen) - seen[x]
+
+
+@st.composite
+def _decomposable_cases(draw):
+    n = draw(st.integers(1, 5))
+    style = draw(st.sampled_from(("decomposable", "mixed_kernel")))
+    return draw(systems_with_functions(n=n, max_size=7, style=style))
+
+
+@given(_decomposable_cases())
+@settings(max_examples=100, deadline=None)
+def test_decompose_n_denominators_divide_denom_f_times_cycle_lengths(case):
+    # part j < n - 1 at x: denom(f) L_1(x)...L_{j+1}(x); the last part
+    # needs n - 1 lengths (the bound proved in decompose_n)
+    system, f = case
+    got = decompose_n(system.transforms, f)
+    assert isinstance(got, Decomposition)
+    _, denom = integer_values(f)
+    n = system.n
+    for j, part in enumerate(got.parts):
+        for x, value in enumerate(part):
+            bound = denom
+            for t in system.transforms[:min(j + 1, n - 1)]:
+                bound *= _cycle_length(t, x)
+            assert bound % value.denominator == 0
+            assert value.denominator <= denom * system.size ** (n - 1)
 
 
 def test_decompose_two_bound_too_small():

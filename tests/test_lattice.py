@@ -146,7 +146,7 @@ def test_lattice_decompose_accepts_planted_sums(f):
 
 
 @given(separable_windows(), st.integers(0, 5))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_lattice_decompose_gauge_choices_all_verify(f, base):
     parts = lattice_decompose(f, base=base)
     total = [Fraction(0)] * f.size
@@ -155,6 +155,14 @@ def test_lattice_decompose_gauge_choices_all_verify(f, base):
         for i in range(f.size):
             total[i] += p.values[i]
     assert tuple(total) == f.values
+    # part j vanishes on the slice x_k = min(base, w_k - 1) of every later
+    # axis k; that gauge fixes the parts uniquely, so this pins the output
+    for j, p in enumerate(parts):
+        for k in range(j + 1, len(f.dims)):
+            b = min(base, f.dims[k] - 1)
+            for idx in range(f.size):
+                if f.coords(idx)[k] == b:
+                    assert p.values[idx] == 0
 
 
 def test_lattice_decompose_rejects_nonseparable():
