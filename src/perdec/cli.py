@@ -29,7 +29,7 @@ from .core import (
     VerificationResult,
     verify_decomposition,
 )
-from .decomp import decompose_n, decompose_three, decompose_two
+from .decomp import decompose_n, decompose_three
 from .lattice import (
     LatticeWindow,
     lattice_decompose,
@@ -222,9 +222,7 @@ def _cmd_decompose(args) -> Outcome:
     if inst.system.n != 3:
         _reject_bound(args, "unless there are three transforms")
     ts = inst.system.transforms
-    if inst.system.n == 2:
-        outcome = decompose_two(ts[0], ts[1], inst.f)
-    elif inst.system.n == 3:
+    if inst.system.n == 3:
         outcome = decompose_three(ts[0], ts[1], ts[2], inst.f, args.bound)
     else:
         outcome = decompose_n(ts, inst.f)

@@ -22,6 +22,7 @@ from .core import (
     iterate,
 )
 from .orbits import (
+    Partition,
     _components,
     find_relation,
     invariance_classes,
@@ -112,13 +113,16 @@ def solve_transfer(
     return RationalFunction(tuple(values))
 
 
-def cycle_average(t: Sequence[int], g: RationalFunction) -> RationalFunction:
+def cycle_average(t: Sequence[int], g: RationalFunction,
+                  part: Optional[Partition] = None) -> RationalFunction:
     """E g(x): the mean of g over the cycle that x's forward orbit enters.
 
     E is the projection onto the t-invariant functions along the image of
     g -> g o t - g (see `decomp.decompose_n`); one cycle walk per class.
+    ``part`` is t's class partition when the caller already has it.
     """
-    part = invariance_classes(t)
+    if part is None:
+        part = invariance_classes(t)
     means = []
     for rep in part.representative:
         orbit, _, start = _orbit_to_repeat(t, rep)
@@ -177,9 +181,9 @@ def solve_transfer_pair(
         raise PreconditionError("right side is not s-invariant")
     part, induced = _quotient(t, s)
     g_q = RationalFunction(tuple(g[rep] for rep in part.representative))
-    gamma_q = -cycle_average(induced, g_q)
+    qpart = invariance_classes(induced)
+    gamma_q = -cycle_average(induced, g_q, qpart)
     if class_values:
-        qpart = invariance_classes(induced)
         pinned: Dict[int, Fraction] = {}
         for element, value in class_values.items():
             qc = qpart.class_of[part.class_of[element]]
