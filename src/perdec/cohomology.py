@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -244,20 +245,30 @@ def partial_sum_bound(t: Sequence[int], g: RationalFunction,
 
     On solvable instances the partial sums are eventually periodic in m
     with preperiod plus period at most N, so the default horizon sees
-    every value.
+    every value.  The sums run on integers: an orbit never leaves its
+    weak class, so each class's values are scaled by the lcm of their
+    denominators there.
     """
     size = len(g)
     if horizon is None:
         horizon = 2 * size
     best = Fraction(0)
-    for x in range(size):
-        partial = Fraction(0)
-        p = x
-        for _ in range(horizon):
-            partial += g[p]
-            p = t[p]
-            if abs(partial) > best:
-                best = abs(partial)
+    scaled = [0] * size
+    for members in invariance_classes(t).classes():
+        denom = lcm(*(g[x].denominator for x in members))
+        for x in members:
+            scaled[x] = g[x].numerator * (denom // g[x].denominator)
+        top = 0
+        for x in members:
+            partial = 0
+            p = x
+            for _ in range(horizon):
+                partial += scaled[p]
+                p = t[p]
+                if abs(partial) > top:
+                    top = abs(partial)
+        if Fraction(top, denom) > best:
+            best = Fraction(top, denom)
     return best
 
 

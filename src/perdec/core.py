@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -56,7 +56,10 @@ class InternalContractViolation(RuntimeError):
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, "p/q" strings and Fractions; floats are rejected."""
+    """Coerce ints and "p/q" strings; a Fraction comes back unchanged and
+    floats are rejected."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"float {value!r} rejected: values must be exact rationals")
     return Fraction(value)
@@ -165,23 +168,6 @@ def validate_system(transforms: Iterable[Sequence[int]], size: int) -> Commuting
     return CommutingSystem(size, tuple(tuple(t) for t in transforms))
 
 
-def apply_word(system: CommutingSystem, exponents: Sequence[int], x: int) -> int:
-    """Apply T_1^{k_1} ... T_n^{k_n} to x.
-
-    The application order does not matter because the system commutes.
-    """
-    if len(exponents) != system.n:
-        raise PreconditionError(
-            f"expected {system.n} exponents, got {len(exponents)}")
-    if not 0 <= x < system.size:
-        raise RangeError(f"element {x} outside [0, {system.size})")
-    for t, k in zip(system.transforms, exponents):
-        if k < 0:
-            raise RangeError(f"negative exponent {k}")
-        x = iterate(t, k, x)
-    return x
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """A function on {0..N-1} with exact rational values."""
@@ -189,8 +175,8 @@ class RationalFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(as_fraction(v) for v in self.values))
+        object.__setattr__(self, "values",
+                           tuple(map(as_fraction, self.values)))
 
     @classmethod
     def from_values(cls, values: Iterable[RationalLike]) -> "RationalFunction":
@@ -254,6 +240,35 @@ def integer_values(f: RationalFunction) -> tuple[list[int], int]:
         g = gcd(denom, q)
         denom = denom // g * q
     return [v.numerator * (denom // v.denominator) for v in f], denom
+
+
+def integer_ratios(values: Iterable[Fraction]) -> list[tuple[int, int]]:
+    """(numerator, denominator) of each value; equal pairs are equal values,
+    and pairs compare without Fraction arithmetic."""
+    return [v.as_integer_ratio() for v in values]
+
+
+def first_sum_mismatch(target: Sequence[tuple[int, int]],
+                       columns: Sequence[Sequence[tuple[int, int]]]
+                       ) -> Optional[int]:
+    """First x where the columns' entries do not sum to target[x], or None.
+
+    Entries are `integer_ratios` pairs.  Each point sums on integers over a
+    denominator that grows only to the lcm of that point's own
+    denominators, so no number outgrows what the Fraction sum would form.
+    """
+    for x, ((want, denom), *terms) in enumerate(zip(target, *columns)):
+        total = 0
+        for num, q in terms:
+            if denom % q:
+                scale = lcm(denom, q) // denom
+                total *= scale
+                want *= scale
+                denom *= scale
+            total += num * (denom // q)
+        if total != want:
+            return x
+    return None
 
 
 def delta(t: Sequence[int], f: RationalFunction) -> RationalFunction:
@@ -347,15 +362,21 @@ def verify_decomposition(system: CommutingSystem, f: RationalFunction,
         raise PreconditionError(
             f"decomposition has {len(decomposition.parts)} parts, "
             f"system has {system.n} transforms")
+    if not decomposition.parts:
+        raise PreconditionError("empty decomposition has no ambient size")
+    if len(f) != system.size:
+        raise PreconditionError("function length does not match the domain")
     for j, part in enumerate(decomposition.parts):
         if len(part) != system.size:
             return VerificationResult(False, f"LengthMismatch({j})")
-    total = decomposition.total()
-    for x in range(system.size):
-        if total.values[x] != f.values[x]:
-            return VerificationResult(False, f"SumMismatch({x})")
-    for j, (t, part) in enumerate(zip(system.transforms, decomposition.parts)):
-        for x in range(system.size):
-            if part.values[t[x]] != part.values[x]:
-                return VerificationResult(False, f"NotInvariant({j},{x})")
+    columns = [integer_ratios(part) for part in decomposition.parts]
+    x = first_sum_mismatch(integer_ratios(f), columns)
+    if x is not None:
+        return VerificationResult(False, f"SumMismatch({x})")
+    for j, (t, ratios) in enumerate(zip(system.transforms, columns)):
+        moved = [ratios[y] for y in t]
+        if moved != ratios:
+            x = next(x for x, (a, b) in enumerate(zip(moved, ratios))
+                     if a != b)
+            return VerificationResult(False, f"NotInvariant({j},{x})")
     return VerificationResult(True)

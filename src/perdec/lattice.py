@@ -21,6 +21,8 @@ from .core import (
     RationalFunction,
     VerificationResult,
     as_fraction,
+    first_sum_mismatch,
+    integer_ratios,
     mixed_corners,
 )
 from .oracle import DualCertificate, split_over_classes
@@ -31,41 +33,6 @@ from .star import (
     _shift_stencil,
     check_star_abelian,
 )
-
-
-@dataclass(frozen=True)
-class ShiftVector:
-    """A nonzero integer translation vector."""
-
-    components: tuple[int, ...]
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise RangeError("shift vector needs at least one component")
-        for c in comps:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise RangeError(f"component {c!r} is not an integer")
-        if all(c == 0 for c in comps):
-            raise RangeError("shift vector must be nonzero")
-        object.__setattr__(self, "components", comps)
-
-
-def unrelated_check(v: ShiftVector, w: ShiftVector) -> bool:
-    """True iff no nonzero integer pair (p, q) satisfies p*v = q*w.
-
-    For integer vectors that is exactly non-parallelism, decided by the
-    2x2 cross minors.
-    """
-    a, b = v.components, w.components
-    if len(a) != len(b):
-        raise PreconditionError("shift vectors live in different dimensions")
-    d = len(a)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if a[i] * b[j] != a[j] * b[i]:
-                return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -88,7 +55,7 @@ class LatticeWindow:
             if not isinstance(w, int) or isinstance(w, bool) or w < 2:
                 raise RangeError(f"extent {w!r} must be an integer >= 2")
             size *= w
-        values = tuple(as_fraction(v) for v in self.values)
+        values = tuple(map(as_fraction, self.values))
         if len(values) != size:
             raise RangeError(
                 f"expected {size} values for dims {dims}, got {len(values)}")
@@ -193,12 +160,6 @@ def mixed_delta_witness(f: LatticeWindow) -> Optional[tuple[int, ...]]:
     return point
 
 
-def lattice_mixed_delta_zero(f: LatticeWindow) -> bool:
-    """True iff the d-fold mixed forward difference vanishes wherever it
-    is evaluable (all coordinates at least one away from the upper edge)."""
-    return mixed_delta_witness(f) is None
-
-
 def lattice_decompose(f: LatticeWindow,
                       base: int = 0) -> Tuple[LatticeWindow, ...]:
     """Split f into d parts, part j constant along axis j, summing to f.
@@ -242,14 +203,21 @@ def verify_lattice_parts(f: LatticeWindow,
     summing to f, part j constant along axis j."""
     if len(parts) != len(f.dims) or any(p.dims != f.dims for p in parts):
         return VerificationResult(False, "parts do not match the window shape")
-    for idx, target in enumerate(f.values):
-        if sum(p.values[idx] for p in parts) != target:
-            return VerificationResult(
-                False, f"parts do not sum to f at {f.coords(idx)}")
-    for j, (p, w, stride) in enumerate(zip(parts, f.dims, f.strides())):
-        for idx in range(f.size):
-            if idx // stride % w + 1 < w \
-                    and p.values[idx + stride] != p.values[idx]:
+    columns = [integer_ratios(p.values) for p in parts]
+    idx = first_sum_mismatch(integer_ratios(f.values), columns)
+    if idx is not None:
+        return VerificationResult(
+            False, f"parts do not sum to f at {f.coords(idx)}")
+    for j, (ratios, w, stride) in enumerate(zip(columns, f.dims,
+                                                f.strides())):
+        # a block of w lines along axis j: each point but the last line's
+        # must equal its successor one stride on
+        block = w * stride
+        for start in range(0, f.size, block):
+            end = start + block - stride
+            if ratios[start:end] != ratios[start + stride:end + stride]:
+                idx = next(idx for idx in range(start, end)
+                           if ratios[idx] != ratios[idx + stride])
                 return VerificationResult(False, f"part {j} varies along "
                                                  f"axis {j} at {f.coords(idx)}")
     return VerificationResult(True)

@@ -47,24 +47,30 @@ def frac_to_str(q: Fraction) -> str:
         raise RangeError(f"result rational too large to write: {exc}")
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def frac_from_json(value: Any, path: str = "value") -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, str):
+        # only the "p" / "p/q" form is accepted: Fraction(str) would also
+        # take exponents, whose parse cost grows with the exponent
+        # ("1e300000"); the matched groups build the Fraction, so each
+        # literal is parsed once
+        match = _RATIONAL.fullmatch(value)
+        if not match:
+            raise ParseError(f"bad rational literal {value!r}: expected "
+                             "\"p\" or \"p/q\" with decimal integers", path)
+        numerator, denominator = match.groups()
+        try:
+            if denominator is None:
+                return Fraction(int(numerator))
+            return Fraction(int(numerator), int(denominator))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad rational literal {value!r}: {exc}", path)
+    if isinstance(value, (bool, float)):
         raise ParseError(f"expected exact rational, got {value!r}", path)
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        # Fraction(str) also takes exponents, whose parse cost grows with
-        # the exponent ("1e300000"), so only the "p" / "p/q" form gets there
-        if not _RATIONAL.fullmatch(value):
-            raise ParseError(f"bad rational literal {value!r}: expected "
-                             "\"p\" or \"p/q\" with decimal integers", path)
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {value!r}: {exc}", path)
     raise ParseError(f"expected exact rational, got {type(value).__name__}", path)
 
 

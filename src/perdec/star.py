@@ -17,6 +17,7 @@ both the premises and the nonzero value from scratch.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -382,7 +383,9 @@ def search_counterexample(n: int, max_size: int, trials: int, seed: int,
     for n >= 4) for the necessity direction.
 
     Deterministic under a fixed seed: each trial reseeds from (seed,
-    trial), so the worker count never changes the outcome.
+    trial), so the worker count never changes the outcome.  At most one
+    worker process runs per CPU and per trial (the pool starts all of
+    them at once).
     """
     if n < 2:
         raise PreconditionError("search needs at least two transformations")
@@ -390,13 +393,15 @@ def search_counterexample(n: int, max_size: int, trials: int, seed: int,
         raise PreconditionError("max_size must be at least 2")
     if trials < 0:
         raise PreconditionError("trials must be nonnegative")
+    if workers < 1:
+        raise PreconditionError("workers must be at least 1")
+    workers = min(workers, trials, os.cpu_count() or 1)
     shards: list
-    if workers <= 1 or trials < 2:
+    if workers <= 1:
         shards = [_run_trials(n, max_size, 0, trials, seed)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(workers, trials)
         step = (trials + workers - 1) // workers
         spans = [(lo, min(lo + step, trials))
                  for lo in range(0, trials, step)]

@@ -1,10 +1,39 @@
+import concurrent.futures
+import os
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from perdec import generators
 from perdec.core import RationalFunction
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool the test asks for, on a
+    three-CPU machine; the pool runs its shards in this process, so no
+    worker process ever starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return sizes
 
 
 def rationals(lo: int = -30, hi: int = 30, dmax: int = 12):

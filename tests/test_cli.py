@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import perdec
+import perdec.cli
 from perdec.cli import run_command
 
 FINITE_DOUBLE_SWAP = {
@@ -469,6 +471,21 @@ def test_search_smoke_and_verify(tmp_path, capsys):
     assert code == 0 and verdict["agrees"] is True
 
 
+def test_search_workers_are_capped_and_must_be_positive(capsys, pool_sizes):
+    argv = ["search", "--n", "2", "--max-size", "5", "--trials", "40",
+            "--seed", "11"]
+    assert run_command(argv) == 0
+    serial = capsys.readouterr().out
+    assert run_command(argv + ["--workers", "100000"]) == 0
+    assert capsys.readouterr().out == serial
+    assert pool_sizes == [3]
+    for workers in ("0", "-1"):
+        code, doc = _run(capsys, argv + ["--workers", workers])
+        assert code == 2
+        assert "workers" in doc["error"]
+    assert pool_sizes == [3]
+
+
 def test_search_verify_ignores_a_legacy_bound_key(tmp_path, capsys):
     # reports from releases whose search took a bound carry that key
     code, doc = _run(capsys, ["search", "--n", "4", "--max-size", "4",
@@ -826,6 +843,35 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.endswith("\n")
+
+
+def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys,
+                                                          monkeypatch):
+    # the parser is built once per process and reused, so no call may see
+    # state left by an earlier one
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    monkeypatch.setattr(perdec.cli, "_build_parser",
+                        lambda build=perdec.cli._build_parser:
+                        built.append(1) or build())
+    perdec.cli._parser.cache_clear()
+    window = _write(tmp_path, "window.json", Z_WINDOW_LINEAR)
+    finite = _write(tmp_path, "finite.json", FINITE_DOUBLE_SWAP)
+    calls = [["star-check", window, "--bound", "3"], ["star-check", window],
+             ["decompose", finite, "--bound", "3"], ["--help"], ["--help"]]
+    src = str(Path(perdec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    codes = []
+    for argv in calls:
+        code = run_command(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "perdec.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=60)
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+        codes.append(code)
+    assert codes == [1, 1, 2, 0, 0]
+    assert len(built) == 1
 
 
 def test_unknown_subcommand_is_input_error(capsys):

@@ -223,6 +223,41 @@ def test_partial_sum_bound_dominates_each_prefix(sized, data):
     assert abs(partial) <= partial_sum_bound(t, g)
 
 
+def _fraction_partial_sum_bound(t, g, horizon=None):
+    """The Fraction loop that the integer partial sums replaced."""
+    size = len(g)
+    if horizon is None:
+        horizon = 2 * size
+    best = Fraction(0)
+    for x in range(size):
+        partial = Fraction(0)
+        p = x
+        for _ in range(horizon):
+            partial += g[p]
+            p = t[p]
+            if abs(partial) > best:
+                best = abs(partial)
+    return best
+
+
+@given(st.lists(sized_maps(max_size=6), min_size=1, max_size=3), st.data())
+def test_partial_sum_bound_matches_the_fraction_reference(pieces, data):
+    # several weak classes with tails, and denominators that differ from
+    # class to class and within a class
+    t = []
+    for size, piece in pieces:
+        offset = len(t)
+        t.extend(offset + y for y in piece)
+    denominators = st.sampled_from([1, 2, 3, 5, 7, 12, 35, 2 ** 40])
+    g = RationalFunction(tuple(
+        Fraction(data.draw(st.integers(-50, 50)), data.draw(denominators))
+        for _ in t))
+    horizon = data.draw(st.one_of(st.none(), st.integers(0, 3 * len(t))))
+    got = partial_sum_bound(t, g, horizon)
+    assert got == _fraction_partial_sum_bound(t, g, horizon)
+    assert type(got) is Fraction
+
+
 @given(systems(n=2), st.data())
 def test_solve_bounded_transfer_round_trip(system, data):
     t, s = system.transforms

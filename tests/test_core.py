@@ -11,7 +11,7 @@ from perdec.core import (
     NotCommutingError,
     RangeError,
     RationalFunction,
-    apply_word,
+    VerificationResult,
     as_fraction,
     commute_witness,
     compose,
@@ -19,6 +19,7 @@ from perdec.core import (
     identity,
     integer_values,
     is_invariant,
+    iterate,
     mixed_corners,
     mixed_delta,
     power,
@@ -27,7 +28,15 @@ from perdec.core import (
     validate_transform,
     verify_decomposition,
 )
-from tests.conftest import sized_maps, transform_tables, value_functions
+from perdec.lattice import LatticeWindow
+from perdec.orbits import invariance_classes
+from tests.conftest import (
+    rationals,
+    sized_maps,
+    systems,
+    transform_tables,
+    value_functions,
+)
 
 
 def test_as_fraction_accepts_exact_forms():
@@ -39,6 +48,20 @@ def test_as_fraction_accepts_exact_forms():
 def test_as_fraction_rejects_floats():
     with pytest.raises(TypeError):
         as_fraction(0.5)
+
+
+def test_as_fraction_returns_a_fraction_unchanged():
+    q = Fraction(-5, 7)
+    assert as_fraction(q) is q
+    f = RationalFunction((q, 2, "3/6"))
+    assert f.values[0] is q
+    assert f.values[1:] == (Fraction(2), Fraction(1, 2))
+    assert LatticeWindow((2, 2), (q, q, 1, "1/2")).values[0] is q
+    for values in ((q, 0.5), (0.0, 1)):
+        with pytest.raises(TypeError):
+            RationalFunction(values)
+    with pytest.raises(TypeError):
+        LatticeWindow((2, 2), (q, q, q, 0.5))
 
 
 def test_validate_transform_range_checks():
@@ -78,16 +101,14 @@ def test_power_matches_the_power_table_on_any_map(case):
         assert power(t, k) == expected
 
 
-def test_power_and_apply_word_reduce_huge_exponents():
+def test_power_and_iterate_reduce_huge_exponents():
     # 4 -> 3 -> 0 -> 1 -> 2 -> 0: a two-step tail into a 3-cycle
     t = (1, 2, 0, 0, 3)
-    system = validate_system([t, identity(5)], 5)
     k = 10 ** 12 + 2
     reduced = 2 + (k - 2) % 3
     start = time.perf_counter()
     assert power(t, k) == power(t, reduced)
-    assert [apply_word(system, [k, 10 ** 12], x) for x in range(5)] == list(
-        power(t, reduced))
+    assert [iterate(t, k, x) for x in range(5)] == list(power(t, reduced))
     assert time.perf_counter() - start < 1.0
 
 
@@ -234,3 +255,55 @@ def test_decomposition_total():
         RationalFunction.from_values([3, 4]),
     ))
     assert parts.total().values == (Fraction(4), Fraction(6))
+
+
+def _fraction_verify_decomposition(system, f, decomposition):
+    """The Fraction-arithmetic verifier that the integer one replaced."""
+    for j, part in enumerate(decomposition.parts):
+        if len(part) != system.size:
+            return VerificationResult(False, f"LengthMismatch({j})")
+    total = decomposition.total()
+    for x in range(system.size):
+        if total.values[x] != f.values[x]:
+            return VerificationResult(False, f"SumMismatch({x})")
+    for j, (t, part) in enumerate(zip(system.transforms, decomposition.parts)):
+        for x in range(system.size):
+            if part.values[t[x]] != part.values[x]:
+                return VerificationResult(False, f"NotInvariant({j},{x})")
+    return VerificationResult(True)
+
+
+@st.composite
+def mutated_splits(draw):
+    """A valid split with one value changed: in f, in one part, or moved
+    from one part to another at one point (which keeps the sum)."""
+    system = draw(systems(nmin=1, nmax=3))
+    parts = []
+    for t in system.transforms:
+        classes = invariance_classes(t)
+        picks = draw(st.lists(rationals(), min_size=classes.n_classes,
+                              max_size=classes.n_classes))
+        parts.append([picks[c] for c in classes.class_of])
+    f = [sum(column, Fraction(0)) for column in zip(*parts)]
+    kind = draw(st.sampled_from(["none", "f", "part", "move"]))
+    x = draw(st.integers(0, system.size - 1))
+    j = draw(st.integers(0, system.n - 1))
+    k = draw(st.integers(0, system.n - 1))
+    change = draw(rationals())
+    if kind == "f":
+        f[x] += change
+    elif kind == "part":
+        parts[j][x] += change
+    elif kind == "move":
+        parts[j][x] += change
+        parts[k][x] -= change
+    return (system, RationalFunction(tuple(f)),
+            Decomposition(tuple(RationalFunction(tuple(p)) for p in parts)))
+
+
+@settings(max_examples=300)
+@given(mutated_splits())
+def test_verify_decomposition_matches_the_fraction_reference(case):
+    system, f, decomposition = case
+    assert (verify_decomposition(system, f, decomposition)
+            == _fraction_verify_decomposition(system, f, decomposition))

@@ -4,16 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perdec.core import PreconditionError, RangeError, RationalFunction
+from perdec.core import (
+    PreconditionError,
+    RangeError,
+    RationalFunction,
+    VerificationResult,
+)
 from perdec.lattice import (
     LatticeWindow,
-    ShiftVector,
     lattice_decompose,
-    lattice_mixed_delta_zero,
     lattice_oracle_decompose,
     mixed_delta_witness,
     slice_partitions,
-    unrelated_check,
     verify_lattice_parts,
     verify_point_violation,
     z_window_counterexample,
@@ -21,27 +23,6 @@ from perdec.lattice import (
 from perdec.oracle import DualCertificate, verify_dual
 from perdec.star import replay_abelian_violation
 from tests.conftest import rationals
-
-
-def test_shift_vector_validation():
-    assert ShiftVector((0, 3)).components == (0, 3)
-    with pytest.raises(RangeError):
-        ShiftVector(())
-    with pytest.raises(RangeError):
-        ShiftVector((0, 0))
-    with pytest.raises(RangeError):
-        ShiftVector((1, True))
-    with pytest.raises(RangeError):
-        ShiftVector((1.5, 2))
-
-
-def test_unrelated_check():
-    assert unrelated_check(ShiftVector((1, 0)), ShiftVector((0, 1)))
-    assert unrelated_check(ShiftVector((2, 1)), ShiftVector((1, 2)))
-    assert not unrelated_check(ShiftVector((2, 4)), ShiftVector((1, 2)))
-    assert not unrelated_check(ShiftVector((3,)), ShiftVector((-5,)))
-    with pytest.raises(PreconditionError):
-        unrelated_check(ShiftVector((1,)), ShiftVector((1, 0)))
 
 
 def test_window_validation_and_indexing():
@@ -80,7 +61,6 @@ def test_mixed_delta_witness_first_lexicographic():
     f = LatticeWindow((2, 2), (Fraction(0), Fraction(0),
                                Fraction(0), Fraction(1)))
     assert mixed_delta_witness(f) == (0, 0)
-    assert not lattice_mixed_delta_zero(f)
 
 
 def _dims():
@@ -134,7 +114,7 @@ def _axis_constant(part: LatticeWindow, axis: int) -> bool:
 @given(separable_windows())
 @settings(max_examples=60, deadline=None)
 def test_lattice_decompose_accepts_planted_sums(f):
-    assert lattice_mixed_delta_zero(f)
+    assert mixed_delta_witness(f) is None
     parts = lattice_decompose(f)
     assert len(parts) == len(f.dims)
     total = [Fraction(0)] * f.size
@@ -165,6 +145,48 @@ def test_lattice_decompose_gauge_choices_all_verify(f, base):
                     assert p.values[idx] == 0
 
 
+def _fraction_verify_lattice_parts(f, parts):
+    """The Fraction-arithmetic verifier that the integer one replaced."""
+    if len(parts) != len(f.dims) or any(p.dims != f.dims for p in parts):
+        return VerificationResult(False, "parts do not match the window shape")
+    for idx, target in enumerate(f.values):
+        if sum(p.values[idx] for p in parts) != target:
+            return VerificationResult(
+                False, f"parts do not sum to f at {f.coords(idx)}")
+    for j, (p, w, stride) in enumerate(zip(parts, f.dims, f.strides())):
+        for idx in range(f.size):
+            if idx // stride % w + 1 < w \
+                    and p.values[idx + stride] != p.values[idx]:
+                return VerificationResult(False, f"part {j} varies along "
+                                                 f"axis {j} at {f.coords(idx)}")
+    return VerificationResult(True)
+
+
+@given(separable_windows(), st.sampled_from(["none", "f", "part", "move"]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_lattice_parts_matches_the_fraction_reference(f, kind, data):
+    # one value changed in f or in one part, or moved between two parts at
+    # one point (which keeps the sum)
+    parts = [list(p.values) for p in lattice_decompose(f)]
+    target = list(f.values)
+    idx = data.draw(st.integers(0, f.size - 1))
+    j = data.draw(st.integers(0, len(parts) - 1))
+    k = data.draw(st.integers(0, len(parts) - 1))
+    change = data.draw(rationals())
+    if kind == "f":
+        target[idx] += change
+    elif kind == "part":
+        parts[j][idx] += change
+    elif kind == "move":
+        parts[j][idx] += change
+        parts[k][idx] -= change
+    f = LatticeWindow(f.dims, tuple(target))
+    parts = tuple(LatticeWindow(f.dims, tuple(p)) for p in parts)
+    assert (verify_lattice_parts(f, parts)
+            == _fraction_verify_lattice_parts(f, parts))
+
+
 def test_lattice_decompose_rejects_nonseparable():
     f = LatticeWindow((2, 2), (Fraction(0), Fraction(0),
                                Fraction(0), Fraction(1)))
@@ -178,7 +200,7 @@ def test_lattice_decompose_rejects_nonseparable():
 @settings(max_examples=60, deadline=None)
 def test_lattice_oracle_matches_mixed_delta_criterion(f):
     got = lattice_oracle_decompose(f)
-    if lattice_mixed_delta_zero(f):
+    if mixed_delta_witness(f) is None:
         assert not isinstance(got, DualCertificate)
         total = [Fraction(0)] * f.size
         for j, p in enumerate(got):
@@ -258,7 +280,7 @@ def test_verify_point_violation_checks_range_and_value():
 def test_restriction_preserves_separability(f):
     sub_dims = tuple(max(2, w - 1) for w in f.dims)
     sub = f.restrict(sub_dims)
-    assert lattice_mixed_delta_zero(sub)
+    assert mixed_delta_witness(sub) is None
     lattice_decompose(sub)
 
 

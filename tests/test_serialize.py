@@ -47,6 +47,38 @@ def test_frac_from_json_forms():
             frac_from_json(bad)
 
 
+# every literal of the accepted form: signs, leading zeros, "-0", zero and
+# non-lowest-terms denominators
+_LITERALS = st.one_of(
+    st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True),
+    st.builds(lambda p, q, k, zeros: f"{p * k}/{'0' * zeros}{q * k}",
+              st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 6),
+              st.integers(1, 10 ** 6), st.integers(0, 3)))
+
+
+@given(_LITERALS)
+def test_frac_from_json_equals_fraction_of_the_string(literal):
+    if "/" in literal and int(literal.partition("/")[2]) == 0:
+        with pytest.raises(ParseError):
+            frac_from_json(literal)
+        return
+    got, want = frac_from_json(literal), Fraction(literal)
+    assert type(got) is Fraction
+    assert got.as_integer_ratio() == want.as_integer_ratio()
+
+
+@pytest.mark.parametrize("bad", ["3/0", "-0/000", "9" * 5000,
+                                 "1/" + "7" * 5000])
+def test_bad_literals_name_their_field(bad):
+    with pytest.raises(ParseError) as exc:
+        values_from_json(["1/2", bad], path="values")
+    assert exc.value.path == "values[1]"
+    with pytest.raises(ParseError) as exc:
+        parse_result({"result": "bounded-transfer", "values": ["0"],
+                      "bound": bad})
+    assert exc.value.path == "bound"
+
+
 def test_values_round_trip_and_errors():
     f = RationalFunction((Fraction(1, 2), Fraction(-3)))
     assert values_from_json(values_to_json(f)) == f
