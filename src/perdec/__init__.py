@@ -16,11 +16,9 @@ from .cohomology import (
     solve_bounded_transfer,
     solve_transfer,
     solve_transfer_constrained,
-    solve_transfer_mod_invariant,
     solve_transfer_pair,
 )
 from .core import (
-    BoundTooSmallError,
     CommutingSystem,
     Decomposition,
     InternalContractViolation,
@@ -74,7 +72,6 @@ from .star import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundTooSmallError",
     "BoundedTransfer",
     "Candidate",
     "CommutingSystem",
@@ -127,7 +124,6 @@ __all__ = [
     "solve_bounded_transfer",
     "solve_transfer",
     "solve_transfer_constrained",
-    "solve_transfer_mod_invariant",
     "solve_transfer_pair",
     "validate_system",
     "validate_transform",

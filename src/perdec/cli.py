@@ -21,7 +21,6 @@ from .cohomology import (
     verify_bounded_transfer,
 )
 from .core import (
-    BoundTooSmallError,
     Decomposition,
     NotCommutingError,
     PreconditionError,
@@ -30,7 +29,7 @@ from .core import (
     VerificationResult,
     verify_decomposition,
 )
-from .decomp import decompose_n, decompose_three
+from .decomp import decompose_n
 from .lattice import (
     LatticeWindow,
     lattice_decompose,
@@ -217,16 +216,9 @@ def _cmd_decompose(args) -> Outcome:
     inst = _read_instance(args.instance)
     _require_system(inst, "decompose")
     if args.verify:
-        _reject_bound(args, "by --verify")
         return _verify_decomposition_result(inst,
                                             _read_result(args.verify))
-    if inst.system.n != 3:
-        _reject_bound(args, "unless there are three transforms")
-    ts = inst.system.transforms
-    if inst.system.n == 3:
-        outcome = decompose_three(ts[0], ts[1], ts[2], inst.f, args.bound)
-    else:
-        outcome = decompose_n(ts, inst.f)
+    outcome = decompose_n(inst.system.transforms, inst.f)
     if isinstance(outcome, Decomposition):
         return 0, serialize.decomposition_to_json(outcome)
     return 1, serialize.violation_to_json(outcome)
@@ -337,10 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     add("validate", _cmd_validate, verify=False)
-    add("decompose", _cmd_decompose).add_argument(
-        "--bound", type=int, default=None,
-        help="exponent bound of the three-transform relation search; "
-             "an input error with fewer transforms or --verify")
+    add("decompose", _cmd_decompose)
     add("star-check", _cmd_star_check).add_argument(
         "--bound", type=int, default=None,
         help="head exponent bound on z-window instances; an input error "
@@ -381,7 +370,7 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
     except NotCommutingError as exc:
         _emit({"error": "not-commuting", "witness": list(exc.witness)})
         return 2
-    except (RangeError, PreconditionError, BoundTooSmallError) as exc:
+    except (RangeError, PreconditionError) as exc:
         _emit({"error": str(exc)})
         return 2
     _emit(doc)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .core import (
     InternalContractViolation,
@@ -23,7 +23,6 @@ from .core import (
     iterate,
 )
 from .orbits import (
-    Partition,
     _components,
     find_relation,
     invariance_classes,
@@ -54,7 +53,7 @@ class TransferSolution:
     """solution g and the invariant correction term added to the right side."""
 
     solution: RationalFunction
-    correction: Optional[RationalFunction] = None
+    correction: RationalFunction
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,7 @@ def solve_transfer(
     size = len(g)
     part = invariance_classes(t)
     values: list = [None] * size
-    for c in range(part.n_classes):
-        x0 = part.representative[c]
+    for x0, members in zip(part.representative, part.classes()):
         orbit, index, start = _orbit_to_repeat(t, x0)
         prefix = [Fraction(0)]
         for p in orbit:
@@ -104,7 +102,7 @@ def solve_transfer(
         cycle_total = prefix[len(orbit)] - prefix[start]
         if cycle_total != 0:
             return CycleObstruction(tuple(orbit[start:]), cycle_total)
-        for x in part.members(c):
+        for x in members:
             partial = Fraction(0)
             q = x
             while q not in index:
@@ -114,38 +112,22 @@ def solve_transfer(
     return RationalFunction(tuple(values))
 
 
-def cycle_average(t: Sequence[int], g: RationalFunction,
-                  part: Optional[Partition] = None) -> RationalFunction:
+def cycle_average(t: Sequence[int], g: RationalFunction) -> RationalFunction:
     """E g(x): the mean of g over the cycle that x's forward orbit enters.
 
     E is the projection onto the t-invariant functions along the image of
-    g -> g o t - g (see `decomp.decompose_n`); one cycle walk per class.
-    ``part`` is t's class partition when the caller already has it.
+    g -> g o t - g (see `decomp.decompose_n`); one cycle walk per class,
+    summing integer numerators over the lcm of the cycle's denominators.
     """
-    if part is None:
-        part = invariance_classes(t)
+    part = invariance_classes(t)
     means = []
     for rep in part.representative:
         orbit, _, start = _orbit_to_repeat(t, rep)
-        cycle = orbit[start:]
-        means.append(sum((g[p] for p in cycle), Fraction(0)) / len(cycle))
+        cycle = [g[p] for p in orbit[start:]]
+        denom = lcm(*(v.denominator for v in cycle))
+        total = sum(v.numerator * (denom // v.denominator) for v in cycle)
+        means.append(Fraction(total, denom * len(cycle)))
     return RationalFunction(tuple(means[c] for c in part.class_of))
-
-
-def solve_transfer_mod_invariant(
-    t: Sequence[int], g: RationalFunction
-) -> TransferSolution:
-    """Solve h(t(x)) - h(x) = g(x) + gamma(x) with gamma t-invariant.
-
-    Always solvable: on each class gamma is the negated average of g around
-    the class's unique cycle, which zeroes the cycle sum.
-    """
-    gamma = -cycle_average(t, g)
-    h = solve_transfer(t, g + gamma)
-    if isinstance(h, CycleObstruction):
-        raise InternalContractViolation(
-            "forced correction failed to zero a cycle sum")
-    return TransferSolution(h, gamma)
 
 
 def _check_commute(t: Sequence[int], s: Sequence[int]) -> None:
@@ -163,45 +145,23 @@ def _quotient(t: Sequence[int], s: Sequence[int]):
 
 
 def solve_transfer_pair(
-    t: Sequence[int],
-    s: Sequence[int],
-    g: RationalFunction,
-    class_values: Optional[Mapping[int, Fraction]] = None,
+    t: Sequence[int], s: Sequence[int], g: RationalFunction
 ) -> TransferSolution:
     """Solve h(t(x)) - h(x) = g(x) + gamma(x) with h, gamma both s-invariant
     and gamma also t-invariant.
 
     Works on the quotient by s-classes, where t acts as an induced map, and
-    lifts the solution back.  ``class_values`` optionally pins gamma's
-    constant on the joint class containing a given element (the free-choice
-    hook used by the three-transformation decomposition); a pin that
-    conflicts with a forced cycle average raises PreconditionError.
+    lifts the solution back.  gamma is forced: on each joint (s, t)-class
+    it is minus the average of g around the induced cycle.
     """
     _check_commute(t, s)
     if not is_invariant(s, g):
         raise PreconditionError("right side is not s-invariant")
     part, induced = _quotient(t, s)
     g_q = RationalFunction(tuple(g[rep] for rep in part.representative))
-    qpart = invariance_classes(induced)
-    gamma_q = -cycle_average(induced, g_q, qpart)
-    if class_values:
-        pinned: Dict[int, Fraction] = {}
-        for element, value in class_values.items():
-            qc = qpart.class_of[part.class_of[element]]
-            value = Fraction(value)
-            if qc in pinned and pinned[qc] != value:
-                raise PreconditionError(
-                    f"conflicting pinned constants on one class: "
-                    f"{pinned[qc]} vs {value}")
-            pinned[qc] = value
-        gamma_q = RationalFunction(tuple(
-            pinned.get(qpart.class_of[c], v) for c, v in enumerate(gamma_q)))
+    gamma_q = -cycle_average(induced, g_q)
     h_q = solve_transfer(induced, g_q + gamma_q)
     if isinstance(h_q, CycleObstruction):
-        if class_values:
-            raise PreconditionError(
-                "pinned correction constant conflicts with a forced cycle "
-                f"average (cycle total {h_q.total})")
         raise InternalContractViolation(
             "forced correction failed on the quotient")
     values = tuple(h_q[part.class_of[x]] for x in range(len(g)))
@@ -287,10 +247,8 @@ def solve_bounded_transfer(
         return solved
     size = len(g)
     bound_c = partial_sum_bound(t, g)
-    joint = _components(size, [t, s])
     values = list(solved.values)
-    for c in range(joint.n_classes):
-        members = joint.members(c)
+    for members in _components(size, [t, s]).classes():
         high = max(values[x] for x in members)
         low = min(values[x] for x in members)
         mid = (high + low) / 2

@@ -39,14 +39,6 @@ class PreconditionError(ValueError):
     """An operation was called with input violating its documented contract."""
 
 
-class BoundTooSmallError(ValueError):
-    """An exponent-bounded relation search came up empty.
-
-    Only reachable when a caller overrides the default search bound with a
-    value too small for the construction to find the witnesses it needs.
-    """
-
-
 class InternalContractViolation(RuntimeError):
     """A constructed result failed its own final verification.
 

@@ -6,29 +6,27 @@ returns an unverified result.  On a finite domain f decomposes exactly
 when its mixed difference vanishes, for every number of transforms, and
 `decompose_n` proves it by building the parts from cycle averages; a
 refusal is always the first point where the mixed difference does not
-vanish, and it costs one O(N) stencil pass.  `decompose_two` and
-`decompose_three` build the parts of the n = 2 and n = 3 cases in their
-own gauges, by propagation and by transfer equations.
+vanish, and it costs one O(N) stencil pass.  `decompose_two` is its
+n = 2 case, and `decompose_three` splits the t-difference of f with it
+and lifts the two parts by transfer equations, whose corrections all
+vanish; its report classifies prescribed points without changing parts.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
-from .cohomology import cycle_average, orbit_sum, solve_transfer_pair
+from .cohomology import cycle_average, solve_transfer_pair
 from .core import (
-    BoundTooSmallError,
     Decomposition,
     InternalContractViolation,
     PreconditionError,
     RationalFunction,
     delta,
-    iterate,
     validate_system,
     verify_decomposition,
 )
-from .orbits import Relation, default_bound, joint_classes
+from .orbits import default_bound, joint_classes, prescribed_points
 from .star import StarViolation, check_star
 
 DecompOutcome = Union[Decomposition, StarViolation]
@@ -92,167 +90,84 @@ def decompose_two(s: Sequence[int], t: Sequence[int],
                   f: RationalFunction) -> DecompOutcome:
     """Split f into an s-invariant and a t-invariant part, or refuse.
 
-    The s-invariant part g is built by propagation: on each joint class
-    g(x0) = f(x0) at the class minimum x0, g stays equal across every
-    s-edge and f - g across every t-edge, walking edges both ways.  Any
-    two decompositions differ by a function constant on joint classes,
-    which the pin at x0 fixes, so when f decomposes at all (g, f - g) is
-    the one decomposition with that pin.  Parts come back in the argument
-    order (s, t).
-
-    When the built parts fail verification the refusal is check_star's
-    violation, a point where the double difference along (s, t) is
-    nonzero.  That this point exists on a finite domain is the n = 2 case
-    of decompose_n's theorem; directly: when the double
-    difference vanishes, D = f(t.) - f is s-invariant, so it is the
-    t-difference of an s-invariant function iff its sum around every
-    t-cycle of s-classes is zero.  Such a cycle t^m s^a x = s^b x sums to
-    f(s^b x) - f(s^a x); as f(s.) - f is t-invariant, f grows by that same
-    amount at each step along s^(a + r(b - a)) x, and a finite domain
-    forces it to be zero.
+    The n = 2 case of `decompose_n`: the parts are (E_s f, f - E_s f),
+    ordered like the arguments (s, t), and a refusal is check_star's
+    violation, the first point where the double difference is nonzero.
     """
-    system = validate_system([s, t], len(f))
-    size = system.size
-    edges: list = [[] for _ in range(size)]
-    for x in range(size):
-        for y, across_t in ((s[x], False), (t[x], True)):
-            edges[x].append((y, across_t))
-            edges[y].append((x, across_t))
-    values: list = [None] * size
-    for x0 in range(size):
-        if values[x0] is not None:
-            continue
-        values[x0] = f[x0]
-        stack = [x0]
-        while stack:
-            x = stack.pop()
-            for y, across_t in edges[x]:
-                if values[y] is None:
-                    values[y] = (values[x] + f[y] - f[x] if across_t
-                                 else values[x])
-                    stack.append(y)
-    g = RationalFunction(tuple(values))
-    decomposition = Decomposition((g, f - g))
-    if verify_decomposition(system, f, decomposition):
-        return decomposition
-    violation = check_star(system, f)
-    if violation is None:
-        raise InternalContractViolation(
-            "two-part construction failed verification but the partition "
-            "condition passes")
-    return violation
-
-
-def _forced_constant(t: Sequence[int], g: RationalFunction, x: int,
-                     rel: Relation) -> Fraction:
-    """-1/(k - k2) times the sum of g along T^i x for i in [k2, k)."""
-    steps = rel.k - rel.k2
-    return -orbit_sum(t, g, iterate(t, rel.k2, x), steps) / steps
+    return decompose_n([s, t], f)
 
 
 def decompose_three(t: Sequence[int], s: Sequence[int], u: Sequence[int],
-                    f: RationalFunction,
-                    bound: Optional[int] = None) -> DecompOutcome:
+                    f: RationalFunction) -> DecompOutcome:
     """Split f into t-, s-, and u-invariant parts, or refuse.
 
-    Returns parts (g, h, l) ordered like the arguments (t, s, u).
+    Returns parts (g, h, l) ordered like the arguments (t, s, u), or
+    check_star's violation.  The t-difference F = f o t - f splits as
+    H' + L' by `decompose_n([s, u], F)`; the transfer equations
+    H(t x) - H(x) = H'(x) + chi(x) and L(t x) - L(x) = L'(x) + lambda(x)
+    are solved with H, chi s-invariant and L, lambda u-invariant (chi and
+    lambda t-invariant too), and g = f - H - L.
+
+    Why chi and lambda are zero: write E_s for the s-cycle average and
+    P_t g = g o t.  E_s commutes with P_t and P_u, because t and u map
+    s-cycles onto s-cycles.  When the mixed difference vanishes, f =
+    a + b + c with a t-, b s- and c u-invariant (`decompose_n`), so H' =
+    E_s F = (P_t - I) E_s f and L' = (I - E_s) F = (P_t - I)(I - E_s) c,
+    as (I - E_s) kills b and (P_t - I) kills a.  E_s f is s-invariant and
+    (I - E_s) c is u-invariant, so on the quotient by s-classes (by
+    u-classes) the right side is a t-difference and its sum around every
+    cycle of the induced map telescopes to zero.  `solve_transfer_pair`'s
+    correction is minus that cycle average, so chi = lambda = 0, and then
+    g o t - g = F - H' - L' = 0.  The same telescoping zeroes the paper's
+    forced constants: the sum of H' along t^i x for k2 <= i < k is
+    (E_s f)(t^k x) - (E_s f)(t^k2 x), which vanishes whenever t^k s^l x =
+    t^k2 s^l2 x, and likewise for L'.  So no correction depends on which
+    prescribed points a class holds, nor on any exponent bound.
     """
-    outcome, _ = decompose_three_report(t, s, u, f, bound)
-    return outcome
+    system = validate_system([t, s, u], len(f))
+    violation = check_star(system, f)
+    if violation is not None:
+        return violation
+    inner = decompose_n([s, u], delta(t, f))
+    if isinstance(inner, StarViolation):
+        raise InternalContractViolation(
+            "derivative of a condition-passing function failed the "
+            "two-transform conditions")
+    part_h, part_l = inner.parts  # s-invariant, u-invariant
+    h = solve_transfer_pair(t, s, part_h).solution
+    l = solve_transfer_pair(t, u, part_l).solution
+    decomposition = Decomposition((f - h - l, h, l))
+    verify_decomposition(system, f, decomposition).require(
+        "three-part construction")
+    return decomposition
+
+
+_BRANCHES = {(False, False): "neither", (True, False): "s-only",
+             (False, True): "u-only", (True, True): "both"}
 
 
 def decompose_three_report(
     t: Sequence[int], s: Sequence[int], u: Sequence[int],
     f: RationalFunction, bound: Optional[int] = None,
 ) -> Tuple[DecompOutcome, dict]:
-    """decompose_three plus per-class branch diagnostics.
+    """decompose_three plus the paper's per-class case split.
 
-    The report maps each joint-class representative to which correction
-    branch applied: "neither", "s-only", "u-only", or "both", meaning
-    which of the (s,t)- and (u,t)-prescribed point kinds were found in
-    the class within the bound.
+    The report maps each joint-class representative to "neither",
+    "s-only", "u-only" or "both": which of the (s,t)- and (u,t)-prescribed
+    point kinds `prescribed_points` finds in the class within the
+    exponent bound (default `default_bound`).  It is a diagnostic only:
+    the parts are decompose_three's, whatever the bound.
     """
-    from .orbits import prescribed_points
-
-    system = validate_system([t, s, u], len(f))
-    size = system.size
+    outcome = decompose_three(t, s, u, f)
+    if isinstance(outcome, StarViolation):
+        return outcome, {"branches": {}}
     if bound is None:
-        bound = default_bound(size)
-    violation = check_star(system, f)
-    if violation is not None:
-        return violation, {"branches": {}}
-
-    big_f = delta(t, f)
-    two = decompose_two(s, u, big_f)
-    if isinstance(two, StarViolation):
-        raise InternalContractViolation(
-            "derivative of a condition-passing function failed the "
-            "two-transform conditions")
-    part_h, part_l = two.parts  # s-invariant, u-invariant
-
+        bound = default_bound(len(f))
     pres_s = prescribed_points(s, t, bound)
     pres_u = prescribed_points(u, t, bound)
-    joint = joint_classes(system, (0, 1, 2))
-    joint_st = joint_classes(system, (0, 1))
-    joint_ut = joint_classes(system, (0, 2))
-
-    def one_per_subclass(members, partition) -> list:
-        seen = set()
-        picks = []
-        for x in members:
-            c = partition.class_of[x]
-            if c not in seen:
-                seen.add(c)
-                picks.append(x)
-        return picks
-
-    chi_pins: Dict[int, Fraction] = {}
-    lam_pins: Dict[int, Fraction] = {}
-    branches: Dict[int, str] = {}
-    for c in range(joint.n_classes):
-        members = joint.members(c)
-        ws = next(((x, pres_s[x]) for x in members if x in pres_s), None)
-        wu = next(((x, pres_u[x]) for x in members if x in pres_u), None)
-        if ws is None and wu is None:
-            branch = "neither"
-            chi_value: Optional[Fraction] = Fraction(0)
-            lam_value: Optional[Fraction] = Fraction(0)
-        elif ws is not None and wu is None:
-            branch = "s-only"
-            chi_value = _forced_constant(t, part_h, ws[0], ws[1])
-            lam_value = -chi_value
-        elif wu is not None and ws is None:
-            branch = "u-only"
-            lam_value = _forced_constant(t, part_l, wu[0], wu[1])
-            chi_value = -lam_value
-        else:
-            branch = "both"
-            chi_value = None
-            lam_value = None
-        branches[joint.representative[c]] = branch
-        if chi_value is not None:
-            for x in one_per_subclass(members, joint_st):
-                chi_pins[x] = chi_value
-            for x in one_per_subclass(members, joint_ut):
-                lam_pins[x] = lam_value
-
-    try:
-        sol_h = solve_transfer_pair(t, s, part_h,
-                                    class_values=chi_pins or None)
-        sol_l = solve_transfer_pair(t, u, part_l,
-                                    class_values=lam_pins or None)
-    except PreconditionError as exc:
-        raise BoundTooSmallError(
-            "correction constants chosen from bounded prescribed-point "
-            f"classification are inconsistent: {exc}") from exc
-    chi, lam = sol_h.correction, sol_l.correction
-    if not (chi + lam).is_zero():
-        raise InternalContractViolation(
-            "correction functions do not cancel on a class with both "
-            "prescribed kinds")
-    h, l = sol_h.solution, sol_l.solution
-    g = f - h - l
-    decomposition = Decomposition((g, h, l))
-    verify_decomposition(system, f, decomposition).require(
-        "three-part construction")
-    return decomposition, {"branches": branches}
+    joint = joint_classes(validate_system([t, s, u], len(f)), (0, 1, 2))
+    branches = {
+        members[0]: _BRANCHES[any(x in pres_s for x in members),
+                              any(x in pres_u for x in members)]
+        for members in joint.classes()}
+    return outcome, {"branches": branches}

@@ -174,9 +174,8 @@ def branch_instance(rng: random.Random, branch: str,
     m/2 only admits relations whose t-exponents differ by a multiple of
     m/2, while shift m-1 admits t*u = identity at exponent 1.  The bound
     m/4 separates the two.  For "neither", t = +2 against two copies of
-    shift m/2 hides both sides at bound 2; the derivative of f then has
-    telescoping quotient cycles, so the pinned zero corrections are
-    consistent.  f is decomposable by construction in every branch.
+    shift m/2 hides both sides at bound 2.  f is decomposable by
+    construction in every branch.
     """
     if branch not in ("both", "neither", "s-only", "u-only"):
         raise ValueError(f"unknown branch {branch!r}")

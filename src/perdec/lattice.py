@@ -23,7 +23,6 @@ from .core import (
     as_fraction,
     first_sum_mismatch,
     integer_ratios,
-    mixed_corners,
 )
 from .oracle import DualCertificate, split_over_classes
 from .orbits import Partition
@@ -113,25 +112,17 @@ def _strides(dims: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mixed_delta_at(values: Sequence[Fraction], strides: Sequence[int],
-                    idx: int) -> Fraction:
-    """d-fold mixed forward difference at the point with row-major index
-    idx; the caller keeps every coordinate one below its upper edge."""
-    total = Fraction(0)
-    for applied, positive in mixed_corners(len(strides)):
-        value = values[idx + sum(strides[j] for j in applied)]
-        total += value if positive else -value
-    return total
-
-
 def _mixed_delta_witness(f: LatticeWindow) -> Optional[tuple[int, ...]]:
     """First point (lexicographic) where the full mixed difference is nonzero."""
     strides = f.strides()
+    # on row-major indices the axis shifts are translations by the
+    # strides; below every upper edge each corner stays inside the window
+    corners = _shift_corners(strides)
     for idx in range(f.size):
         base = tuple(idx // st % w for w, st in zip(f.dims, strides))
         if any(c + 1 >= w for c, w in zip(base, f.dims)):
             continue
-        if _mixed_delta_at(f.values, strides, idx) != 0:
+        if _shift_stencil(f.values, corners, idx) != 0:
             return base
     return None
 
@@ -145,7 +136,8 @@ def verify_point_violation(f: LatticeWindow,
                                         for c, w in zip(point, f.dims)):
         return VerificationResult(
             False, "point is not a stencil base inside the window")
-    if _mixed_delta_at(f.values, f.strides(), f.index(point)) == 0:
+    if _shift_stencil(f.values, _shift_corners(f.strides()),
+                      f.index(point)) == 0:
         return VerificationResult(False,
                                   "mixed difference vanishes at the point")
     return VerificationResult(True)

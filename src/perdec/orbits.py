@@ -14,14 +14,16 @@ from .core import CommutingSystem, PreconditionError, RangeError
 
 
 def default_bound(size: int) -> int:
-    """Default exponent bound 2N of `prescribed_points` and `decompose_three`.
+    """Default exponent bound 2N of `prescribed_points`, which serves only
+    the case split that `decomp.decompose_three_report` reports.
 
     The power sequence of any self-map on N points has preperiod plus
     period at most N (the rho shape), so the witness that
     `prescribed_points` finds by orbit walks has exponents at most N and
     fits this bound: only an explicit smaller bound changes its output.
-    `find_relation` takes no bound by default (the exact orbit meeting),
-    and the finite star check searches no exponents at all.
+    No construction searches exponents, `find_relation` takes no bound by
+    default (the exact orbit meeting), and the finite star check searches
+    no exponents at all.
     """
     return 2 * size
 
@@ -53,9 +55,6 @@ class Partition:
     @property
     def n_classes(self) -> int:
         return len(self.representative)
-
-    def members(self, c: int) -> tuple[int, ...]:
-        return tuple(x for x, cx in enumerate(self.class_of) if cx == c)
 
     def classes(self) -> list[tuple[int, ...]]:
         out: list[list[int]] = [[] for _ in range(self.n_classes)]

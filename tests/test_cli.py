@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,10 @@ from hypothesis import strategies as st
 
 import perdec
 import perdec.cli
+from perdec import serialize
 from perdec.cli import run_command
+from perdec.core import RationalFunction
+from perdec.decomp import decompose_n, decompose_three
 
 FINITE_DOUBLE_SWAP = {
     "kind": "finite",
@@ -277,8 +281,7 @@ def test_star_check_verifies_an_earlier_cyclic_certificate(tmp_path, capsys):
 def test_decompose_three_shifts_of_z192_is_fast_and_verifies(tmp_path,
                                                              capsys):
     # planted: periods 2 and 3 plus a constant, shifts 1, 2 and 3; the
-    # (bound + 1)^2 relation grids per point took about 5 s here, the
-    # orbit meetings about 0.03 s
+    # (bound + 1)^2 relation grids per point once took about 5 s here
     inst = {"kind": "cyclic-group", "modulus": 192, "shifts": [1, 2, 3],
             "values": [str(7 + 5 * (x % 2) + (x % 3) ** 2)
                        for x in range(192)]}
@@ -290,6 +293,26 @@ def test_decompose_three_shifts_of_z192_is_fast_and_verifies(tmp_path,
     saved = _write(tmp_path, "parts.json", doc)
     code, verdict = _run(capsys, ["decompose", path, "--verify", saved])
     assert code == 0 and verdict["agrees"] is True
+
+
+def test_decompose_three_shifts_answers_with_decompose_n(tmp_path, capsys):
+    # every transform count goes to decompose_n; decompose_three's parts
+    # differ on this instance (a constant 7 first, not 34/3)
+    m, shifts = 12, (1, 4, 6)
+    values = [(x % 4) ** 2 + 5 * (x % 6 == 1) + 7 for x in range(m)]
+    inst = {"kind": "cyclic-group", "modulus": m, "shifts": list(shifts),
+            "values": [str(v) for v in values]}
+    path = _write(tmp_path, "inst.json", inst)
+    code, doc = _run(capsys, ["decompose", path])
+    tables = [tuple((x + a) % m for x in range(m)) for a in shifts]
+    f = RationalFunction(tuple(Fraction(v) for v in values))
+    parts = decompose_n(tables, f)
+    assert parts != decompose_three(*tables, f)
+    assert (code, doc) == (0, json.loads(serialize.dumps(
+        serialize.decomposition_to_json(parts))))
+    saved = _write(tmp_path, "parts.json", doc)
+    code, verdict = _run(capsys, ["decompose", path, "--verify", saved])
+    assert code == 0 and verdict == {"result": "verified", "agrees": True}
 
 
 def test_star_check_z_window_certificate(tmp_path, capsys):
@@ -497,13 +520,12 @@ def test_search_verify_ignores_a_legacy_bound_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, accepted", [
-    ("validate", False), ("decompose", True), ("star-check", True),
+    ("validate", False), ("decompose", False), ("star-check", True),
     ("oracle", False), ("lattice-decompose", False),
     ("bounded-transfer", False), ("search", False)])
 def test_bound_is_an_option_only_where_it_is_read(tmp_path, capsys, command,
                                                   accepted):
-    # decompose reads the bound on three shifts of Z_4, star-check on a
-    # z-window
+    # only star-check reads a bound, on a z-window
     inst = Z_WINDOW_LINEAR if command == "star-check" else CYCLIC_SPLIT
     argv = [command] if command == "search" else [
         command, _write(tmp_path, "inst.json", inst)]
@@ -517,18 +539,10 @@ def test_bound_is_an_option_only_where_it_is_read(tmp_path, capsys, command,
         assert "--bound" in captured.err
 
 
-ONE_SWAP = dict(FINITE_DOUBLE_SWAP, transforms=[[1, 0]])
-
-
 @pytest.mark.parametrize("command, inst", [
-    ("decompose", ONE_SWAP), ("decompose", FINITE_DOUBLE_SWAP),
-    ("decompose", dict(CYCLIC_SPLIT, shifts=[1, 2])),
-    ("decompose", dict(CYCLIC_SPLIT, shifts=[1, 2, 3, 2])),
     ("star-check", FINITE_DOUBLE_SWAP), ("star-check", CYCLIC_SPLIT),
     ("star-check", LATTICE_CORNER)],
-    ids=["decompose-one", "decompose-two", "decompose-cyclic-two",
-         "decompose-cyclic-four", "star-check-finite", "star-check-cyclic",
-         "star-check-lattice"])
+    ids=["star-check-finite", "star-check-cyclic", "star-check-lattice"])
 def test_bound_where_the_instance_does_not_read_it_is_an_input_error(
         tmp_path, capsys, command, inst):
     path = _write(tmp_path, "inst.json", inst)
@@ -539,8 +553,7 @@ def test_bound_where_the_instance_does_not_read_it_is_an_input_error(
     assert "--bound is not read" in err["error"]
 
 
-@pytest.mark.parametrize("command, inst", [("decompose", CYCLIC_SPLIT),
-                                           ("star-check", Z_WINDOW_LINEAR)])
+@pytest.mark.parametrize("command, inst", [("star-check", Z_WINDOW_LINEAR)])
 def test_bound_is_not_read_by_verify(tmp_path, capsys, command, inst):
     path = _write(tmp_path, "inst.json", inst)
     code, doc = _run(capsys, [command, path, "--bound", "3"])

@@ -7,17 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perdec import generators
+from perdec.cohomology import cycle_average, solve_transfer_pair
 from perdec.core import (
-    BoundTooSmallError,
     Decomposition,
     PreconditionError,
     RationalFunction,
     compose,
+    delta,
     integer_values,
     is_invariant,
-    iterate,
     mixed_corners,
     validate_system,
+    verify_decomposition,
 )
 from perdec.decomp import (
     decompose_n,
@@ -26,14 +27,8 @@ from perdec.decomp import (
     decompose_two,
 )
 from perdec.oracle import DualCertificate, nullspace, oracle_decompose
-from perdec.orbits import default_bound, joint_classes
 from perdec.star import StarInstance, StarViolation, check_star, replay_violation
-from tests.conftest import (
-    grid_relation,
-    systems,
-    systems_with_functions,
-    value_functions,
-)
+from tests.conftest import systems, systems_with_functions
 
 
 def test_decompose_n_of_one_transform_is_an_invariance_check():
@@ -90,28 +85,14 @@ def test_decompose_two_matches_oracle(case):
         assert replay_violation(system, f, got)
 
 
-def _relation_formula_part(system, f):
-    """The s-invariant part g(x) = f(T^k2 x0) - f(T^k x) + f(x), where x0
-    is the minimum of x's joint class and T^k S^n x = T^k2 S^n2 x0 is the
-    first relation linking them."""
-    s, t = system.transforms
-    joint = joint_classes(system, (0, 1))
-    values = []
-    for x in range(system.size):
-        x0 = joint.representative[joint.class_of[x]]
-        k, _, k2, _ = grid_relation(s, t, x, x0, default_bound(system.size))
-        values.append(f[iterate(t, k2, x0)] - f[iterate(t, k, x)] + f[x])
-    return RationalFunction(tuple(values))
-
-
 @given(systems_with_functions(n=2, max_size=6))
 @settings(max_examples=80, deadline=None)
-def test_decompose_two_matches_the_relation_formula_and_check_star(case):
+def test_decompose_two_matches_the_cycle_average_and_check_star(case):
     system, f = case
     s, t = system.transforms
     got = decompose_two(s, t, f)
     if isinstance(got, Decomposition):
-        g = _relation_formula_part(system, f)
+        g = cycle_average(s, f)
         assert got.parts == (g, f - g)
     else:
         assert got == check_star(system, f)
@@ -244,8 +225,8 @@ def test_decompose_n_denominators_divide_denom_f_times_cycle_lengths(case):
 
 
 def test_decompose_two_bound_too_small():
-    # the construction searches no exponents, so a decomposable f splits
-    # with the whole of it pinned into the first part
+    # the construction searches no exponents: the cycle average puts the
+    # whole of a constant f into the first part
     m = 8
     plus = tuple((x + 1) % m for x in range(m))
     f = RationalFunction.constant(m, Fraction(3))
@@ -253,13 +234,17 @@ def test_decompose_two_bound_too_small():
     assert got.parts == (f, RationalFunction.zero(m))
 
 
-def test_decompose_three_bound_too_small_propagates():
+def test_decompose_three_report_at_bound_one_keeps_the_parts():
+    # on this Z_4 instance, pins chosen from prescribed points found at
+    # bound 1 once conflicted; the report's bound now only classifies
     t, s, u = (3, 0, 1, 2), (2, 3, 0, 1), (0, 1, 2, 3)
     f = RationalFunction((Fraction(0), Fraction(-4, 3), Fraction(4, 3),
                           Fraction(0)))
-    with pytest.raises(BoundTooSmallError):
-        decompose_three(t, s, u, f, bound=1)
-    assert isinstance(decompose_three(t, s, u, f), Decomposition)
+    at_one, _ = decompose_three_report(t, s, u, f, bound=1)
+    at_default, _ = decompose_three_report(t, s, u, f)
+    assert isinstance(at_one, Decomposition)
+    assert at_one == at_default == decompose_three(t, s, u, f)
+    assert verify_decomposition(validate_system([t, s, u], 4), f, at_one)
 
 
 @given(systems(n=3, max_size=5), st.integers(0, 10 ** 9))
@@ -310,10 +295,27 @@ def test_decompose_three_all_both_at_default_bound(case):
 def test_decompose_three_is_bound_independent(case):
     system, f = case
     t, s, u = system.transforms
-    at_default = decompose_three(t, s, u, f)
-    at_double = decompose_three(t, s, u, f, bound=4 * system.size)
-    if isinstance(at_default, Decomposition):
-        assert at_default == at_double
+    at_default, _ = decompose_three_report(t, s, u, f)
+    assert at_default == decompose_three(t, s, u, f)
+    for bound in (1, 2, 4 * system.size):
+        outcome, _ = decompose_three_report(t, s, u, f, bound)
+        assert outcome == at_default
+
+
+@given(st.sampled_from(("decomposable", "mixed_kernel")).flatmap(
+    lambda style: systems_with_functions(n=3, max_size=6, style=style)))
+@settings(max_examples=60, deadline=None)
+def test_decompose_three_corrections_vanish(case):
+    # the inner split is a t-difference of an s-invariant plus one of a
+    # u-invariant function, so both transfer corrections are zero
+    system, f = case
+    t, s, u = system.transforms
+    inner = decompose_n([s, u], delta(t, f))
+    assert isinstance(inner, Decomposition)
+    part_h, part_l = inner.parts
+    for side, part in ((s, part_h), (u, part_l)):
+        correction = solve_transfer_pair(t, side, part).correction
+        assert correction.is_zero()
 
 
 @pytest.mark.parametrize("branch", ["both", "neither", "s-only", "u-only"])

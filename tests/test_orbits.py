@@ -56,7 +56,7 @@ def test_partition_from_labels_orders_by_first_appearance():
     part = Partition.from_labels([7, 3, 7, 1])
     assert part.class_of == (0, 1, 0, 2)
     assert part.representative == (0, 1, 3)
-    assert part.members(0) == (0, 2)
+    assert part.classes()[0] == (0, 2)
     assert part.classes() == [(0, 2), (1,), (3,)]
 
 
