@@ -539,6 +539,25 @@ def test_bound_is_an_option_only_where_it_is_read(tmp_path, capsys, command,
         assert "--bound" in captured.err
 
 
+@pytest.mark.parametrize("inst", [
+    dict(FINITE_DOUBLE_SWAP, transforms=[[1, 0]]), FINITE_DOUBLE_SWAP,
+    dict(CYCLIC_SPLIT, shifts=[1, 2]), CYCLIC_SPLIT,
+    dict(CYCLIC_SPLIT, shifts=[1, 2, 3, 2])],
+    ids=["one", "two", "cyclic-two", "cyclic-three", "cyclic-four"])
+def test_decompose_takes_no_bound_for_any_transform_count(tmp_path, capsys,
+                                                          inst):
+    # three shifts read a bound once; no transform count does now
+    path = _write(tmp_path, "inst.json", inst)
+    code, doc = _run(capsys, ["decompose", path])
+    assert code in (0, 1)
+    saved = _write(tmp_path, "result.json", doc)
+    for argv in (["decompose", path], ["decompose", path, "--verify", saved]):
+        code = run_command(argv + ["--bound", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--bound" in captured.err
+
+
 @pytest.mark.parametrize("command, inst", [
     ("star-check", FINITE_DOUBLE_SWAP), ("star-check", CYCLIC_SPLIT),
     ("star-check", LATTICE_CORNER)],

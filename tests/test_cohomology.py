@@ -25,7 +25,7 @@ from perdec.core import (
     identity,
     is_invariant,
 )
-from perdec.orbits import invariance_classes
+from perdec.orbits import invariance_classes, joint_classes
 from tests.conftest import rationals, sized_maps, systems, value_functions
 
 
@@ -143,6 +143,24 @@ def test_solve_transfer_pair_properties(system, data):
     assert is_invariant(s, got.solution)
     assert is_invariant(s, got.correction)
     assert is_invariant(t, got.correction)
+
+
+@given(systems(n=2), st.data())
+def test_solve_transfer_pair_correction_is_forced(system, data):
+    # the correction is the only (s, t)-invariant one that leaves an
+    # s-invariant solution: raising it on one joint class adds the length
+    # of that class's induced cycle to the cycle's sum
+    t, s = system.transforms
+    g = _invariant_function(s, data)
+    gamma = solve_transfer_pair(t, s, g).correction
+    assert isinstance(solve_transfer_constrained(t, s, g + gamma),
+                      RationalFunction)
+    joint = joint_classes(system, (0, 1))
+    e = data.draw(st.integers(0, joint.n_classes - 1))
+    bump = RationalFunction(tuple(Fraction(joint.class_of[x] == e)
+                                  for x in range(system.size)))
+    assert isinstance(solve_transfer_constrained(t, s, g + gamma + bump),
+                      ConstrainedObstruction)
 
 
 def test_solve_transfer_pair_rejects_bad_inputs():
