@@ -7,22 +7,20 @@ when its mixed difference vanishes, for every number of transforms, and
 `decompose_n` proves it by building the parts from cycle averages; a
 refusal is always the first point where the mixed difference does not
 vanish, and it costs one O(N) stencil pass.  `decompose_two` is its
-n = 2 case, and `decompose_three` splits the t-difference of f with it
-and lifts the two parts by transfer equations, whose corrections all
-vanish; its report classifies prescribed points without changing parts.
+n = 2 case and `decompose_three` its n = 3 case; the report of the
+latter classifies prescribed points without changing parts.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple, Union
 
-from .cohomology import cycle_average, solve_transfer_pair
+from .cohomology import cycle_average
 from .core import (
     Decomposition,
     InternalContractViolation,
     PreconditionError,
     RationalFunction,
-    delta,
     validate_system,
     verify_decomposition,
 )
@@ -101,45 +99,13 @@ def decompose_three(t: Sequence[int], s: Sequence[int], u: Sequence[int],
                     f: RationalFunction) -> DecompOutcome:
     """Split f into t-, s-, and u-invariant parts, or refuse.
 
-    Returns parts (g, h, l) ordered like the arguments (t, s, u), or
-    check_star's violation.  The t-difference F = f o t - f splits as
-    H' + L' by `decompose_n([s, u], F)`; the transfer equations
-    H(t x) - H(x) = H'(x) + chi(x) and L(t x) - L(x) = L'(x) + lambda(x)
-    are solved with H, chi s-invariant and L, lambda u-invariant (chi and
-    lambda t-invariant too), and g = f - H - L.
-
-    Why chi and lambda are zero: write E_s for the s-cycle average and
-    P_t g = g o t.  E_s commutes with P_t and P_u, because t and u map
-    s-cycles onto s-cycles.  When the mixed difference vanishes, f =
-    a + b + c with a t-, b s- and c u-invariant (`decompose_n`), so H' =
-    E_s F = (P_t - I) E_s f and L' = (I - E_s) F = (P_t - I)(I - E_s) c,
-    as (I - E_s) kills b and (P_t - I) kills a.  E_s f is s-invariant and
-    (I - E_s) c is u-invariant, so on the quotient by s-classes (by
-    u-classes) the right side is a t-difference and its sum around every
-    cycle of the induced map telescopes to zero.  `solve_transfer_pair`'s
-    correction is minus that cycle average, so chi = lambda = 0, and then
-    g o t - g = F - H' - L' = 0.  The same telescoping zeroes the paper's
-    forced constants: the sum of H' along t^i x for k2 <= i < k is
-    (E_s f)(t^k x) - (E_s f)(t^k2 x), which vanishes whenever t^k s^l x =
-    t^k2 s^l2 x, and likewise for L'.  So no correction depends on which
-    prescribed points a class holds, nor on any exponent bound.
+    The n = 3 case of `decompose_n`: parts (g, h, l) ordered like the
+    arguments (t, s, u), or check_star's violation.  The paper builds the
+    parts from two transfer equations whose correction constants depend
+    on the prescribed points of each class; the cycle-average split fixes
+    the gauge instead, so no part depends on them or on an exponent bound.
     """
-    system = validate_system([t, s, u], len(f))
-    violation = check_star(system, f)
-    if violation is not None:
-        return violation
-    inner = decompose_n([s, u], delta(t, f))
-    if isinstance(inner, StarViolation):
-        raise InternalContractViolation(
-            "derivative of a condition-passing function failed the "
-            "two-transform conditions")
-    part_h, part_l = inner.parts  # s-invariant, u-invariant
-    h = solve_transfer_pair(t, s, part_h).solution
-    l = solve_transfer_pair(t, u, part_l).solution
-    decomposition = Decomposition((f - h - l, h, l))
-    verify_decomposition(system, f, decomposition).require(
-        "three-part construction")
-    return decomposition
+    return decompose_n([t, s, u], f)
 
 
 _BRANCHES = {(False, False): "neither", (True, False): "s-only",

@@ -19,7 +19,7 @@ import perdec.cli
 from perdec import serialize
 from perdec.cli import run_command
 from perdec.core import RationalFunction
-from perdec.decomp import decompose_n, decompose_three
+from perdec.decomp import decompose_n
 
 FINITE_DOUBLE_SWAP = {
     "kind": "finite",
@@ -296,8 +296,7 @@ def test_decompose_three_shifts_of_z192_is_fast_and_verifies(tmp_path,
 
 
 def test_decompose_three_shifts_answers_with_decompose_n(tmp_path, capsys):
-    # every transform count goes to decompose_n; decompose_three's parts
-    # differ on this instance (a constant 7 first, not 34/3)
+    # every transform count goes to decompose_n, in the order of the shifts
     m, shifts = 12, (1, 4, 6)
     values = [(x % 4) ** 2 + 5 * (x % 6 == 1) + 7 for x in range(m)]
     inst = {"kind": "cyclic-group", "modulus": m, "shifts": list(shifts),
@@ -307,7 +306,6 @@ def test_decompose_three_shifts_answers_with_decompose_n(tmp_path, capsys):
     tables = [tuple((x + a) % m for x in range(m)) for a in shifts]
     f = RationalFunction(tuple(Fraction(v) for v in values))
     parts = decompose_n(tables, f)
-    assert parts != decompose_three(*tables, f)
     assert (code, doc) == (0, json.loads(serialize.dumps(
         serialize.decomposition_to_json(parts))))
     saved = _write(tmp_path, "parts.json", doc)

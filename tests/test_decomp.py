@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perdec import generators
-from perdec.cohomology import cycle_average, solve_transfer_pair
+from perdec.cohomology import cycle_average
 from perdec.core import (
     Decomposition,
     PreconditionError,
     RationalFunction,
     compose,
-    delta,
     integer_values,
     is_invariant,
     mixed_corners,
@@ -256,6 +255,7 @@ def test_decompose_three_accepts_planted_sums(system, seed):
          + generators.random_invariant_part(rng, s)
          + generators.random_invariant_part(rng, u))
     got = decompose_three(t, s, u, f)
+    assert got == decompose_n([t, s, u], f)
     assert isinstance(got, Decomposition)
     g, h, l = got.parts
     assert g + h + l == f
@@ -270,6 +270,7 @@ def test_decompose_three_matches_oracle(case):
     system, f = case
     t, s, u = system.transforms
     got = decompose_three(t, s, u, f)
+    assert got == decompose_n(system.transforms, f)
     oracle = oracle_decompose(system, f)
     if isinstance(got, Decomposition):
         assert not isinstance(oracle, DualCertificate)
@@ -300,22 +301,6 @@ def test_decompose_three_is_bound_independent(case):
     for bound in (1, 2, 4 * system.size):
         outcome, _ = decompose_three_report(t, s, u, f, bound)
         assert outcome == at_default
-
-
-@given(st.sampled_from(("decomposable", "mixed_kernel")).flatmap(
-    lambda style: systems_with_functions(n=3, max_size=6, style=style)))
-@settings(max_examples=60, deadline=None)
-def test_decompose_three_corrections_vanish(case):
-    # the inner split is a t-difference of an s-invariant plus one of a
-    # u-invariant function, so both transfer corrections are zero
-    system, f = case
-    t, s, u = system.transforms
-    inner = decompose_n([s, u], delta(t, f))
-    assert isinstance(inner, Decomposition)
-    part_h, part_l = inner.parts
-    for side, part in ((s, part_h), (u, part_l)):
-        correction = solve_transfer_pair(t, side, part).correction
-        assert correction.is_zero()
 
 
 @pytest.mark.parametrize("branch", ["both", "neither", "s-only", "u-only"])
