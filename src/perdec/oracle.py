@@ -1,18 +1,38 @@
 """Ground-truth decomposability via exact linear algebra.
 
 Decomposability of f is linear feasibility: f must lie in the span of the
-invariance-class indicators of the transforms.  The elimination works on
+invariance-class indicators of the transforms.  `split_over_classes`
+decides it by one of two routes, and either way returns verified parts or
+an exact dual functional.
+
+Two partitions a and b: a spanning forest of the class graph.  Its nodes
+are the a-classes and the b-classes, and each point x is an edge between
+a(x) and b(x).  f = u∘a + v∘b asks for node potentials with p(a(x)) +
+p(b(x)) = f(x) on every edge.  The graph is bipartite, so a cycle
+x_1 … x_2k alternates between the sides; with weights +1, −1, +1, … on its
+edges, every node on it meets two edges of opposite sign.  Hence the
+weights sum to 0 on every class, and the alternating sum of f around the
+cycle is the alternating sum of p(a(x)) + p(b(x)), which telescopes to 0.
+So a cycle whose alternating sum of f is nonzero is a dual functional.
+Conversely, set one root per tree to 0 and propagate p(far end) = f(x) −
+p(near end) along tree edges.  Every tree edge then holds, and a non-tree
+edge holds iff the cycle it closes through the tree has alternating sum 0.
+So the forest decides in O(N), and the first failing edge gives a dual
+with ±1 weights.  A simple cycle visits each class at most once and
+alternates sides, so its support is even and at most 2·min(K_a, K_b).
+
+Any other number of partitions: fraction-free elimination.  It works on
 integer rows (function values are scaled by a common denominator), tracks
 the row operations, and therefore hands out an exact dual functional
-whenever the system is infeasible.
-
-Rows are stored sparsely, as {column: nonzero int}: a class-incidence row
-has one 1 per partition plus its right side and one tracking entry, so the
-fraction-free elimination (integer row combinations, gcd-reduced) touches
-only nonzeros instead of m·(K + 1 + m) dense cells for m points and K
-classes.  Its pivot rule (smallest magnitude, first row on ties) and row
-arithmetic are those of the dense elimination it replaced, so solutions,
-duals and nullspace bases are the same.
+whenever the system is infeasible.  Rows are stored sparsely, as
+{column: nonzero int}: a class-incidence row has one 1 per partition plus
+its right side and one tracking entry, so the elimination (integer row
+combinations, gcd-reduced) touches only nonzeros instead of m·(K + 1 + m)
+dense cells for m points and K classes.  For n ≠ 2 partitions, and for
+`linear_feasibility` and `nullspace` called directly, its pivot rule
+(smallest magnitude, first row on ties) and row arithmetic are those of
+the dense elimination it replaced, so solutions, duals and nullspace bases
+are the same.
 """
 
 from __future__ import annotations
@@ -200,9 +220,12 @@ def verify_dual(partitions: Sequence[Partition], f: RationalFunction,
     if len(dual.weights) != len(f):
         return VerificationResult(False,
                                   "weight count differs from domain size")
-    if dual.pair(f) == 0:
-        return VerificationResult(False, "dual functional vanishes on f")
+    # both sides scaled to integers by positive factors: the pairing keeps
+    # its zero/nonzero answer
     weights, _ = integer_values(dual.weights)
+    values, _ = integer_values(f)
+    if not sum(w * v for w, v in zip(weights, values)):
+        return VerificationResult(False, "dual functional vanishes on f")
     for j, part in enumerate(partitions):
         sums = [0] * part.n_classes
         for w, c in zip(weights, part.class_of):
@@ -214,15 +237,85 @@ def verify_dual(partitions: Sequence[Partition], f: RationalFunction,
     return VerificationResult(True)
 
 
-def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
-                       ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
-    """Exact split of f into parts, part j constant on the classes of
-    partitions[j].
+def _split_two(a: Partition, b: Partition, f: RationalFunction
+               ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
+    """`split_over_classes` for two partitions, by a spanning forest of
+    the class graph.
 
-    The unknowns are one value per (part, class).  Returns the parts' value
-    tuples (some feasible point, with no minimality), or a DualCertificate
-    that `verify_dual` has accepted.
+    On numerators num, u(a(x)) + v(b(x)) = num[x] is one edge per point x
+    between a-class a(x) and b-class b(x).  A breadth-first forest sets
+    potentials (roots: a-classes in id order, at 0; edges in point order);
+    the first edge whose potentials disagree closes a cycle, and its
+    alternating ±1 weights are the dual.
     """
+    num, denom = integer_values(f)
+    ka = a.n_classes
+    # nodes: a-class i is i, b-class j is ka + j; edges[node] lists points
+    edges: List[List[int]] = [[] for _ in range(ka + b.n_classes)]
+    for x, (i, j) in enumerate(zip(a.class_of, b.class_of)):
+        edges[i].append(x)
+        edges[ka + j].append(x)
+    potential: List[Optional[int]] = [None] * len(edges)
+    # tree edge (point) and parent node of every non-root node
+    via = [-1] * len(edges)
+    parent = [-1] * len(edges)
+    for root in range(ka):
+        if potential[root] is not None:
+            continue
+        potential[root] = 0
+        queue = [root]
+        for node in queue:
+            # the far end of an edge from an a-class is a b-class
+            far, shift = (b.class_of, ka) if node < ka else (a.class_of, 0)
+            here = potential[node]
+            for x in edges[node]:
+                other = far[x] + shift
+                want = num[x] - here
+                seen = potential[other]
+                if seen is None:
+                    potential[other] = want
+                    via[other] = x
+                    parent[other] = node
+                    queue.append(other)
+                elif seen != want:
+                    return _cycle_dual(a, b, f, x, node, other, via, parent)
+    values = [Fraction(p, denom) for p in potential]
+    return [tuple(values[c] for c in a.class_of),
+            tuple(values[ka + c] for c in b.class_of)]
+
+
+def _cycle_dual(a: Partition, b: Partition, f: RationalFunction, x: int,
+                node: int, other: int, via: List[int], parent: List[int]
+                ) -> DualCertificate:
+    """±1 weights on the cycle that edge x closes between two tree nodes:
+    x, then the tree path from other to node, alternating in sign."""
+    def ancestors(n: int) -> List[int]:
+        path = [n]
+        while parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        return path
+
+    up, down = ancestors(other), ancestors(node)
+    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+        up.pop()
+        down.pop()
+    # up and down now end at their lowest common ancestor
+    path = [via[n] for n in up[:-1]] + [via[n] for n in reversed(down[:-1])]
+    one, minus = Fraction(1), Fraction(-1)
+    weights = [Fraction(0)] * len(f)
+    weights[x] = one
+    for k, y in enumerate(path):
+        weights[y] = minus if k % 2 == 0 else one
+    certificate = DualCertificate(RationalFunction(tuple(weights)))
+    verify_dual([a, b], f, certificate).require("dual certificate")
+    return certificate
+
+
+def _class_incidence(partitions: Sequence[Partition], f: RationalFunction
+                     ) -> Tuple[List[List[int]], List[int], int]:
+    """The linear system of `split_over_classes`: one unknown per (part,
+    class), columns in partition order; point x's row has a 1 at its class
+    in each partition, and the right side is f's integer numerators."""
     offsets = [0]
     for part in partitions:
         offsets.append(offsets[-1] + part.n_classes)
@@ -233,19 +326,41 @@ def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
         for j, part in enumerate(partitions):
             row[offsets[j] + part.class_of[x]] += 1
         rows.append(row)
-    rhs, denom = integer_values(f)
+    rhs, _ = integer_values(f)
+    return rows, rhs, ncols
+
+
+def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
+                       ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
+    """Exact split of f into parts, part j constant on the classes of
+    partitions[j].
+
+    Returns the parts' value tuples (some feasible point, with no
+    minimality), or a DualCertificate that `verify_dual` has accepted.
+    Two partitions go to `_split_two`; any other count to
+    `linear_feasibility` on `_class_incidence`.
+    """
+    if len(partitions) == 2:
+        return _split_two(*partitions, f)
+    rows, rhs, ncols = _class_incidence(partitions, f)
     solution, dual = linear_feasibility(rows, rhs, ncols)
     if dual is not None:
         certificate = DualCertificate(RationalFunction(
             tuple(Fraction(w) for w in dual)))
         verify_dual(partitions, f, certificate).require("dual certificate")
         return certificate
-    return [tuple(solution[offsets[j] + c] / denom for c in part.class_of)
-            for j, part in enumerate(partitions)]
+    _, denom = integer_values(f)
+    parts = []
+    offset = 0
+    for part in partitions:
+        parts.append(tuple(solution[offset + c] / denom
+                           for c in part.class_of))
+        offset += part.n_classes
+    return parts
 
 
 def oracle_decompose(system: CommutingSystem, f: RationalFunction):
-    """Decide decomposability by exact elimination.
+    """Decide decomposability exactly, by `split_over_classes`.
 
     Returns a verified Decomposition on feasibility, else a DualCertificate.
     The unknowns are one coefficient per (transform, invariance class).

@@ -18,7 +18,6 @@ from .cohomology import BoundedTransfer, ConstrainedObstruction, CycleObstructio
 from .core import (
     CommutingSystem,
     Decomposition,
-    NotCommutingError,
     RangeError,
     RationalFunction,
 )

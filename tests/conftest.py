@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from perdec import generators
 from perdec.core import RationalFunction
+from perdec.orbits import Partition
 
 
 @pytest.fixture
@@ -34,6 +35,23 @@ def pool_sizes(monkeypatch):
                         RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     return sizes
+
+
+def counted_partition(part: Partition, reads: list) -> Partition:
+    """part with class labels that add one to reads[0] per label read,
+    by index or by iteration."""
+
+    class CountedLabels(tuple):
+        def __iter__(self):
+            for label in super().__iter__():
+                reads[0] += 1
+                yield label
+
+        def __getitem__(self, index):
+            reads[0] += 1
+            return super().__getitem__(index)
+
+    return Partition(CountedLabels(part.class_of), part.representative)
 
 
 def rationals(lo: int = -30, hi: int = 30, dmax: int = 12):

@@ -704,7 +704,8 @@ def test_oracle_lattice_dual_with_one_weight_changed_is_rejected(tmp_path,
 def test_oracle_on_a_40_by_40_window_is_fast_and_its_dual_replays(tmp_path,
                                                                   capsys):
     # 1,600 points and 80 slice classes; the dense identity-tracked
-    # elimination needed about 3 s here, the sparse one about 0.1 s
+    # elimination needed about 3 s here, the spanning forest of the two
+    # slice partitions a few ms
     rng = random.Random(40)
     inst = {"kind": "lattice-window", "dims": [40, 40],
             "values": [str(rng.randint(-9, 9)) for _ in range(1600)]}

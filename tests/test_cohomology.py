@@ -25,8 +25,14 @@ from perdec.core import (
     identity,
     is_invariant,
 )
-from perdec.orbits import Partition, invariance_classes, joint_classes
-from tests.conftest import rationals, sized_maps, systems, value_functions
+from perdec.orbits import invariance_classes, joint_classes
+from tests.conftest import (
+    counted_partition,
+    rationals,
+    sized_maps,
+    systems,
+    value_functions,
+)
 
 
 def _all_cycles(t):
@@ -103,19 +109,8 @@ def test_solve_transfer_reads_each_class_label_a_bounded_number_of_times(
     # 1,000 two-cycles: one pass lists every class, not one pass per class
     reads = [0]
 
-    class CountedLabels(tuple):
-        def __iter__(self):
-            for label in super().__iter__():
-                reads[0] += 1
-                yield label
-
-        def __getitem__(self, index):
-            reads[0] += 1
-            return super().__getitem__(index)
-
     def counted_classes(t):
-        part = invariance_classes(t)
-        return Partition(CountedLabels(part.class_of), part.representative)
+        return counted_partition(invariance_classes(t), reads)
 
     monkeypatch.setattr(cohomology, "invariance_classes", counted_classes)
     size = 2000

@@ -34,7 +34,6 @@ from tests.conftest import (
     rationals,
     sized_maps,
     systems,
-    transform_tables,
     value_functions,
 )
 

@@ -1,13 +1,12 @@
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from perdec import generators, oracle
+from perdec import generators, lattice, oracle
 from perdec.core import (
     Decomposition,
     PreconditionError,
@@ -24,8 +23,9 @@ from perdec.oracle import (
     oracle_decompose,
     verify_dual,
 )
+from perdec.lattice import LatticeWindow, slice_partitions
 from perdec.orbits import invariance_classes
-from tests.conftest import systems, systems_with_functions
+from tests.conftest import counted_partition, systems, systems_with_functions
 
 
 def _ref_eliminate(rows, rhs):
@@ -216,17 +216,99 @@ def test_sparse_elimination_is_bit_identical_on_class_incidences(system,
                                                                  seed):
     f = generators.random_function(random.Random(f"incidence:{seed}"), system)
     partitions = [invariance_classes(t) for t in system.transforms]
-    problems = []
+    _assert_identical(*oracle._class_incidence(partitions, f))
 
-    def capture(rows, rhs, ncols):
-        problems.append((rows, rhs, ncols))
-        return linear_feasibility(rows, rhs, ncols)
 
-    # the rows, right side and column count split_over_classes builds
-    with mock.patch.object(oracle, "linear_feasibility", capture):
-        oracle.split_over_classes(partitions, f)
-    (problem,) = problems
-    _assert_identical(*problem)
+def _shifts(dims, axis):
+    """The unit shift along one axis of the torus Z_dims[0] x ...; its
+    invariance classes are the window's lines along that axis."""
+    stride = math.prod(dims[axis + 1:])
+    w = dims[axis]
+    return tuple(x + stride if x // stride % w < w - 1
+                 else x - (w - 1) * stride for x in range(math.prod(dims)))
+
+
+@st.composite
+def _two_transform_cases(draw):
+    """A two-transform system with a function on it: a random finite
+    system, two shifts of Z_m, the torus of a 2-D window (whose shifts
+    have the window's slices as classes), one map twice, or the identity
+    (all-singleton classes) against a random map.  Returns (system,
+    window or None, f)."""
+    kind = draw(st.sampled_from(
+        ["finite", "cyclic", "window", "twice", "singletons"]))
+    rng = random.Random(f"two:{kind}:{draw(st.integers(0, 10 ** 9))}")
+    window = None
+    if kind == "finite":
+        system = generators.random_commuting_system(rng, 2, 9)
+    elif kind == "cyclic":
+        m = rng.randint(1, 16)
+        system = validate_system([tuple((x + a) % m for x in range(m))
+                                  for a in (rng.randrange(m),
+                                            rng.randrange(m))], m)
+    elif kind == "window":
+        dims = (rng.randint(2, 6), rng.randint(2, 6))
+        system = validate_system([_shifts(dims, 0), _shifts(dims, 1)],
+                                 dims[0] * dims[1])
+    else:
+        (t,) = generators.random_commuting_system(rng, 1, 9).transforms
+        other = t if kind == "twice" else tuple(range(len(t)))
+        system = validate_system([t, other], len(t))
+    f = generators.random_function(rng, system)
+    if kind == "window":
+        window = LatticeWindow(dims, f.values)
+    return system, window, f
+
+
+@given(_two_transform_cases())
+def test_spanning_forest_agrees_with_the_elimination(case):
+    system, window, f = case
+    a, b = partitions = [invariance_classes(t) for t in system.transforms]
+    if window is not None:
+        assert slice_partitions(window) == partitions
+    got = oracle._split_two(a, b, f)
+    _, dual = linear_feasibility(*oracle._class_incidence(partitions, f))
+    assert isinstance(got, DualCertificate) == (dual is not None)
+    if isinstance(got, DualCertificate):
+        weights = got.weights.values
+        assert set(weights) <= {-1, 0, 1}
+        support = sum(1 for w in weights if w)
+        assert support % 2 == 0
+        assert support <= 2 * min(a.n_classes, b.n_classes)
+        assert verify_dual(partitions, f, got)
+    else:
+        parts = Decomposition(tuple(RationalFunction(p) for p in got))
+        assert verify_decomposition(system, f, parts)
+
+
+def test_two_partitions_skip_the_elimination_and_read_labels_linearly(
+        monkeypatch):
+    def refuse(rows, rhs, ncols):
+        raise AssertionError("two partitions reached linear_feasibility")
+
+    reads = [0]
+
+    def counted_slices(window):
+        return [counted_partition(part, reads)
+                for part in slice_partitions(window)]
+
+    monkeypatch.setattr(oracle, "linear_feasibility", refuse)
+    monkeypatch.setattr(lattice, "slice_partitions", counted_slices)
+    rng = random.Random(100)
+    dims = (100, 100)
+    size = dims[0] * dims[1]
+    rows = [Fraction(rng.randint(-9, 9)) for _ in range(dims[0])]
+    cols = [Fraction(rng.randint(-9, 9), 2) for _ in range(dims[1])]
+    planted = LatticeWindow(dims, tuple(r + c for r in rows for c in cols))
+    broken = list(planted.values)
+    broken[-1] += 1
+    for values, splits in ((planted.values, True), (broken, False)):
+        reads[0] = 0
+        got = lattice.lattice_oracle_decompose(LatticeWindow(dims, values))
+        assert isinstance(got, DualCertificate) != splits
+        # each point's two labels: once to list the edges, once per edge
+        # end in the forest, once to build a part or check the dual
+        assert reads[0] <= 6 * size
 
 
 def test_kernel_basis_spans_invariant_functions():

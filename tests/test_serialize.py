@@ -13,7 +13,6 @@ from perdec.core import Decomposition, NotCommutingError, RationalFunction
 from perdec.lattice import LatticeWindow
 from perdec.oracle import DualCertificate
 from perdec.serialize import (
-    Instance,
     ParseError,
     dumps,
     frac_from_json,
