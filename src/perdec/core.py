@@ -280,6 +280,20 @@ def mixed_corners(n: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
                  for mask in range(1 << n))
 
 
+def _mixed_difference(tables: Sequence[Sequence[int]],
+                      values: Sequence[int]) -> list[int]:
+    """D_1...D_n of integer values (D_j g = g o t_j - g), one unit-difference
+    pass per table, so O(nN) for n tables on N points.
+
+    The factors of a commuting system commute, so the pass order does not
+    change the result.
+    """
+    row = list(values)
+    for t in tables:
+        row = [row[y] - v for y, v in zip(t, row)]
+    return row
+
+
 def mixed_delta(system: CommutingSystem, powers: Sequence[int],
                 f: RationalFunction) -> RationalFunction:
     """Apply the difference of T_j^{k_j} for each j with k_j = powers[j].
@@ -290,13 +304,15 @@ def mixed_delta(system: CommutingSystem, powers: Sequence[int],
     if len(powers) != system.n:
         raise PreconditionError(
             f"expected {system.n} powers, got {len(powers)}")
-    g = f
+    tables = []
     for t, k in zip(system.transforms, powers):
         if k < 0:
             raise RangeError(f"negative power {k}")
         if k:
-            g = delta(power(t, k), g)
-    return g
+            tables.append(power(t, k))
+    f_num, denom = integer_values(f)
+    return RationalFunction(tuple(Fraction(v, denom)
+                                  for v in _mixed_difference(tables, f_num)))
 
 
 def is_invariant(t: Sequence[int], f: RationalFunction) -> bool:

@@ -7,12 +7,14 @@ admits l, l2 with h^k i^l z = i^{l2} z, the mixed difference of f taken
 with the heads at their exponents must vanish at z.  This is necessary for
 decomposability for every n.  On a finite domain it is also sufficient,
 and already its all-singleton instance, the mixed difference, decides it
-(`check_star`).  On windows of Z, where the maps are partial, the mixed
+(`check_star`), which is one O(nN) pass of `core`'s integer stencil over
+the map tables.  On windows of Z, where the maps are partial, the mixed
 difference alone is not sufficient and the multi-element partitions of
 `check_star_abelian` add conclusions of their own.
 
 Violations carry a full replayable instance; `replay_violation` re-derives
-both the premises and the nonzero value from scratch.
+both the premises and the nonzero value from scratch, in time polynomial
+in the domain size and the number of blocks whatever the exponents.
 """
 
 from __future__ import annotations
@@ -23,18 +25,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from typing import Optional, Sequence
 
-from . import kernels
 from .core import (
     CommutingSystem,
     PreconditionError,
     RangeError,
     RationalFunction,
+    _mixed_difference,
     integer_values,
     iterate,
     mixed_corners,
-    power_table,
     validate_system,
 )
 from .oracle import Decomposition, DualCertificate, oracle_decompose
@@ -98,9 +100,10 @@ def check_star(system: CommutingSystem,
 
     On a finite domain the condition holds exactly when the all-singleton
     mixed difference D_1...D_n f (D_j f = f o T_j - f) vanishes, so that is
-    the one partition scanned: every head at exponent 1, no premises, z
-    ascending.  The first nonzero point is returned as the all-singleton
-    instance; the other partitions can never add a violation.
+    all that is computed: n unit-difference passes over the map tables on
+    f's integer numerators, O(nN).  The first nonzero point z is returned
+    as the all-singleton instance (every head at exponent 1, no premises);
+    the other partitions can never add a violation.
 
     The proof that the mixed difference suffices on a finite domain is
     constructive and lives in `decomp.decompose_n`, which builds the parts
@@ -113,15 +116,14 @@ def check_star(system: CommutingSystem,
     if n == 0:
         return None
     f_num, denom = integer_values(f)
-    everywhere = (1 << system.size) - 1
-    hit = kernels.star_scan([power_table(t, 1) for t in system.transforms],
-                            [[everywhere, everywhere]] * n, [1] * n, 1, f_num)
-    if hit is None:
+    row = _mixed_difference(system.transforms, f_num)
+    z = next((z for z, value in enumerate(row) if value), None)
+    if z is None:
         return None
-    kvec, z, value = hit
     instance = StarInstance(tuple((j,) for j in range(n)), tuple(range(n)),
-                            kvec, (), z)
-    return StarViolation(instance, Fraction(value, denom), "MixedDeltaNonzero")
+                            (1,) * n, (), z)
+    return StarViolation(instance, Fraction(row[z], denom),
+                         "MixedDeltaNonzero")
 
 
 def _well_formed(inst: StarInstance, n: int, size: int) -> bool:
@@ -145,7 +147,12 @@ def _well_formed(inst: StarInstance, n: int, size: int) -> bool:
 
 def replay_violation(system: CommutingSystem, f: RationalFunction,
                      violation: StarViolation) -> bool:
-    """Re-derive a stored violation: structure, premises, and exact value."""
+    """Re-derive a stored violation: structure, premises, and exact value.
+
+    Each `iterate` call walks at most N steps, and the value is evaluated
+    block by block on at most N live points, so the replay costs
+    O(blocks * N^2 + premises * N) whatever the exponents.
+    """
     inst = violation.instance
     if not _well_formed(inst, system.n, system.size):
         return False
@@ -164,12 +171,22 @@ def replay_violation(system: CommutingSystem, f: RationalFunction,
         right = iterate(tables[i], l2, inst.z)
         if left != right:
             return False
-    value = Fraction(0)
-    for applied, positive in mixed_corners(len(inst.blocks)):
-        w = inst.z
-        for b in applied:
-            w = iterate(tables[inst.distinguished[b]], inst.exponents[b], w)
-        value += f[w] if positive else -f[w]
+    # the stencil as point -> integer coefficient: each block sends c at w
+    # to -c at w and +c at head^k(w), so at most N points stay live
+    coeffs = {inst.z: 1}
+    for h, k in zip(inst.distinguished, inst.exponents):
+        moved: dict[int, int] = {}
+        for w, c in coeffs.items():
+            moved[w] = moved.get(w, 0) - c
+            u = iterate(tables[h], k, w)
+            moved[u] = moved.get(u, 0) + c
+        coeffs = {w: c for w, c in moved.items() if c}
+    # one Fraction at the end: integer numerators over the lcm of the live
+    # points' denominators
+    ratios = [(c * f[w].numerator, f[w].denominator)
+              for w, c in coeffs.items()]
+    denom = lcm(*(q for _, q in ratios))
+    value = Fraction(sum(p * (denom // q) for p, q in ratios), denom)
     return value == violation.value and value != 0
 
 
@@ -213,7 +230,8 @@ def check_star_abelian(shifts: Sequence[int], f: RationalFunction,
     stencil stays in-window.  Premises become arithmetic: the head
     conclusion for block b at exponent k applies when each member shift
     a_i has a natural multiple equal to k * a_head, removing the exponent
-    search; heads of larger blocks run up to bound (default 2 * len(f)).
+    search; heads of larger blocks run up to bound (default 2 * len(f)),
+    which must be at least 1.
     The stored premise triples are (i, 0, multiple).  Translations of Z_m
     are total maps on a finite set, where `check_star` decides alone.
     """
@@ -221,11 +239,13 @@ def check_star_abelian(shifts: Sequence[int], f: RationalFunction,
     for a in shifts:
         if not isinstance(a, int) or isinstance(a, bool):
             raise RangeError(f"shift {a!r} is not an integer")
+    if bound is None:
+        bound = 2 * size
+    if bound < 1:
+        raise PreconditionError(f"bound must be >= 1, got {bound}")
     n = len(shifts)
     if n == 0:
         return None
-    if bound is None:
-        bound = 2 * size
     f_num, denom = integer_values(f)
     for blocks in _partitions(n):
         for heads in product(*blocks):

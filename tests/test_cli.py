@@ -647,6 +647,41 @@ def test_star_check_verify_replays_huge_exponents_quickly(tmp_path, capsys):
     assert code == 0 and doc["agrees"] is True
 
 
+@pytest.mark.parametrize("command", ["star-check", "decompose"])
+def test_verify_replays_many_blocks_in_polynomial_time(tmp_path, capsys,
+                                                       monkeypatch, command):
+    # 16 swaps of a 2-point set: a corner walk would visit 2^16 stencil
+    # points, the block-by-block replay at most N per block
+    n, size = 16, 2
+    inst = {"kind": "cyclic-group", "modulus": size, "shifts": [1] * n,
+            "values": ["0", "1"]}
+    path = _write(tmp_path, "inst.json", inst)
+    code, doc = _run(capsys, [command, path])
+    assert code == 1 and doc["certificate"]["premises"] == []
+    saved = _write(tmp_path, "cert.json", doc)
+    calls = [0]
+    iterate = perdec.star.iterate
+
+    def counted(*args):
+        calls[0] += 1
+        if calls[0] > n * size:  # blocks * N, and no premises
+            raise AssertionError("replay iterated past blocks * N")
+        return iterate(*args)
+
+    monkeypatch.setattr(perdec.star, "iterate", counted)
+    code, doc = _run(capsys, [command, path, "--verify", saved])
+    assert code == 0 and doc["agrees"] is True
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_star_check_rejects_a_bound_below_one(tmp_path, capsys, bound):
+    path = _write(tmp_path, "inst.json", Z_WINDOW_LINEAR)
+    code, err = _run(capsys, ["star-check", path, "--bound", bound])
+    assert code == 2 and err == {"error": f"bound must be >= 1, got {bound}"}
+    code, doc = _run(capsys, ["star-check", path, "--bound", "1"])
+    assert code == 1 and doc["result"] == "violation"
+
+
 def test_bounded_transfer_verify_replays_huge_exponents_quickly(tmp_path,
                                                                capsys):
     # t = s = swap: T^k S^l 0 = S^l2 0 needs k + l - l2 even, and the

@@ -21,6 +21,7 @@ from perdec.oracle import (
     linear_feasibility,
     nullspace,
     oracle_decompose,
+    split_over_classes,
     verify_dual,
 )
 from perdec.lattice import LatticeWindow, slice_partitions
@@ -309,6 +310,36 @@ def test_two_partitions_skip_the_elimination_and_read_labels_linearly(
         # each point's two labels: once to list the edges, once per edge
         # end in the forest, once to build a part or check the dual
         assert reads[0] <= 6 * size
+
+
+def test_three_partitions_bound_the_elimination_work(monkeypatch):
+    # a 10x10x10 window goes to linear_feasibility; every combined row
+    # passes through _reduce_row, so its rows and entries measure the work
+    # (19,809 rows and ~2.7e5 entries for both windows when pinned)
+    work = [0, 0]
+    reduce_row = oracle._reduce_row
+
+    def counted(row):
+        work[0] += 1
+        work[1] += len(row)
+        reduce_row(row)
+
+    monkeypatch.setattr(oracle, "_reduce_row", counted)
+    rng = random.Random(10)
+    dims = (10, 10, 10)
+    axes = [[Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+             for _ in range(w)] for w in dims]
+    planted = tuple(axes[0][a] + axes[1][b] + axes[2][c]
+                    for a in range(10) for b in range(10) for c in range(10))
+    broken = tuple(Fraction(rng.randint(-9, 9)) for _ in range(1000))
+    for values, splits in ((planted, True), (broken, False)):
+        work[:] = [0, 0]
+        window = LatticeWindow(dims, values)
+        got = split_over_classes(slice_partitions(window),
+                                 RationalFunction(values))
+        assert isinstance(got, DualCertificate) != splits
+        assert work[0] <= 30_000
+        assert work[1] <= 400_000
 
 
 def test_kernel_basis_spans_invariant_functions():

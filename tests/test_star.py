@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perdec import generators, kernels
+from perdec import generators
 from perdec.cli import run_command
 from perdec.core import (
     PreconditionError,
     RangeError,
     RationalFunction,
-    integer_values,
     power_table,
     validate_system,
 )
@@ -80,6 +79,15 @@ def test_replay_rejects_tampered_violations():
         dropped, viol.value, viol.kind))
 
 
+def test_check_star_values_are_exact_past_64_bits():
+    system = validate_system([(1, 0)], 2)
+    for big in (Fraction(1 << 62), Fraction(1 << 62, 3), Fraction(1, 1 << 62)):
+        viol = check_star(system, RationalFunction((Fraction(0), big)))
+        assert viol.instance.z == 0
+        assert viol.value == big
+        assert type(viol.value) is Fraction
+
+
 @given(systems(max_size=5), st.integers(0, 10 ** 9))
 @settings(max_examples=50, deadline=None)
 def test_check_star_passes_on_planted_decompositions(system, seed):
@@ -106,39 +114,15 @@ def _premise_witness(pow_tables, h, k, i, z, lmin, bound):
     return None
 
 
-def _definition_gates(pow_tables, h, members, top, lmin, bound):
-    """Premise bitmasks of one block for exponents 0..top, per point."""
-    size = len(pow_tables[h][0])
-    return [sum(1 << z for z in range(size)
-                if all(_premise_witness(pow_tables, h, k, i, z, lmin, bound)
-                       for i in members))
-            for k in range(top + 1)]
-
-
-def _uncapped_star_verdict(system, f, bound):
-    """check_star with every block's exponent running up to bound."""
-    pow_tables = [power_table(t, bound) for t in system.transforms]
-    f_num, _ = integer_values(f)
-    for blocks in _partitions(system.n):
-        for heads in product(*blocks):
-            gates = [_definition_gates(pow_tables, h,
-                                       [i for i in block if i != h],
-                                       bound, 0, bound)
-                     for block, h in zip(blocks, heads)]
-            if kernels.star_scan([pow_tables[h] for h in heads], gates,
-                                 [bound] * len(blocks), bound,
-                                 f_num) is not None:
-                return False
-    return True
-
-
-def _reference_check_star(system, f, bound, lmin):
+def _reference_check_star(system, f, bound, lmin, cap_singletons=True):
     """check_star from the definition: explicit premise loops, one-element
-    blocks at exponent 1, every other head exponent up to bound."""
+    blocks at exponent 1 (up to bound too unless cap_singletons), every
+    other head exponent up to bound."""
     pow_tables = [power_table(t, bound) for t in system.transforms]
     for blocks in _partitions(system.n):
         for heads in product(*blocks):
-            ranges = [range(1, 2 if len(block) == 1 else bound + 1)
+            ranges = [range(1, 2 if cap_singletons and len(block) == 1
+                            else bound + 1)
                       for block in blocks]
             for kvec in product(*ranges):
                 for z in range(system.size):
@@ -206,7 +190,9 @@ def test_replay_reduces_huge_exponents_by_the_orbit():
 def test_singleton_exponent_cap_preserves_the_verdict(case):
     system, f = case
     passed = check_star(system, f) is None
-    assert passed == _uncapped_star_verdict(system, f, 2 * system.size)
+    uncapped = _reference_check_star(system, f, 2 * system.size, 0,
+                                     cap_singletons=False)
+    assert passed == (uncapped is None)
 
 
 @given(st.integers(1, 6), st.data())
