@@ -353,8 +353,10 @@ def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
     parts = []
     offset = 0
     for part in partitions:
-        parts.append(tuple(solution[offset + c] / denom
-                           for c in part.class_of))
+        # one division per class; its points share the quotient
+        per_class = [q / denom
+                     for q in solution[offset:offset + part.n_classes]]
+        parts.append(tuple(per_class[c] for c in part.class_of))
         offset += part.n_classes
     return parts
 

@@ -2,8 +2,10 @@
 
 Rationals travel as strings "p" or "p/q" in lowest terms; no floating
 point appears anywhere.  Parsing accepts exactly the ASCII forms
--?[0-9]+ and -?[0-9]+/[0-9]+ (lowest terms not required).  Every result
-type round-trips: parse_result(result_to_json(r)) == r.
+-?[0-9]+ and -?[0-9]+/[0-9]+ (lowest terms not required).  A value list
+parses each of its distinct literals once: invariant parts, duals and
+planted values repeat a few literals many times.  Every result type
+round-trips: parse_result(result_to_json(r)) == r.
 """
 
 from __future__ import annotations
@@ -78,10 +80,27 @@ def values_to_json(f: RationalFunction) -> List[str]:
 
 
 def values_from_json(items: Any, path: str = "values") -> RationalFunction:
+    """A nonempty list of rationals; each distinct string literal of the
+    list is parsed once and its repeats reuse that Fraction.
+
+    Only str items share the memo: True, 1 and 1.0 hash alike, and the
+    non-str ones go to `frac_from_json` one by one, so a bool or float
+    item is still refused.  A bad literal raises before it could be
+    stored, at its first index.
+    """
     if not isinstance(items, list) or not items:
         raise ParseError("expected a nonempty list of rationals", path)
-    return RationalFunction(tuple(
-        frac_from_json(v, f"{path}[{i}]") for i, v in enumerate(items)))
+    parsed = {}
+    values = []
+    for i, v in enumerate(items):
+        if type(v) is str:
+            q = parsed.get(v)
+            if q is None:
+                q = parsed[v] = frac_from_json(v, f"{path}[{i}]")
+        else:
+            q = frac_from_json(v, f"{path}[{i}]")
+        values.append(q)
+    return RationalFunction(tuple(values))
 
 
 def _rational_strings(items: Any, path: str) -> tuple[str, ...]:

@@ -221,6 +221,22 @@ def _shift_stencil(values: Sequence, corners: Sequence[tuple[int, bool]],
     return total
 
 
+def _window_violation(f_num: Sequence[int], denom: int,
+                      offsets: Sequence[int], blocks: tuple, heads: tuple,
+                      kvec: tuple, premises: tuple
+                      ) -> Optional[StarViolation]:
+    """First z whose in-window stencil for the given factor offsets is
+    nonzero, as a violation of that instance; None when all vanish."""
+    corners = _shift_corners(offsets)
+    for z in range(len(f_num)):
+        value = _shift_stencil(f_num, corners, z)
+        if value:
+            instance = StarInstance(blocks, heads, kvec, premises, z)
+            return StarViolation(instance, Fraction(value, denom),
+                                 "MixedDeltaNonzero")
+    return None
+
+
 def check_star_abelian(shifts: Sequence[int], f: RationalFunction,
                        bound: Optional[int] = None) -> Optional[StarViolation]:
     """Partition-condition verdict on a window of Z (indices 0..len(f)-1)
@@ -247,7 +263,15 @@ def check_star_abelian(shifts: Sequence[int], f: RationalFunction,
     if n == 0:
         return None
     f_num, denom = integer_values(f)
-    for blocks in _partitions(n):
+    # the all-singleton partition comes first in `_partitions` order and
+    # needs no premises: scanning it before the Bell(n) set partitions are
+    # built keeps a failing window's verdict free of that enumeration
+    singletons = tuple((i,) for i in range(n))
+    violation = _window_violation(f_num, denom, shifts, singletons,
+                                  tuple(range(n)), (1,) * n, ())
+    if violation is not None:
+        return violation
+    for blocks in _partitions(n)[1:]:
         for heads in product(*blocks):
             kmax = [1 if len(block) == 1 else bound for block in blocks]
             nb = len(blocks)
@@ -268,16 +292,12 @@ def check_star_abelian(shifts: Sequence[int], f: RationalFunction,
                         break
                 if not gated:
                     continue
-                corners = _shift_corners(
-                    [kvec[b] * shifts[heads[b]] for b in range(nb)])
-                for z in range(size):
-                    value = _shift_stencil(f_num, corners, z)
-                    if value:
-                        instance = StarInstance(
-                            blocks, tuple(heads), tuple(kvec),
-                            tuple(sorted(premises)), z)
-                        return StarViolation(instance, Fraction(value, denom),
-                                             "MixedDeltaNonzero")
+                violation = _window_violation(
+                    f_num, denom,
+                    [kvec[b] * shifts[heads[b]] for b in range(nb)],
+                    blocks, heads, kvec, tuple(sorted(premises)))
+                if violation is not None:
+                    return violation
     return None
 
 

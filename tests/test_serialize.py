@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from perdec import serialize
 from perdec.cohomology import (
     BoundedTransfer,
     ConstrainedObstruction,
@@ -86,6 +88,69 @@ def test_values_round_trip_and_errors():
     with pytest.raises(ParseError) as exc:
         values_from_json(["1", 2.5], path="values")
     assert "values[1]" in str(exc.value)
+
+
+# several spellings of a few values, drawn many times over a list: a
+# memoised parse must still give each item the value of its own literal
+_SPELLINGS = st.sampled_from(["1/2", "2/4", "-0", "0", "0/7", "007", "7",
+                              "14/2", "-3/6", "-1/2"])
+_GOOD_LITERALS = _LITERALS.filter(
+    lambda s: "/" not in s or int(s.partition("/")[2]) != 0)
+
+
+@given(st.lists(st.one_of(_SPELLINGS, _GOOD_LITERALS,
+                          st.integers(-10 ** 6, 10 ** 6)),
+                min_size=1, max_size=5), st.data())
+def test_values_from_json_equals_parsing_every_item(pool, data):
+    items = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                               max_size=60))
+    got = values_from_json(items)
+    assert got == RationalFunction(tuple(frac_from_json(v) for v in items))
+    assert all(type(q) is Fraction for q in got.values)
+
+
+def test_values_from_json_errors_name_their_first_bad_index():
+    with pytest.raises(ParseError) as exc:
+        values_from_json(["1/2", "1/2", "1/2", "x"], path="values")
+    assert exc.value.path == "values[3]"
+    with pytest.raises(ParseError) as exc:
+        values_from_json(["1", "3/0", "2", "3/0"], path="values")
+    assert exc.value.path == "values[1]"
+    # True, 1 and 1.0 hash alike: a parsed "1" or 1 must not let them through
+    for first, bad in product(("1", 1), (True, 1.0)):
+        with pytest.raises(ParseError) as exc:
+            values_from_json([first, bad], path="values")
+        assert str(exc.value) == (
+            f"values[1]: expected exact rational, got {bad!r}")
+    assert values_from_json(["1", 1]) == RationalFunction((Fraction(1),) * 2)
+
+
+def _counting_frac_from_json(monkeypatch):
+    calls = [0]
+    original = serialize.frac_from_json
+
+    def counted(value, path="value"):
+        calls[0] += 1
+        return original(value, path)
+
+    monkeypatch.setattr(serialize, "frac_from_json", counted)
+    return calls
+
+
+def test_values_from_json_parses_each_distinct_literal_once(monkeypatch):
+    calls = _counting_frac_from_json(monkeypatch)
+    f = values_from_json([("1/2", "-1", "0")[i % 3] for i in range(10000)])
+    assert len(f) == 10000 and f[9999] == Fraction(1, 2)
+    assert calls[0] <= 3
+
+
+def test_parse_result_parses_each_distinct_part_literal_once(monkeypatch):
+    calls = _counting_frac_from_json(monkeypatch)
+    doc = {"result": "decomposition",
+           "parts": [["1/2", "-1", "0"] * 2000, ["3", "-3", "0"] * 2000]}
+    d = parse_result(doc)
+    assert [len(p) for p in d.parts] == [6000, 6000]
+    assert calls[0] <= 6
 
 
 def _finite_doc():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perdec import generators
+from perdec import generators, star
 from perdec.cli import run_command
 from perdec.core import (
     PreconditionError,
@@ -229,6 +229,25 @@ def test_abelian_window_shift_two():
     assert replay_abelian_violation((2,), f, viol)
     periodic = RationalFunction(tuple(Fraction(x % 2) for x in range(5)))
     assert check_star_abelian((2,), periodic) is None
+
+
+def test_abelian_failing_singleton_stencil_skips_the_partitions(
+        monkeypatch):
+    # x^16 has 16th difference 16! at z = 0; the verdict needs none of the
+    # Bell(16) ~ 1e10 set partitions, so building them is refused here
+    def refuse(n):
+        raise AssertionError(f"_partitions({n}) built for a failing window")
+
+    monkeypatch.setattr(star, "_partitions", refuse)
+    shifts = (1,) * 16
+    f = RationalFunction(tuple(Fraction(x ** 16) for x in range(18)))
+    start = time.perf_counter()
+    viol = check_star_abelian(shifts, f)
+    assert viol is not None
+    assert viol.instance.exponents == (1,) * 16 and viol.instance.z == 0
+    assert viol.value == 20922789888000
+    assert replay_abelian_violation(shifts, f, viol)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_abelian_replay_rejects_out_of_window_points():
