@@ -11,12 +11,10 @@ from .cohomology import (
     BoundedTransfer,
     ConstrainedObstruction,
     CycleObstruction,
-    TransferSolution,
     partial_sum_bound,
     solve_bounded_transfer,
     solve_transfer,
     solve_transfer_constrained,
-    solve_transfer_pair,
 )
 from .core import (
     CommutingSystem,
@@ -33,7 +31,6 @@ from .core import (
     delta,
     identity,
     is_invariant,
-    mixed_delta,
     power,
     validate_system,
     validate_transform,
@@ -47,7 +44,7 @@ from .lattice import (
     mixed_delta_witness,
     z_window_counterexample,
 )
-from .oracle import DualCertificate, kernel_basis, linear_feasibility, oracle_decompose
+from .oracle import DualCertificate, linear_feasibility, oracle_decompose
 from .orbits import (
     Partition,
     Relation,
@@ -90,7 +87,6 @@ __all__ = [
     "SearchReport",
     "StarInstance",
     "StarViolation",
-    "TransferSolution",
     "VerificationResult",
     "as_fraction",
     "check_star",
@@ -108,11 +104,9 @@ __all__ = [
     "invariance_classes",
     "is_invariant",
     "joint_classes",
-    "kernel_basis",
     "lattice_decompose",
     "lattice_oracle_decompose",
     "linear_feasibility",
-    "mixed_delta",
     "mixed_delta_witness",
     "oracle_decompose",
     "partial_sum_bound",
@@ -124,7 +118,6 @@ __all__ = [
     "solve_bounded_transfer",
     "solve_transfer",
     "solve_transfer_constrained",
-    "solve_transfer_pair",
     "validate_system",
     "validate_transform",
     "verify_decomposition",

@@ -5,6 +5,10 @@ the output), 2 = input error.  With --verify CERTFILE a subcommand re-checks
 a previously emitted result file against the instance instead of recomputing,
 with the library's one checker for that certificate type, exiting 0 when it
 replays and 1 when it does not.
+
+Every instance kind is a list of total maps (`serialize.Instance.maps`),
+so `oracle` and its --verify take one path on all four kinds; the kind
+only picks the output document (a lattice window's parts carry its dims).
 """
 
 from __future__ import annotations
@@ -25,21 +29,18 @@ from .core import (
     NotCommutingError,
     PreconditionError,
     RangeError,
-    RationalFunction,
     VerificationResult,
-    verify_decomposition,
+    verify_parts,
 )
 from .decomp import decompose_n
 from .lattice import (
     LatticeWindow,
     lattice_decompose,
-    lattice_oracle_decompose,
     mixed_delta_witness,
-    slice_partitions,
     verify_lattice_parts,
     verify_point_violation,
 )
-from .oracle import DualCertificate, oracle_decompose, verify_dual
+from .oracle import DualCertificate, verified_split, verify_dual
 from .orbits import invariance_classes
 from .serialize import Instance, ParseError, dumps, load_json, parse_instance
 from .star import (
@@ -114,10 +115,7 @@ def _tuple_of(result: Any, kind: type) -> bool:
 def _verify_decomposition_result(inst: Instance,
                                  result: Any) -> VerificationResult:
     if isinstance(result, Decomposition):
-        if len(result.parts) != inst.system.n:
-            return VerificationResult(
-                False, "part count differs from transform count")
-        return verify_decomposition(inst.system, inst.f, result)
+        return verify_parts(inst.maps(), inst.f, result.parts)
     if isinstance(result, StarViolation):
         return _replayed(replay_violation(inst.system, inst.f, result))
     return _unexpected(result, "decompose")
@@ -144,18 +142,13 @@ def _verify_star_result(inst: Instance, result: Any) -> VerificationResult:
 
 
 def _verify_oracle_result(inst: Instance, result: Any) -> VerificationResult:
-    if inst.kind == "lattice-window":
-        if _tuple_of(result, LatticeWindow):
-            return verify_lattice_parts(inst.window, result)
-        if isinstance(result, DualCertificate):
-            return verify_dual(slice_partitions(inst.window),
-                               RationalFunction(inst.window.values), result)
-        return _unexpected(result, "window oracle")
-    if isinstance(result, Decomposition):
-        return _verify_decomposition_result(inst, result)
     if isinstance(result, DualCertificate):
-        return verify_dual([invariance_classes(t)
-                            for t in inst.system.transforms], inst.f, result)
+        return verify_dual([invariance_classes(t) for t in inst.maps()],
+                           inst.f, result)
+    if inst.window is not None and _tuple_of(result, LatticeWindow):
+        return verify_lattice_parts(inst.window, result)
+    if inst.window is None and isinstance(result, Decomposition):
+        return verify_parts(inst.maps(), inst.f, result.parts)
     return _unexpected(result, "oracle")
 
 
@@ -219,9 +212,8 @@ def _cmd_decompose(args) -> Outcome:
         return _verify_decomposition_result(inst,
                                             _read_result(args.verify))
     outcome = decompose_n(inst.system.transforms, inst.f)
-    if isinstance(outcome, Decomposition):
-        return 0, serialize.decomposition_to_json(outcome)
-    return 1, serialize.violation_to_json(outcome)
+    return ((0 if isinstance(outcome, Decomposition) else 1),
+            serialize.result_to_json(outcome))
 
 
 def _star_outcome(inst: Instance, bound: Optional[int]) -> Any:
@@ -253,20 +245,15 @@ def _cmd_star_check(args) -> Outcome:
 
 def _cmd_oracle(args) -> Outcome:
     inst = _read_instance(args.instance)
-    if inst.kind == "z-window":
-        raise ParseError("the oracle needs total self-maps; z-window shifts "
-                         "are partial — use star-check")
     if args.verify:
         return _verify_oracle_result(inst, _read_result(args.verify))
+    outcome = verified_split(inst.maps(), inst.f)
+    if isinstance(outcome, DualCertificate):
+        return 1, serialize.dual_to_json(outcome)
     if inst.kind == "lattice-window":
-        outcome = lattice_oracle_decompose(inst.window)
-        if isinstance(outcome, DualCertificate):
-            return 1, serialize.dual_to_json(outcome)
-        return 0, serialize.lattice_parts_to_json(inst.window.dims, outcome)
-    outcome = oracle_decompose(inst.system, inst.f)
-    if isinstance(outcome, Decomposition):
-        return 0, serialize.decomposition_to_json(outcome)
-    return 1, serialize.dual_to_json(outcome)
+        return 0, serialize.lattice_parts_to_json(inst.window.dims,
+                                                  outcome.parts)
+    return 0, serialize.decomposition_to_json(outcome)
 
 
 def _cmd_lattice_decompose(args) -> Outcome:
@@ -293,9 +280,8 @@ def _cmd_bounded_transfer(args) -> Outcome:
         return _verify_bounded_result(inst, _read_result(args.verify))
     t, s = inst.system.transforms
     outcome = solve_bounded_transfer(t, s, inst.f)
-    if isinstance(outcome, ConstrainedObstruction):
-        return 1, serialize.constrained_obstruction_to_json(outcome)
-    return 0, serialize.bounded_to_json(outcome)
+    return ((1 if isinstance(outcome, ConstrainedObstruction) else 0),
+            serialize.result_to_json(outcome))
 
 
 def _cmd_search(args) -> Outcome:

@@ -1,6 +1,6 @@
 """Solvers for the transfer equation h(Tx) - h(x) = g(x) and variants.
 
-All four solvers work directly on the functional-graph structure of the
+All three solvers work directly on the functional-graph structure of the
 acting map (orbit walks, cycle sums, quotients), so none of them needs an
 exponent search bound.  Absence is always certified: the caller gets the
 offending cycle or self-relation together with its nonzero sum.
@@ -46,14 +46,6 @@ class ConstrainedObstruction:
     l: int
     l2: int
     total: Fraction
-
-
-@dataclass(frozen=True)
-class TransferSolution:
-    """solution g and the invariant correction term added to the right side."""
-
-    solution: RationalFunction
-    correction: RationalFunction
 
 
 @dataclass(frozen=True)
@@ -142,31 +134,6 @@ def _quotient(t: Sequence[int], s: Sequence[int]):
     induced = tuple(part.class_of[t[part.representative[c]]]
                     for c in range(part.n_classes))
     return part, induced
-
-
-def solve_transfer_pair(
-    t: Sequence[int], s: Sequence[int], g: RationalFunction
-) -> TransferSolution:
-    """Solve h(t(x)) - h(x) = g(x) + gamma(x) with h, gamma both s-invariant
-    and gamma also t-invariant.
-
-    Works on the quotient by s-classes, where t acts as an induced map, and
-    lifts the solution back.  gamma is forced: on each joint (s, t)-class
-    it is minus the average of g around the induced cycle.
-    """
-    _check_commute(t, s)
-    if not is_invariant(s, g):
-        raise PreconditionError("right side is not s-invariant")
-    part, induced = _quotient(t, s)
-    g_q = RationalFunction(tuple(g[rep] for rep in part.representative))
-    gamma_q = -cycle_average(induced, g_q)
-    h_q = solve_transfer(induced, g_q + gamma_q)
-    if isinstance(h_q, CycleObstruction):
-        raise InternalContractViolation(
-            "forced correction failed on the quotient")
-    values = tuple(h_q[part.class_of[x]] for x in range(len(g)))
-    gamma = tuple(gamma_q[part.class_of[x]] for x in range(len(g)))
-    return TransferSolution(RationalFunction(values), RationalFunction(gamma))
 
 
 def solve_transfer_constrained(

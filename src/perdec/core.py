@@ -112,14 +112,6 @@ def iterate(t: Sequence[int], steps: int, x: int) -> int:
     return x
 
 
-def power_table(t: Sequence[int], kmax: int) -> list[tuple[int, ...]]:
-    """Tables of t^0 .. t^kmax, computed incrementally."""
-    out = [tuple(range(len(t)))]
-    for _ in range(kmax):
-        out.append(compose(t, out[-1]))
-    return out
-
-
 def commute_witness(t: Sequence[int], s: Sequence[int]) -> Optional[int]:
     """First x with t(s(x)) != s(t(x)), or None when the maps commute."""
     for x in range(len(t)):
@@ -294,27 +286,6 @@ def _mixed_difference(tables: Sequence[Sequence[int]],
     return row
 
 
-def mixed_delta(system: CommutingSystem, powers: Sequence[int],
-                f: RationalFunction) -> RationalFunction:
-    """Apply the difference of T_j^{k_j} for each j with k_j = powers[j].
-
-    A zero power skips its factor entirely (the empty product of operators
-    is the identity, not the zero map).
-    """
-    if len(powers) != system.n:
-        raise PreconditionError(
-            f"expected {system.n} powers, got {len(powers)}")
-    tables = []
-    for t, k in zip(system.transforms, powers):
-        if k < 0:
-            raise RangeError(f"negative power {k}")
-        if k:
-            tables.append(power(t, k))
-    f_num, denom = integer_values(f)
-    return RationalFunction(tuple(Fraction(v, denom)
-                                  for v in _mixed_difference(tables, f_num)))
-
-
 def is_invariant(t: Sequence[int], f: RationalFunction) -> bool:
     """True iff f(t(x)) = f(x) for every x."""
     return all(f.values[t[x]] == f.values[x] for x in range(len(f)))
@@ -358,14 +329,49 @@ class VerificationResult:
                 f"{what} failed verification: {self.reason}")
 
 
+def first_parts_defect(tables: Sequence[Sequence[int]], f: Sequence[Fraction],
+                       parts: Sequence[Sequence[Fraction]]
+                       ) -> Optional[tuple[str, ...]]:
+    """First defect of parts as a split of f, part j invariant under the
+    map tables[j]: ("LengthMismatch", j), then ("SumMismatch", x), then
+    ("NotInvariant", j, x) where part j differs at x and at tables[j][x];
+    None when there is none.  A fixed point constrains nothing, so a
+    window shift completed by fixed points checks its in-window pairs.
+    """
+    for j, part in enumerate(parts):
+        if len(part) != len(f):
+            return ("LengthMismatch", j)
+    columns = [integer_ratios(part) for part in parts]
+    x = first_sum_mismatch(integer_ratios(f), columns)
+    if x is not None:
+        return ("SumMismatch", x)
+    for j, (t, ratios) in enumerate(zip(tables, columns)):
+        moved = [ratios[y] for y in t]
+        if moved != ratios:
+            x = next(x for x, (a, b) in enumerate(zip(moved, ratios))
+                     if a != b)
+            return ("NotInvariant", j, x)
+    return None
+
+
+def verify_parts(tables: Sequence[Sequence[int]], f: Sequence[Fraction],
+                 parts: Sequence[Sequence[Fraction]]) -> VerificationResult:
+    """One part per map, checked by `first_parts_defect`; the reason tag
+    is "LengthMismatch(j)", "SumMismatch(x)" or "NotInvariant(j,x)"."""
+    if len(parts) != len(tables):
+        return VerificationResult(False,
+                                  "part count differs from transform count")
+    defect = first_parts_defect(tables, f, parts)
+    if defect is None:
+        return VerificationResult(True)
+    tag, *where = defect
+    return VerificationResult(False, f"{tag}({','.join(map(str, where))})")
+
+
 def verify_decomposition(system: CommutingSystem, f: RationalFunction,
                          decomposition: Decomposition) -> VerificationResult:
-    """Exact check that parts sum to f and part j is T_j-invariant.
-
-    Returns a truthy result on success; on failure the reason tag is
-    "LengthMismatch(j)", "SumMismatch(x)" or "NotInvariant(j,x)" for the
-    first defect found.
-    """
+    """Exact check that parts sum to f and part j is T_j-invariant, by
+    `verify_parts` on the system's tables."""
     if len(decomposition.parts) != system.n:
         raise PreconditionError(
             f"decomposition has {len(decomposition.parts)} parts, "
@@ -374,17 +380,4 @@ def verify_decomposition(system: CommutingSystem, f: RationalFunction,
         raise PreconditionError("empty decomposition has no ambient size")
     if len(f) != system.size:
         raise PreconditionError("function length does not match the domain")
-    for j, part in enumerate(decomposition.parts):
-        if len(part) != system.size:
-            return VerificationResult(False, f"LengthMismatch({j})")
-    columns = [integer_ratios(part) for part in decomposition.parts]
-    x = first_sum_mismatch(integer_ratios(f), columns)
-    if x is not None:
-        return VerificationResult(False, f"SumMismatch({x})")
-    for j, (t, ratios) in enumerate(zip(system.transforms, columns)):
-        moved = [ratios[y] for y in t]
-        if moved != ratios:
-            x = next(x for x, (a, b) in enumerate(zip(moved, ratios))
-                     if a != b)
-            return VerificationResult(False, f"NotInvariant({j},{x})")
-    return VerificationResult(True)
+    return verify_parts(system.transforms, f, decomposition.parts)

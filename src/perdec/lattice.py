@@ -3,6 +3,10 @@
 Distinct unit shifts are unrelated: a word in two of them can only revisit
 a point if the exponents match exactly, so no self-relations exist and the
 vanishing mixed difference alone already characterizes decomposability.
+A window is a list of total maps (`LatticeWindow.axis_maps`): the shift
+along axis j fixes the points on the upper face of that axis.  A fixed
+point constrains no invariant function, so the witness, the oracle and
+the parts verifier are `core`'s and `oracle`'s on those tables.
 The decomposition projects, subtracts and repeats, like `decomp.decompose_n`:
 the part of each axis but the first is the rest read off one base slice.
 """
@@ -12,24 +16,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .core import (
+    CommutingSystem,
     InternalContractViolation,
     PreconditionError,
     RangeError,
     RationalFunction,
     VerificationResult,
     as_fraction,
-    first_sum_mismatch,
-    integer_ratios,
+    first_parts_defect,
 )
-from .oracle import DualCertificate, split_over_classes
-from .orbits import Partition
+from .oracle import DualCertificate, verified_split
 from .star import (
     StarViolation,
     _shift_corners,
     _shift_stencil,
+    check_star,
     check_star_abelian,
 )
 
@@ -63,10 +67,14 @@ class LatticeWindow:
 
     @property
     def size(self) -> int:
-        return _prod(self.dims)
+        return len(self.values)
 
     def strides(self) -> tuple[int, ...]:
-        return _strides(self.dims)
+        """Row-major strides, last axis fastest."""
+        out = [1] * len(self.dims)
+        for i in range(len(self.dims) - 2, -1, -1):
+            out[i] = out[i + 1] * self.dims[i + 1]
+        return tuple(out)
 
     def get(self, coords: Sequence[int]) -> Fraction:
         return self.values[self.index(coords)]
@@ -82,10 +90,19 @@ class LatticeWindow:
         return idx
 
     def coords(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for w, st in zip(self.dims, self.strides()):
-            out.append(idx // st % w)
-        return tuple(out)
+        return tuple(idx // st % w for w, st in zip(self.dims, self.strides()))
+
+    def axis_maps(self) -> tuple[tuple[int, ...], ...]:
+        """Per axis j, the table of x -> x + e_j on row-major indices, with
+        x itself when x_j = w_j - 1.  Each map moves only its own
+        coordinate, so they commute."""
+        maps = []
+        for w, stride in zip(self.dims, self.strides()):
+            t = list(range(stride, self.size + stride))
+            for top in range((w - 1) * stride, self.size, w * stride):
+                t[top:top + stride] = range(top, top + stride)
+            maps.append(tuple(t))
+        return tuple(maps)
 
     def restrict(self, new_dims: Sequence[int]) -> "LatticeWindow":
         """Sub-window keeping coordinates below new_dims on every axis."""
@@ -95,36 +112,6 @@ class LatticeWindow:
             raise RangeError("restriction must shrink within the window")
         return LatticeWindow(nd, tuple(self.get(c) for c
                                        in product(*map(range, nd))))
-
-
-def _prod(dims: Sequence[int]) -> int:
-    out = 1
-    for w in dims:
-        out *= w
-    return out
-
-
-def _strides(dims: Sequence[int]) -> tuple[int, ...]:
-    """Row-major strides, last axis fastest."""
-    out = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        out[i] = out[i + 1] * dims[i + 1]
-    return tuple(out)
-
-
-def _mixed_delta_witness(f: LatticeWindow) -> Optional[tuple[int, ...]]:
-    """First point (lexicographic) where the full mixed difference is nonzero."""
-    strides = f.strides()
-    # on row-major indices the axis shifts are translations by the
-    # strides; below every upper edge each corner stays inside the window
-    corners = _shift_corners(strides)
-    for idx in range(f.size):
-        base = tuple(idx // st % w for w, st in zip(f.dims, strides))
-        if any(c + 1 >= w for c, w in zip(base, f.dims)):
-            continue
-        if _shift_stencil(f.values, corners, idx) != 0:
-            return base
-    return None
 
 
 def verify_point_violation(f: LatticeWindow,
@@ -145,10 +132,18 @@ def verify_point_violation(f: LatticeWindow,
 
 def mixed_delta_witness(f: LatticeWindow) -> Optional[tuple[int, ...]]:
     """First point where the d-fold mixed forward difference is nonzero,
-    or None when it vanishes wherever evaluable."""
-    point = _mixed_delta_witness(f)
-    if point is not None:
-        verify_point_violation(f, point).require("point certificate")
+    or None when it vanishes wherever evaluable.
+
+    This is `check_star` on the axis maps: on an upper face of axis j the
+    axis-j difference is 0, and it stays 0 because no other map moves
+    coordinate j, so the first nonzero point is a stencil base.
+    """
+    violation = check_star(CommutingSystem(f.size, f.axis_maps()),
+                           RationalFunction(f.values))
+    if violation is None:
+        return None
+    point = f.coords(violation.instance.z)
+    verify_point_violation(f, point).require("point certificate")
     return point
 
 
@@ -181,7 +176,7 @@ def lattice_decompose(f: LatticeWindow,
     parts.reverse()
     if verify_lattice_parts(f, parts):
         return tuple(parts)
-    witness = _mixed_delta_witness(f)
+    witness = mixed_delta_witness(f)
     if witness is None:
         raise InternalContractViolation(
             "slice construction failed verification but the mixed "
@@ -192,39 +187,20 @@ def lattice_decompose(f: LatticeWindow,
 def verify_lattice_parts(f: LatticeWindow,
                          parts: Sequence[LatticeWindow]) -> VerificationResult:
     """Check a lattice decomposition: one part per axis, shaped like f,
-    summing to f, part j constant along axis j."""
+    summing to f, part j constant along axis j (`core.first_parts_defect`
+    on the axis maps)."""
     if len(parts) != len(f.dims) or any(p.dims != f.dims for p in parts):
         return VerificationResult(False, "parts do not match the window shape")
-    columns = [integer_ratios(p.values) for p in parts]
-    idx = first_sum_mismatch(integer_ratios(f.values), columns)
-    if idx is not None:
+    defect = first_parts_defect(f.axis_maps(), f.values,
+                                [p.values for p in parts])
+    if defect is None:
+        return VerificationResult(True)
+    if defect[0] == "SumMismatch":
         return VerificationResult(
-            False, f"parts do not sum to f at {f.coords(idx)}")
-    for j, (ratios, w, stride) in enumerate(zip(columns, f.dims,
-                                                f.strides())):
-        # a block of w lines along axis j: each point but the last line's
-        # must equal its successor one stride on
-        block = w * stride
-        for start in range(0, f.size, block):
-            end = start + block - stride
-            if ratios[start:end] != ratios[start + stride:end + stride]:
-                idx = next(idx for idx in range(start, end)
-                           if ratios[idx] != ratios[idx + stride])
-                return VerificationResult(False, f"part {j} varies along "
-                                                 f"axis {j} at {f.coords(idx)}")
-    return VerificationResult(True)
-
-
-def slice_partitions(f: LatticeWindow) -> List[Partition]:
-    """Per axis j, the window's lines along axis j as a partition.
-
-    Functions constant along axis j are exactly those constant on these
-    classes.  A line is labelled by its point with coordinate j zeroed, so
-    class ids run over the other coordinates in row-major order.
-    """
-    return [Partition.from_labels([idx - idx // stride % w * stride
-                                   for idx in range(f.size)])
-            for w, stride in zip(f.dims, f.strides())]
+            False, f"parts do not sum to f at {f.coords(defect[1])}")
+    _, j, idx = defect
+    return VerificationResult(False, f"part {j} varies along axis {j} at "
+                                     f"{f.coords(idx)}")
 
 
 def lattice_oracle_decompose(
@@ -232,17 +208,14 @@ def lattice_oracle_decompose(
 ) -> Union[Tuple[LatticeWindow, ...], DualCertificate]:
     """Window-level linear feasibility, independent of the construction.
 
-    Unknowns are one value per (axis, complement slice); feasibility gives
-    parts directly, infeasibility an exact dual functional on the window.
-    Both are verified before they are returned.
+    `oracle.verified_split` on the axis maps: unknowns are one value per
+    (axis, line along it); feasibility gives verified parts directly,
+    infeasibility a verified exact dual functional on the window.
     """
-    outcome = split_over_classes(slice_partitions(f),
-                                 RationalFunction(f.values))
+    outcome = verified_split(f.axis_maps(), RationalFunction(f.values))
     if isinstance(outcome, DualCertificate):
         return outcome
-    parts = tuple(LatticeWindow(f.dims, values) for values in outcome)
-    verify_lattice_parts(f, parts).require("window oracle parts")
-    return parts
+    return tuple(LatticeWindow(f.dims, part.values) for part in outcome.parts)
 
 
 @dataclass(frozen=True)

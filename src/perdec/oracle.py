@@ -1,9 +1,13 @@
 """Ground-truth decomposability via exact linear algebra.
 
 Decomposability of f is linear feasibility: f must lie in the span of the
-invariance-class indicators of the transforms.  `split_over_classes`
-decides it by one of two routes, and either way returns verified parts or
-an exact dual functional.
+invariance-class indicators of the maps.  Every instance kind is a list of
+total maps on {0..N-1}: a window shift that would leave the window fixes
+the point instead, and a fixed point constrains no invariant function.  So
+`verified_split` decides every kind: `split_over_classes` on the maps'
+invariance classes, by one of two routes, then the parts are checked on
+the map tables.  Either way the answer is verified parts or an exact dual
+functional.
 
 Two partitions a and b: a spanning forest of the class graph.  Its nodes
 are the a-classes and the b-classes, and each point x is an edge between
@@ -49,7 +53,7 @@ from .core import (
     RationalFunction,
     VerificationResult,
     integer_values,
-    verify_decomposition,
+    verify_parts,
 )
 from .orbits import Partition, invariance_classes
 
@@ -66,19 +70,6 @@ class DualCertificate:
 
     def pair(self, f: RationalFunction) -> Fraction:
         return sum((w * v for w, v in zip(self.weights, f)), Fraction(0))
-
-
-def kernel_basis(t: Sequence[int]) -> List[RationalFunction]:
-    """Indicator functions of t's invariance classes; they span the
-    t-invariant functions exactly."""
-    part = invariance_classes(t)
-    size = len(t)
-    out = []
-    for c in range(part.n_classes):
-        out.append(RationalFunction(
-            tuple(Fraction(1 if part.class_of[x] == c else 0)
-                  for x in range(size))))
-    return out
 
 
 def _reduce_row(row: Dict[int, int]) -> None:
@@ -215,7 +206,8 @@ def verify_dual(partitions: Sequence[Partition], f: RationalFunction,
 
     The weights must pair to nonzero with f and sum to zero over every
     class of every partition.  A class sum is the pairing with that class's
-    indicator (the functions `kernel_basis` lists), taken here in O(N).
+    indicator, and the indicators span the functions constant on the
+    classes; all sums are taken here in O(N).
     """
     if len(dual.weights) != len(f):
         return VerificationResult(False,
@@ -361,8 +353,22 @@ def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
     return parts
 
 
+def verified_split(maps: Sequence[Sequence[int]], f: RationalFunction
+                   ) -> Union[Decomposition, DualCertificate]:
+    """Exact split of f into parts, part j invariant under maps[j], over
+    the maps' invariance classes.  Each result is verified once: parts by
+    `verify_parts` here, duals inside `split_over_classes`."""
+    outcome = split_over_classes([invariance_classes(t) for t in maps], f)
+    if isinstance(outcome, DualCertificate):
+        return outcome
+    decomposition = Decomposition(tuple(RationalFunction(values)
+                                        for values in outcome))
+    verify_parts(maps, f, decomposition.parts).require("oracle solution")
+    return decomposition
+
+
 def oracle_decompose(system: CommutingSystem, f: RationalFunction):
-    """Decide decomposability exactly, by `split_over_classes`.
+    """Decide decomposability exactly, by `verified_split`.
 
     Returns a verified Decomposition on feasibility, else a DualCertificate.
     The unknowns are one coefficient per (transform, invariance class).
@@ -371,11 +377,4 @@ def oracle_decompose(system: CommutingSystem, f: RationalFunction):
         raise PreconditionError("system needs at least one transformation")
     if len(f) != system.size:
         raise PreconditionError("function length does not match the domain")
-    outcome = split_over_classes(
-        [invariance_classes(t) for t in system.transforms], f)
-    if isinstance(outcome, DualCertificate):
-        return outcome
-    decomposition = Decomposition(tuple(RationalFunction(values)
-                                        for values in outcome))
-    verify_decomposition(system, f, decomposition).require("oracle solution")
-    return decomposition
+    return verified_split(system.transforms, f)

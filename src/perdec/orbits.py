@@ -90,12 +90,26 @@ def _components(size: int, edge_maps: Sequence[Sequence[int]]) -> Partition:
 
 
 def invariance_classes(t: Sequence[int]) -> Partition:
-    """Classes on which every t-invariant function is constant.
-
-    These are the weakly connected components of t's functional graph:
-    f is t-invariant iff it is constant on each class.
-    """
-    return _components(len(t), [t])
+    """Classes on which every t-invariant function is constant: the weakly
+    connected components of t's functional graph.  Each holds one cycle,
+    so a forward walk from the least unlabelled x joins the class of the
+    first labelled point it meets, or closes a new cycle and starts a
+    class whose least point is x; each point is walked once."""
+    class_of = [-1] * len(t)
+    reps: list[int] = []
+    for x in range(len(t)):
+        path, y = [], x
+        while class_of[y] == -1:
+            class_of[y] = -2  # on this walk
+            path.append(y)
+            y = t[y]
+        c = class_of[y]
+        if c == -2:
+            c = len(reps)
+            reps.append(x)
+        for p in path:
+            class_of[p] = c
+    return Partition(tuple(class_of), tuple(reps))
 
 
 def joint_classes(system: CommutingSystem, subset: Iterable[int]) -> Partition:

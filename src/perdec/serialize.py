@@ -133,9 +133,10 @@ KINDS = ("finite", "cyclic-group", "z-window", "lattice-window")
 class Instance:
     """A parsed instance file of any kind.
 
-    finite and cyclic-group carry a CommutingSystem plus f; z-window keeps
-    shifts and f on a segment of Z; lattice-window carries the window.
-    Cyclic-group shifts are reduced modulo the modulus.
+    Every kind carries f.  finite and cyclic-group also carry a
+    CommutingSystem; z-window keeps its shifts on a segment of Z;
+    lattice-window carries the window.  Cyclic-group shifts are reduced
+    modulo the modulus.
     """
 
     kind: str
@@ -145,6 +146,19 @@ class Instance:
     modulus: Optional[int] = None
     length: Optional[int] = None
     window: Optional[LatticeWindow] = None
+
+    def maps(self) -> tuple[tuple[int, ...], ...]:
+        """One total map on {0..N-1} per transform.  A window shift that
+        would leave the window fixes the point instead, which keeps its
+        invariant functions; z-window maps so completed need not commute,
+        and nothing that reads these tables relies on it."""
+        if self.window is not None:
+            return self.window.axis_maps()
+        if self.system is not None:
+            return self.system.transforms
+        return tuple(tuple(x + a if x + a < self.length else x
+                           for x in range(self.length))
+                     for a in self.shifts)
 
 
 def parse_instance(doc: Any) -> Instance:
@@ -204,36 +218,21 @@ def parse_instance(doc: Any) -> Instance:
         window = LatticeWindow(tuple(dims), f.values)
     except RangeError as exc:
         raise ParseError(str(exc), "dims")
-    return Instance(kind, window=window)
+    return Instance(kind, f=f, window=window)
 
 
 def instance_to_json(inst: Instance) -> dict:
+    doc = {"kind": inst.kind, "values": values_to_json(inst.f)}
     if inst.kind == "finite":
-        return {
-            "kind": "finite",
-            "size": inst.system.size,
-            "transforms": [list(t) for t in inst.system.transforms],
-            "values": values_to_json(inst.f),
-        }
-    if inst.kind == "cyclic-group":
-        return {
-            "kind": "cyclic-group",
-            "modulus": inst.modulus,
-            "shifts": list(inst.shifts),
-            "values": values_to_json(inst.f),
-        }
-    if inst.kind == "z-window":
-        return {
-            "kind": "z-window",
-            "length": inst.length,
-            "shifts": list(inst.shifts),
-            "values": values_to_json(inst.f),
-        }
-    return {
-        "kind": "lattice-window",
-        "dims": list(inst.window.dims),
-        "values": [frac_to_str(v) for v in inst.window.values],
-    }
+        doc.update(size=inst.system.size,
+                   transforms=[list(t) for t in inst.system.transforms])
+    elif inst.kind == "cyclic-group":
+        doc.update(modulus=inst.modulus, shifts=list(inst.shifts))
+    elif inst.kind == "z-window":
+        doc.update(length=inst.length, shifts=list(inst.shifts))
+    else:
+        doc["dims"] = list(inst.window.dims)
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +265,10 @@ def dual_to_json(d: DualCertificate) -> dict:
             "certificate": {"weights": values_to_json(d.weights)}}
 
 
-def lattice_parts_to_json(dims: Sequence[int],
-                          parts: Sequence[LatticeWindow]) -> dict:
+def lattice_parts_to_json(
+        dims: Sequence[int],
+        parts: Sequence[Union[LatticeWindow, RationalFunction]]) -> dict:
+    """Parts are windows or flat functions, read through their values."""
     return {
         "result": "lattice-decomposition",
         "dims": list(dims),

@@ -10,7 +10,8 @@ and already its all-singleton instance, the mixed difference, decides it
 (`check_star`), which is one O(nN) pass of `core`'s integer stencil over
 the map tables.  On windows of Z, where the maps are partial, the mixed
 difference alone is not sufficient and the multi-element partitions of
-`check_star_abelian` add conclusions of their own.
+`check_star_abelian` add conclusions of their own; they are still only
+necessary there, and `oracle.verified_split` decides windows exactly.
 
 Violations carry a full replayable instance; `replay_violation` re-derives
 both the premises and the nonzero value from scratch, in time polynomial
@@ -271,9 +272,17 @@ def check_star_abelian(shifts: Sequence[int], f: RationalFunction,
                                   tuple(range(n)), (1,) * n, ())
     if violation is not None:
         return violation
+    # a stencil depends only on its multiset of offsets, and every one
+    # scanned so far vanished: a repeat cannot find a violation
+    scanned = {tuple(sorted(shifts))}
     for blocks in _partitions(n)[1:]:
         for heads in product(*blocks):
-            kmax = [1 if len(block) == 1 else bound for block in blocks]
+            # a zero head shift gives the same (zero) stencil at every k;
+            # past (size - 1) // |shift| the head's own corner leaves the
+            # window at every z
+            kmax = [min(1 if len(block) == 1 else bound,
+                        (size - 1) // abs(shifts[h]) if shifts[h] else 1)
+                    for block, h in zip(blocks, heads)]
             nb = len(blocks)
             for kvec in product(*[range(1, kmax[b] + 1) for b in range(nb)]):
                 premises = []
@@ -292,10 +301,14 @@ def check_star_abelian(shifts: Sequence[int], f: RationalFunction,
                         break
                 if not gated:
                     continue
+                offsets = [kvec[b] * shifts[heads[b]] for b in range(nb)]
+                key = tuple(sorted(offsets))
+                if key in scanned:
+                    continue
+                scanned.add(key)
                 violation = _window_violation(
-                    f_num, denom,
-                    [kvec[b] * shifts[heads[b]] for b in range(nb)],
-                    blocks, heads, kvec, tuple(sorted(premises)))
+                    f_num, denom, offsets, blocks, heads, kvec,
+                    tuple(sorted(premises)))
                 if violation is not None:
                     return violation
     return None

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 from perdec import generators
-from perdec.core import RationalFunction
-from perdec.orbits import Partition
+from perdec.core import RationalFunction, compose
+from perdec.orbits import Partition, invariance_classes
 
 
 @pytest.fixture
@@ -52,6 +52,23 @@ def counted_partition(part: Partition, reads: list) -> Partition:
             return super().__getitem__(index)
 
     return Partition(CountedLabels(part.class_of), part.representative)
+
+
+def power_table(t, kmax: int) -> list:
+    """Reference tables of t^0 .. t^kmax, composed one step at a time."""
+    out = [tuple(range(len(t)))]
+    for _ in range(kmax):
+        out.append(compose(t, out[-1]))
+    return out
+
+
+def class_indicators(t) -> list:
+    """Reference indicator functions of t's invariance classes; they span
+    the t-invariant functions exactly."""
+    part = invariance_classes(t)
+    return [RationalFunction(tuple(Fraction(int(c == k))
+                                   for c in part.class_of))
+            for k in range(part.n_classes)]
 
 
 def rationals(lo: int = -30, hi: int = 30, dmax: int = 12):

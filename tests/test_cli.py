@@ -35,6 +35,14 @@ Z_WINDOW_LINEAR = {
     "values": [str(x) for x in range(10)],
 }
 
+# a period-2 part plus a period-3 part on a window of Z
+Z_WINDOW_PERIODIC = {
+    "kind": "z-window",
+    "length": 12,
+    "shifts": [2, 3],
+    "values": [str(5 * (x % 2) + (x % 3) ** 2 - 1) for x in range(12)],
+}
+
 CYCLIC_SPLIT = {
     "kind": "cyclic-group",
     "modulus": 4,
@@ -356,11 +364,57 @@ def test_oracle_infeasible_and_verify(tmp_path, capsys):
     assert code == 1 and doc["agrees"] is False
 
 
-def test_oracle_rejects_z_window(tmp_path, capsys):
+def test_oracle_z_window_linear_is_infeasible_and_its_dual_replays(tmp_path,
+                                                                    capsys):
     path = _write(tmp_path, "inst.json", Z_WINDOW_LINEAR)
     code, doc = _run(capsys, ["oracle", path])
-    assert code == 2
-    assert "star-check" in doc["error"]
+    assert code == 1 and doc["result"] == "infeasible"
+    saved = _write(tmp_path, "dual.json", doc)
+    code, verdict = _run(capsys, ["oracle", path, "--verify", saved])
+    assert code == 0 and verdict == {"result": "verified", "agrees": True}
+    # x -> x + 1 fixes only the last point, so one class holds the whole
+    # window and the weights must sum to zero there
+    tampered = json.loads(json.dumps(doc))
+    tampered["certificate"]["weights"][0] = "7"
+    bad = _write(tmp_path, "bad.json", tampered)
+    code, verdict = _run(capsys, ["oracle", path, "--verify", bad])
+    assert code == 1 and verdict["agrees"] is False
+    assert "does not vanish" in verdict["reason"]
+
+
+def test_oracle_z_window_periodic_sum_splits_and_its_parts_replay(tmp_path,
+                                                                  capsys):
+    path = _write(tmp_path, "inst.json", Z_WINDOW_PERIODIC)
+    code, doc = _run(capsys, ["oracle", path])
+    assert code == 0 and doc["result"] == "decomposition"
+    assert len(doc["parts"]) == 2
+    saved = _write(tmp_path, "parts.json", doc)
+    code, verdict = _run(capsys, ["oracle", path, "--verify", saved])
+    assert code == 0 and verdict == {"result": "verified", "agrees": True}
+    # one unit moved between the parts at x = 11 keeps the sum; part 0
+    # then differs from its value two steps back
+    moved = json.loads(json.dumps(doc))
+    for j, step in ((0, 1), (1, -1)):
+        moved["parts"][j][11] = str(Fraction(moved["parts"][j][11]) + step)
+    bad = _write(tmp_path, "moved.json", moved)
+    code, verdict = _run(capsys, ["oracle", path, "--verify", bad])
+    assert code == 1 and verdict["reason"] == "NotInvariant(0,9)"
+    summed = json.loads(json.dumps(doc))
+    summed["parts"][1][4] = str(Fraction(summed["parts"][1][4]) + 1)
+    bad = _write(tmp_path, "summed.json", summed)
+    code, verdict = _run(capsys, ["oracle", path, "--verify", bad])
+    assert code == 1 and verdict["reason"] == "SumMismatch(4)"
+    short = _write(tmp_path, "short.json", dict(doc, parts=doc["parts"][:1]))
+    code, verdict = _run(capsys, ["oracle", path, "--verify", short])
+    assert code == 1
+    assert verdict["reason"] == "part count differs from transform count"
+    window = {"result": "lattice-decomposition", "dims": [12],
+              "parts": doc["parts"]}
+    wrong = _write(tmp_path, "window.json", window)
+    code, verdict = _run(capsys, ["oracle", path, "--verify", wrong])
+    assert code == 1
+    assert verdict["reason"] == ("unexpected result type tuple for "
+                                 "oracle")
 
 
 def test_oracle_lattice_parts_and_dual(tmp_path, capsys):
@@ -379,16 +433,6 @@ def test_oracle_lattice_parts_and_dual(tmp_path, capsys):
     dual = _write(tmp_path, "dual.json", doc)
     code, doc = _run(capsys, ["oracle", bad, "--verify", dual])
     assert code == 0 and doc["agrees"] is True
-
-
-def test_oracle_verify_rejects_z_window(tmp_path, capsys):
-    path = _write(tmp_path, "inst.json", Z_WINDOW_LINEAR)
-    dual = {"result": "infeasible",
-            "certificate": {"weights": ["1", "-1"] + ["0"] * 8}}
-    saved = _write(tmp_path, "dual.json", dual)
-    code, doc = _run(capsys, ["oracle", path, "--verify", saved])
-    assert code == 2
-    assert "star-check" in doc["error"]
 
 
 @pytest.mark.parametrize("values, path, reason", [
@@ -760,7 +804,8 @@ def _certificates():
     cases = [("decompose", FINITE_DOUBLE_SWAP), ("decompose", CYCLIC_SPLIT),
              ("star-check", Z_WINDOW_LINEAR),
              ("oracle", FINITE_DOUBLE_SWAP), ("oracle", LATTICE_CORNER),
-             ("oracle", LATTICE_SEPARABLE),
+             ("oracle", LATTICE_SEPARABLE), ("oracle", Z_WINDOW_LINEAR),
+             ("oracle", Z_WINDOW_PERIODIC),
              ("lattice-decompose", LATTICE_CORNER),
              ("bounded-transfer", THREE_CYCLE_TRANSFER),
              ("bounded-transfer", SWAP_TRANSFER)]

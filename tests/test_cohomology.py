@@ -10,22 +10,19 @@ from perdec.cohomology import (
     BoundedTransfer,
     ConstrainedObstruction,
     CycleObstruction,
-    TransferSolution,
     partial_sum_bound,
     solve_bounded_transfer,
     solve_transfer,
     solve_transfer_constrained,
-    solve_transfer_pair,
     verify_bounded_transfer,
 )
 from perdec.core import (
     PreconditionError,
     RationalFunction,
     delta,
-    identity,
     is_invariant,
 )
-from perdec.orbits import invariance_classes, joint_classes
+from perdec.orbits import invariance_classes
 from tests.conftest import (
     counted_partition,
     rationals,
@@ -122,68 +119,16 @@ def test_solve_transfer_reads_each_class_label_a_bounded_number_of_times(
     assert reads[0] <= 2 * size
 
 
-@given(sized_maps(), st.data())
-def test_solve_transfer_pair_without_s_always_solves(sized, data):
-    # s = identity: every class is a point, so the correction only zeroes
-    # t's cycle sums
-    size, t = sized
-    g = data.draw(value_functions(size))
-    got = solve_transfer_pair(t, identity(size), g)
-    assert isinstance(got, TransferSolution)
-    assert delta(t, got.solution) == g + got.correction
-    assert is_invariant(t, got.correction)
-
-
-@given(sized_maps(), st.data())
-def test_solve_transfer_pair_without_s_correction_is_forced(sized, data):
-    size, t = sized
-    g = data.draw(value_functions(size))
-    gamma = solve_transfer_pair(t, identity(size), g).correction
-    for cyc in _all_cycles(t):
-        forced = -sum(g[p] for p in cyc) / len(cyc)
-        for p in cyc:
-            assert gamma[p] == forced
-
-
-@given(systems(n=2), st.data())
-def test_solve_transfer_pair_properties(system, data):
-    t, s = system.transforms
-    g = _invariant_function(s, data)
-    got = solve_transfer_pair(t, s, g)
-    assert delta(t, got.solution) == g + got.correction
-    assert is_invariant(s, got.solution)
-    assert is_invariant(s, got.correction)
-    assert is_invariant(t, got.correction)
-
-
-@given(systems(n=2), st.data())
-def test_solve_transfer_pair_correction_is_forced(system, data):
-    # the correction is the only (s, t)-invariant one that leaves an
-    # s-invariant solution: raising it on one joint class adds the length
-    # of that class's induced cycle to the cycle's sum
-    t, s = system.transforms
-    g = _invariant_function(s, data)
-    gamma = solve_transfer_pair(t, s, g).correction
-    assert isinstance(solve_transfer_constrained(t, s, g + gamma),
-                      RationalFunction)
-    joint = joint_classes(system, (0, 1))
-    e = data.draw(st.integers(0, joint.n_classes - 1))
-    bump = RationalFunction(tuple(Fraction(joint.class_of[x] == e)
-                                  for x in range(system.size)))
-    assert isinstance(solve_transfer_constrained(t, s, g + gamma + bump),
-                      ConstrainedObstruction)
-
-
-def test_solve_transfer_pair_rejects_bad_inputs():
+def test_solve_transfer_constrained_rejects_bad_inputs():
     t = (1, 2, 0)
-    s = (0, 1, 2)
     with pytest.raises(PreconditionError):
         # not s-invariant under s = t here
-        solve_transfer_pair(t, t, RationalFunction(
+        solve_transfer_constrained(t, t, RationalFunction(
             (Fraction(1), Fraction(0), Fraction(0))))
     with pytest.raises(PreconditionError):
-        solve_transfer_pair((1, 0, 2), (0, 0, 1),
-                            RationalFunction.zero(3))
+        # the maps do not commute
+        solve_transfer_constrained((1, 0, 2), (0, 0, 1),
+                                   RationalFunction.zero(3))
 
 
 @given(systems(n=2), st.data())

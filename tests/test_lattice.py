@@ -15,13 +15,17 @@ from perdec.lattice import (
     lattice_decompose,
     lattice_oracle_decompose,
     mixed_delta_witness,
-    slice_partitions,
     verify_lattice_parts,
     verify_point_violation,
     z_window_counterexample,
 )
 from perdec.oracle import DualCertificate, verify_dual
-from perdec.star import replay_abelian_violation
+from perdec.orbits import Partition, invariance_classes
+from perdec.star import (
+    _shift_corners,
+    _shift_stencil,
+    replay_abelian_violation,
+)
 from tests.conftest import rationals
 
 
@@ -222,12 +226,37 @@ def test_lattice_oracle_matches_mixed_delta_criterion(f):
             assert all(v == 0 for v in sums.values())
 
 
+def _axis_partitions(f):
+    return [invariance_classes(t) for t in f.axis_maps()]
+
+
+def _slice_partitions(f):
+    """Reference partitions: a line along axis j is labelled by its point
+    with coordinate j zeroed."""
+    return [Partition.from_labels([idx - idx // stride % w * stride
+                                   for idx in range(f.size)])
+            for w, stride in zip(f.dims, f.strides())]
+
+
+def _reference_mixed_delta_witness(f):
+    """Reference witness: the first stencil base (lexicographic) where the
+    full mixed difference of the translations by the strides is nonzero."""
+    corners = _shift_corners(f.strides())
+    for idx in range(f.size):
+        base = f.coords(idx)
+        if any(c + 1 >= w for c, w in zip(base, f.dims)):
+            continue
+        if _shift_stencil(f.values, corners, idx) != 0:
+            return base
+    return None
+
+
 @given(arbitrary_windows())
 @settings(max_examples=60, deadline=None)
 def test_lattice_oracle_results_pass_their_verifier(f):
     got = lattice_oracle_decompose(f)
     if isinstance(got, DualCertificate):
-        assert verify_dual(slice_partitions(f), RationalFunction(f.values),
+        assert verify_dual(_axis_partitions(f), RationalFunction(f.values),
                            got)
     else:
         assert verify_lattice_parts(f, got)
@@ -235,14 +264,42 @@ def test_lattice_oracle_results_pass_their_verifier(f):
 
 @given(arbitrary_windows())
 @settings(max_examples=40, deadline=None)
-def test_slice_partitions_group_points_by_their_other_coordinates(f):
-    for axis, part in enumerate(slice_partitions(f)):
+def test_axis_map_partitions_group_points_by_their_other_coordinates(f):
+    partitions = _axis_partitions(f)
+    # ids included: the classes of the clamped axis maps are the slices
+    assert partitions == _slice_partitions(f)
+    for axis, part in enumerate(partitions):
         keys = [tuple(c for i, c in enumerate(f.coords(idx)) if i != axis)
                 for idx in range(f.size)]
         for a in range(f.size):
             for b in range(f.size):
                 assert (part.class_of[a] == part.class_of[b]) \
                     == (keys[a] == keys[b])
+
+
+def test_axis_maps_fix_the_upper_faces_and_commute():
+    f = LatticeWindow((2, 3), (Fraction(0),) * 6)
+    assert f.axis_maps() == ((3, 4, 5, 3, 4, 5), (1, 2, 2, 4, 5, 5))
+    first, second = f.axis_maps()
+    assert all(first[second[x]] == second[first[x]] for x in range(6))
+
+
+@st.composite
+def perturbed_windows(draw):
+    """A separable window with at most one value changed, so the first
+    nonzero mixed difference can sit anywhere, or nowhere."""
+    f = draw(separable_windows())
+    values = list(f.values)
+    if draw(st.booleans()):
+        idx = draw(st.integers(0, f.size - 1))
+        values[idx] += draw(rationals(1, 5, 3))
+    return LatticeWindow(f.dims, tuple(values))
+
+
+@given(st.one_of(perturbed_windows(), arbitrary_windows()))
+@settings(max_examples=150, deadline=None)
+def test_mixed_delta_witness_equals_the_stencil_scan(f):
+    assert mixed_delta_witness(f) == _reference_mixed_delta_witness(f)
 
 
 def test_verify_lattice_parts_rejects_each_defect():

@@ -17,16 +17,24 @@ from perdec.core import (
 )
 from perdec.oracle import (
     DualCertificate,
-    kernel_basis,
     linear_feasibility,
     nullspace,
     oracle_decompose,
     split_over_classes,
+    verified_split,
     verify_dual,
 )
-from perdec.lattice import LatticeWindow, slice_partitions
-from perdec.orbits import invariance_classes
-from tests.conftest import counted_partition, systems, systems_with_functions
+from perdec.lattice import LatticeWindow
+from perdec.orbits import Partition, invariance_classes
+from perdec.serialize import parse_instance
+from perdec.star import check_star_abelian
+from tests.conftest import (
+    class_indicators,
+    counted_partition,
+    rationals,
+    systems,
+    systems_with_functions,
+)
 
 
 def _ref_eliminate(rows, rhs):
@@ -266,7 +274,8 @@ def test_spanning_forest_agrees_with_the_elimination(case):
     system, window, f = case
     a, b = partitions = [invariance_classes(t) for t in system.transforms]
     if window is not None:
-        assert slice_partitions(window) == partitions
+        assert [invariance_classes(t) for t in window.axis_maps()] \
+            == partitions
     got = oracle._split_two(a, b, f)
     _, dual = linear_feasibility(*oracle._class_incidence(partitions, f))
     assert isinstance(got, DualCertificate) == (dual is not None)
@@ -289,12 +298,11 @@ def test_two_partitions_skip_the_elimination_and_read_labels_linearly(
 
     reads = [0]
 
-    def counted_slices(window):
-        return [counted_partition(part, reads)
-                for part in slice_partitions(window)]
+    def counted_classes(t):
+        return counted_partition(invariance_classes(t), reads)
 
     monkeypatch.setattr(oracle, "linear_feasibility", refuse)
-    monkeypatch.setattr(lattice, "slice_partitions", counted_slices)
+    monkeypatch.setattr(oracle, "invariance_classes", counted_classes)
     rng = random.Random(100)
     dims = (100, 100)
     size = dims[0] * dims[1]
@@ -335,16 +343,17 @@ def test_three_partitions_bound_the_elimination_work(monkeypatch):
     for values, splits in ((planted, True), (broken, False)):
         work[:] = [0, 0]
         window = LatticeWindow(dims, values)
-        got = split_over_classes(slice_partitions(window),
+        got = split_over_classes([invariance_classes(t)
+                                  for t in window.axis_maps()],
                                  RationalFunction(values))
         assert isinstance(got, DualCertificate) != splits
         assert work[0] <= 30_000
         assert work[1] <= 400_000
 
 
-def test_kernel_basis_spans_invariant_functions():
+def test_class_indicators_span_invariant_functions():
     t = (1, 2, 2, 3)
-    basis = kernel_basis(t)
+    basis = class_indicators(t)
     part = invariance_classes(t)
     assert len(basis) == part.n_classes
     for b in basis:
@@ -370,7 +379,7 @@ def test_oracle_swap_noninvariant_is_infeasible():
     got = oracle_decompose(system, f)
     assert isinstance(got, DualCertificate)
     assert got.pair(f) != 0
-    for b in kernel_basis((1, 0)):
+    for b in class_indicators((1, 0)):
         assert got.pair(b) == 0
 
 
@@ -400,7 +409,7 @@ def test_oracle_verdict_matches_span_membership(case):
     # reference: f feasible iff in the span of all kernel indicator columns
     columns = []
     for t in system.transforms:
-        columns.extend(kernel_basis(t))
+        columns.extend(class_indicators(t))
     rows = [[int(col[x]) for col in columns] for x in range(system.size)]
     den = 1
     for v in f.values:
@@ -420,7 +429,7 @@ def test_oracle_verdict_matches_span_membership(case):
 @given(systems_with_functions(), st.data())
 def test_verify_dual_matches_pairing_with_every_kernel_indicator(case, data):
     system, f = case
-    basis = [e for t in system.transforms for e in kernel_basis(t)]
+    basis = [e for t in system.transforms for e in class_indicators(t)]
     # weights from the annihilator of all indicators, sometimes perturbed,
     # so both accepted and rejected functionals come up
     null = nullspace([[int(v) for v in e] for e in basis], system.size)
@@ -448,3 +457,69 @@ def test_verify_dual_rejects_a_wrong_weight_count():
     short = DualCertificate(RationalFunction(dual.weights.values[:1]))
     verdict = verify_dual(partitions, f, short)
     assert not verdict and "count" in verdict.reason
+
+
+def _residue_labels(shift, length):
+    """Reference classes of x -> x + shift on [0, length): residues modulo
+    the shift, or singletons when no step stays inside the window."""
+    if 0 < shift < length:
+        return [x % shift for x in range(length)]
+    return list(range(length))
+
+
+@st.composite
+def _z_windows(draw):
+    """(shifts, values) on a window of Z: n <= 3 shifts in 0..5, length
+    <= 12, values either random or a planted sum of periodic parts."""
+    shifts = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    length = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        values = draw(st.lists(rationals(-4, 4, 3), min_size=length,
+                               max_size=length))
+    else:
+        values = [Fraction(0)] * length
+        for a in shifts:
+            labels = _residue_labels(a, length)
+            picks = draw(st.lists(rationals(-4, 4, 3), min_size=length,
+                                  max_size=length))
+            values = [v + picks[c] for v, c in zip(values, labels)]
+    return shifts, values
+
+
+def _z_window_split(shifts, values):
+    inst = parse_instance({"kind": "z-window", "length": len(values),
+                           "shifts": shifts,
+                           "values": [str(v) for v in values]})
+    return inst.f, verified_split(inst.maps(), inst.f)
+
+
+@given(_z_windows())
+def test_z_window_decider_matches_the_dense_rank_reference(case):
+    shifts, values = case
+    f, got = _z_window_split(shifts, values)
+    labels = [_residue_labels(a, len(values)) for a in shifts]
+    # one indicator column per (shift, class); f splits iff it lies in
+    # their span
+    columns = [[int(c == k) for c in lab] for lab in labels
+               for k in sorted(set(lab))]
+    rows = [list(row) for row in zip(*columns)]
+    _, feasible = _ref_eliminate(rows, values)
+    assert isinstance(got, Decomposition) == feasible
+    if isinstance(got, DualCertificate):
+        partitions = [Partition.from_labels(lab) for lab in labels]
+        assert verify_dual(partitions, f, got)
+    else:
+        assert got.total() == f
+        for a, part in zip(shifts, got.parts):
+            assert all(part[x] == part[x + a]
+                       for x in range(len(values) - a))
+
+
+@given(_z_windows())
+def test_feasible_z_windows_pass_the_abelian_star_check(case):
+    # necessity: the partition condition holds for every sum of
+    # shift-invariant parts
+    shifts, values = case
+    f, got = _z_window_split(shifts, values)
+    if isinstance(got, Decomposition):
+        assert check_star_abelian(shifts, f) is None

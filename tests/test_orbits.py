@@ -7,18 +7,18 @@ from perdec.core import (
     RangeError,
     identity,
     iterate,
-    power_table,
     validate_system,
 )
 from perdec.orbits import (
     Partition,
+    _components,
     default_bound,
     find_relation,
     invariance_classes,
     joint_classes,
     prescribed_points,
 )
-from tests.conftest import grid_relation, sized_maps, systems
+from tests.conftest import grid_relation, power_table, sized_maps, systems
 
 
 def _word(t, s, k, n, x):
@@ -74,6 +74,14 @@ def test_invariance_classes_are_t_closed(sized):
     part = invariance_classes(t)
     for x in range(size):
         assert part.class_of[t[x]] == part.class_of[x]
+
+
+@given(sized_maps(max_size=12))
+def test_invariance_classes_equal_the_union_find_components(sized):
+    # ids and representatives included: both number classes by their
+    # least points
+    size, t = sized
+    assert invariance_classes(t) == _components(size, [t])
 
 
 @given(systems(n=2, max_size=7))

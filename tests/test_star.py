@@ -18,7 +18,7 @@ from perdec.core import (
     PreconditionError,
     RangeError,
     RationalFunction,
-    power_table,
+    integer_values,
     validate_system,
 )
 from perdec.serialize import dumps, values_to_json, violation_to_json
@@ -31,7 +31,12 @@ from perdec.star import (
     replay_abelian_violation,
     replay_violation,
 )
-from tests.conftest import systems, systems_with_functions, value_functions
+from tests.conftest import (
+    power_table,
+    systems,
+    systems_with_functions,
+    value_functions,
+)
 
 
 def test_partitions_counts_and_order():
@@ -248,6 +253,68 @@ def test_abelian_failing_singleton_stencil_skips_the_partitions(
     assert viol.value == 20922789888000
     assert replay_abelian_violation(shifts, f, viol)
     assert time.perf_counter() - start < 10.0
+
+
+def _unpruned_abelian(shifts, f, bound=None):
+    """Reference window check: every partition, head choice and exponent
+    vector up to the bound (singleton blocks at 1), in scan order, with
+    no stencil skipped."""
+    size = len(f)
+    bound = 2 * size if bound is None else bound
+    num, denom = integer_values(f)
+    for blocks in _partitions(len(shifts)):
+        for heads in product(*blocks):
+            for kvec in product(*[range(1, (2 if len(block) == 1
+                                            else bound + 1))
+                                  for block in blocks]):
+                premises = [(i, 0, star._natural_multiple(shifts[i],
+                                                          k * shifts[h]))
+                            for block, h, k in zip(blocks, heads, kvec)
+                            for i in block if i != h]
+                if any(mult is None for _, _, mult in premises):
+                    continue
+                violation = star._window_violation(
+                    num, denom, [k * shifts[h] for h, k in zip(heads, kvec)],
+                    blocks, heads, kvec, tuple(sorted(premises)))
+                if violation is not None:
+                    return violation
+    return None
+
+
+@given(st.lists(st.integers(-3, 4), min_size=1, max_size=3),
+       st.sampled_from([None, 1, 2, 3]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_abelian_check_equals_the_unpruned_scan(shifts, bound, data):
+    # skipping repeated offset multisets and exponents whose head corner
+    # leaves the window changes no verdict and no certificate field
+    size = data.draw(st.integers(1, 8))
+    if data.draw(st.booleans()):
+        values = data.draw(st.lists(st.integers(-2, 2), min_size=size,
+                                    max_size=size))
+    else:
+        values = [3 * (x % 2) + (x % 3) for x in range(size)]
+    f = RationalFunction(tuple(Fraction(v) for v in values))
+    assert check_star_abelian(shifts, f, bound) \
+        == _unpruned_abelian(shifts, f, bound)
+
+
+def test_abelian_pass_scans_each_offset_multiset_once(monkeypatch):
+    # six unit shifts on a constant 9-point window pass; every head
+    # exponent above 8 leaves the window, and the 203 set partitions give
+    # 209 distinct offset multisets
+    calls = [0]
+    window_violation = star._window_violation
+
+    def counted(*args):
+        calls[0] += 1
+        if calls[0] > 209:
+            raise AssertionError("more than 209 stencils scanned")
+        return window_violation(*args)
+
+    monkeypatch.setattr(star, "_window_violation", counted)
+    f = RationalFunction.constant(9, 1)
+    assert check_star_abelian((1,) * 6, f) is None
+    assert calls[0] == 209
 
 
 def test_abelian_replay_rejects_out_of_window_points():
