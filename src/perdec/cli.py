@@ -263,6 +263,10 @@ def _cmd_lattice_decompose(args) -> Outcome:
                          f"got kind {inst.kind!r}")
     if args.verify:
         return _verify_lattice_result(inst, _read_result(args.verify))
+    # an input error whatever the window holds, so decided before the witness
+    if args.base < 0:
+        raise PreconditionError(
+            f"base hyperplane must be >= 0, got {args.base}")
     point = mixed_delta_witness(inst.window)
     if point is not None:
         return 1, serialize.point_violation_to_json(point)

@@ -104,22 +104,36 @@ def solve_transfer(
     return RationalFunction(tuple(values))
 
 
-def cycle_average(t: Sequence[int], g: RationalFunction) -> RationalFunction:
-    """E g(x): the mean of g over the cycle that x's forward orbit enters.
+def scaled_cycle_means(t: Sequence[int], values: Sequence[int]
+                       ) -> Tuple[Tuple[int, ...], list[int], int]:
+    """(class_of, sums, scale): the mean of the integer values over the
+    cycle that x's forward orbit enters is sums[class_of[x]] / scale.
 
-    E is the projection onto the t-invariant functions along the image of
-    g -> g o t - g (see `decomp.decompose_n`); one cycle walk per class,
-    summing integer numerators over the lcm of the cycle's denominators.
+    E, the projection onto the t-invariant functions along the image of
+    g -> g o t - g (see `decomp.decompose_n`), on integer numerators.
+    scale is the lcm of t's cycle lengths, so a cycle of length L has
+    mean (scale // L) * (its sum) / scale, an integer over scale with no
+    division.  One walk from each class representative finds the class's
+    cycle; marks hold class ids, so they need no reset between classes.
     """
     part = invariance_classes(t)
-    means = []
-    for rep in part.representative:
-        orbit, _, start = _orbit_to_repeat(t, rep)
-        cycle = [g[p] for p in orbit[start:]]
-        denom = lcm(*(v.denominator for v in cycle))
-        total = sum(v.numerator * (denom // v.denominator) for v in cycle)
-        means.append(Fraction(total, denom * len(cycle)))
-    return RationalFunction(tuple(means[c] for c in part.class_of))
+    mark = [-1] * len(t)
+    cycles = []
+    for c, x in enumerate(part.representative):
+        while mark[x] != c:
+            mark[x] = c
+            x = t[x]
+        # x is the first point the walk met twice: it lies on the cycle
+        cycle = [x]
+        y = t[x]
+        while y != x:
+            cycle.append(y)
+            y = t[y]
+        cycles.append(cycle)
+    scale = lcm(*map(len, cycles))
+    sums = [scale // len(cycle) * sum(values[p] for p in cycle)
+            for cycle in cycles]
+    return part.class_of, sums, scale
 
 
 def _check_commute(t: Sequence[int], s: Sequence[int]) -> None:

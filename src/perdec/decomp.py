@@ -13,14 +13,16 @@ latter classifies prescribed points without changing parts.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from .cohomology import cycle_average
+from .cohomology import scaled_cycle_means
 from .core import (
     Decomposition,
     InternalContractViolation,
     PreconditionError,
     RationalFunction,
+    integer_values,
     validate_system,
     verify_decomposition,
 )
@@ -35,10 +37,11 @@ def decompose_n(transforms: Sequence[Sequence[int]],
     """Split f into one T_j-invariant part per transform, or refuse.
 
     Project, subtract, repeat: f_j = E_j(f - f_1 - ... - f_{j-1}) for
-    j < n, where E_j = `cycle_average` under T_j, and f_n is what remains.
-    Parts come back in the order of `transforms`.  When they fail
-    verification the refusal is check_star's violation, a point where the
-    mixed difference D_1...D_n f (D_j f = f o T_j - f) is nonzero.
+    j < n, where E_j is the cycle average under T_j (`scaled_cycle_means`),
+    and f_n is what remains.  Parts come back in the order of
+    `transforms`.  When f does not split the refusal is check_star's
+    violation, a point where the mixed difference D_1...D_n f
+    (D_j f = f o T_j - f) is nonzero.
 
     Why this splits every f whose mixed difference vanishes: let P f =
     f o T.  If (P - I)^2 f = 0 then D f is constant on each component of
@@ -54,34 +57,53 @@ def decompose_n(transforms: Sequence[Sequence[int]],
     The mixed difference is necessary as well (it kills each invariant
     part), so on a finite domain it decides decomposability for every n.
 
-    Denominators stay small: with L_i(x) the length of the T_i-cycle that
-    x's orbit enters, r_j(x) has a denominator dividing denom(f) times
-    L_1(x)...L_j(x).  By induction: E_j r_{j-1}(x) is a sum over the
-    T_j-cycle entered by x, divided by L_j(x), and each point c = T_j^m x
-    on that cycle has L_i(c) dividing L_i(x), because T_j^m maps the
-    T_i-cycle Z entered by x onto the one entered by c, whose points
-    T_i^|Z| fixes.  So every part value has a denominator dividing
-    denom(f) times n - 1 cycle lengths, at most denom(f) N^(n-1).
+    One common denominator: the projections run on integer numerators
+    over D = denom(f) scale_1 ... scale_{n-1}, where scale_j is the lcm
+    of T_j's cycle lengths.  Step j multiplies the rest and D by scale_j;
+    a T_j-cycle of length L then has mean (scale_j // L) times the sum of
+    the unscaled rest over the cycle, over the new D.  That is an exact
+    integer because L divides scale_j, whatever the earlier steps left in
+    the numerators.  The scales multiply: each step divides by its own
+    map's cycle lengths once more, so one lcm over all maps is not always
+    enough.  The returned values still reduce to small denominators: that
+    of part j at x divides denom(f) L_1(x)...L_j(x), with L_i(x) the
+    length of the T_i-cycle that x's orbit enters, at most
+    denom(f) N^(n-1), since T_j^m maps the T_i-cycle entered by x onto
+    the one entered by T_j^m x.
+
+    A refusal needs no Fraction.  The parts sum to f by construction and
+    part j < n is constant on its classes, so they fail verification only
+    where the final rest is not T_n-invariant, an integer test; then the
+    refusal is check_star's.  Otherwise each value is built once, one
+    Fraction per class for j < n and one per point for the last part, and
+    the parts are verified before they are returned.
     """
     if not transforms:
         raise PreconditionError("decomposition needs at least one transform")
     system = validate_system(transforms, len(f))
-    parts = []
-    rest = f
+    rest, denom = integer_values(f)
+    means = []
     for t in system.transforms[:-1]:
-        part = cycle_average(t, rest)
-        parts.append(part)
-        rest = rest - part
-    parts.append(rest)
+        class_of, sums, scale = scaled_cycle_means(t, rest)
+        rest = [scale * v - sums[c] for v, c in zip(rest, class_of)]
+        denom *= scale
+        means.append((class_of, sums, denom))
+    if any(rest[y] != v for y, v in zip(system.transforms[-1], rest)):
+        violation = check_star(system, f)
+        if violation is None:
+            raise InternalContractViolation(
+                "the last part is not invariant but the mixed difference "
+                "vanishes")
+        return violation
+    parts = []
+    for class_of, sums, part_denom in means:
+        per_class = [Fraction(s, part_denom) for s in sums]
+        parts.append(RationalFunction(tuple(per_class[c] for c in class_of)))
+    parts.append(RationalFunction(tuple(Fraction(v, denom) for v in rest)))
     decomposition = Decomposition(tuple(parts))
-    if verify_decomposition(system, f, decomposition):
-        return decomposition
-    violation = check_star(system, f)
-    if violation is None:
-        raise InternalContractViolation(
-            "projection construction failed verification but the mixed "
-            "difference vanishes")
-    return violation
+    verify_decomposition(system, f, decomposition).require(
+        "projection construction")
+    return decomposition
 
 
 def decompose_two(s: Sequence[int], t: Sequence[int],

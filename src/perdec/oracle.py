@@ -36,7 +36,9 @@ dense cells for m points and K classes.  For n ≠ 2 partitions, and for
 `linear_feasibility` and `nullspace` called directly, its pivot rule
 (smallest magnitude, first row on ties) and row arithmetic are those of
 the dense elimination it replaced, so solutions, duals and nullspace bases
-are the same.
+are the same.  Back-substitution runs on integers too: `_back_substitute`
+solves the pivot rows on numerators over one common scale and builds one
+Fraction per unknown at the end.
 """
 
 from __future__ import annotations
@@ -162,15 +164,8 @@ def linear_feasibility(
             # the tracked row combination proves infeasibility
             return None, tuple(work[i].get(ncols + 1 + j, 0)
                                for j in range(m))
-    solution = [Fraction(0)] * ncols
-    for col, row in reversed(pivots):
-        entry = work[row]
-        acc = Fraction(entry.get(ncols, 0))
-        for c, v in entry.items():
-            if col < c < ncols:
-                acc -= v * solution[c]
-        solution[col] = acc / entry[col]
-    return solution, None
+    # the right side is column ncols held at -1: A c - b = 0
+    return _back_substitute(work, pivots, ncols, ncols, -1), None
 
 
 def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Fraction]]:
@@ -182,21 +177,40 @@ def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Fraction]]
     work = [{c: v for c, v in enumerate(row) if v} for row in rows]
     pivots = _eliminate(work, ncols)
     pivot_cols = {col for col, _ in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for col, row in reversed(pivots):
-            entry = work[row]
-            acc = Fraction(0)
-            for c, v in entry.items():
-                if c > col and vec[c]:
-                    acc -= v * vec[c]
-            vec[col] = acc / entry[col]
-        basis.append(vec)
-    return basis
+    return [_back_substitute(work, pivots, ncols, free, 1)
+            for free in range(ncols) if free not in pivot_cols]
+
+
+def _back_substitute(work: List[Dict[int, int]],
+                     pivots: List[Tuple[int, int]], ncols: int,
+                     fixed: int, value: int) -> List[Fraction]:
+    """Back-solve the eliminated rows as homogeneous equations in columns
+    0..ncols: column fixed holds value, every other non-pivot column holds
+    0, and columns past ncols (tracking entries) are ignored.
+
+    The unknowns are integer numerators over one common scale.  Pivot
+    column col gets acc / (piv · scale), acc = −Σ v · num[c] over the
+    row's later columns; the scale, and every numerator so far, is
+    multiplied by |piv| / gcd(acc, piv) only when that factor is not 1.
+    One Fraction per column at the end.
+    """
+    num = [0] * (ncols + 1)
+    num[fixed] = value
+    scale = 1
+    for col, row in reversed(pivots):
+        entry = work[row]
+        acc = 0
+        for c, v in entry.items():
+            if col < c <= ncols and num[c]:
+                acc -= v * num[c]
+        piv = entry[col]
+        k = abs(piv) // gcd(acc, piv)
+        if k != 1:
+            scale *= k
+            num = [k * x for x in num]
+        num[col] = acc * k // piv
+    zero = Fraction(0)
+    return [Fraction(x, scale) if x else zero for x in num[:ncols]]
 
 
 def verify_dual(partitions: Sequence[Partition], f: RationalFunction,

@@ -71,6 +71,35 @@ def class_indicators(t) -> list:
             for k in range(part.n_classes)]
 
 
+def cycle_average(t, g: RationalFunction) -> RationalFunction:
+    """Reference E g(x): the Fraction mean of g over the cycle that x's
+    forward orbit enters, one orbit walk per invariance class."""
+    part = invariance_classes(t)
+    means = []
+    for x in part.representative:
+        seen = {}
+        while x not in seen:
+            seen[x] = len(seen)
+            x = t[x]
+        cycle = [g[p] for p, i in seen.items() if i >= seen[x]]
+        means.append(sum(cycle, Fraction(0)) / len(cycle))
+    return RationalFunction(tuple(means[c] for c in part.class_of))
+
+
+def project_subtract(transforms, f: RationalFunction) -> tuple:
+    """Reference parts of `decompose_n` in Fractions: f_j is the
+    `cycle_average` of what f_1 .. f_{j-1} leave of f, for j < n, and
+    the last part is what remains."""
+    parts = []
+    rest = f
+    for t in transforms[:-1]:
+        part = cycle_average(t, rest)
+        parts.append(part)
+        rest = rest - part
+    parts.append(rest)
+    return tuple(parts)
+
+
 def rationals(lo: int = -30, hi: int = 30, dmax: int = 12):
     return st.builds(Fraction, st.integers(lo, hi), st.integers(1, dmax))
 

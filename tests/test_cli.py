@@ -478,6 +478,19 @@ def test_lattice_decompose_point_violation(tmp_path, capsys):
     assert doc["certificate"]["point"] == [0, 0]
 
 
+@pytest.mark.parametrize("values", [["0", "0", "0", "1"],
+                                    ["0", "0", "0", "0"]])
+def test_lattice_decompose_rejects_a_negative_base_on_every_window(
+        tmp_path, capsys, values):
+    # the corner window has a nonzero mixed difference and the zero window
+    # none; both are the same input error
+    path = _write(tmp_path, "inst.json", {"kind": "lattice-window",
+                                          "dims": [2, 2], "values": values})
+    code, doc = _run(capsys, ["lattice-decompose", path, "--base", "-1"])
+    assert code == 2
+    assert doc == {"error": "base hyperplane must be >= 0, got -1"}
+
+
 def test_bounded_transfer_three_cycle(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", THREE_CYCLE_TRANSFER)
     code, doc = _run(capsys, ["bounded-transfer", path])

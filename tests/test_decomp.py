@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perdec import generators
-from perdec.cohomology import cycle_average
+from perdec import decomp, generators
 from perdec.core import (
     Decomposition,
     PreconditionError,
@@ -27,7 +26,12 @@ from perdec.decomp import (
 )
 from perdec.oracle import DualCertificate, nullspace, oracle_decompose
 from perdec.star import StarInstance, StarViolation, check_star, replay_violation
-from tests.conftest import systems, systems_with_functions
+from tests.conftest import (
+    cycle_average,
+    project_subtract,
+    systems,
+    systems_with_functions,
+)
 
 
 def test_decompose_n_of_one_transform_is_an_invariance_check():
@@ -96,6 +100,84 @@ def test_decompose_two_matches_the_cycle_average_and_check_star(case):
     else:
         assert got == check_star(system, f)
         assert replay_violation(system, f, got)
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.sampled_from(
+    ("generic", "decomposable", "mixed_kernel")).flatmap(
+        lambda style: systems_with_functions(n=n, max_size=7, style=style))))
+@settings(max_examples=120, deadline=None)
+def test_decompose_n_matches_the_fraction_reference(case):
+    # the integer projections give the reference's Fractions, part for
+    # part, or exactly check_star's violation when its last part moves
+    system, f = case
+    got = decompose_n(system.transforms, f)
+    parts = project_subtract(system.transforms, f)
+    if is_invariant(system.transforms[-1], parts[-1]):
+        assert isinstance(got, Decomposition)
+        assert got.parts == parts
+    else:
+        assert got == check_star(system, f)
+
+
+def _prime_cycles(primes):
+    """A permutation with one cycle of each given length, laid out in
+    consecutive blocks."""
+    t = []
+    for p in primes:
+        base = len(t)
+        t.extend(base + (i + 1) % p for i in range(p))
+    return tuple(t)
+
+
+def test_decompose_n_on_adversarial_denominators():
+    # cycle lengths are the primes up to 60, so the scale of the T step
+    # is their product and that of the T^2 step the product of the odd
+    # ones: D grows far past N
+    primes = [p for p in range(2, 60) if all(p % q for q in range(2, p))]
+    t = _prime_cycles(primes)
+    size = len(t)
+    assert size == 440
+    maps = [t, compose(t, t), compose(t, compose(t, t))]
+    system = validate_system(maps, size)
+    rng = random.Random("prime-cycles")
+    planted = (generators.random_invariant_part(rng, maps[0])
+               + generators.random_invariant_part(rng, maps[1])
+               + generators.random_invariant_part(rng, maps[2]))
+    got = decompose_n(maps, planted)
+    assert isinstance(got, Decomposition)
+    assert got.parts == project_subtract(maps, planted)
+    generic = generators.random_function(rng, system, "generic")
+    parts = project_subtract(maps, generic)
+    assert not is_invariant(maps[2], parts[-1])
+    assert decompose_n(maps, generic) == check_star(system, generic)
+
+
+def test_decompose_n_refuses_before_building_parts(monkeypatch):
+    # a refusal is decided on integers: no part value is built and no
+    # parts are verified, and check_star runs once; a split is verified
+    # once and never reaches check_star
+    calls = {"verify": 0, "star": 0, "fraction": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(decomp, "verify_decomposition",
+                        counted("verify", verify_decomposition))
+    monkeypatch.setattr(decomp, "check_star", counted("star", check_star))
+    monkeypatch.setattr(decomp, "Fraction", counted("fraction", Fraction))
+    m = 12
+    shifts = [tuple((x + k) % m for x in range(m)) for k in (2, 3)]
+    line = RationalFunction(tuple(Fraction(x) for x in range(m)))
+    assert isinstance(decompose_n(shifts, line), StarViolation)
+    assert calls == {"verify": 0, "star": 1, "fraction": 0}
+    periodic = RationalFunction(tuple(Fraction(5 * (x % 2) + (x % 3) ** 2)
+                                      for x in range(m)))
+    calls.update(verify=0, star=0)
+    assert isinstance(decompose_n(shifts, periodic), Decomposition)
+    assert calls["verify"] == 1 and calls["star"] == 0
 
 
 def _commuting_pairs(max_size):
