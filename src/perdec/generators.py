@@ -1,4 +1,5 @@
-"""Random commuting systems and value tables for tests and the miner.
+"""Random commuting systems and value tables for tests and the
+counterexample search.
 
 Independent uniformly random maps essentially never commute, so systems
 are built constructively: translations on cyclic groups, powers of a
@@ -11,11 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence
 
-from .core import (CommutingSystem, RationalFunction, mixed_corners, power,
+from . import oracle
+from .core import (CommutingSystem, RationalFunction, integer_values, power,
                    validate_system)
-from .oracle import nullspace
 from .orbits import invariance_classes
 
 
@@ -87,40 +89,57 @@ def random_invariant_part(rng: random.Random, t: Sequence[int]) -> RationalFunct
 
 def decomposable_function(rng: random.Random,
                           system: CommutingSystem) -> RationalFunction:
-    """Sum of one random invariant part per transform; decomposable by design."""
-    total = RationalFunction.zero(system.size)
-    for t in system.transforms:
-        total = total + random_invariant_part(rng, t)
-    return total
+    """Sum of one random invariant part per transform; decomposable by design.
+
+    The parts are summed on integer numerators over the lcm of their
+    denominators, one Fraction per point at the end.
+    """
+    scaled = [integer_values(random_invariant_part(rng, t))
+              for t in system.transforms]
+    denom = lcm(*(d for _, d in scaled))
+    total = [0] * system.size
+    for num, d in scaled:
+        k = denom // d
+        total = [a + k * b for a, b in zip(total, num)]
+    return RationalFunction(tuple(Fraction(a, denom) for a in total))
 
 
 def mixed_kernel_function(rng: random.Random,
                           system: CommutingSystem) -> RationalFunction:
-    """Random element of the kernel of the product of all unit differences.
+    """Random element of ker D_1...D_n, D_j g = g o T_j - g.
 
-    Such functions pass the all-singleton part of the partition condition
-    by construction, which steers the search toward the deeper premises.
+    The rows of D_1...D_n are built from each point's 2^n corner images,
+    and the result is a random integer combination (coefficients -3..3) of
+    `oracle.nullspace`'s basis, so the kernel is sampled independently of
+    `check_star` and `decompose_n`; `tests/test_decomp.py` draws from it
+    inputs that every n must decompose, since on a finite domain each
+    element of the kernel is decomposable.  The combination is summed on
+    integer numerators over one lcm, one Fraction per point at the end.
     """
-    size = system.size
-    n = system.n
+    size, n = system.size, system.n
+    # the corner of subset mask is positive when it leaves out an even
+    # number of the n factors
+    signs = [-1 if (n - bin(mask).count("1")) % 2 else 1
+             for mask in range(1 << n)]
     rows = []
     for x in range(size):
+        # images[mask] applies the tables in mask to x
+        images = [x]
+        for t in system.transforms:
+            images += [t[w] for w in images]
         coeff = [0] * size
-        for applied, positive in mixed_corners(n):
-            w = x
-            for j in applied:
-                w = system.transforms[j][w]
-            coeff[w] += 1 if positive else -1
+        for w, sign in zip(images, signs):
+            coeff[w] += sign
         rows.append(coeff)
-    basis = nullspace(rows, size)
-    if not basis:
-        return RationalFunction.zero(size)
-    values = [Fraction(0)] * size
-    for vec in basis:
-        c = Fraction(rng.randint(-3, 3))
+    basis = oracle.nullspace(rows, size)
+    coefficients = [rng.randint(-3, 3) for _ in basis]
+    denom = lcm(*(w.denominator for vec in basis for w in vec))
+    total = [0] * size
+    for c, vec in zip(coefficients, basis):
         if c:
-            values = [v + c * w for v, w in zip(values, vec)]
-    return RationalFunction(tuple(values))
+            total = [a + c * w.numerator * (denom // w.denominator)
+                     for a, w in zip(total, vec)]
+    return RationalFunction(tuple(Fraction(a, denom) for a in total))
 
 
 def generic_function(rng: random.Random, size: int) -> RationalFunction:

@@ -38,7 +38,11 @@ dense cells for m points and K classes.  For n ≠ 2 partitions, and for
 the dense elimination it replaced, so solutions, duals and nullspace bases
 are the same.  Back-substitution runs on integers too: `_back_substitute`
 solves the pivot rows on numerators over one common scale and builds one
-Fraction per unknown at the end.
+Fraction per unknown at the end.  For n ≠ 2 partitions, `split_over_classes`
+scales f to numerators over one denominator d once, solves the class
+incidence with the numerators as right side, and builds each part value
+once per class: Fraction(q.numerator, q.denominator · d) for the class's
+solution entry q, or q itself when d = 1.  No Fraction is divided.
 """
 
 from __future__ import annotations
@@ -317,21 +321,26 @@ def _cycle_dual(a: Partition, b: Partition, f: RationalFunction, x: int,
     return certificate
 
 
+def _incidence_rows(partitions: Sequence[Partition], size: int
+                    ) -> Tuple[List[List[int]], int]:
+    """Dense class incidence, one unknown per (part, class) with columns in
+    partition order: point x's row has a 1 at its class in each partition.
+    Returns (rows, ncols)."""
+    ncols = sum(part.n_classes for part in partitions)
+    rows = [[0] * ncols for _ in range(size)]
+    offset = 0
+    for part in partitions:
+        for row, c in zip(rows, part.class_of):
+            row[offset + c] = 1
+        offset += part.n_classes
+    return rows, ncols
+
+
 def _class_incidence(partitions: Sequence[Partition], f: RationalFunction
                      ) -> Tuple[List[List[int]], List[int], int]:
-    """The linear system of `split_over_classes`: one unknown per (part,
-    class), columns in partition order; point x's row has a 1 at its class
-    in each partition, and the right side is f's integer numerators."""
-    offsets = [0]
-    for part in partitions:
-        offsets.append(offsets[-1] + part.n_classes)
-    ncols = offsets[-1]
-    rows = []
-    for x in range(len(f)):
-        row = [0] * ncols
-        for j, part in enumerate(partitions):
-            row[offsets[j] + part.class_of[x]] += 1
-        rows.append(row)
+    """The linear system of `split_over_classes`: `_incidence_rows`, and
+    f's integer numerators as the right side."""
+    rows, ncols = _incidence_rows(partitions, len(f))
     rhs, _ = integer_values(f)
     return rows, rhs, ncols
 
@@ -344,24 +353,27 @@ def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
     Returns the parts' value tuples (some feasible point, with no
     minimality), or a DualCertificate that `verify_dual` has accepted.
     Two partitions go to `_split_two`; any other count to
-    `linear_feasibility` on `_class_incidence`.
+    `linear_feasibility` on the class incidence with f's numerators, num /
+    denom, as the right side.  A class's part value is its solution entry
+    over denom, built once per class.
     """
     if len(partitions) == 2:
         return _split_two(*partitions, f)
-    rows, rhs, ncols = _class_incidence(partitions, f)
-    solution, dual = linear_feasibility(rows, rhs, ncols)
+    num, denom = integer_values(f)
+    rows, ncols = _incidence_rows(partitions, len(f))
+    solution, dual = linear_feasibility(rows, num, ncols)
     if dual is not None:
         certificate = DualCertificate(RationalFunction(
             tuple(Fraction(w) for w in dual)))
         verify_dual(partitions, f, certificate).require("dual certificate")
         return certificate
-    _, denom = integer_values(f)
     parts = []
     offset = 0
     for part in partitions:
-        # one division per class; its points share the quotient
-        per_class = [q / denom
-                     for q in solution[offset:offset + part.n_classes]]
+        per_class = solution[offset:offset + part.n_classes]
+        if denom != 1:
+            per_class = [Fraction(q.numerator, q.denominator * denom)
+                         for q in per_class]
         parts.append(tuple(per_class[c] for c in part.class_of))
         offset += part.n_classes
     return parts

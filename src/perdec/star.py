@@ -448,7 +448,9 @@ def search_counterexample(n: int, max_size: int, trials: int, seed: int,
         raise PreconditionError("trials must be nonnegative")
     if workers < 1:
         raise PreconditionError("workers must be at least 1")
-    workers = min(workers, trials, os.cpu_count() or 1)
+    workers = min(workers, trials)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     shards: list
     if workers <= 1:
         shards = [_run_trials(n, max_size, 0, trials, seed)]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 from perdec import generators
-from perdec.core import RationalFunction, compose
+from perdec.core import RationalFunction, compose, mixed_corners
+from perdec.oracle import nullspace
 from perdec.orbits import Partition, invariance_classes
 
 
@@ -98,6 +99,57 @@ def project_subtract(transforms, f: RationalFunction) -> tuple:
         rest = rest - part
     parts.append(rest)
     return tuple(parts)
+
+
+def mixed_difference_rows(system) -> list:
+    """Integer matrix of f -> D_1...D_n f, D_j f = f o T_j - f, walked
+    corner by corner from `mixed_corners`."""
+    rows = []
+    for x in range(system.size):
+        row = [0] * system.size
+        for applied, positive in mixed_corners(system.n):
+            w = x
+            for j in applied:
+                w = system.transforms[j][w]
+            row[w] += 1 if positive else -1
+        rows.append(row)
+    return rows
+
+
+def decomposable_reference(rng: random.Random, system) -> RationalFunction:
+    """Reference `generators.decomposable_function`: one
+    `random_invariant_part` per transform, summed in Fractions."""
+    total = RationalFunction.zero(system.size)
+    for t in system.transforms:
+        total = total + generators.random_invariant_part(rng, t)
+    return total
+
+
+def mixed_kernel_reference(rng: random.Random, system) -> RationalFunction:
+    """Reference `generators.mixed_kernel_function`: the nullspace basis of
+    `mixed_difference_rows`, combined in Fractions with one
+    rng.randint(-3, 3) per basis vector."""
+    basis = nullspace(mixed_difference_rows(system), system.size)
+    values = [Fraction(0)] * system.size
+    for vec in basis:
+        c = Fraction(rng.randint(-3, 3))
+        if c:
+            values = [v + c * w for v, w in zip(values, vec)]
+    return RationalFunction(tuple(values))
+
+
+SYSTEM_STYLES = ("translation", "power", "product")
+
+
+def system_of_style(style: str, n: int, max_size: int, seed: int):
+    """A `random_commuting_system` of the given style: its first draw
+    picks the style, so the first rng key whose first choice is `style`
+    builds one."""
+    k = 0
+    while random.Random(f"style:{seed}:{k}").choice(SYSTEM_STYLES) != style:
+        k += 1
+    return generators.random_commuting_system(
+        random.Random(f"style:{seed}:{k}"), n, max_size)
 
 
 def rationals(lo: int = -30, hi: int = 30, dmax: int = 12):

@@ -14,7 +14,6 @@ from perdec.core import (
     compose,
     integer_values,
     is_invariant,
-    mixed_corners,
     validate_system,
     verify_decomposition,
 )
@@ -28,6 +27,7 @@ from perdec.oracle import DualCertificate, nullspace, oracle_decompose
 from perdec.star import StarInstance, StarViolation, check_star, replay_violation
 from tests.conftest import (
     cycle_average,
+    mixed_difference_rows,
     project_subtract,
     systems,
     systems_with_functions,
@@ -222,20 +222,6 @@ def _commuting_systems(max_size):
                     yield len(s), (s, t, u)
 
 
-def _mixed_difference_rows(system):
-    """Integer matrix of f -> D_1...D_n f, D_j f = f o T_j - f."""
-    rows = []
-    for x in range(system.size):
-        row = [0] * system.size
-        for applied, positive in mixed_corners(system.n):
-            w = x
-            for j in applied:
-                w = system.transforms[j][w]
-            row[w] += 1 if positive else -1
-        rows.append(row)
-    return rows
-
-
 def test_mixed_difference_kernel_decomposes_on_every_small_system():
     # on a finite domain the vanishing mixed difference is sufficient for
     # every n: each kernel basis vector splits into invariant parts, by
@@ -245,7 +231,7 @@ def test_mixed_difference_kernel_decomposes_on_every_small_system():
     for size, maps in _commuting_systems(4):
         counts[len(maps)] += 1
         system = validate_system(list(maps), size)
-        for vec in nullspace(_mixed_difference_rows(system), size):
+        for vec in nullspace(mixed_difference_rows(system), size):
             f = RationalFunction(tuple(vec))
             if any(is_invariant(t, f) for t in maps):
                 continue  # already a one-part decomposition

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perdec import generators, lattice, oracle
@@ -11,6 +11,7 @@ from perdec.core import (
     Decomposition,
     PreconditionError,
     RationalFunction,
+    integer_values,
     is_invariant,
     validate_system,
     verify_decomposition,
@@ -226,6 +227,33 @@ def test_sparse_elimination_is_bit_identical_on_class_incidences(system,
     f = generators.random_function(random.Random(f"incidence:{seed}"), system)
     partitions = [invariance_classes(t) for t in system.transforms]
     _assert_identical(*oracle._class_incidence(partitions, f))
+
+
+@given(st.integers(3, 5), st.integers(0, 10 ** 9))
+@settings(max_examples=80, deadline=None)
+def test_split_over_three_to_five_partitions_matches_the_division_reference(
+        n, seed):
+    # g = num / d plus the constant 1 / 2d is (2 num + 1) / 2d at every
+    # point, so it is never integral, and it is decomposable whenever g is
+    rng = random.Random(f"split:{seed}")
+    system = generators.random_commuting_system(rng, n, 8)
+    g = generators.random_function(rng, system)
+    _, d = integer_values(g)
+    f = g + RationalFunction.constant(system.size, Fraction(1, 2 * d))
+    partitions = [invariance_classes(t) for t in system.transforms]
+    solution, _ = linear_feasibility(*oracle._class_incidence(partitions, f))
+    got = split_over_classes(partitions, f)
+    if solution is None:
+        assert isinstance(got, DualCertificate)
+        return
+    _, denom = integer_values(f)
+    assert denom != 1
+    per_class = [q / denom for q in solution]
+    want, offset = [], 0
+    for part in partitions:
+        want.append(tuple(per_class[offset + c] for c in part.class_of))
+        offset += part.n_classes
+    assert got == want
 
 
 def _shifts(dims, axis):

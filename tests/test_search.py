@@ -1,3 +1,6 @@
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from perdec.core import PreconditionError
@@ -89,3 +92,23 @@ def test_search_seed_controls_the_stream():
     a = search_counterexample(n=2, max_size=5, trials=40, seed=1)
     b = search_counterexample(n=2, max_size=5, trials=40, seed=1)
     assert a == b
+
+
+def test_a_search_trial_does_no_fraction_arithmetic(monkeypatch):
+    # generators sum on integer numerators, the oracle splits and builds
+    # its parts without dividing a Fraction, and the star check runs on
+    # integers: a count, so no wall clock is read
+    counts = Counter()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__neg__"):
+        def counted(*args, _op=getattr(Fraction, name), _name=name):
+            counts[_name] += 1
+            return _op(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    for seed in range(200):
+        search_counterexample(n=4, max_size=6, trials=1, seed=seed)
+    assert dict(counts) == {}
+    # the counters are live
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
+    assert dict(counts) == {"__add__": 1}
