@@ -16,8 +16,8 @@ from math import lcm
 from typing import List, Optional, Sequence
 
 from . import oracle
-from .core import (CommutingSystem, RationalFunction, integer_values, power,
-                   validate_system)
+from .core import (CommutingSystem, RationalFunction, integer_values,
+                   mixed_corners, power, validate_system)
 from .orbits import invariance_classes
 
 
@@ -117,13 +117,11 @@ def mixed_kernel_function(rng: random.Random,
     integer numerators over one lcm, one Fraction per point at the end.
     """
     size, n = system.size, system.n
-    # the corner of subset mask is positive when it leaves out an even
-    # number of the n factors
-    signs = [-1 if (n - bin(mask).count("1")) % 2 else 1
-             for mask in range(1 << n)]
+    signs = [1 if positive else -1 for _, positive in mixed_corners(n)]
     rows = []
     for x in range(size):
-        # images[mask] applies the tables in mask to x
+        # images[mask] applies the tables in mask to x, in the mask order
+        # of mixed_corners
         images = [x]
         for t in system.transforms:
             images += [t[w] for w in images]

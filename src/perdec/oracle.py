@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -321,26 +321,19 @@ def _cycle_dual(a: Partition, b: Partition, f: RationalFunction, x: int,
     return certificate
 
 
-def _incidence_rows(partitions: Sequence[Partition], size: int
-                    ) -> Tuple[List[List[int]], int]:
-    """Dense class incidence, one unknown per (part, class) with columns in
-    partition order: point x's row has a 1 at its class in each partition.
-    Returns (rows, ncols)."""
+def _class_incidence(partitions: Sequence[Partition], f: RationalFunction
+                     ) -> Tuple[List[List[int]], List[int], int]:
+    """The linear system of `split_over_classes`: one unknown per (part,
+    class), columns in partition order; point x's dense row has a 1 at its
+    class in each partition, and its right side is f's integer numerator.
+    Returns (rows, rhs, ncols)."""
     ncols = sum(part.n_classes for part in partitions)
-    rows = [[0] * ncols for _ in range(size)]
+    rows = [[0] * ncols for _ in range(len(f))]
     offset = 0
     for part in partitions:
         for row, c in zip(rows, part.class_of):
             row[offset + c] = 1
         offset += part.n_classes
-    return rows, ncols
-
-
-def _class_incidence(partitions: Sequence[Partition], f: RationalFunction
-                     ) -> Tuple[List[List[int]], List[int], int]:
-    """The linear system of `split_over_classes`: `_incidence_rows`, and
-    f's integer numerators as the right side."""
-    rows, ncols = _incidence_rows(partitions, len(f))
     rhs, _ = integer_values(f)
     return rows, rhs, ncols
 
@@ -359,8 +352,8 @@ def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
     """
     if len(partitions) == 2:
         return _split_two(*partitions, f)
-    num, denom = integer_values(f)
-    rows, ncols = _incidence_rows(partitions, len(f))
+    rows, num, ncols = _class_incidence(partitions, f)
+    denom = lcm(*(v.denominator for v in f))
     solution, dual = linear_feasibility(rows, num, ncols)
     if dual is not None:
         certificate = DualCertificate(RationalFunction(

@@ -53,10 +53,6 @@ DEAD_CODE_ALLOWLIST = {
     ("kernels", "implementation_name"),
     # builds the branch instances of acceptance criterion 2
     ("generators", "branch_instance"),
-    # the class-incidence system (rows, rhs, ncols) the oracle tests hand
-    # to linear_feasibility; split_over_classes takes the same rows from
-    # _incidence_rows and needs f's denominator as well as its numerators
-    ("oracle", "_class_incidence"),
 }
 
 
