@@ -123,9 +123,8 @@ def _verify_decomposition_result(inst: Instance,
 
 def _verify_star_result(inst: Instance, result: Any) -> VerificationResult:
     if result is None:
-        # a pass carries no certificate: re-run the check (z-windows at
-        # the default bound)
-        if _star_outcome(inst, None) is None:
+        # a pass carries no certificate: re-run the check
+        if _star_outcome(inst) is None:
             return VerificationResult(True)
         return VerificationResult(False, "the star check fails on this "
                                          "instance")
@@ -199,12 +198,6 @@ def _require_system(inst: Instance, what: str) -> None:
                          f"got kind {inst.kind!r}")
 
 
-def _reject_bound(args, where: str) -> None:
-    """An explicit --bound that this run would not read is an input error."""
-    if args.bound is not None:
-        raise ParseError(f"--bound is not read {where}")
-
-
 def _cmd_decompose(args) -> Outcome:
     inst = _read_instance(args.instance)
     _require_system(inst, "decompose")
@@ -216,13 +209,13 @@ def _cmd_decompose(args) -> Outcome:
             serialize.result_to_json(outcome))
 
 
-def _star_outcome(inst: Instance, bound: Optional[int]) -> Any:
+def _star_outcome(inst: Instance) -> Any:
     """The star check of any instance kind: None when it passes, else its
     StarViolation, or the failing point of a lattice window.  Finite and
     cyclic-group instances are total maps on a finite set, where the
-    mixed difference decides alone; only z-windows read a bound."""
+    mixed difference decides alone."""
     if inst.kind == "z-window":
-        return check_star_abelian(inst.shifts, inst.f, bound)
+        return check_star_abelian(inst.shifts, inst.f)
     if inst.kind == "lattice-window":
         return mixed_delta_witness(inst.window)
     return check_star(inst.system, inst.f)
@@ -231,11 +224,8 @@ def _star_outcome(inst: Instance, bound: Optional[int]) -> Any:
 def _cmd_star_check(args) -> Outcome:
     inst = _read_instance(args.instance)
     if args.verify:
-        _reject_bound(args, "by --verify")
         return _verify_star_result(inst, _read_result(args.verify))
-    if inst.kind != "z-window":
-        _reject_bound(args, f"on {inst.kind} instances")
-    outcome = _star_outcome(inst, args.bound)
+    outcome = _star_outcome(inst)
     if outcome is None:
         return 0, {"result": "pass"}
     if inst.kind == "lattice-window":
@@ -320,10 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("validate", _cmd_validate, verify=False)
     add("decompose", _cmd_decompose)
-    add("star-check", _cmd_star_check).add_argument(
-        "--bound", type=int, default=None,
-        help="head exponent bound on z-window instances; an input error "
-             "on other kinds or with --verify")
+    add("star-check", _cmd_star_check)
     add("oracle", _cmd_oracle)
     lat = add("lattice-decompose", _cmd_lattice_decompose)
     lat.add_argument("--base", type=int, default=0,

@@ -25,7 +25,9 @@ from .core import (
 from .orbits import (
     _components,
     find_relation,
+    induced_map,
     invariance_classes,
+    rho,
 )
 
 
@@ -56,51 +58,44 @@ class BoundedTransfer:
     bound: Fraction
 
 
-def _orbit_to_repeat(t: Sequence[int], x0: int) -> Tuple[list, Dict[int, int], int]:
-    """Forward orbit of x0 up to the first repeated point.
-
-    Returns (orbit, index, start) where index maps point -> position and
-    orbit[start:] is the unique cycle of x0's component.
-    """
-    orbit: list = []
-    index: Dict[int, int] = {}
-    p = x0
-    while p not in index:
-        index[p] = len(orbit)
-        orbit.append(p)
-        p = t[p]
-    return orbit, index, index[p]
-
-
 def solve_transfer(
     t: Sequence[int], g: RationalFunction
 ) -> Union[RationalFunction, CycleObstruction]:
-    """Solve h(t(x)) - h(x) = g(x) exactly.
+    """Solve h(t(x)) - h(x) = g(x) exactly, with h = 0 at each weak
+    class's least point.
 
-    Per weak class with representative x0 the solution is
-    h(x) = sum_{i<n} g(t^i x0) - sum_{j<m} g(t^j x), where t^m x = t^n x0
-    is the first meeting of the two forward orbits.  A solution exists iff
-    the g-sum around every cycle vanishes; the first nonzero cycle (by
-    class order) is returned otherwise.
+    A solution exists iff the g-sum around every cycle vanishes; the
+    first nonzero cycle (by class order) is returned otherwise.  One
+    forward walk from each unsolved x, in point order: a walk that meets
+    a solved point fills h backward along its path; a walk that closes a
+    new cycle started at that class's least point, so once the cycle sum
+    checks out h(x) = 0 and h fills forward.  Each point is walked once.
     """
-    size = len(g)
-    part = invariance_classes(t)
-    values: list = [None] * size
-    for x0, members in zip(part.representative, part.classes()):
-        orbit, index, start = _orbit_to_repeat(t, x0)
-        prefix = [Fraction(0)]
-        for p in orbit:
-            prefix.append(prefix[-1] + g[p])
-        cycle_total = prefix[len(orbit)] - prefix[start]
-        if cycle_total != 0:
-            return CycleObstruction(tuple(orbit[start:]), cycle_total)
-        for x in members:
-            partial = Fraction(0)
-            q = x
-            while q not in index:
-                partial += g[q]
-                q = t[q]
-            values[x] = prefix[index[q]] - partial
+    values: list = [None] * len(g)
+    for x in range(len(g)):
+        if values[x] is not None:
+            continue
+        path: list[int] = []
+        index: Dict[int, int] = {}
+        y = x
+        while values[y] is None and y not in index:
+            index[y] = len(path)
+            path.append(y)
+            y = t[y]
+        if values[y] is None:
+            cycle = path[index[y]:]
+            total = sum((g[p] for p in cycle), Fraction(0))
+            if total != 0:
+                return CycleObstruction(tuple(cycle), total)
+            h = Fraction(0)
+            for p in path:
+                values[p] = h
+                h += g[p]
+        else:
+            h = values[y]
+            for p in reversed(path):
+                h -= g[p]
+                values[p] = h
     return RationalFunction(tuple(values))
 
 
@@ -142,14 +137,6 @@ def _check_commute(t: Sequence[int], s: Sequence[int]) -> None:
         raise PreconditionError(f"maps do not commute at x={w}")
 
 
-def _quotient(t: Sequence[int], s: Sequence[int]):
-    """S-class partition and the map induced by t on the classes."""
-    part = invariance_classes(s)
-    induced = tuple(part.class_of[t[part.representative[c]]]
-                    for c in range(part.n_classes))
-    return part, induced
-
-
 def solve_transfer_constrained(
     t: Sequence[int], s: Sequence[int], g: RationalFunction
 ) -> Union[RationalFunction, ConstrainedObstruction]:
@@ -163,7 +150,7 @@ def solve_transfer_constrained(
     _check_commute(t, s)
     if not is_invariant(s, g):
         raise PreconditionError("right side is not s-invariant")
-    part, induced = _quotient(t, s)
+    part, induced = induced_map(t, s)
     g_q = RationalFunction(tuple(g[rep] for rep in part.representative))
     h_q = solve_transfer(induced, g_q)
     if isinstance(h_q, CycleObstruction):
@@ -259,7 +246,7 @@ def orbit_sum(t: Sequence[int], g: RationalFunction, x: int,
               steps: int) -> Fraction:
     """sum_{i < steps} g(t^i x) for any steps >= 0, in at most N steps:
     the sum over x's tail, whole turns of its cycle, then a partial turn."""
-    orbit, _, start = _orbit_to_repeat(t, x)
+    orbit, start = rho(t, x)
     prefix = [Fraction(0)]
     for p in orbit:
         prefix.append(prefix[-1] + g[p])

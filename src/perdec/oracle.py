@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -322,11 +322,11 @@ def _cycle_dual(a: Partition, b: Partition, f: RationalFunction, x: int,
 
 
 def _class_incidence(partitions: Sequence[Partition], f: RationalFunction
-                     ) -> Tuple[List[List[int]], List[int], int]:
+                     ) -> Tuple[List[List[int]], List[int], int, int]:
     """The linear system of `split_over_classes`: one unknown per (part,
     class), columns in partition order; point x's dense row has a 1 at its
-    class in each partition, and its right side is f's integer numerator.
-    Returns (rows, rhs, ncols)."""
+    class in each partition, and its right side is f's integer numerator
+    over the common denominator.  Returns (rows, rhs, ncols, denom)."""
     ncols = sum(part.n_classes for part in partitions)
     rows = [[0] * ncols for _ in range(len(f))]
     offset = 0
@@ -334,8 +334,8 @@ def _class_incidence(partitions: Sequence[Partition], f: RationalFunction
         for row, c in zip(rows, part.class_of):
             row[offset + c] = 1
         offset += part.n_classes
-    rhs, _ = integer_values(f)
-    return rows, rhs, ncols
+    rhs, denom = integer_values(f)
+    return rows, rhs, ncols, denom
 
 
 def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
@@ -352,8 +352,7 @@ def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
     """
     if len(partitions) == 2:
         return _split_two(*partitions, f)
-    rows, num, ncols = _class_incidence(partitions, f)
-    denom = lcm(*(v.denominator for v in f))
+    rows, num, ncols, denom = _class_incidence(partitions, f)
     solution, dual = linear_feasibility(rows, num, ncols)
     if dual is not None:
         certificate = DualCertificate(RationalFunction(

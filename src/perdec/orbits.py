@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence
 
-from .core import CommutingSystem, PreconditionError, RangeError
+from .core import CommutingSystem, PreconditionError, RangeError, iterate
 
 
 def default_bound(size: int) -> int:
@@ -112,6 +112,31 @@ def invariance_classes(t: Sequence[int]) -> Partition:
     return Partition(tuple(class_of), tuple(reps))
 
 
+def rho(t: Sequence[int], x: int) -> tuple[list[int], int]:
+    """(orbit, start): x's forward orbit up to its first repeat, and the
+    index where its cycle starts.
+
+    orbit lists x, t(x), ... without repeats and t(orbit[-1]) is
+    orbit[start], so orbit[start:] is the one cycle of x's class; the rho
+    shape has at most N points.
+    """
+    index: Dict[int, int] = {}
+    orbit: list[int] = []
+    while x not in index:
+        index[x] = len(orbit)
+        orbit.append(x)
+        x = t[x]
+    return orbit, index[x]
+
+
+def induced_map(t: Sequence[int],
+                s: Sequence[int]) -> tuple[Partition, tuple[int, ...]]:
+    """(classes, induced): s's invariance classes and the map t induces
+    on them, well defined when s and t commute."""
+    part = invariance_classes(s)
+    return part, tuple(part.class_of[t[rep]] for rep in part.representative)
+
+
 def joint_classes(system: CommutingSystem, subset: Iterable[int]) -> Partition:
     """Components of the union graph over the chosen transforms."""
     indices = sorted(set(subset))
@@ -156,10 +181,9 @@ def find_relation(s: Sequence[int], x: int, y: int,
     which makes the outcome symmetric in the two points.  The orbits meet
     iff x and y share an `invariance_classes` class, and each repeats
     within N steps, so bound None (no cap) finds the exact meeting.  A
-    hash join: the first index of every point on min(x, y)'s orbit goes
-    into a table, then the other orbit is walked until no later step can
-    win, in O(min(bound, N)).  Returns None when the orbits do not meet
-    within the bound.
+    hash join: the index of every point on min(x, y)'s `rho` goes into a
+    table, then the other orbit is walked until no later step can win, in
+    O(N).  Returns None when the orbits do not meet within the bound.
     """
     if bound is not None and bound < 1:
         raise PreconditionError(f"bound must be >= 1, got {bound}")
@@ -169,13 +193,8 @@ def find_relation(s: Sequence[int], x: int, y: int,
     # exponents past N - 1 only revisit points the walks have seen
     limit = size - 1 if bound is None else min(bound, size - 1)
     a, b = min(x, y), max(x, y)
-    first: Dict[int, int] = {}
-    p = a
-    for i in range(limit + 1):
-        if p in first:
-            break
-        first[p] = i
-        p = s[p]
+    orbit, _ = rho(s, a)
+    first = {p: i for i, p in enumerate(orbit[:limit + 1])}
     best: Optional[tuple[int, int]] = None  # (k + k2, exponent on a)
     q = b
     for j in range(limit + 1):
@@ -223,31 +242,19 @@ def prescribed_points(s: Sequence[int], t: Sequence[int],
         bound = default_bound(size)
     if bound < 1:
         raise PreconditionError(f"bound must be >= 1, got {bound}")
-    s_classes = invariance_classes(s)
-    # induced map on S-classes; well-defined because s and t commute
-    t_quot = [0] * s_classes.n_classes
-    for c, rep in enumerate(s_classes.representative):
-        t_quot[c] = s_classes.class_of[t[rep]]
+    s_classes, t_quot = induced_map(t, s)
     # (k2, k) of the first repeat T^k x ~ T^{k2} x depends only on the
     # S-class of x: one induced walk per class
     walks = []
     for start in range(s_classes.n_classes):
-        seen: Dict[int, int] = {}
-        c = start
-        while c not in seen:
-            seen[c] = len(seen)
-            c = t_quot[c]
-        walks.append((seen[c], len(seen)))
+        orbit, k2 = rho(t_quot, start)
+        walks.append((k2, len(orbit)))
     out: Dict[int, Relation] = {}
     for x in range(size):
         k2, k = walks[s_classes.class_of[x]]
         # recover S exponents linking T^k x and T^{k2} x
-        v = x
-        for _ in range(k2):
-            v = t[v]
-        u = v
-        for _ in range(k - k2):
-            u = t[u]
+        v = iterate(t, k2, x)
+        u = iterate(t, k - k2, v)
         link = find_relation(s, u, v, bound)
         if link is not None and k <= bound:
             out[x] = Relation(k, link[0], k2, link[1])

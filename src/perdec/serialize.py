@@ -408,9 +408,14 @@ def parse_result(doc: Any) -> Any:
         parts = doc.get("parts")
         if not isinstance(parts, list) or not parts:
             raise ParseError("expected a nonempty parts list", "parts")
-        return tuple(
-            LatticeWindow(dims, values_from_json(p, f"parts[{i}]").values)
-            for i, p in enumerate(parts))
+        windows = []
+        for i, p in enumerate(parts):
+            values = values_from_json(p, f"parts[{i}]").values
+            try:
+                windows.append(LatticeWindow(dims, values))
+            except RangeError as exc:
+                raise ParseError(str(exc), f"parts[{i}]")
+        return tuple(windows)
     if tag == "point-violation":
         cert = doc.get("certificate")
         if not isinstance(cert, dict):
@@ -494,3 +499,5 @@ def load_json(text: str) -> Any:
     except ValueError as exc:
         # an integer literal over the interpreter's digit limit
         raise ParseError(f"invalid JSON: {exc}")
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply")

@@ -238,8 +238,8 @@ def _window_violation(f_num: Sequence[int], denom: int,
     return None
 
 
-def check_star_abelian(shifts: Sequence[int], f: RationalFunction,
-                       bound: Optional[int] = None) -> Optional[StarViolation]:
+def check_star_abelian(shifts: Sequence[int],
+                       f: RationalFunction) -> Optional[StarViolation]:
     """Partition-condition verdict on a window of Z (indices 0..len(f)-1)
     with partial maps x -> x + a_i.
 
@@ -247,8 +247,9 @@ def check_star_abelian(shifts: Sequence[int], f: RationalFunction,
     stencil stays in-window.  Premises become arithmetic: the head
     conclusion for block b at exponent k applies when each member shift
     a_i has a natural multiple equal to k * a_head, removing the exponent
-    search; heads of larger blocks run up to bound (default 2 * len(f)),
-    which must be at least 1.
+    search; the head of a larger block runs to (len(f) - 1) // |a_head|,
+    past which its own corner leaves the window at every z, so that cap is
+    the exact range and no exponent bound is needed.
     The stored premise triples are (i, 0, multiple).  Translations of Z_m
     are total maps on a finite set, where `check_star` decides alone.
     """
@@ -256,10 +257,6 @@ def check_star_abelian(shifts: Sequence[int], f: RationalFunction,
     for a in shifts:
         if not isinstance(a, int) or isinstance(a, bool):
             raise RangeError(f"shift {a!r} is not an integer")
-    if bound is None:
-        bound = 2 * size
-    if bound < 1:
-        raise PreconditionError(f"bound must be >= 1, got {bound}")
     n = len(shifts)
     if n == 0:
         return None
@@ -279,10 +276,11 @@ def check_star_abelian(shifts: Sequence[int], f: RationalFunction,
         for heads in product(*blocks):
             # a zero head shift gives the same (zero) stencil at every k;
             # past (size - 1) // |shift| the head's own corner leaves the
-            # window at every z
-            kmax = [min(1 if len(block) == 1 else bound,
-                        (size - 1) // abs(shifts[h]) if shifts[h] else 1)
-                    for block, h in zip(blocks, heads)]
+            # window at every z; a singleton block needs only k = 1
+            kmax = []
+            for block, h in zip(blocks, heads):
+                cap = (size - 1) // abs(shifts[h]) if shifts[h] else 1
+                kmax.append(min(cap, 1) if len(block) == 1 else cap)
             nb = len(blocks)
             for kvec in product(*[range(1, kmax[b] + 1) for b in range(nb)]):
                 premises = []

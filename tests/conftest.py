@@ -7,9 +7,10 @@ import pytest
 from hypothesis import strategies as st
 
 from perdec import generators
+from perdec.cohomology import CycleObstruction
 from perdec.core import RationalFunction, compose, mixed_corners
 from perdec.oracle import nullspace
-from perdec.orbits import Partition, invariance_classes
+from perdec.orbits import Partition, invariance_classes, rho
 
 
 @pytest.fixture
@@ -38,21 +39,58 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-def counted_partition(part: Partition, reads: list) -> Partition:
-    """part with class labels that add one to reads[0] per label read,
-    by index or by iteration."""
+def counted_tuple(values, reads: list, limit=None) -> tuple:
+    """values as a tuple that adds one to reads[0] per item read, by index
+    or by iteration, and fails at once when reads[0] passes limit."""
 
-    class CountedLabels(tuple):
+    def count():
+        reads[0] += 1
+        if limit is not None and reads[0] > limit:
+            raise AssertionError(f"more than {limit} reads")
+
+    class Counted(tuple):
         def __iter__(self):
-            for label in super().__iter__():
-                reads[0] += 1
-                yield label
+            for item in super().__iter__():
+                count()
+                yield item
 
         def __getitem__(self, index):
-            reads[0] += 1
+            count()
             return super().__getitem__(index)
 
-    return Partition(CountedLabels(part.class_of), part.representative)
+    return Counted(values)
+
+
+def counted_partition(part: Partition, reads: list) -> Partition:
+    """part with class labels counted by `counted_tuple`."""
+    return Partition(counted_tuple(part.class_of, reads), part.representative)
+
+
+def reference_solve_transfer(t, g: RationalFunction):
+    """Reference transfer solver, quadratic on long tails: per weak class
+    with least point x0, h(x) = sum_{i<n} g(t^i x0) - sum_{j<m} g(t^j x)
+    where t^m x = t^n x0 is the first meeting of the two forward orbits;
+    the first class (by least point) whose cycle sum is nonzero is
+    returned as its CycleObstruction instead."""
+    part = invariance_classes(t)
+    values: list = [None] * len(g)
+    for x0, members in zip(part.representative, part.classes()):
+        orbit, start = rho(t, x0)
+        index = {p: i for i, p in enumerate(orbit)}
+        prefix = [Fraction(0)]
+        for p in orbit:
+            prefix.append(prefix[-1] + g[p])
+        cycle_total = prefix[len(orbit)] - prefix[start]
+        if cycle_total != 0:
+            return CycleObstruction(tuple(orbit[start:]), cycle_total)
+        for x in members:
+            partial = Fraction(0)
+            q = x
+            while q not in index:
+                partial += g[q]
+                q = t[q]
+            values[x] = prefix[index[q]] - partial
+    return RationalFunction(tuple(values))
 
 
 def power_table(t, kmax: int) -> list:

@@ -256,15 +256,6 @@ def test_a_pass_is_not_a_result_of_other_commands(tmp_path, capsys):
                                  "decompose")
 
 
-def test_star_check_verify_of_a_pass_rejects_an_explicit_bound(tmp_path,
-                                                               capsys):
-    path = _write(tmp_path, "inst.json", PASSING_STAR_CHECKS["z-window"])
-    saved = _write(tmp_path, "pass.json", {"result": "pass"})
-    code, err = _run(capsys, ["star-check", path, "--verify", saved,
-                              "--bound", "3"])
-    assert code == 2 and err["error"] == "--bound is not read by --verify"
-
-
 # emitted by the modular partition scan that cyclic-group star checks ran
 # before they went through the finite check; saved certificates replay
 EARLIER_CYCLIC_CERTIFICATE = {
@@ -454,6 +445,32 @@ def test_oracle_rejects_oversized_numbers(tmp_path, capsys, values, path,
     assert doc["error"].startswith((path + ": " if path else "") + reason)
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # the decoder recurses once per bracket; past the recursion limit the
+    # file is malformed input, not a violation
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    code, doc = _run(capsys, ["validate", str(deep)])
+    assert code == 2
+    assert doc == {"error": "invalid JSON: nested too deeply", "path": ""}
+    inst = _write(tmp_path, "inst.json", LATTICE_SEPARABLE)
+    code, doc = _run(capsys, ["oracle", inst, "--verify", str(deep)])
+    assert code == 2
+    assert doc == {"error": "invalid JSON: nested too deeply", "path": ""}
+
+
+def test_oracle_verify_names_a_lattice_part_of_the_wrong_length(tmp_path,
+                                                               capsys):
+    inst = _write(tmp_path, "inst.json", LATTICE_SEPARABLE)
+    saved = _write(tmp_path, "parts.json", {
+        "result": "lattice-decomposition", "dims": [2, 3],
+        "parts": [["0"] * 6, ["1"]]})
+    code, doc = _run(capsys, ["oracle", inst, "--verify", saved])
+    assert code == 2
+    assert doc == {"error": "parts[1]: expected 6 values for dims (2, 3), "
+                            "got 1", "path": "parts[1]"}
+
+
 def test_lattice_decompose_and_gauge(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", LATTICE_SEPARABLE)
     code, doc = _run(capsys, ["lattice-decompose", path])
@@ -574,24 +591,19 @@ def test_search_verify_ignores_a_legacy_bound_key(tmp_path, capsys):
     assert code == 0 and verdict["agrees"] is True
 
 
-@pytest.mark.parametrize("command, accepted", [
-    ("validate", False), ("decompose", False), ("star-check", True),
-    ("oracle", False), ("lattice-decompose", False),
-    ("bounded-transfer", False), ("search", False)])
-def test_bound_is_an_option_only_where_it_is_read(tmp_path, capsys, command,
-                                                  accepted):
-    # only star-check reads a bound, on a z-window
+@pytest.mark.parametrize("command", [
+    "validate", "decompose", "star-check", "oracle", "lattice-decompose",
+    "bounded-transfer", "search"])
+def test_bound_is_an_option_only_where_it_is_read(tmp_path, capsys, command):
+    # the z-window check runs each head to its exact window cap, so no
+    # command reads an exponent bound
     inst = Z_WINDOW_LINEAR if command == "star-check" else CYCLIC_SPLIT
     argv = [command] if command == "search" else [
         command, _write(tmp_path, "inst.json", inst)]
     code = run_command(argv + ["--bound", "3"])
     captured = capsys.readouterr()
-    if accepted:
-        assert code in (0, 1)
-        json.loads(captured.out)
-    else:
-        assert code == 2 and captured.out == ""
-        assert "--bound" in captured.err
+    assert code == 2 and captured.out == ""
+    assert "--bound" in captured.err
 
 
 @pytest.mark.parametrize("inst", [
@@ -611,33 +623,6 @@ def test_decompose_takes_no_bound_for_any_transform_count(tmp_path, capsys,
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "--bound" in captured.err
-
-
-@pytest.mark.parametrize("command, inst", [
-    ("star-check", FINITE_DOUBLE_SWAP), ("star-check", CYCLIC_SPLIT),
-    ("star-check", LATTICE_CORNER)],
-    ids=["star-check-finite", "star-check-cyclic", "star-check-lattice"])
-def test_bound_where_the_instance_does_not_read_it_is_an_input_error(
-        tmp_path, capsys, command, inst):
-    path = _write(tmp_path, "inst.json", inst)
-    code, doc = _run(capsys, [command, path])
-    assert code in (0, 1)
-    code, err = _run(capsys, [command, path, "--bound", "3"])
-    assert code == 2
-    assert "--bound is not read" in err["error"]
-
-
-@pytest.mark.parametrize("command, inst", [("star-check", Z_WINDOW_LINEAR)])
-def test_bound_is_not_read_by_verify(tmp_path, capsys, command, inst):
-    path = _write(tmp_path, "inst.json", inst)
-    code, doc = _run(capsys, [command, path, "--bound", "3"])
-    assert code in (0, 1)
-    saved = _write(tmp_path, "result.json", doc)
-    code, verdict = _run(capsys, [command, path, "--verify", saved])
-    assert code == 0 and verdict["agrees"] is True
-    code, err = _run(capsys, [command, path, "--verify", saved,
-                              "--bound", "3"])
-    assert code == 2 and err["error"] == "--bound is not read by --verify"
 
 
 def test_decompose_rejects_results_past_the_digit_limit(tmp_path, capsys):
@@ -728,15 +713,6 @@ def test_verify_replays_many_blocks_in_polynomial_time(tmp_path, capsys,
     monkeypatch.setattr(perdec.star, "iterate", counted)
     code, doc = _run(capsys, [command, path, "--verify", saved])
     assert code == 0 and doc["agrees"] is True
-
-
-@pytest.mark.parametrize("bound", ["0", "-3"])
-def test_star_check_rejects_a_bound_below_one(tmp_path, capsys, bound):
-    path = _write(tmp_path, "inst.json", Z_WINDOW_LINEAR)
-    code, err = _run(capsys, ["star-check", path, "--bound", bound])
-    assert code == 2 and err == {"error": f"bound must be >= 1, got {bound}"}
-    code, doc = _run(capsys, ["star-check", path, "--bound", "1"])
-    assert code == 1 and doc["result"] == "violation"
 
 
 def test_bounded_transfer_verify_replays_huge_exponents_quickly(tmp_path,
@@ -994,7 +970,7 @@ def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys,
                                timeout=60)
         assert (code, out) == (fresh.returncode, fresh.stdout)
         codes.append(code)
-    assert codes == [1, 1, 2, 0, 0]
+    assert codes == [2, 1, 2, 0, 0]
     assert len(built) == 1
 
 

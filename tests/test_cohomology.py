@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perdec import cohomology
@@ -22,10 +22,12 @@ from perdec.core import (
     delta,
     is_invariant,
 )
-from perdec.orbits import invariance_classes
+from perdec.orbits import induced_map, invariance_classes
 from tests.conftest import (
     counted_partition,
+    counted_tuple,
     rationals,
+    reference_solve_transfer,
     sized_maps,
     systems,
     value_functions,
@@ -117,6 +119,40 @@ def test_solve_transfer_reads_each_class_label_a_bounded_number_of_times(
     h = solve_transfer(t, g)
     assert isinstance(h, RationalFunction) and delta(t, h) == g
     assert reads[0] <= 2 * size
+
+
+@given(sized_maps(max_size=12), st.booleans(), st.data())
+@settings(max_examples=200)
+def test_solve_transfer_equals_the_quadratic_reference(sized, planted, data):
+    # same values, or the same first cycle with the same total
+    size, t = sized
+    g = data.draw(value_functions(size))
+    if planted:
+        g = delta(t, g)
+    assert solve_transfer(t, g) == reference_solve_transfer(t, g)
+
+
+def test_transfer_solvers_read_a_long_path_a_linear_number_of_times(
+        monkeypatch):
+    # x -> x - 1 down to the fixed point 0: every point's walk to the
+    # class minimum is a tail, so a walk per point would read t N^2 / 2
+    # times; the constrained solver's induced map is counted with t
+    size = 10 ** 4
+    reads = [0]
+    t = counted_tuple((0,) + tuple(range(size - 1)), reads, 5 * size)
+    g = RationalFunction((Fraction(0),) + (Fraction(-1),) * (size - 1))
+    h = solve_transfer(t, g)
+    assert h == RationalFunction(tuple(Fraction(x) for x in range(size)))
+    assert reads[0] <= 2 * size
+
+    def counted_induced(t, s):
+        part, induced = induced_map(t, s)
+        return part, counted_tuple(induced, reads, 5 * size)
+
+    monkeypatch.setattr(cohomology, "induced_map", counted_induced)
+    reads[0] = 0
+    s = tuple(range(size))
+    assert solve_transfer_constrained(t, s, g) == h
 
 
 def test_solve_transfer_constrained_rejects_bad_inputs():

@@ -14,9 +14,11 @@ from perdec.orbits import (
     _components,
     default_bound,
     find_relation,
+    induced_map,
     invariance_classes,
     joint_classes,
     prescribed_points,
+    rho,
 )
 from tests.conftest import grid_relation, power_table, sized_maps, systems
 
@@ -105,6 +107,32 @@ def test_joint_classes_match_undirected_reachability(system):
     part = Partition.from_labels([find(x) for x in range(size)])
     joint = joint_classes(system, (0, 1))
     assert joint.class_of == part.class_of
+
+
+def test_rho_of_a_tail_into_a_cycle():
+    # 4 -> 3 -> 1 -> 2 -> 1: tail (4, 3), cycle (1, 2)
+    t = (0, 2, 1, 1, 3)
+    assert rho(t, 4) == ([4, 3, 1, 2], 2)
+    assert rho(t, 0) == ([0], 0)
+
+
+@given(sized_maps(max_size=10), st.data())
+def test_rho_is_the_orbit_up_to_its_first_repeat(case, data):
+    size, t = case
+    x = data.draw(st.integers(0, size - 1))
+    orbit, start = rho(t, x)
+    assert orbit == [iterate(t, i, x) for i in range(len(orbit))]
+    assert len(set(orbit)) == len(orbit) <= size
+    assert 0 <= start < len(orbit) and t[orbit[-1]] == orbit[start]
+
+
+@given(systems(n=2, max_size=7))
+def test_induced_map_sends_each_s_class_to_the_class_of_its_t_image(system):
+    t, s = system.transforms
+    part, induced = induced_map(t, s)
+    assert part == invariance_classes(s)
+    for x in range(system.size):
+        assert induced[part.class_of[x]] == part.class_of[t[x]]
 
 
 def test_joint_classes_rejects_empty_subset():

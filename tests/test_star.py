@@ -255,12 +255,11 @@ def test_abelian_failing_singleton_stencil_skips_the_partitions(
     assert time.perf_counter() - start < 10.0
 
 
-def _unpruned_abelian(shifts, f, bound=None):
+def _unpruned_abelian(shifts, f):
     """Reference window check: every partition, head choice and exponent
-    vector up to the bound (singleton blocks at 1), in scan order, with
+    vector up to 2 * len(f) (singleton blocks at 1), in scan order, with
     no stencil skipped."""
-    size = len(f)
-    bound = 2 * size if bound is None else bound
+    bound = 2 * len(f)
     num, denom = integer_values(f)
     for blocks in _partitions(len(shifts)):
         for heads in product(*blocks):
@@ -281,10 +280,9 @@ def _unpruned_abelian(shifts, f, bound=None):
     return None
 
 
-@given(st.lists(st.integers(-3, 4), min_size=1, max_size=3),
-       st.sampled_from([None, 1, 2, 3]), st.data())
+@given(st.lists(st.integers(-3, 4), min_size=1, max_size=3), st.data())
 @settings(max_examples=150, deadline=None)
-def test_abelian_check_equals_the_unpruned_scan(shifts, bound, data):
+def test_abelian_check_equals_the_unpruned_scan(shifts, data):
     # skipping repeated offset multisets and exponents whose head corner
     # leaves the window changes no verdict and no certificate field
     size = data.draw(st.integers(1, 8))
@@ -294,8 +292,7 @@ def test_abelian_check_equals_the_unpruned_scan(shifts, bound, data):
     else:
         values = [3 * (x % 2) + (x % 3) for x in range(size)]
     f = RationalFunction(tuple(Fraction(v) for v in values))
-    assert check_star_abelian(shifts, f, bound) \
-        == _unpruned_abelian(shifts, f, bound)
+    assert check_star_abelian(shifts, f) == _unpruned_abelian(shifts, f)
 
 
 def test_abelian_pass_scans_each_offset_multiset_once(monkeypatch):
