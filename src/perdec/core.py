@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -216,7 +216,7 @@ class RationalFunction:
             raise PreconditionError("function lengths differ")
 
 
-def integer_values(f: RationalFunction) -> tuple[list[int], int]:
+def integer_values(f: Sequence[Fraction]) -> tuple[list[int], int]:
     """Scale f to integers: (numerators, d) with f[x] = numerators[x] / d."""
     denom = 1
     for v in f:
@@ -284,6 +284,46 @@ def _mixed_difference(tables: Sequence[Sequence[int]],
     for t in tables:
         row = [row[y] - v for y, v in zip(t, row)]
     return row
+
+
+def window_difference(values: Sequence, offsets: Sequence[int]
+                      ) -> tuple[int, list]:
+    """(lo, row): row[j] is the mixed difference of values, factor a being
+    g -> g(. + a) - g, at z = lo + j, for exactly the z of [0, L) whose
+    stencil stays in it.  The window twin of `_mixed_difference`: one
+    unit-difference pass per offset, O(kL) for k offsets."""
+    lo = 0
+    row = list(values)
+    for a in offsets:
+        if a >= 0:
+            row = [y - x for x, y in zip(row, row[a:])]
+        else:
+            row = [x - y for x, y in zip(row, row[-a:])]
+            lo -= a
+    return lo, row
+
+
+def stencil_value(values: Sequence[Fraction], z: int,
+                  steps: Iterable[Callable[[int], int]]
+                  ) -> Optional[Fraction]:
+    """The mixed difference at z with factors g -> g o step - g, or None
+    when a step leaves [0, len(values)).  Walked as point -> integer
+    coefficient, each factor sending c at w to -c at w and +c at step(w),
+    so at most min(len(values), 2^factors) points are live and read."""
+    size = len(values)
+    coeffs = {z: 1}
+    for step in steps:
+        moved: dict[int, int] = {}
+        for w, c in coeffs.items():
+            moved[w] = moved.get(w, 0) - c
+            u = step(w)
+            if not 0 <= u < size:
+                return None
+            moved[u] = moved.get(u, 0) + c
+        coeffs = {w: c for w, c in moved.items() if c}
+    # one Fraction at the end, over the lcm of the live points' denominators
+    nums, denom = integer_values([values[w] for w in coeffs])
+    return Fraction(sum(c * p for c, p in zip(coeffs.values(), nums)), denom)
 
 
 def is_invariant(t: Sequence[int], f: RationalFunction) -> bool:

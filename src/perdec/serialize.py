@@ -23,7 +23,7 @@ from .core import (
     RangeError,
     RationalFunction,
 )
-from .lattice import LatticeWindow
+from .lattice import LatticeWindow, window_size
 from .oracle import DualCertificate
 from .star import Candidate, SearchReport, StarInstance, StarViolation
 
@@ -205,7 +205,9 @@ def parse_instance(doc: Any) -> Instance:
         if length < 2:
             raise ParseError("window length must be >= 2", "length")
         shifts = _int_list(doc.get("shifts"), "shifts")
-        if not shifts or any(a < 0 for a in shifts):
+        if not shifts:
+            raise ParseError("expected at least one shift", "shifts")
+        if any(a < 0 for a in shifts):
             raise ParseError("expected nonnegative shifts", "shifts")
         f = values_from_json(doc.get("values"))
         if len(f) != length:
@@ -405,6 +407,10 @@ def parse_result(doc: Any) -> Any:
                                                 "certificate.weights"))
     if tag == "lattice-decomposition":
         dims = tuple(_int_list(doc.get("dims"), "dims"))
+        try:
+            window_size(dims)
+        except RangeError as exc:
+            raise ParseError(str(exc), "dims")
         parts = doc.get("parts")
         if not isinstance(parts, list) or not parts:
             raise ParseError("expected a nonempty parts list", "parts")

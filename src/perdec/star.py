@@ -13,9 +13,10 @@ difference alone is not sufficient and the multi-element partitions of
 `check_star_abelian` add conclusions of their own; they are still only
 necessary there, and `oracle.verified_split` decides windows exactly.
 
-Violations carry a full replayable instance; `replay_violation` re-derives
-both the premises and the nonzero value from scratch, in time polynomial
-in the domain size and the number of blocks whatever the exponents.
+Violations carry a full replayable instance; both replays re-derive the
+premises and, by `core.stencil_value`, the nonzero value from scratch, in
+time polynomial in the domain size and the number of blocks whatever the
+exponents.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import lcm
+from operator import add
 from typing import Optional, Sequence
 
 from .core import (
@@ -37,8 +39,9 @@ from .core import (
     _mixed_difference,
     integer_values,
     iterate,
-    mixed_corners,
+    stencil_value,
     validate_system,
+    window_difference,
 )
 from .oracle import Decomposition, DualCertificate, oracle_decompose
 
@@ -150,92 +153,63 @@ def replay_violation(system: CommutingSystem, f: RationalFunction,
                      violation: StarViolation) -> bool:
     """Re-derive a stored violation: structure, premises, and exact value.
 
-    Each `iterate` call walks at most N steps, and the value is evaluated
-    block by block on at most N live points, so the replay costs
-    O(blocks * N^2 + premises * N) whatever the exponents.
+    Each `iterate` call walks at most N steps, and `core.stencil_value`
+    evaluates the value block by block on at most N live points, so the
+    replay costs O(blocks * N^2 + premises * N) whatever the exponents.
     """
     inst = violation.instance
     if not _well_formed(inst, system.n, system.size):
         return False
-    head_of = {}
-    k_of = {}
-    for block, h, k in zip(inst.blocks, inst.distinguished, inst.exponents):
-        for i in block:
-            head_of[i] = h
-            k_of[i] = k
+    head = {i: (h, k) for block, h, k
+            in zip(inst.blocks, inst.distinguished, inst.exponents)
+            for i in block}
     tables = system.transforms
     for i, l, l2 in inst.premises:
         if l < 0 or l2 < 0:
             return False
-        left = iterate(tables[head_of[i]], k_of[i],
-                       iterate(tables[i], l, inst.z))
-        right = iterate(tables[i], l2, inst.z)
-        if left != right:
+        h, k = head[i]
+        left = iterate(tables[h], k, iterate(tables[i], l, inst.z))
+        if left != iterate(tables[i], l2, inst.z):
             return False
-    # the stencil as point -> integer coefficient: each block sends c at w
-    # to -c at w and +c at head^k(w), so at most N points stay live
-    coeffs = {inst.z: 1}
-    for h, k in zip(inst.distinguished, inst.exponents):
-        moved: dict[int, int] = {}
-        for w, c in coeffs.items():
-            moved[w] = moved.get(w, 0) - c
-            u = iterate(tables[h], k, w)
-            moved[u] = moved.get(u, 0) + c
-        coeffs = {w: c for w, c in moved.items() if c}
-    # one Fraction at the end: integer numerators over the lcm of the live
-    # points' denominators
-    ratios = [(c * f[w].numerator, f[w].denominator)
-              for w, c in coeffs.items()]
-    denom = lcm(*(q for _, q in ratios))
-    value = Fraction(sum(p * (denom // q) for p, q in ratios), denom)
+    value = stencil_value(f.values, inst.z,
+                          [partial(iterate, tables[h], k) for h, k
+                           in zip(inst.distinguished, inst.exponents)])
     return value == violation.value and value != 0
 
 
-def _natural_multiple(a: int, b: int) -> Optional[int]:
-    """Smallest m >= 0 with m*a = b over Z, else None."""
-    if b == 0:
-        return 0
-    if a == 0:
-        return None
-    m, r = divmod(b, a)
-    return m if r == 0 and m >= 0 else None
+def _block_offsets(shifts: Sequence[int], block: tuple[int, ...],
+                   size: int) -> list[int]:
+    """The offsets k * a_head, k >= 1, that pass the block's premises (a
+    natural multiple of every member shift) and fit in the window, by
+    increasing |offset|; the same whichever member is the head.
+
+    So nonzero shifts of one sign give the multiples of their lcm up to
+    size - 1, a singleton only its own shift; a zero shift (whose stencil
+    is zero) or mixed signs give none."""
+    members = [shifts[i] for i in block]
+    if min(members) <= 0 <= max(members):
+        return []
+    step = lcm(*members)
+    count = (size - 1) // step
+    if len(block) == 1:
+        count = min(count, 1)
+    sign = 1 if members[0] > 0 else -1
+    return [sign * step * m for m in range(1, count + 1)]
 
 
-def _shift_corners(offsets: Sequence[int]) -> list[tuple[int, bool]]:
-    """(offset, positive) per corner of the mixed difference whose factors
-    translate by the given offsets."""
-    return [(sum(offsets[b] for b in applied), positive)
-            for applied, positive in mixed_corners(len(offsets))]
+def _scan_order(n: int):
+    """The all-singleton partition, then the rest of `_partitions(n)`,
+    built only once the first has been scanned."""
+    yield tuple((i,) for i in range(n))
+    yield from _partitions(n)[1:]
 
 
-def _shift_stencil(values: Sequence, corners: Sequence[tuple[int, bool]],
-                   z: int):
-    """Mixed difference of values at z on a window of Z, or None unless
-    every corner lies inside the window."""
-    size = len(values)
-    total = 0
-    for off, positive in corners:
-        w = z + off
-        if not 0 <= w < size:
-            return None
-        total += values[w] if positive else -values[w]
-    return total
-
-
-def _window_violation(f_num: Sequence[int], denom: int,
-                      offsets: Sequence[int], blocks: tuple, heads: tuple,
-                      kvec: tuple, premises: tuple
-                      ) -> Optional[StarViolation]:
-    """First z whose in-window stencil for the given factor offsets is
-    nonzero, as a violation of that instance; None when all vanish."""
-    corners = _shift_corners(offsets)
-    for z in range(len(f_num)):
-        value = _shift_stencil(f_num, corners, z)
-        if value:
-            instance = StarInstance(blocks, heads, kvec, premises, z)
-            return StarViolation(instance, Fraction(value, denom),
-                                 "MixedDeltaNonzero")
-    return None
+def _window_violation(f_num: Sequence[int], offsets: Sequence[int]
+                      ) -> Optional[tuple[int, int]]:
+    """First (z, value) whose in-window stencil for the given factor
+    offsets is nonzero, or None when all vanish."""
+    lo, row = window_difference(f_num, offsets)
+    return next(((lo + j, v) for j, v in enumerate(row) if v), None)
 
 
 def check_star_abelian(shifts: Sequence[int],
@@ -244,94 +218,67 @@ def check_star_abelian(shifts: Sequence[int],
     with partial maps x -> x + a_i.
 
     Conclusions are only evaluated at points whose whole difference
-    stencil stays in-window.  Premises become arithmetic: the head
-    conclusion for block b at exponent k applies when each member shift
-    a_i has a natural multiple equal to k * a_head, removing the exponent
-    search; the head of a larger block runs to (len(f) - 1) // |a_head|,
-    past which its own corner leaves the window at every z, so that cap is
-    the exact range and no exponent bound is needed.
-    The stored premise triples are (i, 0, multiple).  Translations of Z_m
-    are total maps on a finite set, where `check_star` decides alone.
+    stencil stays in-window.  Premises become arithmetic: a block's
+    conclusion at offset k * a_head applies when that offset is a natural
+    multiple of every member shift, and past len(f) - 1 the head's own
+    corner leaves the window at every z.  So each block contributes its
+    in-window common multiples (`_block_offsets`), with no exponent bound
+    and no head choice: every other head reaches the same offsets, so the
+    least index heads each block.  Each offset multiset is scanned once,
+    one unit-difference pass per offset.  The stored premise triples are
+    (i, 0, multiple).  Translations of Z_m are total maps on a finite set,
+    where `check_star` decides alone.
     """
     size = len(f)
     for a in shifts:
         if not isinstance(a, int) or isinstance(a, bool):
             raise RangeError(f"shift {a!r} is not an integer")
-    n = len(shifts)
-    if n == 0:
+    if not shifts:
         return None
     f_num, denom = integer_values(f)
-    # the all-singleton partition comes first in `_partitions` order and
-    # needs no premises: scanning it before the Bell(n) set partitions are
-    # built keeps a failing window's verdict free of that enumeration
-    singletons = tuple((i,) for i in range(n))
-    violation = _window_violation(f_num, denom, shifts, singletons,
-                                  tuple(range(n)), (1,) * n, ())
-    if violation is not None:
-        return violation
     # a stencil depends only on its multiset of offsets, and every one
     # scanned so far vanished: a repeat cannot find a violation
-    scanned = {tuple(sorted(shifts))}
-    for blocks in _partitions(n)[1:]:
-        for heads in product(*blocks):
-            # a zero head shift gives the same (zero) stencil at every k;
-            # past (size - 1) // |shift| the head's own corner leaves the
-            # window at every z; a singleton block needs only k = 1
-            kmax = []
-            for block, h in zip(blocks, heads):
-                cap = (size - 1) // abs(shifts[h]) if shifts[h] else 1
-                kmax.append(min(cap, 1) if len(block) == 1 else cap)
-            nb = len(blocks)
-            for kvec in product(*[range(1, kmax[b] + 1) for b in range(nb)]):
-                premises = []
-                gated = True
-                for b, (block, h) in enumerate(zip(blocks, heads)):
-                    target = kvec[b] * shifts[h]
-                    for i in block:
-                        if i == h:
-                            continue
-                        mult = _natural_multiple(shifts[i], target)
-                        if mult is None:
-                            gated = False
-                            break
-                        premises.append((i, 0, mult))
-                    if not gated:
-                        break
-                if not gated:
-                    continue
-                offsets = [kvec[b] * shifts[heads[b]] for b in range(nb)]
-                key = tuple(sorted(offsets))
-                if key in scanned:
-                    continue
-                scanned.add(key)
-                violation = _window_violation(
-                    f_num, denom, offsets, blocks, heads, kvec,
-                    tuple(sorted(premises)))
-                if violation is not None:
-                    return violation
+    scanned = set()
+    for blocks in _scan_order(len(shifts)):
+        for offsets in product(*[_block_offsets(shifts, block, size)
+                                 for block in blocks]):
+            key = tuple(sorted(offsets))
+            if key in scanned:
+                continue
+            scanned.add(key)
+            hit = _window_violation(f_num, offsets)
+            if hit is not None:
+                z, value = hit
+                heads = tuple(block[0] for block in blocks)
+                kvec = tuple(o // shifts[h] for h, o in zip(heads, offsets))
+                premises = tuple(sorted(
+                    (i, 0, o // shifts[i])
+                    for block, o in zip(blocks, offsets) for i in block[1:]))
+                instance = StarInstance(blocks, heads, kvec, premises, z)
+                return StarViolation(instance, Fraction(value, denom),
+                                     "MixedDeltaNonzero")
     return None
 
 
 def replay_abelian_violation(shifts: Sequence[int], f: RationalFunction,
                              violation: StarViolation) -> bool:
-    """Re-derive a window violation arithmetically."""
+    """Re-derive a window violation arithmetically; the value is
+    `core.stencil_value` with steps w -> w + k * a_head, which fails when
+    a step leaves the window."""
     inst = violation.instance
     if not _well_formed(inst, len(shifts), len(f)):
         return False
-    head_of = {}
-    k_of = {}
-    for block, h, k in zip(inst.blocks, inst.distinguished, inst.exponents):
-        for i in block:
-            head_of[i] = h
-            k_of[i] = k
+    head = {i: (h, k) for block, h, k
+            in zip(inst.blocks, inst.distinguished, inst.exponents)
+            for i in block}
     for i, l, mult in inst.premises:
-        if (l != 0 or mult < 0
-                or mult * shifts[i] != k_of[i] * shifts[head_of[i]]):
+        h, k = head[i]
+        if l != 0 or mult < 0 or mult * shifts[i] != k * shifts[h]:
             return False
-    corners = _shift_corners([k * shifts[h] for h, k
-                              in zip(inst.distinguished, inst.exponents)])
-    value = _shift_stencil(f.values, corners, inst.z)
-    return value is not None and value == violation.value and value != 0
+    value = stencil_value(f.values, inst.z,
+                          [partial(add, k * shifts[h]) for h, k
+                           in zip(inst.distinguished, inst.exponents)])
+    return value == violation.value and value != 0
 
 
 @dataclass(frozen=True)

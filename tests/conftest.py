@@ -154,6 +154,19 @@ def mixed_difference_rows(system) -> list:
     return rows
 
 
+def corner_stencil(values, offsets, z):
+    """Reference mixed difference at z on a window of Z, factor a being
+    g -> g(. + a) - g, summed corner by corner from `mixed_corners`; None
+    unless every corner lies in the window."""
+    total = 0
+    for applied, positive in mixed_corners(len(offsets)):
+        w = z + sum(offsets[b] for b in applied)
+        if not 0 <= w < len(values):
+            return None
+        total += values[w] if positive else -values[w]
+    return total
+
+
 def decomposable_reference(rng: random.Random, system) -> RationalFunction:
     """Reference `generators.decomposable_function`: one
     `random_invariant_part` per transform, summed in Fractions."""

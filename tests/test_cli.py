@@ -471,6 +471,31 @@ def test_oracle_verify_names_a_lattice_part_of_the_wrong_length(tmp_path,
                             "got 1", "path": "parts[1]"}
 
 
+def test_oracle_verify_reports_bad_result_dims_at_dims(tmp_path, capsys):
+    # the extents are checked once, before any part is read
+    inst = _write(tmp_path, "inst.json", LATTICE_SEPARABLE)
+    saved = _write(tmp_path, "parts.json", {
+        "result": "lattice-decomposition", "dims": [1],
+        "parts": [["0"] * 6, ["0"] * 6]})
+    code, doc = _run(capsys, ["oracle", inst, "--verify", saved])
+    assert code == 2
+    assert doc == {"error": "dims: extent 1 must be an integer >= 2",
+                   "path": "dims"}
+
+
+@pytest.mark.parametrize("shifts, reason", [
+    ([], "expected at least one shift"),
+    ([1, -1], "expected nonnegative shifts"),
+])
+def test_z_window_shift_errors_say_what_is_expected(tmp_path, capsys,
+                                                    shifts, reason):
+    path = _write(tmp_path, "inst.json", dict(Z_WINDOW_LINEAR,
+                                              shifts=shifts))
+    code, doc = _run(capsys, ["validate", path])
+    assert code == 2
+    assert doc == {"error": f"shifts: {reason}", "path": "shifts"}
+
+
 def test_lattice_decompose_and_gauge(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", LATTICE_SEPARABLE)
     code, doc = _run(capsys, ["lattice-decompose", path])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,8 @@ from perdec.lattice import (
 )
 from perdec.oracle import DualCertificate, verify_dual
 from perdec.orbits import Partition, invariance_classes
-from perdec.star import (
-    _shift_corners,
-    _shift_stencil,
-    replay_abelian_violation,
-)
-from tests.conftest import rationals
+from perdec.star import replay_abelian_violation
+from tests.conftest import corner_stencil, rationals
 
 
 def test_window_validation_and_indexing():
@@ -241,12 +238,11 @@ def _slice_partitions(f):
 def _reference_mixed_delta_witness(f):
     """Reference witness: the first stencil base (lexicographic) where the
     full mixed difference of the translations by the strides is nonzero."""
-    corners = _shift_corners(f.strides())
     for idx in range(f.size):
         base = f.coords(idx)
         if any(c + 1 >= w for c, w in zip(base, f.dims)):
             continue
-        if _shift_stencil(f.values, corners, idx) != 0:
+        if corner_stencil(f.values, f.strides(), idx) != 0:
             return base
     return None
 
@@ -300,6 +296,18 @@ def perturbed_windows(draw):
 @settings(max_examples=150, deadline=None)
 def test_mixed_delta_witness_equals_the_stencil_scan(f):
     assert mixed_delta_witness(f) == _reference_mixed_delta_witness(f)
+
+
+@given(st.one_of(perturbed_windows(), arbitrary_windows()))
+@settings(max_examples=80, deadline=None)
+def test_point_verifier_equals_the_corner_sum_at_every_point(f):
+    # every point of the window and one step past each face: a certificate
+    # holds exactly at a stencil base whose corner sum is nonzero
+    for point in product(*[range(-1, w + 1) for w in f.dims]):
+        base = all(0 <= c < w - 1 for c, w in zip(point, f.dims))
+        expected = base and corner_stencil(f.values, f.strides(),
+                                           f.index(point)) != 0
+        assert verify_point_violation(f, point).ok == expected
 
 
 def test_verify_lattice_parts_rejects_each_defect():

@@ -18,8 +18,8 @@ from perdec.core import (
     PreconditionError,
     RangeError,
     RationalFunction,
-    integer_values,
     validate_system,
+    window_difference,
 )
 from perdec.serialize import dumps, values_to_json, violation_to_json
 from perdec.star import (
@@ -32,6 +32,8 @@ from perdec.star import (
     replay_violation,
 )
 from tests.conftest import (
+    corner_stencil,
+    counted_tuple,
     power_table,
     systems,
     systems_with_functions,
@@ -255,63 +257,204 @@ def test_abelian_failing_singleton_stencil_skips_the_partitions(
     assert time.perf_counter() - start < 10.0
 
 
+def _natural_multiple(a, b):
+    """Smallest m >= 0 with m*a = b over Z, else None."""
+    if b == 0:
+        return 0
+    if a == 0:
+        return None
+    m, r = divmod(b, a)
+    return m if r == 0 and m >= 0 else None
+
+
 def _unpruned_abelian(shifts, f):
     """Reference window check: every partition, head choice and exponent
     vector up to 2 * len(f) (singleton blocks at 1), in scan order, with
-    no stencil skipped."""
+    no stencil skipped, each summed corner by corner."""
     bound = 2 * len(f)
-    num, denom = integer_values(f)
     for blocks in _partitions(len(shifts)):
         for heads in product(*blocks):
             for kvec in product(*[range(1, (2 if len(block) == 1
                                             else bound + 1))
                                   for block in blocks]):
-                premises = [(i, 0, star._natural_multiple(shifts[i],
-                                                          k * shifts[h]))
+                premises = [(i, 0, _natural_multiple(shifts[i],
+                                                     k * shifts[h]))
                             for block, h, k in zip(blocks, heads, kvec)
                             for i in block if i != h]
                 if any(mult is None for _, _, mult in premises):
                     continue
-                violation = star._window_violation(
-                    num, denom, [k * shifts[h] for h, k in zip(heads, kvec)],
-                    blocks, heads, kvec, tuple(sorted(premises)))
-                if violation is not None:
-                    return violation
+                offsets = [k * shifts[h] for h, k in zip(heads, kvec)]
+                for z in range(len(f)):
+                    value = corner_stencil(f.values, offsets, z)
+                    if value:
+                        return StarViolation(
+                            StarInstance(blocks, heads, kvec,
+                                         tuple(sorted(premises)), z),
+                            value, "MixedDeltaNonzero")
     return None
 
 
-@given(st.lists(st.integers(-3, 4), min_size=1, max_size=3), st.data())
-@settings(max_examples=150, deadline=None)
-def test_abelian_check_equals_the_unpruned_scan(shifts, data):
-    # skipping repeated offset multisets and exponents whose head corner
-    # leaves the window changes no verdict and no certificate field
-    size = data.draw(st.integers(1, 8))
-    if data.draw(st.booleans()):
-        values = data.draw(st.lists(st.integers(-2, 2), min_size=size,
-                                    max_size=size))
+@st.composite
+def windows(draw, nmax=4, size_max=12):
+    """Shifts and a function on a window of Z: random small values, or a
+    sum of periodic parts with at most one value bumped, which passes
+    more stencils."""
+    shifts = draw(st.lists(st.integers(-3, 4), min_size=1, max_size=nmax))
+    size = draw(st.integers(1, size_max))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(-2, 2), min_size=size,
+                               max_size=size))
     else:
-        values = [3 * (x % 2) + (x % 3) for x in range(size)]
-    f = RationalFunction(tuple(Fraction(v) for v in values))
+        periods = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+        values = [sum(x % p for p in periods) for x in range(size)]
+        if draw(st.booleans()):
+            values[draw(st.integers(0, size - 1))] += 1
+    return shifts, RationalFunction(tuple(Fraction(v) for v in values))
+
+
+@given(windows())
+@settings(max_examples=300, deadline=None)
+def test_abelian_check_equals_the_unpruned_scan(case):
+    # one head per block, each block's common multiples once and each
+    # offset multiset once change no verdict and no certificate field
+    shifts, f = case
     assert check_star_abelian(shifts, f) == _unpruned_abelian(shifts, f)
 
 
-def test_abelian_pass_scans_each_offset_multiset_once(monkeypatch):
-    # six unit shifts on a constant 9-point window pass; every head
-    # exponent above 8 leaves the window, and the 203 set partitions give
-    # 209 distinct offset multisets
+@given(st.lists(st.integers(-4, 6), max_size=5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_window_difference_equals_the_corner_sum(offsets, data):
+    values = data.draw(st.lists(st.integers(-5, 5), max_size=16))
+    lo, row = window_difference(values, offsets)
+    got = dict(enumerate(row, lo))
+    expected = [corner_stencil(values, offsets, z)
+                for z in range(len(values))]
+    assert [got.get(z) for z in range(len(values))] == expected
+    assert len(got) == sum(value is not None for value in expected)
+
+
+def _reference_abelian_replay(shifts, f, violation):
+    """Reference window replay: the premises' arithmetic, then the stored
+    value against the corner sum."""
+    inst = violation.instance
+    if not star._well_formed(inst, len(shifts), len(f)):
+        return False
+    offset_of = {i: k * shifts[h] for block, h, k
+                 in zip(inst.blocks, inst.distinguished, inst.exponents)
+                 for i in block}
+    if any(l != 0 or mult < 0 or mult * shifts[i] != offset_of[i]
+           for i, l, mult in inst.premises):
+        return False
+    value = corner_stencil(f.values, [k * shifts[h] for h, k in zip(
+        inst.distinguished, inst.exponents)], inst.z)
+    return value is not None and value == violation.value and value != 0
+
+
+@given(windows())
+@settings(max_examples=150, deadline=None)
+def test_abelian_replay_equals_the_corner_reference(case):
+    # the genuine certificate moved to every z in [-1, L], with its value
+    # and its value +- 1
+    shifts, f = case
+    violation = check_star_abelian(shifts, f)
+    if violation is None:
+        return
+    inst = violation.instance
+    for z in range(-1, len(f) + 1):
+        for value in (violation.value - 1, violation.value,
+                      violation.value + 1):
+            moved = StarViolation(
+                StarInstance(inst.blocks, inst.distinguished,
+                             inst.exponents, inst.premises, z),
+                value, violation.kind)
+            assert replay_abelian_violation(shifts, f, moved) \
+                == _reference_abelian_replay(shifts, f, moved)
+
+
+def _counted_stencils(monkeypatch, limit):
+    """Patch `_window_violation` to count its calls, failing past limit."""
     calls = [0]
     window_violation = star._window_violation
 
     def counted(*args):
         calls[0] += 1
-        if calls[0] > 209:
-            raise AssertionError("more than 209 stencils scanned")
+        if calls[0] > limit:
+            raise AssertionError(f"more than {limit} stencils scanned")
         return window_violation(*args)
 
     monkeypatch.setattr(star, "_window_violation", counted)
+    return calls
+
+
+def test_abelian_pass_scans_each_offset_multiset_once(monkeypatch):
+    # six unit shifts on a constant 9-point window pass; every offset
+    # above 8 leaves the window, and the 203 set partitions give 209
+    # distinct offset multisets
+    calls = _counted_stencils(monkeypatch, 209)
     f = RationalFunction.constant(9, 1)
     assert check_star_abelian((1,) * 6, f) is None
     assert calls[0] == 209
+
+
+def test_abelian_pass_on_seven_shifts_enumerates_each_block_once(
+        monkeypatch):
+    # seven unit shifts on a constant 12-point window pass: 877 set
+    # partitions, each block's offsets 1..11 enumerated once, not once per
+    # head, and 727 distinct offset multisets scanned
+    vectors = [0]
+
+    def counted_product(*lists):
+        for vec in product(*lists):
+            vectors[0] += 1
+            if vectors[0] > 400_000:
+                raise AssertionError("more than 400000 offset vectors")
+            yield vec
+
+    monkeypatch.setattr(star, "product", counted_product)
+    calls = _counted_stencils(monkeypatch, 727)
+    assert check_star_abelian((1,) * 7, RationalFunction.constant(12, 1)) \
+        is None
+    assert calls[0] == 727
+    assert vectors[0] <= 400_000
+
+
+def test_abelian_check_and_replay_of_forty_shifts_read_f_linearly(
+        monkeypatch, tmp_path, capsys):
+    # 40 unit shifts on 48 random values: the all-singleton stencil fails;
+    # a corner walk would visit 2^40 corners, the passes read each
+    # numerator a bounded number of times
+    shifts = (1,) * 40
+    rng = random.Random("forty")
+    values = [rng.randint(-9, 9) for _ in range(48)]
+    f = RationalFunction(tuple(Fraction(v) for v in values))
+    limit = len(shifts) * len(f)
+    reads = [0]
+    integer_values = star.integer_values
+
+    def counted_values(g):
+        num, denom = integer_values(g)
+        return counted_tuple(num, reads, limit), denom
+
+    monkeypatch.setattr(star, "integer_values", counted_values)
+    violation = check_star_abelian(shifts, f)
+    assert violation is not None
+    assert violation.instance.blocks == tuple((i,) for i in range(40))
+    counted = RationalFunction(f.values)
+    replay_reads = [0]
+    # the frozen dataclass's values, swapped for a counting tuple
+    object.__setattr__(counted, "values",
+                       counted_tuple(f.values, replay_reads, limit))
+    assert replay_abelian_violation(shifts, counted, violation)
+    assert reads[0] <= limit and replay_reads[0] <= limit
+    path = tmp_path / "inst.json"
+    path.write_text(dumps({"kind": "z-window", "length": len(f),
+                           "shifts": list(shifts),
+                           "values": values_to_json(f)}))
+    assert run_command(["star-check", str(path)]) == 1
+    cert = tmp_path / "cert.json"
+    cert.write_text(capsys.readouterr().out)
+    assert run_command(["star-check", str(path), "--verify", str(cert)]) == 0
+    assert json.loads(capsys.readouterr().out)["agrees"] is True
 
 
 def test_abelian_replay_rejects_out_of_window_points():
