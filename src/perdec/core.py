@@ -58,14 +58,20 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 def validate_transform(table: Sequence[int], size: int) -> tuple[int, ...]:
-    """Check a transformation table against the domain size."""
+    """Check a transformation table against the domain size.
+
+    A table of plain ints within range passes by one type pass and min/max;
+    only otherwise is it walked entry by entry, to name the first bad one.
+    """
     if len(table) != size:
         raise RangeError(f"transform table has length {len(table)}, expected {size}")
-    for x, y in enumerate(table):
-        if not isinstance(y, int) or isinstance(y, bool):
-            raise RangeError(f"entry {y!r} at position {x} is not an integer")
-        if not 0 <= y < size:
-            raise RangeError(f"entry {y} at position {x} is outside [0, {size})")
+    if table and not (set(map(type, table)) <= {int}
+                      and 0 <= min(table) and max(table) < size):
+        for x, y in enumerate(table):
+            if not isinstance(y, int) or isinstance(y, bool):
+                raise RangeError(f"entry {y!r} at position {x} is not an integer")
+            if not 0 <= y < size:
+                raise RangeError(f"entry {y} at position {x} is outside [0, {size})")
     return tuple(table)
 
 

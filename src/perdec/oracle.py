@@ -5,9 +5,27 @@ invariance-class indicators of the maps.  Every instance kind is a list of
 total maps on {0..N-1}: a window shift that would leave the window fixes
 the point instead, and a fixed point constrains no invariant function.  So
 `verified_split` decides every kind: `split_over_classes` on the maps'
-invariance classes, by one of two routes, then the parts are checked on
-the map tables.  Either way the answer is verified parts or an exact dual
-functional.
+invariance classes, then the parts are checked on the map tables.  Either
+way the answer is verified parts or an exact dual functional.
+
+Only the finest distinct partitions are solved over.  Write V_j for the
+functions constant on the classes of partition j.  If partition i refines
+partition j (each i-class lies inside one j-class), then V_j ⊆ V_i, and
+V_j adds nothing to V_1 + … + V_n.  This happens when a map is the
+identity, a power T^k of another map T, a duplicate, or a shift of Z_m
+whose gcd with m is a multiple of another's.  So every partition that
+another one refines is dropped (of equal ones the first is kept), and its
+part is zero: any split over the kept partitions, with zeros added, is a
+split over all of them.  A dual functional of the kept family sums to zero
+on every kept class.  Each class of a dropped partition is a union of
+classes of a kept one, so the dual sums to zero there too, and it is a
+dual of the full family.  Each dual is verified once, against the full
+family.  The kept partitions are solved by one of three routes.
+
+One partition: a class scan.  f lies in V_1 iff it is constant on every
+class, and then f is the part.  Otherwise some x differs from its class
+representative r, and the weights +1 at x and −1 at r sum to zero on
+every class but pair to f(x) − f(r) ≠ 0 with f.
 
 Two partitions a and b: a spanning forest of the class graph.  Its nodes
 are the a-classes and the b-classes, and each point x is an edge between
@@ -25,24 +43,23 @@ So the forest decides in O(N), and the first failing edge gives a dual
 with ±1 weights.  A simple cycle visits each class at most once and
 alternates sides, so its support is even and at most 2·min(K_a, K_b).
 
-Any other number of partitions: fraction-free elimination.  It works on
+Zero or at least three partitions: fraction-free elimination.  It works on
 integer rows (function values are scaled by a common denominator), tracks
 the row operations, and therefore hands out an exact dual functional
 whenever the system is infeasible.  Rows are stored sparsely, as
 {column: nonzero int}: a class-incidence row has one 1 per partition plus
 its right side and one tracking entry, so the elimination (integer row
 combinations, gcd-reduced) touches only nonzeros instead of m·(K + 1 + m)
-dense cells for m points and K classes.  For n ≠ 2 partitions, and for
-`linear_feasibility` and `nullspace` called directly, its pivot rule
-(smallest magnitude, first row on ties) and row arithmetic are those of
-the dense elimination it replaced, so solutions, duals and nullspace bases
-are the same.  Back-substitution runs on integers too: `_back_substitute`
+dense cells for m points and K classes.  Its pivot rule (smallest
+magnitude, first row on ties) and row arithmetic are those of the dense
+elimination it replaced, so solutions, duals and nullspace bases are the
+same.  Back-substitution runs on integers too: `_back_substitute`
 solves the pivot rows on numerators over one common scale and builds one
-Fraction per unknown at the end.  For n ≠ 2 partitions, `split_over_classes`
-scales f to numerators over one denominator d once, solves the class
-incidence with the numerators as right side, and builds each part value
-once per class: Fraction(q.numerator, q.denominator · d) for the class's
-solution entry q, or q itself when d = 1.  No Fraction is divided.
+Fraction per unknown at the end.  `_split_by_elimination` scales f to
+numerators over one denominator d once, solves the class incidence with
+the numerators as right side, and builds each part value once per class:
+Fraction(q.numerator, q.denominator · d) for the class's solution entry q,
+or q itself when d = 1.  No Fraction is divided.
 """
 
 from __future__ import annotations
@@ -225,22 +242,25 @@ def verify_dual(partitions: Sequence[Partition], f: RationalFunction,
     The weights must pair to nonzero with f and sum to zero over every
     class of every partition.  A class sum is the pairing with that class's
     indicator, and the indicators span the functions constant on the
-    classes; all sums are taken here in O(N).
+    classes.  Zero weights add nothing to either, so one pass finds the
+    support and every sum runs over the support alone.
     """
     if len(dual.weights) != len(f):
         return VerificationResult(False,
                                   "weight count differs from domain size")
+    support = [x for x, w in enumerate(dual.weights) if w]
     # both sides scaled to integers by positive factors: the pairing keeps
     # its zero/nonzero answer
-    weights, _ = integer_values(dual.weights)
-    values, _ = integer_values(f)
+    weights, _ = integer_values([dual.weights[x] for x in support])
+    values, _ = integer_values([f[x] for x in support])
     if not sum(w * v for w, v in zip(weights, values)):
         return VerificationResult(False, "dual functional vanishes on f")
     for j, part in enumerate(partitions):
-        sums = [0] * part.n_classes
-        for w, c in zip(weights, part.class_of):
-            sums[c] += w
-        if any(sums):
+        sums: Dict[int, int] = {}
+        for x, w in zip(support, weights):
+            c = part.class_of[x]
+            sums[c] = sums.get(c, 0) + w
+        if any(sums.values()):
             return VerificationResult(
                 False, f"dual functional does not vanish on an invariant "
                        f"function of part {j}")
@@ -288,15 +308,14 @@ def _split_two(a: Partition, b: Partition, f: RationalFunction
                     parent[other] = node
                     queue.append(other)
                 elif seen != want:
-                    return _cycle_dual(a, b, f, x, node, other, via, parent)
+                    return _cycle_dual(len(f), x, node, other, via, parent)
     values = [Fraction(p, denom) for p in potential]
     return [tuple(values[c] for c in a.class_of),
             tuple(values[ka + c] for c in b.class_of)]
 
 
-def _cycle_dual(a: Partition, b: Partition, f: RationalFunction, x: int,
-                node: int, other: int, via: List[int], parent: List[int]
-                ) -> DualCertificate:
+def _cycle_dual(size: int, x: int, node: int, other: int, via: List[int],
+                parent: List[int]) -> DualCertificate:
     """±1 weights on the cycle that edge x closes between two tree nodes:
     x, then the tree path from other to node, alternating in sign."""
     def ancestors(n: int) -> List[int]:
@@ -312,13 +331,11 @@ def _cycle_dual(a: Partition, b: Partition, f: RationalFunction, x: int,
     # up and down now end at their lowest common ancestor
     path = [via[n] for n in up[:-1]] + [via[n] for n in reversed(down[:-1])]
     one, minus = Fraction(1), Fraction(-1)
-    weights = [Fraction(0)] * len(f)
+    weights = [Fraction(0)] * size
     weights[x] = one
     for k, y in enumerate(path):
         weights[y] = minus if k % 2 == 0 else one
-    certificate = DualCertificate(RationalFunction(tuple(weights)))
-    verify_dual([a, b], f, certificate).require("dual certificate")
-    return certificate
+    return DualCertificate(RationalFunction(tuple(weights)))
 
 
 def _class_incidence(partitions: Sequence[Partition], f: RationalFunction
@@ -338,27 +355,67 @@ def _class_incidence(partitions: Sequence[Partition], f: RationalFunction
     return rows, rhs, ncols, denom
 
 
-def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
-                       ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
-    """Exact split of f into parts, part j constant on the classes of
-    partitions[j].
+def _finest(partitions: Sequence[Partition]) -> List[int]:
+    """Indices, in input order, of the partitions no other one refines;
+    of equal partitions only the first is kept.
 
-    Returns the parts' value tuples (some feasible point, with no
-    minimality), or a DualCertificate that `verify_dual` has accepted.
-    Two partitions go to `_split_two`; any other count to
-    `linear_feasibility` on the class incidence with f's numerators, num /
-    denom, as the right side.  A class's part value is its solution entry
-    over denom, built once per class.
+    Only a partition with at least as many classes can refine p, so the
+    partitions are taken by class count, descending (ties in input order),
+    and each is tested against the ones kept so far: anything a dropped
+    partition refines, the kept one that refines it refines too.  With
+    equal counts, refinement is equality, and canonical labels (ids by
+    first appearance) make that a tuple comparison.  With more classes, q
+    refines p when every q-class meets one p-class: the (q, p) label pairs
+    take exactly q.n_classes distinct values.
     """
-    if len(partitions) == 2:
-        return _split_two(*partitions, f)
+    order = sorted(range(len(partitions)),
+                   key=lambda j: -partitions[j].n_classes)
+    kept: List[int] = []
+    for j in order:
+        p = partitions[j]
+        for i in kept:
+            q = partitions[i]
+            if (q.class_of == p.class_of if q.n_classes == p.n_classes else
+                    len(set(zip(q.class_of, p.class_of))) == q.n_classes):
+                break
+        else:
+            kept.append(j)
+    return sorted(kept)
+
+
+def _split_one(part: Partition, f: RationalFunction
+               ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
+    """`split_over_classes` for one partition, by a class scan: f itself
+    when f is constant on every class, else +1 at the first point whose
+    value differs from its class representative's and −1 there.
+
+    The representatives' values are spread over their classes and compared
+    with f as one tuple comparison, which tests identity before value:
+    equal literals of an instance file parse to one Fraction object.
+    """
+    values = f.values
+    reps = part.representative
+    spread = tuple(map([values[r] for r in reps].__getitem__, part.class_of))
+    if spread == values:
+        return [values]
+    x = next(x for x, (u, v) in enumerate(zip(spread, values)) if u != v)
+    weights = [Fraction(0)] * len(f)
+    weights[x], weights[reps[part.class_of[x]]] = Fraction(1), Fraction(-1)
+    return DualCertificate(RationalFunction(tuple(weights)))
+
+
+def _split_by_elimination(partitions: Sequence[Partition],
+                          f: RationalFunction
+                          ) -> Union[List[Tuple[Fraction, ...]],
+                                     DualCertificate]:
+    """`split_over_classes` by `linear_feasibility` on the class incidence
+    with f's numerators, num / denom, as the right side.  A class's part
+    value is its solution entry over denom, built once per class."""
     rows, num, ncols, denom = _class_incidence(partitions, f)
     solution, dual = linear_feasibility(rows, num, ncols)
     if dual is not None:
-        certificate = DualCertificate(RationalFunction(
+        return DualCertificate(RationalFunction(
             tuple(Fraction(w) for w in dual)))
-        verify_dual(partitions, f, certificate).require("dual certificate")
-        return certificate
     parts = []
     offset = 0
     for part in partitions:
@@ -368,6 +425,40 @@ def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
                          for q in per_class]
         parts.append(tuple(per_class[c] for c in part.class_of))
         offset += part.n_classes
+    return parts
+
+
+def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
+                       ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
+    """Exact split of f into parts, part j constant on the classes of
+    partitions[j].
+
+    Returns the parts' value tuples (some feasible point, with no
+    minimality), or a DualCertificate that `verify_dual` has accepted
+    against every partition.  If partitions[i] refines partitions[j],
+    every function constant on j's classes is constant on i's, so
+    dropping j leaves the sum of the spaces unchanged: `_finest` keeps
+    the partitions no other one refines (the first of equal ones).  One
+    kept partition goes to the class scan `_split_one`, two to
+    `_split_two`, any other count to `_split_by_elimination`.  A dropped
+    partition's part is zero.  A dual of the kept family is a dual of the
+    full family: each class of a dropped partition is a union of classes
+    of a kept one, so the weights sum to zero on it too.
+    """
+    kept = _finest(partitions)
+    finest = [partitions[j] for j in kept]
+    if len(finest) == 1:
+        outcome = _split_one(finest[0], f)
+    elif len(finest) == 2:
+        outcome = _split_two(*finest, f)
+    else:
+        outcome = _split_by_elimination(finest, f)
+    if isinstance(outcome, DualCertificate):
+        verify_dual(partitions, f, outcome).require("dual certificate")
+        return outcome
+    parts = [(Fraction(0),) * len(f)] * len(partitions)
+    for j, values in zip(kept, outcome):
+        parts[j] = values
     return parts
 
 

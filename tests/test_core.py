@@ -75,6 +75,46 @@ def test_validate_transform_range_checks():
         validate_transform([0], 2)
 
 
+def _validate_transform_reference(table, size):
+    """Reference check: one entry at a time, the first bad one named."""
+    if len(table) != size:
+        raise RangeError(f"transform table has length {len(table)}, "
+                         f"expected {size}")
+    for x, y in enumerate(table):
+        if not isinstance(y, int) or isinstance(y, bool):
+            raise RangeError(f"entry {y!r} at position {x} is not an "
+                             f"integer")
+        if not 0 <= y < size:
+            raise RangeError(f"entry {y} at position {x} is outside "
+                             f"[0, {size})")
+    return tuple(table)
+
+
+class _Int(int):
+    """An int subclass, which the type pass does not vouch for."""
+
+
+_ENTRIES = st.one_of(st.integers(-2, 8), st.booleans(),
+                     st.integers(0, 5).map(_Int),
+                     st.sampled_from([0.0, 1.5, "1", None]))
+
+
+@given(st.integers(0, 6), st.booleans(), st.data())
+def test_validate_transform_matches_the_entry_by_entry_reference(size, valid,
+                                                                 data):
+    entries = st.integers(0, size - 1) if valid and size else _ENTRIES
+    table = data.draw(st.lists(entries, min_size=size, max_size=size))
+
+    def outcome(check):
+        try:
+            return check(table, size)
+        except RangeError as exc:
+            return str(exc)
+
+    assert outcome(validate_transform) == outcome(
+        _validate_transform_reference)
+
+
 def test_compose_applies_second_argument_first():
     t = (1, 2, 0)
     s = (0, 0, 0)

@@ -13,8 +13,10 @@ from perdec.core import (
     RationalFunction,
     integer_values,
     is_invariant,
+    power,
     validate_system,
     verify_decomposition,
+    verify_parts,
 )
 from perdec.oracle import (
     DualCertificate,
@@ -229,32 +231,128 @@ def test_sparse_elimination_is_bit_identical_on_class_incidences(system,
     _assert_identical(*oracle._class_incidence(partitions, f)[:3])
 
 
-@given(st.integers(3, 5), st.integers(0, 10 ** 9))
+def _refines(q: Partition, p: Partition) -> bool:
+    """Reference: every two points in one q-class share their p-class."""
+    n = len(q.class_of)
+    return all(p.class_of[x] == p.class_of[y] for x in range(n)
+               for y in range(n) if q.class_of[x] == q.class_of[y])
+
+
+def _finest_reference(partitions) -> list:
+    """Indices of the partitions no other one refines, keeping the first
+    of equal ones, by testing every ordered pair."""
+    return [j for j, p in enumerate(partitions)
+            if not any(_refines(q, p) and (q != p or i < j)
+                       for i, q in enumerate(partitions) if i != j)]
+
+
+@given(st.integers(3, 5), st.integers(0, 10 ** 9), st.booleans(),
+       st.sampled_from([(), ("twice",), ("identity",),
+                        ("twice", "identity")]))
 @settings(max_examples=80, deadline=None)
 def test_split_over_three_to_five_partitions_matches_the_division_reference(
-        n, seed):
+        n, seed, torus, extra):
     # g = num / d plus the constant 1 / 2d is (2 num + 1) / 2d at every
-    # point, so it is never integral, and it is decomposable whenever g is
+    # point, so it is never integral, and it is decomposable whenever g is.
+    # Random systems mostly nest down to one partition; the axis shifts of
+    # a torus never refine each other, so they reach the elimination.
     rng = random.Random(f"split:{seed}")
-    system = generators.random_commuting_system(rng, n, 8)
+    if torus:
+        dims = tuple(rng.randint(2, 3) for _ in range(n - len(extra)))
+        base = validate_system([_shifts(dims, axis)
+                                for axis in range(len(dims))],
+                               math.prod(dims))
+    else:
+        base = generators.random_commuting_system(rng, n - len(extra), 8)
+    maps = list(base.transforms)
+    for kind in extra:
+        other = rng.choice(maps) if kind == "twice" else tuple(
+            range(base.size))
+        maps.insert(rng.randint(0, len(maps)), other)
+    system = validate_system(maps, base.size)
     g = generators.random_function(rng, system)
     _, d = integer_values(g)
     f = g + RationalFunction.constant(system.size, Fraction(1, 2 * d))
     partitions = [invariance_classes(t) for t in system.transforms]
-    solution, _ = linear_feasibility(
-        *oracle._class_incidence(partitions, f)[:3])
+    kept = _finest_reference(partitions)
+    assert oracle._finest(partitions) == kept
+    finest = [partitions[j] for j in kept]
+    solution, dual = linear_feasibility(
+        *oracle._class_incidence(finest, f)[:3])
     got = split_over_classes(partitions, f)
     if solution is None:
         assert isinstance(got, DualCertificate)
+        weights = got.weights.values
+        if len(kept) == 1:
+            # the class scan's dual: a point and its class representative
+            assert sorted(w for w in weights if w) == [-1, 1]
+        elif len(kept) > 2:
+            assert weights == tuple(map(Fraction, dual))
+        return
+    if len(kept) == 2:
+        # the forest's gauge, which the forest test pins to the
+        # elimination's verdict; here only the sum and the zeros
+        assert verify_parts(system.transforms, f, got)
+        assert all(not any(got[j]) for j in range(n) if j not in kept)
         return
     _, denom = integer_values(f)
     assert denom != 1
     per_class = [q / denom for q in solution]
-    want, offset = [], 0
-    for part in partitions:
-        want.append(tuple(per_class[offset + c] for c in part.class_of))
+    zero = (Fraction(0),) * system.size
+    want, offset = [zero] * n, 0
+    for j, part in zip(kept, finest):
+        want[j] = tuple(per_class[offset + c] for c in part.class_of)
         offset += part.n_classes
     assert got == want
+
+
+@st.composite
+def _nested_families(draw):
+    """(maps, size) whose invariance partitions nest, in shuffled order:
+    powers T^k of one map (repeats are duplicates), or shifts of Z_m by
+    proper divisors d of m (classes: residues mod d), each maybe with a
+    multiple k·d along, whose gcd with m is a multiple of d.  Sometimes
+    the identity, which refines every partition, joins them."""
+    rng = random.Random(f"nest:{draw(st.integers(0, 10 ** 9))}")
+    count = rng.randint(2, 5)
+    if draw(st.booleans()):
+        size = rng.randint(1, 9)
+        t = tuple(rng.randrange(size) for _ in range(size))
+        maps = [power(t, rng.randint(1, 4)) for _ in range(count)]
+    else:
+        size = rng.choice([4, 6, 8, 12, 18, 30])
+        divisors = [d for d in range(1, size) if size % d == 0]
+        shifts = []
+        while len(shifts) < count:
+            a = rng.choice(divisors)
+            shifts.append(a)
+            if rng.random() < 0.5:
+                shifts.append(a * rng.randint(0, 3) % size)
+        maps = [tuple((x + a) % size for x in range(size)) for a in shifts]
+    if rng.random() < 0.2:
+        maps.append(tuple(range(size)))
+    rng.shuffle(maps)
+    return maps, size
+
+
+@given(_nested_families(), st.integers(0, 10 ** 9))
+def test_nested_families_solve_over_the_finest_partitions(case, seed):
+    maps, size = case
+    system = validate_system(maps, size)
+    f = generators.random_function(random.Random(f"nested:{seed}"), system)
+    partitions = [invariance_classes(t) for t in maps]
+    kept = oracle._finest(partitions)
+    assert kept == _finest_reference(partitions)
+    _, dual = linear_feasibility(
+        *oracle._class_incidence(partitions, f)[:3])
+    got = split_over_classes(partitions, f)
+    assert isinstance(got, DualCertificate) == (dual is not None)
+    if isinstance(got, DualCertificate):
+        assert verify_dual(partitions, f, got)
+    else:
+        assert verify_parts(maps, f, got)
+        assert all(not any(got[j]) for j in range(len(maps))
+                   if j not in kept)
 
 
 def _shifts(dims, axis):
@@ -348,6 +446,42 @@ def test_two_partitions_skip_the_elimination_and_read_labels_linearly(
         # each point's two labels: once to list the edges, once per edge
         # end in the forest, once to build a part or check the dual
         assert reads[0] <= 6 * size
+
+
+def test_nested_maps_skip_the_solvers_and_read_labels_linearly(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a nested family reached a solver")
+
+    reads = [0]
+
+    def counted_classes(t):
+        return counted_partition(invariance_classes(t), reads)
+
+    monkeypatch.setattr(oracle, "linear_feasibility", refuse)
+    monkeypatch.setattr(oracle, "_split_two", refuse)
+    monkeypatch.setattr(oracle, "invariance_classes", counted_classes)
+    rng = random.Random(22)
+    size = 10 ** 4
+    t = tuple(rng.randrange(size) for _ in range(size))
+    square = power(t, 2)
+    identity = tuple(range(size))
+    planted = generators.random_invariant_part(rng, square)
+    broken = RationalFunction(planted.values[:-1]
+                              + (planted.values[-1] + 1,))
+    cases = (([t, square, t, identity], planted, True),
+             ([t, square, t, identity], broken, True),
+             ([square, t, t], planted, True),
+             ([t, t, square], broken, False))
+    for maps, f, splits in cases:
+        reads[0] = 0
+        got = oracle_decompose(validate_system(maps, size), f)
+        assert isinstance(got, DualCertificate) != splits
+        # one finest partition, with more classes than any other: each
+        # other one is compared with it by one pass over both label tuples
+        # (2 reads a point), the class scan reads its labels once, and a
+        # dual is checked on its two points alone
+        assert reads[0] <= 7 * size
 
 
 def test_three_partitions_bound_the_elimination_work(monkeypatch):
