@@ -5,68 +5,86 @@ rational-valued f, decide whether f = f_1 + ... + f_n with each f_j
 T_j-invariant, and construct the parts or an exact certificate of
 impossibility.  Everything is exact rational arithmetic; every positive or
 negative answer is verified before it is returned.
+
+Every public name resolves on first use (PEP 562): `import perdec` loads
+no submodule, and reading a name imports the one module that defines it,
+so a process pays only for the modules it calls.
 """
 
-from .cohomology import (
-    BoundedTransfer,
-    ConstrainedObstruction,
-    CycleObstruction,
-    partial_sum_bound,
-    solve_bounded_transfer,
-    solve_transfer,
-    solve_transfer_constrained,
-)
-from .core import (
-    CommutingSystem,
-    Decomposition,
-    InternalContractViolation,
-    NotCommutingError,
-    PreconditionError,
-    RangeError,
-    RationalFunction,
-    VerificationResult,
-    as_fraction,
-    commute_witness,
-    compose,
-    delta,
-    identity,
-    is_invariant,
-    power,
-    validate_system,
-    validate_transform,
-    verify_decomposition,
-)
-from .decomp import decompose_n, decompose_three, decompose_three_report, decompose_two
-from .lattice import (
-    LatticeWindow,
-    lattice_decompose,
-    lattice_oracle_decompose,
-    mixed_delta_witness,
-    z_window_counterexample,
-)
-from .oracle import DualCertificate, linear_feasibility, oracle_decompose
-from .orbits import (
-    Partition,
-    Relation,
-    default_bound,
-    find_relation,
-    invariance_classes,
-    joint_classes,
-    prescribed_points,
-)
-from .star import (
-    Candidate,
-    SearchReport,
-    StarInstance,
-    StarViolation,
-    check_star,
-    check_star_abelian,
-    replay_abelian_violation,
-    replay_violation,
-    search_counterexample,
-)
-
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "BoundedTransfer": "cohomology",
+    "Candidate": "star",
+    "CommutingSystem": "core",
+    "ConstrainedObstruction": "cohomology",
+    "CycleObstruction": "cohomology",
+    "Decomposition": "core",
+    "DualCertificate": "oracle",
+    "InternalContractViolation": "core",
+    "LatticeWindow": "lattice",
+    "NotCommutingError": "core",
+    "Partition": "orbits",
+    "PreconditionError": "core",
+    "RangeError": "core",
+    "RationalFunction": "core",
+    "Relation": "orbits",
+    "SearchReport": "star",
+    "StarInstance": "star",
+    "StarViolation": "star",
+    "VerificationResult": "core",
+    "as_fraction": "core",
+    "check_star": "star",
+    "check_star_abelian": "star",
+    "commute_witness": "core",
+    "compose": "core",
+    "decompose_n": "decomp",
+    "decompose_three": "decomp",
+    "decompose_three_report": "decomp",
+    "decompose_two": "decomp",
+    "default_bound": "orbits",
+    "delta": "core",
+    "find_relation": "orbits",
+    "identity": "core",
+    "invariance_classes": "orbits",
+    "is_invariant": "core",
+    "joint_classes": "orbits",
+    "lattice_decompose": "lattice",
+    "lattice_oracle_decompose": "lattice",
+    "linear_feasibility": "oracle",
+    "mixed_delta_witness": "lattice",
+    "oracle_decompose": "oracle",
+    "partial_sum_bound": "cohomology",
+    "power": "core",
+    "prescribed_points": "orbits",
+    "replay_abelian_violation": "star",
+    "replay_violation": "star",
+    "search_counterexample": "star",
+    "solve_bounded_transfer": "cohomology",
+    "solve_transfer": "cohomology",
+    "solve_transfer_constrained": "cohomology",
+    "validate_system": "core",
+    "validate_transform": "core",
+    "verify_decomposition": "core",
+    "z_window_counterexample": "lattice",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})
+
 
 __all__ = [
     "BoundedTransfer",

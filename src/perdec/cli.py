@@ -9,6 +9,10 @@ replays and 1 when it does not.
 Every instance kind is a list of total maps (`serialize.Instance.maps`),
 so `oracle` and its --verify take one path on all four kinds; the kind
 only picks the output document (a lattice window's parts carry its dims).
+
+Loading this module loads only `serialize` and `core`, which every
+subcommand needs.  Each handler and each --verify checker imports the
+algorithm modules it calls in its body, so a run loads only those.
 """
 
 from __future__ import annotations
@@ -19,11 +23,6 @@ from functools import lru_cache
 from typing import Any, Optional, Sequence, Tuple, Union
 
 from . import serialize
-from .cohomology import (
-    ConstrainedObstruction,
-    solve_bounded_transfer,
-    verify_bounded_transfer,
-)
 from .core import (
     Decomposition,
     NotCommutingError,
@@ -32,27 +31,7 @@ from .core import (
     VerificationResult,
     verify_parts,
 )
-from .decomp import decompose_n
-from .lattice import (
-    LatticeWindow,
-    lattice_decompose,
-    mixed_delta_witness,
-    verify_lattice_parts,
-    verify_point_violation,
-)
-from .oracle import DualCertificate, verified_split, verify_dual
-from .orbits import invariance_classes
 from .serialize import Instance, ParseError, dumps, load_json, parse_instance
-from .star import (
-    SearchReport,
-    StarViolation,
-    check_star,
-    check_star_abelian,
-    replay_abelian_violation,
-    replay_violation,
-    search_counterexample,
-)
-from .star import _reverify_candidate
 
 
 def _read_instance(path: str) -> Instance:
@@ -114,6 +93,8 @@ def _tuple_of(result: Any, kind: type) -> bool:
 
 def _verify_decomposition_result(inst: Instance,
                                  result: Any) -> VerificationResult:
+    from .star import StarViolation, replay_violation
+
     if isinstance(result, Decomposition):
         return verify_parts(inst.maps(), inst.f, result.parts)
     if isinstance(result, StarViolation):
@@ -129,9 +110,13 @@ def _verify_star_result(inst: Instance, result: Any) -> VerificationResult:
         return VerificationResult(False, "the star check fails on this "
                                          "instance")
     if inst.kind == "lattice-window":
+        from .lattice import verify_point_violation
+
         if _tuple_of(result, int):
             return verify_point_violation(inst.window, result)
         return _unexpected(result, "star-check on a lattice window")
+    from .star import StarViolation, replay_abelian_violation, replay_violation
+
     if not isinstance(result, StarViolation):
         return _unexpected(result, "star-check")
     if inst.kind == "z-window":
@@ -141,17 +126,26 @@ def _verify_star_result(inst: Instance, result: Any) -> VerificationResult:
 
 
 def _verify_oracle_result(inst: Instance, result: Any) -> VerificationResult:
+    from .oracle import DualCertificate, verify_dual
+    from .orbits import invariance_classes
+
     if isinstance(result, DualCertificate):
         return verify_dual([invariance_classes(t) for t in inst.maps()],
                            inst.f, result)
-    if inst.window is not None and _tuple_of(result, LatticeWindow):
-        return verify_lattice_parts(inst.window, result)
-    if inst.window is None and isinstance(result, Decomposition):
+    if inst.window is not None:
+        from .lattice import LatticeWindow, verify_lattice_parts
+
+        if _tuple_of(result, LatticeWindow):
+            return verify_lattice_parts(inst.window, result)
+    elif isinstance(result, Decomposition):
         return verify_parts(inst.maps(), inst.f, result.parts)
     return _unexpected(result, "oracle")
 
 
 def _verify_lattice_result(inst: Instance, result: Any) -> VerificationResult:
+    from .lattice import (LatticeWindow, verify_lattice_parts,
+                          verify_point_violation)
+
     if _tuple_of(result, LatticeWindow):
         return verify_lattice_parts(inst.window, result)
     if _tuple_of(result, int):
@@ -160,11 +154,15 @@ def _verify_lattice_result(inst: Instance, result: Any) -> VerificationResult:
 
 
 def _verify_bounded_result(inst: Instance, result: Any) -> VerificationResult:
+    from .cohomology import verify_bounded_transfer
+
     t, s = inst.system.transforms
     return verify_bounded_transfer(t, s, inst.f, result)
 
 
 def _verify_report(result: Any) -> VerificationResult:
+    from .star import SearchReport, _reverify_candidate
+
     if not isinstance(result, SearchReport):
         return _unexpected(result, "search")
     for c in result.candidates:
@@ -204,9 +202,12 @@ def _cmd_decompose(args) -> Outcome:
     if args.verify:
         return _verify_decomposition_result(inst,
                                             _read_result(args.verify))
+    from .decomp import decompose_n
+
     outcome = decompose_n(inst.system.transforms, inst.f)
-    return ((0 if isinstance(outcome, Decomposition) else 1),
-            serialize.result_to_json(outcome))
+    if isinstance(outcome, Decomposition):
+        return 0, serialize.decomposition_to_json(outcome)
+    return 1, serialize.violation_to_json(outcome)
 
 
 def _star_outcome(inst: Instance) -> Any:
@@ -214,10 +215,14 @@ def _star_outcome(inst: Instance) -> Any:
     StarViolation, or the failing point of a lattice window.  Finite and
     cyclic-group instances are total maps on a finite set, where the
     mixed difference decides alone."""
+    if inst.kind == "lattice-window":
+        from .lattice import mixed_delta_witness
+
+        return mixed_delta_witness(inst.window)
+    from .star import check_star, check_star_abelian
+
     if inst.kind == "z-window":
         return check_star_abelian(inst.shifts, inst.f)
-    if inst.kind == "lattice-window":
-        return mixed_delta_witness(inst.window)
     return check_star(inst.system, inst.f)
 
 
@@ -237,6 +242,8 @@ def _cmd_oracle(args) -> Outcome:
     inst = _read_instance(args.instance)
     if args.verify:
         return _verify_oracle_result(inst, _read_result(args.verify))
+    from .oracle import DualCertificate, verified_split
+
     outcome = verified_split(inst.maps(), inst.f)
     if isinstance(outcome, DualCertificate):
         return 1, serialize.dual_to_json(outcome)
@@ -257,6 +264,8 @@ def _cmd_lattice_decompose(args) -> Outcome:
     if args.base < 0:
         raise PreconditionError(
             f"base hyperplane must be >= 0, got {args.base}")
+    from .lattice import lattice_decompose, mixed_delta_witness
+
     point = mixed_delta_witness(inst.window)
     if point is not None:
         return 1, serialize.point_violation_to_json(point)
@@ -272,15 +281,20 @@ def _cmd_bounded_transfer(args) -> Outcome:
                          "(T, S) with values giving the right-hand side")
     if args.verify:
         return _verify_bounded_result(inst, _read_result(args.verify))
+    from .cohomology import ConstrainedObstruction, solve_bounded_transfer
+
     t, s = inst.system.transforms
     outcome = solve_bounded_transfer(t, s, inst.f)
-    return ((1 if isinstance(outcome, ConstrainedObstruction) else 0),
-            serialize.result_to_json(outcome))
+    if isinstance(outcome, ConstrainedObstruction):
+        return 1, serialize.constrained_obstruction_to_json(outcome)
+    return 0, serialize.bounded_to_json(outcome)
 
 
 def _cmd_search(args) -> Outcome:
     if args.verify:
         return _verify_report(_read_result(args.verify))
+    from .star import search_counterexample
+
     report = search_counterexample(n=args.n, max_size=args.max_size,
                                    trials=args.trials, seed=args.seed,
                                    workers=args.workers)

@@ -57,6 +57,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _as_fractions(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """`as_fraction` over values.  A tuple of exact Fractions, as the library
+    builds them, comes back as it is after one type pass."""
+    if type(values) is tuple and set(map(type, values)) <= {Fraction}:
+        return values
+    return tuple(map(as_fraction, values))
+
+
 def validate_transform(table: Sequence[int], size: int) -> tuple[int, ...]:
     """Check a transformation table against the domain size.
 
@@ -165,8 +173,7 @@ class RationalFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values",
-                           tuple(map(as_fraction, self.values)))
+        object.__setattr__(self, "values", _as_fractions(self.values))
 
     @classmethod
     def from_values(cls, values: Iterable[RationalLike]) -> "RationalFunction":

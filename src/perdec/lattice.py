@@ -27,7 +27,7 @@ from .core import (
     RangeError,
     RationalFunction,
     VerificationResult,
-    as_fraction,
+    _as_fractions,
     first_parts_defect,
     stencil_value,
     window_difference,
@@ -63,7 +63,7 @@ class LatticeWindow:
     def __post_init__(self):
         dims = tuple(self.dims)
         size = window_size(dims)
-        values = tuple(map(as_fraction, self.values))
+        values = _as_fractions(self.values)
         if len(values) != size:
             raise RangeError(
                 f"expected {size} values for dims {dims}, got {len(values)}")

@@ -4,8 +4,13 @@ Rationals travel as strings "p" or "p/q" in lowest terms; no floating
 point appears anywhere.  Parsing accepts exactly the ASCII forms
 -?[0-9]+ and -?[0-9]+/[0-9]+ (lowest terms not required).  A value list
 parses each of its distinct literals once: invariant parts, duals and
-planted values repeat a few literals many times.  Every result type
-round-trips: parse_result(result_to_json(r)) == r.
+planted values repeat a few literals many times, and a value list
+formats each of its distinct values once.  Every result type round-trips:
+parse_result(result_to_json(r)) == r.
+
+Only `core` loads with this module: the certificate types of `oracle`,
+`star`, `cohomology` and `lattice` are imported where a document builds or
+tests one, so parsing an instance loads no algorithm module.
 """
 
 from __future__ import annotations
@@ -14,18 +19,21 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Union
 
-from .cohomology import BoundedTransfer, ConstrainedObstruction, CycleObstruction
 from .core import (
     CommutingSystem,
     Decomposition,
     RangeError,
     RationalFunction,
 )
-from .lattice import LatticeWindow, window_size
-from .oracle import DualCertificate
-from .star import Candidate, SearchReport, StarInstance, StarViolation
+
+if TYPE_CHECKING:
+    from .cohomology import (BoundedTransfer, ConstrainedObstruction,
+                             CycleObstruction)
+    from .lattice import LatticeWindow
+    from .oracle import DualCertificate
+    from .star import SearchReport, StarViolation
 
 
 class ParseError(ValueError):
@@ -75,8 +83,18 @@ def frac_from_json(value: Any, path: str = "value") -> Fraction:
     raise ParseError(f"expected exact rational, got {type(value).__name__}", path)
 
 
-def values_to_json(f: RationalFunction) -> List[str]:
-    return [frac_to_str(v) for v in f.values]
+def values_to_json(f: Union[RationalFunction, LatticeWindow]) -> List[str]:
+    """Each distinct value of the list is formatted once.  The memo is keyed
+    by (numerator, denominator): a Fraction's own hash runs in Python."""
+    memo = {}
+    out = []
+    for v in f.values:
+        key = v.as_integer_ratio()
+        s = memo.get(key)
+        if s is None:
+            s = memo[key] = frac_to_str(v)
+        out.append(s)
+    return out
 
 
 def values_from_json(items: Any, path: str = "values") -> RationalFunction:
@@ -116,14 +134,16 @@ def _int_field(doc: dict, key: str, path: str) -> int:
 
 
 def _int_list(items: Any, path: str) -> List[int]:
+    """A list of plain ints passes by one type pass; only otherwise is it
+    walked entry by entry, to name the first bad one."""
     if not isinstance(items, list):
         raise ParseError("expected a list of integers", path)
-    out = []
-    for i, v in enumerate(items):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ParseError(f"expected integer, got {v!r}", f"{path}[{i}]")
-        out.append(v)
-    return out
+    if not set(map(type, items)) <= {int}:
+        for i, v in enumerate(items):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ParseError(f"expected integer, got {v!r}",
+                                 f"{path}[{i}]")
+    return items
 
 
 KINDS = ("finite", "cyclic-group", "z-window", "lattice-window")
@@ -214,6 +234,8 @@ def parse_instance(doc: Any) -> Instance:
             raise ParseError(f"expected {length} values, got {len(f)}",
                              "values")
         return Instance(kind, f=f, shifts=tuple(shifts), length=length)
+    from .lattice import LatticeWindow
+
     dims = _int_list(doc.get("dims"), "dims")
     f = values_from_json(doc.get("values"))
     try:
@@ -274,7 +296,7 @@ def lattice_parts_to_json(
     return {
         "result": "lattice-decomposition",
         "dims": list(dims),
-        "parts": [[frac_to_str(v) for v in p.values] for p in parts],
+        "parts": [values_to_json(p) for p in parts],
     }
 
 
@@ -325,13 +347,14 @@ def report_to_json(r: SearchReport) -> dict:
     }
 
 
-ResultType = Union[Decomposition, StarViolation, DualCertificate,
-                   BoundedTransfer, CycleObstruction, ConstrainedObstruction,
-                   SearchReport, tuple]
-
-
 def result_to_json(result: Any, dims: Optional[Sequence[int]] = None) -> dict:
     """Serialize any library result; lattice part tuples need their dims."""
+    from .cohomology import (BoundedTransfer, ConstrainedObstruction,
+                             CycleObstruction)
+    from .lattice import LatticeWindow
+    from .oracle import DualCertificate
+    from .star import SearchReport, StarViolation
+
     if isinstance(result, Decomposition):
         return decomposition_to_json(result)
     if isinstance(result, StarViolation):
@@ -372,6 +395,8 @@ def parse_result(doc: Any) -> Any:
         return Decomposition(tuple(
             values_from_json(p, f"parts[{i}]") for i, p in enumerate(parts)))
     if tag == "violation":
+        from .star import StarInstance, StarViolation
+
         cert = doc.get("certificate")
         if not isinstance(cert, dict):
             raise ParseError("expected a certificate object", "certificate")
@@ -400,12 +425,16 @@ def parse_result(doc: Any) -> Any:
                              frac_from_json(cert.get("value"),
                                             "certificate.value"), kind)
     if tag == "infeasible":
+        from .oracle import DualCertificate
+
         cert = doc.get("certificate")
         if not isinstance(cert, dict):
             raise ParseError("expected a certificate object", "certificate")
         return DualCertificate(values_from_json(cert.get("weights"),
                                                 "certificate.weights"))
     if tag == "lattice-decomposition":
+        from .lattice import LatticeWindow, window_size
+
         dims = tuple(_int_list(doc.get("dims"), "dims"))
         try:
             window_size(dims)
@@ -428,9 +457,13 @@ def parse_result(doc: Any) -> Any:
             raise ParseError("expected a certificate object", "certificate")
         return tuple(_int_list(cert.get("point"), "certificate.point"))
     if tag == "bounded-transfer":
+        from .cohomology import BoundedTransfer
+
         return BoundedTransfer(values_from_json(doc.get("values")),
                                frac_from_json(doc.get("bound"), "bound"))
     if tag == "obstruction":
+        from .cohomology import CycleObstruction
+
         cert = doc.get("certificate")
         if not isinstance(cert, dict):
             raise ParseError("expected a certificate object", "certificate")
@@ -438,6 +471,8 @@ def parse_result(doc: Any) -> Any:
             tuple(_int_list(cert.get("points"), "certificate.points")),
             frac_from_json(cert.get("total"), "certificate.total"))
     if tag == "constrained-obstruction":
+        from .cohomology import ConstrainedObstruction
+
         cert = doc.get("certificate")
         if not isinstance(cert, dict):
             raise ParseError("expected a certificate object", "certificate")
@@ -448,6 +483,8 @@ def parse_result(doc: Any) -> Any:
             _int_field(cert, "l2", "certificate.l2"),
             frac_from_json(cert.get("total"), "certificate.total"))
     if tag == "report":
+        from .star import Candidate, SearchReport
+
         candidates = doc.get("candidates")
         if not isinstance(candidates, list):
             raise ParseError("expected candidates list", "candidates")

@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 
 from .core import (
     CommutingSystem,
+    Decomposition,
     PreconditionError,
     RangeError,
     RationalFunction,
@@ -43,7 +44,6 @@ from .core import (
     validate_system,
     window_difference,
 )
-from .oracle import Decomposition, DualCertificate, oracle_decompose
 
 
 @dataclass(frozen=True)
@@ -312,6 +312,8 @@ class SearchReport:
 
 def _reverify_candidate(transforms, size, value_strings):
     """Fresh objects, fresh verdicts; returns the new dual weights or None."""
+    from .oracle import DualCertificate, oracle_decompose
+
     system = validate_system([list(t) for t in transforms], size)
     f = RationalFunction(tuple(Fraction(v) for v in value_strings))
     if check_star(system, f) is not None:
@@ -325,6 +327,7 @@ def _reverify_candidate(transforms, size, value_strings):
 def _run_trials(n: int, max_size: int, start: int, stop: int,
                 seed: int) -> dict:
     from . import generators
+    from .oracle import DualCertificate, oracle_decompose
 
     counts = {key: 0 for key in (
         "star_pass", "star_fail", "oracle_feasible", "oracle_infeasible",

@@ -1003,18 +1003,132 @@ def test_unknown_subcommand_is_input_error(capsys):
     assert run_command(["frobnicate"]) == 2
 
 
+# a fresh interpreter without site-packages: load the CLI, run argv[2:],
+# then print the exit code and every loaded module on stderr
+_FRESH_RUN = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "import perdec.cli; "
+              "code = perdec.cli.run_command(sys.argv[2:]); "
+              "print(code, *sorted(sys.modules), file=sys.stderr)")
+
+# every subcommand needs these: parsing, ParseError and dumps, and the
+# errors run_command catches
+SHARED_MODULES = {"perdec", "perdec.cli", "perdec.serialize", "perdec.core"}
+
+# the perdec modules each subcommand loads past the shared set
+LOADS = {
+    "validate": set(),
+    "oracle": {"orbits", "oracle"},
+    "bounded-transfer": {"cohomology", "orbits"},
+    "star-check": {"star"},
+    "decompose": {"decomp", "cohomology", "orbits", "star"},
+}
+# a decompose result replays with star alone
+VERIFY_LOADS = dict(LOADS, decompose={"star"})
+
+# a building of a lattice window loads lattice, which imports oracle and
+# star; a search trial runs the generators, the star check and the oracle
+LATTICE_LOADS = {"lattice", "oracle", "orbits", "star"}
+SEARCH_LOADS = {"generators", "oracle", "orbits", "star"}
+
+# the instance kinds each subcommand reads; on the others it is an input
+# error that loads nothing past the shared set
+ACCEPTS = {"validate": {"finite", "cyclic-group", "z-window"},
+           "oracle": {"finite", "cyclic-group", "z-window"},
+           "star-check": {"finite", "cyclic-group", "z-window"},
+           "bounded-transfer": {"finite", "cyclic-group"},
+           "decompose": {"finite", "cyclic-group"}}
+
+SMALL_INSTANCES = {
+    "finite": THREE_CYCLE_TRANSFER,
+    "cyclic-group": {"kind": "cyclic-group", "modulus": 3, "shifts": [1, 0],
+                     "values": ["1", "-1", "0"]},
+    "z-window": Z_WINDOW_LINEAR,
+}
+
+
+def _fresh_run(argv):
+    """Exit code, stdout and the perdec modules of a run in a fresh
+    interpreter, which must load only the standard library and perdec."""
+    src = str(Path(perdec.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-S", "-c", _FRESH_RUN, src,
+                          *argv], capture_output=True, text=True, timeout=60)
+    code, *names = run.stderr.split()
+    tops = {name.partition(".")[0] for name in names}
+    assert tops - {"__main__", "perdec"} <= sys.stdlib_module_names
+    return (int(code), run.stdout,
+            {name for name in names if name.partition(".")[0] == "perdec"})
+
+
+def _perdec(*modules):
+    return SHARED_MODULES | {f"perdec.{m}" for m in modules}
+
+
 def test_cli_loads_only_the_standard_library_and_perdec_sources():
     # dependencies = [] and no compiled extension: a fresh interpreter
     # without site-packages imports nothing else
     src = str(Path(perdec.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import perdec.cli; "
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "before = set(sys.modules); import perdec; "
+            "print(*sorted(set(sys.modules) - before)); import perdec.cli; "
             "print(*sorted(sys.modules)); "
             "print(*[m.__file__ for n, m in sys.modules.items() "
             "if n.partition('.')[0] == 'perdec'])")
     run = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, check=True)
-    names, files = run.stdout.splitlines()
+    package, names, files = run.stdout.splitlines()
+    # the package resolves its exports on first use, so it loads no
+    # submodule, and the CLI loads only what every subcommand needs
+    assert package.split() == ["perdec"]
+    assert {n for n in names.split()
+            if n.partition(".")[0] == "perdec"} == SHARED_MODULES
     tops = {name.partition(".")[0] for name in names.split()}
-    assert "perdec" in tops
     assert tops - {"__main__", "perdec"} <= sys.stdlib_module_names
     assert all(path.endswith(".py") for path in files.split())
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_INSTANCES))
+@pytest.mark.parametrize("command", sorted(LOADS))
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, command,
+                                                        kind):
+    instance = _write(tmp_path, "inst.json", SMALL_INSTANCES[kind])
+    code, out, loaded = _fresh_run([command, instance])
+    if kind not in ACCEPTS[command]:
+        assert code == 2
+        assert loaded == SHARED_MODULES
+        return
+    assert code in (0, 1)
+    assert loaded == _perdec(*LOADS[command])
+    if command == "validate":
+        return
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    code, _, loaded = _fresh_run([command, instance, "--verify", str(cert)])
+    assert code == 0
+    assert loaded == _perdec(*VERIFY_LOADS[command])
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle", "star-check",
+                                     "lattice-decompose"])
+def test_a_lattice_window_loads_the_lattice_modules(tmp_path, command):
+    instance = _write(tmp_path, "inst.json", LATTICE_SEPARABLE)
+    code, out, loaded = _fresh_run([command, instance])
+    assert code == 0
+    assert loaded == _perdec(*LATTICE_LOADS)
+    if command == "validate":
+        return
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    code, _, loaded = _fresh_run([command, instance, "--verify", str(cert)])
+    assert code == 0
+    assert loaded == _perdec(*LATTICE_LOADS)
+
+
+def test_search_loads_the_trial_modules_and_its_replay_star_alone(tmp_path):
+    code, out, loaded = _fresh_run(["search", "--n", "3", "--trials", "5"])
+    assert code == 0
+    assert loaded == _perdec(*SEARCH_LOADS)
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    # a report without candidates replays without the oracle
+    assert _fresh_run(["search", "--verify", str(cert)])[::2] == (
+        0, _perdec("star"))

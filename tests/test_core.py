@@ -63,6 +63,28 @@ def test_as_fraction_returns_a_fraction_unchanged():
         LatticeWindow((2, 2), (q, q, q, 0.5))
 
 
+class _Half(Fraction):
+    """A Fraction subclass, which the value tuples must not keep."""
+
+
+def test_a_tuple_of_exact_fractions_is_kept_as_it_is():
+    exact = tuple(Fraction(i, 3) for i in range(4))
+    assert RationalFunction(exact).values is exact
+    assert LatticeWindow((2, 2), exact).values is exact
+    for make in (RationalFunction, lambda v: LatticeWindow((2, 2), v)):
+        for values in ((1, "1/2", Fraction(2), -3),
+                       (_Half(1, 2),) * 4,
+                       [Fraction(1)] * 4):
+            got = make(values).values
+            assert type(got) is tuple
+            assert set(map(type, got)) == {Fraction}
+            assert got == tuple(map(Fraction, values))
+        for values in ((Fraction(1), Fraction(2), Fraction(3), 0.5),
+                       (1.0, 1, 1, 1)):
+            with pytest.raises(TypeError):
+                make(values)
+
+
 def test_validate_transform_range_checks():
     assert validate_transform([1, 0], 2) == (1, 0)
     with pytest.raises(RangeError):

@@ -11,7 +11,12 @@ from perdec.cohomology import (
     ConstrainedObstruction,
     CycleObstruction,
 )
-from perdec.core import Decomposition, NotCommutingError, RationalFunction
+from perdec.core import (
+    Decomposition,
+    NotCommutingError,
+    RangeError,
+    RationalFunction,
+)
 from perdec.lattice import LatticeWindow
 from perdec.oracle import DualCertificate
 from perdec.serialize import (
@@ -151,6 +156,77 @@ def test_parse_result_parses_each_distinct_part_literal_once(monkeypatch):
     d = parse_result(doc)
     assert [len(p) for p in d.parts] == [6000, 6000]
     assert calls[0] <= 6
+
+
+def test_values_to_json_formats_each_distinct_value_once(monkeypatch):
+    calls = [0]
+    original = serialize.frac_to_str
+
+    def counted(q):
+        calls[0] += 1
+        return original(q)
+
+    monkeypatch.setattr(serialize, "frac_to_str", counted)
+    values = [(Fraction(1, 2), Fraction(-1), Fraction(0))[i % 3]
+              for i in range(10000)]
+    assert values_to_json(RationalFunction(tuple(values))) == [
+        ("1/2", "-1", "0")[i % 3] for i in range(10000)]
+    assert calls[0] == 3
+    calls[0] = 0
+    doc = serialize.lattice_parts_to_json(
+        (2, 3), [LatticeWindow((2, 3), (Fraction(5),) * 6),
+                 LatticeWindow((2, 3), (Fraction(0), Fraction(7, 3)) * 3)])
+    assert doc["parts"] == [["5"] * 6, ["0", "7/3"] * 3]
+    assert calls[0] == 3
+
+
+@given(st.lists(rationals(-10 ** 6, 10 ** 6, 10 ** 4), min_size=1,
+                max_size=6), st.data())
+def test_values_to_json_equals_formatting_every_value(pool, data):
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=60))
+    f = RationalFunction(tuple(values))
+    assert values_to_json(f) == [frac_to_str(v) for v in values]
+
+
+def test_values_to_json_refuses_a_value_past_the_digit_limit():
+    huge = Fraction(10 ** 5000 + 1, 3)
+    for values in ((huge,), (Fraction(1), huge, Fraction(1), huge)):
+        with pytest.raises(RangeError):
+            values_to_json(RationalFunction(values))
+
+
+def _int_list_reference(items, path):
+    """The entry-by-entry walk of every list."""
+    if not isinstance(items, list):
+        raise ParseError("expected a list of integers", path)
+    out = []
+    for i, v in enumerate(items):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ParseError(f"expected integer, got {v!r}", f"{path}[{i}]")
+        out.append(v)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ParseError as exc:
+        return "error", str(exc), exc.path
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=60), st.data())
+def test_int_list_matches_the_entry_by_entry_reference(items, data):
+    assert (_outcome(serialize._int_list, items, "t")
+            == _outcome(_int_list_reference, items, "t"))
+    bad = data.draw(st.sampled_from([True, False, 1.0, 2.5, "3", None]))
+    planted = list(items)
+    planted.insert(data.draw(st.integers(0, len(items))), bad)
+    got = _outcome(serialize._int_list, planted, "t")
+    assert got == _outcome(_int_list_reference, planted, "t")
+    assert got[0] == "error"
+    assert (_outcome(serialize._int_list, tuple(items), "t")
+            == _outcome(_int_list_reference, tuple(items), "t"))
 
 
 def _finite_doc():
