@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Union
 
@@ -146,6 +146,28 @@ def _int_list(items: Any, path: str) -> List[int]:
     return items
 
 
+def _certificate(doc: dict) -> dict:
+    cert = doc.get("certificate")
+    if not isinstance(cert, dict):
+        raise ParseError("expected a certificate object", "certificate")
+    return cert
+
+
+def _values(doc: dict, size: int) -> RationalFunction:
+    """The instance's values, exactly size of them."""
+    f = values_from_json(doc.get("values"))
+    if len(f) != size:
+        raise ParseError(f"expected {size} values, got {len(f)}", "values")
+    return f
+
+
+def _shifts(doc: dict) -> List[int]:
+    shifts = _int_list(doc.get("shifts"), "shifts")
+    if not shifts:
+        raise ParseError("expected at least one shift", "shifts")
+    return shifts
+
+
 KINDS = ("finite", "cyclic-group", "z-window", "lattice-window")
 
 
@@ -195,9 +217,7 @@ def parse_instance(doc: Any) -> Instance:
             raise ParseError("expected a nonempty list of transform tables",
                              "transforms")
         tables = [_int_list(tr, f"transforms[{i}]") for i, tr in enumerate(raw)]
-        f = values_from_json(doc.get("values"))
-        if len(f) != size:
-            raise ParseError(f"expected {size} values, got {len(f)}", "values")
+        f = _values(doc, size)
         try:
             system = CommutingSystem(size, tuple(tuple(tr) for tr in tables))
         except RangeError as exc:
@@ -207,13 +227,8 @@ def parse_instance(doc: Any) -> Instance:
         modulus = _int_field(doc, "modulus", "modulus")
         if modulus < 1:
             raise ParseError("modulus must be >= 1", "modulus")
-        shifts = _int_list(doc.get("shifts"), "shifts")
-        if not shifts:
-            raise ParseError("expected at least one shift", "shifts")
-        f = values_from_json(doc.get("values"))
-        if len(f) != modulus:
-            raise ParseError(f"expected {modulus} values, got {len(f)}",
-                             "values")
+        shifts = _shifts(doc)
+        f = _values(doc, modulus)
         tables = tuple(tuple((x + a) % modulus for x in range(modulus))
                        for a in shifts)
         system = CommutingSystem(modulus, tables)
@@ -224,15 +239,10 @@ def parse_instance(doc: Any) -> Instance:
         length = _int_field(doc, "length", "length")
         if length < 2:
             raise ParseError("window length must be >= 2", "length")
-        shifts = _int_list(doc.get("shifts"), "shifts")
-        if not shifts:
-            raise ParseError("expected at least one shift", "shifts")
+        shifts = _shifts(doc)
         if any(a < 0 for a in shifts):
             raise ParseError("expected nonnegative shifts", "shifts")
-        f = values_from_json(doc.get("values"))
-        if len(f) != length:
-            raise ParseError(f"expected {length} values, got {len(f)}",
-                             "values")
+        f = _values(doc, length)
         return Instance(kind, f=f, shifts=tuple(shifts), length=length)
     from .lattice import LatticeWindow
 
@@ -323,20 +333,15 @@ def constrained_obstruction_to_json(o: ConstrainedObstruction) -> dict:
                             "total": frac_to_str(o.total)}}
 
 
+def _counters(report_type: type) -> List[str]:
+    """The report's integer fields, in declaration order."""
+    return [f.name for f in fields(report_type) if f.name != "candidates"]
+
+
 def report_to_json(r: SearchReport) -> dict:
     return {
         "result": "report",
-        "n": r.n,
-        "max_size": r.max_size,
-        "trials": r.trials,
-        "seed": r.seed,
-        "star_pass": r.star_pass,
-        "star_fail": r.star_fail,
-        "oracle_feasible": r.oracle_feasible,
-        "oracle_infeasible": r.oracle_infeasible,
-        "necessity_checked": r.necessity_checked,
-        "necessity_violations": r.necessity_violations,
-        "discrepancies": r.discrepancies,
+        **{name: getattr(r, name) for name in _counters(type(r))},
         "candidates": [
             {"trial": c.trial, "size": c.size,
              "transforms": [list(t) for t in c.transforms],
@@ -347,8 +352,8 @@ def report_to_json(r: SearchReport) -> dict:
     }
 
 
-def result_to_json(result: Any, dims: Optional[Sequence[int]] = None) -> dict:
-    """Serialize any library result; lattice part tuples need their dims."""
+def result_to_json(result: Any) -> dict:
+    """Serialize any library result."""
     from .cohomology import (BoundedTransfer, ConstrainedObstruction,
                              CycleObstruction)
     from .lattice import LatticeWindow
@@ -371,9 +376,7 @@ def result_to_json(result: Any, dims: Optional[Sequence[int]] = None) -> dict:
         return report_to_json(result)
     if isinstance(result, tuple) and result and all(
             isinstance(p, LatticeWindow) for p in result):
-        if dims is None:
-            dims = result[0].dims
-        return lattice_parts_to_json(dims, result)
+        return lattice_parts_to_json(result[0].dims, result)
     raise TypeError(f"no serialization for {type(result).__name__}")
 
 
@@ -397,9 +400,7 @@ def parse_result(doc: Any) -> Any:
     if tag == "violation":
         from .star import StarInstance, StarViolation
 
-        cert = doc.get("certificate")
-        if not isinstance(cert, dict):
-            raise ParseError("expected a certificate object", "certificate")
+        cert = _certificate(doc)
         blocks = cert.get("blocks")
         if not isinstance(blocks, list):
             raise ParseError("expected blocks list", "certificate.blocks")
@@ -427,9 +428,7 @@ def parse_result(doc: Any) -> Any:
     if tag == "infeasible":
         from .oracle import DualCertificate
 
-        cert = doc.get("certificate")
-        if not isinstance(cert, dict):
-            raise ParseError("expected a certificate object", "certificate")
+        cert = _certificate(doc)
         return DualCertificate(values_from_json(cert.get("weights"),
                                                 "certificate.weights"))
     if tag == "lattice-decomposition":
@@ -452,9 +451,7 @@ def parse_result(doc: Any) -> Any:
                 raise ParseError(str(exc), f"parts[{i}]")
         return tuple(windows)
     if tag == "point-violation":
-        cert = doc.get("certificate")
-        if not isinstance(cert, dict):
-            raise ParseError("expected a certificate object", "certificate")
+        cert = _certificate(doc)
         return tuple(_int_list(cert.get("point"), "certificate.point"))
     if tag == "bounded-transfer":
         from .cohomology import BoundedTransfer
@@ -464,18 +461,14 @@ def parse_result(doc: Any) -> Any:
     if tag == "obstruction":
         from .cohomology import CycleObstruction
 
-        cert = doc.get("certificate")
-        if not isinstance(cert, dict):
-            raise ParseError("expected a certificate object", "certificate")
+        cert = _certificate(doc)
         return CycleObstruction(
             tuple(_int_list(cert.get("points"), "certificate.points")),
             frac_from_json(cert.get("total"), "certificate.total"))
     if tag == "constrained-obstruction":
         from .cohomology import ConstrainedObstruction
 
-        cert = doc.get("certificate")
-        if not isinstance(cert, dict):
-            raise ParseError("expected a certificate object", "certificate")
+        cert = _certificate(doc)
         return ConstrainedObstruction(
             _int_field(cert, "x", "certificate.x"),
             _int_field(cert, "k", "certificate.k"),
@@ -507,24 +500,9 @@ def parse_result(doc: Any) -> Any:
                 dual_weights=_rational_strings(
                     c.get("dual_weights"), f"candidates[{i}].dual_weights"),
             ))
-        return SearchReport(
-            n=_int_field(doc, "n", "n"),
-            max_size=_int_field(doc, "max_size", "max_size"),
-            trials=_int_field(doc, "trials", "trials"),
-            seed=_int_field(doc, "seed", "seed"),
-            star_pass=_int_field(doc, "star_pass", "star_pass"),
-            star_fail=_int_field(doc, "star_fail", "star_fail"),
-            oracle_feasible=_int_field(doc, "oracle_feasible",
-                                       "oracle_feasible"),
-            oracle_infeasible=_int_field(doc, "oracle_infeasible",
-                                         "oracle_infeasible"),
-            necessity_checked=_int_field(doc, "necessity_checked",
-                                         "necessity_checked"),
-            necessity_violations=_int_field(doc, "necessity_violations",
-                                            "necessity_violations"),
-            discrepancies=_int_field(doc, "discrepancies", "discrepancies"),
-            candidates=tuple(cands),
-        )
+        counters = {name: _int_field(doc, name, name)
+                    for name in _counters(SearchReport)}
+        return SearchReport(candidates=tuple(cands), **counters)
     raise ParseError(f"unknown result tag {tag!r}", "result")
 
 

@@ -12,6 +12,12 @@ the map tables.  On windows of Z, where the maps are partial, the mixed
 difference alone is not sufficient and the multi-element partitions of
 `check_star_abelian` add conclusions of their own; they are still only
 necessary there, and `oracle.verified_split` decides windows exactly.
+There each block's offsets are the multiples k * l of the signed least
+common multiple l of its shifts, and one stencil per set partition, every
+block at its l, decides them all: x^{kl} - 1 = (x^l - 1)(1 + x^l + ... +
+x^{(k-1)l}) writes the stencil with a block at kl as a sum of in-window
+stencils with that block at l, so every multiple vanishes in-window when
+the least one does.
 
 Violations carry a full replayable instance; both replays re-derive the
 premises and, by `core.stencil_value`, the nonzero value from scratch, in
@@ -26,7 +32,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
 from math import lcm
 from operator import add
 from typing import Optional, Sequence
@@ -177,24 +182,20 @@ def replay_violation(system: CommutingSystem, f: RationalFunction,
     return value == violation.value and value != 0
 
 
-def _block_offsets(shifts: Sequence[int], block: tuple[int, ...],
-                   size: int) -> list[int]:
-    """The offsets k * a_head, k >= 1, that pass the block's premises (a
-    natural multiple of every member shift) and fit in the window, by
-    increasing |offset|; the same whichever member is the head.
-
-    So nonzero shifts of one sign give the multiples of their lcm up to
-    size - 1, a singleton only its own shift; a zero shift (whose stencil
-    is zero) or mixed signs give none."""
+def _block_offset(shifts: Sequence[int], block: tuple[int, ...],
+                  size: int) -> Optional[int]:
+    """The block's signed offset: the least common multiple of its member
+    shifts, the least k * a_head, k >= 1, that passes the block's premises
+    whichever member is the head.  None when it leaves the window
+    (|offset| >= size) or when the block holds a zero shift (whose
+    stencil is zero) or shifts of both signs (no common multiple)."""
     members = [shifts[i] for i in block]
     if min(members) <= 0 <= max(members):
-        return []
+        return None
     step = lcm(*members)
-    count = (size - 1) // step
-    if len(block) == 1:
-        count = min(count, 1)
-    sign = 1 if members[0] > 0 else -1
-    return [sign * step * m for m in range(1, count + 1)]
+    if step >= size:
+        return None
+    return step if members[0] > 0 else -step
 
 
 def _scan_order(n: int):
@@ -220,14 +221,22 @@ def check_star_abelian(shifts: Sequence[int],
     Conclusions are only evaluated at points whose whole difference
     stencil stays in-window.  Premises become arithmetic: a block's
     conclusion at offset k * a_head applies when that offset is a natural
-    multiple of every member shift, and past len(f) - 1 the head's own
-    corner leaves the window at every z.  So each block contributes its
-    in-window common multiples (`_block_offsets`), with no exponent bound
-    and no head choice: every other head reaches the same offsets, so the
-    least index heads each block.  Each offset multiset is scanned once,
-    one unit-difference pass per offset.  The stored premise triples are
-    (i, 0, multiple).  Translations of Z_m are total maps on a finite set,
-    where `check_star` decides alone.
+    multiple of every member shift, that is a multiple k * l of the
+    block's signed least common multiple l, whichever member is the head,
+    so the least index heads each block.  Only k = 1 is scanned
+    (`_block_offset`), with no exponent bound, since
+
+        x^{kl} - 1 = (x^l - 1)(1 + x^l + ... + x^{(k-1)l}):
+
+    a partition's stencil at z with one block at kl is the sum of its
+    stencils with that block at l taken at z, z + l, ..., z + (k-1)l, each
+    of which fits in the window whenever the kl one does.  So every
+    multiple vanishes in-window when the least one does, and the first
+    violation of a partition, if any, is at its all-least offsets; for a
+    one-element block that is the cap at exponent 1.  Each offset
+    multiset is scanned once, one unit-difference pass per offset.  The
+    stored premise triples are (i, 0, l // a_i).  Translations of Z_m are
+    total maps on a finite set, where `check_star` decides alone.
     """
     size = len(f)
     for a in shifts:
@@ -240,23 +249,24 @@ def check_star_abelian(shifts: Sequence[int],
     # scanned so far vanished: a repeat cannot find a violation
     scanned = set()
     for blocks in _scan_order(len(shifts)):
-        for offsets in product(*[_block_offsets(shifts, block, size)
-                                 for block in blocks]):
-            key = tuple(sorted(offsets))
-            if key in scanned:
-                continue
-            scanned.add(key)
-            hit = _window_violation(f_num, offsets)
-            if hit is not None:
-                z, value = hit
-                heads = tuple(block[0] for block in blocks)
-                kvec = tuple(o // shifts[h] for h, o in zip(heads, offsets))
-                premises = tuple(sorted(
-                    (i, 0, o // shifts[i])
-                    for block, o in zip(blocks, offsets) for i in block[1:]))
-                instance = StarInstance(blocks, heads, kvec, premises, z)
-                return StarViolation(instance, Fraction(value, denom),
-                                     "MixedDeltaNonzero")
+        offsets = [_block_offset(shifts, block, size) for block in blocks]
+        if None in offsets:
+            continue
+        key = tuple(sorted(offsets))
+        if key in scanned:
+            continue
+        scanned.add(key)
+        hit = _window_violation(f_num, offsets)
+        if hit is not None:
+            z, value = hit
+            heads = tuple(block[0] for block in blocks)
+            kvec = tuple(o // shifts[h] for h, o in zip(heads, offsets))
+            premises = tuple(sorted(
+                (i, 0, o // shifts[i])
+                for block, o in zip(blocks, offsets) for i in block[1:]))
+            instance = StarInstance(blocks, heads, kvec, premises, z)
+            return StarViolation(instance, Fraction(value, denom),
+                                 "MixedDeltaNonzero")
     return None
 
 

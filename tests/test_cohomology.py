@@ -24,7 +24,6 @@ from perdec.core import (
 )
 from perdec.orbits import induced_map, invariance_classes
 from tests.conftest import (
-    counted_partition,
     counted_tuple,
     rationals,
     reference_solve_transfer,
@@ -103,24 +102,6 @@ def test_solve_transfer_verdict_matches_cycle_enumeration(sized, data):
             assert t[p] == q
 
 
-def test_solve_transfer_reads_each_class_label_a_bounded_number_of_times(
-        monkeypatch):
-    # 1,000 two-cycles: one pass lists every class, not one pass per class
-    reads = [0]
-
-    def counted_classes(t):
-        return counted_partition(invariance_classes(t), reads)
-
-    monkeypatch.setattr(cohomology, "invariance_classes", counted_classes)
-    size = 2000
-    t = tuple(x ^ 1 for x in range(size))
-    g = RationalFunction(tuple(Fraction(1 if x % 2 else -1)
-                               for x in range(size)))
-    h = solve_transfer(t, g)
-    assert isinstance(h, RationalFunction) and delta(t, h) == g
-    assert reads[0] <= 2 * size
-
-
 @given(sized_maps(max_size=12), st.booleans(), st.data())
 @settings(max_examples=200)
 def test_solve_transfer_equals_the_quadratic_reference(sized, planted, data):
@@ -134,6 +115,17 @@ def test_solve_transfer_equals_the_quadratic_reference(sized, planted, data):
 
 def test_transfer_solvers_read_a_long_path_a_linear_number_of_times(
         monkeypatch):
+    # 1,000 two-cycles: one walk per cycle, not one pass per class
+    size = 2000
+    reads = [0]
+    swaps = tuple(x ^ 1 for x in range(size))
+    t = counted_tuple(swaps, reads, 5 * size)
+    g = RationalFunction(tuple(Fraction(1 if x % 2 else -1)
+                               for x in range(size)))
+    h = solve_transfer(t, g)
+    assert reads[0] <= 2 * size
+    assert isinstance(h, RationalFunction) and delta(swaps, h) == g
+
     # x -> x - 1 down to the fixed point 0: every point's walk to the
     # class minimum is a tail, so a walk per point would read t N^2 / 2
     # times; the constrained solver's induced map is counted with t

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perdec import generators, star
@@ -267,14 +267,16 @@ def _natural_multiple(a, b):
     return m if r == 0 and m >= 0 else None
 
 
-def _unpruned_abelian(shifts, f):
+def _unpruned_abelian(shifts, f, cap_singletons=True):
     """Reference window check: every partition, head choice and exponent
-    vector up to 2 * len(f) (singleton blocks at 1), in scan order, with
-    no stencil skipped, each summed corner by corner."""
+    vector up to 2 * len(f) (singleton blocks at 1 unless not
+    cap_singletons), in scan order, with no stencil skipped, each summed
+    corner by corner."""
     bound = 2 * len(f)
     for blocks in _partitions(len(shifts)):
         for heads in product(*blocks):
-            for kvec in product(*[range(1, (2 if len(block) == 1
+            for kvec in product(*[range(1, (2 if cap_singletons
+                                            and len(block) == 1
                                             else bound + 1))
                                   for block in blocks]):
                 premises = [(i, 0, _natural_multiple(shifts[i],
@@ -312,13 +314,45 @@ def windows(draw, nmax=4, size_max=12):
     return shifts, RationalFunction(tuple(Fraction(v) for v in values))
 
 
+def _window(values):
+    return RationalFunction(tuple(Fraction(v) for v in values))
+
+
+# f(x) = x, plus or minus a 2-periodic part, on 13 points; against each
+# of these shifts f(x) = x violates at a multi-element block's least
+# common multiple while twice it still fits in the window
+_LCM_WINDOWS = [(shifts, _window([x + sign * (x % 2) for x in range(13)]))
+                for shifts in [(1, 1), (2, 2), (1, 2), (2, 4), (3, 3),
+                               (1, 1, 2)]
+                for sign in (0, 1, -1)]
+# sums of periodic parts that every partition stencil passes
+_PASSING_WINDOWS = [
+    ((2, 3), _window([x % 2 + (x % 3) ** 2 for x in range(14)])),
+    ((2, 4), _window([x % 2 + (x % 4) ** 2 for x in range(14)])),
+    ((3, 3), _window([(x % 3) ** 2 for x in range(13)])),
+]
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
 @given(windows())
+@_with_examples(_LCM_WINDOWS + _PASSING_WINDOWS)
 @settings(max_examples=300, deadline=None)
 def test_abelian_check_equals_the_unpruned_scan(case):
-    # one head per block, each block's common multiples once and each
-    # offset multiset once change no verdict and no certificate field
+    # one head per block, each block only at its least common multiple
+    # and each offset multiset once change no verdict and no certificate
+    # field; for n <= 2 not even against singletons at every exponent
     shifts, f = case
-    assert check_star_abelian(shifts, f) == _unpruned_abelian(shifts, f)
+    got = check_star_abelian(shifts, f)
+    assert got == _unpruned_abelian(shifts, f)
+    if len(shifts) <= 2:
+        assert got == _unpruned_abelian(shifts, f, cap_singletons=False)
 
 
 @given(st.lists(st.integers(-4, 6), max_size=5), st.data())
@@ -387,35 +421,45 @@ def _counted_stencils(monkeypatch, limit):
 
 
 def test_abelian_pass_scans_each_offset_multiset_once(monkeypatch):
-    # six unit shifts on a constant 9-point window pass; every offset
-    # above 8 leaves the window, and the 203 set partitions give 209
-    # distinct offset multisets
-    calls = _counted_stencils(monkeypatch, 209)
+    # six unit shifts on a constant 9-point window pass; every block sits
+    # at offset 1, so the 203 set partitions give 6 distinct offset
+    # multisets, one per block count
+    calls = _counted_stencils(monkeypatch, 6)
     f = RationalFunction.constant(9, 1)
     assert check_star_abelian((1,) * 6, f) is None
-    assert calls[0] == 209
+    assert calls[0] == 6
 
 
-def test_abelian_pass_on_seven_shifts_enumerates_each_block_once(
+def test_abelian_pass_on_seven_shifts_scans_one_stencil_per_partition(
         monkeypatch):
-    # seven unit shifts on a constant 12-point window pass: 877 set
-    # partitions, each block's offsets 1..11 enumerated once, not once per
-    # head, and 727 distinct offset multisets scanned
-    vectors = [0]
+    # seven unit shifts on a constant 12-point window pass: each of the
+    # Bell(7) = 877 set partitions is visited once, every block at its
+    # least common multiple 1 and never at 2..11, and the 7 distinct
+    # offset multisets are scanned
+    visited = [0]
+    scan_order = star._scan_order
 
-    def counted_product(*lists):
-        for vec in product(*lists):
-            vectors[0] += 1
-            if vectors[0] > 400_000:
-                raise AssertionError("more than 400000 offset vectors")
-            yield vec
+    def counted_scan_order(n):
+        for blocks in scan_order(n):
+            visited[0] += 1
+            yield blocks
 
-    monkeypatch.setattr(star, "product", counted_product)
-    calls = _counted_stencils(monkeypatch, 727)
+    monkeypatch.setattr(star, "_scan_order", counted_scan_order)
+    calls = _counted_stencils(monkeypatch, 7)
     assert check_star_abelian((1,) * 7, RationalFunction.constant(12, 1)) \
         is None
-    assert calls[0] == 727
-    assert vectors[0] <= 400_000
+    assert calls[0] == 7
+    assert visited[0] == 877
+
+
+def test_abelian_pass_on_eight_shifts_scans_one_stencil_per_block_count(
+        monkeypatch):
+    # eight unit shifts on a constant 20-point window pass in one stencil
+    # per block count: the multiples 2..19 of a block's lcm are implied
+    calls = _counted_stencils(monkeypatch, 8)
+    assert check_star_abelian((1,) * 8, RationalFunction.constant(20, 1)) \
+        is None
+    assert calls[0] == 8
 
 
 def test_abelian_check_and_replay_of_forty_shifts_read_f_linearly(
