@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from . import serialize
 from .core import (
@@ -303,15 +303,20 @@ def _cmd_search(args) -> Outcome:
     return (0 if clean else 1), serialize.report_to_json(report)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# the top-level parser and each subcommand's own parser by name
+Parsers = Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]
+
+
+def _build_parser() -> Parsers:
     parser = argparse.ArgumentParser(
         prog="perdec",
         description="Decide and construct sums of invariant functions over "
                     "commuting transformations, with exact certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def add(name, handler, needs_instance=True, verify=True):
-        p = sub.add_parser(name)
+        p = commands[name] = sub.add_parser(name)
         if needs_instance:
             p.add_argument("instance",
                            help="instance file path, or - for standard input")
@@ -336,19 +341,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    return parser
+    return parser, commands
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call rather than at import: parsing
-    leaves it unchanged, so every later call in the process reuses it."""
+def _parser() -> Parsers:
+    """The parsers, built on the first call rather than at import: parsing
+    leaves them unchanged, so every later call in the process reuses them."""
     return _build_parser()
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """A named subcommand's arguments go straight to its own parser, which
+    the top-level one would hand them to; anything else (no argument, -h,
+    an unknown name) takes the top-level parser and its usage."""
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:])
 
 
 def run_command(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
-from operator import add
+from itertools import chain, product
+from operator import add, sub
 from typing import Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -29,6 +29,7 @@ from .core import (
     VerificationResult,
     _as_fractions,
     first_parts_defect,
+    integer_values,
     stencil_value,
     window_difference,
 )
@@ -163,22 +164,29 @@ def lattice_decompose(f: LatticeWindow,
     the gauge that different bases vary.  When the mixed difference
     vanishes the parts verify (the proof of `decomp.decompose_n`, with
     the slice restriction as the projection); otherwise PreconditionError
-    names the first point where it does not.
+    names the first point where it does not.  The slices are copied and
+    subtracted on f's integer numerators over one common denominator, and
+    each distinct numerator becomes one Fraction.
     """
     if base < 0:
         raise PreconditionError(f"base hyperplane must be >= 0, got {base}")
-    rest = list(f.values)
-    parts = []
-    strides = f.strides()
-    for j in range(len(f.dims) - 1, 0, -1):
-        w, stride = f.dims[j], strides[j]
-        b = min(base, w - 1)
-        part = [rest[idx + (b - idx // stride % w) * stride]
-                for idx in range(f.size)]
-        rest = [r - p for r, p in zip(rest, part)]
-        parts.append(LatticeWindow(f.dims, tuple(part)))
-    parts.append(LatticeWindow(f.dims, tuple(rest)))
-    parts.reverse()
+    rest, denom = integer_values(f.values)
+    numerators = []
+    for w, stride in zip(f.dims[:0:-1], f.strides()[:0:-1]):
+        # in each block of w runs along axis j, the base slice's run
+        # repeated w times
+        lo = min(base, w - 1) * stride
+        part = []
+        for top in range(0, f.size, w * stride):
+            part += rest[top + lo:top + lo + stride] * w
+        rest = list(map(sub, rest, part))
+        numerators.append(part)
+    numerators.append(rest)
+    memo = dict.fromkeys(chain.from_iterable(numerators))
+    for v in memo:
+        memo[v] = Fraction(v, denom)
+    parts = [LatticeWindow(f.dims, tuple(map(memo.__getitem__, part)))
+             for part in reversed(numerators)]
     if verify_lattice_parts(f, parts):
         return tuple(parts)
     witness = mixed_delta_witness(f)

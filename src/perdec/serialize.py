@@ -19,6 +19,7 @@ import json
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Union
 
 from .core import (
@@ -101,24 +102,29 @@ def values_from_json(items: Any, path: str = "values") -> RationalFunction:
     """A nonempty list of rationals; each distinct string literal of the
     list is parsed once and its repeats reuse that Fraction.
 
-    Only str items share the memo: True, 1 and 1.0 hash alike, and the
-    non-str ones go to `frac_from_json` one by one, so a bool or float
-    item is still refused.  A bad literal raises before it could be
-    stored, at its first index.
+    A list of str items is mapped through the parsed distinct literals in
+    one pass; a bad literal is reported at its first index, since in
+    first-appearance order the first bad literal is the first bad item.
+    No other JSON value equals a str, so the distinct literals are all str
+    exactly when the items are.  Any other list goes to `frac_from_json`
+    item by item: True, 1 and 1.0 hash alike, so a bool or float item is
+    still refused.
     """
     if not isinstance(items, list) or not items:
         raise ParseError("expected a nonempty list of rationals", path)
-    parsed = {}
-    values = []
-    for i, v in enumerate(items):
-        if type(v) is str:
-            q = parsed.get(v)
-            if q is None:
-                q = parsed[v] = frac_from_json(v, f"{path}[{i}]")
-        else:
-            q = frac_from_json(v, f"{path}[{i}]")
-        values.append(q)
-    return RationalFunction(tuple(values))
+    try:
+        parsed = dict.fromkeys(items)
+    except TypeError:  # a list or object item
+        parsed = {}
+    if set(map(type, parsed)) != {str}:
+        return RationalFunction(tuple(frac_from_json(v, f"{path}[{i}]")
+                                      for i, v in enumerate(items)))
+    try:
+        for literal in parsed:
+            parsed[literal] = frac_from_json(literal, "")
+    except ParseError as exc:
+        raise ParseError(str(exc), f"{path}[{items.index(literal)}]") from None
+    return RationalFunction(tuple(map(parsed.__getitem__, items)))
 
 
 def _rational_strings(items: Any, path: str) -> tuple[str, ...]:
@@ -229,11 +235,12 @@ def parse_instance(doc: Any) -> Instance:
             raise ParseError("modulus must be >= 1", "modulus")
         shifts = _shifts(doc)
         f = _values(doc, modulus)
-        tables = tuple(tuple((x + a) % modulus for x in range(modulus))
-                       for a in shifts)
-        system = CommutingSystem(modulus, tables)
-        return Instance(kind, system=system, f=f,
-                        shifts=tuple(a % modulus for a in shifts),
+        shifts = tuple(a % modulus for a in shifts)
+        # x -> (x + a) % m is range(m) rotated left by a
+        points = tuple(range(modulus))
+        system = CommutingSystem(modulus, tuple(points[a:] + points[:a]
+                                                for a in shifts))
+        return Instance(kind, system=system, f=f, shifts=shifts,
                         modulus=modulus)
     if kind == "z-window":
         length = _int_field(doc, "length", "length")
@@ -506,9 +513,46 @@ def parse_result(doc: Any) -> Any:
     raise ParseError(f"unknown result tag {tag!r}", "result")
 
 
+def _write(value: Any, indent: str) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_quote(k)}: {_write(v, inner)}"
+                         for k, v in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            # value lists, the bulk of every reply, are all str
+            body = sep.join(map(_quote, value))
+        except TypeError:
+            body = sep.join([_write(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
 def dumps(doc: dict) -> str:
-    """Canonical text form: sorted keys, two-space indent, newline at end."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical text form: sorted keys, two-space indent, newline at end.
+
+    The same text as json.dumps(doc, indent=2, sort_keys=True) + "\n" for
+    the dict, list, tuple, str, int, bool and None that results are built
+    from; json writes indented text with its pure-Python encoder, this
+    writer quotes strings with json's C escaper.
+    """
+    return _write(doc, "") + "\n"
 
 
 def load_json(text: str) -> Any:

@@ -40,23 +40,40 @@ def pool_sizes(monkeypatch):
 
 
 def counted_tuple(values, reads: list, limit=None) -> tuple:
-    """values as a tuple that adds one to reads[0] per item read, by index
-    or by iteration, and fails at once when reads[0] passes limit."""
+    """values as a tuple that adds one to reads[0] per item read, by index,
+    by slice, by iteration or by == and != (which read up to and including
+    the first differing pair, and nothing when the lengths differ), and
+    fails at once when reads[0] passes limit."""
 
-    def count():
-        reads[0] += 1
+    def count(n=1):
+        reads[0] += n
         if limit is not None and reads[0] > limit:
             raise AssertionError(f"more than {limit} reads")
 
     class Counted(tuple):
+        __hash__ = tuple.__hash__
+
         def __iter__(self):
             for item in super().__iter__():
                 count()
                 yield item
 
         def __getitem__(self, index):
-            count()
-            return super().__getitem__(index)
+            item = super().__getitem__(index)
+            count(len(item) if isinstance(index, slice) else 1)
+            return item
+
+        def __eq__(self, other):
+            equal = super().__eq__(other)
+            if equal is not NotImplemented and len(self) == len(other):
+                pairs = zip(tuple.__iter__(self), tuple.__iter__(other))
+                count(next((i + 1 for i, (a, b) in enumerate(pairs)
+                            if a is not b and a != b), len(self)))
+            return equal
+
+        def __ne__(self, other):
+            equal = self.__eq__(other)
+            return equal if equal is NotImplemented else not equal
 
     return Counted(values)
 

@@ -1003,6 +1003,60 @@ def test_unknown_subcommand_is_input_error(capsys):
     assert run_command(["frobnicate"]) == 2
 
 
+# one instance per subcommand; search takes none
+DISPATCH_INSTANCES = {"validate": FINITE_DOUBLE_SWAP,
+                      "decompose": FINITE_DOUBLE_SWAP,
+                      "star-check": Z_WINDOW_LINEAR,
+                      "oracle": CYCLIC_SPLIT,
+                      "lattice-decompose": LATTICE_SEPARABLE,
+                      "bounded-transfer": THREE_CYCLE_TRANSFER,
+                      "search": None}
+
+
+def _answer(capsys, argv):
+    code = run_command(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_direct_dispatch_answers_like_the_top_level_parser(tmp_path, capsys,
+                                                           monkeypatch):
+    # a named subcommand skips the top-level parser; with the name map
+    # emptied every argv takes it, which is what each call must equal
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, commands = perdec.cli._parser()
+    assert set(commands) == set(DISPATCH_INSTANCES)
+    oracle_inst = _write(tmp_path, "oracle.json", CYCLIC_SPLIT)
+    calls = [[], ["-h"], ["--help"], ["frobnicate"], ["frobnicate", "x"],
+             ["oracle"], ["oracle", "-h"], ["search", "--n", "x"],
+             ["oracle", str(tmp_path / "missing.json")]]
+    for command, doc in DISPATCH_INSTANCES.items():
+        argv = ([command, "--trials", "5", "--max-size", "3"]
+                if doc is None else
+                [command, _write(tmp_path, f"{command}.json", doc)])
+        cert = tmp_path / f"{command}-cert.json"
+        cert.write_text(_answer(capsys, argv)[1])
+        calls += [argv] + ([] if command == "validate"
+                           else [argv + ["--verify", str(cert)]])
+    unknown = ["oracle", oracle_inst, "--bogus"]
+    codes = []
+    for argv in calls + [unknown]:
+        direct = _answer(capsys, argv)
+        codes.append(direct[0])
+        with monkeypatch.context() as m:
+            m.setattr(perdec.cli, "_parser", lambda: (parser, {}))
+            top = _answer(capsys, argv)
+        if argv is unknown:
+            # the one stderr difference: the usage line of the subcommand
+            assert direct[:2] == top[:2] == (2, "")
+            assert direct[2].startswith("usage: perdec oracle [-h]")
+            assert direct[2].endswith("perdec oracle: error: unrecognized "
+                                      "arguments: --bogus\n")
+        else:
+            assert direct == top, argv
+    assert codes[:9] == [2, 0, 0, 2, 2, 2, 0, 2, 2]
+
+
 # a fresh interpreter without site-packages: load the CLI, run argv[2:],
 # then print the exit code and every loaded module on stderr
 _FRESH_RUN = ("import sys; sys.path.insert(0, sys.argv[1]); "

@@ -144,6 +144,22 @@ def test_lattice_decompose_gauge_choices_all_verify(f, base):
             for idx in range(f.size):
                 if f.coords(idx)[k] == b:
                     assert p.values[idx] == 0
+    assert [p.values for p in parts] == _fraction_slice_parts(f, base)
+
+
+def _fraction_slice_parts(f, base):
+    """The Fraction-arithmetic slice construction that the integer one
+    replaced: part j is the rest read off the slice x_j = min(base, w_j - 1)
+    for j = d-1 down to 1, and part 0 is what remains."""
+    rest = list(f.values)
+    parts = []
+    for w, stride in zip(f.dims[:0:-1], f.strides()[:0:-1]):
+        b = min(base, w - 1)
+        part = [rest[idx + (b - idx // stride % w) * stride]
+                for idx in range(f.size)]
+        rest = [r - p for r, p in zip(rest, part)]
+        parts.append(tuple(part))
+    return [tuple(rest)] + parts[::-1]
 
 
 def _fraction_verify_lattice_parts(f, parts):

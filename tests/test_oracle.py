@@ -34,6 +34,7 @@ from perdec.star import check_star_abelian
 from tests.conftest import (
     class_indicators,
     counted_partition,
+    counted_tuple,
     rationals,
     systems,
     systems_with_functions,
@@ -444,8 +445,26 @@ def test_two_partitions_skip_the_elimination_and_read_labels_linearly(
         got = lattice.lattice_oracle_decompose(LatticeWindow(dims, values))
         assert isinstance(got, DualCertificate) != splits
         # each point's two labels: once to list the edges, once per edge
-        # end in the forest, once to build a part or check the dual
-        assert reads[0] <= 6 * size
+        # end in the forest, once to build a part or check the dual; and
+        # _finest's equal-count comparison of the two label tuples, which
+        # stops at the first differing pair, the second label
+        assert reads[0] <= 6 * size + 2
+
+
+def test_counted_tuple_counts_comparisons_and_slices():
+    reads = [0]
+    t = counted_tuple((0, 1, 2, 3), reads)
+    steps = [(lambda: t[1:3] == (1, 2), 2), (lambda: t[5:], 0),
+             (lambda: t == (0, 1, 9, 3), 3), (lambda: t != (0, 1, 2, 3), 4),
+             (lambda: (0, 5, 2, 3) == t, 2), (lambda: t == (0, 1), 0),
+             (lambda: t == [0, 1, 2, 3], 0), (lambda: t[-1], 1),
+             (lambda: hash(t) == hash((0, 1, 2, 3)), 0)]
+    for step, cost in steps:
+        before = reads[0]
+        step()
+        assert reads[0] - before == cost
+    assert (t == (0, 1, 2, 3), t != (0, 1, 2), t == [0, 1, 2, 3]) == (
+        True, True, False)
 
 
 def test_nested_maps_skip_the_solvers_and_read_labels_linearly(

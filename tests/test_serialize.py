@@ -1,8 +1,9 @@
+import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from perdec import serialize
@@ -128,6 +129,38 @@ def test_values_from_json_errors_name_their_first_bad_index():
         assert str(exc.value) == (
             f"values[1]: expected exact rational, got {bad!r}")
     assert values_from_json(["1", 1]) == RationalFunction((Fraction(1),) * 2)
+    assert values_from_json(["1/2", 3, "1/2", 3]).values == (
+        Fraction(1, 2), Fraction(3)) * 2
+    # a bad literal repeated after good ones: its first index, the message
+    # of that item alone
+    for items, first in ((["0", "1/2", "0", "x", "1/2", "x"], 3),
+                         (["1", "y", "1", "2/0", "y"], 1)):
+        with pytest.raises(ParseError) as exc:
+            values_from_json(items, path="values")
+        with pytest.raises(ParseError) as alone:
+            frac_from_json(items[first], f"values[{first}]")
+        assert (exc.value.path, str(exc.value)) == (
+            alone.value.path, str(alone.value))
+
+
+@given(st.lists(st.one_of(_SPELLINGS, _LITERALS, st.sampled_from(
+    ["x", "1.5", "1e3", "", "+1", True, 0.5, 2, None, ["1"], {}])),
+    min_size=1, max_size=5), st.data())
+def test_values_from_json_reports_the_first_bad_item(pool, data):
+    items = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                               max_size=40))
+    for i, v in enumerate(items):
+        try:
+            frac_from_json(v, f"values[{i}]")
+        except ParseError as exc:
+            want = exc
+            break
+    else:
+        assert len(values_from_json(items)) == len(items)
+        return
+    with pytest.raises(ParseError) as exc:
+        values_from_json(items)
+    assert (exc.value.path, str(exc.value)) == (want.path, str(want))
 
 
 def _counting_frac_from_json(monkeypatch):
@@ -274,6 +307,12 @@ def test_parse_instance_cyclic_reduces_shifts():
     assert inst.system.transforms[0][0] == 2
     again = parse_instance(instance_to_json(inst))
     assert again == inst
+    for m in (1, 2, 5, 12):
+        shifts = [0, -1, -m - 3, m, 2 * m + 1, m - 1]
+        inst = parse_instance({"kind": "cyclic-group", "modulus": m,
+                               "shifts": shifts, "values": ["0"] * m})
+        assert inst.system.transforms == tuple(
+            tuple((x + a) % m for x in range(m)) for a in shifts)
 
 
 def test_parse_instance_z_window():
@@ -386,6 +425,53 @@ def test_dumps_is_canonical():
     text = dumps({"b": 1, "a": [2, 3]})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+def _json_dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# any character, and the ones json escapes drawn often
+_JSON_STRINGS = st.text(st.one_of(
+    st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\b\u2028é\U0001f600'),
+    st.characters(max_codepoint=0x1f)), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_STRINGS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(_JSON_STRINGS, inner, max_size=5)),
+    max_leaves=40)
+
+
+@given(st.dictionaries(_JSON_STRINGS, _JSON_VALUES, max_size=6))
+@example({})
+@example({"": [], "a": {}, "b": (), "c": [[], {}, ()], "d": [""]})
+@example({"values": ["1", "-1/2", "0"], "mixed": ["1", 2, None, True],
+          "nested": [["a"], ("b", "c")], "n": -(10 ** 40)})
+def test_dumps_equals_json_dumps(doc):
+    assert dumps(doc) == _json_dumps(doc)
+
+
+def test_dumps_equals_json_dumps_on_every_round_trip_document():
+    docs = [result_to_json(r) for r in _sample_results()]
+    docs.append(point_violation_to_json((1, 0, 2)))
+    docs += [instance_to_json(parse_instance(doc)) for doc in (
+        {"kind": "finite", "size": 2, "transforms": [[1, 0]],
+         "values": ["1/2", "-3"]},
+        {"kind": "cyclic-group", "modulus": 5, "shifts": [7, -1],
+         "values": ["0", "1", "2", "3", "4"]},
+        {"kind": "z-window", "length": 4, "shifts": [1, 1],
+         "values": ["0", "1", "2", "3"]},
+        {"kind": "lattice-window", "dims": [2, 2],
+         "values": ["0", "1", "2", "3"]})]
+    docs += [{"result": "pass"},
+             {"result": "verified", "agrees": False, "reason": "no"},
+             {"error": "bad \"x\"", "path": "values[0]"},
+             {"error": "not-commuting", "witness": [0, 1, 0]}]
+    for doc in docs:
+        assert dumps(doc) == _json_dumps(doc)
+    with pytest.raises(TypeError):
+        dumps({"value": 0.5})
 
 
 def test_load_json_reports_position():
