@@ -15,13 +15,13 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    "BoundedTransfer": "cohomology",
-    "Candidate": "star",
+    "BoundedTransfer": "check",
+    "Candidate": "check",
     "CommutingSystem": "core",
-    "ConstrainedObstruction": "cohomology",
-    "CycleObstruction": "cohomology",
+    "ConstrainedObstruction": "check",
+    "CycleObstruction": "check",
     "Decomposition": "core",
-    "DualCertificate": "oracle",
+    "DualCertificate": "check",
     "InternalContractViolation": "core",
     "LatticeWindow": "lattice",
     "NotCommutingError": "core",
@@ -30,9 +30,9 @@ _EXPORTS = {
     "RangeError": "core",
     "RationalFunction": "core",
     "Relation": "orbits",
-    "SearchReport": "star",
-    "StarInstance": "star",
-    "StarViolation": "star",
+    "SearchReport": "check",
+    "StarInstance": "check",
+    "StarViolation": "check",
     "VerificationResult": "core",
     "as_fraction": "core",
     "check_star": "star",
@@ -55,18 +55,18 @@ _EXPORTS = {
     "linear_feasibility": "oracle",
     "mixed_delta_witness": "lattice",
     "oracle_decompose": "oracle",
-    "partial_sum_bound": "cohomology",
+    "partial_sum_bound": "check",
     "power": "core",
     "prescribed_points": "orbits",
-    "replay_abelian_violation": "star",
-    "replay_violation": "star",
+    "replay_abelian_violation": "check",
+    "replay_violation": "check",
     "search_counterexample": "star",
     "solve_bounded_transfer": "cohomology",
     "solve_transfer": "cohomology",
     "solve_transfer_constrained": "cohomology",
     "validate_system": "core",
     "validate_transform": "core",
-    "verify_decomposition": "core",
+    "verify_decomposition": "check",
     "z_window_counterexample": "lattice",
 }
 
@@ -86,58 +86,4 @@ def __dir__():
     return sorted({*globals(), *_EXPORTS})
 
 
-__all__ = [
-    "BoundedTransfer",
-    "Candidate",
-    "CommutingSystem",
-    "ConstrainedObstruction",
-    "CycleObstruction",
-    "Decomposition",
-    "DualCertificate",
-    "InternalContractViolation",
-    "LatticeWindow",
-    "NotCommutingError",
-    "Partition",
-    "PreconditionError",
-    "RangeError",
-    "RationalFunction",
-    "Relation",
-    "SearchReport",
-    "StarInstance",
-    "StarViolation",
-    "VerificationResult",
-    "as_fraction",
-    "check_star",
-    "check_star_abelian",
-    "commute_witness",
-    "compose",
-    "decompose_n",
-    "decompose_three",
-    "decompose_three_report",
-    "decompose_two",
-    "default_bound",
-    "delta",
-    "find_relation",
-    "identity",
-    "invariance_classes",
-    "is_invariant",
-    "joint_classes",
-    "lattice_decompose",
-    "lattice_oracle_decompose",
-    "linear_feasibility",
-    "mixed_delta_witness",
-    "oracle_decompose",
-    "partial_sum_bound",
-    "power",
-    "prescribed_points",
-    "replay_abelian_violation",
-    "replay_violation",
-    "search_counterexample",
-    "solve_bounded_transfer",
-    "solve_transfer",
-    "solve_transfer_constrained",
-    "validate_system",
-    "validate_transform",
-    "verify_decomposition",
-    "z_window_counterexample",
-]
+__all__ = list(_EXPORTS)

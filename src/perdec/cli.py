@@ -3,7 +3,7 @@
 Exit codes: 0 = pass/decomposed, 1 = violation/infeasible (certificate in
 the output), 2 = input error.  With --verify CERTFILE a subcommand re-checks
 a previously emitted result file against the instance instead of recomputing,
-with the library's one checker for that certificate type, exiting 0 when it
+with `check`'s one checker for that certificate type, exiting 0 when it
 replays and 1 when it does not.
 
 Every instance kind is a list of total maps (`serialize.Instance.maps`),
@@ -11,8 +11,10 @@ so `oracle` and its --verify take one path on all four kinds; the kind
 only picks the output document (a lattice window's parts carry its dims).
 
 Loading this module loads only `serialize` and `core`, which every
-subcommand needs.  Each handler and each --verify checker imports the
-algorithm modules it calls in its body, so a run loads only those.
+subcommand needs.  Each handler imports the algorithm modules it calls in
+its body, so a run loads only those; each --verify dispatcher imports
+only `check` (and `orbits` and `lattice`, which build and type its
+input), so a replay loads none of the code that made the result.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .core import (
     PreconditionError,
     RangeError,
     VerificationResult,
-    verify_parts,
 )
 from .serialize import Instance, ParseError, dumps, load_json, parse_instance
 
@@ -93,7 +94,7 @@ def _tuple_of(result: Any, kind: type) -> bool:
 
 def _verify_decomposition_result(inst: Instance,
                                  result: Any) -> VerificationResult:
-    from .star import StarViolation, replay_violation
+    from .check import StarViolation, replay_violation, verify_parts
 
     if isinstance(result, Decomposition):
         return verify_parts(inst.maps(), inst.f, result.parts)
@@ -103,20 +104,19 @@ def _verify_decomposition_result(inst: Instance,
 
 
 def _verify_star_result(inst: Instance, result: Any) -> VerificationResult:
-    if result is None:
-        # a pass carries no certificate: re-run the check
-        if _star_outcome(inst) is None:
-            return VerificationResult(True)
-        return VerificationResult(False, "the star check fails on this "
-                                         "instance")
-    if inst.kind == "lattice-window":
-        from .lattice import verify_point_violation
+    from .check import (StarViolation, replay_abelian_violation,
+                        replay_violation, verify_point_violation,
+                        verify_star_pass)
 
+    if result is None:
+        # a pass carries no certificate: the condition is re-run
+        if inst.kind == "z-window":
+            return verify_star_pass(inst.f, shifts=inst.shifts)
+        return verify_star_pass(inst.f, inst.maps())
+    if inst.kind == "lattice-window":
         if _tuple_of(result, int):
             return verify_point_violation(inst.window, result)
         return _unexpected(result, "star-check on a lattice window")
-    from .star import StarViolation, replay_abelian_violation, replay_violation
-
     if not isinstance(result, StarViolation):
         return _unexpected(result, "star-check")
     if inst.kind == "z-window":
@@ -126,14 +126,15 @@ def _verify_star_result(inst: Instance, result: Any) -> VerificationResult:
 
 
 def _verify_oracle_result(inst: Instance, result: Any) -> VerificationResult:
-    from .oracle import DualCertificate, verify_dual
+    from .check import (DualCertificate, verify_dual, verify_lattice_parts,
+                        verify_parts)
     from .orbits import invariance_classes
 
     if isinstance(result, DualCertificate):
         return verify_dual([invariance_classes(t) for t in inst.maps()],
                            inst.f, result)
     if inst.window is not None:
-        from .lattice import LatticeWindow, verify_lattice_parts
+        from .lattice import LatticeWindow
 
         if _tuple_of(result, LatticeWindow):
             return verify_lattice_parts(inst.window, result)
@@ -143,8 +144,8 @@ def _verify_oracle_result(inst: Instance, result: Any) -> VerificationResult:
 
 
 def _verify_lattice_result(inst: Instance, result: Any) -> VerificationResult:
-    from .lattice import (LatticeWindow, verify_lattice_parts,
-                          verify_point_violation)
+    from .check import verify_lattice_parts, verify_point_violation
+    from .lattice import LatticeWindow
 
     if _tuple_of(result, LatticeWindow):
         return verify_lattice_parts(inst.window, result)
@@ -154,22 +155,18 @@ def _verify_lattice_result(inst: Instance, result: Any) -> VerificationResult:
 
 
 def _verify_bounded_result(inst: Instance, result: Any) -> VerificationResult:
-    from .cohomology import verify_bounded_transfer
+    from .check import verify_bounded_transfer
 
     t, s = inst.system.transforms
     return verify_bounded_transfer(t, s, inst.f, result)
 
 
 def _verify_report(result: Any) -> VerificationResult:
-    from .star import SearchReport, _reverify_candidate
+    from .check import SearchReport, verify_report
 
     if not isinstance(result, SearchReport):
         return _unexpected(result, "search")
-    for c in result.candidates:
-        if _reverify_candidate(c.transforms, c.size, c.values) is None:
-            return VerificationResult(False, f"candidate from trial {c.trial} "
-                                             f"does not re-verify")
-    return VerificationResult(True)
+    return verify_report(result)
 
 
 # ---------------------------------------------------------------------------
@@ -210,32 +207,27 @@ def _cmd_decompose(args) -> Outcome:
     return 1, serialize.violation_to_json(outcome)
 
 
-def _star_outcome(inst: Instance) -> Any:
-    """The star check of any instance kind: None when it passes, else its
-    StarViolation, or the failing point of a lattice window.  Finite and
-    cyclic-group instances are total maps on a finite set, where the
-    mixed difference decides alone."""
-    if inst.kind == "lattice-window":
-        from .lattice import mixed_delta_witness
-
-        return mixed_delta_witness(inst.window)
-    from .star import check_star, check_star_abelian
-
-    if inst.kind == "z-window":
-        return check_star_abelian(inst.shifts, inst.f)
-    return check_star(inst.system, inst.f)
-
-
 def _cmd_star_check(args) -> Outcome:
+    """A lattice window fails at a point; finite and cyclic-group
+    instances are total maps on a finite set, where the mixed difference
+    decides alone."""
     inst = _read_instance(args.instance)
     if args.verify:
         return _verify_star_result(inst, _read_result(args.verify))
-    outcome = _star_outcome(inst)
-    if outcome is None:
-        return 0, {"result": "pass"}
     if inst.kind == "lattice-window":
-        return 1, serialize.point_violation_to_json(outcome)
-    return 1, serialize.violation_to_json(outcome)
+        from .lattice import mixed_delta_witness
+
+        point = mixed_delta_witness(inst.window)
+        if point is None:
+            return 0, {"result": "pass"}
+        return 1, serialize.point_violation_to_json(point)
+    from .star import check_star, check_star_abelian
+
+    violation = (check_star_abelian(inst.shifts, inst.f)
+                 if inst.kind == "z-window" else check_star(inst.system, inst.f))
+    if violation is None:
+        return 0, {"result": "pass"}
+    return 1, serialize.violation_to_json(violation)
 
 
 def _cmd_oracle(args) -> Outcome:

@@ -8,16 +8,22 @@ offending cycle or self-relation together with its nonzero sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
+from .check import (
+    BoundedTransfer,
+    ConstrainedObstruction,
+    CycleObstruction,
+    _check_bounded,
+    partial_sum_bound,
+    verify_bounded_transfer,
+)
 from .core import (
     InternalContractViolation,
     PreconditionError,
     RationalFunction,
-    VerificationResult,
     commute_witness,
     is_invariant,
     iterate,
@@ -27,35 +33,7 @@ from .orbits import (
     find_relation,
     induced_map,
     invariance_classes,
-    rho,
 )
-
-
-@dataclass(frozen=True)
-class CycleObstruction:
-    """A T-cycle whose g-sum is nonzero, so h(Tx) - h(x) = g(x) is unsolvable."""
-
-    points: tuple[int, ...]
-    total: Fraction
-
-
-@dataclass(frozen=True)
-class ConstrainedObstruction:
-    """Witness T^k S^l x = S^{l2} x whose orbit sum of G is nonzero."""
-
-    x: int
-    k: int
-    l: int
-    l2: int
-    total: Fraction
-
-
-@dataclass(frozen=True)
-class BoundedTransfer:
-    """solution plus the partial-sum bound C controlling its sup norm."""
-
-    solution: RationalFunction
-    bound: Fraction
 
 
 def solve_transfer(
@@ -167,39 +145,6 @@ def solve_transfer_constrained(
     return RationalFunction(values)
 
 
-def partial_sum_bound(t: Sequence[int], g: RationalFunction,
-                      horizon: Optional[int] = None) -> Fraction:
-    """max |sum_{i<m} g(t^i x)| over x and 1 <= m <= horizon (default 2N).
-
-    On solvable instances the partial sums are eventually periodic in m
-    with preperiod plus period at most N, so the default horizon sees
-    every value.  The sums run on integers: an orbit never leaves its
-    weak class, so each class's values are scaled by the lcm of their
-    denominators there.
-    """
-    size = len(g)
-    if horizon is None:
-        horizon = 2 * size
-    best = Fraction(0)
-    scaled = [0] * size
-    for members in invariance_classes(t).classes():
-        denom = lcm(*(g[x].denominator for x in members))
-        for x in members:
-            scaled[x] = g[x].numerator * (denom // g[x].denominator)
-        top = 0
-        for x in members:
-            partial = 0
-            p = x
-            for _ in range(horizon):
-                partial += scaled[p]
-                p = t[p]
-                if abs(partial) > top:
-                    top = abs(partial)
-        if Fraction(top, denom) > best:
-            best = Fraction(top, denom)
-    return best
-
-
 def solve_bounded_transfer(
     t: Sequence[int], s: Sequence[int], g: RationalFunction
 ) -> Union[BoundedTransfer, ConstrainedObstruction]:
@@ -226,71 +171,3 @@ def solve_bounded_transfer(
     _check_bounded(t, s, g, centered, bound_c).require(
         "recentered solution")
     return BoundedTransfer(centered, bound_c)
-
-
-def _check_bounded(t: Sequence[int], s: Sequence[int], g: RationalFunction,
-                   h: RationalFunction,
-                   bound_c: Fraction) -> VerificationResult:
-    """h solves h(t(x)) - h(x) = g(x), is s-invariant and stays within 2C."""
-    for x in range(len(g)):
-        if h[t[x]] - h[x] != g[x]:
-            return VerificationResult(False, f"transfer identity fails at {x}")
-    if not is_invariant(s, h):
-        return VerificationResult(False, "solution is not s-invariant")
-    if h.max_abs() > 2 * bound_c:
-        return VerificationResult(False, "solution exceeds twice the bound")
-    return VerificationResult(True)
-
-
-def orbit_sum(t: Sequence[int], g: RationalFunction, x: int,
-              steps: int) -> Fraction:
-    """sum_{i < steps} g(t^i x) for any steps >= 0, in at most N steps:
-    the sum over x's tail, whole turns of its cycle, then a partial turn."""
-    orbit, start = rho(t, x)
-    prefix = [Fraction(0)]
-    for p in orbit:
-        prefix.append(prefix[-1] + g[p])
-    if steps <= len(orbit):
-        return prefix[steps]
-    turns, rest = divmod(steps - start, len(orbit) - start)
-    return prefix[start + rest] + turns * (prefix[-1] - prefix[start])
-
-
-def verify_bounded_transfer(
-    t: Sequence[int], s: Sequence[int], g: RationalFunction,
-    result: Union[BoundedTransfer, ConstrainedObstruction],
-) -> VerificationResult:
-    """Check either answer of `solve_bounded_transfer` against (t, s, g).
-
-    A BoundedTransfer (H, C) must solve h(t(x)) - h(x) = g(x) with H
-    s-invariant and sup |H| <= 2C, and C must equal the recomputed
-    `partial_sum_bound`.  A ConstrainedObstruction (x, k, l, l2, total)
-    must satisfy T^k S^l x = S^{l2} x, and the g-sum along T^i S^l x,
-    i < k, must equal its nonzero total.  Exponents are reduced along the
-    rho shape of each map, so any exponents replay in O(N) steps.
-    """
-    size = len(g)
-    if isinstance(result, BoundedTransfer):
-        if len(result.solution) != size:
-            return VerificationResult(False,
-                                      "solution length differs from domain")
-        verdict = _check_bounded(t, s, g, result.solution, result.bound)
-        if not verdict:
-            return verdict
-        if partial_sum_bound(t, g) != result.bound:
-            return VerificationResult(False,
-                                      "stored bound differs from recomputed")
-        return VerificationResult(True)
-    if isinstance(result, ConstrainedObstruction):
-        if not 0 <= result.x < size or min(result.k, result.l, result.l2) < 0:
-            return VerificationResult(
-                False, "witness point or exponent out of range")
-        start = iterate(s, result.l, result.x)
-        if iterate(t, result.k, start) != iterate(s, result.l2, result.x):
-            return VerificationResult(False, "witness relation does not hold")
-        total = orbit_sum(t, g, start, result.k)
-        if total != result.total or total == 0:
-            return VerificationResult(False, "obstruction sum does not replay")
-        return VerificationResult(True)
-    return VerificationResult(
-        False, f"unexpected result type {type(result).__name__}")

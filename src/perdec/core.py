@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence, Union
+from math import gcd
+from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -239,50 +238,9 @@ def integer_values(f: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (denom // v.denominator) for v in f], denom
 
 
-def integer_ratios(values: Iterable[Fraction]) -> list[tuple[int, int]]:
-    """(numerator, denominator) of each value; equal pairs are equal values,
-    and pairs compare without Fraction arithmetic."""
-    return [v.as_integer_ratio() for v in values]
-
-
-def first_sum_mismatch(target: Sequence[tuple[int, int]],
-                       columns: Sequence[Sequence[tuple[int, int]]]
-                       ) -> Optional[int]:
-    """First x where the columns' entries do not sum to target[x], or None.
-
-    Entries are `integer_ratios` pairs.  Each point sums on integers over a
-    denominator that grows only to the lcm of that point's own
-    denominators, so no number outgrows what the Fraction sum would form.
-    """
-    for x, ((want, denom), *terms) in enumerate(zip(target, *columns)):
-        total = 0
-        for num, q in terms:
-            if denom % q:
-                scale = lcm(denom, q) // denom
-                total *= scale
-                want *= scale
-                denom *= scale
-            total += num * (denom // q)
-        if total != want:
-            return x
-    return None
-
-
 def delta(t: Sequence[int], f: RationalFunction) -> RationalFunction:
     """The difference x -> f(t(x)) - f(x)."""
     return f.compose(t) - f
-
-
-@lru_cache(maxsize=None)
-def mixed_corners(n: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
-    """(factors applied, positive) per corner of an n-fold mixed difference.
-
-    The corner applying the factors in the subset counts positively when it
-    leaves out an even number of them.
-    """
-    return tuple((tuple(b for b in range(n) if mask >> b & 1),
-                  (n - bin(mask).count("1")) % 2 == 0)
-                 for mask in range(1 << n))
 
 
 def _mixed_difference(tables: Sequence[Sequence[int]],
@@ -314,29 +272,6 @@ def window_difference(values: Sequence, offsets: Sequence[int]
             row = [x - y for x, y in zip(row, row[-a:])]
             lo -= a
     return lo, row
-
-
-def stencil_value(values: Sequence[Fraction], z: int,
-                  steps: Iterable[Callable[[int], int]]
-                  ) -> Optional[Fraction]:
-    """The mixed difference at z with factors g -> g o step - g, or None
-    when a step leaves [0, len(values)).  Walked as point -> integer
-    coefficient, each factor sending c at w to -c at w and +c at step(w),
-    so at most min(len(values), 2^factors) points are live and read."""
-    size = len(values)
-    coeffs = {z: 1}
-    for step in steps:
-        moved: dict[int, int] = {}
-        for w, c in coeffs.items():
-            moved[w] = moved.get(w, 0) - c
-            u = step(w)
-            if not 0 <= u < size:
-                return None
-            moved[u] = moved.get(u, 0) + c
-        coeffs = {w: c for w, c in moved.items() if c}
-    # one Fraction at the end, over the lcm of the live points' denominators
-    nums, denom = integer_values([values[w] for w in coeffs])
-    return Fraction(sum(c * p for c, p in zip(coeffs.values(), nums)), denom)
 
 
 def is_invariant(t: Sequence[int], f: RationalFunction) -> bool:
@@ -380,57 +315,3 @@ class VerificationResult:
         if not self.ok:
             raise InternalContractViolation(
                 f"{what} failed verification: {self.reason}")
-
-
-def first_parts_defect(tables: Sequence[Sequence[int]], f: Sequence[Fraction],
-                       parts: Sequence[Sequence[Fraction]]
-                       ) -> Optional[tuple[str, ...]]:
-    """First defect of parts as a split of f, part j invariant under the
-    map tables[j]: ("LengthMismatch", j), then ("SumMismatch", x), then
-    ("NotInvariant", j, x) where part j differs at x and at tables[j][x];
-    None when there is none.  A fixed point constrains nothing, so a
-    window shift completed by fixed points checks its in-window pairs.
-    """
-    for j, part in enumerate(parts):
-        if len(part) != len(f):
-            return ("LengthMismatch", j)
-    columns = [integer_ratios(part) for part in parts]
-    x = first_sum_mismatch(integer_ratios(f), columns)
-    if x is not None:
-        return ("SumMismatch", x)
-    for j, (t, ratios) in enumerate(zip(tables, columns)):
-        moved = [ratios[y] for y in t]
-        if moved != ratios:
-            x = next(x for x, (a, b) in enumerate(zip(moved, ratios))
-                     if a != b)
-            return ("NotInvariant", j, x)
-    return None
-
-
-def verify_parts(tables: Sequence[Sequence[int]], f: Sequence[Fraction],
-                 parts: Sequence[Sequence[Fraction]]) -> VerificationResult:
-    """One part per map, checked by `first_parts_defect`; the reason tag
-    is "LengthMismatch(j)", "SumMismatch(x)" or "NotInvariant(j,x)"."""
-    if len(parts) != len(tables):
-        return VerificationResult(False,
-                                  "part count differs from transform count")
-    defect = first_parts_defect(tables, f, parts)
-    if defect is None:
-        return VerificationResult(True)
-    tag, *where = defect
-    return VerificationResult(False, f"{tag}({','.join(map(str, where))})")
-
-
-def verify_decomposition(system: CommutingSystem, f: RationalFunction,
-                         decomposition: Decomposition) -> VerificationResult:
-    """Exact check that parts sum to f and part j is T_j-invariant, by
-    `verify_parts` on the system's tables."""
-    if len(decomposition.parts) != system.n:
-        raise PreconditionError(
-            f"decomposition has {len(decomposition.parts)} parts, "
-            f"system has {system.n} transforms")
-    if not decomposition.parts:
-        raise PreconditionError("empty decomposition has no ambient size")
-    if len(f) != system.size:
-        raise PreconditionError("function length does not match the domain")
-    return verify_parts(system.transforms, f, decomposition.parts)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
+from .check import StarViolation, verify_decomposition
 from .cohomology import scaled_cycle_means
 from .core import (
     Decomposition,
@@ -24,10 +25,9 @@ from .core import (
     RationalFunction,
     integer_values,
     validate_system,
-    verify_decomposition,
 )
 from .orbits import default_bound, joint_classes, prescribed_points
-from .star import StarViolation, check_star
+from .star import check_star
 
 DecompOutcome = Union[Decomposition, StarViolation]
 

@@ -13,11 +13,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import sub
 from typing import List, Optional, Sequence
 
 from . import oracle
-from .core import (CommutingSystem, RationalFunction, integer_values,
-                   mixed_corners, power, validate_system)
+from .core import (CommutingSystem, RationalFunction, integer_values, power,
+                   validate_system)
 from .orbits import invariance_classes
 
 
@@ -108,27 +109,21 @@ def mixed_kernel_function(rng: random.Random,
                           system: CommutingSystem) -> RationalFunction:
     """Random element of ker D_1...D_n, D_j g = g o T_j - g.
 
-    The rows of D_1...D_n are built from each point's 2^n corner images,
-    and the result is a random integer combination (coefficients -3..3) of
-    `oracle.nullspace`'s basis, so the kernel is sampled independently of
-    `check_star` and `decompose_n`; `tests/test_decomp.py` draws from it
-    inputs that every n must decompose, since on a finite domain each
-    element of the kernel is decomposable.  The combination is summed on
+    The matrix is built like `core._mixed_difference`, one unit-difference
+    pass per table, on rows: row x of D_j o D is row T_j(x) of D minus row
+    x.  That costs O(nN^2) and n * N table reads, where 2^n corner images
+    per point grew as 2^n.  The result is a random integer combination
+    (coefficients -3..3) of `oracle.nullspace`'s basis, so the kernel is
+    sampled independently of `check_star` and `decompose_n`;
+    `tests/test_decomp.py` draws from it inputs that every n must
+    decompose, since on a finite domain each element of the kernel is
+    decomposable.  The combination is summed on
     integer numerators over one lcm, one Fraction per point at the end.
     """
-    size, n = system.size, system.n
-    signs = [1 if positive else -1 for _, positive in mixed_corners(n)]
-    rows = []
-    for x in range(size):
-        # images[mask] applies the tables in mask to x, in the mask order
-        # of mixed_corners
-        images = [x]
-        for t in system.transforms:
-            images += [t[w] for w in images]
-        coeff = [0] * size
-        for w, sign in zip(images, signs):
-            coeff[w] += sign
-        rows.append(coeff)
+    size = system.size
+    rows = [[int(x == w) for w in range(size)] for x in range(size)]
+    for t in system.transforms:
+        rows = [list(map(sub, rows[y], row)) for y, row in zip(t, rows)]
     basis = oracle.nullspace(rows, size)
     coefficients = [rng.randint(-3, 3) for _ in basis]
     denom = lcm(*(w.denominator for vec in basis for w in vec))

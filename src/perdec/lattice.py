@@ -6,35 +6,37 @@ vanishing mixed difference alone already characterizes decomposability.
 A window is a list of total maps (`LatticeWindow.axis_maps`): the shift
 along axis j fixes the points on the upper face of that axis.  A fixed
 point constrains no invariant function, so the witness, the oracle and
-the parts verifier are `core`'s and `oracle`'s on those tables.
-The decomposition projects, subtracts and repeats, like `decomp.decompose_n`:
-the part of each axis but the first is the rest read off one base slice.
+the checkers are `star`'s, `oracle`'s and `check`'s on those tables;
+`star` and `oracle` load only when a witness or an oracle verdict is
+asked for.  The decomposition projects, subtracts and repeats, like
+`decomp.decompose_n`: the part of each axis but the first is the rest
+read off one base slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain, product
-from operator import add, sub
+from operator import sub
 from typing import Optional, Sequence, Tuple, Union
 
+from .check import (
+    DualCertificate,
+    StarViolation,
+    verify_lattice_parts,
+    verify_point_violation,
+)
 from .core import (
     CommutingSystem,
     InternalContractViolation,
     PreconditionError,
     RangeError,
     RationalFunction,
-    VerificationResult,
     _as_fractions,
-    first_parts_defect,
     integer_values,
-    stencil_value,
     window_difference,
 )
-from .oracle import DualCertificate, verified_split
-from .star import StarViolation, check_star, check_star_abelian
 
 
 def window_size(dims: Sequence[int]) -> int:
@@ -120,22 +122,6 @@ class LatticeWindow:
                                        in product(*map(range, nd))))
 
 
-def verify_point_violation(f: LatticeWindow,
-                           point: Sequence[int]) -> VerificationResult:
-    """Check a point certificate: the d-fold mixed forward difference of f
-    is evaluable and nonzero there, so no split into axis-constant parts
-    exists."""
-    if len(point) != len(f.dims) or any(not 0 <= c < w - 1
-                                        for c, w in zip(point, f.dims)):
-        return VerificationResult(
-            False, "point is not a stencil base inside the window")
-    if stencil_value(f.values, f.index(point),
-                     [partial(add, stride) for stride in f.strides()]) == 0:
-        return VerificationResult(False,
-                                  "mixed difference vanishes at the point")
-    return VerificationResult(True)
-
-
 def mixed_delta_witness(f: LatticeWindow) -> Optional[tuple[int, ...]]:
     """First point where the d-fold mixed forward difference is nonzero,
     or None when it vanishes wherever evaluable.
@@ -144,6 +130,8 @@ def mixed_delta_witness(f: LatticeWindow) -> Optional[tuple[int, ...]]:
     axis-j difference is 0, and it stays 0 because no other map moves
     coordinate j, so the first nonzero point is a stencil base.
     """
+    from .star import check_star
+
     violation = check_star(CommutingSystem(f.size, f.axis_maps()),
                            RationalFunction(f.values))
     if violation is None:
@@ -197,25 +185,6 @@ def lattice_decompose(f: LatticeWindow,
     raise PreconditionError(f"mixed difference is nonzero at {witness}")
 
 
-def verify_lattice_parts(f: LatticeWindow,
-                         parts: Sequence[LatticeWindow]) -> VerificationResult:
-    """Check a lattice decomposition: one part per axis, shaped like f,
-    summing to f, part j constant along axis j (`core.first_parts_defect`
-    on the axis maps)."""
-    if len(parts) != len(f.dims) or any(p.dims != f.dims for p in parts):
-        return VerificationResult(False, "parts do not match the window shape")
-    defect = first_parts_defect(f.axis_maps(), f.values,
-                                [p.values for p in parts])
-    if defect is None:
-        return VerificationResult(True)
-    if defect[0] == "SumMismatch":
-        return VerificationResult(
-            False, f"parts do not sum to f at {f.coords(defect[1])}")
-    _, j, idx = defect
-    return VerificationResult(False, f"part {j} varies along axis {j} at "
-                                     f"{f.coords(idx)}")
-
-
 def lattice_oracle_decompose(
     f: LatticeWindow,
 ) -> Union[Tuple[LatticeWindow, ...], DualCertificate]:
@@ -225,6 +194,8 @@ def lattice_oracle_decompose(
     (axis, line along it); feasibility gives verified parts directly,
     infeasibility a verified exact dual functional on the window.
     """
+    from .oracle import verified_split
+
     outcome = verified_split(f.axis_maps(), RationalFunction(f.values))
     if isinstance(outcome, DualCertificate):
         return outcome
@@ -251,6 +222,8 @@ def z_window_counterexample(length: int = 10) -> ZWindowDemo:
     """
     if length < 3:
         raise PreconditionError("window must have length at least 3")
+    from .star import check_star_abelian
+
     f = RationalFunction(tuple(Fraction(x) for x in range(length)))
     shifts = (1, 1)
     mixed_ok = not any(window_difference(f.values, shifts)[1])

@@ -64,35 +64,19 @@ or q itself when d = 1.  No Fraction is divided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .check import DualCertificate, verify_dual, verify_parts
 from .core import (
     CommutingSystem,
     Decomposition,
     PreconditionError,
     RationalFunction,
-    VerificationResult,
     integer_values,
-    verify_parts,
 )
 from .orbits import Partition, invariance_classes
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """A linear functional on value tables proving non-decomposability.
-
-    Pairs to zero with every invariance-kernel basis function of the system
-    and to a nonzero value with the target f; `verify_dual` checks both.
-    """
-
-    weights: RationalFunction
-
-    def pair(self, f: RationalFunction) -> Fraction:
-        return sum((w * v for w, v in zip(self.weights, f)), Fraction(0))
 
 
 def _reduce_row(row: Dict[int, int]) -> None:
@@ -232,39 +216,6 @@ def _back_substitute(work: List[Dict[int, int]],
         num[col] = acc * k // piv
     zero = Fraction(0)
     return [Fraction(x, scale) if x else zero for x in num[:ncols]]
-
-
-def verify_dual(partitions: Sequence[Partition], f: RationalFunction,
-                dual: DualCertificate) -> VerificationResult:
-    """Check that dual proves f is no sum of parts, part j constant on the
-    classes of partitions[j].
-
-    The weights must pair to nonzero with f and sum to zero over every
-    class of every partition.  A class sum is the pairing with that class's
-    indicator, and the indicators span the functions constant on the
-    classes.  Zero weights add nothing to either, so one pass finds the
-    support and every sum runs over the support alone.
-    """
-    if len(dual.weights) != len(f):
-        return VerificationResult(False,
-                                  "weight count differs from domain size")
-    support = [x for x, w in enumerate(dual.weights) if w]
-    # both sides scaled to integers by positive factors: the pairing keeps
-    # its zero/nonzero answer
-    weights, _ = integer_values([dual.weights[x] for x in support])
-    values, _ = integer_values([f[x] for x in support])
-    if not sum(w * v for w, v in zip(weights, values)):
-        return VerificationResult(False, "dual functional vanishes on f")
-    for j, part in enumerate(partitions):
-        sums: Dict[int, int] = {}
-        for x, w in zip(support, weights):
-            c = part.class_of[x]
-            sums[c] = sums.get(c, 0) + w
-        if any(sums.values()):
-            return VerificationResult(
-                False, f"dual functional does not vanish on an invariant "
-                       f"function of part {j}")
-    return VerificationResult(True)
 
 
 def _split_two(a: Partition, b: Partition, f: RationalFunction

@@ -8,9 +8,9 @@ planted values repeat a few literals many times, and a value list
 formats each of its distinct values once.  Every result type round-trips:
 parse_result(result_to_json(r)) == r.
 
-Only `core` loads with this module: the certificate types of `oracle`,
-`star`, `cohomology` and `lattice` are imported where a document builds or
-tests one, so parsing an instance loads no algorithm module.
+Only `core` loads with this module: the certificate types of `check` and
+the windows of `lattice` are imported where a document builds or tests
+one, so parsing an instance loads no algorithm module.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from .core import (
 )
 
 if TYPE_CHECKING:
-    from .cohomology import (BoundedTransfer, ConstrainedObstruction,
-                             CycleObstruction)
+    from .check import (BoundedTransfer, ConstrainedObstruction,
+                        CycleObstruction, DualCertificate, SearchReport,
+                        StarViolation)
     from .lattice import LatticeWindow
-    from .oracle import DualCertificate
-    from .star import SearchReport, StarViolation
 
 
 class ParseError(ValueError):
@@ -361,11 +360,10 @@ def report_to_json(r: SearchReport) -> dict:
 
 def result_to_json(result: Any) -> dict:
     """Serialize any library result."""
-    from .cohomology import (BoundedTransfer, ConstrainedObstruction,
-                             CycleObstruction)
+    from .check import (BoundedTransfer, ConstrainedObstruction,
+                        CycleObstruction, DualCertificate, SearchReport,
+                        StarViolation)
     from .lattice import LatticeWindow
-    from .oracle import DualCertificate
-    from .star import SearchReport, StarViolation
 
     if isinstance(result, Decomposition):
         return decomposition_to_json(result)
@@ -393,6 +391,8 @@ def parse_result(doc: Any) -> Any:
     A passing star check's {"result": "pass"} parses to None, which is what
     the checks return when they pass.
     """
+    from . import check
+
     if not isinstance(doc, dict):
         raise ParseError("result file must be a JSON object")
     tag = doc.get("result")
@@ -405,8 +405,6 @@ def parse_result(doc: Any) -> Any:
         return Decomposition(tuple(
             values_from_json(p, f"parts[{i}]") for i, p in enumerate(parts)))
     if tag == "violation":
-        from .star import StarInstance, StarViolation
-
         cert = _certificate(doc)
         blocks = cert.get("blocks")
         if not isinstance(blocks, list):
@@ -414,7 +412,7 @@ def parse_result(doc: Any) -> Any:
         premises = cert.get("premises", [])
         if not isinstance(premises, list):
             raise ParseError("expected premises list", "certificate.premises")
-        instance = StarInstance(
+        instance = check.StarInstance(
             blocks=tuple(tuple(_int_list(b, f"certificate.blocks[{i}]"))
                          for i, b in enumerate(blocks)),
             distinguished=tuple(_int_list(cert.get("distinguished"),
@@ -429,15 +427,13 @@ def parse_result(doc: Any) -> Any:
         if kind not in ("MixedDeltaNonzero", "CompatibilityFailure"):
             raise ParseError(f"unknown violation kind {kind!r}",
                              "certificate.kind")
-        return StarViolation(instance,
-                             frac_from_json(cert.get("value"),
-                                            "certificate.value"), kind)
+        return check.StarViolation(instance,
+                                   frac_from_json(cert.get("value"),
+                                                  "certificate.value"), kind)
     if tag == "infeasible":
-        from .oracle import DualCertificate
-
         cert = _certificate(doc)
-        return DualCertificate(values_from_json(cert.get("weights"),
-                                                "certificate.weights"))
+        return check.DualCertificate(values_from_json(
+            cert.get("weights"), "certificate.weights"))
     if tag == "lattice-decomposition":
         from .lattice import LatticeWindow, window_size
 
@@ -461,30 +457,22 @@ def parse_result(doc: Any) -> Any:
         cert = _certificate(doc)
         return tuple(_int_list(cert.get("point"), "certificate.point"))
     if tag == "bounded-transfer":
-        from .cohomology import BoundedTransfer
-
-        return BoundedTransfer(values_from_json(doc.get("values")),
-                               frac_from_json(doc.get("bound"), "bound"))
+        return check.BoundedTransfer(values_from_json(doc.get("values")),
+                                     frac_from_json(doc.get("bound"), "bound"))
     if tag == "obstruction":
-        from .cohomology import CycleObstruction
-
         cert = _certificate(doc)
-        return CycleObstruction(
+        return check.CycleObstruction(
             tuple(_int_list(cert.get("points"), "certificate.points")),
             frac_from_json(cert.get("total"), "certificate.total"))
     if tag == "constrained-obstruction":
-        from .cohomology import ConstrainedObstruction
-
         cert = _certificate(doc)
-        return ConstrainedObstruction(
+        return check.ConstrainedObstruction(
             _int_field(cert, "x", "certificate.x"),
             _int_field(cert, "k", "certificate.k"),
             _int_field(cert, "l", "certificate.l"),
             _int_field(cert, "l2", "certificate.l2"),
             frac_from_json(cert.get("total"), "certificate.total"))
     if tag == "report":
-        from .star import Candidate, SearchReport
-
         candidates = doc.get("candidates")
         if not isinstance(candidates, list):
             raise ParseError("expected candidates list", "candidates")
@@ -496,7 +484,7 @@ def parse_result(doc: Any) -> Any:
             if not isinstance(c.get("transforms", []), list):
                 raise ParseError("expected a list of transform tables",
                                  f"candidates[{i}].transforms")
-            cands.append(Candidate(
+            cands.append(check.Candidate(
                 trial=_int_field(c, "trial", f"candidates[{i}].trial"),
                 size=_int_field(c, "size", f"candidates[{i}].size"),
                 transforms=tuple(
@@ -508,8 +496,8 @@ def parse_result(doc: Any) -> Any:
                     c.get("dual_weights"), f"candidates[{i}].dual_weights"),
             ))
         counters = {name: _int_field(doc, name, name)
-                    for name in _counters(SearchReport)}
-        return SearchReport(candidates=tuple(cands), **counters)
+                    for name in _counters(check.SearchReport)}
+        return check.SearchReport(candidates=tuple(cands), **counters)
     raise ParseError(f"unknown result tag {tag!r}", "result")
 
 

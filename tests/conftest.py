@@ -2,13 +2,14 @@ import concurrent.futures
 import os
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import strategies as st
 
 from perdec import generators
-from perdec.cohomology import CycleObstruction
-from perdec.core import RationalFunction, compose, mixed_corners
+from perdec.check import CycleObstruction
+from perdec.core import RationalFunction, compose
 from perdec.oracle import nullspace
 from perdec.orbits import Partition, invariance_classes, rho
 
@@ -154,6 +155,18 @@ def project_subtract(transforms, f: RationalFunction) -> tuple:
         rest = rest - part
     parts.append(rest)
     return tuple(parts)
+
+
+@lru_cache(maxsize=None)
+def mixed_corners(n: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """(factors applied, positive) per corner of an n-fold mixed difference.
+
+    The corner applying the factors in the subset counts positively when it
+    leaves out an even number of them.
+    """
+    return tuple((tuple(b for b in range(n) if mask >> b & 1),
+                  (n - bin(mask).count("1")) % 2 == 0)
+                 for mask in range(1 << n))
 
 
 def mixed_difference_rows(system) -> list:

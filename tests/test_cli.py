@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import perdec
+import perdec.check
 import perdec.cli
 from perdec import serialize
 from perdec.cli import run_command
@@ -727,7 +728,7 @@ def test_verify_replays_many_blocks_in_polynomial_time(tmp_path, capsys,
     assert code == 1 and doc["certificate"]["premises"] == []
     saved = _write(tmp_path, "cert.json", doc)
     calls = [0]
-    iterate = perdec.star.iterate
+    iterate = perdec.check.iterate
 
     def counted(*args):
         calls[0] += 1
@@ -735,7 +736,7 @@ def test_verify_replays_many_blocks_in_polynomial_time(tmp_path, capsys,
             raise AssertionError("replay iterated past blocks * N")
         return iterate(*args)
 
-    monkeypatch.setattr(perdec.star, "iterate", counted)
+    monkeypatch.setattr(perdec.check, "iterate", counted)
     code, doc = _run(capsys, [command, path, "--verify", saved])
     assert code == 0 and doc["agrees"] is True
 
@@ -1068,21 +1069,27 @@ _FRESH_RUN = ("import sys; sys.path.insert(0, sys.argv[1]); "
 # errors run_command catches
 SHARED_MODULES = {"perdec", "perdec.cli", "perdec.serialize", "perdec.core"}
 
-# the perdec modules each subcommand loads past the shared set
+# the perdec modules each subcommand loads past the shared set; every
+# producer self-verifies through check, which imports orbits
 LOADS = {
     "validate": set(),
-    "oracle": {"orbits", "oracle"},
-    "bounded-transfer": {"cohomology", "orbits"},
-    "star-check": {"star"},
-    "decompose": {"decomp", "cohomology", "orbits", "star"},
+    "oracle": {"check", "orbits", "oracle"},
+    "bounded-transfer": {"check", "cohomology", "orbits"},
+    "star-check": {"check", "orbits", "star"},
+    "decompose": {"check", "decomp", "cohomology", "orbits", "star"},
 }
-# a decompose result replays with star alone
-VERIFY_LOADS = dict(LOADS, decompose={"star"})
+# every result replays with the checker alone
+VERIFY_LOADS = dict.fromkeys(LOADS, {"check", "orbits"})
 
-# a building of a lattice window loads lattice, which imports oracle and
-# star; a search trial runs the generators, the star check and the oracle
-LATTICE_LOADS = {"lattice", "oracle", "orbits", "star"}
-SEARCH_LOADS = {"generators", "oracle", "orbits", "star"}
+# reading a lattice window loads lattice, check and orbits, and each
+# subcommand adds the producer it runs; a search trial runs the
+# generators, the star check and the oracle
+WINDOW_LOADS = {"check", "lattice", "orbits"}
+LATTICE_LOADS = {"validate": WINDOW_LOADS,
+                 "oracle": WINDOW_LOADS | {"oracle"},
+                 "star-check": WINDOW_LOADS | {"star"},
+                 "lattice-decompose": WINDOW_LOADS | {"star"}}
+SEARCH_LOADS = {"check", "generators", "oracle", "orbits", "star"}
 
 # the instance kinds each subcommand reads; on the others it is an input
 # error that loads nothing past the shared set
@@ -1167,22 +1174,41 @@ def test_a_lattice_window_loads_the_lattice_modules(tmp_path, command):
     instance = _write(tmp_path, "inst.json", LATTICE_SEPARABLE)
     code, out, loaded = _fresh_run([command, instance])
     assert code == 0
-    assert loaded == _perdec(*LATTICE_LOADS)
+    assert loaded == _perdec(*LATTICE_LOADS[command])
     if command == "validate":
         return
     cert = tmp_path / "cert.json"
     cert.write_text(out)
     code, _, loaded = _fresh_run([command, instance, "--verify", str(cert)])
     assert code == 0
-    assert loaded == _perdec(*LATTICE_LOADS)
+    assert loaded == _perdec(*WINDOW_LOADS)
 
 
-def test_search_loads_the_trial_modules_and_its_replay_star_alone(tmp_path):
+def test_search_loads_the_trial_modules_and_its_replay_the_checker(tmp_path):
     code, out, loaded = _fresh_run(["search", "--n", "3", "--trials", "5"])
     assert code == 0
     assert loaded == _perdec(*SEARCH_LOADS)
     cert = tmp_path / "cert.json"
     cert.write_text(out)
-    # a report without candidates replays without the oracle
+    # a report replays without the star check or the oracle
     assert _fresh_run(["search", "--verify", str(cert)])[::2] == (
-        0, _perdec("star"))
+        0, _perdec("check", "orbits"))
+
+
+def test_a_search_candidate_is_checked_by_its_stored_dual(tmp_path):
+    # the identity passes the star check on any f, so f splits and no dual
+    # verifies: the candidate is refused from its own fields, without
+    # running the star check or the oracle
+    report = dict.fromkeys(
+        ("n", "max_size", "trials", "seed", "star_pass", "star_fail",
+         "oracle_feasible", "oracle_infeasible", "necessity_checked",
+         "necessity_violations", "discrepancies"), 1)
+    report.update(result="report", candidates=[
+        {"trial": 4, "size": 2, "transforms": [[0, 1]],
+         "values": ["1", "2"], "dual_weights": ["1", "-1"]}])
+    cert = _write(tmp_path, "cert.json", report)
+    code, out, loaded = _fresh_run(["search", "--verify", cert])
+    assert (code, json.loads(out)) == (1, {
+        "result": "verified", "agrees": False,
+        "reason": "candidate from trial 4 does not re-verify"})
+    assert loaded == _perdec("check", "orbits")

@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perdec import cohomology
-from perdec.cohomology import (
+from perdec.check import (
     BoundedTransfer,
     ConstrainedObstruction,
     CycleObstruction,
     partial_sum_bound,
+    verify_bounded_transfer,
+)
+from perdec.cohomology import (
     solve_bounded_transfer,
     solve_transfer,
     solve_transfer_constrained,
-    verify_bounded_transfer,
 )
 from perdec.core import (
     PreconditionError,

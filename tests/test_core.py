@@ -21,12 +21,11 @@ from perdec.core import (
     integer_values,
     is_invariant,
     iterate,
-    mixed_corners,
     power,
     validate_system,
     validate_transform,
-    verify_decomposition,
 )
+from perdec.check import verify_decomposition
 from perdec.lattice import LatticeWindow
 from perdec.orbits import invariance_classes
 from tests.conftest import (
@@ -270,14 +269,6 @@ def test_is_invariant_iff_delta_zero(sized, data):
     size, t = sized
     f = data.draw(value_functions(size))
     assert is_invariant(t, f) == delta(t, f).is_zero()
-
-
-def test_mixed_corners_sign_by_factors_left_out():
-    assert mixed_corners(0) == (((), True),)
-    assert mixed_corners(2) == (((), True), ((0,), False), ((1,), False),
-                                ((0, 1), True))
-    for applied, positive in mixed_corners(3):
-        assert positive == ((3 - len(applied)) % 2 == 0)
 
 
 def test_verify_decomposition_reports_sum_mismatch():

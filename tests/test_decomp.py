@@ -15,6 +15,12 @@ from perdec.core import (
     integer_values,
     is_invariant,
     validate_system,
+)
+from perdec.check import (
+    DualCertificate,
+    StarInstance,
+    StarViolation,
+    replay_violation,
     verify_decomposition,
 )
 from perdec.decomp import (
@@ -23,8 +29,8 @@ from perdec.decomp import (
     decompose_three_report,
     decompose_two,
 )
-from perdec.oracle import DualCertificate, nullspace, oracle_decompose
-from perdec.star import StarInstance, StarViolation, check_star, replay_violation
+from perdec.oracle import nullspace, oracle_decompose
+from perdec.star import check_star
 from tests.conftest import (
     cycle_average,
     mixed_difference_rows,

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,10 +7,35 @@ from hypothesis import strategies as st
 from perdec import generators
 from tests.conftest import (
     SYSTEM_STYLES,
+    counted_tuple,
     decomposable_reference,
+    mixed_corners,
     mixed_kernel_reference,
     system_of_style,
 )
+
+
+def test_mixed_corners_sign_by_factors_left_out():
+    assert mixed_corners(0) == (((), True),)
+    assert mixed_corners(2) == (((), True), ((0,), False), ((1,), False),
+                                ((0, 1), True))
+    for applied, positive in mixed_corners(3):
+        assert positive == ((3 - len(applied)) % 2 == 0)
+
+
+def test_mixed_kernel_matrix_reads_each_table_once():
+    # 16 shifts of Z_4: a row built corner by corner reads 2^16 table
+    # entries per point, one unit-difference pass per table n * N; the
+    # bound n * N^2 allows a pass per point; a count, no wall clock
+    size, n = 4, 16
+    reads = [0]
+    tables = tuple(counted_tuple(tuple((x + a % size) % size
+                                       for x in range(size)), reads)
+                   for a in range(n))
+    system = SimpleNamespace(size=size, n=n, transforms=tables)
+    f = generators.mixed_kernel_function(random.Random(3), system)
+    assert 0 < reads[0] <= n * size * size
+    assert len(f) == size
 
 
 @given(st.integers(2, 5), st.sampled_from(SYSTEM_STYLES),

@@ -11,18 +11,21 @@ from perdec.core import (
     RationalFunction,
     VerificationResult,
 )
+from perdec.check import (
+    DualCertificate,
+    replay_abelian_violation,
+    verify_dual,
+    verify_lattice_parts,
+    verify_point_violation,
+)
 from perdec.lattice import (
     LatticeWindow,
     lattice_decompose,
     lattice_oracle_decompose,
     mixed_delta_witness,
-    verify_lattice_parts,
-    verify_point_violation,
     z_window_counterexample,
 )
-from perdec.oracle import DualCertificate, verify_dual
 from perdec.orbits import Partition, invariance_classes
-from perdec.star import replay_abelian_violation
 from tests.conftest import corner_stencil, rationals
 
 

@@ -15,17 +15,19 @@ from perdec.core import (
     is_invariant,
     power,
     validate_system,
+)
+from perdec.check import (
+    DualCertificate,
     verify_decomposition,
+    verify_dual,
     verify_parts,
 )
 from perdec.oracle import (
-    DualCertificate,
     linear_feasibility,
     nullspace,
     oracle_decompose,
     split_over_classes,
     verified_split,
-    verify_dual,
 )
 from perdec.lattice import LatticeWindow
 from perdec.orbits import Partition, invariance_classes

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -14,15 +15,13 @@ def test_public_names_resolve_once():
     for name in names:
         assert getattr(perdec, name) is not None
     assert set(names) <= set(dir(perdec))
-    # the lazy table and __all__ name the same exports
-    assert set(perdec._EXPORTS) == set(names)
     with pytest.raises(AttributeError):
         getattr(perdec, "no_such_name")
 
 
 def _unused_imports(tree: ast.Module):
-    """Names a module imports but never reads; a name in `__all__` is
-    read."""
+    """Names a module imports but never reads; a name in a literal
+    `__all__` list is read."""
     imported = {}
     used = set()
     for node in ast.walk(tree):
@@ -35,6 +34,7 @@ def _unused_imports(tree: ast.Module):
         elif isinstance(node, ast.Name):
             used.add(node.id)
         elif (isinstance(node, ast.Assign)
+              and isinstance(node.value, (ast.List, ast.Tuple))
               and any(isinstance(t, ast.Name) and t.id == "__all__"
                       for t in node.targets)):
             used.update(ast.literal_eval(node.value))
@@ -49,6 +49,25 @@ def test_no_module_imports_an_unused_name():
              for path in paths
              for line, name in _unused_imports(ast.parse(path.read_text()))]
     assert found == []
+
+
+def test_the_checker_imports_only_core_orbits_and_the_standard_library():
+    # a replay must not load the code that made what it checks
+    tree = ast.parse((ROOT / "src" / "perdec" / "check.py").read_text())
+    typing_only = [node for top in tree.body if isinstance(top, ast.If)
+                   and ast.unparse(top.test) == "TYPE_CHECKING"
+                   for node in ast.walk(top)]
+    runtime, annotations, stdlib = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            (annotations if node in typing_only else runtime).add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            stdlib.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.Import):
+            stdlib.update(a.name.partition(".")[0] for a in node.names)
+    assert runtime == {"core", "orbits"}
+    assert annotations == {"lattice"}
+    assert stdlib - {"__future__"} <= sys.stdlib_module_names
 
 
 # top-level names read only from outside src/perdec, each with its reason

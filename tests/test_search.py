@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from perdec.core import PreconditionError
+from perdec.check import Candidate, verify_candidate, verify_report
+from perdec.core import NotCommutingError, PreconditionError, RangeError
 from perdec.serialize import parse_result, result_to_json
-from perdec.star import _reverify_candidate, search_counterexample
+from perdec.star import search_counterexample
 
 
 def test_search_rejects_bad_parameters():
@@ -80,12 +81,28 @@ def test_search_four_transforms_smoke():
     assert report.necessity_violations == 0
     # spot checks cover at most the star-fail trials
     assert 0 <= report.necessity_checked <= report.star_fail
-    for cand in report.candidates:
-        weights = _reverify_candidate(cand.transforms, cand.size,
-                                      cand.values)
-        assert weights == cand.dual_weights
+    assert verify_report(report)
     # the report survives the wire format
     assert parse_result(result_to_json(report)) == report
+
+
+def test_a_candidate_raises_the_errors_of_its_fields_in_order():
+    # the system first, then the value count, then the transform count;
+    # a well-formed candidate whose star check passes has no valid dual
+    def candidate(transforms, values, weights=("1", "-1")):
+        return Candidate(0, 2, transforms, values, weights)
+
+    with pytest.raises(NotCommutingError):
+        verify_candidate(candidate(((1, 0), (0, 0)), ("1",)))
+    with pytest.raises(RangeError):
+        verify_candidate(candidate(((0, 5),), ("1",)))
+    with pytest.raises(PreconditionError, match="function length"):
+        verify_candidate(candidate((), ("1",)))
+    with pytest.raises(PreconditionError, match="at least one"):
+        verify_candidate(candidate((), ("1", "2")))
+    assert verify_candidate(candidate(((1, 0),), ("1", "2"))).reason == (
+        "the star check fails on this instance")
+    assert not verify_candidate(candidate(((0, 1),), ("1", "2")))
 
 
 def test_search_seed_controls_the_stream():

@@ -7,10 +7,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from perdec import serialize
-from perdec.cohomology import (
+from perdec.check import (
     BoundedTransfer,
+    Candidate,
     ConstrainedObstruction,
     CycleObstruction,
+    DualCertificate,
+    SearchReport,
+    StarInstance,
+    StarViolation,
 )
 from perdec.core import (
     Decomposition,
@@ -19,7 +24,6 @@ from perdec.core import (
     RationalFunction,
 )
 from perdec.lattice import LatticeWindow
-from perdec.oracle import DualCertificate
 from perdec.serialize import (
     ParseError,
     dumps,
@@ -34,7 +38,6 @@ from perdec.serialize import (
     values_from_json,
     values_to_json,
 )
-from perdec.star import Candidate, SearchReport, StarInstance, StarViolation
 from tests.conftest import rationals
 
 

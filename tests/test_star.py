@@ -12,7 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perdec import generators, star
+from perdec import check, generators, star
+from perdec.check import (
+    StarInstance,
+    StarViolation,
+    _partitions,
+    replay_abelian_violation,
+    replay_violation,
+    verify_star_pass,
+)
 from perdec.cli import run_command
 from perdec.core import (
     PreconditionError,
@@ -22,15 +30,7 @@ from perdec.core import (
     window_difference,
 )
 from perdec.serialize import dumps, values_to_json, violation_to_json
-from perdec.star import (
-    StarInstance,
-    StarViolation,
-    _partitions,
-    check_star,
-    check_star_abelian,
-    replay_abelian_violation,
-    replay_violation,
-)
+from perdec.star import check_star, check_star_abelian
 from tests.conftest import (
     corner_stencil,
     counted_tuple,
@@ -245,7 +245,7 @@ def test_abelian_failing_singleton_stencil_skips_the_partitions(
     def refuse(n):
         raise AssertionError(f"_partitions({n}) built for a failing window")
 
-    monkeypatch.setattr(star, "_partitions", refuse)
+    monkeypatch.setattr(check, "_partitions", refuse)
     shifts = (1,) * 16
     f = RationalFunction(tuple(Fraction(x ** 16) for x in range(18)))
     start = time.perf_counter()
@@ -371,7 +371,7 @@ def _reference_abelian_replay(shifts, f, violation):
     """Reference window replay: the premises' arithmetic, then the stored
     value against the corner sum."""
     inst = violation.instance
-    if not star._well_formed(inst, len(shifts), len(f)):
+    if not check._well_formed(inst, len(shifts), len(f)):
         return False
     offset_of = {i: k * shifts[h] for block, h, k
                  in zip(inst.blocks, inst.distinguished, inst.exponents)
@@ -382,6 +382,22 @@ def _reference_abelian_replay(shifts, f, violation):
     value = corner_stencil(f.values, [k * shifts[h] for h, k in zip(
         inst.distinguished, inst.exponents)], inst.z)
     return value is not None and value == violation.value and value != 0
+
+
+@given(windows())
+@settings(max_examples=150, deadline=None)
+def test_the_pass_checker_agrees_with_the_window_check(case):
+    shifts, f = case
+    assert bool(verify_star_pass(f, shifts=shifts)) == (
+        check_star_abelian(shifts, f) is None)
+
+
+@given(systems_with_functions())
+@settings(max_examples=80, deadline=None)
+def test_the_pass_checker_agrees_with_the_finite_check(case):
+    system, f = case
+    assert bool(verify_star_pass(f, system.transforms)) == (
+        check_star(system, f) is None)
 
 
 @given(windows())
@@ -406,17 +422,18 @@ def test_abelian_replay_equals_the_corner_reference(case):
 
 
 def _counted_stencils(monkeypatch, limit):
-    """Patch `_window_violation` to count its calls, failing past limit."""
+    """Patch the window scan's `window_difference`, one pass per stencil,
+    to count its calls, failing past limit."""
     calls = [0]
-    window_violation = star._window_violation
+    window_difference = check.window_difference
 
     def counted(*args):
         calls[0] += 1
         if calls[0] > limit:
             raise AssertionError(f"more than {limit} stencils scanned")
-        return window_violation(*args)
+        return window_difference(*args)
 
-    monkeypatch.setattr(star, "_window_violation", counted)
+    monkeypatch.setattr(check, "window_difference", counted)
     return calls
 
 
@@ -437,14 +454,14 @@ def test_abelian_pass_on_seven_shifts_scans_one_stencil_per_partition(
     # least common multiple 1 and never at 2..11, and the 7 distinct
     # offset multisets are scanned
     visited = [0]
-    scan_order = star._scan_order
+    scan_order = check._scan_order
 
     def counted_scan_order(n):
         for blocks in scan_order(n):
             visited[0] += 1
             yield blocks
 
-    monkeypatch.setattr(star, "_scan_order", counted_scan_order)
+    monkeypatch.setattr(check, "_scan_order", counted_scan_order)
     calls = _counted_stencils(monkeypatch, 7)
     assert check_star_abelian((1,) * 7, RationalFunction.constant(12, 1)) \
         is None
