@@ -6,15 +6,22 @@ a previously emitted result file against the instance instead of recomputing,
 with `check`'s one checker for that certificate type, exiting 0 when it
 replays and 1 when it does not.
 
-Every instance kind is a list of total maps (`serialize.Instance.maps`),
-so `oracle` and its --verify take one path on all four kinds; the kind
-only picks the output document (a lattice window's parts carry its dims).
+Every subcommand that reads an instance and answers with a result takes
+one skeleton, `_cmd_decide`: read the instance, check that its kind fits
+the subcommand, then either replay the stored result through the one
+dispatcher `_verify_result` or run the one producer the subcommand names,
+and write what it returns with `serialize.result_to_json`.  The dispatcher
+states once which result types each subcommand emits; any other type is
+refused with "unexpected result type <T> for <command>".  Every instance
+kind is a list of total maps (`serialize.Instance.maps`), so `oracle` runs
+`verified_split` on all four kinds (on a lattice window through
+`lattice.lattice_oracle_decompose`, whose parts carry the window's dims).
 
 Loading this module loads only `serialize` and `core`, which every
-subcommand needs.  Each handler imports the algorithm modules it calls in
-its body, so a run loads only those; each --verify dispatcher imports
-only `check` (and `orbits` and `lattice`, which build and type its
-input), so a replay loads none of the code that made the result.
+subcommand needs.  Each producer is imported inside its branch, so a run
+loads only what it calls; the dispatcher imports only `check` (and
+`orbits`, which builds a dual's classes), so a replay loads none of the
+code that made the result.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from . import serialize
 from .core import (
-    Decomposition,
     NotCommutingError,
     PreconditionError,
     RangeError,
@@ -73,100 +79,65 @@ def _verify_doc(verdict: VerificationResult) -> Tuple[int, dict]:
 
 
 # ---------------------------------------------------------------------------
-# --verify: pick the library's checker for the instance kind and result type
+# --verify: check's one checker for the result type
 
 
-def _replayed(ok: bool) -> VerificationResult:
-    return VerificationResult(ok, None if ok else "violation does not replay")
+# the result types each subcommand emits, on an instance that is not a
+# lattice window (or on none, for search) and on one that is; a point
+# certificate and lattice parts both parse to tuples
+_EMITS = {
+    "decompose": (("Decomposition", "StarViolation"), ()),
+    "star-check": (("pass", "StarViolation"), ("pass", "point")),
+    "oracle": (("DualCertificate", "Decomposition"),
+               ("DualCertificate", "parts")),
+    "lattice-decompose": ((), ("parts", "point")),
+    "bounded-transfer": (("BoundedTransfer", "ConstrainedObstruction"), ()),
+    "search": (("SearchReport",), ()),
+}
 
 
-def _unexpected(result: Any, command: str) -> VerificationResult:
-    kind = "pass" if result is None else type(result).__name__
-    return VerificationResult(False, f"unexpected result type {kind} for "
-                                     f"{command}")
+def _verify_result(command: str, inst: Optional[Instance],
+                   result: Any) -> VerificationResult:
+    """Replay a stored result with `check`'s checker for its type, or
+    refuse a type the subcommand never emits on this instance."""
+    from . import check
 
-
-def _tuple_of(result: Any, kind: type) -> bool:
-    """Lattice parts parse to LatticeWindows, point certificates to ints."""
-    return isinstance(result, tuple) and all(isinstance(p, kind)
-                                             for p in result)
-
-
-def _verify_decomposition_result(inst: Instance,
-                                 result: Any) -> VerificationResult:
-    from .check import StarViolation, replay_violation, verify_parts
-
-    if isinstance(result, Decomposition):
-        return verify_parts(inst.maps(), inst.f, result.parts)
-    if isinstance(result, StarViolation):
-        return _replayed(replay_violation(inst.system, inst.f, result))
-    return _unexpected(result, "decompose")
-
-
-def _verify_star_result(inst: Instance, result: Any) -> VerificationResult:
-    from .check import (StarViolation, replay_abelian_violation,
-                        replay_violation, verify_point_violation,
-                        verify_star_pass)
-
-    if result is None:
+    window = inst is not None and inst.window is not None
+    key = name = "pass" if result is None else type(result).__name__
+    if isinstance(result, tuple):
+        # parse_result yields lattice parts only nonempty, so () is a point
+        key = "parts" if result and not isinstance(result[0], int) else "point"
+    if key not in _EMITS[command][window]:
+        if command == "star-check" and window:
+            command += " on a lattice window"
+        return VerificationResult(False, f"unexpected result type {name} for "
+                                         f"{command}")
+    if key == "pass":
         # a pass carries no certificate: the condition is re-run
         if inst.kind == "z-window":
-            return verify_star_pass(inst.f, shifts=inst.shifts)
-        return verify_star_pass(inst.f, inst.maps())
-    if inst.kind == "lattice-window":
-        if _tuple_of(result, int):
-            return verify_point_violation(inst.window, result)
-        return _unexpected(result, "star-check on a lattice window")
-    if not isinstance(result, StarViolation):
-        return _unexpected(result, "star-check")
-    if inst.kind == "z-window":
-        return _replayed(replay_abelian_violation(inst.shifts, inst.f,
-                                                  result))
-    return _replayed(replay_violation(inst.system, inst.f, result))
+            return check.verify_star_pass(inst.f, shifts=inst.shifts)
+        return check.verify_star_pass(inst.f, inst.maps())
+    if key == "Decomposition":
+        return check.verify_parts(inst.maps(), inst.f, result.parts)
+    if key == "StarViolation":
+        ok = (check.replay_abelian_violation(inst.shifts, inst.f, result)
+              if inst.kind == "z-window"
+              else check.replay_violation(inst.system, inst.f, result))
+        return VerificationResult(ok,
+                                  None if ok else "violation does not replay")
+    if key == "DualCertificate":
+        from .orbits import invariance_classes
 
-
-def _verify_oracle_result(inst: Instance, result: Any) -> VerificationResult:
-    from .check import (DualCertificate, verify_dual, verify_lattice_parts,
-                        verify_parts)
-    from .orbits import invariance_classes
-
-    if isinstance(result, DualCertificate):
-        return verify_dual([invariance_classes(t) for t in inst.maps()],
-                           inst.f, result)
-    if inst.window is not None:
-        from .lattice import LatticeWindow
-
-        if _tuple_of(result, LatticeWindow):
-            return verify_lattice_parts(inst.window, result)
-    elif isinstance(result, Decomposition):
-        return verify_parts(inst.maps(), inst.f, result.parts)
-    return _unexpected(result, "oracle")
-
-
-def _verify_lattice_result(inst: Instance, result: Any) -> VerificationResult:
-    from .check import verify_lattice_parts, verify_point_violation
-    from .lattice import LatticeWindow
-
-    if _tuple_of(result, LatticeWindow):
-        return verify_lattice_parts(inst.window, result)
-    if _tuple_of(result, int):
-        return verify_point_violation(inst.window, result)
-    return _unexpected(result, "lattice-decompose")
-
-
-def _verify_bounded_result(inst: Instance, result: Any) -> VerificationResult:
-    from .check import verify_bounded_transfer
-
+        return check.verify_dual([invariance_classes(t) for t in inst.maps()],
+                                 inst.f, result)
+    if key == "parts":
+        return check.verify_lattice_parts(inst.window, result)
+    if key == "point":
+        return check.verify_point_violation(inst.window, result)
+    if key == "SearchReport":
+        return check.verify_report(result)
     t, s = inst.system.transforms
-    return verify_bounded_transfer(t, s, inst.f, result)
-
-
-def _verify_report(result: Any) -> VerificationResult:
-    from .check import SearchReport, verify_report
-
-    if not isinstance(result, SearchReport):
-        return _unexpected(result, "search")
-    return verify_report(result)
+    return check.verify_bounded_transfer(t, s, inst.f, result)
 
 
 # ---------------------------------------------------------------------------
@@ -187,104 +158,69 @@ def _cmd_validate(args) -> Outcome:
     return 0, doc
 
 
-def _require_system(inst: Instance, what: str) -> None:
-    if inst.system is None:
-        raise ParseError(f"{what} needs a finite or cyclic-group instance, "
+# the instance kinds a subcommand reads, where it does not read every kind
+_READS = {"decompose": ("finite", "cyclic-group"),
+          "bounded-transfer": ("finite", "cyclic-group"),
+          "lattice-decompose": ("lattice-window",)}
+
+
+def _cmd_decide(args) -> Outcome:
+    """Read the instance, check it fits the subcommand, then replay the
+    stored result or run the subcommand's producer and write its result;
+    a refusal carries a certificate and exits 1."""
+    command = args.command
+    inst = _read_instance(args.instance)
+    kinds = _READS.get(command)
+    if kinds and inst.kind not in kinds:
+        raise ParseError(f"{command} needs a {' or '.join(kinds)} instance, "
                          f"got kind {inst.kind!r}")
-
-
-def _cmd_decompose(args) -> Outcome:
-    inst = _read_instance(args.instance)
-    _require_system(inst, "decompose")
-    if args.verify:
-        return _verify_decomposition_result(inst,
-                                            _read_result(args.verify))
-    from .decomp import decompose_n
-
-    outcome = decompose_n(inst.system.transforms, inst.f)
-    if isinstance(outcome, Decomposition):
-        return 0, serialize.decomposition_to_json(outcome)
-    return 1, serialize.violation_to_json(outcome)
-
-
-def _cmd_star_check(args) -> Outcome:
-    """A lattice window fails at a point; finite and cyclic-group
-    instances are total maps on a finite set, where the mixed difference
-    decides alone."""
-    inst = _read_instance(args.instance)
-    if args.verify:
-        return _verify_star_result(inst, _read_result(args.verify))
-    if inst.kind == "lattice-window":
-        from .lattice import mixed_delta_witness
-
-        point = mixed_delta_witness(inst.window)
-        if point is None:
-            return 0, {"result": "pass"}
-        return 1, serialize.point_violation_to_json(point)
-    from .star import check_star, check_star_abelian
-
-    violation = (check_star_abelian(inst.shifts, inst.f)
-                 if inst.kind == "z-window" else check_star(inst.system, inst.f))
-    if violation is None:
-        return 0, {"result": "pass"}
-    return 1, serialize.violation_to_json(violation)
-
-
-def _cmd_oracle(args) -> Outcome:
-    inst = _read_instance(args.instance)
-    if args.verify:
-        return _verify_oracle_result(inst, _read_result(args.verify))
-    from .oracle import DualCertificate, verified_split
-
-    outcome = verified_split(inst.maps(), inst.f)
-    if isinstance(outcome, DualCertificate):
-        return 1, serialize.dual_to_json(outcome)
-    if inst.kind == "lattice-window":
-        return 0, serialize.lattice_parts_to_json(inst.window.dims,
-                                                  outcome.parts)
-    return 0, serialize.decomposition_to_json(outcome)
-
-
-def _cmd_lattice_decompose(args) -> Outcome:
-    inst = _read_instance(args.instance)
-    if inst.kind != "lattice-window":
-        raise ParseError("lattice-decompose needs a lattice-window instance, "
-                         f"got kind {inst.kind!r}")
-    if args.verify:
-        return _verify_lattice_result(inst, _read_result(args.verify))
-    # an input error whatever the window holds, so decided before the witness
-    if args.base < 0:
-        raise PreconditionError(
-            f"base hyperplane must be >= 0, got {args.base}")
-    from .lattice import lattice_decompose, mixed_delta_witness
-
-    point = mixed_delta_witness(inst.window)
-    if point is not None:
-        return 1, serialize.point_violation_to_json(point)
-    parts = lattice_decompose(inst.window, base=args.base)
-    return 0, serialize.lattice_parts_to_json(inst.window.dims, parts)
-
-
-def _cmd_bounded_transfer(args) -> Outcome:
-    inst = _read_instance(args.instance)
-    _require_system(inst, "bounded-transfer")
-    if inst.system.n != 2:
+    if command == "bounded-transfer" and inst.system.n != 2:
         raise ParseError("bounded-transfer needs exactly two transforms "
                          "(T, S) with values giving the right-hand side")
     if args.verify:
-        return _verify_bounded_result(inst, _read_result(args.verify))
-    from .cohomology import ConstrainedObstruction, solve_bounded_transfer
+        return _verify_result(command, inst, _read_result(args.verify))
+    # an input error whatever the window holds, so decided before the witness
+    if command == "lattice-decompose" and args.base < 0:
+        raise PreconditionError(
+            f"base hyperplane must be >= 0, got {args.base}")
+    if command == "decompose":
+        from .decomp import decompose_n
 
-    t, s = inst.system.transforms
-    outcome = solve_bounded_transfer(t, s, inst.f)
-    if isinstance(outcome, ConstrainedObstruction):
-        return 1, serialize.constrained_obstruction_to_json(outcome)
-    return 0, serialize.bounded_to_json(outcome)
+        result = decompose_n(inst.system.transforms, inst.f)
+    elif command == "bounded-transfer":
+        from .cohomology import solve_bounded_transfer
+
+        result = solve_bounded_transfer(*inst.system.transforms, inst.f)
+    elif command == "oracle" and inst.window is not None:
+        from .lattice import lattice_oracle_decompose
+
+        result = lattice_oracle_decompose(inst.window)
+    elif command == "oracle":
+        from .oracle import verified_split
+
+        result = verified_split(inst.maps(), inst.f)
+    elif inst.window is not None:
+        # star-check or lattice-decompose: a window fails at a point
+        from .lattice import lattice_decompose, mixed_delta_witness
+
+        result = mixed_delta_witness(inst.window)
+        if result is None and command == "lattice-decompose":
+            result = lattice_decompose(inst.window, base=args.base)
+    elif inst.kind == "z-window":
+        from .star import check_star_abelian
+
+        result = check_star_abelian(inst.shifts, inst.f)
+    else:
+        from .star import check_star
+
+        result = check_star(inst.system, inst.f)
+    doc = serialize.result_to_json(result)
+    return (1 if "certificate" in doc else 0), doc
 
 
 def _cmd_search(args) -> Outcome:
     if args.verify:
-        return _verify_report(_read_result(args.verify))
+        return _verify_result("search", None, _read_result(args.verify))
     from .star import search_counterexample
 
     report = search_counterexample(n=args.n, max_size=args.max_size,
@@ -316,17 +252,17 @@ def _build_parser() -> Parsers:
             p.add_argument("--verify", metavar="CERTFILE", default=None,
                            help="re-check a previously emitted result file "
                                 "against the instance")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, command=name)
         return p
 
     add("validate", _cmd_validate, verify=False)
-    add("decompose", _cmd_decompose)
-    add("star-check", _cmd_star_check)
-    add("oracle", _cmd_oracle)
-    lat = add("lattice-decompose", _cmd_lattice_decompose)
+    add("decompose", _cmd_decide)
+    add("star-check", _cmd_decide)
+    add("oracle", _cmd_decide)
+    lat = add("lattice-decompose", _cmd_decide)
     lat.add_argument("--base", type=int, default=0,
                      help="base hyperplane coordinate for the lift")
-    add("bounded-transfer", _cmd_bounded_transfer)
+    add("bounded-transfer", _cmd_decide)
     p = add("search", _cmd_search, needs_instance=False)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--max-size", type=int, default=6)

@@ -5,8 +5,9 @@ point appears anywhere.  Parsing accepts exactly the ASCII forms
 -?[0-9]+ and -?[0-9]+/[0-9]+ (lowest terms not required).  A value list
 parses each of its distinct literals once: invariant parts, duals and
 planted values repeat a few literals many times, and a value list
-formats each of its distinct values once.  Every result type round-trips:
-parse_result(result_to_json(r)) == r.
+formats each of its distinct values once.  Every result type round-trips,
+a passing star check (None) and a point certificate (a tuple of ints)
+included: parse_result(result_to_json(r)) == r.
 
 Only `core` loads with this module: the certificate types of `check` and
 the windows of `lattice` are imported where a document builds or tests
@@ -250,15 +251,15 @@ def parse_instance(doc: Any) -> Instance:
             raise ParseError("expected nonnegative shifts", "shifts")
         f = _values(doc, length)
         return Instance(kind, f=f, shifts=tuple(shifts), length=length)
-    from .lattice import LatticeWindow
+    from .lattice import LatticeWindow, window_size
 
-    dims = _int_list(doc.get("dims"), "dims")
-    f = values_from_json(doc.get("values"))
+    dims = tuple(_int_list(doc.get("dims"), "dims"))
     try:
-        window = LatticeWindow(tuple(dims), f.values)
+        size = window_size(dims)
     except RangeError as exc:
         raise ParseError(str(exc), "dims")
-    return Instance(kind, f=f, window=window)
+    f = _values(doc, size)
+    return Instance(kind, f=f, window=LatticeWindow(dims, f.values))
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -359,12 +360,15 @@ def report_to_json(r: SearchReport) -> dict:
 
 
 def result_to_json(result: Any) -> dict:
-    """Serialize any library result."""
+    """Serialize any library result: None is a passing star check, a tuple
+    of ints a point certificate (the empty one too) and a tuple of windows
+    lattice parts."""
     from .check import (BoundedTransfer, ConstrainedObstruction,
                         CycleObstruction, DualCertificate, SearchReport,
                         StarViolation)
-    from .lattice import LatticeWindow
 
+    if result is None:
+        return {"result": "pass"}
     if isinstance(result, Decomposition):
         return decomposition_to_json(result)
     if isinstance(result, StarViolation):
@@ -379,9 +383,13 @@ def result_to_json(result: Any) -> dict:
         return constrained_obstruction_to_json(result)
     if isinstance(result, SearchReport):
         return report_to_json(result)
-    if isinstance(result, tuple) and result and all(
-            isinstance(p, LatticeWindow) for p in result):
-        return lattice_parts_to_json(result[0].dims, result)
+    if isinstance(result, tuple):
+        from .lattice import LatticeWindow
+
+        if all(isinstance(c, int) for c in result):
+            return point_violation_to_json(result)
+        if all(isinstance(p, LatticeWindow) for p in result):
+            return lattice_parts_to_json(result[0].dims, result)
     raise TypeError(f"no serialization for {type(result).__name__}")
 
 

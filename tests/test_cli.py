@@ -248,13 +248,29 @@ def test_star_check_verify_takes_its_own_pass_output(tmp_path, capsys, kind):
     assert verdict["reason"] == "the star check fails on this instance"
 
 
-def test_a_pass_is_not_a_result_of_other_commands(tmp_path, capsys):
-    path = _write(tmp_path, "inst.json", CYCLIC_SPLIT)
+@pytest.mark.parametrize("command, inst", [
+    ("decompose", CYCLIC_SPLIT),
+    ("oracle", CYCLIC_SPLIT),
+    ("oracle", LATTICE_SEPARABLE),
+    ("lattice-decompose", LATTICE_SEPARABLE),
+    ("bounded-transfer", THREE_CYCLE_TRANSFER),
+    ("search", None),
+    ("star-check", CYCLIC_SPLIT),
+], ids=["decompose", "oracle", "oracle-window", "lattice-decompose",
+        "bounded-transfer", "search", "star-check"])
+def test_a_pass_is_not_a_result_of_other_commands(tmp_path, capsys, command,
+                                                  inst):
     saved = _write(tmp_path, "pass.json", {"result": "pass"})
-    code, verdict = _run(capsys, ["decompose", path, "--verify", saved])
+    argv = [command, "--verify", saved]
+    if inst is not None:
+        argv.insert(1, _write(tmp_path, "inst.json", inst))
+    code, verdict = _run(capsys, argv)
+    if command == "star-check":
+        # the one subcommand that emits a pass re-runs its check
+        assert (code, verdict) == (0, {"result": "verified", "agrees": True})
+        return
     assert code == 1 and verdict["agrees"] is False
-    assert verdict["reason"] == ("unexpected result type pass for "
-                                 "decompose")
+    assert verdict["reason"] == f"unexpected result type pass for {command}"
 
 
 # emitted by the modular partition scan that cyclic-group star checks ran
@@ -276,6 +292,99 @@ def test_star_check_verifies_an_earlier_cyclic_certificate(tmp_path, capsys):
     assert code == 0 and verdict == {"result": "verified", "agrees": True}
     code, doc = _run(capsys, ["star-check", path])
     assert (code, doc) == (1, EARLIER_CYCLIC_CERTIFICATE)
+
+
+# one instance per kind, on which the star check fails and each stored
+# result below is refused by its checker
+REFUSING_INSTANCES = {
+    "finite": FINITE_DOUBLE_SWAP,
+    "cyclic-group": {"kind": "cyclic-group", "modulus": 4, "shifts": [1, 2],
+                     "values": ["0", "1", "0", "0"]},
+    "z-window": Z_WINDOW_LINEAR,
+    "lattice-window": LATTICE_CORNER,
+}
+# the identity passes the star check on any f, so f splits and no dual
+# verifies: the candidate is refused from its own fields
+FALSE_CANDIDATE_REPORT = dict(dict.fromkeys(
+    ("n", "max_size", "trials", "seed", "star_pass", "star_fail",
+     "oracle_feasible", "oracle_infeasible", "necessity_checked",
+     "necessity_violations", "discrepancies"), 1),
+    result="report", candidates=[
+        {"trial": 4, "size": 2, "transforms": [[0, 1]],
+         "values": ["1", "2"], "dual_weights": ["1", "-1"]}])
+# one stored document per result tag: its parsed type, and the reason its
+# checker gives on every instance above
+STORED_RESULTS = {
+    "pass": ({"result": "pass"}, "pass",
+             "the star check fails on this instance"),
+    "decomposition": ({"result": "decomposition", "parts": [["1"]]},
+                      "Decomposition",
+                      "part count differs from transform count"),
+    "violation": (EARLIER_CYCLIC_CERTIFICATE, "StarViolation",
+                  "violation does not replay"),
+    "infeasible": ({"result": "infeasible",
+                    "certificate": {"weights": ["1"]}}, "DualCertificate",
+                   "weight count differs from domain size"),
+    "lattice-decomposition": ({"result": "lattice-decomposition",
+                               "dims": [3, 3], "parts": [["0"] * 9] * 2},
+                              "tuple", "parts do not match the window shape"),
+    # the empty point is a point: parse_result's lattice parts are nonempty
+    "point-violation": ({"result": "point-violation",
+                         "certificate": {"point": []}}, "tuple",
+                        "point is not a stencil base inside the window"),
+    "bounded-transfer": ({"result": "bounded-transfer", "values": ["1"],
+                          "bound": "0"}, "BoundedTransfer",
+                         "solution length differs from domain"),
+    "obstruction": ({"result": "obstruction",
+                     "certificate": {"points": [0], "total": "1"}},
+                    "CycleObstruction", None),
+    "constrained-obstruction": ({"result": "constrained-obstruction",
+                                 "certificate": {"x": 99, "k": 1, "l": 0,
+                                                 "l2": 0, "total": "1"}},
+                                "ConstrainedObstruction",
+                                "witness point or exponent out of range"),
+    "report": (FALSE_CANDIDATE_REPORT, "SearchReport",
+               "candidate from trial 4 does not re-verify"),
+}
+# the result tags each subcommand emits, by instance kind (None: search)
+EMITTED = {
+    ("decompose", "finite"): {"decomposition", "violation"},
+    ("decompose", "cyclic-group"): {"decomposition", "violation"},
+    ("star-check", "finite"): {"pass", "violation"},
+    ("star-check", "cyclic-group"): {"pass", "violation"},
+    ("star-check", "z-window"): {"pass", "violation"},
+    ("star-check", "lattice-window"): {"pass", "point-violation"},
+    ("oracle", "finite"): {"decomposition", "infeasible"},
+    ("oracle", "cyclic-group"): {"decomposition", "infeasible"},
+    ("oracle", "z-window"): {"decomposition", "infeasible"},
+    ("oracle", "lattice-window"): {"lattice-decomposition", "infeasible"},
+    ("lattice-decompose", "lattice-window"): {"lattice-decomposition",
+                                              "point-violation"},
+    ("bounded-transfer", "finite"): {"bounded-transfer",
+                                     "constrained-obstruction"},
+    ("bounded-transfer", "cyclic-group"): {"bounded-transfer",
+                                           "constrained-obstruction"},
+    ("search", None): {"report"},
+}
+
+
+@pytest.mark.parametrize("tag", sorted(STORED_RESULTS))
+@pytest.mark.parametrize("command, kind", sorted(EMITTED, key=str))
+def test_verify_answers_every_result_tag_by_its_checker_or_its_type(
+        tmp_path, capsys, command, kind, tag):
+    doc, name, reason = STORED_RESULTS[tag]
+    argv = [command, "--verify", _write(tmp_path, "result.json", doc)]
+    if kind is not None:
+        argv.insert(1, _write(tmp_path, "inst.json",
+                              REFUSING_INSTANCES[kind]))
+    if tag not in EMITTED[command, kind]:
+        where = (" on a lattice window"
+                 if (command, kind) == ("star-check", "lattice-window")
+                 else "")
+        reason = f"unexpected result type {name} for {command}{where}"
+    code, verdict = _run(capsys, argv)
+    assert (code, verdict) == (1, {"result": "verified", "agrees": False,
+                                   "reason": reason})
 
 
 def test_decompose_three_shifts_of_z192_is_fast_and_verifies(tmp_path,
@@ -1196,17 +1305,8 @@ def test_search_loads_the_trial_modules_and_its_replay_the_checker(tmp_path):
 
 
 def test_a_search_candidate_is_checked_by_its_stored_dual(tmp_path):
-    # the identity passes the star check on any f, so f splits and no dual
-    # verifies: the candidate is refused from its own fields, without
-    # running the star check or the oracle
-    report = dict.fromkeys(
-        ("n", "max_size", "trials", "seed", "star_pass", "star_fail",
-         "oracle_feasible", "oracle_infeasible", "necessity_checked",
-         "necessity_violations", "discrepancies"), 1)
-    report.update(result="report", candidates=[
-        {"trial": 4, "size": 2, "transforms": [[0, 1]],
-         "values": ["1", "2"], "dual_weights": ["1", "-1"]}])
-    cert = _write(tmp_path, "cert.json", report)
+    # the candidate is refused without running the star check or the oracle
+    cert = _write(tmp_path, "cert.json", FALSE_CANDIDATE_REPORT)
     code, out, loaded = _fresh_run(["search", "--verify", cert])
     assert (code, json.loads(out)) == (1, {
         "result": "verified", "agrees": False,

@@ -75,9 +75,6 @@ DEAD_CODE_ALLOWLIST = {
     # parse_instance's round-trip partner; the benchmark writes its
     # instance files with it
     ("serialize", "instance_to_json"),
-    # parse_result's round-trip partner; the benchmark serializes library
-    # results with it, while the CLI calls the one serializer it needs
-    ("serialize", "result_to_json"),
     # the benchmark record names the scan implementation through it
     ("kernels", "implementation_name"),
     # builds the branch instances of acceptance criterion 2

@@ -343,6 +343,25 @@ def test_parse_instance_lattice_window():
         parse_instance(dict(doc, values=["0"] * 3))
 
 
+@pytest.mark.parametrize("change, path, message", [
+    # the extents are checked first, at dims, whatever the values hold
+    ({"dims": [2, 1]}, "dims", "extent 1 must be an integer >= 2"),
+    ({"dims": [2, 1], "values": ["0"]}, "dims",
+     "extent 1 must be an integer >= 2"),
+    ({"dims": []}, "dims", "window needs at least one axis"),
+    # then the value count, at values, as on every other kind
+    ({"values": ["0"] * 3}, "values", "expected 4 values, got 3"),
+    ({"dims": [2, 3]}, "values", "expected 6 values, got 4"),
+])
+def test_lattice_window_errors_name_dims_or_values(change, path, message):
+    doc = {"kind": "lattice-window", "dims": [2, 2],
+           "values": ["0", "1", "2", "3"]}
+    with pytest.raises(ParseError) as exc:
+        parse_instance(dict(doc, **change))
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def _sample_results():
     decomposition = Decomposition((
         RationalFunction((Fraction(1, 3), Fraction(1, 3))),
@@ -368,8 +387,9 @@ def _sample_results():
         LatticeWindow((2, 2), (Fraction(0), Fraction(1),
                                Fraction(0), Fraction(1))),
     )
+    # a passing star check, a point certificate and the empty one
     return [decomposition, violation, dual, bounded, cycle, constrained,
-            report, lattice_parts]
+            report, lattice_parts, None, (1, 0, 2), ()]
 
 
 def test_every_result_type_round_trips():
