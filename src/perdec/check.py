@@ -7,7 +7,6 @@ and `orbits`: a replay loads none of the code it checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
@@ -21,6 +20,7 @@ from .core import (
     PreconditionError,
     RationalFunction,
     VerificationResult,
+    _Record,
     _mixed_difference,
     integer_values,
     is_invariant,
@@ -34,8 +34,7 @@ if TYPE_CHECKING:
     from .lattice import LatticeWindow
 
 
-@dataclass(frozen=True)
-class StarInstance:
+class StarInstance(_Record):
     """One premise/conclusion instance of the partition condition.
 
     blocks partition the transform indices; distinguished[b] is block b's
@@ -50,8 +49,7 @@ class StarInstance:
     z: int
 
 
-@dataclass(frozen=True)
-class StarViolation:
+class StarViolation(_Record):
     """A premise-satisfying instance whose conclusion value is nonzero."""
 
     instance: StarInstance
@@ -59,8 +57,7 @@ class StarViolation:
     kind: str  # "MixedDeltaNonzero" | "CompatibilityFailure" (older output)
 
 
-@dataclass(frozen=True)
-class DualCertificate:
+class DualCertificate(_Record):
     """A linear functional on value tables proving non-decomposability.
 
     Pairs to zero with every invariance-kernel basis function of the system
@@ -73,16 +70,14 @@ class DualCertificate:
         return sum((w * v for w, v in zip(self.weights, f)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class CycleObstruction:
+class CycleObstruction(_Record):
     """A T-cycle whose g-sum is nonzero, so h(Tx) - h(x) = g(x) is unsolvable."""
 
     points: tuple[int, ...]
     total: Fraction
 
 
-@dataclass(frozen=True)
-class ConstrainedObstruction:
+class ConstrainedObstruction(_Record):
     """Witness T^k S^l x = S^{l2} x whose orbit sum of G is nonzero."""
 
     x: int
@@ -92,16 +87,14 @@ class ConstrainedObstruction:
     total: Fraction
 
 
-@dataclass(frozen=True)
-class BoundedTransfer:
+class BoundedTransfer(_Record):
     """solution plus the partial-sum bound C controlling its sup norm."""
 
     solution: RationalFunction
     bound: Fraction
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(_Record):
     """A star-pass oracle-infeasible instance with its dual weights."""
 
     trial: int
@@ -111,8 +104,7 @@ class Candidate:
     dual_weights: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(_Record):
     """Outcome of a randomized search over commuting systems."""
 
     n: int
@@ -501,6 +493,29 @@ def _check_bounded(t: Sequence[int], s: Sequence[int], g: RationalFunction,
         return VerificationResult(False, "solution is not s-invariant")
     if h.max_abs() > 2 * bound_c:
         return VerificationResult(False, "solution exceeds twice the bound")
+    return VerificationResult(True)
+
+
+def verify_cycle_obstruction(t: Sequence[int], g: RationalFunction,
+                             obstruction: CycleObstruction
+                             ) -> VerificationResult:
+    """Check an obstruction of `cohomology.solve_transfer`: its points are
+    distinct points of the domain that t walks in order and back to the
+    first, and its total is their g-sum and nonzero.  Any solution h
+    telescopes to 0 around a cycle, so none exists."""
+    if len(t) != len(g):
+        raise PreconditionError("transform length does not match function")
+    points = obstruction.points
+    if (len(set(points)) != len(points)
+            or not all(0 <= p < len(g) for p in points)):
+        return VerificationResult(
+            False, "cycle points are not distinct points of the domain")
+    if any(t[p] != q for p, q in zip(points, points[1:] + points[:1])):
+        return VerificationResult(False, "points do not form a cycle of t")
+    numerators, denom = integer_values([g[p] for p in points])
+    total = Fraction(sum(numerators), denom)
+    if total != obstruction.total or total == 0:
+        return VerificationResult(False, "obstruction sum does not replay")
     return VerificationResult(True)
 
 

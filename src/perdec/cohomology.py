@@ -19,12 +19,14 @@ from .check import (
     _check_bounded,
     partial_sum_bound,
     verify_bounded_transfer,
+    verify_cycle_obstruction,
 )
 from .core import (
     InternalContractViolation,
     PreconditionError,
     RationalFunction,
     commute_witness,
+    integer_values,
     is_invariant,
     iterate,
 )
@@ -43,7 +45,8 @@ def solve_transfer(
     class's least point.
 
     A solution exists iff the g-sum around every cycle vanishes; the
-    first nonzero cycle (by class order) is returned otherwise.  One
+    first nonzero cycle (by class order) is returned otherwise, verified
+    by `check.verify_cycle_obstruction`.  One
     forward walk from each unsolved x, in point order: a walk that meets
     a solved point fills h backward along its path; a walk that closes a
     new cycle started at that class's least point, so once the cycle sum
@@ -62,9 +65,14 @@ def solve_transfer(
             y = t[y]
         if values[y] is None:
             cycle = path[index[y]:]
-            total = sum((g[p] for p in cycle), Fraction(0))
-            if total != 0:
-                return CycleObstruction(tuple(cycle), total)
+            numerators, denom = integer_values([g[p] for p in cycle])
+            total = sum(numerators)
+            if total:
+                obstruction = CycleObstruction(tuple(cycle),
+                                               Fraction(total, denom))
+                verify_cycle_obstruction(t, g, obstruction).require(
+                    "cycle obstruction")
+                return obstruction
             h = Fraction(0)
             for p in path:
                 values[p] = h

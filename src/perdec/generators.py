@@ -10,15 +10,14 @@ Every generated system still goes through full commutativity validation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import sub
 from typing import List, Optional, Sequence
 
 from . import oracle
-from .core import (CommutingSystem, RationalFunction, integer_values, power,
-                   validate_system)
+from .core import (CommutingSystem, RationalFunction, _Record, integer_values,
+                   power, validate_system)
 from .orbits import invariance_classes
 
 
@@ -155,8 +154,7 @@ def random_function(rng: random.Random, system: CommutingSystem,
     raise ValueError(f"unknown style {style!r}")
 
 
-@dataclass(frozen=True)
-class BranchInstance:
+class BranchInstance(_Record):
     """A cyclic-group instance steering the three-transform construction
     into a chosen correction branch at the stored exponent bound."""
 

@@ -15,7 +15,6 @@ read off one base slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from operator import sub
@@ -33,7 +32,10 @@ from .core import (
     PreconditionError,
     RangeError,
     RationalFunction,
+    RationalLike,
+    _Record,
     _as_fractions,
+    _set_field,
     integer_values,
     window_difference,
 )
@@ -52,8 +54,7 @@ def window_size(dims: Sequence[int]) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class LatticeWindow:
+class LatticeWindow(_Record):
     """A rational-valued table on a box window of Z^d.
 
     values are row-major with the last axis fastest; every extent is at
@@ -63,15 +64,15 @@ class LatticeWindow:
     dims: tuple[int, ...]
     values: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        dims = tuple(self.dims)
+    def __init__(self, dims: Sequence[int], values: Sequence[RationalLike]):
+        dims = tuple(dims)
         size = window_size(dims)
-        values = _as_fractions(self.values)
+        values = _as_fractions(values)
         if len(values) != size:
             raise RangeError(
                 f"expected {size} values for dims {dims}, got {len(values)}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "values", values)
+        _set_field(self, "dims", dims)
+        _set_field(self, "values", values)
 
     @property
     def size(self) -> int:
@@ -118,8 +119,20 @@ class LatticeWindow:
         if len(nd) != len(self.dims) or any(a > b for a, b
                                             in zip(nd, self.dims)):
             raise RangeError("restriction must shrink within the window")
-        return LatticeWindow(nd, tuple(self.get(c) for c
-                                       in product(*map(range, nd))))
+        window_size(nd)
+        return _trusted(nd, tuple(self.get(c) for c
+                                  in product(*map(range, nd))))
+
+
+def _trusted(dims: tuple[int, ...],
+             values: tuple[Fraction, ...]) -> LatticeWindow:
+    """A LatticeWindow built without the constructor's checks, for dims
+    that passed `window_size` and exactly their size of Fractions read or
+    computed from a window: its parts and its restrictions."""
+    window = object.__new__(LatticeWindow)
+    _set_field(window, "dims", dims)
+    _set_field(window, "values", values)
+    return window
 
 
 def mixed_delta_witness(f: LatticeWindow) -> Optional[tuple[int, ...]]:
@@ -173,7 +186,7 @@ def lattice_decompose(f: LatticeWindow,
     memo = dict.fromkeys(chain.from_iterable(numerators))
     for v in memo:
         memo[v] = Fraction(v, denom)
-    parts = [LatticeWindow(f.dims, tuple(map(memo.__getitem__, part)))
+    parts = [_trusted(f.dims, tuple(map(memo.__getitem__, part)))
              for part in reversed(numerators)]
     if verify_lattice_parts(f, parts):
         return tuple(parts)
@@ -199,11 +212,10 @@ def lattice_oracle_decompose(
     outcome = verified_split(f.axis_maps(), RationalFunction(f.values))
     if isinstance(outcome, DualCertificate):
         return outcome
-    return tuple(LatticeWindow(f.dims, part.values) for part in outcome.parts)
+    return tuple(_trusted(f.dims, part.values) for part in outcome.parts)
 
 
-@dataclass(frozen=True)
-class ZWindowDemo:
+class ZWindowDemo(_Record):
     """The canonical negative example: f(x) = x against two unit shifts."""
 
     length: int

@@ -7,10 +7,10 @@ downstream is reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence
 
-from .core import CommutingSystem, PreconditionError, RangeError, iterate
+from .core import (CommutingSystem, PreconditionError, RangeError, _Record,
+                   _set_field, iterate)
 
 
 def default_bound(size: int) -> int:
@@ -28,8 +28,7 @@ def default_bound(size: int) -> int:
     return 2 * size
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """class_of[x] is x's class id; representative[c] is the class minimum.
 
     Ids are assigned by first appearance scanning elements upward, so the
@@ -38,6 +37,11 @@ class Partition:
 
     class_of: tuple[int, ...]
     representative: tuple[int, ...]
+
+    def __init__(self, class_of: tuple[int, ...],
+                 representative: tuple[int, ...]):
+        _set_field(self, "class_of", class_of)
+        _set_field(self, "representative", representative)
 
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "Partition":
@@ -148,8 +152,7 @@ def joint_classes(system: CommutingSystem, subset: Iterable[int]) -> Partition:
     return _components(system.size, [system.transforms[j] for j in indices])
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Record):
     """Witness of T^k S^n x = T^{k2} S^{n2} y for the (S, T, x, y) it came from."""
 
     k: int

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Union
@@ -28,6 +27,7 @@ from .core import (
     Decomposition,
     RangeError,
     RationalFunction,
+    _Record,
 )
 
 if TYPE_CHECKING:
@@ -177,8 +177,7 @@ def _shifts(doc: dict) -> List[int]:
 KINDS = ("finite", "cyclic-group", "z-window", "lattice-window")
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """A parsed instance file of any kind.
 
     Every kind carries f.  finite and cyclic-group also carry a
@@ -342,7 +341,7 @@ def constrained_obstruction_to_json(o: ConstrainedObstruction) -> dict:
 
 def _counters(report_type: type) -> List[str]:
     """The report's integer fields, in declaration order."""
-    return [f.name for f in fields(report_type) if f.name != "candidates"]
+    return [name for name in report_type._fields if name != "candidates"]
 
 
 def report_to_json(r: SearchReport) -> dict:

@@ -1216,15 +1216,22 @@ SMALL_INSTANCES = {
 }
 
 
+# the value types derive from core._Record, so no run pays for importing
+# dataclasses and the inspect module it loads
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
 def _fresh_run(argv):
     """Exit code, stdout and the perdec modules of a run in a fresh
-    interpreter, which must load only the standard library and perdec."""
+    interpreter, which must load only the standard library and perdec,
+    and none of SLOW_IMPORTS."""
     src = str(Path(perdec.__file__).resolve().parent.parent)
     run = subprocess.run([sys.executable, "-S", "-c", _FRESH_RUN, src,
                           *argv], capture_output=True, text=True, timeout=60)
     code, *names = run.stderr.split()
     tops = {name.partition(".")[0] for name in names}
     assert tops - {"__main__", "perdec"} <= sys.stdlib_module_names
+    assert not SLOW_IMPORTS & tops
     return (int(code), run.stdout,
             {name for name in names if name.partition(".")[0] == "perdec"})
 
@@ -1253,6 +1260,7 @@ def test_cli_loads_only_the_standard_library_and_perdec_sources():
             if n.partition(".")[0] == "perdec"} == SHARED_MODULES
     tops = {name.partition(".")[0] for name in names.split()}
     assert tops - {"__main__", "perdec"} <= sys.stdlib_module_names
+    assert not SLOW_IMPORTS & tops
     assert all(path.endswith(".py") for path in files.split())
 
 
@@ -1294,7 +1302,8 @@ def test_a_lattice_window_loads_the_lattice_modules(tmp_path, command):
 
 
 def test_search_loads_the_trial_modules_and_its_replay_the_checker(tmp_path):
-    code, out, loaded = _fresh_run(["search", "--n", "3", "--trials", "5"])
+    code, out, loaded = _fresh_run(["search", "--n", "3", "--trials", "5",
+                                    "--workers", "1"])
     assert code == 0
     assert loaded == _perdec(*SEARCH_LOADS)
     cert = tmp_path / "cert.json"

@@ -12,6 +12,7 @@ from perdec.check import (
     CycleObstruction,
     partial_sum_bound,
     verify_bounded_transfer,
+    verify_cycle_obstruction,
 )
 from perdec.cohomology import (
     solve_bounded_transfer,
@@ -19,6 +20,7 @@ from perdec.cohomology import (
     solve_transfer_constrained,
 )
 from perdec.core import (
+    InternalContractViolation,
     PreconditionError,
     RationalFunction,
     delta,
@@ -102,6 +104,51 @@ def test_solve_transfer_verdict_matches_cycle_enumeration(sized, data):
         # returned points really form one t-cycle
         for p, q in zip(got.points, got.points[1:] + got.points[:1]):
             assert t[p] == q
+        assert verify_cycle_obstruction(t, g, got)
+
+
+# t = the 3-cycle 0 -> 1 -> 2 -> 0 with the fixed point 3; g sums to 3
+# around the cycle and is 0 at the fixed point
+_CYCLE_T = (1, 2, 0, 3)
+_CYCLE_G = RationalFunction((Fraction(1), Fraction(1), Fraction(1),
+                             Fraction(0)))
+
+
+@pytest.mark.parametrize("points, total", [((0, 1, 2), 3), ((1, 2, 0), 3)])
+def test_verify_cycle_obstruction_accepts_every_rotation(points, total):
+    assert verify_cycle_obstruction(
+        _CYCLE_T, _CYCLE_G, CycleObstruction(points, Fraction(total))).ok
+
+
+@pytest.mark.parametrize("points, total, reason", [
+    ((0, 1, 2, 0), 4, "cycle points are not distinct points of the domain"),
+    ((0, 1, 2, 4), 3, "cycle points are not distinct points of the domain"),
+    ((-1, 0, 1, 2), 3, "cycle points are not distinct points of the domain"),
+    ((0, 2, 1), 3, "points do not form a cycle of t"),
+    ((0, 1), 2, "points do not form a cycle of t"),
+    ((0, 1, 2), 2, "obstruction sum does not replay"),
+    ((3,), 0, "obstruction sum does not replay"),
+    ((), 0, "obstruction sum does not replay"),
+])
+def test_verify_cycle_obstruction_refuses_each_defect(points, total, reason):
+    got = verify_cycle_obstruction(_CYCLE_T, _CYCLE_G,
+                                   CycleObstruction(points, Fraction(total)))
+    assert (got.ok, got.reason) == (False, reason)
+
+
+def test_verify_cycle_obstruction_needs_matching_lengths():
+    with pytest.raises(PreconditionError):
+        verify_cycle_obstruction((0,), _CYCLE_G,
+                                 CycleObstruction((0,), Fraction(1)))
+
+
+def test_solve_transfer_verifies_its_obstruction(monkeypatch):
+    # a wrong total is caught before the obstruction is returned
+    monkeypatch.setattr(cohomology, "CycleObstruction",
+                        lambda points, total: CycleObstruction(points,
+                                                               total + 1))
+    with pytest.raises(InternalContractViolation, match="cycle obstruction"):
+        solve_transfer(_CYCLE_T, _CYCLE_G)
 
 
 @given(sized_maps(max_size=12), st.booleans(), st.data())

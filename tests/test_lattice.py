@@ -59,6 +59,27 @@ def test_window_restrict():
         w.restrict((4, 3))
     with pytest.raises(RangeError):
         w.restrict((3,))
+    with pytest.raises(RangeError):
+        w.restrict((1, 3))
+
+
+def test_parts_of_a_checked_window_skip_the_constructor_checks(monkeypatch):
+    # f(x, y) = 3x + y + 1 splits; its parts, its oracle parts and its
+    # restriction come from f's own checked dims and Fractions
+    f = LatticeWindow((2, 3), range(1, 7))
+    checked = []
+    init = LatticeWindow.__init__
+
+    def counted(self, dims, values):
+        checked.append(dims)
+        init(self, dims, values)
+
+    monkeypatch.setattr(LatticeWindow, "__init__", counted)
+    parts = (*lattice_decompose(f), *lattice_oracle_decompose(f),
+             f.restrict((2, 2)))
+    assert checked == []
+    for part in parts:
+        assert part == LatticeWindow(part.dims, part.values)
 
 
 def test_mixed_delta_witness_first_lexicographic():

@@ -502,7 +502,8 @@ def test_abelian_check_and_replay_of_forty_shifts_read_f_linearly(
     assert violation.instance.blocks == tuple((i,) for i in range(40))
     counted = RationalFunction(f.values)
     replay_reads = [0]
-    # the frozen dataclass's values, swapped for a counting tuple
+    # the frozen record's values, swapped for a counting tuple past its
+    # refusing __setattr__
     object.__setattr__(counted, "values",
                        counted_tuple(f.values, replay_reads, limit))
     assert replay_abelian_violation(shifts, counted, violation)
