@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
-from operator import add
+from operator import add, lt
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Optional,
                     Sequence, Union)
 
@@ -597,8 +597,25 @@ def verify_candidate(candidate: Candidate) -> VerificationResult:
 
 
 def verify_report(report: SearchReport) -> VerificationResult:
-    """Every candidate of a search report passes `verify_candidate`."""
-    for c in report.candidates:
+    """A search report whose counts a search can produce, and whose every
+    candidate passes `verify_candidate`.  Every trial passes or fails the
+    star check; every pass and every checked failure that is no necessity
+    violation gets one oracle verdict; every violation is a discrepancy;
+    and every candidate is an infeasible verdict, in trial order."""
+    r = report
+    # the candidates' trials, bracketed by -1 and the trial count
+    trials = [-1, *[c.trial for c in r.candidates], r.trials]
+    if not (min(r.star_pass, r.star_fail, r.oracle_feasible,
+                r.oracle_infeasible, r.necessity_violations) >= 0
+            and r.star_pass + r.star_fail == r.trials
+            and r.necessity_violations <= r.necessity_checked <= r.star_fail
+            and r.oracle_feasible + r.oracle_infeasible == (
+                r.star_pass + r.necessity_checked - r.necessity_violations)
+            and r.discrepancies >= r.necessity_violations
+            and len(r.candidates) <= r.oracle_infeasible
+            and all(map(lt, trials, trials[1:]))):
+        return VerificationResult(False, "report counts no search produces")
+    for c in r.candidates:
         if not verify_candidate(c):
             return VerificationResult(False, f"candidate from trial {c.trial} "
                                              f"does not re-verify")

@@ -228,7 +228,7 @@ def _cmd_search(args) -> Outcome:
                                    workers=args.workers)
     clean = (report.discrepancies == 0 and report.necessity_violations == 0
              and not report.candidates)
-    return (0 if clean else 1), serialize.report_to_json(report)
+    return (0 if clean else 1), serialize.result_to_json(report)
 
 
 # the top-level parser and each subcommand's own parser by name

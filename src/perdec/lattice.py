@@ -120,8 +120,10 @@ class LatticeWindow(_Record):
                                             in zip(nd, self.dims)):
             raise RangeError("restriction must shrink within the window")
         window_size(nd)
-        return _trusted(nd, tuple(self.get(c) for c
-                                  in product(*map(range, nd))))
+        # the kept points' indices, as sums of one offset per axis
+        offsets = product(*(range(0, w * stride, stride)
+                            for w, stride in zip(nd, self.strides())))
+        return _trusted(nd, tuple(self.values[sum(o)] for o in offsets))
 
 
 def _trusted(dims: tuple[int, ...],

@@ -5,9 +5,13 @@ point appears anywhere.  Parsing accepts exactly the ASCII forms
 -?[0-9]+ and -?[0-9]+/[0-9]+ (lowest terms not required).  A value list
 parses each of its distinct literals once: invariant parts, duals and
 planted values repeat a few literals many times, and a value list
-formats each of its distinct values once.  Every result type round-trips,
-a passing star check (None) and a point certificate (a tuple of ints)
-included: parse_result(result_to_json(r)) == r.
+formats each of its distinct values once.
+
+Each record result's wire form is stated once, as the row of its tag in
+one table (`_codecs`) that `result_to_json` and `parse_result` each read
+in one loop.  Every result type round-trips, a passing star check
+(None), a point certificate (a tuple of ints) and lattice parts included:
+parse_result(result_to_json(r)) == r.
 
 Only `core` loads with this module: the certificate types of `check` and
 the windows of `lattice` are imported where a document builds or tests
@@ -19,8 +23,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Union
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, List, Optional, Union
 
 from .core import (
     CommutingSystem,
@@ -31,9 +37,6 @@ from .core import (
 )
 
 if TYPE_CHECKING:
-    from .check import (BoundedTransfer, ConstrainedObstruction,
-                        CycleObstruction, DualCertificate, SearchReport,
-                        StarViolation)
     from .lattice import LatticeWindow
 
 
@@ -127,16 +130,12 @@ def values_from_json(items: Any, path: str = "values") -> RationalFunction:
     return RationalFunction(tuple(map(parsed.__getitem__, items)))
 
 
-def _rational_strings(items: Any, path: str) -> tuple[str, ...]:
-    """Validated rationals kept in their canonical string form."""
-    return tuple(frac_to_str(v) for v in values_from_json(items, path).values)
-
-
-def _int_field(doc: dict, key: str, path: str) -> int:
-    v = doc.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ParseError(f"expected integer field {key!r}", path)
-    return v
+def _int(value: Any, path: str) -> int:
+    """An integer field; the message names it by the last part of path."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(
+            f"expected integer field {path.rpartition('.')[2]!r}", path)
+    return value
 
 
 def _int_list(items: Any, path: str) -> List[int]:
@@ -216,7 +215,7 @@ def parse_instance(doc: Any) -> Instance:
         raise ParseError(f"kind must be one of {', '.join(KINDS)}, got {kind!r}",
                          "kind")
     if kind == "finite":
-        size = _int_field(doc, "size", "size")
+        size = _int(doc.get("size"), "size")
         raw = doc.get("transforms")
         if not isinstance(raw, list) or not raw:
             raise ParseError("expected a nonempty list of transform tables",
@@ -229,7 +228,7 @@ def parse_instance(doc: Any) -> Instance:
             raise ParseError(str(exc), "transforms")
         return Instance(kind, system=system, f=f)
     if kind == "cyclic-group":
-        modulus = _int_field(doc, "modulus", "modulus")
+        modulus = _int(doc.get("modulus"), "modulus")
         if modulus < 1:
             raise ParseError("modulus must be >= 1", "modulus")
         shifts = _shifts(doc)
@@ -242,7 +241,7 @@ def parse_instance(doc: Any) -> Instance:
         return Instance(kind, system=system, f=f, shifts=shifts,
                         modulus=modulus)
     if kind == "z-window":
-        length = _int_field(doc, "length", "length")
+        length = _int(doc.get("length"), "length")
         if length < 2:
             raise ParseError("window length must be >= 2", "length")
         shifts = _shifts(doc)
@@ -277,170 +276,163 @@ def instance_to_json(inst: Instance) -> dict:
 
 # ---------------------------------------------------------------------------
 # result documents
+#
+# A row holds a record type, the callable that builds it from its field
+# values, whether the fields sit under "certificate", and one (wire key,
+# attribute, kind) entry per field in declaration order.  A kind is a
+# (write, read, absent) triple; a missing key reads as absent.
 
 
-def decomposition_to_json(d: Decomposition) -> dict:
-    return {"result": "decomposition",
-            "parts": [values_to_json(p) for p in d.parts]}
+def _int_rows(items: Any, path: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(items, list):
+        raise ParseError(f"expected {path.rpartition('.')[2]} list", path)
+    return tuple(tuple(_int_list(row, f"{path}[{i}]"))
+                 for i, row in enumerate(items))
 
 
-def violation_to_json(v: StarViolation) -> dict:
-    inst = v.instance
-    return {
-        "result": "violation",
-        "certificate": {
-            "blocks": [list(b) for b in inst.blocks],
-            "distinguished": list(inst.distinguished),
-            "exponents": list(inst.exponents),
-            "premises": [list(p) for p in inst.premises],
-            "z": inst.z,
-            "value": frac_to_str(v.value),
-            "kind": v.kind,
-        },
+def _parts(items: Any, path: str) -> tuple[RationalFunction, ...]:
+    if not isinstance(items, list) or not items:
+        raise ParseError("expected a nonempty parts list", path)
+    return tuple(values_from_json(p, f"{path}[{i}]")
+                 for i, p in enumerate(items))
+
+
+def _violation_kind(kind: Any, path: str) -> str:
+    if kind not in ("MixedDeltaNonzero", "CompatibilityFailure"):
+        raise ParseError(f"unknown violation kind {kind!r}", path)
+    return kind
+
+
+_INT = (int, _int, None)
+_INT_LIST = (list, lambda items, path: tuple(_int_list(items, path)), None)
+_INT_ROWS = (lambda rows: [list(row) for row in rows], _int_rows, None)
+# rows that older documents may leave out: a missing key reads as no rows
+_OPTIONAL_INT_ROWS = (_INT_ROWS[0], _int_rows, [])
+_FRACTION = (frac_to_str, frac_from_json, None)
+_VALUES = (values_to_json, values_from_json, None)
+_PARTS = (lambda parts: [values_to_json(p) for p in parts], _parts, None)
+# rationals kept in their canonical string form
+_RATIONAL_STRINGS = (list, lambda items, path: tuple(
+    map(frac_to_str, values_from_json(items, path))), None)
+_VIOLATION_KIND = (str, _violation_kind, None)
+
+
+def _fields(*entries: tuple) -> tuple:
+    """The entries with each attribute name turned into its getter."""
+    return tuple((key, attrgetter(attr), kind) for key, attr, kind in entries)
+
+
+def _write_fields(fields: tuple, record: Any) -> dict:
+    return {key: write(get(record)) for key, get, (write, _, _) in fields}
+
+
+def _read_fields(fields: tuple, src: dict, prefix: str) -> list:
+    return [read(src.get(key, absent), prefix + key)
+            for key, _, (_, read, absent) in fields]
+
+
+@lru_cache(maxsize=None)
+def _codecs() -> tuple[dict, dict]:
+    """Each record result's row by tag, and each tag by type.  Built on
+    the first call: the types are `check`'s, which importing this module
+    does not load."""
+    from .check import (BoundedTransfer, Candidate, ConstrainedObstruction,
+                        CycleObstruction, DualCertificate, SearchReport,
+                        StarInstance, StarViolation)
+
+    def row(cls, certificate, *fields, build=None):
+        return (cls, build or cls, certificate, _fields(*fields))
+
+    candidate = _fields(("trial", "trial", _INT), ("size", "size", _INT),
+                        ("transforms", "transforms", _OPTIONAL_INT_ROWS),
+                        ("values", "values", _RATIONAL_STRINGS),
+                        ("dual_weights", "dual_weights", _RATIONAL_STRINGS))
+
+    def read_candidates(items: Any, path: str) -> tuple:
+        if not isinstance(items, list):
+            raise ParseError("expected candidates list", path)
+        out = []
+        for i, c in enumerate(items):
+            if not isinstance(c, dict):
+                raise ParseError("expected candidate object", f"{path}[{i}]")
+            out.append(Candidate(*_read_fields(candidate, c,
+                                               f"{path}[{i}].")))
+        return tuple(out)
+
+    def violation(*fields):
+        # the certificate's first five fields are the star instance's
+        return StarViolation(StarInstance(*fields[:5]), *fields[5:])
+
+    rows = {
+        "decomposition": row(Decomposition, False,
+                             ("parts", "parts", _PARTS)),
+        "violation": row(
+            StarViolation, True,
+            ("blocks", "instance.blocks", _INT_ROWS),
+            ("distinguished", "instance.distinguished", _INT_LIST),
+            ("exponents", "instance.exponents", _INT_LIST),
+            ("premises", "instance.premises", _OPTIONAL_INT_ROWS),
+            ("z", "instance.z", _INT),
+            ("value", "value", _FRACTION),
+            ("kind", "kind", _VIOLATION_KIND), build=violation),
+        "infeasible": row(DualCertificate, True,
+                          ("weights", "weights", _VALUES)),
+        "bounded-transfer": row(BoundedTransfer, False,
+                                ("values", "solution", _VALUES),
+                                ("bound", "bound", _FRACTION)),
+        "obstruction": row(CycleObstruction, True,
+                           ("points", "points", _INT_LIST),
+                           ("total", "total", _FRACTION)),
+        "constrained-obstruction": row(
+            ConstrainedObstruction, True,
+            ("x", "x", _INT), ("k", "k", _INT), ("l", "l", _INT),
+            ("l2", "l2", _INT), ("total", "total", _FRACTION)),
+        "report": row(
+            SearchReport, False,
+            *[(name, name, _INT) for name in SearchReport._fields[:-1]],
+            ("candidates", "candidates",
+             (lambda cs: [_write_fields(candidate, c) for c in cs],
+              read_candidates, None))),
     }
-
-
-def dual_to_json(d: DualCertificate) -> dict:
-    return {"result": "infeasible",
-            "certificate": {"weights": values_to_json(d.weights)}}
-
-
-def lattice_parts_to_json(
-        dims: Sequence[int],
-        parts: Sequence[Union[LatticeWindow, RationalFunction]]) -> dict:
-    """Parts are windows or flat functions, read through their values."""
-    return {
-        "result": "lattice-decomposition",
-        "dims": list(dims),
-        "parts": [values_to_json(p) for p in parts],
-    }
-
-
-def point_violation_to_json(point: Sequence[int]) -> dict:
-    return {"result": "point-violation",
-            "certificate": {"point": list(point)}}
-
-
-def bounded_to_json(b: BoundedTransfer) -> dict:
-    return {"result": "bounded-transfer",
-            "values": values_to_json(b.solution),
-            "bound": frac_to_str(b.bound)}
-
-
-def cycle_obstruction_to_json(o: CycleObstruction) -> dict:
-    return {"result": "obstruction",
-            "certificate": {"points": list(o.points),
-                            "total": frac_to_str(o.total)}}
-
-
-def constrained_obstruction_to_json(o: ConstrainedObstruction) -> dict:
-    return {"result": "constrained-obstruction",
-            "certificate": {"x": o.x, "k": o.k, "l": o.l, "l2": o.l2,
-                            "total": frac_to_str(o.total)}}
-
-
-def _counters(report_type: type) -> List[str]:
-    """The report's integer fields, in declaration order."""
-    return [name for name in report_type._fields if name != "candidates"]
-
-
-def report_to_json(r: SearchReport) -> dict:
-    return {
-        "result": "report",
-        **{name: getattr(r, name) for name in _counters(type(r))},
-        "candidates": [
-            {"trial": c.trial, "size": c.size,
-             "transforms": [list(t) for t in c.transforms],
-             "values": list(c.values),
-             "dual_weights": list(c.dual_weights)}
-            for c in r.candidates
-        ],
-    }
+    return rows, {cls: tag for tag, (cls, *_) in rows.items()}
 
 
 def result_to_json(result: Any) -> dict:
     """Serialize any library result: None is a passing star check, a tuple
     of ints a point certificate (the empty one too) and a tuple of windows
     lattice parts."""
-    from .check import (BoundedTransfer, ConstrainedObstruction,
-                        CycleObstruction, DualCertificate, SearchReport,
-                        StarViolation)
-
     if result is None:
         return {"result": "pass"}
-    if isinstance(result, Decomposition):
-        return decomposition_to_json(result)
-    if isinstance(result, StarViolation):
-        return violation_to_json(result)
-    if isinstance(result, DualCertificate):
-        return dual_to_json(result)
-    if isinstance(result, BoundedTransfer):
-        return bounded_to_json(result)
-    if isinstance(result, CycleObstruction):
-        return cycle_obstruction_to_json(result)
-    if isinstance(result, ConstrainedObstruction):
-        return constrained_obstruction_to_json(result)
-    if isinstance(result, SearchReport):
-        return report_to_json(result)
+    rows, tags = _codecs()
+    tag = tags.get(type(result))
+    if tag is not None:
+        _, _, certificate, fields = rows[tag]
+        body = _write_fields(fields, result)
+        return ({"result": tag, "certificate": body} if certificate
+                else {"result": tag, **body})
     if isinstance(result, tuple):
         from .lattice import LatticeWindow
 
         if all(isinstance(c, int) for c in result):
-            return point_violation_to_json(result)
+            return {"result": "point-violation",
+                    "certificate": {"point": list(result)}}
         if all(isinstance(p, LatticeWindow) for p in result):
-            return lattice_parts_to_json(result[0].dims, result)
+            return {"result": "lattice-decomposition",
+                    "dims": list(result[0].dims), "parts": _PARTS[0](result)}
     raise TypeError(f"no serialization for {type(result).__name__}")
 
 
 def parse_result(doc: Any) -> Any:
-    """Inverse of result_to_json for every result tag.
-
-    A passing star check's {"result": "pass"} parses to None, which is what
-    the checks return when they pass.
-    """
-    from . import check
-
+    """Inverse of result_to_json for every result tag: {"result": "pass"}
+    parses to None, which is what the checks return when they pass."""
     if not isinstance(doc, dict):
         raise ParseError("result file must be a JSON object")
     tag = doc.get("result")
     if tag == "pass":
         return None
-    if tag == "decomposition":
-        parts = doc.get("parts")
-        if not isinstance(parts, list) or not parts:
-            raise ParseError("expected a nonempty parts list", "parts")
-        return Decomposition(tuple(
-            values_from_json(p, f"parts[{i}]") for i, p in enumerate(parts)))
-    if tag == "violation":
-        cert = _certificate(doc)
-        blocks = cert.get("blocks")
-        if not isinstance(blocks, list):
-            raise ParseError("expected blocks list", "certificate.blocks")
-        premises = cert.get("premises", [])
-        if not isinstance(premises, list):
-            raise ParseError("expected premises list", "certificate.premises")
-        instance = check.StarInstance(
-            blocks=tuple(tuple(_int_list(b, f"certificate.blocks[{i}]"))
-                         for i, b in enumerate(blocks)),
-            distinguished=tuple(_int_list(cert.get("distinguished"),
-                                          "certificate.distinguished")),
-            exponents=tuple(_int_list(cert.get("exponents"),
-                                      "certificate.exponents")),
-            premises=tuple(tuple(_int_list(p, f"certificate.premises[{i}]"))
-                           for i, p in enumerate(premises)),
-            z=_int_field(cert, "z", "certificate.z"),
-        )
-        kind = cert.get("kind")
-        if kind not in ("MixedDeltaNonzero", "CompatibilityFailure"):
-            raise ParseError(f"unknown violation kind {kind!r}",
-                             "certificate.kind")
-        return check.StarViolation(instance,
-                                   frac_from_json(cert.get("value"),
-                                                  "certificate.value"), kind)
-    if tag == "infeasible":
-        cert = _certificate(doc)
-        return check.DualCertificate(values_from_json(
-            cert.get("weights"), "certificate.weights"))
+    if tag == "point-violation":
+        return tuple(_int_list(_certificate(doc).get("point"),
+                               "certificate.point"))
     if tag == "lattice-decomposition":
         from .lattice import LatticeWindow, window_size
 
@@ -449,63 +441,21 @@ def parse_result(doc: Any) -> Any:
             window_size(dims)
         except RangeError as exc:
             raise ParseError(str(exc), "dims")
-        parts = doc.get("parts")
-        if not isinstance(parts, list) or not parts:
-            raise ParseError("expected a nonempty parts list", "parts")
         windows = []
-        for i, p in enumerate(parts):
-            values = values_from_json(p, f"parts[{i}]").values
+        for i, part in enumerate(_parts(doc.get("parts"), "parts")):
             try:
-                windows.append(LatticeWindow(dims, values))
+                windows.append(LatticeWindow(dims, part.values))
             except RangeError as exc:
                 raise ParseError(str(exc), f"parts[{i}]")
         return tuple(windows)
-    if tag == "point-violation":
-        cert = _certificate(doc)
-        return tuple(_int_list(cert.get("point"), "certificate.point"))
-    if tag == "bounded-transfer":
-        return check.BoundedTransfer(values_from_json(doc.get("values")),
-                                     frac_from_json(doc.get("bound"), "bound"))
-    if tag == "obstruction":
-        cert = _certificate(doc)
-        return check.CycleObstruction(
-            tuple(_int_list(cert.get("points"), "certificate.points")),
-            frac_from_json(cert.get("total"), "certificate.total"))
-    if tag == "constrained-obstruction":
-        cert = _certificate(doc)
-        return check.ConstrainedObstruction(
-            _int_field(cert, "x", "certificate.x"),
-            _int_field(cert, "k", "certificate.k"),
-            _int_field(cert, "l", "certificate.l"),
-            _int_field(cert, "l2", "certificate.l2"),
-            frac_from_json(cert.get("total"), "certificate.total"))
-    if tag == "report":
-        candidates = doc.get("candidates")
-        if not isinstance(candidates, list):
-            raise ParseError("expected candidates list", "candidates")
-        cands = []
-        for i, c in enumerate(candidates):
-            if not isinstance(c, dict):
-                raise ParseError("expected candidate object",
-                                 f"candidates[{i}]")
-            if not isinstance(c.get("transforms", []), list):
-                raise ParseError("expected a list of transform tables",
-                                 f"candidates[{i}].transforms")
-            cands.append(check.Candidate(
-                trial=_int_field(c, "trial", f"candidates[{i}].trial"),
-                size=_int_field(c, "size", f"candidates[{i}].size"),
-                transforms=tuple(
-                    tuple(_int_list(t, f"candidates[{i}].transforms[{j}]"))
-                    for j, t in enumerate(c.get("transforms", []))),
-                values=_rational_strings(c.get("values"),
-                                         f"candidates[{i}].values"),
-                dual_weights=_rational_strings(
-                    c.get("dual_weights"), f"candidates[{i}].dual_weights"),
-            ))
-        counters = {name: _int_field(doc, name, name)
-                    for name in _counters(check.SearchReport)}
-        return check.SearchReport(candidates=tuple(cands), **counters)
-    raise ParseError(f"unknown result tag {tag!r}", "result")
+    rows = _codecs()[0]
+    # a list or object tag is unhashable: refused before the lookup
+    if not isinstance(tag, str) or tag not in rows:
+        raise ParseError(f"unknown result tag {tag!r}", "result")
+    _, build, certificate, fields = rows[tag]
+    if certificate:
+        return build(*_read_fields(fields, _certificate(doc), "certificate."))
+    return build(*_read_fields(fields, doc, ""))
 
 
 def _write(value: Any, indent: str) -> str:

@@ -304,12 +304,12 @@ REFUSING_INSTANCES = {
     "lattice-window": LATTICE_CORNER,
 }
 # the identity passes the star check on any f, so f splits and no dual
-# verifies: the candidate is refused from its own fields
-FALSE_CANDIDATE_REPORT = dict(dict.fromkeys(
-    ("n", "max_size", "trials", "seed", "star_pass", "star_fail",
-     "oracle_feasible", "oracle_infeasible", "necessity_checked",
-     "necessity_violations", "discrepancies"), 1),
-    result="report", candidates=[
+# verifies: the candidate is refused from its own fields, in a report whose
+# counts a search can produce
+FALSE_CANDIDATE_REPORT = dict(
+    result="report", n=1, max_size=1, trials=5, seed=1, star_pass=1,
+    star_fail=4, oracle_feasible=0, oracle_infeasible=1, necessity_checked=0,
+    necessity_violations=0, discrepancies=0, candidates=[
         {"trial": 4, "size": 2, "transforms": [[0, 1]],
          "values": ["1", "2"], "dual_weights": ["1", "-1"]}])
 # one stored document per result tag: its parsed type, and the reason its
@@ -416,7 +416,7 @@ def test_decompose_three_shifts_answers_with_decompose_n(tmp_path, capsys):
     f = RationalFunction(tuple(Fraction(v) for v in values))
     parts = decompose_n(tables, f)
     assert (code, doc) == (0, json.loads(serialize.dumps(
-        serialize.decomposition_to_json(parts))))
+        serialize.result_to_json(parts))))
     saved = _write(tmp_path, "parts.json", doc)
     code, verdict = _run(capsys, ["decompose", path, "--verify", saved])
     assert code == 0 and verdict == {"result": "verified", "agrees": True}
@@ -1321,3 +1321,15 @@ def test_a_search_candidate_is_checked_by_its_stored_dual(tmp_path):
         "result": "verified", "agrees": False,
         "reason": "candidate from trial 4 does not re-verify"})
     assert loaded == _perdec("check", "orbits")
+
+
+def test_search_verify_refuses_counts_no_search_produces(tmp_path, capsys):
+    # five trials with no star verdict, and three necessity violations
+    # that are neither checked trials nor discrepancies
+    report = dict(SEARCH_REPORT, trials=5, star_pass=0, star_fail=0,
+                  necessity_violations=3, discrepancies=0, candidates=[])
+    code, verdict = _run(capsys, ["search", "--verify",
+                                  _write(tmp_path, "report.json", report)])
+    assert (code, verdict) == (1, {"result": "verified", "agrees": False,
+                                   "reason": "report counts no search "
+                                             "produces"})

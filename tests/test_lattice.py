@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,37 @@ def test_window_restrict():
         w.restrict((3,))
     with pytest.raises(RangeError):
         w.restrict((1, 3))
+
+
+def _sliced(values, dims, new_dims):
+    """The row-major values of the box below new_dims, read by slicing
+    the nested rows of the window."""
+    if len(dims) == 1:
+        return list(values[:new_dims[0]])
+    step = len(values) // dims[0]
+    return [v for i in range(new_dims[0])
+            for v in _sliced(values[i * step:(i + 1) * step], dims[1:],
+                             new_dims[1:])]
+
+
+@given(st.lists(st.integers(2, 4), min_size=1, max_size=3), st.data())
+def test_restrict_reads_the_strides_once_and_equals_slicing(dims, data):
+    new_dims = tuple(data.draw(st.integers(2, w)) for w in dims)
+    size = prod(dims)
+    f = LatticeWindow(dims, data.draw(st.lists(
+        st.integers(-9, 9), min_size=size, max_size=size)))
+    calls = []
+    strides = LatticeWindow.strides
+
+    def counted(self):
+        calls.append(self.dims)
+        return strides(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LatticeWindow, "strides", counted)
+        sub = f.restrict(new_dims)
+    assert calls == [f.dims]
+    assert sub == LatticeWindow(new_dims, _sliced(f.values, f.dims, new_dims))
 
 
 def test_parts_of_a_checked_window_skip_the_constructor_checks(monkeypatch):

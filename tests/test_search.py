@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from perdec.check import Candidate, verify_candidate, verify_report
-from perdec.core import NotCommutingError, PreconditionError, RangeError
+from perdec.check import (Candidate, SearchReport, verify_candidate,
+                          verify_report)
+from perdec.core import (NotCommutingError, PreconditionError, RangeError,
+                         VerificationResult)
 from perdec.serialize import parse_result, result_to_json
 from perdec.star import search_counterexample
 
@@ -84,6 +86,58 @@ def test_search_four_transforms_smoke():
     assert verify_report(report)
     # the report survives the wire format
     assert parse_result(result_to_json(report)) == report
+
+
+# counts a search can produce: 10 trials, 6 star passes (6 feasible), 4
+# star fails of which 1 is checked (1 infeasible)
+CONSISTENT_COUNTS = dict(
+    n=4, max_size=4, trials=10, seed=0, star_pass=6, star_fail=4,
+    oracle_feasible=6, oracle_infeasible=1, necessity_checked=1,
+    necessity_violations=0, discrepancies=0)
+
+
+def _candidate(trial):
+    return Candidate(trial, 2, ((1, 0), (0, 1)), ("0", "1"), ("1", "-1"))
+
+
+def test_a_report_with_counts_a_search_produces_verifies():
+    assert verify_report(SearchReport(candidates=(), **CONSISTENT_COUNTS))
+
+
+# each change breaks exactly one rule that every search report keeps
+@pytest.mark.parametrize("change", [
+    # no star verdict for 5 trials, and 3 violations of 0 checked trials
+    dict(trials=5, star_pass=0, star_fail=0, oracle_feasible=0,
+         oracle_infeasible=0, necessity_checked=0, necessity_violations=3,
+         discrepancies=0),
+    # star passes and fails do not add up to the trials
+    dict(trials=11),
+    # a count below zero
+    dict(oracle_feasible=-1, oracle_infeasible=8),
+    # more necessity violations than checked trials
+    dict(necessity_violations=2, discrepancies=2, oracle_feasible=5,
+         oracle_infeasible=0),
+    # more checked trials than star fails
+    dict(necessity_checked=5, oracle_infeasible=5),
+    # oracle verdicts that are not one per pass and checked failure
+    dict(oracle_feasible=5),
+    # a necessity violation that is no discrepancy
+    dict(necessity_violations=1, oracle_feasible=5),
+    # more candidates than infeasible verdicts
+    dict(candidates=(_candidate(3), _candidate(5))),
+    # candidates out of trial order, repeated, or outside the trials
+    dict(candidates=(_candidate(5), _candidate(3)), oracle_infeasible=2,
+         oracle_feasible=5),
+    dict(candidates=(_candidate(3), _candidate(3)), oracle_infeasible=2,
+         oracle_feasible=5),
+    dict(candidates=(_candidate(10),)),
+    dict(candidates=(_candidate(-1),)),
+])
+def test_a_report_with_counts_no_search_produces_is_refused(change):
+    report = SearchReport(**{**CONSISTENT_COUNTS, "candidates": (),
+                             **change})
+    assert verify_report(report) == VerificationResult(
+        False, "report counts no search produces")
 
 
 def test_a_candidate_raises_the_errors_of_its_fields_in_order():

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from perdec import serialize
+from perdec.cli import _EMITS
 from perdec.check import (
     BoundedTransfer,
     Candidate,
@@ -33,7 +34,6 @@ from perdec.serialize import (
     load_json,
     parse_instance,
     parse_result,
-    point_violation_to_json,
     result_to_json,
     values_from_json,
     values_to_json,
@@ -209,9 +209,9 @@ def test_values_to_json_formats_each_distinct_value_once(monkeypatch):
         ("1/2", "-1", "0")[i % 3] for i in range(10000)]
     assert calls[0] == 3
     calls[0] = 0
-    doc = serialize.lattice_parts_to_json(
-        (2, 3), [LatticeWindow((2, 3), (Fraction(5),) * 6),
-                 LatticeWindow((2, 3), (Fraction(0), Fraction(7, 3)) * 3)])
+    doc = result_to_json(
+        (LatticeWindow((2, 3), (Fraction(5),) * 6),
+         LatticeWindow((2, 3), (Fraction(0), Fraction(7, 3)) * 3)))
     assert doc["parts"] == [["5"] * 6, ["0", "7/3"] * 3]
     assert calls[0] == 3
 
@@ -400,8 +400,53 @@ def test_every_result_type_round_trips():
         assert dumps(result_to_json(parse_result(doc))) == dumps(doc)
 
 
+_INTS = st.integers(-10 ** 20, 10 ** 20)
+_INT_TUPLES = st.lists(_INTS, max_size=4).map(tuple)
+_INT_ROWS = st.lists(_INT_TUPLES, max_size=3).map(tuple)
+_FUNCTIONS = st.lists(rationals(-10 ** 9, 10 ** 9, 10 ** 6), min_size=1,
+                      max_size=6).map(lambda vs: RationalFunction(tuple(vs)))
+_STRINGS = st.lists(rationals().map(frac_to_str), min_size=1,
+                    max_size=4).map(tuple)
+# one strategy per record result type, by type name
+RECORDS = {
+    "Decomposition": st.builds(
+        Decomposition, st.lists(_FUNCTIONS, min_size=1, max_size=3).map(tuple)),
+    "StarViolation": st.builds(
+        StarViolation,
+        st.builds(StarInstance, _INT_ROWS, _INT_TUPLES, _INT_TUPLES,
+                  _INT_ROWS, _INTS),
+        rationals(), st.sampled_from(["MixedDeltaNonzero",
+                                      "CompatibilityFailure"])),
+    "DualCertificate": st.builds(DualCertificate, _FUNCTIONS),
+    "BoundedTransfer": st.builds(BoundedTransfer, _FUNCTIONS, rationals()),
+    "CycleObstruction": st.builds(CycleObstruction, _INT_TUPLES, rationals()),
+    "ConstrainedObstruction": st.builds(ConstrainedObstruction, _INTS, _INTS,
+                                        _INTS, _INTS, rationals()),
+    "SearchReport": st.builds(
+        SearchReport, *[_INTS] * 11, st.lists(st.builds(
+            Candidate, _INTS, _INTS, _INT_ROWS, _STRINGS, _STRINGS),
+            max_size=3).map(tuple)),
+}
+
+
+def test_every_record_type_emitted_or_in_the_table_has_a_strategy():
+    emitted = {name for pair in _EMITS.values() for names in pair
+               for name in names} - {"pass", "point", "parts"}
+    assert emitted <= set(RECORDS)
+    assert set(RECORDS) == {cls.__name__ for cls in serialize._codecs()[1]}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+@given(data=st.data())
+def test_every_record_type_round_trips_byte_for_byte(name, data):
+    record = data.draw(RECORDS[name])
+    doc = result_to_json(record)
+    assert parse_result(doc) == record
+    assert dumps(result_to_json(parse_result(doc))) == dumps(doc)
+
+
 def test_point_violation_round_trip():
-    doc = point_violation_to_json((1, 0, 2))
+    doc = result_to_json((1, 0, 2))
     assert doc["result"] == "point-violation"
     assert parse_result(doc) == (1, 0, 2)
 
@@ -416,6 +461,11 @@ def test_parse_result_errors_name_the_path():
         parse_result({"result": "nonsense"})
     with pytest.raises(ParseError):
         parse_result([1, 2])
+    # a list or object tag names no table row
+    for tag in (["report"], {"result": "report"}, None, 3):
+        with pytest.raises(ParseError) as exc:
+            parse_result({"result": tag})
+        assert exc.value.path == "result"
     doc = result_to_json(_sample_results()[1])
     doc["certificate"]["kind"] = "Other"
     with pytest.raises(ParseError) as exc:
@@ -477,7 +527,7 @@ def test_dumps_equals_json_dumps(doc):
 
 def test_dumps_equals_json_dumps_on_every_round_trip_document():
     docs = [result_to_json(r) for r in _sample_results()]
-    docs.append(point_violation_to_json((1, 0, 2)))
+    docs.append(result_to_json((1, 0, 2)))
     docs += [instance_to_json(parse_instance(doc)) for doc in (
         {"kind": "finite", "size": 2, "transforms": [[1, 0]],
          "values": ["1/2", "-3"]},

@@ -29,7 +29,7 @@ from perdec.core import (
     validate_system,
     window_difference,
 )
-from perdec.serialize import dumps, values_to_json, violation_to_json
+from perdec.serialize import dumps, result_to_json, values_to_json
 from perdec.star import check_star, check_star_abelian
 from tests.conftest import (
     corner_stencil,
@@ -225,7 +225,7 @@ def test_cyclic_star_check_matches_the_definition(m, data):
     if expected is None:
         assert (code, doc) == (0, {"result": "pass"})
     else:
-        assert (code, doc) == (1, violation_to_json(expected))
+        assert (code, doc) == (1, result_to_json(expected))
 
 
 def test_abelian_window_shift_two():
