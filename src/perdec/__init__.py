@@ -29,7 +29,6 @@ _EXPORTS = {
     "PreconditionError": "core",
     "RangeError": "core",
     "RationalFunction": "core",
-    "Relation": "orbits",
     "SearchReport": "check",
     "StarInstance": "check",
     "StarViolation": "check",
@@ -41,9 +40,7 @@ _EXPORTS = {
     "compose": "core",
     "decompose_n": "decomp",
     "decompose_three": "decomp",
-    "decompose_three_report": "decomp",
     "decompose_two": "decomp",
-    "default_bound": "orbits",
     "delta": "core",
     "find_relation": "orbits",
     "identity": "core",
@@ -57,7 +54,6 @@ _EXPORTS = {
     "oracle_decompose": "oracle",
     "partial_sum_bound": "check",
     "power": "core",
-    "prescribed_points": "orbits",
     "replay_abelian_violation": "check",
     "replay_violation": "check",
     "search_counterexample": "star",

@@ -597,16 +597,22 @@ def verify_candidate(candidate: Candidate) -> VerificationResult:
 
 
 def verify_report(report: SearchReport) -> VerificationResult:
-    """A search report whose counts a search can produce, and whose every
-    candidate passes `verify_candidate`.  Every trial passes or fails the
-    star check; every pass and every checked failure that is no necessity
-    violation gets one oracle verdict; every violation is a discrepancy;
-    and every candidate is an infeasible verdict, in trial order."""
+    """A search report whose parameters and counts a search can produce,
+    and whose every candidate passes `verify_candidate`.  The search takes
+    n >= 2 and max_size >= 2, and draws each system with n transforms on
+    2 to max_size points.  Every trial passes or fails the star check;
+    every pass and every checked failure that is no necessity violation
+    gets one oracle verdict; every violation is a discrepancy; and every
+    candidate is an infeasible verdict, in trial order.  No candidate is
+    replayed before all of these hold."""
     r = report
     # the candidates' trials, bracketed by -1 and the trial count
     trials = [-1, *[c.trial for c in r.candidates], r.trials]
-    if not (min(r.star_pass, r.star_fail, r.oracle_feasible,
-                r.oracle_infeasible, r.necessity_violations) >= 0
+    if not (r.n >= 2 and r.max_size >= 2
+            and all(2 <= c.size <= r.max_size and len(c.transforms) == r.n
+                    for c in r.candidates)
+            and min(r.star_pass, r.star_fail, r.oracle_feasible,
+                    r.oracle_infeasible, r.necessity_violations) >= 0
             and r.star_pass + r.star_fail == r.trials
             and r.necessity_violations <= r.necessity_checked <= r.star_fail
             and r.oracle_feasible + r.oracle_infeasible == (

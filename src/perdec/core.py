@@ -8,7 +8,7 @@ the library is exact and results do not depend on evaluation order.
 All operations here are pure; every value is immutable after construction
 and safe to share between threads.
 
-The library's 18 value types derive from `_Record`, not from frozen
+The library's 16 value types derive from `_Record`, not from frozen
 dataclasses, for start-up time: importing `dataclasses` loads `inspect`
 (with `ast`, `dis` and `tokenize`), 9.1 ms, and each frozen dataclass
 builds its methods with `exec`, 0.64 ms a class against 0.013 ms for a

@@ -7,14 +7,13 @@ when its mixed difference vanishes, for every number of transforms, and
 `decompose_n` proves it by building the parts from cycle averages; a
 refusal is always the first point where the mixed difference does not
 vanish, and it costs one O(N) stencil pass.  `decompose_two` is its
-n = 2 case and `decompose_three` its n = 3 case; the report of the
-latter classifies prescribed points without changing parts.
+n = 2 case and `decompose_three` its n = 3 case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 from .check import StarViolation, verify_decomposition
 from .cohomology import scaled_cycle_means
@@ -26,7 +25,6 @@ from .core import (
     integer_values,
     validate_system,
 )
-from .orbits import default_bound, joint_classes, prescribed_points
 from .star import check_star
 
 DecompOutcome = Union[Decomposition, StarViolation]
@@ -124,38 +122,14 @@ def decompose_three(t: Sequence[int], s: Sequence[int], u: Sequence[int],
     The n = 3 case of `decompose_n`: parts (g, h, l) ordered like the
     arguments (t, s, u), or check_star's violation.  The paper builds the
     parts from two transfer equations whose correction constants depend
-    on the prescribed points of each class; the cycle-average split fixes
-    the gauge instead, so no part depends on them or on an exponent bound.
+    on which prescribed relations T^k S^l x = T^{k2} S^{l2} x, k > k2,
+    hold in each class; the cycle-average split fixes the gauge instead,
+    so no part depends on them or on an exponent bound.
+
+    On a finite set that case split has one case.  The map t induces on
+    the s-classes (`orbits.induced_map`) repeats within N steps, giving
+    k > k2 with t^k x and t^{k2} x in one s-class, and two points of one
+    s-class meet under s within N steps (`orbits.find_relation`), so
+    every point carries both the (s, t) and the (u, t) relation.
     """
     return decompose_n([t, s, u], f)
-
-
-_BRANCHES = {(False, False): "neither", (True, False): "s-only",
-             (False, True): "u-only", (True, True): "both"}
-
-
-def decompose_three_report(
-    t: Sequence[int], s: Sequence[int], u: Sequence[int],
-    f: RationalFunction, bound: Optional[int] = None,
-) -> Tuple[DecompOutcome, dict]:
-    """decompose_three plus the paper's per-class case split.
-
-    The report maps each joint-class representative to "neither",
-    "s-only", "u-only" or "both": which of the (s,t)- and (u,t)-prescribed
-    point kinds `prescribed_points` finds in the class within the
-    exponent bound (default `default_bound`).  It is a diagnostic only:
-    the parts are decompose_three's, whatever the bound.
-    """
-    outcome = decompose_three(t, s, u, f)
-    if isinstance(outcome, StarViolation):
-        return outcome, {"branches": {}}
-    if bound is None:
-        bound = default_bound(len(f))
-    pres_s = prescribed_points(s, t, bound)
-    pres_u = prescribed_points(u, t, bound)
-    joint = joint_classes(validate_system([t, s, u], len(f)), (0, 1, 2))
-    branches = {
-        members[0]: _BRANCHES[any(x in pres_s for x in members),
-                              any(x in pres_u for x in members)]
-        for members in joint.classes()}
-    return outcome, {"branches": branches}

@@ -16,8 +16,8 @@ from operator import sub
 from typing import List, Optional, Sequence
 
 from . import oracle
-from .core import (CommutingSystem, RationalFunction, _Record, integer_values,
-                   power, validate_system)
+from .core import (CommutingSystem, RationalFunction, integer_values, power,
+                   validate_system)
 from .orbits import invariance_classes
 
 
@@ -152,65 +152,3 @@ def random_function(rng: random.Random, system: CommutingSystem,
     if style == "mixed_kernel":
         return mixed_kernel_function(rng, system)
     raise ValueError(f"unknown style {style!r}")
-
-
-class BranchInstance(_Record):
-    """A cyclic-group instance steering the three-transform construction
-    into a chosen correction branch at the stored exponent bound."""
-
-    branch: str
-    modulus: int
-    transforms: tuple[tuple[int, ...], ...]
-    f: RationalFunction
-    bound: Optional[int]
-
-
-def _shift_table(m: int, a: int) -> tuple[int, ...]:
-    return tuple((x + a) % m for x in range(m))
-
-
-def _periodic_part(rng: random.Random, m: int, period: int) -> RationalFunction:
-    picks = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
-             for _ in range(period)]
-    return RationalFunction(tuple(picks[x % period] for x in range(m)))
-
-
-def branch_instance(rng: random.Random, branch: str,
-                    modulus: Optional[int] = None) -> BranchInstance:
-    """Build (t, s, u, f) on Z_m whose joint classes all classify as `branch`.
-
-    Shifts are tuned so that prescribed-point witnesses for the hidden
-    side(s) need exponents above the bound: with t = +1 a side with shift
-    m/2 only admits relations whose t-exponents differ by a multiple of
-    m/2, while shift m-1 admits t*u = identity at exponent 1.  The bound
-    m/4 separates the two.  For "neither", t = +2 against two copies of
-    shift m/2 hides both sides at bound 2.  f is decomposable by
-    construction in every branch.
-    """
-    if branch not in ("both", "neither", "s-only", "u-only"):
-        raise ValueError(f"unknown branch {branch!r}")
-    if branch == "neither":
-        m = modulus if modulus is not None else 4 * rng.randint(3, 8)
-        if m % 4 != 0 or m < 12:
-            raise ValueError("neither-branch instances need modulus = 4r >= 12")
-        t = _shift_table(m, 2)
-        half = _shift_table(m, m // 2)
-        evens = Fraction(rng.randint(-3, 3))
-        odds = Fraction(rng.randint(-3, 3))
-        g = RationalFunction(tuple(evens if x % 2 == 0 else odds
-                                   for x in range(m)))
-        f = g + _periodic_part(rng, m, m // 2) + _periodic_part(rng, m, m // 2)
-        return BranchInstance(branch, m, (t, half, half), f, 2)
-    m = modulus if modulus is not None else 4 * rng.randint(2, 8)
-    if m % 4 != 0 or m < 8:
-        raise ValueError("branch instances need modulus = 4r >= 8")
-    t = _shift_table(m, 1)
-    half = _shift_table(m, m // 2)
-    minus = _shift_table(m, m - 1)
-    const = RationalFunction.constant(m, Fraction(rng.randint(-3, 3)))
-    f = const + _periodic_part(rng, m, m // 2)
-    if branch == "u-only":
-        return BranchInstance(branch, m, (t, half, minus), f, m // 4)
-    if branch == "s-only":
-        return BranchInstance(branch, m, (t, minus, half), f, m // 4)
-    return BranchInstance(branch, m, (t, minus, half), f, None)

@@ -1,4 +1,4 @@
-"""Orbit partitions and relation witnesses.
+"""Orbit partitions, orbit shapes and orbit meetings.
 
 Class representatives are always the minimum element index of their class,
 a deterministic stand-in for an arbitrary choice, so every construction
@@ -10,22 +10,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence
 
 from .core import (CommutingSystem, PreconditionError, RangeError, _Record,
-                   _set_field, iterate)
-
-
-def default_bound(size: int) -> int:
-    """Default exponent bound 2N of `prescribed_points`, which serves only
-    the case split that `decomp.decompose_three_report` reports.
-
-    The power sequence of any self-map on N points has preperiod plus
-    period at most N (the rho shape), so the witness that
-    `prescribed_points` finds by orbit walks has exponents at most N and
-    fits this bound: only an explicit smaller bound changes its output.
-    No construction searches exponents, `find_relation` takes no bound by
-    default (the exact orbit meeting), and the finite star check searches
-    no exponents at all.
-    """
-    return 2 * size
+                   _set_field)
 
 
 class Partition(_Record):
@@ -152,55 +137,28 @@ def joint_classes(system: CommutingSystem, subset: Iterable[int]) -> Partition:
     return _components(system.size, [system.transforms[j] for j in indices])
 
 
-class Relation(_Record):
-    """Witness of T^k S^n x = T^{k2} S^{n2} y for the (S, T, x, y) it came from."""
-
-    k: int
-    n: int
-    k2: int
-    n2: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.k, self.n, self.k2, self.n2)
-
-
-def _word_grid(t: Sequence[int], s: Sequence[int], x: int,
-               bound: int) -> list[list[int]]:
-    """grid[k][n] = t^k(s^n(x)) for exponents up to bound."""
-    row = [x]
-    for _ in range(bound):
-        row.append(s[row[-1]])
-    grid = [row]
-    for _ in range(bound):
-        grid.append([t[p] for p in grid[-1]])
-    return grid
-
-
-def find_relation(s: Sequence[int], x: int, y: int,
-                  bound: Optional[int] = None) -> Optional[tuple[int, int]]:
-    """First (k, k2) with s^k x = s^{k2} y and both exponents <= bound.
+def find_relation(s: Sequence[int], x: int,
+                  y: int) -> Optional[tuple[int, int]]:
+    """First (k, k2) with s^k x = s^{k2} y, or None when there is none.
 
     The least k + k2 wins, ties going to the least exponent on min(x, y),
     which makes the outcome symmetric in the two points.  The orbits meet
     iff x and y share an `invariance_classes` class, and each repeats
-    within N steps, so bound None (no cap) finds the exact meeting.  A
-    hash join: the index of every point on min(x, y)'s `rho` goes into a
+    within N steps, so both exponents of the meeting are below N.  A hash
+    join: the index of every point on min(x, y)'s `rho` goes into a
     table, then the other orbit is walked until no later step can win, in
-    O(N).  Returns None when the orbits do not meet within the bound.
+    O(N).
     """
-    if bound is not None and bound < 1:
-        raise PreconditionError(f"bound must be >= 1, got {bound}")
     size = len(s)
     if not (0 <= x < size and 0 <= y < size):
         raise RangeError(f"elements {x}, {y} must lie in [0, {size})")
-    # exponents past N - 1 only revisit points the walks have seen
-    limit = size - 1 if bound is None else min(bound, size - 1)
     a, b = min(x, y), max(x, y)
     orbit, _ = rho(s, a)
-    first = {p: i for i, p in enumerate(orbit[:limit + 1])}
+    first = {p: i for i, p in enumerate(orbit)}
     best: Optional[tuple[int, int]] = None  # (k + k2, exponent on a)
     q = b
-    for j in range(limit + 1):
+    # exponents past N - 1 only revisit points the walk has seen
+    for j in range(size):
         if best is not None and j > best[0]:
             break
         i = first.get(q)
@@ -211,58 +169,3 @@ def find_relation(s: Sequence[int], x: int, y: int,
         return None
     total, i = best
     return (i, total - i) if x <= y else (total - i, i)
-
-
-def _self_relation_scan(t: Sequence[int], s: Sequence[int], x: int,
-                        bound: int) -> Optional[Relation]:
-    """First (k, l, k2, l2) with T^k S^l x = T^{k2} S^{l2} x and k > k2."""
-    grid = _word_grid(t, s, x, bound)
-    for total in range(4 * bound + 1):
-        for k in range(min(total, bound) + 1):
-            for l in range(min(total - k, bound) + 1):
-                rest = total - k - l
-                p = grid[k][l]
-                for k2 in range(max(0, rest - bound), min(rest, bound, k - 1) + 1):
-                    if p == grid[k2][rest - k2]:
-                        return Relation(k, l, k2, rest - k2)
-    return None
-
-
-def prescribed_points(s: Sequence[int], t: Sequence[int],
-                      bound: Optional[int] = None) -> Dict[int, Relation]:
-    """Points x with T^k S^l x = T^{k2} S^{l2} x, k > k2, exponents <= bound.
-
-    Maps each such x to one witness Relation (n/n2 fields hold the S
-    exponents).  The fast path walks the induced map on S-classes once
-    from each class, whose first repeat gives T^k x ~ T^{k2} x within
-    k <= N, and links the two points by `find_relation` under s, whose
-    exponents stay below N.  At the default bound 2N that witness always
-    fits, so the exhaustive bounded scan only runs under an explicit
-    smaller bound.
-    """
-    size = len(t)
-    if bound is None:
-        bound = default_bound(size)
-    if bound < 1:
-        raise PreconditionError(f"bound must be >= 1, got {bound}")
-    s_classes, t_quot = induced_map(t, s)
-    # (k2, k) of the first repeat T^k x ~ T^{k2} x depends only on the
-    # S-class of x: one induced walk per class
-    walks = []
-    for start in range(s_classes.n_classes):
-        orbit, k2 = rho(t_quot, start)
-        walks.append((k2, len(orbit)))
-    out: Dict[int, Relation] = {}
-    for x in range(size):
-        k2, k = walks[s_classes.class_of[x]]
-        # recover S exponents linking T^k x and T^{k2} x
-        v = iterate(t, k2, x)
-        u = iterate(t, k - k2, v)
-        link = find_relation(s, u, v, bound)
-        if link is not None and k <= bound:
-            out[x] = Relation(k, link[0], k2, link[1])
-            continue
-        rel = _self_relation_scan(t, s, x, bound)
-        if rel is not None:
-            out[x] = rel
-    return out

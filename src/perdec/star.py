@@ -176,8 +176,8 @@ def search_counterexample(n: int, max_size: int, trials: int, seed: int,
     and of the oracle.  With n <= 3 any star/oracle disagreement counts as
     a discrepancy.  With n >= 4 a star-pass oracle-infeasible instance
     would be shipped with its dual certificate once
-    `check.verify_candidate` accepts it.  Star-fail instances are spot-checked (every 7th trial
-    for n >= 4) for the necessity direction.
+    `check.verify_candidate` accepts it.  Star-fail instances are
+    spot-checked (every 7th trial for n >= 4) for the necessity direction.
 
     Deterministic under a fixed seed: each trial reseeds from (seed,
     trial), so the worker count never changes the outcome.  At most one

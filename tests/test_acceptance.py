@@ -86,24 +86,41 @@ def test_criterion_1_two_transform_construction_matches_oracle():
                  f"systems ({built} built, {refused} refused) in {elapsed:.1f}s")
 
 
-def test_criterion_2_three_transform_construction_matches_oracle_all_branches():
+def _shift(m: int, a: int) -> tuple:
+    return tuple((x + a) % m for x in range(m))
+
+
+# planted Z_m shift families (t step, s shift, u shift), each shift a
+# function of m: the paper's case split once told them apart
+SHIFT_FAMILIES = {
+    "+1, (m-1, m/2)": (1, lambda m: m - 1, lambda m: m // 2),
+    "+1, (m/2, m-1)": (1, lambda m: m // 2, lambda m: m - 1),
+    "+2, (m/2, m/2)": (2, lambda m: m // 2, lambda m: m // 2),
+}
+
+
+def test_criterion_2_three_transform_construction_matches_oracle():
     start = time.perf_counter()
     rng = random.Random(20260802)
-    branch_counts = {b: 0 for b in ("both", "neither", "s-only", "u-only")}
+    family_counts = dict.fromkeys(SHIFT_FAMILIES, 0)
     total = built = refused = 0
-    for branch in branch_counts:
-        for _ in range(55):
-            inst = generators.branch_instance(rng, branch)
-            t, s, u = inst.transforms
-            outcome, report = decomp.decompose_three_report(
-                t, s, u, inst.f, inst.bound)
+    for family, (step, s_shift, u_shift) in SHIFT_FAMILIES.items():
+        for _ in range(74):
+            m = 4 * rng.randint(2, 8)
+            t, s, u = (_shift(m, a) for a in (step, s_shift(m), u_shift(m)))
+            # one invariant part per map, so f splits by construction
+            planted = [generators.random_invariant_part(rng, table)
+                       for table in (t, s, u)]
+            assert all(is_invariant(table, part)
+                       for table, part in zip((t, s, u), planted))
+            f = planted[0] + planted[1] + planted[2]
+            outcome = decomp.decompose_three(t, s, u, f)
             assert isinstance(outcome, Decomposition)
-            assert report["branches"] and set(report["branches"].values()) == {branch}
-            system = validate_system([t, s, u], inst.modulus)
-            assert verify_decomposition(system, inst.f, outcome)
-            assert isinstance(oracle.oracle_decompose(system, inst.f),
+            system = validate_system([t, s, u], m)
+            assert verify_decomposition(system, f, outcome)
+            assert isinstance(oracle.oracle_decompose(system, f),
                               Decomposition)
-            branch_counts[branch] += 1
+            family_counts[family] += 1
             built += 1
             total += 1
     while total < 500:
@@ -125,11 +142,11 @@ def test_criterion_2_three_transform_construction_matches_oracle_all_branches():
         total += 1
     elapsed = time.perf_counter() - start
     assert total >= 500 and refused > 0
-    assert all(count >= 50 for count in branch_counts.values())
+    assert all(count >= 50 for count in family_counts.values())
     assert elapsed < 300.0
     _announce(2, f"three-transform construction matches the oracle on {total} "
-                 f"systems ({built} built, {refused} refused; branches "
-                 f"{branch_counts}) in {elapsed:.1f}s")
+                 f"systems ({built} built, {refused} refused; planted shift "
+                 f"families {family_counts}) in {elapsed:.1f}s")
 
 
 def test_criterion_3_planted_invariant_sums_pass_condition():

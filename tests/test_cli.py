@@ -307,10 +307,10 @@ REFUSING_INSTANCES = {
 # verifies: the candidate is refused from its own fields, in a report whose
 # counts a search can produce
 FALSE_CANDIDATE_REPORT = dict(
-    result="report", n=1, max_size=1, trials=5, seed=1, star_pass=1,
+    result="report", n=2, max_size=2, trials=5, seed=1, star_pass=1,
     star_fail=4, oracle_feasible=0, oracle_infeasible=1, necessity_checked=0,
     necessity_violations=0, discrepancies=0, candidates=[
-        {"trial": 4, "size": 2, "transforms": [[0, 1]],
+        {"trial": 4, "size": 2, "transforms": [[0, 1], [0, 1]],
          "values": ["1", "2"], "dual_weights": ["1", "-1"]}])
 # one stored document per result tag: its parsed type, and the reason its
 # checker gives on every instance above
@@ -1328,6 +1328,18 @@ def test_search_verify_refuses_counts_no_search_produces(tmp_path, capsys):
     # that are neither checked trials nor discrepancies
     report = dict(SEARCH_REPORT, trials=5, star_pass=0, star_fail=0,
                   necessity_violations=3, discrepancies=0, candidates=[])
+    code, verdict = _run(capsys, ["search", "--verify",
+                                  _write(tmp_path, "report.json", report)])
+    assert (code, verdict) == (1, {"result": "verified", "agrees": False,
+                                   "reason": "report counts no search "
+                                             "produces"})
+
+
+def test_search_verify_refuses_parameters_no_search_takes(tmp_path, capsys):
+    # one transform on at most -3 points: the search refuses both, so no
+    # report carries them, even with no trials and no candidates
+    report = dict(SEARCH_REPORT, n=1, max_size=-3, trials=0, star_pass=0,
+                  oracle_infeasible=0, candidates=[])
     code, verdict = _run(capsys, ["search", "--verify",
                                   _write(tmp_path, "report.json", report)])
     assert (code, verdict) == (1, {"result": "verified", "agrees": False,

@@ -26,7 +26,6 @@ from perdec.check import (
 from perdec.decomp import (
     decompose_n,
     decompose_three,
-    decompose_three_report,
     decompose_two,
 )
 from perdec.oracle import nullspace, oracle_decompose
@@ -307,17 +306,15 @@ def test_decompose_two_bound_too_small():
     assert got.parts == (f, RationalFunction.zero(m))
 
 
-def test_decompose_three_report_at_bound_one_keeps_the_parts():
-    # on this Z_4 instance, pins chosen from prescribed points found at
-    # bound 1 once conflicted; the report's bound now only classifies
+def test_decompose_three_splits_a_z4_instance():
+    # pins chosen from prescribed points found at exponent bound 1 once
+    # conflicted on this instance; the cycle averages need no pins
     t, s, u = (3, 0, 1, 2), (2, 3, 0, 1), (0, 1, 2, 3)
     f = RationalFunction((Fraction(0), Fraction(-4, 3), Fraction(4, 3),
                           Fraction(0)))
-    at_one, _ = decompose_three_report(t, s, u, f, bound=1)
-    at_default, _ = decompose_three_report(t, s, u, f)
-    assert isinstance(at_one, Decomposition)
-    assert at_one == at_default == decompose_three(t, s, u, f)
-    assert verify_decomposition(validate_system([t, s, u], 4), f, at_one)
+    got = decompose_three(t, s, u, f)
+    assert isinstance(got, Decomposition)
+    assert verify_decomposition(validate_system([t, s, u], 4), f, got)
 
 
 @given(systems(n=3, max_size=5), st.integers(0, 10 ** 9))
@@ -351,47 +348,6 @@ def test_decompose_three_matches_oracle(case):
     else:
         assert isinstance(oracle, DualCertificate)
         assert replay_violation(system, f, got)
-
-
-@given(systems_with_functions(n=3, max_size=5))
-@settings(max_examples=30, deadline=None)
-def test_decompose_three_all_both_at_default_bound(case):
-    system, f = case
-    t, s, u = system.transforms
-    outcome, report = decompose_three_report(t, s, u, f)
-    if isinstance(outcome, Decomposition):
-        # at bound 2N every point carries both prescribed-relation kinds
-        assert set(report["branches"].values()) <= {"both"}
-        assert report["branches"]
-
-
-@given(systems_with_functions(n=3, max_size=5))
-@settings(max_examples=25, deadline=None)
-def test_decompose_three_is_bound_independent(case):
-    system, f = case
-    t, s, u = system.transforms
-    at_default, _ = decompose_three_report(t, s, u, f)
-    assert at_default == decompose_three(t, s, u, f)
-    for bound in (1, 2, 4 * system.size):
-        outcome, _ = decompose_three_report(t, s, u, f, bound)
-        assert outcome == at_default
-
-
-@pytest.mark.parametrize("branch", ["both", "neither", "s-only", "u-only"])
-def test_decompose_three_engineered_branches(branch):
-    for seed in range(3):
-        rng = random.Random(f"branch:{branch}:{seed}")
-        inst = generators.branch_instance(rng, branch)
-        t, s, u = inst.transforms
-        outcome, report = decompose_three_report(t, s, u, inst.f,
-                                                 bound=inst.bound)
-        assert isinstance(outcome, Decomposition)
-        assert set(report["branches"].values()) == {branch}
-        g, h, l = outcome.parts
-        assert g + h + l == inst.f
-        assert is_invariant(t, g)
-        assert is_invariant(s, h)
-        assert is_invariant(u, l)
 
 
 @given(systems_with_functions(n=2, max_size=6))

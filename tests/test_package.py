@@ -1,4 +1,5 @@
 import ast
+import inspect
 import pathlib
 import sys
 
@@ -17,6 +18,16 @@ def test_public_names_resolve_once():
     assert set(names) <= set(dir(perdec))
     with pytest.raises(AttributeError):
         getattr(perdec, "no_such_name")
+
+
+def test_no_public_function_takes_an_exponent_bound():
+    # on a finite set every orbit search is exact: no public name searches
+    # exponents up to a caller's bound
+    functions = {name: getattr(perdec, name) for name in perdec.__all__}
+    bounded = [name for name, fn in functions.items()
+               if inspect.isfunction(fn)
+               and "bound" in inspect.signature(fn).parameters]
+    assert bounded == []
 
 
 def _unused_imports(tree: ast.Module):
@@ -77,8 +88,6 @@ DEAD_CODE_ALLOWLIST = {
     ("serialize", "instance_to_json"),
     # the benchmark record names the scan implementation through it
     ("kernels", "implementation_name"),
-    # builds the branch instances of acceptance criterion 2
-    ("generators", "branch_instance"),
     # PEP 562 hooks of the package: called by the import system
     ("__init__", "__getattr__"),
     ("__init__", "__dir__"),

@@ -13,9 +13,8 @@ from perdec.check import (BoundedTransfer, Candidate, ConstrainedObstruction,
                           StarInstance, StarViolation)
 from perdec.core import (CommutingSystem, Decomposition, RationalFunction,
                          VerificationResult, _Record)
-from perdec.generators import BranchInstance
 from perdec.lattice import LatticeWindow, ZWindowDemo
-from perdec.orbits import Partition, Relation
+from perdec.orbits import Partition
 from perdec.serialize import Instance
 
 
@@ -97,8 +96,6 @@ RECORDS = {
     "Partition": (
         lambda: Partition((0, 0, 1), (0, 2)),
         "Partition(class_of=(0, 0, 1), representative=(0, 2))"),
-    "Relation": (
-        lambda: Relation(1, 2, 0, 1), "Relation(k=1, n=2, k2=0, n2=1)"),
     "LatticeWindow": (
         lambda: LatticeWindow((2, 2), (1, 2, 3, F(9, 2))),
         "LatticeWindow(dims=(2, 2), values=(Fraction(1, 1), Fraction(2, 1), "
@@ -109,11 +106,6 @@ RECORDS = {
         "violation=StarViolation(instance=StarInstance(blocks=((0, 1),), "
         "distinguished=(0,), exponents=(1,), premises=((1, 0, 1),), z=0), "
         "value=Fraction(3, 2), kind='MixedDeltaNonzero'))"),
-    "BranchInstance": (
-        lambda: BranchInstance("both", 8, ((1, 0),), _f(), None),
-        "BranchInstance(branch='both', modulus=8, transforms=((1, 0),), "
-        "f=RationalFunction(values=(Fraction(1, 1), Fraction(-1, 2))), "
-        "bound=None)"),
 }
 
 
@@ -171,8 +163,10 @@ def test_generic_construction_binds_like_a_dataclass():
     assert Instance("z-window", shifts=(1,), length=3) == Instance(
         kind="z-window", length=3, shifts=(1,))
     assert Instance("finite").system is None
-    assert Relation(1, 2, k2=0, n2=1) == Relation(1, 2, 0, 1)
-    for args, kwargs in [((1, 2, 0), {}), ((1, 2, 0, 1, 5), {}),
-                         ((1, 2, 0, 1), {"k": 1}), ((1, 2, 0), {"m": 1})]:
+    assert ConstrainedObstruction(0, 1, 2, l2=0, total=F(1)) == (
+        ConstrainedObstruction(0, 1, 2, 0, F(1)))
+    for args, kwargs in [((0, 1, 2, 0), {}), ((0, 1, 2, 0, 1, 5), {}),
+                         ((0, 1, 2, 0, 1), {"x": 0}),
+                         ((0, 1, 2, 0), {"m": 1})]:
         with pytest.raises(TypeError):
-            Relation(*args, **kwargs)
+            ConstrainedObstruction(*args, **kwargs)

@@ -96,8 +96,12 @@ CONSISTENT_COUNTS = dict(
     necessity_violations=0, discrepancies=0)
 
 
-def _candidate(trial):
-    return Candidate(trial, 2, ((1, 0), (0, 1)), ("0", "1"), ("1", "-1"))
+def _candidate(trial, size=2, n=4):
+    # a shift and n - 1 identities on `size` points
+    shift = tuple((x + 1) % size for x in range(size))
+    return Candidate(trial, size, (shift, *[tuple(range(size))] * (n - 1)),
+                     tuple(map(str, range(size))),
+                     ("1", "-1", *["0"] * (size - 2)))
 
 
 def test_a_report_with_counts_a_search_produces_verifies():
@@ -132,6 +136,16 @@ def test_a_report_with_counts_a_search_produces_verifies():
          oracle_feasible=5),
     dict(candidates=(_candidate(10),)),
     dict(candidates=(_candidate(-1),)),
+    # parameters the search refuses: fewer than two transforms, or fewer
+    # than two points
+    dict(n=1),
+    dict(max_size=1),
+    dict(max_size=-3),
+    # a candidate outside [2, max_size] points, or without n transforms
+    dict(candidates=(_candidate(3, size=1),)),
+    dict(candidates=(_candidate(3, size=5),)),
+    dict(candidates=(_candidate(3, n=3),)),
+    dict(candidates=(_candidate(3, n=5),)),
 ])
 def test_a_report_with_counts_no_search_produces_is_refused(change):
     report = SearchReport(**{**CONSISTENT_COUNTS, "candidates": (),
