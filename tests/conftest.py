@@ -301,3 +301,17 @@ def grid_relation(s, t, x, y, bound):
                     if gx[k][n] == gy[k2][rest - k2]:
                         return (k, n, k2, rest - k2)
     return None
+
+
+def shift_table(m: int, a: int) -> tuple:
+    """x -> x + a on Z_m."""
+    return tuple((x + a) % m for x in range(m))
+
+
+# planted Z_m shift families (t step, s shift, u shift), each shift a
+# function of m even; the paper's three-map case split once told them apart
+SHIFT_FAMILIES = {
+    "+1, (m-1, m/2)": (1, lambda m: m - 1, lambda m: m // 2),
+    "+1, (m/2, m-1)": (1, lambda m: m // 2, lambda m: m - 1),
+    "+2, (m/2, m/2)": (2, lambda m: m // 2, lambda m: m // 2),
+}

@@ -34,6 +34,7 @@ from perdec.check import (
     verify_decomposition,
     verify_report,
 )
+from tests.conftest import SHIFT_FAMILIES, shift_table
 
 pytestmark = pytest.mark.acceptance
 
@@ -86,19 +87,6 @@ def test_criterion_1_two_transform_construction_matches_oracle():
                  f"systems ({built} built, {refused} refused) in {elapsed:.1f}s")
 
 
-def _shift(m: int, a: int) -> tuple:
-    return tuple((x + a) % m for x in range(m))
-
-
-# planted Z_m shift families (t step, s shift, u shift), each shift a
-# function of m: the paper's case split once told them apart
-SHIFT_FAMILIES = {
-    "+1, (m-1, m/2)": (1, lambda m: m - 1, lambda m: m // 2),
-    "+1, (m/2, m-1)": (1, lambda m: m // 2, lambda m: m - 1),
-    "+2, (m/2, m/2)": (2, lambda m: m // 2, lambda m: m // 2),
-}
-
-
 def test_criterion_2_three_transform_construction_matches_oracle():
     start = time.perf_counter()
     rng = random.Random(20260802)
@@ -107,7 +95,8 @@ def test_criterion_2_three_transform_construction_matches_oracle():
     for family, (step, s_shift, u_shift) in SHIFT_FAMILIES.items():
         for _ in range(74):
             m = 4 * rng.randint(2, 8)
-            t, s, u = (_shift(m, a) for a in (step, s_shift(m), u_shift(m)))
+            t, s, u = (shift_table(m, a)
+                       for a in (step, s_shift(m), u_shift(m)))
             # one invariant part per map, so f splits by construction
             planted = [generators.random_invariant_part(rng, table)
                        for table in (t, s, u)]

@@ -1335,11 +1335,34 @@ def test_search_verify_refuses_counts_no_search_produces(tmp_path, capsys):
                                              "produces"})
 
 
-def test_search_verify_refuses_parameters_no_search_takes(tmp_path, capsys):
-    # one transform on at most -3 points: the search refuses both, so no
-    # report carries them, even with no trials and no candidates
-    report = dict(SEARCH_REPORT, n=1, max_size=-3, trials=0, star_pass=0,
-                  oracle_infeasible=0, candidates=[])
+# each a report the search never writes, refused before any candidate is
+# replayed
+NO_SEARCH_PARAMETERS = {
+    # one transform on at most -3 points, with no trials and no candidates
+    "n=1, max_size=-3": dict(n=1, max_size=-3, trials=0, star_pass=0,
+                             oracle_infeasible=0, candidates=[]),
+    "n=1": dict(n=1, candidates=[]),
+    "max_size=1": dict(max_size=1, candidates=[]),
+    # a candidate on more points than max_size, or on fewer than two
+    "size 3 > max_size": dict(candidates=[dict(
+        SEARCH_REPORT["candidates"][0], size=3,
+        transforms=[[1, 2, 0], [0, 1, 2]], values=["0", "1", "2"],
+        dual_weights=["1", "-1", "0"])]),
+    "size 1": dict(candidates=[dict(
+        SEARCH_REPORT["candidates"][0], size=1, transforms=[[0], [0]],
+        values=["0"], dual_weights=["1"])]),
+    # a candidate with three transforms in a two-transform search
+    "3 transforms": dict(candidates=[dict(
+        SEARCH_REPORT["candidates"][0],
+        transforms=[[1, 0], [0, 1], [0, 1]])]),
+}
+
+
+@pytest.mark.parametrize("change", NO_SEARCH_PARAMETERS.values(),
+                         ids=NO_SEARCH_PARAMETERS)
+def test_search_verify_refuses_parameters_no_search_takes(tmp_path, capsys,
+                                                          change):
+    report = dict(SEARCH_REPORT, **change)
     code, verdict = _run(capsys, ["search", "--verify",
                                   _write(tmp_path, "report.json", report)])
     assert (code, verdict) == (1, {"result": "verified", "agrees": False,

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +31,11 @@ from perdec.decomp import (
 from perdec.oracle import nullspace, oracle_decompose
 from perdec.star import check_star
 from tests.conftest import (
+    SHIFT_FAMILIES,
     cycle_average,
     mixed_difference_rows,
     project_subtract,
+    shift_table,
     systems,
     systems_with_functions,
 )
@@ -348,6 +350,44 @@ def test_decompose_three_matches_oracle(case):
     else:
         assert isinstance(oracle, DualCertificate)
         assert replay_violation(system, f, got)
+
+
+@pytest.mark.parametrize("family", SHIFT_FAMILIES)
+def test_decompose_three_splits_planted_shift_families(family):
+    step, s_shift, u_shift = SHIFT_FAMILIES[family]
+    rng = random.Random(f"shift family:{family}")
+    for m in (4, 8, 12):
+        t, s, u = (shift_table(m, a) for a in (step, s_shift(m), u_shift(m)))
+        system = validate_system([t, s, u], m)
+        planted = [generators.random_invariant_part(rng, table)
+                   for table in (t, s, u)]
+        f = planted[0] + planted[1] + planted[2]
+        got = decompose_three(t, s, u, f)
+        assert isinstance(got, Decomposition)
+        assert verify_decomposition(system, f, got)
+        # a point mass is no sum of invariant parts on these shifts
+        spike = RationalFunction(tuple(Fraction(int(x == 0))
+                                       for x in range(m)))
+        refused = decompose_three(t, s, u, spike)
+        assert not isinstance(refused, Decomposition)
+        assert replay_violation(system, spike, refused)
+        assert isinstance(oracle_decompose(system, spike), DualCertificate)
+
+
+@given(systems_with_functions(n=3, max_size=5))
+@settings(max_examples=30, deadline=None)
+def test_decompose_three_is_blind_to_the_order_of_the_maps(case):
+    # the paper gives t, s and u different roles; whether f splits does
+    # not depend on them, and each order's parts follow its maps
+    system, f = case
+    splits = isinstance(decompose_three(*system.transforms, f), Decomposition)
+    for order in permutations(range(3)):
+        maps = [system.transforms[i] for i in order]
+        got = decompose_three(*maps, f)
+        assert isinstance(got, Decomposition) == splits
+        if splits:
+            assert verify_decomposition(validate_system(maps, system.size),
+                                        f, got)
 
 
 @given(systems_with_functions(n=2, max_size=6))

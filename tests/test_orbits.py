@@ -160,6 +160,16 @@ def test_find_relation_breaks_ties_on_the_smaller_point():
     assert find_relation(t, 6, 0) == (3, 2)
 
 
+def test_find_relation_needs_exponents_up_to_n_minus_one():
+    # a tail through every point into a fixed point: the two ends meet
+    # only after N - 1 steps, so exponents below N are all the walk needs
+    # and all of them can be needed
+    for size in range(2, 9):
+        t = tuple(min(x + 1, size - 1) for x in range(size))
+        assert find_relation(t, 0, size - 1) == (size - 1, 0)
+        assert find_relation(t, size - 1, 0) == (0, size - 1)
+
+
 @given(sized_maps(max_size=8), st.data())
 @settings(max_examples=200, deadline=None)
 def test_find_relation_equals_the_grid_search_with_an_identity_map(case,
@@ -222,3 +232,14 @@ def test_every_point_carries_a_prescribed_relation(system):
         assert max(l, l2) < size
         assert iterate(t, k, iterate(s, l, x)) == iterate(
             t, k2, iterate(s, l2, x))
+
+
+def test_a_swap_and_the_identity_carry_a_prescribed_relation():
+    # T = swap on two points, S = id: the induced map is T itself, so
+    # each x has T^2 x = x, the relation with k = 2, k2 = 0 and no S steps
+    t, s = (1, 0), (0, 1)
+    part, induced = induced_map(t, s)
+    for x in range(2):
+        orbit, k2 = rho(induced, part.class_of[x])
+        assert (len(orbit), k2) == (2, 0)
+        assert find_relation(s, iterate(t, 2, x), x) == (0, 0)

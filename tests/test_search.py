@@ -154,6 +154,18 @@ def test_a_report_with_counts_no_search_produces_is_refused(change):
         False, "report counts no search produces")
 
 
+def test_a_report_is_refused_before_its_candidates_are_replayed():
+    # the one candidate's table leaves its two points, so replaying it
+    # raises; a one-transform report is refused before that
+    broken = Candidate(3, 2, ((0, 5),), ("1", "2"), ("1", "-1"))
+    with pytest.raises(RangeError):
+        verify_candidate(broken)
+    report = SearchReport(**{**CONSISTENT_COUNTS, "n": 1,
+                             "candidates": (broken,)})
+    assert verify_report(report) == VerificationResult(
+        False, "report counts no search produces")
+
+
 def test_a_candidate_raises_the_errors_of_its_fields_in_order():
     # the system first, then the value count, then the transform count;
     # a well-formed candidate whose star check passes has no valid dual
