@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -641,6 +642,89 @@ def test_lattice_decompose_rejects_a_negative_base_on_every_window(
     code, doc = _run(capsys, ["lattice-decompose", path, "--base", "-1"])
     assert code == 2
     assert doc == {"error": "base hyperplane must be >= 0, got -1"}
+
+
+def _seeded_window(seed, dims, perturbed):
+    """A lattice-window document: a sum over the axes of random rationals
+    that ignore their own axis, with one value changed when perturbed."""
+    rng = random.Random(seed)
+    size = 1
+    for w in dims:
+        size *= w
+    strides, stride = [], size
+    for w in dims:
+        stride //= w
+        strides.append(stride)
+    values = [Fraction(0)] * size
+    for w, stride in zip(dims, strides):
+        line = {}
+        for idx in range(size):
+            key = idx - idx // stride % w * stride
+            if key not in line:
+                line[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            values[idx] += line[key]
+    if perturbed:
+        values[rng.randrange(size)] += Fraction(rng.randint(1, 5),
+                                                rng.randint(1, 4))
+    return {"kind": "lattice-window", "dims": list(dims),
+            "values": [str(v) for v in values]}
+
+
+# (seed, dims, perturbed, --base) -> exit code and stdout sha256 of the
+# run; each base covers both dimensions and both kinds.  Every replay
+# agrees, with these bytes.
+AGREES_SHA256 = ("3f9126d45e3652ab0bcc59f14ac243d5"
+                 "fb8b2b942bb9d39b9df7fd8d3045197b")
+LATTICE_DIGESTS = {
+    (1, (4, 5), False, 0): (0, "85ef8e546e95b26b735cb6307f4afe87"
+                            "91da4cf585d2a6bc6dcfc274678dcd36"),
+    (2, (4, 5), False, 1): (0, "1ae75ea6b7dd26d3e826f833825cb103"
+                            "0da002f2a31ba0224ae56a3464515794"),
+    (3, (5, 3), False, 3): (0, "a9236d55e161d6746c8c46a5e9a32745"
+                            "324a37e6c89b928660013f65e8fe5979"),
+    (4, (2, 4), True, 9): (1, "b16d474c87e292d6f8ce5f78a17f35c7"
+                           "d75ce24bd4c0248325a23246e0985fa4"),
+    (5, (5, 4), True, 0): (1, "eecb40cb5b9747394a31673a7aeb391a"
+                           "f7697d2c7574fe252e6851f35b8b2cf7"),
+    (6, (3, 5), True, 1): (1, "a8be6d93b62451e3434f63525ff52dd8"
+                           "de8a9235bcf7664fb257b31ff58c33d4"),
+    (7, (3, 4, 2), False, 9): (0, "c7506331026417350fc64a3c9d30166b"
+                               "28955f7f1c750da4c31d8b34e32548fb"),
+    (8, (2, 3, 5), False, 0): (0, "536154703313682db7b540ae499c0748"
+                               "69f13ab983c919dd015c3c047f24210e"),
+    (9, (4, 2, 3), False, 1): (0, "2d2b828154e2de68bc8ce3e231f0b672"
+                               "c67ced4f909aee7e75ff04be8950203f"),
+    (10, (3, 3, 3), True, 3): (1, "6a47c0a0cc52cde577b5e99527e0cf05"
+                               "b3363519baa9d4a25636a69ec1dc525f"),
+    (11, (2, 5, 3), True, 9): (1, "1bb5f5352e89e548401c92097bdd3ad6"
+                               "c7f5b8572fe9662c3604f21937e278d8"),
+    (12, (4, 3, 2), True, 3): (1, "c231082fd278b94bd996c9c8d19550f9"
+                               "ccc8d5cdcd91063e68df9fa6c638fb24"),
+}
+
+
+def test_lattice_decompose_bytes_match_their_pinned_digests(tmp_path,
+                                                            capsys):
+    # any change to the construction, its gauge or its refusal that moves
+    # an output byte changes a digest
+    got = {}
+    for seed, dims, perturbed, base in LATTICE_DIGESTS:
+        path = _write(tmp_path, "inst.json",
+                      _seeded_window(seed, dims, perturbed))
+        code = run_command(["lattice-decompose", path, "--base", str(base)])
+        out = capsys.readouterr().out
+        cert = tmp_path / "cert.json"
+        cert.write_text(out)
+        replay = run_command(["lattice-decompose", path, "--verify",
+                              str(cert)])
+        replayed = capsys.readouterr().out
+        assert replay == 0
+        assert hashlib.sha256(replayed.encode()).hexdigest() == AGREES_SHA256
+        got[seed, dims, perturbed, base] = (
+            code, hashlib.sha256(out.encode()).hexdigest())
+    changed = [case for case in LATTICE_DIGESTS
+               if got[case] != LATTICE_DIGESTS[case]]
+    assert not changed, {case: got[case] for case in changed}
 
 
 def test_bounded_transfer_three_cycle(tmp_path, capsys):
