@@ -9,8 +9,7 @@ offending cycle or self-relation together with its nonzero sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Union
 
 from .check import (
     BoundedTransfer,
@@ -34,7 +33,6 @@ from .orbits import (
     _components,
     find_relation,
     induced_map,
-    invariance_classes,
 )
 
 
@@ -83,38 +81,6 @@ def solve_transfer(
                 h -= g[p]
                 values[p] = h
     return RationalFunction(tuple(values))
-
-
-def scaled_cycle_means(t: Sequence[int], values: Sequence[int]
-                       ) -> Tuple[Tuple[int, ...], list[int], int]:
-    """(class_of, sums, scale): the mean of the integer values over the
-    cycle that x's forward orbit enters is sums[class_of[x]] / scale.
-
-    E, the projection onto the t-invariant functions along the image of
-    g -> g o t - g (see `decomp.decompose_n`), on integer numerators.
-    scale is the lcm of t's cycle lengths, so a cycle of length L has
-    mean (scale // L) * (its sum) / scale, an integer over scale with no
-    division.  One walk from each class representative finds the class's
-    cycle; marks hold class ids, so they need no reset between classes.
-    """
-    part = invariance_classes(t)
-    mark = [-1] * len(t)
-    cycles = []
-    for c, x in enumerate(part.representative):
-        while mark[x] != c:
-            mark[x] = c
-            x = t[x]
-        # x is the first point the walk met twice: it lies on the cycle
-        cycle = [x]
-        y = t[x]
-        while y != x:
-            cycle.append(y)
-            y = t[y]
-        cycles.append(cycle)
-    scale = lcm(*map(len, cycles))
-    sums = [scale // len(cycle) * sum(values[p] for p in cycle)
-            for cycle in cycles]
-    return part.class_of, sums, scale
 
 
 def _check_commute(t: Sequence[int], s: Sequence[int]) -> None:

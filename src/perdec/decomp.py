@@ -13,10 +13,10 @@ n = 2 case and `decompose_three` its n = 3 case.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from math import lcm
+from typing import Sequence, Tuple, Union
 
 from .check import StarViolation, verify_decomposition
-from .cohomology import scaled_cycle_means
 from .core import (
     Decomposition,
     InternalContractViolation,
@@ -25,9 +25,42 @@ from .core import (
     integer_values,
     validate_system,
 )
+from .orbits import invariance_classes
 from .star import check_star
 
 DecompOutcome = Union[Decomposition, StarViolation]
+
+
+def scaled_cycle_means(t: Sequence[int], values: Sequence[int]
+                       ) -> Tuple[Tuple[int, ...], list[int], int]:
+    """(class_of, sums, scale): the mean of the integer values over the
+    cycle that x's forward orbit enters is sums[class_of[x]] / scale.
+
+    E, the projection onto the t-invariant functions along the image of
+    g -> g o t - g (see `decompose_n`), on integer numerators.  scale is
+    the lcm of t's cycle lengths, so a cycle of length L has mean
+    (scale // L) * (its sum) / scale, an integer over scale with no
+    division.  One walk from each class representative finds the class's
+    cycle; marks hold class ids, so they need no reset between classes.
+    """
+    part = invariance_classes(t)
+    mark = [-1] * len(t)
+    cycles = []
+    for c, x in enumerate(part.representative):
+        while mark[x] != c:
+            mark[x] = c
+            x = t[x]
+        # x is the first point the walk met twice: it lies on the cycle
+        cycle = [x]
+        y = t[x]
+        while y != x:
+            cycle.append(y)
+            y = t[y]
+        cycles.append(cycle)
+    scale = lcm(*map(len, cycles))
+    sums = [scale // len(cycle) * sum(values[p] for p in cycle)
+            for cycle in cycles]
+    return part.class_of, sums, scale
 
 
 def decompose_n(transforms: Sequence[Sequence[int]],
@@ -73,8 +106,13 @@ def decompose_n(transforms: Sequence[Sequence[int]],
     part j < n is constant on its classes, so they fail verification only
     where the final rest is not T_n-invariant, an integer test; then the
     refusal is check_star's.  Otherwise each value is built once, one
-    Fraction per class for j < n and one per point for the last part, and
-    the parts are verified before they are returned.
+    Fraction per class for j < n and one per distinct numerator of the
+    last part, and the parts are verified before they are returned.
+
+    `lattice.lattice_decompose` is this construction on a window's axis
+    maps that fix their base slices: every cycle is a fixed point, so
+    E_j reads the base slice and spreads it along axis j, and every scale
+    is 1.
     """
     if not transforms:
         raise PreconditionError("decomposition needs at least one transform")
@@ -86,7 +124,7 @@ def decompose_n(transforms: Sequence[Sequence[int]],
         rest = [scale * v - sums[c] for v, c in zip(rest, class_of)]
         denom *= scale
         means.append((class_of, sums, denom))
-    if any(rest[y] != v for y, v in zip(system.transforms[-1], rest)):
+    if list(map(rest.__getitem__, system.transforms[-1])) != rest:
         violation = check_star(system, f)
         if violation is None:
             raise InternalContractViolation(
@@ -96,8 +134,12 @@ def decompose_n(transforms: Sequence[Sequence[int]],
     parts = []
     for class_of, sums, part_denom in means:
         per_class = [Fraction(s, part_denom) for s in sums]
-        parts.append(RationalFunction(tuple(per_class[c] for c in class_of)))
-    parts.append(RationalFunction(tuple(Fraction(v, denom) for v in rest)))
+        parts.append(RationalFunction(tuple(map(per_class.__getitem__,
+                                                class_of))))
+    memo = dict.fromkeys(rest)
+    for v in memo:
+        memo[v] = Fraction(v, denom)
+    parts.append(RationalFunction(tuple(map(memo.__getitem__, rest))))
     decomposition = Decomposition(tuple(parts))
     verify_decomposition(system, f, decomposition).require(
         "projection construction")

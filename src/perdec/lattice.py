@@ -3,32 +3,30 @@
 Distinct unit shifts are unrelated: a word in two of them can only revisit
 a point if the exponents match exactly, so no self-relations exist and the
 vanishing mixed difference alone already characterizes decomposability.
-A window is a list of total maps (`LatticeWindow.axis_maps`): the shift
-along axis j fixes the points on the upper face of that axis.  A fixed
-point constrains no invariant function, so the witness, the oracle and
-the checkers are `star`'s, `oracle`'s and `check`'s on those tables;
-`star` and `oracle` load only when a witness or an oracle verdict is
-asked for.  The decomposition projects, subtracts and repeats, like
-`decomp.decompose_n`: the part of each axis but the first is the rest
-read off one base slice.
+A window is a list of total maps (`LatticeWindow.axis_maps`): the map of
+axis j steps toward one slice x_j = k_j and fixes the points on it, the
+upper face unless a base is given.  A fixed point constrains no
+invariant function, and every slice gives the same lines as classes, so
+the witness, the oracle and the checkers are `star`'s, `oracle`'s and
+`check`'s on the upper-face tables, and the decomposition is
+`decomp.decompose_n` on the base-slice tables; `star`, `decomp` and
+`oracle` load only when a witness, a decomposition or an oracle verdict
+is asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
-from operator import sub
+from itertools import product
 from typing import Optional, Sequence, Tuple, Union
 
 from .check import (
     DualCertificate,
     StarViolation,
-    verify_lattice_parts,
     verify_point_violation,
 )
 from .core import (
     CommutingSystem,
-    InternalContractViolation,
     PreconditionError,
     RangeError,
     RationalFunction,
@@ -36,7 +34,6 @@ from .core import (
     _Record,
     _as_fractions,
     _set_field,
-    integer_values,
     window_difference,
 )
 
@@ -101,15 +98,22 @@ class LatticeWindow(_Record):
     def coords(self, idx: int) -> tuple[int, ...]:
         return tuple(idx // st % w for w, st in zip(self.dims, self.strides()))
 
-    def axis_maps(self) -> tuple[tuple[int, ...], ...]:
-        """Per axis j, the table of x -> x + e_j on row-major indices, with
-        x itself when x_j = w_j - 1.  Each map moves only its own
-        coordinate, so they commute."""
+    def axis_maps(self, base: Optional[int] = None
+                  ) -> tuple[tuple[int, ...], ...]:
+        """Per axis j, a table on row-major indices that fixes the slice
+        x_j = k_j, k_j = min(base, w_j - 1) or w_j - 1 without a base, and
+        sends x to x + e_j below it and to x - e_j above it.  Each map
+        moves only its own coordinate, so they commute, and each line
+        along axis j is one class whose only cycle is its point on the
+        slice."""
         maps = []
         for w, stride in zip(self.dims, self.strides()):
+            k = w - 1 if base is None else min(base, w - 1)
             t = list(range(stride, self.size + stride))
-            for top in range((w - 1) * stride, self.size, w * stride):
-                t[top:top + stride] = range(top, top + stride)
+            for lo in range(k * stride, self.size, w * stride):
+                hi, end = lo + stride, lo + (w - k) * stride
+                t[lo:hi] = range(lo, hi)
+                t[hi:end] = range(lo, end - stride)
             maps.append(tuple(t))
         return tuple(maps)
 
@@ -160,44 +164,23 @@ def lattice_decompose(f: LatticeWindow,
                       base: int = 0) -> Tuple[LatticeWindow, ...]:
     """Split f into d parts, part j constant along axis j, summing to f.
 
-    Project, subtract, repeat: for the axes j = d-1 down to 1, part j is
-    the rest restricted to the slice x_j = min(base, w_j - 1) and spread
-    along axis j, and it is subtracted from the rest; part 0 is what
-    remains.  So part j vanishes on the base slice of every later axis,
-    the gauge that different bases vary.  When the mixed difference
-    vanishes the parts verify (the proof of `decomp.decompose_n`, with
-    the slice restriction as the projection); otherwise PreconditionError
-    names the first point where it does not.  The slices are copied and
-    subtracted on f's integer numerators over one common denominator, and
-    each distinct numerator becomes one Fraction.
+    `decomp.decompose_n` on `f.axis_maps(base)`, axes d-1 down to 0: part
+    j is the rest read off the slice x_j = min(base, w_j - 1) and spread
+    along axis j for j >= 1, and part 0 is what remains.  So part j
+    vanishes on the base slice of every later axis, the gauge that
+    different bases vary.  When the mixed difference does not vanish,
+    PreconditionError names its first nonzero point.
     """
     if base < 0:
         raise PreconditionError(f"base hyperplane must be >= 0, got {base}")
-    rest, denom = integer_values(f.values)
-    numerators = []
-    for w, stride in zip(f.dims[:0:-1], f.strides()[:0:-1]):
-        # in each block of w runs along axis j, the base slice's run
-        # repeated w times
-        lo = min(base, w - 1) * stride
-        part = []
-        for top in range(0, f.size, w * stride):
-            part += rest[top + lo:top + lo + stride] * w
-        rest = list(map(sub, rest, part))
-        numerators.append(part)
-    numerators.append(rest)
-    memo = dict.fromkeys(chain.from_iterable(numerators))
-    for v in memo:
-        memo[v] = Fraction(v, denom)
-    parts = [_trusted(f.dims, tuple(map(memo.__getitem__, part)))
-             for part in reversed(numerators)]
-    if verify_lattice_parts(f, parts):
-        return tuple(parts)
-    witness = mixed_delta_witness(f)
-    if witness is None:
-        raise InternalContractViolation(
-            "slice construction failed verification but the mixed "
-            "difference vanishes")
-    raise PreconditionError(f"mixed difference is nonzero at {witness}")
+    from .decomp import decompose_n
+
+    outcome = decompose_n(f.axis_maps(base)[::-1], RationalFunction(f.values))
+    if isinstance(outcome, StarViolation):
+        raise PreconditionError(
+            f"mixed difference is nonzero at {mixed_delta_witness(f)}")
+    return tuple(_trusted(f.dims, part.values)
+                 for part in reversed(outcome.parts))
 
 
 def lattice_oracle_decompose(

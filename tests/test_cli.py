@@ -1269,19 +1269,20 @@ LOADS = {
     "oracle": {"check", "orbits", "oracle"},
     "bounded-transfer": {"check", "cohomology", "orbits"},
     "star-check": {"check", "orbits", "star"},
-    "decompose": {"check", "decomp", "cohomology", "orbits", "star"},
+    "decompose": {"check", "decomp", "orbits", "star"},
 }
 # every result replays with the checker alone
 VERIFY_LOADS = dict.fromkeys(LOADS, {"check", "orbits"})
 
 # reading a lattice window loads lattice, check and orbits, and each
-# subcommand adds the producer it runs; a search trial runs the
+# subcommand adds the producer it runs (lattice-decompose asks the star
+# check for a witness, then runs decompose_n); a search trial runs the
 # generators, the star check and the oracle
 WINDOW_LOADS = {"check", "lattice", "orbits"}
 LATTICE_LOADS = {"validate": WINDOW_LOADS,
                  "oracle": WINDOW_LOADS | {"oracle"},
                  "star-check": WINDOW_LOADS | {"star"},
-                 "lattice-decompose": WINDOW_LOADS | {"star"}}
+                 "lattice-decompose": WINDOW_LOADS | {"decomp", "star"}}
 SEARCH_LOADS = {"check", "generators", "oracle", "orbits", "star"}
 
 # the instance kinds each subcommand reads; on the others it is an input

@@ -345,11 +345,28 @@ def test_axis_map_partitions_group_points_by_their_other_coordinates(f):
                     == (keys[a] == keys[b])
 
 
-def test_axis_maps_fix_the_upper_faces_and_commute():
+@given(_dims(), st.integers(0, 6))
+def test_axis_maps_fix_the_upper_faces_and_commute(dims, base):
     f = LatticeWindow((2, 3), (Fraction(0),) * 6)
     assert f.axis_maps() == ((3, 4, 5, 3, 4, 5), (1, 2, 2, 4, 5, 5))
-    first, second = f.axis_maps()
-    assert all(first[second[x]] == second[first[x]] for x in range(6))
+    assert f.axis_maps(0) == ((0, 1, 2, 0, 1, 2), (0, 0, 1, 3, 3, 4))
+    # the map of axis j steps each point one unit toward the slice
+    # x_j = min(base, w_j - 1) and fixes the slice
+    f = LatticeWindow(dims, (Fraction(0),) * _prod(dims))
+    maps = f.axis_maps(base)
+    upper = f.axis_maps()
+    for t, s in product(maps, repeat=2):
+        assert all(t[s[x]] == s[t[x]] for x in range(f.size))
+    for j, (t, w) in enumerate(zip(maps, dims)):
+        k = min(base, w - 1)
+        for x in range(f.size):
+            coords = list(f.coords(x))
+            coords[j] += (coords[j] < k) - (coords[j] > k)
+            assert t[x] == f.index(coords)
+        assert [x for x in range(f.size) if t[x] == x] \
+            == [x for x in range(f.size) if f.coords(x)[j] == k]
+        assert invariance_classes(t) == invariance_classes(upper[j])
+    assert f.axis_maps(max(dims) - 1 + base) == upper
 
 
 @st.composite
@@ -368,6 +385,20 @@ def perturbed_windows(draw):
 @settings(max_examples=150, deadline=None)
 def test_mixed_delta_witness_equals_the_stencil_scan(f):
     assert mixed_delta_witness(f) == _reference_mixed_delta_witness(f)
+
+
+@given(perturbed_windows())
+@settings(max_examples=60, deadline=None)
+def test_lattice_decompose_refuses_exactly_at_the_first_witness(f):
+    witness = mixed_delta_witness(f)
+    for base in range(7):
+        if witness is None:
+            assert verify_lattice_parts(f, lattice_decompose(f, base=base))
+            continue
+        with pytest.raises(PreconditionError) as refusal:
+            lattice_decompose(f, base=base)
+        assert str(refusal.value) == f"mixed difference is nonzero at " \
+                                     f"{witness}"
 
 
 @given(st.one_of(perturbed_windows(), arbitrary_windows()))
