@@ -111,6 +111,26 @@ def reference_solve_transfer(t, g: RationalFunction):
     return RationalFunction(tuple(values))
 
 
+def union_find_classes(size: int, maps) -> Partition:
+    """Reference joint classes: the weakly connected components of the
+    union of the graphs x -> t(x), by union-find that keeps each root its
+    component's least point, relabelled by `Partition.from_labels`."""
+    parent = list(range(size))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]  # path halving
+            a = parent[a]
+        return a
+
+    for t in maps:
+        for x in range(size):
+            ra, rb = find(x), find(t[x])
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return Partition.from_labels([find(x) for x in range(size)])
+
+
 def power_table(t, kmax: int) -> list:
     """Reference tables of t^0 .. t^kmax, composed one step at a time."""
     out = [tuple(range(len(t)))]
@@ -301,6 +321,32 @@ def grid_relation(s, t, x, y, bound):
                     if gx[k][n] == gy[k2][rest - k2]:
                         return (k, n, k2, rest - k2)
     return None
+
+
+def seeded_window(seed, dims, perturbed):
+    """A lattice-window document: a sum over the axes of random rationals
+    that ignore their own axis, with one value changed when perturbed."""
+    rng = random.Random(seed)
+    size = 1
+    for w in dims:
+        size *= w
+    strides, stride = [], size
+    for w in dims:
+        stride //= w
+        strides.append(stride)
+    values = [Fraction(0)] * size
+    for w, stride in zip(dims, strides):
+        line = {}
+        for idx in range(size):
+            key = idx - idx // stride % w * stride
+            if key not in line:
+                line[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            values[idx] += line[key]
+    if perturbed:
+        values[rng.randrange(size)] += Fraction(rng.randint(1, 5),
+                                                rng.randint(1, 4))
+    return {"kind": "lattice-window", "dims": list(dims),
+            "values": [str(v) for v in values]}
 
 
 def shift_table(m: int, a: int) -> tuple:

@@ -22,6 +22,7 @@ from perdec import serialize
 from perdec.cli import run_command
 from perdec.core import RationalFunction
 from perdec.decomp import decompose_n
+from tests.conftest import seeded_window as _seeded_window
 
 FINITE_DOUBLE_SWAP = {
     "kind": "finite",
@@ -642,32 +643,6 @@ def test_lattice_decompose_rejects_a_negative_base_on_every_window(
     code, doc = _run(capsys, ["lattice-decompose", path, "--base", "-1"])
     assert code == 2
     assert doc == {"error": "base hyperplane must be >= 0, got -1"}
-
-
-def _seeded_window(seed, dims, perturbed):
-    """A lattice-window document: a sum over the axes of random rationals
-    that ignore their own axis, with one value changed when perturbed."""
-    rng = random.Random(seed)
-    size = 1
-    for w in dims:
-        size *= w
-    strides, stride = [], size
-    for w in dims:
-        stride //= w
-        strides.append(stride)
-    values = [Fraction(0)] * size
-    for w, stride in zip(dims, strides):
-        line = {}
-        for idx in range(size):
-            key = idx - idx // stride % w * stride
-            if key not in line:
-                line[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-            values[idx] += line[key]
-    if perturbed:
-        values[rng.randrange(size)] += Fraction(rng.randint(1, 5),
-                                                rng.randint(1, 4))
-    return {"kind": "lattice-window", "dims": list(dims),
-            "values": [str(v) for v in values]}
 
 
 # (seed, dims, perturbed, --base) -> exit code and stdout sha256 of the
