@@ -482,13 +482,22 @@ def partial_sum_bound(t: Sequence[int], g: RationalFunction,
     return best
 
 
+def verify_transfer(t: Sequence[int], g: RationalFunction,
+                    h: RationalFunction) -> VerificationResult:
+    """h solves h(t(x)) - h(x) = g(x) at every x."""
+    for x in range(len(g)):
+        if h[t[x]] - h[x] != g[x]:
+            return VerificationResult(False, f"transfer identity fails at {x}")
+    return VerificationResult(True)
+
+
 def _check_bounded(t: Sequence[int], s: Sequence[int], g: RationalFunction,
                    h: RationalFunction,
                    bound_c: Fraction) -> VerificationResult:
     """h solves h(t(x)) - h(x) = g(x), is s-invariant and stays within 2C."""
-    for x in range(len(g)):
-        if h[t[x]] - h[x] != g[x]:
-            return VerificationResult(False, f"transfer identity fails at {x}")
+    solves = verify_transfer(t, g, h)
+    if not solves.ok:
+        return solves
     if not is_invariant(s, h):
         return VerificationResult(False, "solution is not s-invariant")
     if h.max_abs() > 2 * bound_c:

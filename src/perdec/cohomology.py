@@ -19,6 +19,7 @@ from .check import (
     partial_sum_bound,
     verify_bounded_transfer,
     verify_cycle_obstruction,
+    verify_transfer,
 )
 from .core import (
     InternalContractViolation,
@@ -29,11 +30,7 @@ from .core import (
     is_invariant,
     iterate,
 )
-from .orbits import (
-    _components,
-    find_relation,
-    induced_map,
-)
+from .orbits import _fold_classes, find_relation, induced_map
 
 
 def solve_transfer(
@@ -80,7 +77,9 @@ def solve_transfer(
             for p in reversed(path):
                 h -= g[p]
                 values[p] = h
-    return RationalFunction(tuple(values))
+    solution = RationalFunction(tuple(values))
+    verify_transfer(t, g, solution).require("transfer solution")
+    return solution
 
 
 def _check_commute(t: Sequence[int], s: Sequence[int]) -> None:
@@ -97,7 +96,10 @@ def solve_transfer_constrained(
     Solvable iff the g-sum along T^i x, i < k, vanishes whenever
     T^k S^l x = S^{l2} x; the check happens on the quotient by s-classes,
     and a failure is returned as that witness with its nonzero sum, after
-    `verify_bounded_transfer` has replayed it.
+    `verify_bounded_transfer` has replayed it.  The lift needs no second
+    check: the maps commute and g is s-invariant (both checked up front),
+    so t sends each s-class c into induced(c), g is g_q(c) on c, and the
+    identity `solve_transfer` checked on the quotient holds at each point.
     """
     _check_commute(t, s)
     if not is_invariant(s, g):
@@ -132,10 +134,9 @@ def solve_bounded_transfer(
     solved = solve_transfer_constrained(t, s, g)
     if isinstance(solved, ConstrainedObstruction):
         return solved
-    size = len(g)
     bound_c = partial_sum_bound(t, g)
     values = list(solved.values)
-    for members in _components(size, [t, s]).classes():
+    for members in _fold_classes([s, t]).classes():
         high = max(values[x] for x in members)
         low = min(values[x] for x in members)
         mid = (high + low) / 2

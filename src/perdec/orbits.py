@@ -28,19 +28,6 @@ class Partition(_Record):
         _set_field(self, "class_of", class_of)
         _set_field(self, "representative", representative)
 
-    @classmethod
-    def from_labels(cls, labels: Sequence[int]) -> "Partition":
-        """Build from arbitrary per-element labels (equal label = same class)."""
-        ids: Dict[int, int] = {}
-        class_of = []
-        reps = []
-        for x, lab in enumerate(labels):
-            if lab not in ids:
-                ids[lab] = len(reps)
-                reps.append(x)
-            class_of.append(ids[lab])
-        return cls(tuple(class_of), tuple(reps))
-
     @property
     def n_classes(self) -> int:
         return len(self.representative)
@@ -50,32 +37,6 @@ class Partition(_Record):
         for x, c in enumerate(self.class_of):
             out[c].append(x)
         return [tuple(members) for members in out]
-
-
-def _components(size: int, edge_maps: Sequence[Sequence[int]]) -> Partition:
-    """Weakly connected components of the union of the graphs x -> t(x)."""
-    parent = list(range(size))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]  # path halving
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        # keep the smaller root so the representative is the class minimum
-        if ra < rb:
-            parent[rb] = ra
-        else:
-            parent[ra] = rb
-
-    for t in edge_maps:
-        for x in range(size):
-            union(x, t[x])
-    return Partition.from_labels([find(x) for x in range(size)])
 
 
 def invariance_classes(t: Sequence[int]) -> Partition:
@@ -126,15 +87,37 @@ def induced_map(t: Sequence[int],
     return part, tuple(part.class_of[t[rep]] for rep in part.representative)
 
 
+def _fold_classes(maps: Sequence[Sequence[int]]) -> Partition:
+    """`joint_classes` of the commuting maps, by folding induced maps."""
+    part = invariance_classes(maps[0])
+    for t in maps[1:]:
+        coarse = invariance_classes(
+            [part.class_of[t[rep]] for rep in part.representative])
+        part = Partition(
+            tuple(coarse.class_of[c] for c in part.class_of),
+            tuple(part.representative[c] for c in coarse.representative))
+    return part
+
+
 def joint_classes(system: CommutingSystem, subset: Iterable[int]) -> Partition:
-    """Components of the union graph over the chosen transforms."""
+    """Components of the union graph over the chosen transforms.
+
+    Folded from `invariance_classes`: start from the first map's classes
+    P and, for each further map t, lift back to points the invariance
+    classes of the map t induces on P.  That map is well defined: an edge
+    y = u(x) of a folded map u gives t(y) = u(t(x)), as the maps commute,
+    so t sends each class of P into one class, and the lifted classes are
+    the components once t's edges are added.  Ids stay in order of least
+    points, each representative the class minimum: P's classes are so
+    numbered, so a coarse class's least index holds its least point.
+    """
     indices = sorted(set(subset))
     if not indices:
         raise PreconditionError("subset of transforms must be nonempty")
     for j in indices:
         if not 0 <= j < system.n:
             raise RangeError(f"transform index {j} outside [0, {system.n})")
-    return _components(system.size, [system.transforms[j] for j in indices])
+    return _fold_classes([system.transforms[j] for j in indices])
 
 
 def find_relation(s: Sequence[int], x: int,

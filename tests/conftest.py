@@ -111,10 +111,24 @@ def reference_solve_transfer(t, g: RationalFunction):
     return RationalFunction(tuple(values))
 
 
+def partition_of_labels(labels) -> Partition:
+    """The Partition with one class per distinct label, numbered by first
+    appearance scanning points upward, so each representative is its
+    class minimum."""
+    ids: dict = {}
+    class_of, reps = [], []
+    for x, lab in enumerate(labels):
+        if lab not in ids:
+            ids[lab] = len(reps)
+            reps.append(x)
+        class_of.append(ids[lab])
+    return Partition(tuple(class_of), tuple(reps))
+
+
 def union_find_classes(size: int, maps) -> Partition:
     """Reference joint classes: the weakly connected components of the
     union of the graphs x -> t(x), by union-find that keeps each root its
-    component's least point, relabelled by `Partition.from_labels`."""
+    component's least point, relabelled by `partition_of_labels`."""
     parent = list(range(size))
 
     def find(a: int) -> int:
@@ -128,7 +142,7 @@ def union_find_classes(size: int, maps) -> Partition:
             ra, rb = find(x), find(t[x])
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-    return Partition.from_labels([find(x) for x in range(size)])
+    return partition_of_labels([find(x) for x in range(size)])
 
 
 def power_table(t, kmax: int) -> list:

@@ -242,16 +242,14 @@ def run_corpus(workdir: Path) -> dict:
                      instance=path)
     for case_id, argv in BARE_CASES.items():
         replayed(case_id, argv)
-    # a result replayed by a subcommand that never emits its type
+    # a result replayed by subcommands that never emit its type
     first = workdir / "finite-n2-decomposable.json"
-    code, out = _run(["decompose", str(first)])
-    (workdir / "result.json").write_text(out)
-    for command in ("star-check", "bounded-transfer", "search"):
-        argv = [command, "{instance}", "--verify", "{result}"]
-        if command == "search":
-            argv.remove("{instance}")
-        case(f"decompose result/{command} --verify", argv, instance=first,
-             result=workdir / "result.json")
+    result = workdir / "result.json"
+    result.write_text(_run(["decompose", str(first)])[1])
+    for argv in (["star-check", "{instance}"],
+                 ["bounded-transfer", "{instance}"], ["search"]):
+        case(f"decompose result/{argv[0]} --verify",
+             argv + ["--verify", "{result}"], instance=first, result=result)
     return {"instances": digests, "cases": cases}
 
 

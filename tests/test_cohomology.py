@@ -33,6 +33,7 @@ from tests.conftest import (
     reference_solve_transfer,
     sized_maps,
     systems,
+    union_find_classes,
     value_functions,
 )
 
@@ -149,6 +150,16 @@ def test_solve_transfer_verifies_its_obstruction(monkeypatch):
                                                                total + 1))
     with pytest.raises(InternalContractViolation, match="cycle obstruction"):
         solve_transfer(_CYCLE_T, _CYCLE_G)
+
+
+def test_solve_transfer_verifies_its_solution(monkeypatch):
+    # a wrong value is caught before the solution is returned
+    monkeypatch.setattr(cohomology, "RationalFunction",
+                        lambda values: RationalFunction(
+                            values[:-1] + (values[-1] + 1,)))
+    with pytest.raises(InternalContractViolation, match="transfer solution"):
+        solve_transfer((1, 0), RationalFunction((Fraction(1),
+                                                 Fraction(-1))))
 
 
 @given(sized_maps(max_size=12), st.booleans(), st.data())
@@ -324,6 +335,18 @@ def test_solve_bounded_transfer_round_trip(system, data):
     assert is_invariant(s, got.solution)
     assert got.bound == partial_sum_bound(t, g)
     assert got.solution.max_abs() <= 2 * got.bound
+
+
+@given(systems(n=2), st.data())
+def test_solve_bounded_transfer_centers_every_joint_class(system, data):
+    # the recentering runs over the joint (s, t) classes: the max and min
+    # of the solution cancel on each, which a finer or coarser partition
+    # breaks
+    t, s = system.transforms
+    got = solve_bounded_transfer(t, s, delta(t, _invariant_function(s, data)))
+    for members in union_find_classes(system.size, (t, s)).classes():
+        values = [got.solution[x] for x in members]
+        assert max(values) + min(values) == 0
 
 
 @given(systems(n=2), st.data())

@@ -26,8 +26,8 @@ from perdec.lattice import (
     mixed_delta_witness,
     z_window_counterexample,
 )
-from perdec.orbits import Partition, invariance_classes
-from tests.conftest import corner_stencil, rationals
+from perdec.orbits import invariance_classes
+from tests.conftest import corner_stencil, partition_of_labels, rationals
 
 
 def test_window_validation_and_indexing():
@@ -302,7 +302,7 @@ def _axis_partitions(f):
 def _slice_partitions(f):
     """Reference partitions: a line along axis j is labelled by its point
     with coordinate j zeroed."""
-    return [Partition.from_labels([idx - idx // stride % w * stride
+    return [partition_of_labels([idx - idx // stride % w * stride
                                    for idx in range(f.size)])
             for w, stride in zip(f.dims, f.strides())]
 

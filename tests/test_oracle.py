@@ -37,6 +37,7 @@ from tests.conftest import (
     class_indicators,
     counted_partition,
     counted_tuple,
+    partition_of_labels,
     rationals,
     systems,
     systems_with_functions,
@@ -691,7 +692,7 @@ def test_z_window_decider_matches_the_dense_rank_reference(case):
     _, feasible = _ref_eliminate(rows, values)
     assert isinstance(got, Decomposition) == feasible
     if isinstance(got, DualCertificate):
-        partitions = [Partition.from_labels(lab) for lab in labels]
+        partitions = [partition_of_labels(lab) for lab in labels]
         assert verify_dual(partitions, f, got)
     else:
         assert got.total() == f

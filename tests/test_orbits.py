@@ -10,15 +10,20 @@ from perdec.core import (
     validate_system,
 )
 from perdec.orbits import (
-    Partition,
-    _components,
     find_relation,
     induced_map,
     invariance_classes,
     joint_classes,
     rho,
 )
-from tests.conftest import grid_relation, power_table, sized_maps, systems
+from tests.conftest import (
+    grid_relation,
+    partition_of_labels,
+    power_table,
+    sized_maps,
+    systems,
+    union_find_classes,
+)
 
 
 @given(sized_maps(max_size=6), st.data())
@@ -40,8 +45,8 @@ def test_iterate_reduces_huge_exponents():
         power_table(tail, 2)[2])
 
 
-def test_partition_from_labels_orders_by_first_appearance():
-    part = Partition.from_labels([7, 3, 7, 1])
+def test_partition_of_labels_orders_by_first_appearance():
+    part = partition_of_labels([7, 3, 7, 1])
     assert part.class_of == (0, 1, 0, 2)
     assert part.representative == (0, 1, 3)
     assert part.classes()[0] == (0, 2)
@@ -69,30 +74,18 @@ def test_invariance_classes_equal_the_union_find_components(sized):
     # ids and representatives included: both number classes by their
     # least points
     size, t = sized
-    assert invariance_classes(t) == _components(size, [t])
+    assert invariance_classes(t) == union_find_classes(size, [t])
 
 
-@given(systems(n=2, max_size=7))
+@given(systems(nmin=1, nmax=4, max_size=12))
 def test_joint_classes_match_undirected_reachability(system):
-    size = system.size
-    t, s = system.transforms
-    # reference: undirected closure over both graphs
-    parent = list(range(size))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for m in (t, s):
-        for x in range(size):
-            ra, rb = find(x), find(m[x])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    part = Partition.from_labels([find(x) for x in range(size)])
-    joint = joint_classes(system, (0, 1))
-    assert joint.class_of == part.class_of
+    # the whole Partition, ids and representatives included, on every
+    # nonempty subset of the transforms
+    for mask in range(1, 1 << system.n):
+        subset = [j for j in range(system.n) if mask >> j & 1]
+        maps = [system.transforms[j] for j in subset]
+        assert joint_classes(system, subset) == union_find_classes(
+            system.size, maps)
 
 
 def test_rho_of_a_tail_into_a_cycle():
