@@ -30,7 +30,7 @@ from .core import (
     is_invariant,
     iterate,
 )
-from .orbits import _fold_classes, find_relation, induced_map
+from .orbits import find_relation, induced_map, invariance_classes
 
 
 def solve_transfer(
@@ -88,19 +88,12 @@ def _check_commute(t: Sequence[int], s: Sequence[int]) -> None:
         raise PreconditionError(f"maps do not commute at x={w}")
 
 
-def solve_transfer_constrained(
-    t: Sequence[int], s: Sequence[int], g: RationalFunction
-) -> Union[RationalFunction, ConstrainedObstruction]:
-    """Solve h(t(x)) - h(x) = g(x) with h s-invariant (no correction term).
-
-    Solvable iff the g-sum along T^i x, i < k, vanishes whenever
-    T^k S^l x = S^{l2} x; the check happens on the quotient by s-classes,
-    and a failure is returned as that witness with its nonzero sum, after
-    `verify_bounded_transfer` has replayed it.  The lift needs no second
-    check: the maps commute and g is s-invariant (both checked up front),
-    so t sends each s-class c into induced(c), g is g_q(c) on c, and the
-    identity `solve_transfer` checked on the quotient holds at each point.
-    """
+def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
+                       g: RationalFunction):
+    """(solution, classes, induced): `solve_transfer` on the quotient by
+    s's invariance classes, with those classes and the map t induces on
+    them; the solution is h_q over the classes, or the verified
+    ConstrainedObstruction."""
     _check_commute(t, s)
     if not is_invariant(s, g):
         raise PreconditionError("right side is not s-invariant")
@@ -116,9 +109,27 @@ def solve_transfer_constrained(
                 "quotient cycle without a ground self-relation")
         obstruction = ConstrainedObstruction(x, k, *link, h_q.total)
         verify_bounded_transfer(t, s, g, obstruction).require("obstruction")
-        return obstruction
-    values = tuple(h_q[part.class_of[x]] for x in range(len(g)))
-    return RationalFunction(values)
+        return obstruction, part, induced
+    return h_q, part, induced
+
+
+def solve_transfer_constrained(
+    t: Sequence[int], s: Sequence[int], g: RationalFunction
+) -> Union[RationalFunction, ConstrainedObstruction]:
+    """Solve h(t(x)) - h(x) = g(x) with h s-invariant (no correction term).
+
+    Solvable iff the g-sum along T^i x, i < k, vanishes whenever
+    T^k S^l x = S^{l2} x; the check happens on the quotient by s-classes,
+    and a failure is returned as that witness with its nonzero sum, after
+    `verify_bounded_transfer` has replayed it.  The lift needs no second
+    check: the maps commute and g is s-invariant (both checked up front),
+    so t sends each s-class c into induced(c), g is g_q(c) on c, and the
+    identity `solve_transfer` checked on the quotient holds at each point.
+    """
+    h_q, part, _ = _solve_on_quotient(t, s, g)
+    if isinstance(h_q, ConstrainedObstruction):
+        return h_q
+    return RationalFunction(tuple(h_q[c] for c in part.class_of))
 
 
 def solve_bounded_transfer(
@@ -129,20 +140,22 @@ def solve_bounded_transfer(
     Returns (H, C) with h(t(x)) - h(x) = g(x), H s-invariant, C the
     partial-sum bound, and sup |H| <= 2C; recentering subtracts the
     midrange of H on each joint (s,t)-class, which preserves both defining
-    identities.  Absent exactly when the constrained solve is absent.
+    identities.  Absent exactly when the constrained solve is absent.  The
+    joint classes are the lift of the induced map's invariance classes
+    (`orbits.joint_classes` folds the same way), and H is h_q on each
+    s-class, so the midranges are taken over h_q on the quotient.
     """
-    solved = solve_transfer_constrained(t, s, g)
-    if isinstance(solved, ConstrainedObstruction):
-        return solved
+    h_q, part, induced = _solve_on_quotient(t, s, g)
+    if isinstance(h_q, ConstrainedObstruction):
+        return h_q
     bound_c = partial_sum_bound(t, g)
-    values = list(solved.values)
-    for members in _fold_classes([s, t]).classes():
-        high = max(values[x] for x in members)
-        low = min(values[x] for x in members)
-        mid = (high + low) / 2
-        for x in members:
-            values[x] -= mid
-    centered = RationalFunction(tuple(values))
+    joint = invariance_classes(induced)
+    members: list = [[] for _ in range(joint.n_classes)]
+    for c, value in zip(joint.class_of, h_q.values):
+        members[c].append(value)
+    mids = [(max(values) + min(values)) / 2 for values in members]
+    centered = RationalFunction(tuple(
+        h_q[c] - mids[joint.class_of[c]] for c in part.class_of))
     _check_bounded(t, s, g, centered, bound_c).require(
         "recentered solution")
     return BoundedTransfer(centered, bound_c)

@@ -20,7 +20,9 @@ split over all of them.  A dual functional of the kept family sums to zero
 on every kept class.  Each class of a dropped partition is a union of
 classes of a kept one, so the dual sums to zero there too, and it is a
 dual of the full family.  Each dual is verified once, against the full
-family.  The kept partitions are solved by one of three routes.
+family.  The kept partitions are solved by one of three routes (an
+empty family keeps none: only f = 0 is a sum of no parts, and otherwise
++1 at f's first nonzero point is a dual).
 
 One partition: a class scan.  f lies in V_1 iff it is constant on every
 class, and then f is the part.  Otherwise some x differs from its class
@@ -36,37 +38,67 @@ edges, every node on it meets two edges of opposite sign.  Hence the
 weights sum to 0 on every class, and the alternating sum of f around the
 cycle is the alternating sum of p(a(x)) + p(b(x)), which telescopes to 0.
 So a cycle whose alternating sum of f is nonzero is a dual functional.
-Conversely, set one root per tree to 0 and propagate p(far end) = f(x) −
-p(near end) along tree edges.  Every tree edge then holds, and a non-tree
-edge holds iff the cycle it closes through the tree has alternating sum 0.
-So the forest decides in O(N), and the first failing edge gives a dual
-with ±1 weights.  A simple cycle visits each class at most once and
-alternates sides, so its support is even and at most 2·min(K_a, K_b).
+Conversely, fix the gauge: adding c to every a-class of one tree and −c
+to its b-classes changes no p(a(x)) + p(b(x)), so each tree's root may
+be set to 0.  Then propagate p(far end) = f(x) − p(near end) along tree
+edges.  Every tree edge holds, and a non-tree edge holds iff the cycle it
+closes through the tree has alternating sum 0.  So the forest decides in
+O(N), and the first failing edge gives a dual with ±1 weights.  A simple
+cycle visits each class at most once and alternates sides, so its
+support is even and at most 2·min(K_a, K_b).
 
-Zero or at least three partitions: fraction-free elimination.  It works on
-integer rows (function values are scaled by a common denominator), tracks
-the row operations, and therefore hands out an exact dual functional
-whenever the system is infeasible.  Rows are stored sparsely, as
-{column: nonzero int}: a class-incidence row has one 1 per partition plus
-its right side and one tracking entry, so the elimination (integer row
-combinations, gcd-reduced) touches only nonzeros instead of m·(K + 1 + m)
-dense cells for m points and K classes.  Its pivot rule (smallest
-magnitude, first row on ties) and row arithmetic are those of the dense
-elimination it replaced, so solutions, duals and nullspace bases are the
-same.  Back-substitution runs on integers too: `_back_substitute`
-solves the pivot rows on numerators over one common scale and builds one
-Fraction per unknown at the end.  `_split_by_elimination` scales f to
-numerators over one denominator d once, solves the class incidence with
-the numerators as right side, and builds each part value once per class:
-Fraction(q.numerator, q.denominator · d) for the class's solution entry q,
-or q itself when d = 1.  No Fraction is divided.
+Three or more partitions a, b, P_3, …, P_n (a and b the first two kept):
+the forest of a and b, then elimination on the cycle rows.  f splits iff
+some u_3, …, u_n leave a rest r = f − Σ u_j∘P_j that splits over a and
+b.  By the two-partition case, that holds iff r pairs to 0 with the
+cycle of every point x: the ±1 weights w_x of the cycle that x closes
+through the tree (zero for a tree edge).  The weights w_x sum to 0 on
+every a- and b-class, so that pairing is linear in the u_j alone: Σ_j
+Σ_c R_x(j, c) u_j(c) = Σ_y w_x(y) f(y), where R_x(j, c) sums w_x over
+the points of class c of P_j.  So x's row R_x has entries only on the
+other partitions' classes, and its right side is the alternating sum of
+f around the cycle.  Both come from the tree without walking the cycle.
+A node's potential is the alternating sum of the values on its tree
+path, so x's right side is f(x) − p(a(x)) − p(b(x)), and its row is x's
+own columns minus the columns carried along the same two paths.
+
+Rows repeat: points with equal labels in every partition have equal
+rows, and on a box of Z^3 each plane spanned by the first two axes
+repeats the same rows.  Each distinct row is solved once, and two cases
+give a dual with no elimination.  If R_x = R_y and their right sides
+differ, w_x − w_y sums to 0 on every class of a and b (each cycle does)
+and of each P_j (the rows agree), but pairs to the difference with f;
+for equal labels it is +1 at x and −1 at y.  If R_x is empty and its
+right side is not, w_x is a dual.  Otherwise the distinct rows go to the
+elimination.  Its dual z lifts to Σ z_k w_{x_k} over the rows' first
+points x_k.  That sums to 0 on the a- and b-classes and to Σ z_k
+R_{x_k}(j, c) = 0 on class c of P_j, and it pairs to Σ z_k (right side
+k) ≠ 0 with f.  The lift is one pass up the forest, so no cycle is
+walked.  A solution u meets every row, repeated ones included, so every
+cycle sum of the rest r is 0, and the forest's potentials of r split it.
+The rest is taken on integers: the solution's numerators over its scale
+s are subtracted from s times f's numerators.
+
+The elimination is fraction-free.  It works on integer rows (function
+values are scaled by a common denominator), tracks the row operations,
+and therefore hands out an exact dual functional whenever the system is
+infeasible.  Rows are stored sparsely, as {column: nonzero int}, so the
+elimination (integer row combinations, gcd-reduced) touches only
+nonzeros instead of m·(K + 1 + m) dense cells for m rows and K columns.
+Its pivot rule (smallest magnitude, first row on ties) and row arithmetic
+are those of the dense elimination it replaced, so the solutions, duals
+and nullspace bases of `linear_feasibility` and `nullspace` are the
+same.  Back-substitution runs on integers too: `_back_substitute` solves
+the pivot rows on numerators over one common scale, and a part value is
+one Fraction per class: its numerator over that scale times f's common
+denominator.  No Fraction is divided.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .check import DualCertificate, verify_dual, verify_parts
 from .core import (
@@ -77,6 +109,17 @@ from .core import (
     integer_values,
 )
 from .orbits import Partition, invariance_classes
+
+
+def _add(row: Dict[int, int], entries: Iterable[Tuple[int, int]],
+         k: int) -> None:
+    """row += k · entries, in place; entries that cancel are dropped."""
+    for c, v in entries:
+        v = row.get(c, 0) + k * v
+        if v:
+            row[c] = v
+        else:
+            del row[c]
 
 
 def _reduce_row(row: Dict[int, int]) -> None:
@@ -130,12 +173,7 @@ def _eliminate(work: List[Dict[int, int]], ncols: int
             g = gcd(piv, v)
             a, b = piv // g, v // g
             new = {k: a * x for k, x in row.items()} if a != 1 else row
-            for k, y in prow.items():
-                x = new.get(k, 0) - b * y
-                if x:
-                    new[k] = x
-                else:
-                    del new[k]
+            _add(new, prow.items(), -b)
             _reduce_row(new)
             work[i] = new
         pivots.append((col, rank))
@@ -145,24 +183,19 @@ def _eliminate(work: List[Dict[int, int]], ncols: int
     return pivots
 
 
-def linear_feasibility(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int], ncols: int
-) -> Tuple[Optional[List[Fraction]], Optional[Tuple[int, ...]]]:
-    """Exact feasibility of A c = b over the rationals, A and b integral.
-
-    Returns (solution, dual) with exactly one side present: a solution with
-    free unknowns pinned to 0, or an integer row y with y A = 0, y b != 0.
-    """
-    m = len(rows)
-    # sparse extended row: coefficients at 0..ncols-1, the right side at
-    # ncols, identity tracking entry i at ncols + 1 + i
-    work = []
-    for i, row in enumerate(rows):
-        entry = {c: v for c, v in enumerate(row) if v}
-        if rhs[i]:
-            entry[ncols] = rhs[i]
-        entry[ncols + 1 + i] = 1
-        work.append(entry)
+def _solve(work: List[Dict[int, int]], rhs: Sequence[int], ncols: int
+           ) -> Tuple[Optional[Tuple[List[int], int]],
+                      Optional[Tuple[int, ...]]]:
+    """Exact feasibility of the sparse rows against rhs, over the
+    rationals: (numerators, scale) of a solution with free unknowns pinned
+    to 0, or an integer dual y with y A = 0 and y b != 0.  The rows are
+    extended in place by the right side, at column ncols, and identity
+    tracking entry i, at ncols + 1 + i."""
+    m = len(work)
+    for i, (row, b) in enumerate(zip(work, rhs)):
+        if b:
+            row[ncols] = b
+        row[ncols + 1 + i] = 1
     pivots = _eliminate(work, ncols)
     for i in range(len(pivots), m):
         if work[i].get(ncols):
@@ -173,7 +206,26 @@ def linear_feasibility(
     return _back_substitute(work, pivots, ncols, ncols, -1), None
 
 
-def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Fraction]]:
+def _fractions(num: List[int], scale: int) -> List[Fraction]:
+    zero = Fraction(0)
+    return [Fraction(x, scale) if x else zero for x in num]
+
+
+def linear_feasibility(
+    rows: Sequence[Sequence[int]], rhs: Sequence[int], ncols: int
+) -> Tuple[Optional[List[Fraction]], Optional[Tuple[int, ...]]]:
+    """Exact feasibility of A c = b over the rationals, A and b integral.
+
+    Returns (solution, dual) with exactly one side present: a solution with
+    free unknowns pinned to 0, or an integer row y with y A = 0, y b != 0.
+    """
+    solved, dual = _solve([{c: v for c, v in enumerate(row) if v}
+                           for row in rows], rhs, ncols)
+    return (None, dual) if solved is None else (_fractions(*solved), None)
+
+
+def nullspace(rows: Sequence[Sequence[int]], ncols: int
+              ) -> List[List[Fraction]]:
     """Basis of the rational nullspace of an integer matrix.
 
     One basis vector per free column: that column is 1 and the pivot
@@ -182,13 +234,13 @@ def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Fraction]]
     work = [{c: v for c, v in enumerate(row) if v} for row in rows]
     pivots = _eliminate(work, ncols)
     pivot_cols = {col for col, _ in pivots}
-    return [_back_substitute(work, pivots, ncols, free, 1)
+    return [_fractions(*_back_substitute(work, pivots, ncols, free, 1))
             for free in range(ncols) if free not in pivot_cols]
 
 
 def _back_substitute(work: List[Dict[int, int]],
                      pivots: List[Tuple[int, int]], ncols: int,
-                     fixed: int, value: int) -> List[Fraction]:
+                     fixed: int, value: int) -> Tuple[List[int], int]:
     """Back-solve the eliminated rows as homogeneous equations in columns
     0..ncols: column fixed holds value, every other non-pivot column holds
     0, and columns past ncols (tracking entries) are ignored.
@@ -197,7 +249,7 @@ def _back_substitute(work: List[Dict[int, int]],
     column col gets acc / (piv · scale), acc = −Σ v · num[c] over the
     row's later columns; the scale, and every numerator so far, is
     multiplied by |piv| / gcd(acc, piv) only when that factor is not 1.
-    One Fraction per column at the end.
+    Returns the numerators of columns 0..ncols − 1 and the scale.
     """
     num = [0] * (ncols + 1)
     num[fixed] = value
@@ -214,96 +266,115 @@ def _back_substitute(work: List[Dict[int, int]],
             scale *= k
             num = [k * x for x in num]
         num[col] = acc * k // piv
-    zero = Fraction(0)
-    return [Fraction(x, scale) if x else zero for x in num[:ncols]]
+    return num[:ncols], scale
+
+
+class _Forest:
+    """The breadth-first spanning forest of the class graph of partitions a
+    and b, with node potentials for the integer right side num.
+
+    Nodes: a-class i is i, b-class j is ka + j; point x is an edge between
+    a(x) and b(x).  Roots are the a-classes in id order, at potential 0,
+    and each node's edges are taken in point order; a tree edge x gives its
+    far end num[x] minus the near end's potential.  `via` and `parent`
+    hold the tree edge (point) and parent node of every non-root node (−1
+    at roots), `order` every node in visiting order, and `conflict` the
+    first edge of that scan whose potentials disagree (None if none).
+    With stop, the scan ends at that edge, and `order` holds the nodes
+    visited so far, which include both its ends and their tree paths.
+    """
+
+    def __init__(self, a: Partition, b: Partition, num: Sequence[int],
+                 stop: bool = False):
+        self.a, self.b = a, b
+        self.ka = ka = a.n_classes
+        edges: List[List[int]] = [[] for _ in range(ka + b.n_classes)]
+        for x, (i, j) in enumerate(zip(a.class_of, b.class_of)):
+            edges[i].append(x)
+            edges[ka + j].append(x)
+        potential: List[Optional[int]] = [None] * len(edges)
+        self.potential = potential
+        self.via = via = [-1] * len(edges)
+        self.parent = parent = [-1] * len(edges)
+        self.order: List[int] = []
+        self.conflict: Optional[int] = None
+        for root in range(ka):
+            if potential[root] is not None:
+                continue
+            potential[root] = 0
+            queue = [root]
+            for node in queue:
+                # the far end of an edge from an a-class is a b-class
+                far, shift = (b.class_of, ka) if node < ka else (a.class_of, 0)
+                here = potential[node]
+                for x in edges[node]:
+                    other = far[x] + shift
+                    want = num[x] - here
+                    seen = potential[other]
+                    if seen is None:
+                        potential[other] = want
+                        via[other] = x
+                        parent[other] = node
+                        queue.append(other)
+                    elif seen != want and self.conflict is None:
+                        self.conflict = x
+                        if stop:
+                            self.order += queue
+                            return
+            self.order += queue
+
+    def split(self, potential: Sequence[int], denom: int
+              ) -> List[Tuple[Fraction, ...]]:
+        """The two parts: each class's potential over denom, spread over
+        its points."""
+        values = [Fraction(p, denom) for p in potential]
+        ka = self.ka
+        return [tuple(values[c] for c in self.a.class_of),
+                tuple(values[ka + c] for c in self.b.class_of)]
+
+    def dual(self, cycles: Dict[int, int]) -> DualCertificate:
+        """The point weights of Σ k·(cycle of x) over cycles' items (x, k).
+
+        The cycle of x is +1 at x minus the edges that carry num[x] into
+        the potentials of a(x) and b(x): a tree edge into node w enters the
+        potential of each node v below it with sign (−1)^(depth v − depth
+        w).  So the tree edge into w weighs −S(w), S(w) = ν(w) − Σ S(c) over
+        w's children c, where ν(v) sums k over the items with an end at v;
+        one pass in reverse visiting order.  The parts of a(x)'s and b(x)'s
+        root paths above their lowest common ancestor cancel, so one cycle
+        is the ±1 simple cycle that x closes through the tree.
+        """
+        a, b, ka = self.a, self.b, self.ka
+        weights = dict(cycles)
+        pull = [0] * len(self.via)
+        for x, k in cycles.items():
+            pull[a.class_of[x]] += k
+            pull[ka + b.class_of[x]] += k
+        for node in reversed(self.order):
+            s = pull[node]
+            up = self.parent[node]
+            if s and up >= 0:
+                y = self.via[node]
+                weights[y] = weights.get(y, 0) - s
+                pull[up] -= s
+        values = [Fraction(0)] * len(a.class_of)
+        for x, w in weights.items():
+            if w:
+                values[x] = Fraction(w)
+        return DualCertificate(RationalFunction(tuple(values)))
 
 
 def _split_two(a: Partition, b: Partition, f: RationalFunction
                ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
-    """`split_over_classes` for two partitions, by a spanning forest of
-    the class graph.
-
-    On numerators num, u(a(x)) + v(b(x)) = num[x] is one edge per point x
-    between a-class a(x) and b-class b(x).  A breadth-first forest sets
-    potentials (roots: a-classes in id order, at 0; edges in point order);
-    the first edge whose potentials disagree closes a cycle, and its
-    alternating ±1 weights are the dual.
-    """
+    """`split_over_classes` for two partitions, by the `_Forest` of their
+    class graph on f's numerators: the potentials are the parts, and the
+    first edge whose potentials disagree closes a cycle whose alternating
+    ±1 weights are the dual."""
     num, denom = integer_values(f)
-    ka = a.n_classes
-    # nodes: a-class i is i, b-class j is ka + j; edges[node] lists points
-    edges: List[List[int]] = [[] for _ in range(ka + b.n_classes)]
-    for x, (i, j) in enumerate(zip(a.class_of, b.class_of)):
-        edges[i].append(x)
-        edges[ka + j].append(x)
-    potential: List[Optional[int]] = [None] * len(edges)
-    # tree edge (point) and parent node of every non-root node
-    via = [-1] * len(edges)
-    parent = [-1] * len(edges)
-    for root in range(ka):
-        if potential[root] is not None:
-            continue
-        potential[root] = 0
-        queue = [root]
-        for node in queue:
-            # the far end of an edge from an a-class is a b-class
-            far, shift = (b.class_of, ka) if node < ka else (a.class_of, 0)
-            here = potential[node]
-            for x in edges[node]:
-                other = far[x] + shift
-                want = num[x] - here
-                seen = potential[other]
-                if seen is None:
-                    potential[other] = want
-                    via[other] = x
-                    parent[other] = node
-                    queue.append(other)
-                elif seen != want:
-                    return _cycle_dual(len(f), x, node, other, via, parent)
-    values = [Fraction(p, denom) for p in potential]
-    return [tuple(values[c] for c in a.class_of),
-            tuple(values[ka + c] for c in b.class_of)]
-
-
-def _cycle_dual(size: int, x: int, node: int, other: int, via: List[int],
-                parent: List[int]) -> DualCertificate:
-    """±1 weights on the cycle that edge x closes between two tree nodes:
-    x, then the tree path from other to node, alternating in sign."""
-    def ancestors(n: int) -> List[int]:
-        path = [n]
-        while parent[path[-1]] >= 0:
-            path.append(parent[path[-1]])
-        return path
-
-    up, down = ancestors(other), ancestors(node)
-    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
-        up.pop()
-        down.pop()
-    # up and down now end at their lowest common ancestor
-    path = [via[n] for n in up[:-1]] + [via[n] for n in reversed(down[:-1])]
-    one, minus = Fraction(1), Fraction(-1)
-    weights = [Fraction(0)] * size
-    weights[x] = one
-    for k, y in enumerate(path):
-        weights[y] = minus if k % 2 == 0 else one
-    return DualCertificate(RationalFunction(tuple(weights)))
-
-
-def _class_incidence(partitions: Sequence[Partition], f: RationalFunction
-                     ) -> Tuple[List[List[int]], List[int], int, int]:
-    """The linear system of `split_over_classes`: one unknown per (part,
-    class), columns in partition order; point x's dense row has a 1 at its
-    class in each partition, and its right side is f's integer numerator
-    over the common denominator.  Returns (rows, rhs, ncols, denom)."""
-    ncols = sum(part.n_classes for part in partitions)
-    rows = [[0] * ncols for _ in range(len(f))]
-    offset = 0
-    for part in partitions:
-        for row, c in zip(rows, part.class_of):
-            row[offset + c] = 1
-        offset += part.n_classes
-    rhs, denom = integer_values(f)
-    return rows, rhs, ncols, denom
+    forest = _Forest(a, b, num, stop=True)
+    if forest.conflict is not None:
+        return forest.dual({forest.conflict: 1})
+    return forest.split(forest.potential, denom)
 
 
 def _finest(partitions: Sequence[Partition]) -> List[int]:
@@ -355,28 +426,98 @@ def _split_one(part: Partition, f: RationalFunction
     return DualCertificate(RationalFunction(tuple(weights)))
 
 
-def _split_by_elimination(partitions: Sequence[Partition],
-                          f: RationalFunction
-                          ) -> Union[List[Tuple[Fraction, ...]],
-                                     DualCertificate]:
-    """`split_over_classes` by `linear_feasibility` on the class incidence
-    with f's numerators, num / denom, as the right side.  A class's part
-    value is its solution entry over denom, built once per class."""
-    rows, num, ncols, denom = _class_incidence(partitions, f)
-    solution, dual = linear_feasibility(rows, num, ncols)
+def _split_none(f: RationalFunction
+                ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
+    """`split_over_classes` for no partition: only f = 0 is a sum of no
+    parts, and otherwise +1 at f's first nonzero point is a dual."""
+    x = next((x for x, v in enumerate(f.values) if v), None)
+    if x is None:
+        return []
+    weights = [Fraction(0)] * len(f)
+    weights[x] = Fraction(1)
+    return DualCertificate(RationalFunction(tuple(weights)))
+
+
+def _split_many(partitions: Sequence[Partition], f: RationalFunction
+                ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
+    """`split_over_classes` for three or more partitions: the `_Forest` of
+    the first two, then elimination on the distinct cycle rows of the rest.
+
+    Unknown (j, c), for the j-th partition past the first two, is column
+    offset_j + K_j − 1 − c, K_j its class count.  Class ids follow the
+    points, and the tree grows from low ids, so the columns it carries are
+    mostly low, and a row's own columns are often the highest it has.
+    Pivoting from the highest ids down then takes columns that few rows
+    share, which keeps the elimination from filling in: a planted box of
+    Z^3 combines no rows at all.
+
+    coefficients[node] holds the columns that the tree carries into node's
+    potential: a tree edge y gives its far end y's columns minus the near
+    end's.  Point x's row is its own columns minus those of its two ends,
+    its right side num[x] minus its ends' potentials.  Rows are scanned in
+    point order, and one representative of each distinct row, with its
+    right side, goes to `_solve`; a repeated joint label or row with
+    another right side, or an empty row with a nonzero one, is a dual at
+    once.
+    """
+    a, b, *rest = partitions
+    num, denom = integer_values(f)
+    forest = _Forest(a, b, num)
+    ka, potential, parent, via = (forest.ka, forest.potential, forest.parent,
+                                  forest.via)
+    labels, ncols = [], 0
+    for part in rest:
+        top = ncols + part.n_classes - 1
+        labels.append([top - c for c in part.class_of])
+        ncols += part.n_classes
+    columns = list(zip(*labels))
+    coefficients: List[Dict[int, int]] = [{}] * len(via)
+    for node in forest.order:
+        up = parent[node]
+        if up >= 0:
+            coefficients[node] = row = {c: -v for c, v in
+                                        coefficients[up].items()}
+            _add(row, ((c, 1) for c in columns[via[node]]), 1)
+    first: Dict[tuple, Tuple[int, int]] = {}
+    index: Dict[frozenset, int] = {}
+    rows: List[Dict[int, int]] = []
+    rhs: List[int] = []
+    reps: List[int] = []
+    for x, key in enumerate(zip(a.class_of, b.class_of, columns)):
+        i, j, own = key
+        r = num[x] - potential[i] - potential[ka + j]
+        y, s = first.setdefault(key, (x, r))
+        if y != x:
+            if s != r:
+                return forest.dual({x: 1, y: -1})
+            continue
+        row = {c: 1 for c in own}
+        _add(row, coefficients[i].items(), -1)
+        _add(row, coefficients[ka + j].items(), -1)
+        if not row:
+            if r:
+                return forest.dual({x: 1})
+            continue
+        k = index.setdefault(frozenset(row.items()), len(rows))
+        if k < len(rows):
+            if rhs[k] != r:
+                return forest.dual({x: 1, reps[k]: -1})
+            continue
+        rows.append(row)
+        rhs.append(r)
+        reps.append(x)
+    solved, dual = _solve(rows, rhs, ncols)
     if dual is not None:
-        return DualCertificate(RationalFunction(
-            tuple(Fraction(w) for w in dual)))
-    parts = []
-    offset = 0
-    for part in partitions:
-        per_class = solution[offset:offset + part.n_classes]
-        if denom != 1:
-            per_class = [Fraction(q.numerator, q.denominator * denom)
-                         for q in per_class]
-        parts.append(tuple(per_class[c] for c in part.class_of))
-        offset += part.n_classes
-    return parts
+        return forest.dual({reps[k]: z for k, z in enumerate(dual) if z})
+    nums, scale = solved
+    # a potential is linear in the values on the tree: the potentials of
+    # the rest f − Σ u_j∘P_j, on integers over scale · denom
+    rest_potential = [scale * p - sum(v * nums[c] for c, v in q.items())
+                      for p, q in zip(potential, coefficients)]
+    d = scale * denom
+    per_column = [Fraction(v, d) for v in nums]
+    return forest.split(rest_potential, d) + [
+        tuple(map(per_column.__getitem__, label)) for label in labels]
 
 
 def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
@@ -391,19 +532,22 @@ def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
     dropping j leaves the sum of the spaces unchanged: `_finest` keeps
     the partitions no other one refines (the first of equal ones).  One
     kept partition goes to the class scan `_split_one`, two to
-    `_split_two`, any other count to `_split_by_elimination`.  A dropped
+    `_split_two`, more to `_split_many`, and none (an empty family) to
+    `_split_none`.  A dropped
     partition's part is zero.  A dual of the kept family is a dual of the
     full family: each class of a dropped partition is a union of classes
     of a kept one, so the weights sum to zero on it too.
     """
     kept = _finest(partitions)
     finest = [partitions[j] for j in kept]
-    if len(finest) == 1:
+    if not finest:
+        outcome = _split_none(f)
+    elif len(finest) == 1:
         outcome = _split_one(finest[0], f)
     elif len(finest) == 2:
         outcome = _split_two(*finest, f)
     else:
-        outcome = _split_by_elimination(finest, f)
+        outcome = _split_many(finest, f)
     if isinstance(outcome, DualCertificate):
         verify_dual(partitions, f, outcome).require("dual certificate")
         return outcome

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perdec import cohomology
+from perdec import cohomology, orbits
 from perdec.check import (
     BoundedTransfer,
     ConstrainedObstruction,
@@ -345,6 +345,32 @@ def test_solve_bounded_transfer_centers_every_joint_class(system, data):
     t, s = system.transforms
     got = solve_bounded_transfer(t, s, delta(t, _invariant_function(s, data)))
     for members in union_find_classes(system.size, (t, s)).classes():
+        values = [got.solution[x] for x in members]
+        assert max(values) + min(values) == 0
+
+
+def test_solve_bounded_transfer_labels_s_and_the_induced_map_once(
+        monkeypatch):
+    # the recentering's joint classes come from the constrained solve's
+    # quotient: s's classes and the map t induces on them are each
+    # labelled once.  Z_4 x Z_6: s steps the first coordinate, t the second
+    # by 2, so the 6 s-classes fall into 2 joint classes.
+    calls = []
+
+    def counted(table):
+        calls.append(len(table))
+        return invariance_classes(table)
+
+    monkeypatch.setattr(cohomology, "invariance_classes", counted)
+    monkeypatch.setattr(orbits, "invariance_classes", counted)
+    s = tuple((x + 6) % 24 for x in range(24))
+    t = tuple(x - x % 6 + (x + 2) % 6 for x in range(24))
+    h = RationalFunction(tuple(Fraction(x % 6 * (x % 6 - 3), 2)
+                               for x in range(24)))
+    got = solve_bounded_transfer(t, s, delta(t, h))
+    assert isinstance(got, BoundedTransfer)
+    assert calls == [24, 6]
+    for members in union_find_classes(24, (t, s)).classes():
         values = [got.solution[x] for x in members]
         assert max(values) + min(values) == 0
 

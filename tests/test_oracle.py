@@ -227,12 +227,29 @@ def test_sparse_elimination_is_bit_identical_to_the_dense_reference(case):
     _assert_identical(*case)
 
 
+def _class_incidence(partitions, f):
+    """The dense linear system of `split_over_classes`, the reference for
+    its verdicts: one unknown per (part, class), columns in partition
+    order; point x's row has a 1 at its class in each partition, and its
+    right side is f's integer numerator over the common denominator.
+    Returns (rows, rhs, ncols)."""
+    ncols = sum(part.n_classes for part in partitions)
+    rows = [[0] * ncols for _ in range(len(f))]
+    offset = 0
+    for part in partitions:
+        for row, c in zip(rows, part.class_of):
+            row[offset + c] = 1
+        offset += part.n_classes
+    rhs, _ = integer_values(f)
+    return rows, rhs, ncols
+
+
 @given(systems(nmax=4, max_size=9), st.integers(0, 10 ** 9))
 def test_sparse_elimination_is_bit_identical_on_class_incidences(system,
                                                                  seed):
     f = generators.random_function(random.Random(f"incidence:{seed}"), system)
     partitions = [invariance_classes(t) for t in system.transforms]
-    _assert_identical(*oracle._class_incidence(partitions, f)[:3])
+    _assert_identical(*_class_incidence(partitions, f))
 
 
 def _refines(q: Partition, p: Partition) -> bool:
@@ -250,16 +267,32 @@ def _finest_reference(partitions) -> list:
                        for i, q in enumerate(partitions) if i != j)]
 
 
+def _assert_split_matches_the_dense_verdict(partitions, f, got):
+    """got is a dual exactly when the dense class incidence is infeasible;
+    a dual passes `verify_dual` against every partition, and parts sum to
+    f, each constant on its partition's classes."""
+    _, dual = linear_feasibility(*_class_incidence(partitions, f))
+    assert isinstance(got, DualCertificate) == (dual is not None)
+    if isinstance(got, DualCertificate):
+        assert verify_dual(partitions, f, got)
+        return
+    assert [sum(column) for column in zip(*got)] == list(f.values)
+    for part, values in zip(partitions, got):
+        spread = [values[r] for r in part.representative]
+        assert values == tuple(spread[c] for c in part.class_of)
+
+
 @given(st.integers(3, 5), st.integers(0, 10 ** 9), st.booleans(),
        st.sampled_from([(), ("twice",), ("identity",),
                         ("twice", "identity")]))
 @settings(max_examples=80, deadline=None)
-def test_split_over_three_to_five_partitions_matches_the_division_reference(
+def test_split_over_three_to_five_partitions_matches_the_dense_verdict(
         n, seed, torus, extra):
     # g = num / d plus the constant 1 / 2d is (2 num + 1) / 2d at every
     # point, so it is never integral, and it is decomposable whenever g is.
     # Random systems mostly nest down to one partition; the axis shifts of
-    # a torus never refine each other, so they reach the elimination.
+    # a torus never refine each other, so they reach the forest route for
+    # three or more partitions.
     rng = random.Random(f"split:{seed}")
     if torus:
         dims = tuple(rng.randint(2, 3) for _ in range(n - len(extra)))
@@ -274,40 +307,61 @@ def test_split_over_three_to_five_partitions_matches_the_division_reference(
             range(base.size))
         maps.insert(rng.randint(0, len(maps)), other)
     system = validate_system(maps, base.size)
-    g = generators.random_function(rng, system)
+    g = rng.choice([generators.random_function,
+                    generators.decomposable_function])(rng, system)
     _, d = integer_values(g)
     f = g + RationalFunction.constant(system.size, Fraction(1, 2 * d))
     partitions = [invariance_classes(t) for t in system.transforms]
     kept = _finest_reference(partitions)
     assert oracle._finest(partitions) == kept
-    finest = [partitions[j] for j in kept]
-    solution, dual = linear_feasibility(
-        *oracle._class_incidence(finest, f)[:3])
     got = split_over_classes(partitions, f)
-    if solution is None:
-        assert isinstance(got, DualCertificate)
-        weights = got.weights.values
+    _assert_split_matches_the_dense_verdict(partitions, f, got)
+    if isinstance(got, DualCertificate):
         if len(kept) == 1:
             # the class scan's dual: a point and its class representative
-            assert sorted(w for w in weights if w) == [-1, 1]
-        elif len(kept) > 2:
-            assert weights == tuple(map(Fraction, dual))
+            assert sorted(w for w in got.weights.values if w) == [-1, 1]
         return
-    if len(kept) == 2:
-        # the forest's gauge, which the forest test pins to the
-        # elimination's verdict; here only the sum and the zeros
-        assert verify_parts(system.transforms, f, got)
-        assert all(not any(got[j]) for j in range(n) if j not in kept)
-        return
-    _, denom = integer_values(f)
-    assert denom != 1
-    per_class = [q / denom for q in solution]
-    zero = (Fraction(0),) * system.size
-    want, offset = [zero] * n, 0
-    for j, part in zip(kept, finest):
-        want[j] = tuple(per_class[offset + c] for c in part.class_of)
-        offset += part.n_classes
-    assert got == want
+    assert verify_parts(system.transforms, f, got)
+    assert all(not any(got[j]) for j in range(n) if j not in kept)
+
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=300)
+def test_split_over_three_or_four_label_partitions_matches_the_dense_verdict(
+        seed):
+    # arbitrary label partitions on at most 9 points, with few labels each:
+    # points with equal labels in every partition, repeated cycle rows and
+    # empty cycle rows all come up, planted or perturbed at one point
+    rng = random.Random(f"labels:{seed}")
+    size = rng.randint(1, 9)
+    partitions = [partition_of_labels([rng.randrange(rng.randint(1, 4))
+                                       for _ in range(size)])
+                  for _ in range(rng.randint(3, 4))]
+    values = [Fraction(0)] * size
+    for part in partitions:
+        pick = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                for _ in range(part.n_classes)]
+        values = [v + pick[c] for v, c in zip(values, part.class_of)]
+    if rng.random() < 0.5:
+        values[rng.randrange(size)] += 1
+    f = RationalFunction(tuple(values))
+    got = split_over_classes(partitions, f)
+    _assert_split_matches_the_dense_verdict(partitions, f, got)
+
+
+def test_split_over_no_partitions_takes_only_the_zero_function(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no partition reached a solver")
+
+    for name in ("_split_one", "_split_two", "_split_many", "_solve"):
+        monkeypatch.setattr(oracle, name, refuse)
+    assert split_over_classes([], RationalFunction.zero(3)) == []
+    assert split_over_classes([], RationalFunction.zero(0)) == []
+    f = RationalFunction((Fraction(0), Fraction(-2, 3), Fraction(5)))
+    got = split_over_classes([], f)
+    # a unit weight at f's first nonzero point
+    assert got.weights.values == (0, 1, 0)
+    assert verify_dual([], f, got)
 
 
 @st.composite
@@ -348,7 +402,7 @@ def test_nested_families_solve_over_the_finest_partitions(case, seed):
     kept = oracle._finest(partitions)
     assert kept == _finest_reference(partitions)
     _, dual = linear_feasibility(
-        *oracle._class_incidence(partitions, f)[:3])
+        *_class_incidence(partitions, f))
     got = split_over_classes(partitions, f)
     assert isinstance(got, DualCertificate) == (dual is not None)
     if isinstance(got, DualCertificate):
@@ -409,7 +463,7 @@ def test_spanning_forest_agrees_with_the_elimination(case):
             == partitions
     got = oracle._split_two(a, b, f)
     _, dual = linear_feasibility(
-        *oracle._class_incidence(partitions, f)[:3])
+        *_class_incidence(partitions, f))
     assert isinstance(got, DualCertificate) == (dual is not None)
     if isinstance(got, DualCertificate):
         weights = got.weights.values
@@ -425,15 +479,16 @@ def test_spanning_forest_agrees_with_the_elimination(case):
 
 def test_two_partitions_skip_the_elimination_and_read_labels_linearly(
         monkeypatch):
-    def refuse(rows, rhs, ncols):
-        raise AssertionError("two partitions reached linear_feasibility")
+    def refuse(*args):
+        raise AssertionError("two partitions reached the elimination")
 
     reads = [0]
 
     def counted_classes(t):
         return counted_partition(invariance_classes(t), reads)
 
-    monkeypatch.setattr(oracle, "linear_feasibility", refuse)
+    monkeypatch.setattr(oracle, "_split_many", refuse)
+    monkeypatch.setattr(oracle, "_solve", refuse)
     monkeypatch.setattr(oracle, "invariance_classes", counted_classes)
     rng = random.Random(100)
     dims = (100, 100)
@@ -443,15 +498,21 @@ def test_two_partitions_skip_the_elimination_and_read_labels_linearly(
     planted = LatticeWindow(dims, tuple(r + c for r in rows for c in cols))
     broken = list(planted.values)
     broken[-1] += 1
-    for values, splits in ((planted.values, True), (broken, False)):
+    early = list(planted.values)
+    early[1] += 1
+    # each point's two labels: once to list the edges, once per edge end in
+    # the forest, once to build a part or check the dual; the failing
+    # edge's two labels to lift its cycle; and _finest's equal-count
+    # comparison of the two label tuples, which stops at the first
+    # differing pair, the second label.  The forest stops at its first
+    # failing edge, so an early one leaves most edges unread.
+    for values, splits, bound in ((planted.values, True, 6 * size + 2),
+                                  (broken, False, 6 * size + 2),
+                                  (early, False, 3 * size)):
         reads[0] = 0
         got = lattice.lattice_oracle_decompose(LatticeWindow(dims, values))
         assert isinstance(got, DualCertificate) != splits
-        # each point's two labels: once to list the edges, once per edge
-        # end in the forest, once to build a part or check the dual; and
-        # _finest's equal-count comparison of the two label tuples, which
-        # stops at the first differing pair, the second label
-        assert reads[0] <= 6 * size + 2
+        assert reads[0] <= bound
 
 
 def test_counted_tuple_counts_comparisons_and_slices():
@@ -480,8 +541,9 @@ def test_nested_maps_skip_the_solvers_and_read_labels_linearly(
     def counted_classes(t):
         return counted_partition(invariance_classes(t), reads)
 
-    monkeypatch.setattr(oracle, "linear_feasibility", refuse)
+    monkeypatch.setattr(oracle, "_solve", refuse)
     monkeypatch.setattr(oracle, "_split_two", refuse)
+    monkeypatch.setattr(oracle, "_split_many", refuse)
     monkeypatch.setattr(oracle, "invariance_classes", counted_classes)
     rng = random.Random(22)
     size = 10 ** 4
@@ -506,35 +568,99 @@ def test_nested_maps_skip_the_solvers_and_read_labels_linearly(
         assert reads[0] <= 7 * size
 
 
-def test_three_partitions_bound_the_elimination_work(monkeypatch):
-    # a 10x10x10 window goes to linear_feasibility; every combined row
-    # passes through _reduce_row, so its rows and entries measure the work
-    # (19,809 rows and ~2.7e5 entries for both windows when pinned)
-    work = [0, 0]
-    reduce_row = oracle._reduce_row
+def _count_elimination(monkeypatch):
+    """[rows entering _eliminate, combined rows, their entries]: every
+    combined row passes through _reduce_row, so these measure the work."""
+    work = [0, 0, 0]
+    eliminate, reduce_row = oracle._eliminate, oracle._reduce_row
 
-    def counted(row):
-        work[0] += 1
-        work[1] += len(row)
+    def counted_eliminate(rows, ncols):
+        work[0] += len(rows)
+        return eliminate(rows, ncols)
+
+    def counted_reduce(row):
+        work[1] += 1
+        work[2] += len(row)
         reduce_row(row)
 
-    monkeypatch.setattr(oracle, "_reduce_row", counted)
+    monkeypatch.setattr(oracle, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(oracle, "_reduce_row", counted_reduce)
+    return work
+
+
+def _box_elimination_work(monkeypatch, w):
+    """The work of `split_over_classes` on a planted and a random w×w×w
+    window's three axis partitions; the random one must be refused by an
+    8-point ±1 dual."""
+    work = _count_elimination(monkeypatch)
     rng = random.Random(10)
-    dims = (10, 10, 10)
     axes = [[Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-             for _ in range(w)] for w in dims]
+             for _ in range(w)] for _ in range(3)]
     planted = tuple(axes[0][a] + axes[1][b] + axes[2][c]
-                    for a in range(10) for b in range(10) for c in range(10))
-    broken = tuple(Fraction(rng.randint(-9, 9)) for _ in range(1000))
+                    for a in range(w) for b in range(w) for c in range(w))
+    broken = tuple(Fraction(rng.randint(-9, 9)) for _ in range(w ** 3))
+    counts = []
     for values, splits in ((planted, True), (broken, False)):
-        work[:] = [0, 0]
-        window = LatticeWindow(dims, values)
+        work[:] = [0, 0, 0]
+        window = LatticeWindow((w, w, w), values)
         got = split_over_classes([invariance_classes(t)
                                   for t in window.axis_maps()],
                                  RationalFunction(values))
         assert isinstance(got, DualCertificate) != splits
-        assert work[0] <= 30_000
-        assert work[1] <= 400_000
+        if not splits:
+            # one row repeated by two planes with different right sides:
+            # the corner stencil of a unit cube
+            support = sorted(v for v in got.weights.values if v)
+            assert support == [-1] * 4 + [1] * 4
+        counts.append(list(work))
+    return counts
+
+
+def test_three_partitions_bound_the_elimination_work(monkeypatch):
+    # a 10x10x10 window: the forest of the first two axes leaves one
+    # cycle row per (i, j) with i, j >= 1, 81 distinct rows, repeated by
+    # all ten planes; pivoting from the highest class ids down, each row
+    # pivots on its own class (i, j) and no row is combined (0 combined
+    # rows when pinned, 1,944 in the order of increasing ids).  The
+    # random window repeats a row with another right side, so nothing is
+    # eliminated.
+    planted, broken = _box_elimination_work(monkeypatch, 10)
+    assert planted[0] <= 81
+    assert planted[1] <= 81
+    assert planted[2] <= 1_000
+    assert broken == [0, 0, 0]
+
+
+def test_a_20_cubed_window_bounds_the_elimination_work(monkeypatch):
+    # 361 distinct rows and again no combined row when pinned (35,739
+    # combined rows and 331,398 entries in the order of increasing ids)
+    planted, broken = _box_elimination_work(monkeypatch, 20)
+    assert planted[0] <= 361
+    assert planted[1] <= 361
+    assert planted[2] <= 4_000
+    assert broken == [0, 0, 0]
+
+
+def test_periodic_shifts_send_at_most_one_row_per_joint_class(monkeypatch):
+    # Z_m with shifts (2, 3, 5): the classes are the residues mod 2, 3 and
+    # 5, so there are 30 joint classes, and points of one joint class give
+    # one row
+    work = _count_elimination(monkeypatch)
+    m = 3 * 10 ** 4
+    maps = [tuple((x + a) % m for x in range(m)) for a in (2, 3, 5)]
+    system = validate_system(maps, m)
+    planted = generators.decomposable_function(random.Random(235), system)
+    broken = RationalFunction(planted.values[:-1]
+                              + (planted.values[-1] + 1,))
+    for f, splits in ((planted, True), (broken, False)):
+        work[:] = [0, 0, 0]
+        got = verified_split(maps, f)
+        assert isinstance(got, DualCertificate) != splits
+        assert work[0] <= 30
+        if not splits:
+            # the last point against the first of its joint class
+            assert work == [0, 0, 0]
+            assert sorted(w for w in got.weights.values if w) == [-1, 1]
 
 
 def test_class_indicators_span_invariant_functions():
