@@ -119,6 +119,23 @@ def instances() -> dict:
     docs["z-1-1-L10-identity"] = _z_window(10, (1, 1), range(10))
     docs["z-2-3-L12-planted"] = _z_window(
         12, (2, 3), _periodic_sum(random.Random("golden:z23"), 12, (2, 3)))
+    # first violations at a multi-element block: f(x) = x fails only on
+    # the one-block partition, and a bump on 2- and 3-periodic parts
+    # survives every stencil with offsets of both periods
+    for shifts, length in (((1, 2, 3, 4), 20), ((1, 1, 2, 2, 3, 6), 16)):
+        docs[f"z-{'-'.join(map(str, shifts))}-L{length}-identity"] = \
+            _z_window(length, shifts, range(length))
+    for shifts, length, bump in (((2, 2, 3, 3), 10, 0),
+                                 ((2, 2, 3, 3, 6), 14, 5),
+                                 ((2, 4, 3, 6, 2), 15, 4)):
+        name = f"z-{'-'.join(map(str, shifts))}-L{length}-bumped"
+        values = _periodic_sum(random.Random(f"golden:{name}"), length,
+                               (2, 3))
+        values[bump] += 1
+        docs[name] = _z_window(length, shifts, values)
+    # every partition stencil passes a constant
+    docs["z-1-2-3-4-1-2-3-4-L30-constant"] = _z_window(
+        30, (1, 2, 3, 4, 1, 2, 3, 4), [7] * 30)
     for seed, dims, perturbed in ((1, (3, 4), False), (2, (3, 4), True),
                                   (3, (2, 3, 2), False),
                                   (4, (2, 3, 2), True)):
