@@ -8,7 +8,7 @@ and `orbits`: a replay loads none of the code it checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import lcm
 from operator import add, lt
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Optional,
@@ -320,40 +320,6 @@ def verify_point_violation(f: LatticeWindow,
     return VerificationResult(True)
 
 
-@lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Set partitions of range(n), most blocks first, then lexicographic.
-
-    The all-singleton partition therefore always comes first.
-    """
-    if n == 0:
-        return ((),)
-    results = []
-
-    def grow(x: int, blocks: list):
-        if x == n:
-            results.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(x)
-            grow(x + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        grow(x + 1, blocks)
-        blocks.pop()
-
-    grow(0, [])
-    results.sort(key=lambda blocks: (-len(blocks), blocks))
-    return tuple(results)
-
-
-def _scan_order(n: int):
-    """The all-singleton partition, then the rest of `_partitions(n)`,
-    built only once the first has been scanned."""
-    yield tuple((i,) for i in range(n))
-    yield from _partitions(n)[1:]
-
-
 def _block_offset(shifts: Sequence[int], block: tuple[int, ...],
                   size: int) -> Optional[int]:
     """The block's signed offset: the least common multiple of its member
@@ -375,26 +341,53 @@ def window_scan(shifts: Sequence[int], f_num: Sequence[int]
     """The partition condition on a window of Z with maps x -> x + a_i:
     (blocks, offsets, z, value) of the first stencil nonzero in-window,
     or None when all vanish.  One stencil per set partition of the shift
-    indices, all-singleton first, each block at its signed least common
-    multiple (`_block_offset`); a partition with a block out of reach is
-    skipped, and a stencil depends only on its multiset of offsets, so
-    each multiset is scanned once.  A window pass carries no certificate,
+    indices, most blocks first, then lexicographic, each block at its
+    signed least common multiple (`_block_offset`); a partition with a
+    block out of reach has none.  A window pass carries no certificate,
     so this scan is its checker, and `star.check_star_abelian` builds its
-    violation from the first hit."""
-    scanned = set()
-    for blocks in _scan_order(len(shifts)):
-        offsets = [_block_offset(shifts, block, len(f_num))
-                   for block in blocks]
-        if None in offsets:
-            continue
-        key = tuple(sorted(offsets))
-        if key in scanned:
-            continue
-        scanned.add(key)
-        lo, row = window_difference(f_num, offsets)
-        j = next((j for j, v in enumerate(row) if v), None)
-        if j is not None:
+    violation from the first hit.
+
+    Partitions are built block by block, each block grown from its least
+    index and the last taking what is left, and the prefix stencil's row
+    is carried down, one `window_difference` pass per block.  A prefix
+    whose stencil vanishes in-window is dropped, as every stencil below
+    it differences its zero row further.  So are the prefixes extending
+    its last block: their offset is a multiple k o of the block's o, and
+    x^{ko} - 1 = (x^o - 1)(1 + x^o + ... + x^{(k-1)o}), so each of their
+    rows at z sums the dropped row at z, z + o, ..., which all fit where
+    it fits.  A block out of reach, or leaving too few indices for the
+    blocks still to come, is dropped with its extensions too."""
+    size = len(f_num)
+
+    def walk(blocks, offsets, lo, row, rest, count):
+        # the first hit among the partitions that end in count blocks of
+        # rest, below a prefix with a nonzero row
+        if not count:
+            j = next(j for j, v in enumerate(row) if v)
             return blocks, offsets, lo + j, row[j]
+        # (block, indices that may join it), popped in lexicographic order
+        stack = [(rest, ())] if count == 1 else [(rest[:1], rest[1:])]
+        while stack:
+            block, later = stack.pop()
+            offset = _block_offset(shifts, block, size)
+            if offset is None or len(rest) - len(block) < count - 1:
+                continue
+            shift, below = window_difference(row, (offset,))
+            if not any(below):
+                continue
+            hit = walk(blocks + (block,), offsets + [offset], lo + shift,
+                       below, tuple(i for i in rest if i not in block),
+                       count - 1)
+            if hit is not None:
+                return hit
+            stack += [(block + (later[k],), later[k + 1:])
+                      for k in reversed(range(len(later)))]
+        return None
+
+    for count in range(len(shifts), 0, -1):
+        hit = walk((), [], 0, f_num, tuple(range(len(shifts))), count)
+        if hit is not None:
+            return hit
     return None
 
 

@@ -87,18 +87,6 @@ def induced_map(t: Sequence[int],
     return part, tuple(part.class_of[t[rep]] for rep in part.representative)
 
 
-def _fold_classes(maps: Sequence[Sequence[int]]) -> Partition:
-    """`joint_classes` of the commuting maps, by folding induced maps."""
-    part = invariance_classes(maps[0])
-    for t in maps[1:]:
-        coarse = invariance_classes(
-            [part.class_of[t[rep]] for rep in part.representative])
-        part = Partition(
-            tuple(coarse.class_of[c] for c in part.class_of),
-            tuple(part.representative[c] for c in coarse.representative))
-    return part
-
-
 def joint_classes(system: CommutingSystem, subset: Iterable[int]) -> Partition:
     """Components of the union graph over the chosen transforms.
 
@@ -117,7 +105,15 @@ def joint_classes(system: CommutingSystem, subset: Iterable[int]) -> Partition:
     for j in indices:
         if not 0 <= j < system.n:
             raise RangeError(f"transform index {j} outside [0, {system.n})")
-    return _fold_classes([system.transforms[j] for j in indices])
+    part = invariance_classes(system.transforms[indices[0]])
+    for j in indices[1:]:
+        t = system.transforms[j]
+        coarse = invariance_classes(
+            [part.class_of[t[rep]] for rep in part.representative])
+        part = Partition(
+            tuple(coarse.class_of[c] for c in part.class_of),
+            tuple(part.representative[c] for c in coarse.representative))
+    return part
 
 
 def find_relation(s: Sequence[int], x: int,

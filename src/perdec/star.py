@@ -88,17 +88,18 @@ def check_star_abelian(shifts: Sequence[int],
     multiple of every member shift, that is a multiple k * l of the
     block's signed least common multiple l, whichever member is the head,
     so the least index heads each block.  Only k = 1 is scanned
-    (`check.window_scan`), with no exponent bound, since
+    (`check.window_scan`), with no exponent bound, by one lemma: if the
+    stencil S divides S', then x^z S' is a sum of terms x^{z+i} S, each of
+    which fits in the window wherever x^z S' does, so S' vanishes
+    in-window when S does.  As
 
-        x^{kl} - 1 = (x^l - 1)(1 + x^l + ... + x^{(k-1)l}):
+        x^{kl} - 1 = (x^l - 1)(1 + x^l + ... + x^{(k-1)l}),
 
-    a partition's stencil at z with one block at kl is the sum of its
-    stencils with that block at l taken at z, z + l, ..., z + (k-1)l, each
-    of which fits in the window whenever the kl one does.  So every
-    multiple vanishes in-window when the least one does, and the first
-    violation of a partition, if any, is at its all-least offsets; for a
-    one-element block that is the cap at exponent 1.  Each offset
-    multiset is scanned once, one unit-difference pass per offset.  The
+    every multiple vanishes in-window when the least one does, and the
+    first violation of a partition, if any, is at its all-least offsets;
+    for a one-element block that is the cap at exponent 1.  The same lemma
+    lets the scan drop every partition below a vanishing prefix of
+    blocks, and with it the prefixes that extend its last block.  The
     stored premise triples are (i, 0, l // a_i).  Translations of Z_m are
     total maps on a finite set, where `check_star` decides alone.
     """

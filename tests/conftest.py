@@ -231,6 +231,31 @@ def corner_stencil(values, offsets, z):
     return total
 
 
+@lru_cache(maxsize=None)
+def ordered_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Reference scan order: the set partitions of range(n), most blocks
+    first, then lexicographic, so the all-singleton partition first."""
+    if n == 0:
+        return ((),)
+    results = []
+
+    def grow(x: int, blocks: list):
+        if x == n:
+            results.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(x)
+            grow(x + 1, blocks)
+            b.pop()
+        blocks.append([x])
+        grow(x + 1, blocks)
+        blocks.pop()
+
+    grow(0, [])
+    results.sort(key=lambda blocks: (-len(blocks), blocks))
+    return tuple(results)
+
+
 def decomposable_reference(rng: random.Random, system) -> RationalFunction:
     """Reference `generators.decomposable_function`: one
     `random_invariant_part` per transform, summed in Fractions."""

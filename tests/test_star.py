@@ -7,6 +7,7 @@ import tempfile
 import time
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,6 @@ from perdec import check, generators, star
 from perdec.check import (
     StarInstance,
     StarViolation,
-    _partitions,
     replay_abelian_violation,
     replay_violation,
     verify_star_pass,
@@ -34,6 +34,7 @@ from perdec.star import check_star, check_star_abelian
 from tests.conftest import (
     corner_stencil,
     counted_tuple,
+    ordered_partitions,
     power_table,
     systems,
     systems_with_functions,
@@ -44,11 +45,11 @@ from tests.conftest import (
 def test_partitions_counts_and_order():
     # Bell numbers, with the all-singleton partition always first
     for n, bell in ((0, 1), (1, 1), (2, 2), (3, 5), (4, 15)):
-        parts = _partitions(n)
+        parts = ordered_partitions(n)
         assert len(parts) == bell
         if n:
             assert parts[0] == tuple((i,) for i in range(n))
-    assert _partitions(2) == (((0,), (1,)), ((0, 1),))
+    assert ordered_partitions(2) == (((0,), (1,)), ((0, 1),))
 
 
 def test_check_star_rejects_bad_inputs():
@@ -126,7 +127,7 @@ def _reference_check_star(system, f, bound, lmin, cap_singletons=True):
     blocks at exponent 1 (up to bound too unless cap_singletons), every
     other head exponent up to bound."""
     pow_tables = [power_table(t, bound) for t in system.transforms]
-    for blocks in _partitions(system.n):
+    for blocks in ordered_partitions(system.n):
         for heads in product(*blocks):
             ranges = [range(1, 2 if cap_singletons and len(block) == 1
                             else bound + 1)
@@ -240,21 +241,18 @@ def test_abelian_window_shift_two():
 
 def test_abelian_failing_singleton_stencil_skips_the_partitions(
         monkeypatch):
-    # x^16 has 16th difference 16! at z = 0; the verdict needs none of the
-    # Bell(16) ~ 1e10 set partitions, so building them is refused here
-    def refuse(n):
-        raise AssertionError(f"_partitions({n}) built for a failing window")
-
-    monkeypatch.setattr(check, "_partitions", refuse)
+    # x^16 has 16th difference 16! at z = 0; the verdict needs one pass per
+    # block of the all-singleton stencil and none of the other Bell(16)
+    # ~ 1e10 set partitions
+    calls = _counted_stencils(monkeypatch, 16)
     shifts = (1,) * 16
     f = RationalFunction(tuple(Fraction(x ** 16) for x in range(18)))
-    start = time.perf_counter()
     viol = check_star_abelian(shifts, f)
     assert viol is not None
     assert viol.instance.exponents == (1,) * 16 and viol.instance.z == 0
     assert viol.value == 20922789888000
     assert replay_abelian_violation(shifts, f, viol)
-    assert time.perf_counter() - start < 10.0
+    assert calls[0] <= 16
 
 
 def _natural_multiple(a, b):
@@ -273,7 +271,7 @@ def _unpruned_abelian(shifts, f, cap_singletons=True):
     cap_singletons), in scan order, with no stencil skipped, each summed
     corner by corner."""
     bound = 2 * len(f)
-    for blocks in _partitions(len(shifts)):
+    for blocks in ordered_partitions(len(shifts)):
         for heads in product(*blocks):
             for kvec in product(*[range(1, (2 if cap_singletons
                                             and len(block) == 1
@@ -353,6 +351,57 @@ def test_abelian_check_equals_the_unpruned_scan(case):
     assert got == _unpruned_abelian(shifts, f)
     if len(shifts) <= 2:
         assert got == _unpruned_abelian(shifts, f, cap_singletons=False)
+
+
+@st.composite
+def scan_windows(draw):
+    """Up to six shifts in -4..7 and integer values on at most 36 points:
+    random, a sum of periodic parts with at most one value bumped, or a
+    polynomial."""
+    shifts = draw(st.lists(st.integers(-4, 7), min_size=1, max_size=6))
+    size = draw(st.integers(1, 36))
+    style = draw(st.sampled_from(["random", "periodic", "polynomial"]))
+    if style == "random":
+        return shifts, draw(st.lists(st.integers(-3, 3), min_size=size,
+                                     max_size=size))
+    if style == "periodic":
+        parts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=1,
+                                       max_size=6), min_size=1, max_size=3))
+        values = [sum(p[x % len(p)] for p in parts) for x in range(size)]
+        if draw(st.booleans()):
+            values[draw(st.integers(0, size - 1))] += 1
+        return shifts, values
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=5))
+    return shifts, [sum(c * x ** i for i, c in enumerate(coeffs))
+                    for x in range(size)]
+
+
+def _plain_window_scan(shifts, values):
+    """Reference window scan: every set partition in scan order, each
+    block at its signed least common multiple unless that holds a zero
+    shift, mixes signs or leaves the window, with no stencil skipped."""
+    for blocks in ordered_partitions(len(shifts)):
+        members = [[shifts[i] for i in block] for block in blocks]
+        if any(min(m) <= 0 <= max(m) for m in members):
+            continue
+        offsets = [lcm(*m) if m[0] > 0 else -lcm(*m) for m in members]
+        if any(abs(o) >= len(values) for o in offsets):
+            continue
+        lo, row = window_difference(values, offsets)
+        for j, value in enumerate(row):
+            if value:
+                return blocks, offsets, lo + j, value
+    return None
+
+
+@given(scan_windows())
+@settings(max_examples=300, deadline=None)
+def test_window_scan_equals_the_plain_partition_walk(case):
+    # dropping vanishing prefixes, their blocks' extensions and blocks out
+    # of reach changes no hit and no field of it
+    shifts, values = case
+    assert check.window_scan(shifts, values) \
+        == _plain_window_scan(shifts, values)
 
 
 @given(st.lists(st.integers(-4, 6), max_size=5), st.data())
@@ -449,24 +498,14 @@ def test_abelian_pass_scans_each_offset_multiset_once(monkeypatch):
 
 def test_abelian_pass_on_seven_shifts_scans_one_stencil_per_partition(
         monkeypatch):
-    # seven unit shifts on a constant 12-point window pass: each of the
-    # Bell(7) = 877 set partitions is visited once, every block at its
-    # least common multiple 1 and never at 2..11, and the 7 distinct
-    # offset multisets are scanned
-    visited = [0]
-    scan_order = check._scan_order
-
-    def counted_scan_order(n):
-        for blocks in scan_order(n):
-            visited[0] += 1
-            yield blocks
-
-    monkeypatch.setattr(check, "_scan_order", counted_scan_order)
+    # seven unit shifts on a constant 12-point window pass: every block
+    # sits at its least common multiple 1 and never at 2..11, and each
+    # block count's first block vanishes, dropping the rest of the
+    # Bell(7) = 877 set partitions with it, so 7 stencils are scanned
     calls = _counted_stencils(monkeypatch, 7)
     assert check_star_abelian((1,) * 7, RationalFunction.constant(12, 1)) \
         is None
     assert calls[0] == 7
-    assert visited[0] == 877
 
 
 def test_abelian_pass_on_eight_shifts_scans_one_stencil_per_block_count(
@@ -477,6 +516,45 @@ def test_abelian_pass_on_eight_shifts_scans_one_stencil_per_block_count(
     assert check_star_abelian((1,) * 8, RationalFunction.constant(20, 1)) \
         is None
     assert calls[0] == 8
+
+
+def test_star_check_and_its_verify_of_thirteen_shifts_scan_thirteen_stencils(
+        monkeypatch, tmp_path, capsys):
+    # 13 unit shifts on a constant 40-point window: Bell(13) ~ 2.8e7 set
+    # partitions, of which each pass scans one per block count
+    path = tmp_path / "inst.json"
+    path.write_text(dumps({"kind": "z-window", "length": 40,
+                           "shifts": [1] * 13, "values": ["1"] * 40}))
+    calls = _counted_stencils(monkeypatch, 13)
+    assert run_command(["star-check", str(path)]) == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(capsys.readouterr().out)
+    assert json.loads(cert.read_text())["result"] == "pass"
+    calls[0] = 0
+    assert run_command(["star-check", str(path), "--verify", str(cert)]) == 0
+    assert json.loads(capsys.readouterr().out)["agrees"] is True
+    assert calls[0] <= 13
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_abelian_check_of_sixteen_shifts_scans_at_most_sixteen_stencils(
+        monkeypatch, periodic):
+    # 16 shifts from 1..4 on 60 points: a constant passes with one stencil
+    # per block count; 12-periodic values fail on the all-singleton
+    # stencil, which no x^a - 1 with a <= 4 annihilates, one pass per block
+    rng = random.Random("sixteen")
+    shifts = tuple(rng.randint(1, 4) for _ in range(16))
+    period = [rng.randint(-5, 5) for _ in range(12)]
+    values = [period[x % 12] if periodic else 1 for x in range(60)]
+    f = RationalFunction(tuple(Fraction(v) for v in values))
+    calls = _counted_stencils(monkeypatch, 16)
+    violation = check_star_abelian(shifts, f)
+    if periodic:
+        assert violation.instance.blocks == tuple((i,) for i in range(16))
+        assert replay_abelian_violation(shifts, f, violation)
+    else:
+        assert violation is None
+    assert calls[0] <= 16
 
 
 def test_abelian_check_and_replay_of_forty_shifts_read_f_linearly(
