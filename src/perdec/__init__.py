@@ -41,15 +41,11 @@ _EXPORTS = {
     "decompose_n": "decomp",
     "decompose_three": "decomp",
     "decompose_two": "decomp",
-    "delta": "core",
     "find_relation": "orbits",
-    "identity": "core",
     "invariance_classes": "orbits",
     "is_invariant": "core",
-    "joint_classes": "orbits",
     "lattice_decompose": "lattice",
     "lattice_oracle_decompose": "lattice",
-    "linear_feasibility": "oracle",
     "mixed_delta_witness": "lattice",
     "oracle_decompose": "oracle",
     "partial_sum_bound": "check",
@@ -59,11 +55,9 @@ _EXPORTS = {
     "search_counterexample": "star",
     "solve_bounded_transfer": "cohomology",
     "solve_transfer": "cohomology",
-    "solve_transfer_constrained": "cohomology",
     "validate_system": "core",
     "validate_transform": "core",
     "verify_decomposition": "check",
-    "z_window_counterexample": "lattice",
 }
 
 

@@ -1,6 +1,7 @@
-"""Solvers for the transfer equation h(Tx) - h(x) = g(x) and variants.
+"""Solvers for the transfer equation h(Tx) - h(x) = g(x) and its bounded,
+s-invariant variant.
 
-All three solvers work directly on the functional-graph structure of the
+Both solvers work directly on the functional-graph structure of the
 acting map (orbit walks, cycle sums, quotients), so none of them needs an
 exponent search bound.  Absence is always certified: the caller gets the
 offending cycle or self-relation together with its nonzero sum.
@@ -90,10 +91,19 @@ def _check_commute(t: Sequence[int], s: Sequence[int]) -> None:
 
 def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
                        g: RationalFunction):
-    """(solution, classes, induced): `solve_transfer` on the quotient by
-    s's invariance classes, with those classes and the map t induces on
-    them; the solution is h_q over the classes, or the verified
-    ConstrainedObstruction."""
+    """(solution, classes, induced): h(t(x)) - h(x) = g(x) with h
+    s-invariant, as `solve_transfer` on the quotient by s's invariance
+    classes, with those classes and the map t induces on them.
+
+    The solution is h_q over the classes, and h_q lifted to points solves
+    the equation with no second check: the maps commute and g is
+    s-invariant (both checked up front), so t sends each s-class c into
+    induced(c), g is g_q(c) on c, and the identity `solve_transfer`
+    checked on the quotient holds at each point.  It is solvable iff the
+    g-sum along T^i x, i < k, vanishes whenever T^k S^l x = S^{l2} x;
+    otherwise the solution is that witness with its nonzero sum, a
+    ConstrainedObstruction that `verify_bounded_transfer` has replayed.
+    """
     _check_commute(t, s)
     if not is_invariant(s, g):
         raise PreconditionError("right side is not s-invariant")
@@ -113,25 +123,6 @@ def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
     return h_q, part, induced
 
 
-def solve_transfer_constrained(
-    t: Sequence[int], s: Sequence[int], g: RationalFunction
-) -> Union[RationalFunction, ConstrainedObstruction]:
-    """Solve h(t(x)) - h(x) = g(x) with h s-invariant (no correction term).
-
-    Solvable iff the g-sum along T^i x, i < k, vanishes whenever
-    T^k S^l x = S^{l2} x; the check happens on the quotient by s-classes,
-    and a failure is returned as that witness with its nonzero sum, after
-    `verify_bounded_transfer` has replayed it.  The lift needs no second
-    check: the maps commute and g is s-invariant (both checked up front),
-    so t sends each s-class c into induced(c), g is g_q(c) on c, and the
-    identity `solve_transfer` checked on the quotient holds at each point.
-    """
-    h_q, part, _ = _solve_on_quotient(t, s, g)
-    if isinstance(h_q, ConstrainedObstruction):
-        return h_q
-    return RationalFunction(tuple(h_q[c] for c in part.class_of))
-
-
 def solve_bounded_transfer(
     t: Sequence[int], s: Sequence[int], g: RationalFunction
 ) -> Union[BoundedTransfer, ConstrainedObstruction]:
@@ -140,10 +131,17 @@ def solve_bounded_transfer(
     Returns (H, C) with h(t(x)) - h(x) = g(x), H s-invariant, C the
     partial-sum bound, and sup |H| <= 2C; recentering subtracts the
     midrange of H on each joint (s,t)-class, which preserves both defining
-    identities.  Absent exactly when the constrained solve is absent.  The
-    joint classes are the lift of the induced map's invariance classes
-    (`orbits.joint_classes` folds the same way), and H is h_q on each
-    s-class, so the midranges are taken over h_q on the quotient.
+    identities.  Absent exactly when the constrained solve is absent.
+
+    The joint classes, the components of the union graph of s and t, are
+    the lift of the invariance classes of the map t induces on the
+    s-classes P.  That map is well defined: an edge y = s(x) gives t(y) =
+    s(t(x)), as the maps commute, so t sends each class of P into one
+    class, and the lifted classes are the components once t's edges are
+    added.  Their ids stay in order of least points, each representative
+    the class minimum: P's classes are so numbered, so a joint class's
+    least s-class holds its least point.  H is h_q on each s-class, so the
+    midranges are taken over h_q on the quotient.
     """
     h_q, part, induced = _solve_on_quotient(t, s, g)
     if isinstance(h_q, ConstrainedObstruction):

@@ -8,7 +8,7 @@ the library is exact and results do not depend on evaluation order.
 All operations here are pure; every value is immutable after construction
 and safe to share between threads.
 
-The library's 16 value types derive from `_Record`, not from frozen
+The library's 15 value types derive from `_Record`, not from frozen
 dataclasses, for start-up time: importing `dataclasses` loads `inspect`
 (with `ast`, `dis` and `tokenize`), 9.1 ms, and each frozen dataclass
 builds its methods with `exec`, 0.64 ms a class against 0.013 ms for a
@@ -150,10 +150,6 @@ def validate_transform(table: Sequence[int], size: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def identity(size: int) -> tuple[int, ...]:
-    return tuple(range(size))
-
-
 def compose(t: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
     """Table of x -> t(s(x)), i.e. apply s first."""
     return tuple(t[y] for y in s)
@@ -248,10 +244,6 @@ class RationalFunction(_Record):
         _set_field(self, "values", _as_fractions(values))
 
     @classmethod
-    def from_values(cls, values: Iterable[RationalLike]) -> "RationalFunction":
-        return cls(tuple(values))
-
-    @classmethod
     def zero(cls, size: int) -> "RationalFunction":
         return cls((Fraction(0),) * size)
 
@@ -276,21 +268,11 @@ class RationalFunction(_Record):
         self._check_len(other)
         return RationalFunction(tuple(a - b for a, b in zip(self.values, other.values)))
 
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(tuple(-a for a in self.values))
-
-    def scale(self, c: RationalLike) -> "RationalFunction":
-        c = as_fraction(c)
-        return RationalFunction(tuple(c * a for a in self.values))
-
     def compose(self, t: Sequence[int]) -> "RationalFunction":
         """The function x -> f(t(x))."""
         if len(t) != len(self.values):
             raise PreconditionError("transform length does not match function")
         return RationalFunction(tuple(self.values[y] for y in t))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
 
     def max_abs(self) -> Fraction:
         """Sup norm."""
@@ -309,11 +291,6 @@ def integer_values(f: Sequence[Fraction]) -> tuple[list[int], int]:
         g = gcd(denom, q)
         denom = denom // g * q
     return [v.numerator * (denom // v.denominator) for v in f], denom
-
-
-def delta(t: Sequence[int], f: RationalFunction) -> RationalFunction:
-    """The difference x -> f(t(x)) - f(x)."""
-    return f.compose(t) - f
 
 
 def _mixed_difference(tables: Sequence[Sequence[int]],
@@ -365,14 +342,6 @@ class Decomposition(_Record):
 
     def __getitem__(self, j: int) -> RationalFunction:
         return self.parts[j]
-
-    def total(self) -> RationalFunction:
-        if not self.parts:
-            raise PreconditionError("empty decomposition has no ambient size")
-        out = self.parts[0]
-        for p in self.parts[1:]:
-            out = out + p
-        return out
 
 
 class VerificationResult(_Record):

@@ -88,6 +88,17 @@ def decompose_n(transforms: Sequence[Sequence[int]],
     The mixed difference is necessary as well (it kills each invariant
     part), so on a finite domain it decides decomposability for every n.
 
+    For three maps t, s, u the paper builds the parts from two transfer
+    equations whose correction constants depend on which prescribed
+    relations T^k S^l x = T^{k2} S^{l2} x, k > k2, hold in each class;
+    the cycle-average split fixes the gauge instead, so no part depends
+    on them or on an exponent bound.  On a finite set that case split has
+    one case.  The map t induces on the s-classes (`orbits.induced_map`)
+    repeats within N steps, giving k > k2 with t^k x and t^{k2} x in one
+    s-class, and two points of one s-class meet under s within N steps
+    (`orbits.find_relation`), so every point carries both the (s, t) and
+    the (u, t) relation.
+
     One common denominator: the projections run on integer numerators
     over D = denom(f) scale_1 ... scale_{n-1}, where scale_j is the lcm
     of T_j's cycle lengths.  Step j multiplies the rest and D by scale_j;
@@ -148,30 +159,11 @@ def decompose_n(transforms: Sequence[Sequence[int]],
 
 def decompose_two(s: Sequence[int], t: Sequence[int],
                   f: RationalFunction) -> DecompOutcome:
-    """Split f into an s-invariant and a t-invariant part, or refuse.
-
-    The n = 2 case of `decompose_n`: the parts are (E_s f, f - E_s f),
-    ordered like the arguments (s, t), and a refusal is check_star's
-    violation, the first point where the double difference is nonzero.
-    """
+    """`decompose_n([s, t], f)`: parts ordered like the arguments."""
     return decompose_n([s, t], f)
 
 
 def decompose_three(t: Sequence[int], s: Sequence[int], u: Sequence[int],
                     f: RationalFunction) -> DecompOutcome:
-    """Split f into t-, s-, and u-invariant parts, or refuse.
-
-    The n = 3 case of `decompose_n`: parts (g, h, l) ordered like the
-    arguments (t, s, u), or check_star's violation.  The paper builds the
-    parts from two transfer equations whose correction constants depend
-    on which prescribed relations T^k S^l x = T^{k2} S^{l2} x, k > k2,
-    hold in each class; the cycle-average split fixes the gauge instead,
-    so no part depends on them or on an exponent bound.
-
-    On a finite set that case split has one case.  The map t induces on
-    the s-classes (`orbits.induced_map`) repeats within N steps, giving
-    k > k2 with t^k x and t^{k2} x in one s-class, and two points of one
-    s-class meet under s within N steps (`orbits.find_relation`), so
-    every point carries both the (s, t) and the (u, t) relation.
-    """
+    """`decompose_n([t, s, u], f)`: parts ordered like the arguments."""
     return decompose_n([t, s, u], f)

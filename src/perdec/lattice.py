@@ -17,7 +17,6 @@ is asked for.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence, Tuple, Union
 
 from .check import (
@@ -34,7 +33,6 @@ from .core import (
     _Record,
     _as_fractions,
     _set_field,
-    window_difference,
 )
 
 
@@ -117,24 +115,12 @@ class LatticeWindow(_Record):
             maps.append(tuple(t))
         return tuple(maps)
 
-    def restrict(self, new_dims: Sequence[int]) -> "LatticeWindow":
-        """Sub-window keeping coordinates below new_dims on every axis."""
-        nd = tuple(new_dims)
-        if len(nd) != len(self.dims) or any(a > b for a, b
-                                            in zip(nd, self.dims)):
-            raise RangeError("restriction must shrink within the window")
-        window_size(nd)
-        # the kept points' indices, as sums of one offset per axis
-        offsets = product(*(range(0, w * stride, stride)
-                            for w, stride in zip(nd, self.strides())))
-        return _trusted(nd, tuple(self.values[sum(o)] for o in offsets))
-
 
 def _trusted(dims: tuple[int, ...],
              values: tuple[Fraction, ...]) -> LatticeWindow:
     """A LatticeWindow built without the constructor's checks, for dims
     that passed `window_size` and exactly their size of Fractions read or
-    computed from a window: its parts and its restrictions."""
+    computed from a window: its parts."""
     window = object.__new__(LatticeWindow)
     _set_field(window, "dims", dims)
     _set_field(window, "values", values)
@@ -198,31 +184,3 @@ def lattice_oracle_decompose(
     if isinstance(outcome, DualCertificate):
         return outcome
     return tuple(_trusted(f.dims, part.values) for part in outcome.parts)
-
-
-class ZWindowDemo(_Record):
-    """The canonical negative example: f(x) = x against two unit shifts."""
-
-    length: int
-    shifts: tuple[int, int]
-    mixed_delta_zero: bool
-    violation: Optional[StarViolation]
-
-
-def z_window_counterexample(length: int = 10) -> ZWindowDemo:
-    """f(x) = x on a window of Z with shifts (1, 1).
-
-    The two shifts agree, so the double difference f(x+2) - 2 f(x+1) + f(x)
-    vanishes identically; still no split into two shift-invariant parts
-    exists, and the arithmetic checker returns the blocking instance
-    (both indices in one block, exponent 1).
-    """
-    if length < 3:
-        raise PreconditionError("window must have length at least 3")
-    from .star import check_star_abelian
-
-    f = RationalFunction(tuple(Fraction(x) for x in range(length)))
-    shifts = (1, 1)
-    mixed_ok = not any(window_difference(f.values, shifts)[1])
-    violation = check_star_abelian(shifts, f)
-    return ZWindowDemo(length, shifts, mixed_ok, violation)

@@ -20,9 +20,7 @@ split over all of them.  A dual functional of the kept family sums to zero
 on every kept class.  Each class of a dropped partition is a union of
 classes of a kept one, so the dual sums to zero there too, and it is a
 dual of the full family.  Each dual is verified once, against the full
-family.  The kept partitions are solved by one of three routes (an
-empty family keeps none: only f = 0 is a sum of no parts, and otherwise
-+1 at f's first nonzero point is a dual).
+family.  The kept partitions are solved by one of three routes.
 
 One partition: a class scan.  f lies in V_1 iff it is constant on every
 class, and then f is the part.  Otherwise some x differs from its class
@@ -87,11 +85,10 @@ elimination (integer row combinations, gcd-reduced) touches only
 nonzeros instead of m·(K + 1 + m) dense cells for m rows and K columns.
 Its pivot rule (smallest magnitude, first row on ties) and row arithmetic
 are those of the dense elimination it replaced, so the solutions, duals
-and nullspace bases of `linear_feasibility` and `nullspace` are the
-same.  Back-substitution runs on integers too: `_back_substitute` solves
-the pivot rows on numerators over one common scale, and a part value is
-one Fraction per class: its numerator over that scale times f's common
-denominator.  No Fraction is divided.
+and nullspace bases are the same.  Back-substitution runs on integers
+too: `_back_substitute` solves the pivot rows on numerators over one
+common scale, and a part value is one Fraction per class: its numerator
+over that scale times f's common denominator.  No Fraction is divided.
 """
 
 from __future__ import annotations
@@ -209,19 +206,6 @@ def _solve(work: List[Dict[int, int]], rhs: Sequence[int], ncols: int
 def _fractions(num: List[int], scale: int) -> List[Fraction]:
     zero = Fraction(0)
     return [Fraction(x, scale) if x else zero for x in num]
-
-
-def linear_feasibility(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int], ncols: int
-) -> Tuple[Optional[List[Fraction]], Optional[Tuple[int, ...]]]:
-    """Exact feasibility of A c = b over the rationals, A and b integral.
-
-    Returns (solution, dual) with exactly one side present: a solution with
-    free unknowns pinned to 0, or an integer row y with y A = 0, y b != 0.
-    """
-    solved, dual = _solve([{c: v for c, v in enumerate(row) if v}
-                           for row in rows], rhs, ncols)
-    return (None, dual) if solved is None else (_fractions(*solved), None)
 
 
 def nullspace(rows: Sequence[Sequence[int]], ncols: int
@@ -426,18 +410,6 @@ def _split_one(part: Partition, f: RationalFunction
     return DualCertificate(RationalFunction(tuple(weights)))
 
 
-def _split_none(f: RationalFunction
-                ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
-    """`split_over_classes` for no partition: only f = 0 is a sum of no
-    parts, and otherwise +1 at f's first nonzero point is a dual."""
-    x = next((x for x, v in enumerate(f.values) if v), None)
-    if x is None:
-        return []
-    weights = [Fraction(0)] * len(f)
-    weights[x] = Fraction(1)
-    return DualCertificate(RationalFunction(tuple(weights)))
-
-
 def _split_many(partitions: Sequence[Partition], f: RationalFunction
                 ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
     """`split_over_classes` for three or more partitions: the `_Forest` of
@@ -532,17 +504,16 @@ def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
     dropping j leaves the sum of the spaces unchanged: `_finest` keeps
     the partitions no other one refines (the first of equal ones).  One
     kept partition goes to the class scan `_split_one`, two to
-    `_split_two`, more to `_split_many`, and none (an empty family) to
-    `_split_none`.  A dropped
-    partition's part is zero.  A dual of the kept family is a dual of the
-    full family: each class of a dropped partition is a union of classes
-    of a kept one, so the weights sum to zero on it too.
+    `_split_two` and more to `_split_many`; an empty family is refused.
+    A dropped partition's part is zero.  A dual of the kept family is a
+    dual of the full family: each class of a dropped partition is a union
+    of classes of a kept one, so the weights sum to zero on it too.
     """
+    if not partitions:
+        raise PreconditionError("split needs at least one partition")
     kept = _finest(partitions)
     finest = [partitions[j] for j in kept]
-    if not finest:
-        outcome = _split_none(f)
-    elif len(finest) == 1:
+    if len(finest) == 1:
         outcome = _split_one(finest[0], f)
     elif len(finest) == 2:
         outcome = _split_two(*finest, f)

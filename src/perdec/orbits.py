@@ -7,10 +7,9 @@ downstream is reproducible run to run.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from .core import (CommutingSystem, PreconditionError, RangeError, _Record,
-                   _set_field)
+from .core import RangeError, _Record, _set_field
 
 
 class Partition(_Record):
@@ -85,35 +84,6 @@ def induced_map(t: Sequence[int],
     on them, well defined when s and t commute."""
     part = invariance_classes(s)
     return part, tuple(part.class_of[t[rep]] for rep in part.representative)
-
-
-def joint_classes(system: CommutingSystem, subset: Iterable[int]) -> Partition:
-    """Components of the union graph over the chosen transforms.
-
-    Folded from `invariance_classes`: start from the first map's classes
-    P and, for each further map t, lift back to points the invariance
-    classes of the map t induces on P.  That map is well defined: an edge
-    y = u(x) of a folded map u gives t(y) = u(t(x)), as the maps commute,
-    so t sends each class of P into one class, and the lifted classes are
-    the components once t's edges are added.  Ids stay in order of least
-    points, each representative the class minimum: P's classes are so
-    numbered, so a coarse class's least index holds its least point.
-    """
-    indices = sorted(set(subset))
-    if not indices:
-        raise PreconditionError("subset of transforms must be nonempty")
-    for j in indices:
-        if not 0 <= j < system.n:
-            raise RangeError(f"transform index {j} outside [0, {system.n})")
-    part = invariance_classes(system.transforms[indices[0]])
-    for j in indices[1:]:
-        t = system.transforms[j]
-        coarse = invariance_classes(
-            [part.class_of[t[rep]] for rep in part.representative])
-        part = Partition(
-            tuple(coarse.class_of[c] for c in part.class_of),
-            tuple(part.representative[c] for c in coarse.representative))
-    return part
 
 
 def find_relation(s: Sequence[int], x: int,

@@ -3,14 +3,17 @@ import os
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import strategies as st
 
 from perdec import generators
-from perdec.check import CycleObstruction
-from perdec.core import RationalFunction, compose
-from perdec.oracle import nullspace
+from perdec.check import ConstrainedObstruction, CycleObstruction
+from perdec.cohomology import _solve_on_quotient
+from perdec.core import RangeError, RationalFunction, compose
+from perdec.lattice import LatticeWindow, _trusted, window_size
+from perdec.oracle import _fractions, _solve, nullspace
 from perdec.orbits import Partition, invariance_classes, rho
 
 
@@ -82,6 +85,43 @@ def counted_tuple(values, reads: list, limit=None) -> tuple:
 def counted_partition(part: Partition, reads: list) -> Partition:
     """part with class labels counted by `counted_tuple`."""
     return Partition(counted_tuple(part.class_of, reads), part.representative)
+
+
+def delta(t, f: RationalFunction) -> RationalFunction:
+    """Reference difference x -> f(t(x)) - f(x)."""
+    return f.compose(t) - f
+
+
+def constrained_transfer(t, s, g: RationalFunction):
+    """h(t(x)) - h(x) = g(x) with h s-invariant: `_solve_on_quotient`'s
+    h_q lifted to points, or its ConstrainedObstruction."""
+    h_q, part, _ = _solve_on_quotient(t, s, g)
+    if isinstance(h_q, ConstrainedObstruction):
+        return h_q
+    return RationalFunction(tuple(h_q[c] for c in part.class_of))
+
+
+def linear_feasibility(rows, rhs, ncols):
+    """`oracle._solve` on dense integer rows A and right side b: (solution,
+    dual) with exactly one side present, a Fraction solution of A c = b
+    with free unknowns pinned to 0, or an integer y with y A = 0, y b != 0."""
+    solved, dual = _solve([{c: v for c, v in enumerate(row) if v}
+                           for row in rows], rhs, ncols)
+    return (None, dual) if solved is None else (_fractions(*solved), None)
+
+
+def restrict(window: LatticeWindow, new_dims) -> LatticeWindow:
+    """Reference sub-window keeping coordinates below new_dims on every
+    axis, its indices summed from one offset per axis, built from the
+    window's checked Fractions without the constructor's checks."""
+    nd = tuple(new_dims)
+    if len(nd) != len(window.dims) or any(a > b for a, b
+                                          in zip(nd, window.dims)):
+        raise RangeError("restriction must shrink within the window")
+    window_size(nd)
+    offsets = product(*(range(0, w * stride, stride)
+                        for w, stride in zip(nd, window.strides())))
+    return _trusted(nd, tuple(window.values[sum(o)] for o in offsets))
 
 
 def reference_solve_transfer(t, g: RationalFunction):

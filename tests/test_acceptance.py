@@ -22,9 +22,9 @@ from perdec.core import (
     Decomposition,
     PreconditionError,
     RationalFunction,
-    delta,
     is_invariant,
     validate_system,
+    window_difference,
 )
 from perdec.check import (
     BoundedTransfer,
@@ -34,7 +34,7 @@ from perdec.check import (
     verify_decomposition,
     verify_report,
 )
-from tests.conftest import SHIFT_FAMILIES, shift_table
+from tests.conftest import SHIFT_FAMILIES, delta, shift_table
 
 pytestmark = pytest.mark.acceptance
 
@@ -185,16 +185,17 @@ def test_criterion_4_emitted_certificates_replay_via_cli_verify(tmp_path, capsys
 
 
 def test_criterion_5_z_window_linear_function_is_blocked():
-    demo = lattice.z_window_counterexample(10)
-    assert demo.shifts == (1, 1)
-    assert demo.mixed_delta_zero
-    violation = demo.violation
+    # f(x) = x against the equal shifts (1, 1): the double difference
+    # vanishes, yet the arithmetic check blocks every split
+    shifts = (1, 1)
+    f = RationalFunction(tuple(Fraction(x) for x in range(10)))
+    assert not any(window_difference(f.values, shifts)[1])
+    violation = star.check_star_abelian(shifts, f)
     assert violation is not None
     assert violation.instance.blocks == ((0, 1),)
     assert violation.instance.exponents == (1,)
     assert violation.value != 0
-    f = RationalFunction(tuple(Fraction(x) for x in range(10)))
-    assert replay_abelian_violation(demo.shifts, f, violation)
+    assert replay_abelian_violation(shifts, f, violation)
     # control: shift-invariant functions on the same window do pass
     constant = RationalFunction.constant(10, Fraction(3))
     assert star.check_star_abelian((1, 1), constant) is None

@@ -14,21 +14,18 @@ from perdec.check import (
     verify_bounded_transfer,
     verify_cycle_obstruction,
 )
-from perdec.cohomology import (
-    solve_bounded_transfer,
-    solve_transfer,
-    solve_transfer_constrained,
-)
+from perdec.cohomology import solve_bounded_transfer, solve_transfer
 from perdec.core import (
     InternalContractViolation,
     PreconditionError,
     RationalFunction,
-    delta,
     is_invariant,
 )
 from perdec.orbits import induced_map, invariance_classes
 from tests.conftest import (
+    constrained_transfer,
     counted_tuple,
+    delta,
     rationals,
     reference_solve_transfer,
     sized_maps,
@@ -204,18 +201,18 @@ def test_transfer_solvers_read_a_long_path_a_linear_number_of_times(
     monkeypatch.setattr(cohomology, "induced_map", counted_induced)
     reads[0] = 0
     s = tuple(range(size))
-    assert solve_transfer_constrained(t, s, g) == h
+    assert constrained_transfer(t, s, g) == h
 
 
 def test_solve_transfer_constrained_rejects_bad_inputs():
     t = (1, 2, 0)
     with pytest.raises(PreconditionError):
         # not s-invariant under s = t here
-        solve_transfer_constrained(t, t, RationalFunction(
+        constrained_transfer(t, t, RationalFunction(
             (Fraction(1), Fraction(0), Fraction(0))))
     with pytest.raises(PreconditionError):
         # the maps do not commute
-        solve_transfer_constrained((1, 0, 2), (0, 0, 1),
+        constrained_transfer((1, 0, 2), (0, 0, 1),
                                    RationalFunction.zero(3))
 
 
@@ -224,7 +221,7 @@ def test_solve_transfer_constrained_round_trip(system, data):
     t, s = system.transforms
     h0 = _invariant_function(s, data)
     g = delta(t, h0)
-    h = solve_transfer_constrained(t, s, g)
+    h = constrained_transfer(t, s, g)
     assert isinstance(h, RationalFunction)
     assert delta(t, h) == g
     assert is_invariant(s, h)
@@ -234,7 +231,7 @@ def test_solve_transfer_constrained_round_trip(system, data):
 def test_solve_transfer_constrained_obstruction_replays(system, data):
     t, s = system.transforms
     g = _invariant_function(s, data)
-    got = solve_transfer_constrained(t, s, g)
+    got = constrained_transfer(t, s, g)
     if isinstance(got, RationalFunction):
         return
     # walk T^k S^l x and S^{l2} x, then re-sum the left leg of the witness
@@ -257,7 +254,7 @@ def test_solve_transfer_constrained_obstruction_replays(system, data):
 def test_solve_transfer_constrained_deterministic_witness():
     # t = s = +1 on Z_2 with g constant 1: T S x = x forces sum g = 1
     t = (1, 0)
-    got = solve_transfer_constrained(t, t, RationalFunction.constant(2, Fraction(1)))
+    got = constrained_transfer(t, t, RationalFunction.constant(2, Fraction(1)))
     assert got == ConstrainedObstruction(0, 1, 1, 0, Fraction(1))
 
 
@@ -379,7 +376,7 @@ def test_solve_bounded_transfer_labels_s_and_the_induced_map_once(
 def test_solve_bounded_transfer_obstruction_matches_constrained(system, data):
     t, s = system.transforms
     g = _invariant_function(s, data)
-    constrained = solve_transfer_constrained(t, s, g)
+    constrained = constrained_transfer(t, s, g)
     bounded = solve_bounded_transfer(t, s, g)
     if isinstance(constrained, ConstrainedObstruction):
         assert bounded == constrained
@@ -409,7 +406,7 @@ def test_verify_bounded_transfer_reduces_huge_obstruction_exponents(system,
                                                                    data):
     t, s = system.transforms
     g = _invariant_function(s, data)
-    got = solve_transfer_constrained(t, s, g)
+    got = constrained_transfer(t, s, g)
     if isinstance(got, RationalFunction):
         return
     # add a common multiple of every cycle length on the walked paths and
@@ -423,7 +420,7 @@ def test_verify_bounded_transfer_reduces_huge_obstruction_exponents(system,
 def test_verify_bounded_transfer_rejects_out_of_range_witnesses():
     t = (1, 0)
     g = RationalFunction.constant(2, Fraction(1))
-    good = solve_transfer_constrained(t, t, g)
+    good = constrained_transfer(t, t, g)
     assert verify_bounded_transfer(t, t, g, good)
     for x, k, l, l2 in ((7, 1, 1, 0), (-1, 1, 1, 0), (0, -1, 1, 0),
                         (0, 1, -1, 0), (0, 1, 1, -2)):

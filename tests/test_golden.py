@@ -1,15 +1,59 @@
+import inspect
 import json
+import sys
 
+import pytest
+
+import perdec
 from tests import golden
 
+# exported functions that no corpus case calls, each with its reason
+UNREACHED_EXPORTS = {
+    "decompose_two": "a wrapper of decompose_n that the benchmark's "
+                     "construct workload calls",
+    "decompose_three": "a wrapper of decompose_n that the benchmark's "
+                       "construct workload calls",
+    "as_fraction": "the coercion of ints and 'p/q' strings that README "
+                   "documents; the CLI parses its literals itself",
+}
 
-def test_every_cli_case_matches_the_golden_corpus(tmp_path):
+
+@pytest.fixture(scope="module")
+def corpus_run(tmp_path_factory):
+    """The corpus document and the code objects of every Python call its
+    cases made, recorded by a profile hook that is removed afterwards."""
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        got = golden.run_corpus(tmp_path_factory.mktemp("corpus"))
+    finally:
+        sys.setprofile(previous)
+    return got, called
+
+
+def test_every_cli_case_matches_the_golden_corpus(corpus_run):
     # any moved output byte, exit code or instance names its case ids;
     # regenerate with `PYTHONPATH=src python -m tests.golden --write`
-    got = golden.run_corpus(tmp_path)
+    got, _ = corpus_run
     pinned = golden.GOLDEN.read_text()
     assert golden.dumps(got) == pinned, golden.differences(
         json.loads(pinned), got)
+
+
+def test_the_corpus_calls_every_exported_function(corpus_run):
+    # a public function that no CLI path reaches is dead library code,
+    # unless its allowlist entry says who calls it
+    _, called = corpus_run
+    functions = {name: getattr(perdec, name) for name in perdec.__all__}
+    unreached = [name for name, fn in functions.items()
+                 if inspect.isfunction(fn) and fn.__code__ not in called]
+    assert sorted(unreached) == sorted(UNREACHED_EXPORTS)
 
 
 def test_the_corpus_reads_every_kind_and_replays_every_result():

@@ -11,6 +11,7 @@ from perdec.core import (
     RangeError,
     RationalFunction,
     VerificationResult,
+    window_difference,
 )
 from perdec.check import (
     DualCertificate,
@@ -24,10 +25,15 @@ from perdec.lattice import (
     lattice_decompose,
     lattice_oracle_decompose,
     mixed_delta_witness,
-    z_window_counterexample,
 )
 from perdec.orbits import invariance_classes
-from tests.conftest import corner_stencil, partition_of_labels, rationals
+from perdec.star import check_star_abelian
+from tests.conftest import (
+    corner_stencil,
+    partition_of_labels,
+    rationals,
+    restrict,
+)
 
 
 def test_window_validation_and_indexing():
@@ -53,15 +59,15 @@ def test_window_validation_and_indexing():
 
 def test_window_restrict():
     w = LatticeWindow((3, 3), tuple(Fraction(i) for i in range(9)))
-    sub = w.restrict((2, 3))
+    sub = restrict(w, (2, 3))
     assert sub.dims == (2, 3)
     assert sub.values == tuple(Fraction(i) for i in range(6))
     with pytest.raises(RangeError):
-        w.restrict((4, 3))
+        restrict(w, (4, 3))
     with pytest.raises(RangeError):
-        w.restrict((3,))
+        restrict(w, (3,))
     with pytest.raises(RangeError):
-        w.restrict((1, 3))
+        restrict(w, (1, 3))
 
 
 def _sliced(values, dims, new_dims):
@@ -90,14 +96,14 @@ def test_restrict_reads_the_strides_once_and_equals_slicing(dims, data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LatticeWindow, "strides", counted)
-        sub = f.restrict(new_dims)
+        sub = restrict(f, new_dims)
     assert calls == [f.dims]
     assert sub == LatticeWindow(new_dims, _sliced(f.values, f.dims, new_dims))
 
 
 def test_parts_of_a_checked_window_skip_the_constructor_checks(monkeypatch):
-    # f(x, y) = 3x + y + 1 splits; its parts, its oracle parts and its
-    # restriction come from f's own checked dims and Fractions
+    # f(x, y) = 3x + y + 1 splits; its parts, its oracle parts and the
+    # reference restriction come from f's own checked dims and Fractions
     f = LatticeWindow((2, 3), range(1, 7))
     checked = []
     init = LatticeWindow.__init__
@@ -108,7 +114,7 @@ def test_parts_of_a_checked_window_skip_the_constructor_checks(monkeypatch):
 
     monkeypatch.setattr(LatticeWindow, "__init__", counted)
     parts = (*lattice_decompose(f), *lattice_oracle_decompose(f),
-             f.restrict((2, 2)))
+             restrict(f, (2, 2)))
     assert checked == []
     for part in parts:
         assert part == LatticeWindow(part.dims, part.values)
@@ -447,32 +453,29 @@ def test_verify_point_violation_checks_range_and_value():
 @settings(max_examples=30, deadline=None)
 def test_restriction_preserves_separability(f):
     sub_dims = tuple(max(2, w - 1) for w in f.dims)
-    sub = f.restrict(sub_dims)
+    sub = restrict(f, sub_dims)
     assert mixed_delta_witness(sub) is None
     lattice_decompose(sub)
 
 
 def test_z_window_counterexample():
-    demo = z_window_counterexample()
-    assert demo.length == 10
-    assert demo.shifts == (1, 1)
-    assert demo.mixed_delta_zero
-    viol = demo.violation
+    # f(x) = x against the equal shifts (1, 1): the double difference
+    # vanishes, yet both indices fall in one block with exponent 1
+    f = RationalFunction(tuple(Fraction(x) for x in range(10)))
+    assert not any(window_difference(f.values, (1, 1))[1])
+    viol = check_star_abelian((1, 1), f)
     assert viol is not None
     inst = viol.instance
     assert inst.blocks == ((0, 1),)
     assert inst.exponents == (1,)
     assert viol.value == 1
-    f = RationalFunction(tuple(Fraction(x) for x in range(10)))
-    assert replay_abelian_violation(demo.shifts, f, viol)
-    with pytest.raises(PreconditionError):
-        z_window_counterexample(2)
+    assert replay_abelian_violation((1, 1), f, viol)
 
 
 @given(st.integers(3, 24))
 def test_z_window_counterexample_all_lengths(length):
-    demo = z_window_counterexample(length)
-    assert demo.mixed_delta_zero
-    assert demo.violation is not None
     f = RationalFunction(tuple(Fraction(x) for x in range(length)))
-    assert replay_abelian_violation((1, 1), f, demo.violation)
+    assert not any(window_difference(f.values, (1, 1))[1])
+    viol = check_star_abelian((1, 1), f)
+    assert viol is not None
+    assert replay_abelian_violation((1, 1), f, viol)

@@ -2,18 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perdec.core import (
-    PreconditionError,
-    RangeError,
-    identity,
-    iterate,
-    validate_system,
-)
+from perdec.core import RangeError, iterate
 from perdec.orbits import (
     find_relation,
     induced_map,
     invariance_classes,
-    joint_classes,
     rho,
 )
 from tests.conftest import (
@@ -77,17 +70,6 @@ def test_invariance_classes_equal_the_union_find_components(sized):
     assert invariance_classes(t) == union_find_classes(size, [t])
 
 
-@given(systems(nmin=1, nmax=4, max_size=12))
-def test_joint_classes_match_undirected_reachability(system):
-    # the whole Partition, ids and representatives included, on every
-    # nonempty subset of the transforms
-    for mask in range(1, 1 << system.n):
-        subset = [j for j in range(system.n) if mask >> j & 1]
-        maps = [system.transforms[j] for j in subset]
-        assert joint_classes(system, subset) == union_find_classes(
-            system.size, maps)
-
-
 def test_rho_of_a_tail_into_a_cycle():
     # 4 -> 3 -> 1 -> 2 -> 1: tail (4, 3), cycle (1, 2)
     t = (0, 2, 1, 1, 3)
@@ -112,12 +94,6 @@ def test_induced_map_sends_each_s_class_to_the_class_of_its_t_image(system):
     assert part == invariance_classes(s)
     for x in range(system.size):
         assert induced[part.class_of[x]] == part.class_of[t[x]]
-
-
-def test_joint_classes_rejects_empty_subset():
-    system = validate_system([(0, 1)], 2)
-    with pytest.raises(PreconditionError):
-        joint_classes(system, [])
 
 
 def test_find_relation_identity_pair():
@@ -171,7 +147,7 @@ def test_find_relation_equals_the_grid_search_with_an_identity_map(case,
     x = data.draw(st.integers(0, size - 1))
     y = data.draw(st.integers(0, size - 1))
     # the orbits repeat within N steps, so exponents below N see them all
-    rel = grid_relation(identity(size), t, x, y, size - 1)
+    rel = grid_relation(tuple(range(size)), t, x, y, size - 1)
     expected = None if rel is None else (rel[0], rel[2])
     assert rel is None or (rel[1], rel[3]) == (0, 0)
     assert find_relation(t, x, y) == expected

@@ -81,8 +81,13 @@ def test_the_checker_imports_only_core_orbits_and_the_standard_library():
     assert stdlib - {"__future__"} <= sys.stdlib_module_names
 
 
-# top-level names read only from outside src/perdec, each with its reason
+# top-level names that no code in src/perdec reads, each with its reason;
+# a name in perdec's export table is not read by being listed there
 DEAD_CODE_ALLOWLIST = {
+    # one-line wrappers of decompose_n that the benchmark's construct
+    # workload calls
+    ("decomp", "decompose_two"),
+    ("decomp", "decompose_three"),
     # parse_instance's round-trip partner; the benchmark writes its
     # instance files with it
     ("serialize", "instance_to_json"),
@@ -122,8 +127,7 @@ def test_every_definition_is_exported_read_or_allowed():
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted((ROOT / "src" / "perdec").glob("*.py"))}
     unread = [site for site in _unread_definitions(trees)
-              if site[1] not in perdec.__all__
-              and site not in DEAD_CODE_ALLOWLIST]
+              if site not in DEAD_CODE_ALLOWLIST]
     assert unread == []
     # every allowed name still exists and still needs its entry
     for module, name in DEAD_CODE_ALLOWLIST:

@@ -13,7 +13,7 @@ from perdec.check import (BoundedTransfer, Candidate, ConstrainedObstruction,
                           StarInstance, StarViolation)
 from perdec.core import (CommutingSystem, Decomposition, RationalFunction,
                          VerificationResult, _Record)
-from perdec.lattice import LatticeWindow, ZWindowDemo
+from perdec.lattice import LatticeWindow
 from perdec.orbits import Partition
 from perdec.serialize import Instance
 
@@ -100,12 +100,6 @@ RECORDS = {
         lambda: LatticeWindow((2, 2), (1, 2, 3, F(9, 2))),
         "LatticeWindow(dims=(2, 2), values=(Fraction(1, 1), Fraction(2, 1), "
         "Fraction(3, 1), Fraction(9, 2)))"),
-    "ZWindowDemo": (
-        lambda: ZWindowDemo(3, (1, 1), True, _violation()),
-        "ZWindowDemo(length=3, shifts=(1, 1), mixed_delta_zero=True, "
-        "violation=StarViolation(instance=StarInstance(blocks=((0, 1),), "
-        "distinguished=(0,), exponents=(1,), premises=((1, 0, 1),), z=0), "
-        "value=Fraction(3, 2), kind='MixedDeltaNonzero'))"),
 }
 
 
