@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import perdec
 import perdec.check
 import perdec.cli
+import perdec.oracle
 from perdec import serialize
 from perdec.cli import run_command
 from perdec.core import RationalFunction
@@ -593,6 +594,30 @@ def test_oracle_verify_reports_bad_result_dims_at_dims(tmp_path, capsys):
     assert code == 2
     assert doc == {"error": "dims: extent 1 must be an integer >= 2",
                    "path": "dims"}
+
+
+@pytest.mark.parametrize("doc, path, reason", [
+    (dict(FINITE_DOUBLE_SWAP, transforms=[]), "transforms",
+     "expected a nonempty list of transform tables"),
+    (dict(CYCLIC_SPLIT, shifts=[]), "shifts", "expected at least one shift"),
+    (dict(Z_WINDOW_LINEAR, shifts=[]), "shifts",
+     "expected at least one shift"),
+    (dict(LATTICE_SEPARABLE, dims=[], values=["0"]), "dims",
+     "window needs at least one axis"),
+], ids=["finite", "cyclic-group", "z-window", "lattice-window"])
+def test_an_instance_with_no_maps_is_refused_on_every_command(
+        tmp_path, capsys, monkeypatch, doc, path, reason):
+    # so no command hands the oracle an empty family of partitions
+    def refuse(*args):
+        raise AssertionError("an empty family reached the oracle")
+
+    monkeypatch.setattr(perdec.oracle, "split_over_classes", refuse)
+    inst = _write(tmp_path, "inst.json", doc)
+    for command in ("validate", "decompose", "star-check", "oracle",
+                    "lattice-decompose", "bounded-transfer"):
+        code, got = _run(capsys, [command, inst])
+        assert code == 2
+        assert got == {"error": f"{path}: {reason}", "path": path}
 
 
 @pytest.mark.parametrize("shifts, reason", [

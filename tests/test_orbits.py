@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from perdec.core import RangeError, iterate
 from perdec.orbits import (
+    Partition,
     find_relation,
     induced_map,
     invariance_classes,
@@ -94,6 +95,20 @@ def test_induced_map_sends_each_s_class_to_the_class_of_its_t_image(system):
     assert part == invariance_classes(s)
     for x in range(system.size):
         assert induced[part.class_of[x]] == part.class_of[t[x]]
+
+
+@given(systems(n=2, max_size=12))
+def test_the_induced_map_classes_lift_to_the_joint_classes(system):
+    # the fold `solve_bounded_transfer` recenters on: lifted through s's
+    # classes, the classes of the map t induces are the components of the
+    # union graph of s and t, ids and representatives included
+    t, s = system.transforms
+    part, induced = induced_map(t, s)
+    joint = invariance_classes(induced)
+    lifted = Partition(
+        tuple(joint.class_of[c] for c in part.class_of),
+        tuple(part.representative[c] for c in joint.representative))
+    assert lifted == union_find_classes(system.size, [s, t])
 
 
 def test_find_relation_identity_pair():
