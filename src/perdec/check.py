@@ -66,9 +66,6 @@ class DualCertificate(_Record):
 
     weights: RationalFunction
 
-    def pair(self, f: RationalFunction) -> Fraction:
-        return sum((w * v for w, v in zip(self.weights, f)), Fraction(0))
-
 
 class CycleObstruction(_Record):
     """A T-cycle whose g-sum is nonzero, so h(Tx) - h(x) = g(x) is unsolvable."""
@@ -121,8 +118,8 @@ class SearchReport(_Record):
     candidates: tuple[Candidate, ...]
 
 
-def first_parts_defect(tables: Sequence[Sequence[int]], f: Sequence[Fraction],
-                       parts: Sequence[Sequence[Fraction]]
+def first_parts_defect(tables: Sequence[Sequence[int]], f: RationalFunction,
+                       parts: Sequence[RationalFunction]
                        ) -> Optional[tuple[str, ...]]:
     """First defect of parts as a split of f, part j invariant under the
     map tables[j]: ("LengthMismatch", j), then ("SumMismatch", x), then
@@ -130,38 +127,37 @@ def first_parts_defect(tables: Sequence[Sequence[int]], f: Sequence[Fraction],
     None when there is none.  A fixed point constrains nothing, so a
     window shift completed by fixed points checks its in-window pairs.
 
-    Values are compared as (numerator, denominator) pairs, with no
-    Fraction arithmetic.  Each point sums on integers over a denominator
-    that grows only to the lcm of that point's own denominators, so no
-    number outgrows what the Fraction sum would form.
+    All on integers: f and the parts are scaled to one lcm of their n + 1
+    denominators and summed point by point, and a part is invariant when
+    its numerators read through its map are its numerators.
     """
     for j, part in enumerate(parts):
         if len(part) != len(f):
             return ("LengthMismatch", j)
-    target, *columns = [[v.as_integer_ratio() for v in values]
-                        for values in (f, *parts)]
-    for x, ((want, denom), *terms) in enumerate(zip(target, *columns)):
-        total = 0
-        for num, q in terms:
-            if denom % q:
-                scale = lcm(denom, q) // denom
-                total *= scale
-                want *= scale
-                denom *= scale
-            total += num * (denom // q)
-        if total != want:
-            return ("SumMismatch", x)
-    for j, (t, ratios) in enumerate(zip(tables, columns)):
-        moved = [ratios[y] for y in t]
-        if moved != ratios:
-            x = next(x for x, (a, b) in enumerate(zip(moved, ratios))
-                     if a != b)
-            return ("NotInvariant", j, x)
+    denom = lcm(f.denom, *(part.denom for part in parts))
+
+    def scaled(g: RationalFunction) -> list[int]:
+        k = denom // g.denom
+        return list(g.numerators) if k == 1 else [k * v for v in g.numerators]
+
+    total = [0] * len(f)
+    for part in parts:
+        total = list(map(add, total, scaled(part)))
+    want = scaled(f)
+    if total != want:
+        return ("SumMismatch", next(x for x, (a, b)
+                                    in enumerate(zip(total, want)) if a != b))
+    for j, (t, part) in enumerate(zip(tables, parts)):
+        numerators = part.numerators
+        moved = tuple(map(numerators.__getitem__, t))
+        if moved != numerators:
+            return ("NotInvariant", j, next(x for x, (a, b) in enumerate(
+                zip(moved, numerators)) if a != b))
     return None
 
 
-def verify_parts(tables: Sequence[Sequence[int]], f: Sequence[Fraction],
-                 parts: Sequence[Sequence[Fraction]]) -> VerificationResult:
+def verify_parts(tables: Sequence[Sequence[int]], f: RationalFunction,
+                 parts: Sequence[RationalFunction]) -> VerificationResult:
     """One part per map, checked by `first_parts_defect`; the reason tag
     is "LengthMismatch(j)", "SumMismatch(x)" or "NotInvariant(j,x)"."""
     if len(parts) != len(tables):
@@ -196,8 +192,7 @@ def verify_lattice_parts(f: LatticeWindow,
     the axis maps)."""
     if len(parts) != len(f.dims) or any(p.dims != f.dims for p in parts):
         return VerificationResult(False, "parts do not match the window shape")
-    defect = first_parts_defect(f.axis_maps(), f.values,
-                                [p.values for p in parts])
+    defect = first_parts_defect(f.axis_maps(), f, parts)
     if defect is None:
         return VerificationResult(True)
     if defect[0] == "SumMismatch":
@@ -208,14 +203,14 @@ def verify_lattice_parts(f: LatticeWindow,
                                      f"{f.coords(idx)}")
 
 
-def stencil_value(values: Sequence[Fraction], z: int,
+def stencil_value(f: RationalFunction, z: int,
                   steps: Iterable[Callable[[int], int]]
                   ) -> Optional[Fraction]:
-    """The mixed difference at z with factors g -> g o step - g, or None
-    when a step leaves [0, len(values)).  Walked as point -> integer
+    """The mixed difference of f at z with factors g -> g o step - g, or
+    None when a step leaves [0, len(f)).  Walked as point -> integer
     coefficient, each factor sending c at w to -c at w and +c at step(w),
-    so at most min(len(values), 2^factors) points are live and read."""
-    size = len(values)
+    so at most min(len(f), 2^factors) points are live and read."""
+    size = len(f)
     coeffs = {z: 1}
     for step in steps:
         moved: Dict[int, int] = {}
@@ -226,9 +221,10 @@ def stencil_value(values: Sequence[Fraction], z: int,
                 return None
             moved[u] = moved.get(u, 0) + c
         coeffs = {w: c for w, c in moved.items() if c}
-    # one Fraction at the end, over the lcm of the live points' denominators
-    nums, denom = integer_values([values[w] for w in coeffs])
-    return Fraction(sum(c * p for c, p in zip(coeffs.values(), nums)), denom)
+    # one Fraction at the end, over f's denominator
+    numerators = f.numerators
+    return Fraction(sum(c * numerators[w] for w, c in coeffs.items()),
+                    f.denom)
 
 
 def _well_formed(inst: StarInstance, n: int, size: int) -> bool:
@@ -265,7 +261,7 @@ def _replays(violation: StarViolation, n: int, f: RationalFunction,
             for i in block}
     if not all(premise(i, l, l2, *head[i]) for i, l, l2 in inst.premises):
         return False
-    value = stencil_value(f.values, inst.z,
+    value = stencil_value(f, inst.z,
                           [step(h, k) for h, k
                            in zip(inst.distinguished, inst.exponents)])
     return value == violation.value and value != 0
@@ -313,7 +309,7 @@ def verify_point_violation(f: LatticeWindow,
                                         for c, w in zip(point, f.dims)):
         return VerificationResult(
             False, "point is not a stencil base inside the window")
-    if stencil_value(f.values, f.index(point),
+    if stencil_value(f, f.index(point),
                      [partial(add, stride) for stride in f.strides()]) == 0:
         return VerificationResult(False,
                                   "mixed difference vanishes at the point")
@@ -423,12 +419,12 @@ def verify_dual(partitions: Sequence[Partition], f: RationalFunction,
     if len(dual.weights) != len(f):
         return VerificationResult(False,
                                   "weight count differs from domain size")
-    support = [x for x, w in enumerate(dual.weights) if w]
     # both sides scaled to integers by positive factors: the pairing keeps
     # its zero/nonzero answer
-    weights, _ = integer_values([dual.weights[x] for x in support])
-    values, _ = integer_values([f[x] for x in support])
-    if not sum(w * v for w, v in zip(weights, values)):
+    numerators = dual.weights.numerators
+    support = [x for x, w in enumerate(numerators) if w]
+    weights = [numerators[x] for x in support]
+    if not sum(w * f.numerators[x] for x, w in zip(support, weights)):
         return VerificationResult(False, "dual functional vanishes on f")
     for j, part in enumerate(partitions):
         sums: Dict[int, int] = {}
@@ -448,38 +444,33 @@ def partial_sum_bound(t: Sequence[int], g: RationalFunction,
 
     On solvable instances the partial sums are eventually periodic in m
     with preperiod plus period at most N, so the default horizon sees
-    every value.  The sums run on integers: an orbit never leaves its
-    weak class, so each class's values are scaled by the lcm of their
-    denominators there.
+    every value.  The sums run on g's numerators, over its denominator.
     """
     size = len(g)
     if horizon is None:
         horizon = 2 * size
-    best = Fraction(0)
-    scaled = [0] * size
-    for members in invariance_classes(t).classes():
-        denom = lcm(*(g[x].denominator for x in members))
-        for x in members:
-            scaled[x] = g[x].numerator * (denom // g[x].denominator)
-        top = 0
-        for x in members:
-            partial = 0
-            p = x
-            for _ in range(horizon):
-                partial += scaled[p]
-                p = t[p]
-                if abs(partial) > top:
-                    top = abs(partial)
-        if Fraction(top, denom) > best:
-            best = Fraction(top, denom)
-    return best
+    numerators = g.numerators
+    top = 0
+    for x in range(size):
+        partial = 0
+        p = x
+        for _ in range(horizon):
+            partial += numerators[p]
+            p = t[p]
+            if abs(partial) > top:
+                top = abs(partial)
+    return Fraction(top, g.denom)
 
 
 def verify_transfer(t: Sequence[int], g: RationalFunction,
                     h: RationalFunction) -> VerificationResult:
-    """h solves h(t(x)) - h(x) = g(x) at every x."""
+    """h solves h(t(x)) - h(x) = g(x) at every x, on numerators over the
+    lcm of the two denominators."""
+    denom = lcm(h.denom, g.denom)
+    a, b = denom // h.denom, denom // g.denom
+    hn, gn = h.numerators, g.numerators
     for x in range(len(g)):
-        if h[t[x]] - h[x] != g[x]:
+        if a * (hn[t[x]] - hn[x]) != b * gn[x]:
             return VerificationResult(False, f"transfer identity fails at {x}")
     return VerificationResult(True)
 
@@ -514,8 +505,7 @@ def verify_cycle_obstruction(t: Sequence[int], g: RationalFunction,
             False, "cycle points are not distinct points of the domain")
     if any(t[p] != q for p, q in zip(points, points[1:] + points[:1])):
         return VerificationResult(False, "points do not form a cycle of t")
-    numerators, denom = integer_values([g[p] for p in points])
-    total = Fraction(sum(numerators), denom)
+    total = Fraction(sum(map(g.numerators.__getitem__, points)), g.denom)
     if total != obstruction.total or total == 0:
         return VerificationResult(False, "obstruction sum does not replay")
     return VerificationResult(True)
@@ -526,13 +516,14 @@ def orbit_sum(t: Sequence[int], g: RationalFunction, x: int,
     """sum_{i < steps} g(t^i x) for any steps >= 0, in at most N steps:
     the sum over x's tail, whole turns of its cycle, then a partial turn."""
     orbit, start = rho(t, x)
-    prefix = [Fraction(0)]
+    prefix = [0]
     for p in orbit:
-        prefix.append(prefix[-1] + g[p])
+        prefix.append(prefix[-1] + g.numerators[p])
     if steps <= len(orbit):
-        return prefix[steps]
+        return Fraction(prefix[steps], g.denom)
     turns, rest = divmod(steps - start, len(orbit) - start)
-    return prefix[start + rest] + turns * (prefix[-1] - prefix[start])
+    total = prefix[start + rest] + turns * (prefix[-1] - prefix[start])
+    return Fraction(total, g.denom)
 
 
 def verify_bounded_transfer(
@@ -584,7 +575,7 @@ def verify_candidate(candidate: Candidate) -> VerificationResult:
     invariance classes.  On a finite system a vanishing mixed difference
     means f splits (`decomp.decompose_n`), so no candidate can pass."""
     system = validate_system(candidate.transforms, candidate.size)
-    f = RationalFunction(tuple(map(Fraction, candidate.values)))
+    f = RationalFunction(candidate.values)
     if len(f) != system.size:
         raise PreconditionError("function length does not match the domain")
     if not system.n:
@@ -592,8 +583,7 @@ def verify_candidate(candidate: Candidate) -> VerificationResult:
     passed = verify_star_pass(f, system.transforms)
     if not passed:
         return passed
-    dual = DualCertificate(RationalFunction(
-        tuple(map(Fraction, candidate.dual_weights))))
+    dual = DualCertificate(RationalFunction(candidate.dual_weights))
     return verify_dual([invariance_classes(t) for t in system.transforms],
                        f, dual)
 

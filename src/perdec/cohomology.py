@@ -26,8 +26,8 @@ from .core import (
     InternalContractViolation,
     PreconditionError,
     RationalFunction,
+    _from_integers,
     commute_witness,
-    integer_values,
     is_invariant,
     iterate,
 )
@@ -46,8 +46,10 @@ def solve_transfer(
     forward walk from each unsolved x, in point order: a walk that meets
     a solved point fills h backward along its path; a walk that closes a
     new cycle started at that class's least point, so once the cycle sum
-    checks out h(x) = 0 and h fills forward.  Each point is walked once.
+    checks out h(x) = 0 and h fills forward.  Each point is walked once,
+    on g's numerators: h has g's denominator.
     """
+    numerators = g.numerators
     values: list = [None] * len(g)
     for x in range(len(g)):
         if values[x] is not None:
@@ -61,24 +63,23 @@ def solve_transfer(
             y = t[y]
         if values[y] is None:
             cycle = path[index[y]:]
-            numerators, denom = integer_values([g[p] for p in cycle])
-            total = sum(numerators)
+            total = sum(map(numerators.__getitem__, cycle))
             if total:
                 obstruction = CycleObstruction(tuple(cycle),
-                                               Fraction(total, denom))
+                                               Fraction(total, g.denom))
                 verify_cycle_obstruction(t, g, obstruction).require(
                     "cycle obstruction")
                 return obstruction
-            h = Fraction(0)
+            h = 0
             for p in path:
                 values[p] = h
-                h += g[p]
+                h += numerators[p]
         else:
             h = values[y]
             for p in reversed(path):
-                h -= g[p]
+                h -= numerators[p]
                 values[p] = h
-    solution = RationalFunction(tuple(values))
+    solution = _from_integers(values, g.denom)
     verify_transfer(t, g, solution).require("transfer solution")
     return solution
 
@@ -108,7 +109,8 @@ def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
     if not is_invariant(s, g):
         raise PreconditionError("right side is not s-invariant")
     part, induced = induced_map(t, s)
-    g_q = RationalFunction(tuple(g[rep] for rep in part.representative))
+    g_q = _from_integers(map(g.numerators.__getitem__, part.representative),
+                         g.denom)
     h_q = solve_transfer(induced, g_q)
     if isinstance(h_q, CycleObstruction):
         x = part.representative[h_q.points[0]]
@@ -141,7 +143,8 @@ def solve_bounded_transfer(
     added.  Their ids stay in order of least points, each representative
     the class minimum: P's classes are so numbered, so a joint class's
     least s-class holds its least point.  H is h_q on each s-class, so the
-    midranges are taken over h_q on the quotient.
+    midranges are taken over h_q on the quotient, on its numerators over
+    twice its denominator.
     """
     h_q, part, induced = _solve_on_quotient(t, s, g)
     if isinstance(h_q, ConstrainedObstruction):
@@ -149,11 +152,12 @@ def solve_bounded_transfer(
     bound_c = partial_sum_bound(t, g)
     joint = invariance_classes(induced)
     members: list = [[] for _ in range(joint.n_classes)]
-    for c, value in zip(joint.class_of, h_q.values):
+    for c, value in zip(joint.class_of, h_q.numerators):
         members[c].append(value)
-    mids = [(max(values) + min(values)) / 2 for values in members]
-    centered = RationalFunction(tuple(
-        h_q[c] - mids[joint.class_of[c]] for c in part.class_of))
+    mids = [max(values) + min(values) for values in members]
+    centered = _from_integers(
+        [2 * h_q.numerators[c] - mids[joint.class_of[c]]
+         for c in part.class_of], 2 * h_q.denom)
     _check_bounded(t, s, g, centered, bound_c).require(
         "recentered solution")
     return BoundedTransfer(centered, bound_c)

@@ -2,8 +2,11 @@
 
 The domain is {0, .., N-1}.  A transformation is a total self-map stored as
 a table ``t`` with ``t[x]`` the image of x; no injectivity or surjectivity
-is assumed.  Function values are exact rationals, so every equality test in
-the library is exact and results do not depend on evaluation order.
+is assumed.  Function values are exact rationals, held as integer
+numerators over one denominator (`RationalFunction`), so every equality
+test in the library is exact, results do not depend on evaluation order,
+and every stage works on the stored integers: no stage converts values to
+Fractions and back.
 
 All operations here are pure; every value is immutable after construction
 and safe to share between threads.
@@ -20,7 +23,7 @@ shared VM, Python 3.11).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
@@ -125,8 +128,8 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 def _as_fractions(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """`as_fraction` over values.  A tuple of exact Fractions, as the library
-    builds them, comes back as it is after one type pass."""
+    """`as_fraction` over values.  A tuple of exact Fractions comes back as
+    it is after one type pass."""
     if type(values) is tuple and set(map(type, values)) <= {Fraction}:
         return values
     return tuple(map(as_fraction, values))
@@ -236,23 +239,41 @@ def validate_system(transforms: Iterable[Sequence[int]], size: int) -> Commuting
 
 
 class RationalFunction(_Record):
-    """A function on {0..N-1} with exact rational values."""
+    """A function on {0..N-1} with exact rational values, stored as integer
+    numerators over one denominator: f(x) = numerators[x] / denom, with
+    denom >= 1 the lcm of the values' reduced denominators, so that
+    gcd(denom, *numerators) == 1 and equal functions have equal fields.
 
-    values: tuple[Fraction, ...]
+    The constructor takes ints, "p/q" strings or Fractions; the library
+    builds its functions from numerators with `_from_integers`.  `values`,
+    the Fractions, is built on its first read and kept outside the fields.
+    """
+
+    numerators: tuple[int, ...]
+    denom: int
 
     def __init__(self, values: Iterable[RationalLike]):
-        _set_field(self, "values", _as_fractions(values))
+        values = _as_fractions(values)
+        denom = lcm(*{v.denominator for v in values})
+        _set_field(self, "numerators", tuple(
+            v.numerator * (denom // v.denominator) for v in values))
+        _set_field(self, "denom", denom)
+        _set_field(self, "_values", values)
 
-    @classmethod
-    def zero(cls, size: int) -> "RationalFunction":
-        return cls((Fraction(0),) * size)
-
-    @classmethod
-    def constant(cls, size: int, value: RationalLike) -> "RationalFunction":
-        return cls((as_fraction(value),) * size)
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The values as Fractions, one per distinct numerator."""
+        values = self.__dict__.get("_values")
+        if values is None:
+            memo = dict.fromkeys(self.numerators)
+            for v in memo:
+                memo[v] = Fraction(v, self.denom)
+            values = tuple(map(memo.__getitem__, self.numerators))
+            _set_field(self, "_values", values)
+        return values
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.numerators)
 
     def __getitem__(self, x: int) -> Fraction:
         return self.values[x]
@@ -261,36 +282,49 @@ class RationalFunction(_Record):
         return iter(self.values)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        self._check_len(other)
-        return RationalFunction(tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        self._check_len(other)
-        return RationalFunction(tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._combine(other, -1)
 
     def compose(self, t: Sequence[int]) -> "RationalFunction":
         """The function x -> f(t(x))."""
-        if len(t) != len(self.values):
+        if len(t) != len(self):
             raise PreconditionError("transform length does not match function")
-        return RationalFunction(tuple(self.values[y] for y in t))
+        return _from_integers(map(self.numerators.__getitem__, t), self.denom)
 
     def max_abs(self) -> Fraction:
         """Sup norm."""
-        return max((abs(v) for v in self.values), default=Fraction(0))
+        return Fraction(max(map(abs, self.numerators), default=0), self.denom)
 
-    def _check_len(self, other: "RationalFunction") -> None:
-        if len(self.values) != len(other.values):
+    def _combine(self, other: "RationalFunction", sign: int
+                 ) -> "RationalFunction":
+        """self + sign * other, over the lcm of the two denominators."""
+        if len(self) != len(other):
             raise PreconditionError("function lengths differ")
+        denom = lcm(self.denom, other.denom)
+        a, b = denom // self.denom, sign * (denom // other.denom)
+        return _from_integers([a * u + b * v for u, v in
+                               zip(self.numerators, other.numerators)], denom)
 
 
-def integer_values(f: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Scale f to integers: (numerators, d) with f[x] = numerators[x] / d."""
-    denom = 1
-    for v in f:
-        q = v.denominator
-        g = gcd(denom, q)
-        denom = denom // g * q
-    return [v.numerator * (denom // v.denominator) for v in f], denom
+def _from_integers(numerators: Iterable[int], denom: int) -> RationalFunction:
+    """The function x -> numerators[x] / denom, for ints and denom >= 1,
+    built without checks and brought to the canonical pair by one gcd."""
+    numerators = tuple(numerators)
+    g = gcd(denom, *numerators)
+    if g != 1:
+        numerators = tuple([v // g for v in numerators])
+        denom //= g
+    f = object.__new__(RationalFunction)
+    _set_field(f, "numerators", numerators)
+    _set_field(f, "denom", denom)
+    return f
+
+
+def integer_values(f: RationalFunction) -> tuple[tuple[int, ...], int]:
+    """f's stored pair (numerators, denom): f[x] = numerators[x] / denom."""
+    return f.numerators, f.denom
 
 
 def _mixed_difference(tables: Sequence[Sequence[int]],
@@ -326,7 +360,7 @@ def window_difference(values: Sequence, offsets: Sequence[int]
 
 def is_invariant(t: Sequence[int], f: RationalFunction) -> bool:
     """True iff f(t(x)) = f(x) for every x."""
-    return all(f.values[t[x]] == f.values[x] for x in range(len(f)))
+    return tuple(map(f.numerators.__getitem__, t)) == f.numerators
 
 
 class Decomposition(_Record):

@@ -12,7 +12,6 @@ n = 2 case and `decompose_three` its n = 3 case.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Sequence, Tuple, Union
 
@@ -22,7 +21,7 @@ from .core import (
     InternalContractViolation,
     PreconditionError,
     RationalFunction,
-    integer_values,
+    _from_integers,
     validate_system,
 )
 from .orbits import invariance_classes
@@ -58,7 +57,7 @@ def scaled_cycle_means(t: Sequence[int], values: Sequence[int]
             y = t[y]
         cycles.append(cycle)
     scale = lcm(*map(len, cycles))
-    sums = [scale // len(cycle) * sum(values[p] for p in cycle)
+    sums = [scale // len(cycle) * sum(map(values.__getitem__, cycle))
             for cycle in cycles]
     return part.class_of, sums, scale
 
@@ -113,12 +112,13 @@ def decompose_n(transforms: Sequence[Sequence[int]],
     denom(f) N^(n-1), since T_j^m maps the T_i-cycle entered by x onto
     the one entered by T_j^m x.
 
-    A refusal needs no Fraction.  The parts sum to f by construction and
+    No step builds a Fraction.  The parts sum to f by construction and
     part j < n is constant on its classes, so they fail verification only
     where the final rest is not T_n-invariant, an integer test; then the
-    refusal is check_star's.  Otherwise each value is built once, one
-    Fraction per class for j < n and one per distinct numerator of the
-    last part, and the parts are verified before they are returned.
+    refusal is check_star's.  Otherwise part j < n is its class sums
+    spread over the points, over the D of step j, and part n the final
+    rest over the final D, each reduced to its canonical pair by one gcd;
+    the parts are verified on those numerators before they are returned.
 
     `lattice.lattice_decompose` is this construction on a window's axis
     maps that fix their base slices: every cycle is a fixed point, so
@@ -128,7 +128,7 @@ def decompose_n(transforms: Sequence[Sequence[int]],
     if not transforms:
         raise PreconditionError("decomposition needs at least one transform")
     system = validate_system(transforms, len(f))
-    rest, denom = integer_values(f)
+    rest, denom = list(f.numerators), f.denom
     means = []
     for t in system.transforms[:-1]:
         class_of, sums, scale = scaled_cycle_means(t, rest)
@@ -142,15 +142,9 @@ def decompose_n(transforms: Sequence[Sequence[int]],
                 "the last part is not invariant but the mixed difference "
                 "vanishes")
         return violation
-    parts = []
-    for class_of, sums, part_denom in means:
-        per_class = [Fraction(s, part_denom) for s in sums]
-        parts.append(RationalFunction(tuple(map(per_class.__getitem__,
-                                                class_of))))
-    memo = dict.fromkeys(rest)
-    for v in memo:
-        memo[v] = Fraction(v, denom)
-    parts.append(RationalFunction(tuple(map(memo.__getitem__, rest))))
+    parts = [_from_integers(map(sums.__getitem__, class_of), part_denom)
+             for class_of, sums, part_denom in means]
+    parts.append(_from_integers(rest, denom))
     decomposition = Decomposition(tuple(parts))
     verify_decomposition(system, f, decomposition).require(
         "projection construction")

@@ -10,14 +10,13 @@ Every generated system still goes through full commutativity validation.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import lcm
 from operator import sub
 from typing import List, Optional, Sequence
 
 from . import oracle
-from .core import (CommutingSystem, RationalFunction, integer_values, power,
-                   validate_system)
+from .core import (CommutingSystem, RationalFunction, _from_integers,
+                   integer_values, power, validate_system)
 from .orbits import invariance_classes
 
 
@@ -78,13 +77,21 @@ def _product_system(rng: random.Random, n: int, max_size: int) -> CommutingSyste
     return validate_system(transforms, size)
 
 
+def _random_values(rng: random.Random, count: int, top: int,
+                   denominators: tuple[int, ...]) -> tuple[list[int], int]:
+    """count random rationals p / q, p in [-top, top] and q drawn from
+    denominators, in draw order, as numerators over the lcm of the q."""
+    draws = [(rng.randint(-top, top), rng.choice(denominators))
+             for _ in range(count)]
+    denom = lcm(*{q for _, q in draws})
+    return [p * (denom // q) for p, q in draws], denom
+
+
 def random_invariant_part(rng: random.Random, t: Sequence[int]) -> RationalFunction:
     """Random function constant on each invariance class of t."""
     part = invariance_classes(t)
-    picks = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
-             for _ in range(part.n_classes)]
-    return RationalFunction(tuple(picks[part.class_of[x]]
-                                  for x in range(len(t))))
+    picks, denom = _random_values(rng, part.n_classes, 3, (1, 1, 2))
+    return _from_integers(map(picks.__getitem__, part.class_of), denom)
 
 
 def decomposable_function(rng: random.Random,
@@ -92,7 +99,7 @@ def decomposable_function(rng: random.Random,
     """Sum of one random invariant part per transform; decomposable by design.
 
     The parts are summed on integer numerators over the lcm of their
-    denominators, one Fraction per point at the end.
+    denominators.
     """
     scaled = [integer_values(random_invariant_part(rng, t))
               for t in system.transforms]
@@ -101,7 +108,7 @@ def decomposable_function(rng: random.Random,
     for num, d in scaled:
         k = denom // d
         total = [a + k * b for a, b in zip(total, num)]
-    return RationalFunction(tuple(Fraction(a, denom) for a in total))
+    return _from_integers(total, denom)
 
 
 def mixed_kernel_function(rng: random.Random,
@@ -117,7 +124,7 @@ def mixed_kernel_function(rng: random.Random,
     `tests/test_decomp.py` draws from it inputs that every n must
     decompose, since on a finite domain each element of the kernel is
     decomposable.  The combination is summed on
-    integer numerators over one lcm, one Fraction per point at the end.
+    integer numerators over one lcm.
     """
     size = system.size
     rows = [[int(x == w) for w in range(size)] for x in range(size)]
@@ -125,19 +132,17 @@ def mixed_kernel_function(rng: random.Random,
         rows = [list(map(sub, rows[y], row)) for y, row in zip(t, rows)]
     basis = oracle.nullspace(rows, size)
     coefficients = [rng.randint(-3, 3) for _ in basis]
-    denom = lcm(*(w.denominator for vec in basis for w in vec))
+    denom = lcm(*(vec.denom for vec in basis))
     total = [0] * size
     for c, vec in zip(coefficients, basis):
         if c:
-            total = [a + c * w.numerator * (denom // w.denominator)
-                     for a, w in zip(total, vec)]
-    return RationalFunction(tuple(Fraction(a, denom) for a in total))
+            k = c * (denom // vec.denom)
+            total = [a + k * w for a, w in zip(total, vec.numerators)]
+    return _from_integers(total, denom)
 
 
 def generic_function(rng: random.Random, size: int) -> RationalFunction:
-    return RationalFunction(tuple(
-        Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
-        for _ in range(size)))
+    return _from_integers(*_random_values(rng, size, 4, (1, 1, 2, 3)))
 
 
 def random_function(rng: random.Random, system: CommutingSystem,

@@ -16,7 +16,6 @@ is asked for.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
 from .check import (
@@ -30,8 +29,6 @@ from .core import (
     RangeError,
     RationalFunction,
     RationalLike,
-    _Record,
-    _as_fractions,
     _set_field,
 )
 
@@ -49,29 +46,28 @@ def window_size(dims: Sequence[int]) -> int:
     return size
 
 
-class LatticeWindow(_Record):
-    """A rational-valued table on a box window of Z^d.
+class LatticeWindow(RationalFunction):
+    """A rational-valued table on a box window of Z^d: a function on the
+    row-major indices, last axis fastest, with the window's extents.
 
-    values are row-major with the last axis fastest; every extent is at
-    least 2 so each axis difference is evaluable somewhere.
+    Every extent is at least 2 so each axis difference is evaluable
+    somewhere.
     """
 
     dims: tuple[int, ...]
-    values: tuple[Fraction, ...]
 
     def __init__(self, dims: Sequence[int], values: Sequence[RationalLike]):
         dims = tuple(dims)
         size = window_size(dims)
-        values = _as_fractions(values)
-        if len(values) != size:
+        super().__init__(values)
+        if len(self) != size:
             raise RangeError(
-                f"expected {size} values for dims {dims}, got {len(values)}")
+                f"expected {size} values for dims {dims}, got {len(self)}")
         _set_field(self, "dims", dims)
-        _set_field(self, "values", values)
 
     @property
     def size(self) -> int:
-        return len(self.values)
+        return len(self.numerators)
 
     def strides(self) -> tuple[int, ...]:
         """Row-major strides, last axis fastest."""
@@ -79,9 +75,6 @@ class LatticeWindow(_Record):
         for i in range(len(self.dims) - 2, -1, -1):
             out[i] = out[i + 1] * self.dims[i + 1]
         return tuple(out)
-
-    def get(self, coords: Sequence[int]) -> Fraction:
-        return self.values[self.index(coords)]
 
     def index(self, coords: Sequence[int]) -> int:
         if len(coords) != len(self.dims):
@@ -116,14 +109,14 @@ class LatticeWindow(_Record):
         return tuple(maps)
 
 
-def _trusted(dims: tuple[int, ...],
-             values: tuple[Fraction, ...]) -> LatticeWindow:
-    """A LatticeWindow built without the constructor's checks, for dims
-    that passed `window_size` and exactly their size of Fractions read or
-    computed from a window: its parts."""
+def _trusted(dims: tuple[int, ...], f: RationalFunction) -> LatticeWindow:
+    """f's pair as a LatticeWindow, built without the constructor's checks,
+    for dims that passed `window_size` and f of exactly their size: a
+    window's parts."""
     window = object.__new__(LatticeWindow)
+    _set_field(window, "numerators", f.numerators)
+    _set_field(window, "denom", f.denom)
     _set_field(window, "dims", dims)
-    _set_field(window, "values", values)
     return window
 
 
@@ -137,8 +130,7 @@ def mixed_delta_witness(f: LatticeWindow) -> Optional[tuple[int, ...]]:
     """
     from .star import check_star
 
-    violation = check_star(CommutingSystem(f.size, f.axis_maps()),
-                           RationalFunction(f.values))
+    violation = check_star(CommutingSystem(f.size, f.axis_maps()), f)
     if violation is None:
         return None
     point = f.coords(violation.instance.z)
@@ -161,12 +153,11 @@ def lattice_decompose(f: LatticeWindow,
         raise PreconditionError(f"base hyperplane must be >= 0, got {base}")
     from .decomp import decompose_n
 
-    outcome = decompose_n(f.axis_maps(base)[::-1], RationalFunction(f.values))
+    outcome = decompose_n(f.axis_maps(base)[::-1], f)
     if isinstance(outcome, StarViolation):
         raise PreconditionError(
             f"mixed difference is nonzero at {mixed_delta_witness(f)}")
-    return tuple(_trusted(f.dims, part.values)
-                 for part in reversed(outcome.parts))
+    return tuple(_trusted(f.dims, part) for part in reversed(outcome.parts))
 
 
 def lattice_oracle_decompose(
@@ -180,7 +171,7 @@ def lattice_oracle_decompose(
     """
     from .oracle import verified_split
 
-    outcome = verified_split(f.axis_maps(), RationalFunction(f.values))
+    outcome = verified_split(f.axis_maps(), f)
     if isinstance(outcome, DualCertificate):
         return outcome
-    return tuple(_trusted(f.dims, part.values) for part in outcome.parts)
+    return tuple(_trusted(f.dims, part) for part in outcome.parts)

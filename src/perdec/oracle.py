@@ -87,13 +87,14 @@ Its pivot rule (smallest magnitude, first row on ties) and row arithmetic
 are those of the dense elimination it replaced, so the solutions, duals
 and nullspace bases are the same.  Back-substitution runs on integers
 too: `_back_substitute` solves the pivot rows on numerators over one
-common scale, and a part value is one Fraction per class: its numerator
-over that scale times f's common denominator.  No Fraction is divided.
+common scale, and a part is its classes' numerators spread over the
+points, over that scale times f's denominator.  No route builds a
+Fraction: every part and every dual is a pair of integer numerators and
+one denominator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -103,7 +104,7 @@ from .core import (
     Decomposition,
     PreconditionError,
     RationalFunction,
-    integer_values,
+    _from_integers,
 )
 from .orbits import Partition, invariance_classes
 
@@ -203,22 +204,16 @@ def _solve(work: List[Dict[int, int]], rhs: Sequence[int], ncols: int
     return _back_substitute(work, pivots, ncols, ncols, -1), None
 
 
-def _fractions(num: List[int], scale: int) -> List[Fraction]:
-    zero = Fraction(0)
-    return [Fraction(x, scale) if x else zero for x in num]
-
-
 def nullspace(rows: Sequence[Sequence[int]], ncols: int
-              ) -> List[List[Fraction]]:
-    """Basis of the rational nullspace of an integer matrix.
-
-    One basis vector per free column: that column is 1 and the pivot
-    columns are back-solved.
+              ) -> List[RationalFunction]:
+    """Basis of the rational nullspace of an integer matrix, one vector of
+    length ncols per free column: that column is 1 and the pivot columns
+    are back-solved.
     """
     work = [{c: v for c, v in enumerate(row) if v} for row in rows]
     pivots = _eliminate(work, ncols)
     pivot_cols = {col for col, _ in pivots}
-    return [_fractions(*_back_substitute(work, pivots, ncols, free, 1))
+    return [_from_integers(*_back_substitute(work, pivots, ncols, free, 1))
             for free in range(ncols) if free not in pivot_cols]
 
 
@@ -308,13 +303,12 @@ class _Forest:
             self.order += queue
 
     def split(self, potential: Sequence[int], denom: int
-              ) -> List[Tuple[Fraction, ...]]:
+              ) -> List[RationalFunction]:
         """The two parts: each class's potential over denom, spread over
         its points."""
-        values = [Fraction(p, denom) for p in potential]
-        ka = self.ka
-        return [tuple(values[c] for c in self.a.class_of),
-                tuple(values[ka + c] for c in self.b.class_of)]
+        return [_from_integers(map(side.__getitem__, part.class_of), denom)
+                for side, part in ((potential[:self.ka], self.a),
+                                   (potential[self.ka:], self.b))]
 
     def dual(self, cycles: Dict[int, int]) -> DualCertificate:
         """The point weights of Σ k·(cycle of x) over cycles' items (x, k).
@@ -341,24 +335,22 @@ class _Forest:
                 y = self.via[node]
                 weights[y] = weights.get(y, 0) - s
                 pull[up] -= s
-        values = [Fraction(0)] * len(a.class_of)
+        values = [0] * len(a.class_of)
         for x, w in weights.items():
-            if w:
-                values[x] = Fraction(w)
-        return DualCertificate(RationalFunction(tuple(values)))
+            values[x] = w
+        return DualCertificate(_from_integers(values, 1))
 
 
 def _split_two(a: Partition, b: Partition, f: RationalFunction
-               ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
+               ) -> Union[List[RationalFunction], DualCertificate]:
     """`split_over_classes` for two partitions, by the `_Forest` of their
     class graph on f's numerators: the potentials are the parts, and the
     first edge whose potentials disagree closes a cycle whose alternating
     ±1 weights are the dual."""
-    num, denom = integer_values(f)
-    forest = _Forest(a, b, num, stop=True)
+    forest = _Forest(a, b, f.numerators, stop=True)
     if forest.conflict is not None:
         return forest.dual({forest.conflict: 1})
-    return forest.split(forest.potential, denom)
+    return forest.split(forest.potential, f.denom)
 
 
 def _finest(partitions: Sequence[Partition]) -> List[int]:
@@ -390,28 +382,26 @@ def _finest(partitions: Sequence[Partition]) -> List[int]:
 
 
 def _split_one(part: Partition, f: RationalFunction
-               ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
+               ) -> Union[List[RationalFunction], DualCertificate]:
     """`split_over_classes` for one partition, by a class scan: f itself
     when f is constant on every class, else +1 at the first point whose
-    value differs from its class representative's and −1 there.
-
-    The representatives' values are spread over their classes and compared
-    with f as one tuple comparison, which tests identity before value:
-    equal literals of an instance file parse to one Fraction object.
+    value differs from its class representative's and −1 there.  The
+    representatives' numerators are spread over their classes and compared
+    with f's as one tuple comparison.
     """
-    values = f.values
+    values = f.numerators
     reps = part.representative
     spread = tuple(map([values[r] for r in reps].__getitem__, part.class_of))
     if spread == values:
-        return [values]
+        return [f]
     x = next(x for x, (u, v) in enumerate(zip(spread, values)) if u != v)
-    weights = [Fraction(0)] * len(f)
-    weights[x], weights[reps[part.class_of[x]]] = Fraction(1), Fraction(-1)
-    return DualCertificate(RationalFunction(tuple(weights)))
+    weights = [0] * len(f)
+    weights[x], weights[reps[part.class_of[x]]] = 1, -1
+    return DualCertificate(_from_integers(weights, 1))
 
 
 def _split_many(partitions: Sequence[Partition], f: RationalFunction
-                ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
+                ) -> Union[List[RationalFunction], DualCertificate]:
     """`split_over_classes` for three or more partitions: the `_Forest` of
     the first two, then elimination on the distinct cycle rows of the rest.
 
@@ -433,7 +423,7 @@ def _split_many(partitions: Sequence[Partition], f: RationalFunction
     once.
     """
     a, b, *rest = partitions
-    num, denom = integer_values(f)
+    num, denom = f.numerators, f.denom
     forest = _Forest(a, b, num)
     ka, potential, parent, via = (forest.ka, forest.potential, forest.parent,
                                   forest.via)
@@ -487,17 +477,16 @@ def _split_many(partitions: Sequence[Partition], f: RationalFunction
     rest_potential = [scale * p - sum(v * nums[c] for c, v in q.items())
                       for p, q in zip(potential, coefficients)]
     d = scale * denom
-    per_column = [Fraction(v, d) for v in nums]
     return forest.split(rest_potential, d) + [
-        tuple(map(per_column.__getitem__, label)) for label in labels]
+        _from_integers(map(nums.__getitem__, label), d) for label in labels]
 
 
 def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
-                       ) -> Union[List[Tuple[Fraction, ...]], DualCertificate]:
+                       ) -> Union[List[RationalFunction], DualCertificate]:
     """Exact split of f into parts, part j constant on the classes of
     partitions[j].
 
-    Returns the parts' value tuples (some feasible point, with no
+    Returns the parts (some feasible point, with no
     minimality), or a DualCertificate that `verify_dual` has accepted
     against every partition.  If partitions[i] refines partitions[j],
     every function constant on j's classes is constant on i's, so
@@ -522,9 +511,9 @@ def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
     if isinstance(outcome, DualCertificate):
         verify_dual(partitions, f, outcome).require("dual certificate")
         return outcome
-    parts = [(Fraction(0),) * len(f)] * len(partitions)
-    for j, values in zip(kept, outcome):
-        parts[j] = values
+    parts = [_from_integers((0,) * len(f), 1)] * len(partitions)
+    for j, part in zip(kept, outcome):
+        parts[j] = part
     return parts
 
 
@@ -536,8 +525,7 @@ def verified_split(maps: Sequence[Sequence[int]], f: RationalFunction
     outcome = split_over_classes([invariance_classes(t) for t in maps], f)
     if isinstance(outcome, DualCertificate):
         return outcome
-    decomposition = Decomposition(tuple(RationalFunction(values)
-                                        for values in outcome))
+    decomposition = Decomposition(tuple(outcome))
     verify_parts(maps, f, decomposition.parts).require("oracle solution")
     return decomposition
 

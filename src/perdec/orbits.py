@@ -31,12 +31,6 @@ class Partition(_Record):
     def n_classes(self) -> int:
         return len(self.representative)
 
-    def classes(self) -> list[tuple[int, ...]]:
-        out: list[list[int]] = [[] for _ in range(self.n_classes)]
-        for x, c in enumerate(self.class_of):
-            out[c].append(x)
-        return [tuple(members) for members in out]
-
 
 def invariance_classes(t: Sequence[int]) -> Partition:
     """Classes on which every t-invariant function is constant: the weakly

@@ -3,9 +3,10 @@
 Rationals travel as strings "p" or "p/q" in lowest terms; no floating
 point appears anywhere.  Parsing accepts exactly the ASCII forms
 -?[0-9]+ and -?[0-9]+/[0-9]+ (lowest terms not required).  A value list
-parses each of its distinct literals once: invariant parts, duals and
-planted values repeat a few literals many times, and a value list
-formats each of its distinct values once.
+is a function's numerators over its one denominator, both ways and with
+no Fraction: it parses each of its distinct literals once, and formats
+each of its distinct numerators once.  Invariant parts, duals and
+planted values repeat a few literals many times.
 
 Each record result's wire form is stated once, as the row of its tag in
 one table (`_codecs`) that `result_to_json` and `parse_result` each read
@@ -25,14 +26,16 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, lcm
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, List, Optional, Union
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from .core import (
     CommutingSystem,
     Decomposition,
     RangeError,
     RationalFunction,
+    _from_integers,
     _Record,
 )
 
@@ -63,55 +66,65 @@ def frac_to_str(q: Fraction) -> str:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def frac_from_json(value: Any, path: str = "value") -> Fraction:
+def _ratio(value: Any, path: str) -> tuple[int, int]:
+    """(p, q) in lowest terms with q >= 1, of a "p" or "p/q" literal or an
+    int; any other value is a ParseError at path."""
     if isinstance(value, str):
         # only the "p" / "p/q" form is accepted: Fraction(str) would also
         # take exponents, whose parse cost grows with the exponent
-        # ("1e300000"); the matched groups build the Fraction, so each
-        # literal is parsed once
+        # ("1e300000")
         match = _RATIONAL.fullmatch(value)
         if not match:
             raise ParseError(f"bad rational literal {value!r}: expected "
                              "\"p\" or \"p/q\" with decimal integers", path)
         numerator, denominator = match.groups()
         try:
-            if denominator is None:
-                return Fraction(int(numerator))
-            return Fraction(int(numerator), int(denominator))
-        except (ValueError, ZeroDivisionError) as exc:
+            p = int(numerator)
+            q = 1 if denominator is None else int(denominator)
+        except ValueError as exc:
             raise ParseError(f"bad rational literal {value!r}: {exc}", path)
+        if not q:
+            raise ParseError(f"bad rational literal {value!r}: "
+                             f"Fraction({p}, 0)", path)
+        g = gcd(p, q)
+        return p // g, q // g
     if isinstance(value, (bool, float)):
         raise ParseError(f"expected exact rational, got {value!r}", path)
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     raise ParseError(f"expected exact rational, got {type(value).__name__}", path)
 
 
-def values_to_json(f: Union[RationalFunction, LatticeWindow]) -> List[str]:
-    """Each distinct value of the list is formatted once.  The memo is keyed
-    by (numerator, denominator): a Fraction's own hash runs in Python."""
-    memo = {}
-    out = []
-    for v in f.values:
-        key = v.as_integer_ratio()
-        s = memo.get(key)
-        if s is None:
-            s = memo[key] = frac_to_str(v)
-        out.append(s)
-    return out
+def frac_from_json(value: Any, path: str = "value") -> Fraction:
+    return Fraction(*_ratio(value, path))
+
+
+def values_to_json(f: RationalFunction) -> List[str]:
+    """The "p" or "p/q" form of each value: numerator over denom, reduced
+    by one gcd per distinct numerator, each distinct one written once."""
+    denom = f.denom
+    memo = dict.fromkeys(f.numerators)
+    try:
+        for v in memo:
+            g = gcd(v, denom)
+            memo[v] = (str(v // g) if g == denom
+                       else f"{v // g}/{denom // g}")
+    except ValueError as exc:
+        raise RangeError(f"result rational too large to write: {exc}")
+    return list(map(memo.__getitem__, f.numerators))
 
 
 def values_from_json(items: Any, path: str = "values") -> RationalFunction:
-    """A nonempty list of rationals; each distinct string literal of the
-    list is parsed once and its repeats reuse that Fraction.
+    """A nonempty list of rationals, as numerators over the lcm of their
+    denominators.  Each distinct string literal of the list is parsed once
+    to (p, q) and scaled once, and the numerators are one map of the items
+    through those.
 
-    A list of str items is mapped through the parsed distinct literals in
-    one pass; a bad literal is reported at its first index, since in
-    first-appearance order the first bad literal is the first bad item.
-    No other JSON value equals a str, so the distinct literals are all str
-    exactly when the items are.  Any other list goes to `frac_from_json`
-    item by item: True, 1 and 1.0 hash alike, so a bool or float item is
-    still refused.
+    A bad literal is reported at its first index: in first-appearance
+    order the first bad literal is the first bad item.  No other JSON
+    value equals a str, so the distinct literals are all str exactly when
+    the items are.  Any other list is parsed item by item: True, 1 and 1.0
+    hash alike, so a bool or float item is still refused at its index.
     """
     if not isinstance(items, list) or not items:
         raise ParseError("expected a nonempty list of rationals", path)
@@ -119,15 +132,21 @@ def values_from_json(items: Any, path: str = "values") -> RationalFunction:
         parsed = dict.fromkeys(items)
     except TypeError:  # a list or object item
         parsed = {}
+    keys = items
     if set(map(type, parsed)) != {str}:
-        return RationalFunction(tuple(frac_from_json(v, f"{path}[{i}]")
-                                      for i, v in enumerate(items)))
-    try:
-        for literal in parsed:
-            parsed[literal] = frac_from_json(literal, "")
-    except ParseError as exc:
-        raise ParseError(str(exc), f"{path}[{items.index(literal)}]") from None
-    return RationalFunction(tuple(map(parsed.__getitem__, items)))
+        parsed = {i: _ratio(v, f"{path}[{i}]") for i, v in enumerate(items)}
+        keys = range(len(items))
+    else:
+        try:
+            for literal in parsed:
+                parsed[literal] = _ratio(literal, "")
+        except ParseError as exc:
+            raise ParseError(str(exc),
+                             f"{path}[{items.index(literal)}]") from None
+    denom = lcm(*{q for _, q in parsed.values()})
+    for key, (p, q) in parsed.items():
+        parsed[key] = p * (denom // q)
+    return _from_integers(map(parsed.__getitem__, keys), denom)
 
 
 def _int(value: Any, path: str) -> int:
@@ -249,7 +268,7 @@ def parse_instance(doc: Any) -> Instance:
             raise ParseError("expected nonnegative shifts", "shifts")
         f = _values(doc, length)
         return Instance(kind, f=f, shifts=tuple(shifts), length=length)
-    from .lattice import LatticeWindow, window_size
+    from .lattice import _trusted, window_size
 
     dims = tuple(_int_list(doc.get("dims"), "dims"))
     try:
@@ -257,7 +276,7 @@ def parse_instance(doc: Any) -> Instance:
     except RangeError as exc:
         raise ParseError(str(exc), "dims")
     f = _values(doc, size)
-    return Instance(kind, f=f, window=LatticeWindow(dims, f.values))
+    return Instance(kind, f=f, window=_trusted(dims, f))
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -313,7 +332,7 @@ _VALUES = (values_to_json, values_from_json, None)
 _PARTS = (lambda parts: [values_to_json(p) for p in parts], _parts, None)
 # rationals kept in their canonical string form
 _RATIONAL_STRINGS = (list, lambda items, path: tuple(
-    map(frac_to_str, values_from_json(items, path))), None)
+    values_to_json(values_from_json(items, path))), None)
 _VIOLATION_KIND = (str, _violation_kind, None)
 
 
@@ -434,20 +453,19 @@ def parse_result(doc: Any) -> Any:
         return tuple(_int_list(_certificate(doc).get("point"),
                                "certificate.point"))
     if tag == "lattice-decomposition":
-        from .lattice import LatticeWindow, window_size
+        from .lattice import _trusted, window_size
 
         dims = tuple(_int_list(doc.get("dims"), "dims"))
         try:
-            window_size(dims)
+            size = window_size(dims)
         except RangeError as exc:
             raise ParseError(str(exc), "dims")
-        windows = []
-        for i, part in enumerate(_parts(doc.get("parts"), "parts")):
-            try:
-                windows.append(LatticeWindow(dims, part.values))
-            except RangeError as exc:
-                raise ParseError(str(exc), f"parts[{i}]")
-        return tuple(windows)
+        parts = _parts(doc.get("parts"), "parts")
+        for i, part in enumerate(parts):
+            if len(part) != size:
+                raise ParseError(f"expected {size} values for dims {dims}, "
+                                 f"got {len(part)}", f"parts[{i}]")
+        return tuple(_trusted(dims, part) for part in parts)
     rows = _codecs()[0]
     # a list or object tag is unhashable: refused before the lookup
     if not isinstance(tag, str) or tag not in rows:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from perdec import generators
 from perdec.check import ConstrainedObstruction, CycleObstruction
 from perdec.cohomology import _solve_on_quotient
-from perdec.core import RangeError, RationalFunction, compose
+from perdec.core import RangeError, RationalFunction, _from_integers, compose
 from perdec.lattice import LatticeWindow, _trusted, window_size
-from perdec.oracle import _fractions, _solve, nullspace
+from perdec.oracle import _solve, nullspace
 from perdec.orbits import Partition, invariance_classes, rho
 
 
@@ -82,6 +82,14 @@ def counted_tuple(values, reads: list, limit=None) -> tuple:
     return Counted(values)
 
 
+def class_members(part: Partition) -> list[tuple[int, ...]]:
+    """The points of each class, by class id, each in increasing order."""
+    out: list[list[int]] = [[] for _ in range(part.n_classes)]
+    for x, c in enumerate(part.class_of):
+        out[c].append(x)
+    return [tuple(members) for members in out]
+
+
 def counted_partition(part: Partition, reads: list) -> Partition:
     """part with class labels counted by `counted_tuple`."""
     return Partition(counted_tuple(part.class_of, reads), part.representative)
@@ -90,6 +98,26 @@ def counted_partition(part: Partition, reads: list) -> Partition:
 def delta(t, f: RationalFunction) -> RationalFunction:
     """Reference difference x -> f(t(x)) - f(x)."""
     return f.compose(t) - f
+
+
+def zero(size: int) -> RationalFunction:
+    """The zero function on size points."""
+    return RationalFunction((Fraction(0),) * size)
+
+
+def constant(size: int, value) -> RationalFunction:
+    """The function with the one value everywhere."""
+    return RationalFunction((Fraction(value),) * size)
+
+
+def window_value(window: LatticeWindow, coords) -> Fraction:
+    """The window's value at coords, RangeError outside it."""
+    return window.values[window.index(coords)]
+
+
+def pairing(dual, f: RationalFunction) -> Fraction:
+    """sum_x w(x) f(x) of a DualCertificate's weights w with f."""
+    return sum((w * v for w, v in zip(dual.weights, f)), Fraction(0))
 
 
 def constrained_transfer(t, s, g: RationalFunction):
@@ -107,13 +135,16 @@ def linear_feasibility(rows, rhs, ncols):
     with free unknowns pinned to 0, or an integer y with y A = 0, y b != 0."""
     solved, dual = _solve([{c: v for c, v in enumerate(row) if v}
                            for row in rows], rhs, ncols)
-    return (None, dual) if solved is None else (_fractions(*solved), None)
+    if solved is None:
+        return None, dual
+    numerators, scale = solved
+    return [Fraction(v, scale) for v in numerators], None
 
 
 def restrict(window: LatticeWindow, new_dims) -> LatticeWindow:
     """Reference sub-window keeping coordinates below new_dims on every
     axis, its indices summed from one offset per axis, built from the
-    window's checked Fractions without the constructor's checks."""
+    window's numerators without the constructor's checks."""
     nd = tuple(new_dims)
     if len(nd) != len(window.dims) or any(a > b for a, b
                                           in zip(nd, window.dims)):
@@ -121,7 +152,8 @@ def restrict(window: LatticeWindow, new_dims) -> LatticeWindow:
     window_size(nd)
     offsets = product(*(range(0, w * stride, stride)
                         for w, stride in zip(nd, window.strides())))
-    return _trusted(nd, tuple(window.values[sum(o)] for o in offsets))
+    return _trusted(nd, _from_integers(
+        [window.numerators[sum(o)] for o in offsets], window.denom))
 
 
 def reference_solve_transfer(t, g: RationalFunction):
@@ -132,7 +164,7 @@ def reference_solve_transfer(t, g: RationalFunction):
     returned as its CycleObstruction instead."""
     part = invariance_classes(t)
     values: list = [None] * len(g)
-    for x0, members in zip(part.representative, part.classes()):
+    for x0, members in zip(part.representative, class_members(part)):
         orbit, start = rho(t, x0)
         index = {p: i for i, p in enumerate(orbit)}
         prefix = [Fraction(0)]
@@ -299,7 +331,7 @@ def ordered_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 def decomposable_reference(rng: random.Random, system) -> RationalFunction:
     """Reference `generators.decomposable_function`: one
     `random_invariant_part` per transform, summed in Fractions."""
-    total = RationalFunction.zero(system.size)
+    total = zero(system.size)
     for t in system.transforms:
         total = total + generators.random_invariant_part(rng, t)
     return total

@@ -34,7 +34,13 @@ from perdec.check import (
     verify_decomposition,
     verify_report,
 )
-from tests.conftest import SHIFT_FAMILIES, delta, shift_table
+from tests.conftest import (
+    SHIFT_FAMILIES,
+    constant,
+    delta,
+    pairing,
+    shift_table,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -197,8 +203,8 @@ def test_criterion_5_z_window_linear_function_is_blocked():
     assert violation.value != 0
     assert replay_abelian_violation(shifts, f, violation)
     # control: shift-invariant functions on the same window do pass
-    constant = RationalFunction.constant(10, Fraction(3))
-    assert star.check_star_abelian((1, 1), constant) is None
+    flat = constant(10, Fraction(3))
+    assert star.check_star_abelian((1, 1), flat) is None
     _announce(5, "f(x) = x on a length-10 window with shifts (1, 1) has zero "
                  "mixed difference yet is blocked at block {0, 1}, exponent 1")
 
@@ -323,7 +329,7 @@ def test_criterion_7_window_decomposition_matches_feasibility_oracle():
             lattice.lattice_decompose(window)
         else:
             assert isinstance(decided, DualCertificate)
-            assert decided.pair(RationalFunction(window.values)) != 0
+            assert pairing(decided, RationalFunction(window.values)) != 0
             with pytest.raises(PreconditionError):
                 lattice.lattice_decompose(window)
             rejected += 1

@@ -23,6 +23,8 @@ from perdec.core import (
 )
 from perdec.orbits import induced_map, invariance_classes
 from tests.conftest import (
+    class_members,
+    constant,
     constrained_transfer,
     counted_tuple,
     delta,
@@ -32,6 +34,7 @@ from tests.conftest import (
     systems,
     union_find_classes,
     value_functions,
+    zero,
 )
 
 
@@ -151,9 +154,14 @@ def test_solve_transfer_verifies_its_obstruction(monkeypatch):
 
 def test_solve_transfer_verifies_its_solution(monkeypatch):
     # a wrong value is caught before the solution is returned
-    monkeypatch.setattr(cohomology, "RationalFunction",
-                        lambda values: RationalFunction(
-                            values[:-1] + (values[-1] + 1,)))
+    build = cohomology._from_integers
+
+    def off_by_one(numerators, denom):
+        numerators = list(numerators)
+        numerators[-1] += denom
+        return build(numerators, denom)
+
+    monkeypatch.setattr(cohomology, "_from_integers", off_by_one)
     with pytest.raises(InternalContractViolation, match="transfer solution"):
         solve_transfer((1, 0), RationalFunction((Fraction(1),
                                                  Fraction(-1))))
@@ -213,7 +221,7 @@ def test_solve_transfer_constrained_rejects_bad_inputs():
     with pytest.raises(PreconditionError):
         # the maps do not commute
         constrained_transfer((1, 0, 2), (0, 0, 1),
-                                   RationalFunction.zero(3))
+                                   zero(3))
 
 
 @given(systems(n=2), st.data())
@@ -254,7 +262,7 @@ def test_solve_transfer_constrained_obstruction_replays(system, data):
 def test_solve_transfer_constrained_deterministic_witness():
     # t = s = +1 on Z_2 with g constant 1: T S x = x forces sum g = 1
     t = (1, 0)
-    got = constrained_transfer(t, t, RationalFunction.constant(2, Fraction(1)))
+    got = constrained_transfer(t, t, constant(2, Fraction(1)))
     assert got == ConstrainedObstruction(0, 1, 1, 0, Fraction(1))
 
 
@@ -341,7 +349,7 @@ def test_solve_bounded_transfer_centers_every_joint_class(system, data):
     # breaks
     t, s = system.transforms
     got = solve_bounded_transfer(t, s, delta(t, _invariant_function(s, data)))
-    for members in union_find_classes(system.size, (t, s)).classes():
+    for members in class_members(union_find_classes(system.size, (t, s))):
         values = [got.solution[x] for x in members]
         assert max(values) + min(values) == 0
 
@@ -367,7 +375,7 @@ def test_solve_bounded_transfer_labels_s_and_the_induced_map_once(
     got = solve_bounded_transfer(t, s, delta(t, h))
     assert isinstance(got, BoundedTransfer)
     assert calls == [24, 6]
-    for members in union_find_classes(24, (t, s)).classes():
+    for members in class_members(union_find_classes(24, (t, s))):
         values = [got.solution[x] for x in members]
         assert max(values) + min(values) == 0
 
@@ -419,7 +427,7 @@ def test_verify_bounded_transfer_reduces_huge_obstruction_exponents(system,
 
 def test_verify_bounded_transfer_rejects_out_of_range_witnesses():
     t = (1, 0)
-    g = RationalFunction.constant(2, Fraction(1))
+    g = constant(2, Fraction(1))
     good = constrained_transfer(t, t, g)
     assert verify_bounded_transfer(t, t, g, good)
     for x, k, l, l2 in ((7, 1, 1, 0), (-1, 1, 1, 0), (0, -1, 1, 0),

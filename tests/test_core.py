@@ -214,7 +214,7 @@ def test_integer_values_scales_by_common_denominator():
     f = RationalFunction(["1/2", "1/3", 1])
     nums, denom = integer_values(f)
     assert denom == 6
-    assert nums == [3, 2, 6]
+    assert nums == (3, 2, 6)
     assert all(isinstance(v, int) for v in nums)
 
 

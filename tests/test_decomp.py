@@ -32,12 +32,14 @@ from perdec.oracle import nullspace, oracle_decompose
 from perdec.star import check_star
 from tests.conftest import (
     SHIFT_FAMILIES,
+    constant,
     cycle_average,
     mixed_difference_rows,
     project_subtract,
     shift_table,
     systems,
     systems_with_functions,
+    zero,
 )
 
 
@@ -160,10 +162,11 @@ def test_decompose_n_on_adversarial_denominators():
 
 
 def test_decompose_n_refuses_before_building_parts(monkeypatch):
-    # a refusal is decided on integers: no part value is built and no
-    # parts are verified, and check_star runs once; a split is verified
-    # once and never reaches check_star
-    calls = {"verify": 0, "star": 0, "fraction": 0}
+    # a refusal is decided on integers: no part is built and no parts are
+    # verified, and check_star runs once; a split is verified once and
+    # never reaches check_star.  The construction has no Fraction at all.
+    assert "Fraction" not in vars(decomp)
+    calls = {"verify": 0, "star": 0, "parts": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -174,12 +177,13 @@ def test_decompose_n_refuses_before_building_parts(monkeypatch):
     monkeypatch.setattr(decomp, "verify_decomposition",
                         counted("verify", verify_decomposition))
     monkeypatch.setattr(decomp, "check_star", counted("star", check_star))
-    monkeypatch.setattr(decomp, "Fraction", counted("fraction", Fraction))
+    monkeypatch.setattr(decomp, "_from_integers",
+                        counted("parts", decomp._from_integers))
     m = 12
     shifts = [tuple((x + k) % m for x in range(m)) for k in (2, 3)]
     line = RationalFunction(tuple(Fraction(x) for x in range(m)))
     assert isinstance(decompose_n(shifts, line), StarViolation)
-    assert calls == {"verify": 0, "star": 1, "fraction": 0}
+    assert calls == {"verify": 0, "star": 1, "parts": 0}
     periodic = RationalFunction(tuple(Fraction(5 * (x % 2) + (x % 3) ** 2)
                                       for x in range(m)))
     calls.update(verify=0, star=0)
@@ -303,9 +307,9 @@ def test_decompose_two_bound_too_small():
     # whole of a constant f into the first part
     m = 8
     plus = tuple((x + 1) % m for x in range(m))
-    f = RationalFunction.constant(m, Fraction(3))
+    f = constant(m, Fraction(3))
     got = decompose_two(plus, plus, f)
-    assert got.parts == (f, RationalFunction.zero(m))
+    assert got.parts == (f, zero(m))
 
 
 def test_decompose_three_splits_a_z4_instance():

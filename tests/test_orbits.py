@@ -11,6 +11,7 @@ from perdec.orbits import (
     rho,
 )
 from tests.conftest import (
+    class_members,
     grid_relation,
     partition_of_labels,
     power_table,
@@ -43,8 +44,8 @@ def test_partition_of_labels_orders_by_first_appearance():
     part = partition_of_labels([7, 3, 7, 1])
     assert part.class_of == (0, 1, 0, 2)
     assert part.representative == (0, 1, 3)
-    assert part.classes()[0] == (0, 2)
-    assert part.classes() == [(0, 2), (1,), (3,)]
+    assert class_members(part)[0] == (0, 2)
+    assert class_members(part) == [(0, 2), (1,), (3,)]
 
 
 def test_invariance_classes_weak_components():

@@ -43,21 +43,19 @@ RECORDS = {
     "CommutingSystem": (
         _system, "CommutingSystem(size=2, transforms=((1, 0),))"),
     "RationalFunction": (
-        _f, "RationalFunction(values=(Fraction(1, 1), Fraction(-1, 2)))"),
+        _f, "RationalFunction(numerators=(2, -1), denom=2)"),
     "Decomposition": (
         lambda: Decomposition((_f(), RationalFunction((0, 0)))),
-        "Decomposition(parts=(RationalFunction(values=(Fraction(1, 1), "
-        "Fraction(-1, 2))), RationalFunction(values=(Fraction(0, 1), "
-        "Fraction(0, 1)))))"),
+        "Decomposition(parts=(RationalFunction(numerators=(2, -1), "
+        "denom=2), RationalFunction(numerators=(0, 0), denom=1)))"),
     "VerificationResult": (
         lambda: VerificationResult(False, "SumMismatch(1)"),
         "VerificationResult(ok=False, reason='SumMismatch(1)')"),
     "Instance": (
         lambda: Instance("finite", system=_system(), f=_f()),
         "Instance(kind='finite', system=CommutingSystem(size=2, "
-        "transforms=((1, 0),)), f=RationalFunction(values=(Fraction(1, 1), "
-        "Fraction(-1, 2))), shifts=None, modulus=None, length=None, "
-        "window=None)"),
+        "transforms=((1, 0),)), f=RationalFunction(numerators=(2, -1), "
+        "denom=2), shifts=None, modulus=None, length=None, window=None)"),
     "StarInstance": (
         _star, "StarInstance(blocks=((0, 1),), distinguished=(0,), "
                "exponents=(1,), premises=((1, 0, 1),), z=0)"),
@@ -68,8 +66,8 @@ RECORDS = {
         "value=Fraction(3, 2), kind='MixedDeltaNonzero')"),
     "DualCertificate": (
         lambda: DualCertificate(RationalFunction((1, -1))),
-        "DualCertificate(weights=RationalFunction(values=(Fraction(1, 1), "
-        "Fraction(-1, 1))))"),
+        "DualCertificate(weights=RationalFunction(numerators=(1, -1), "
+        "denom=1))"),
     "CycleObstruction": (
         lambda: CycleObstruction((0, 1), F(1, 2)),
         "CycleObstruction(points=(0, 1), total=Fraction(1, 2))"),
@@ -79,8 +77,8 @@ RECORDS = {
         "total=Fraction(-3, 1))"),
     "BoundedTransfer": (
         lambda: BoundedTransfer(_f(), F(5, 2)),
-        "BoundedTransfer(solution=RationalFunction(values=(Fraction(1, 1), "
-        "Fraction(-1, 2))), bound=Fraction(5, 2))"),
+        "BoundedTransfer(solution=RationalFunction(numerators=(2, -1), "
+        "denom=2), bound=Fraction(5, 2))"),
     "Candidate": (
         _candidate,
         "Candidate(trial=4, size=2, transforms=((1, 0), (0, 1)), "
@@ -98,8 +96,7 @@ RECORDS = {
         "Partition(class_of=(0, 0, 1), representative=(0, 2))"),
     "LatticeWindow": (
         lambda: LatticeWindow((2, 2), (1, 2, 3, F(9, 2))),
-        "LatticeWindow(dims=(2, 2), values=(Fraction(1, 1), Fraction(2, 1), "
-        "Fraction(3, 1), Fraction(9, 2)))"),
+        "LatticeWindow(numerators=(2, 4, 6, 9), denom=2, dims=(2, 2))"),
 }
 
 

@@ -195,14 +195,15 @@ def test_parse_result_parses_each_distinct_part_literal_once(monkeypatch):
 
 
 def test_values_to_json_formats_each_distinct_value_once(monkeypatch):
+    # one gcd per distinct numerator
     calls = [0]
-    original = serialize.frac_to_str
+    original = serialize.gcd
 
-    def counted(q):
+    def counted(*args):
         calls[0] += 1
-        return original(q)
+        return original(*args)
 
-    monkeypatch.setattr(serialize, "frac_to_str", counted)
+    monkeypatch.setattr(serialize, "gcd", counted)
     values = [(Fraction(1, 2), Fraction(-1), Fraction(0))[i % 3]
               for i in range(10000)]
     assert values_to_json(RationalFunction(tuple(values))) == [

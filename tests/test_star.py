@@ -32,6 +32,7 @@ from perdec.core import (
 from perdec.serialize import dumps, result_to_json, values_to_json
 from perdec.star import check_star, check_star_abelian
 from tests.conftest import (
+    constant,
     corner_stencil,
     counted_tuple,
     ordered_partitions,
@@ -39,6 +40,7 @@ from tests.conftest import (
     systems,
     systems_with_functions,
     value_functions,
+    zero,
 )
 
 
@@ -55,7 +57,7 @@ def test_partitions_counts_and_order():
 def test_check_star_rejects_bad_inputs():
     system = validate_system([(1, 0)], 2)
     with pytest.raises(PreconditionError):
-        check_star(system, RationalFunction.zero(3))
+        check_star(system, zero(3))
 
 
 def test_check_star_single_swap_violation():
@@ -491,7 +493,7 @@ def test_abelian_pass_scans_each_offset_multiset_once(monkeypatch):
     # at offset 1, so the 203 set partitions give 6 distinct offset
     # multisets, one per block count
     calls = _counted_stencils(monkeypatch, 6)
-    f = RationalFunction.constant(9, 1)
+    f = constant(9, 1)
     assert check_star_abelian((1,) * 6, f) is None
     assert calls[0] == 6
 
@@ -503,7 +505,7 @@ def test_abelian_pass_on_seven_shifts_scans_one_stencil_per_partition(
     # block count's first block vanishes, dropping the rest of the
     # Bell(7) = 877 set partitions with it, so 7 stencils are scanned
     calls = _counted_stencils(monkeypatch, 7)
-    assert check_star_abelian((1,) * 7, RationalFunction.constant(12, 1)) \
+    assert check_star_abelian((1,) * 7, constant(12, 1)) \
         is None
     assert calls[0] == 7
 
@@ -513,7 +515,7 @@ def test_abelian_pass_on_eight_shifts_scans_one_stencil_per_block_count(
     # eight unit shifts on a constant 20-point window pass in one stencil
     # per block count: the multiples 2..19 of a block's lcm are implied
     calls = _counted_stencils(monkeypatch, 8)
-    assert check_star_abelian((1,) * 8, RationalFunction.constant(20, 1)) \
+    assert check_star_abelian((1,) * 8, constant(20, 1)) \
         is None
     assert calls[0] == 8
 
@@ -580,10 +582,10 @@ def test_abelian_check_and_replay_of_forty_shifts_read_f_linearly(
     assert violation.instance.blocks == tuple((i,) for i in range(40))
     counted = RationalFunction(f.values)
     replay_reads = [0]
-    # the frozen record's values, swapped for a counting tuple past its
-    # refusing __setattr__
-    object.__setattr__(counted, "values",
-                       counted_tuple(f.values, replay_reads, limit))
+    # the frozen record's numerators, swapped for a counting tuple past
+    # its refusing __setattr__
+    object.__setattr__(counted, "numerators",
+                       counted_tuple(f.numerators, replay_reads, limit))
     assert replay_abelian_violation(shifts, counted, violation)
     assert reads[0] <= limit and replay_reads[0] <= limit
     path = tmp_path / "inst.json"
@@ -608,7 +610,7 @@ def test_abelian_replay_rejects_out_of_window_points():
 
 
 def test_abelian_rejects_bad_inputs():
-    f = RationalFunction.zero(4)
+    f = zero(4)
     with pytest.raises(RangeError):
         check_star_abelian((True,), f)  # bool shift
     with pytest.raises(RangeError):
@@ -627,6 +629,6 @@ def test_replay_accepts_a_compatibility_failure_certificate():
     assert replay_violation(system, f, viol)
     assert not replay_violation(
         system, f, StarViolation(inst, Fraction(2), "CompatibilityFailure"))
-    assert not replay_violation(system, RationalFunction.zero(2),
+    assert not replay_violation(system, zero(2),
                                 StarViolation(inst, Fraction(0),
                                               "CompatibilityFailure"))
