@@ -22,7 +22,6 @@ from .core import (
     VerificationResult,
     _Record,
     _mixed_difference,
-    integer_values,
     is_invariant,
     iterate,
     validate_system,
@@ -129,7 +128,12 @@ def first_parts_defect(tables: Sequence[Sequence[int]], f: RationalFunction,
 
     All on integers: f and the parts are scaled to one lcm of their n + 1
     denominators and summed point by point, and a part is invariant when
-    its numerators read through its map are its numerators.
+    its numerators read through its map are its numerators.  Each scaled
+    numerator is as long as that lcm, so the check costs O((n + 1) N) big-
+    int operations on numbers of the lcm's length: small when the
+    functions share few distinct denominators, up to quadratic in the
+    input when the denominators are pairwise coprime (see
+    `values_from_json`).
     """
     for j, part in enumerate(parts):
         if len(part) != len(f):
@@ -394,7 +398,7 @@ def verify_star_pass(f: RationalFunction,
     """A star-check pass, which carries no certificate, by the condition
     itself: on total map tables the mixed difference vanishes; on a window
     of Z with the given shifts, `window_scan` finds no stencil."""
-    f_num, _ = integer_values(f)
+    f_num = f.numerators
     if shifts is None:
         failed = bool(tables) and any(_mixed_difference(tables, f_num))
     else:

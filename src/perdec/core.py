@@ -316,15 +316,21 @@ def _from_integers(numerators: Iterable[int], denom: int) -> RationalFunction:
     if g != 1:
         numerators = tuple([v // g for v in numerators])
         denom //= g
+    return _canonical(numerators, denom)
+
+
+def _canonical(numerators: tuple[int, ...], denom: int) -> RationalFunction:
+    """The function with the pair (numerators, denom), for a pair that is
+    canonical by construction: denom >= 1 and gcd(denom, *numerators) == 1.
+
+    The gcd that `_from_integers` takes runs one big-int gcd per numerator
+    while the running gcd stays large, which over N pairwise coprime
+    denominators is cubic in N; a caller that knows the answer is 1 skips it.
+    """
     f = object.__new__(RationalFunction)
     _set_field(f, "numerators", numerators)
     _set_field(f, "denom", denom)
     return f
-
-
-def integer_values(f: RationalFunction) -> tuple[tuple[int, ...], int]:
-    """f's stored pair (numerators, denom): f[x] = numerators[x] / denom."""
-    return f.numerators, f.denom
 
 
 def _mixed_difference(tables: Sequence[Sequence[int]],

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 from . import oracle
 from .core import (CommutingSystem, RationalFunction, _from_integers,
-                   integer_values, power, validate_system)
+                   power, validate_system)
 from .orbits import invariance_classes
 
 
@@ -101,13 +101,12 @@ def decomposable_function(rng: random.Random,
     The parts are summed on integer numerators over the lcm of their
     denominators.
     """
-    scaled = [integer_values(random_invariant_part(rng, t))
-              for t in system.transforms]
-    denom = lcm(*(d for _, d in scaled))
+    parts = [random_invariant_part(rng, t) for t in system.transforms]
+    denom = lcm(*(p.denom for p in parts))
     total = [0] * system.size
-    for num, d in scaled:
-        k = denom // d
-        total = [a + k * b for a, b in zip(total, num)]
+    for p in parts:
+        k = denom // p.denom
+        total = [a + k * b for a, b in zip(total, p.numerators)]
     return _from_integers(total, denom)
 
 

@@ -35,7 +35,7 @@ from .core import (
     Decomposition,
     RangeError,
     RationalFunction,
-    _from_integers,
+    _canonical,
     _Record,
 )
 
@@ -120,6 +120,13 @@ def values_from_json(items: Any, path: str = "values") -> RationalFunction:
     to (p, q) and scaled once, and the numerators are one map of the items
     through those.
 
+    Every numerator is about as long as that lcm, so the cost grows with
+    the lcm of the whole list, not with each literal: linear in the list
+    when it has few distinct denominators (the generators draw from 1, 2
+    and 3), but N values over pairwise coprime denominators store N
+    numerators each as long as all the denominators together, quadratic
+    time and memory in N.
+
     A bad literal is reported at its first index: in first-appearance
     order the first bad literal is the first bad item.  No other JSON
     value equals a str, so the distinct literals are all str exactly when
@@ -146,7 +153,9 @@ def values_from_json(items: Any, path: str = "values") -> RationalFunction:
     denom = lcm(*{q for _, q in parsed.values()})
     for key, (p, q) in parsed.items():
         parsed[key] = p * (denom // q)
-    return _from_integers(map(parsed.__getitem__, keys), denom)
+    # canonical: a prime power dividing denom divides some q exactly, and
+    # that literal's p and denom // q are both prime to it
+    return _canonical(tuple(map(parsed.__getitem__, keys)), denom)
 
 
 def _int(value: Any, path: str) -> int:

@@ -41,7 +41,6 @@ from .core import (
     RangeError,
     RationalFunction,
     _mixed_difference,
-    integer_values,
 )
 
 
@@ -66,7 +65,7 @@ def check_star(system: CommutingSystem,
     n = system.n
     if n == 0:
         return None
-    f_num, denom = integer_values(f)
+    f_num, denom = f.numerators, f.denom
     row = _mixed_difference(system.transforms, f_num)
     z = next((z for z, value in enumerate(row) if value), None)
     if z is None:
@@ -108,7 +107,7 @@ def check_star_abelian(shifts: Sequence[int],
             raise RangeError(f"shift {a!r} is not an integer")
     if not shifts:
         return None
-    f_num, denom = integer_values(f)
+    f_num, denom = f.numerators, f.denom
     hit = window_scan(shifts, f_num)
     if hit is None:
         return None

@@ -16,7 +16,6 @@ from perdec.core import (
     commute_witness,
     compose,
     _mixed_difference,
-    integer_values,
     is_invariant,
     iterate,
     power,
@@ -210,18 +209,17 @@ def test_rational_function_compose_shifts_values():
     assert f.compose(t).values == (Fraction(30), Fraction(10), Fraction(20))
 
 
-def test_integer_values_scales_by_common_denominator():
+def test_the_stored_pair_scales_by_common_denominator():
     f = RationalFunction(["1/2", "1/3", 1])
-    nums, denom = integer_values(f)
-    assert denom == 6
-    assert nums == (3, 2, 6)
-    assert all(isinstance(v, int) for v in nums)
+    assert f.denom == 6
+    assert f.numerators == (3, 2, 6)
+    assert all(isinstance(v, int) for v in f.numerators)
 
 
 @given(value_functions(5))
-def test_integer_values_reconstructs(f):
-    nums, denom = integer_values(f)
-    assert all(Fraction(n, denom) == v for n, v in zip(nums, f.values))
+def test_the_stored_pair_reconstructs(f):
+    assert all(Fraction(n, f.denom) == v
+               for n, v in zip(f.numerators, f.values))
 
 
 def test_delta_definition():
@@ -234,10 +232,9 @@ def _mixed_delta(tables, powers, f):
     """The difference of t^k for each table t with k = powers[j], by
     `_mixed_difference` over the power tables; a zero power skips its
     factor (the empty product of operators is the identity)."""
-    num, denom = integer_values(f)
     row = _mixed_difference([power(t, k) for t, k in zip(tables, powers)
-                             if k], num)
-    return RationalFunction(tuple(Fraction(v, denom) for v in row))
+                             if k], f.numerators)
+    return RationalFunction(tuple(Fraction(v, f.denom) for v in row))
 
 
 def test_mixed_difference_skips_zero_powers():

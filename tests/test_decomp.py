@@ -12,7 +12,6 @@ from perdec.core import (
     PreconditionError,
     RationalFunction,
     compose,
-    integer_values,
     is_invariant,
     validate_system,
 )
@@ -291,7 +290,7 @@ def test_decompose_n_denominators_divide_denom_f_times_cycle_lengths(case):
     system, f = case
     got = decompose_n(system.transforms, f)
     assert isinstance(got, Decomposition)
-    _, denom = integer_values(f)
+    denom = f.denom
     n = system.n
     for j, part in enumerate(got.parts):
         for x, value in enumerate(part):

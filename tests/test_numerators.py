@@ -105,3 +105,59 @@ def test_large_runs_build_fractions_only_per_distinct_output_value(
         assert json.loads(capsys.readouterr().out)["agrees"] is True
     assert len(written) < modulus // 100
     assert built[0] <= len(written)
+
+
+def _primes(count: int) -> list:
+    primes, k = [], 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_pairwise_coprime_denominators_multiply_into_one_denom(
+        monkeypatch, tmp_path, capsys):
+    # values over 300 distinct primes: the stored denom is their product,
+    # so every numerator is as long as all the denominators together and a
+    # list of N such values costs time and memory quadratic in N.  The
+    # parser builds the pair without the reducing gcd, which here would run
+    # one big gcd per value; decompose and its --verify still agree
+    primes = _primes(300)
+    items = [f"{1 + i % 3}/{p}" for i, p in enumerate(primes)]
+    gcds = [0]
+
+    def counted(*args):
+        gcds[0] += 1
+        return gcd(*args)
+
+    monkeypatch.setattr(perdec.core, "gcd", counted)
+    f = values_from_json(items)
+    assert gcds[0] == 0
+    product = 1
+    for p in primes:
+        product *= p
+    assert f.denom == product
+    assert f.values == tuple(Fraction(1 + i % 3, p)
+                             for i, p in enumerate(primes))
+    assert values_to_json(f) == items
+    modulus = 2 * len(items)
+    instance = tmp_path / "instance.json"
+    instance.write_text(dumps({"kind": "cyclic-group", "modulus": modulus,
+                               "shifts": [len(items), 1],
+                               "values": items * 2}))
+    assert perdec.cli.run_command(["decompose", str(instance)]) == 0
+    out = capsys.readouterr().out
+    parts = [values_from_json(part) for part in json.loads(out)["parts"]]
+    assert parts[0] + parts[1] == values_from_json(items * 2)
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    assert perdec.cli.run_command(
+        ["decompose", str(instance), "--verify", str(cert)]) == 0
+    assert json.loads(capsys.readouterr().out)["agrees"] is True
+    tables = [[(x + a) % modulus for x in range(modulus)]
+              for a in (len(items), 1)]
+    bumped = values_from_json(values_to_json(parts[1])[:-1] + ["1/2"])
+    assert perdec.check.first_parts_defect(
+        tables, values_from_json(items * 2), [parts[0], bumped]) == (
+            "SumMismatch", modulus - 1)

@@ -166,32 +166,34 @@ def test_values_from_json_reports_the_first_bad_item(pool, data):
     assert (exc.value.path, str(exc.value)) == (want.path, str(want))
 
 
-def _counting_frac_from_json(monkeypatch):
+def _counting_ratio(monkeypatch):
+    # _ratio is the one literal parser: frac_from_json wraps it, and
+    # values_from_json calls it once per distinct literal
     calls = [0]
-    original = serialize.frac_from_json
+    original = serialize._ratio
 
-    def counted(value, path="value"):
+    def counted(value, path):
         calls[0] += 1
         return original(value, path)
 
-    monkeypatch.setattr(serialize, "frac_from_json", counted)
+    monkeypatch.setattr(serialize, "_ratio", counted)
     return calls
 
 
 def test_values_from_json_parses_each_distinct_literal_once(monkeypatch):
-    calls = _counting_frac_from_json(monkeypatch)
+    calls = _counting_ratio(monkeypatch)
     f = values_from_json([("1/2", "-1", "0")[i % 3] for i in range(10000)])
     assert len(f) == 10000 and f[9999] == Fraction(1, 2)
-    assert calls[0] <= 3
+    assert calls[0] == 3
 
 
 def test_parse_result_parses_each_distinct_part_literal_once(monkeypatch):
-    calls = _counting_frac_from_json(monkeypatch)
+    calls = _counting_ratio(monkeypatch)
     doc = {"result": "decomposition",
            "parts": [["1/2", "-1", "0"] * 2000, ["3", "-3", "0"] * 2000]}
     d = parse_result(doc)
     assert [len(p) for p in d.parts] == [6000, 6000]
-    assert calls[0] <= 6
+    assert calls[0] == 6
 
 
 def test_values_to_json_formats_each_distinct_value_once(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perdec import check, generators, star
+from perdec import check, generators
 from perdec.check import (
     StarInstance,
     StarViolation,
@@ -560,7 +560,7 @@ def test_abelian_check_of_sixteen_shifts_scans_at_most_sixteen_stencils(
 
 
 def test_abelian_check_and_replay_of_forty_shifts_read_f_linearly(
-        monkeypatch, tmp_path, capsys):
+        tmp_path, capsys):
     # 40 unit shifts on 48 random values: the all-singleton stencil fails;
     # a corner walk would visit 2^40 corners, the passes read each
     # numerator a bounded number of times
@@ -569,24 +569,20 @@ def test_abelian_check_and_replay_of_forty_shifts_read_f_linearly(
     values = [rng.randint(-9, 9) for _ in range(48)]
     f = RationalFunction(tuple(Fraction(v) for v in values))
     limit = len(shifts) * len(f)
-    reads = [0]
-    integer_values = star.integer_values
+    reads, replay_reads = [0], [0]
 
-    def counted_values(g):
-        num, denom = integer_values(g)
-        return counted_tuple(num, reads, limit), denom
+    def counting(reads):
+        # the frozen record's numerators, swapped for a counting tuple past
+        # its refusing __setattr__
+        g = RationalFunction(f.values)
+        object.__setattr__(g, "numerators",
+                           counted_tuple(f.numerators, reads, limit))
+        return g
 
-    monkeypatch.setattr(star, "integer_values", counted_values)
-    violation = check_star_abelian(shifts, f)
+    violation = check_star_abelian(shifts, counting(reads))
     assert violation is not None
     assert violation.instance.blocks == tuple((i,) for i in range(40))
-    counted = RationalFunction(f.values)
-    replay_reads = [0]
-    # the frozen record's numerators, swapped for a counting tuple past
-    # its refusing __setattr__
-    object.__setattr__(counted, "numerators",
-                       counted_tuple(f.numerators, replay_reads, limit))
-    assert replay_abelian_violation(shifts, counted, violation)
+    assert replay_abelian_violation(shifts, counting(replay_reads), violation)
     assert reads[0] <= limit and replay_reads[0] <= limit
     path = tmp_path / "inst.json"
     path.write_text(dumps({"kind": "z-window", "length": len(f),
