@@ -7,7 +7,6 @@ and `orbits`: a replay loads none of the code it checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from math import lcm
 from operator import add, lt
@@ -30,6 +29,8 @@ from .core import (
 from .orbits import Partition, invariance_classes, rho
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .lattice import LatticeWindow
 
 
@@ -214,6 +215,8 @@ def stencil_value(f: RationalFunction, z: int,
     None when a step leaves [0, len(f)).  Walked as point -> integer
     coefficient, each factor sending c at w to -c at w and +c at step(w),
     so at most min(len(f), 2^factors) points are live and read."""
+    from fractions import Fraction
+
     size = len(f)
     coeffs = {z: 1}
     for step in steps:
@@ -450,6 +453,8 @@ def partial_sum_bound(t: Sequence[int], g: RationalFunction,
     with preperiod plus period at most N, so the default horizon sees
     every value.  The sums run on g's numerators, over its denominator.
     """
+    from fractions import Fraction
+
     size = len(g)
     if horizon is None:
         horizon = 2 * size
@@ -500,6 +505,8 @@ def verify_cycle_obstruction(t: Sequence[int], g: RationalFunction,
     distinct points of the domain that t walks in order and back to the
     first, and its total is their g-sum and nonzero.  Any solution h
     telescopes to 0 around a cycle, so none exists."""
+    from fractions import Fraction
+
     if len(t) != len(g):
         raise PreconditionError("transform length does not match function")
     points = obstruction.points
@@ -519,6 +526,8 @@ def orbit_sum(t: Sequence[int], g: RationalFunction, x: int,
               steps: int) -> Fraction:
     """sum_{i < steps} g(t^i x) for any steps >= 0, in at most N steps:
     the sum over x's tail, whole turns of its cycle, then a partial turn."""
+    from fractions import Fraction
+
     orbit, start = rho(t, x)
     prefix = [0]
     for p in orbit:

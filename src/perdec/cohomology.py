@@ -9,7 +9,6 @@ offending cycle or self-relation together with its nonzero sum.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Sequence, Union
 
 from .check import (
@@ -49,6 +48,8 @@ def solve_transfer(
     checks out h(x) = 0 and h fills forward.  Each point is walked once,
     on g's numerators: h has g's denominator.
     """
+    from fractions import Fraction
+
     numerators = g.numerators
     values: list = [None] * len(g)
     for x in range(len(g)):

@@ -22,12 +22,14 @@ shared VM, Python 3.11).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-RationalLike = Union[int, str, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RationalLike = Union[int, str, "Fraction"]
 
 
 class RangeError(ValueError):
@@ -120,19 +122,26 @@ class _Record:
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints and "p/q" strings; a Fraction comes back unchanged and
     floats are rejected."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        raise TypeError(f"float {value!r} rejected: values must be exact rationals")
-    return Fraction(value)
+    return _as_fractions((value,))[0]
 
 
 def _as_fractions(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """`as_fraction` over values.  A tuple of exact Fractions comes back as
-    it is after one type pass."""
+    """`as_fraction` over values, importing `fractions` once per call, not
+    once per value.  A tuple of exact Fractions comes back as it is after
+    one type pass."""
+    from fractions import Fraction
+
     if type(values) is tuple and set(map(type, values)) <= {Fraction}:
         return values
-    return tuple(map(as_fraction, values))
+    out = []
+    for value in values:
+        if type(value) is not Fraction:
+            if isinstance(value, float):
+                raise TypeError(f"float {value!r} rejected: values must be "
+                                "exact rationals")
+            value = Fraction(value)
+        out.append(value)
+    return tuple(out)
 
 
 def validate_transform(table: Sequence[int], size: int) -> tuple[int, ...]:
@@ -265,6 +274,8 @@ class RationalFunction(_Record):
         """The values as Fractions, one per distinct numerator."""
         values = self.__dict__.get("_values")
         if values is None:
+            from fractions import Fraction
+
             memo = dict.fromkeys(self.numerators)
             for v in memo:
                 memo[v] = Fraction(v, self.denom)
@@ -295,6 +306,8 @@ class RationalFunction(_Record):
 
     def max_abs(self) -> Fraction:
         """Sup norm."""
+        from fractions import Fraction
+
         return Fraction(max(map(abs, self.numerators), default=0), self.denom)
 
     def _combine(self, other: "RationalFunction", sign: int
@@ -310,12 +323,20 @@ class RationalFunction(_Record):
 
 def _from_integers(numerators: Iterable[int], denom: int) -> RationalFunction:
     """The function x -> numerators[x] / denom, for ints and denom >= 1,
-    built without checks and brought to the canonical pair by one gcd."""
+    built without checks and brought to the canonical pair in two gcds.
+
+    g = gcd(denom, sum of the numerators) is one big-int gcd, and the
+    pair's gcd divides it, so gcd(g, *numerators) is that gcd exactly,
+    with a running gcd no larger than g.  g stays large only when the sum
+    shares most of denom's factors, as a sum of 0 shares all of them.
+    """
     numerators = tuple(numerators)
-    g = gcd(denom, *numerators)
+    g = gcd(denom, sum(numerators))
     if g != 1:
-        numerators = tuple([v // g for v in numerators])
-        denom //= g
+        g = gcd(g, *numerators)
+        if g != 1:
+            numerators = tuple([v // g for v in numerators])
+            denom //= g
     return _canonical(numerators, denom)
 
 
@@ -323,9 +344,10 @@ def _canonical(numerators: tuple[int, ...], denom: int) -> RationalFunction:
     """The function with the pair (numerators, denom), for a pair that is
     canonical by construction: denom >= 1 and gcd(denom, *numerators) == 1.
 
-    The gcd that `_from_integers` takes runs one big-int gcd per numerator
-    while the running gcd stays large, which over N pairwise coprime
-    denominators is cubic in N; a caller that knows the answer is 1 skips it.
+    A caller that knows the gcd is 1 skips the two that `_from_integers`
+    takes, which cost a big-int gcd with the numerators' sum and, when
+    that sum is 0, one big-int gcd per numerator while the running gcd
+    stays as large as denom.
     """
     f = object.__new__(RationalFunction)
     _set_field(f, "numerators", numerators)

@@ -24,7 +24,7 @@ from .core import (
     _from_integers,
     validate_system,
 )
-from .orbits import invariance_classes
+from .orbits import _label_classes
 from .star import check_star
 
 DecompOutcome = Union[Decomposition, StarViolation]
@@ -39,27 +39,22 @@ def scaled_cycle_means(t: Sequence[int], values: Sequence[int]
     g -> g o t - g (see `decompose_n`), on integer numerators.  scale is
     the lcm of t's cycle lengths, so a cycle of length L has mean
     (scale // L) * (its sum) / scale, an integer over scale with no
-    division.  One walk from each class representative finds the class's
-    cycle; marks hold class ids, so they need no reset between classes.
+    division.  The class walk records one point on each cycle, and one
+    turn from it sums the cycle and counts its length.
     """
-    part = invariance_classes(t)
-    mark = [-1] * len(t)
-    cycles = []
-    for c, x in enumerate(part.representative):
-        while mark[x] != c:
-            mark[x] = c
-            x = t[x]
-        # x is the first point the walk met twice: it lies on the cycle
-        cycle = [x]
-        y = t[x]
+    class_of, _, on_cycle = _label_classes(t)
+    lengths = [0] * len(on_cycle)
+    sums = [0] * len(on_cycle)
+    for c, x in enumerate(on_cycle):
+        total, length, y = values[x], 1, t[x]
         while y != x:
-            cycle.append(y)
+            total += values[y]
+            length += 1
             y = t[y]
-        cycles.append(cycle)
-    scale = lcm(*map(len, cycles))
-    sums = [scale // len(cycle) * sum(map(values.__getitem__, cycle))
-            for cycle in cycles]
-    return part.class_of, sums, scale
+        lengths[c], sums[c] = length, total
+    scale = lcm(*lengths)
+    return class_of, [scale // length * total for length, total
+                      in zip(lengths, sums)], scale
 
 
 def decompose_n(transforms: Sequence[Sequence[int]],
@@ -117,8 +112,9 @@ def decompose_n(transforms: Sequence[Sequence[int]],
     where the final rest is not T_n-invariant, an integer test; then the
     refusal is check_star's.  Otherwise part j < n is its class sums
     spread over the points, over the D of step j, and part n the final
-    rest over the final D, each reduced to its canonical pair by one gcd;
-    the parts are verified on those numerators before they are returned.
+    rest over the final D, each reduced to its canonical pair by
+    `_from_integers`; the parts are verified on those numerators before
+    they are returned.
 
     `lattice.lattice_decompose` is this construction on a window's axis
     maps that fix their base slices: every cycle is a fixed point, so

@@ -34,25 +34,41 @@ class Partition(_Record):
 
 def invariance_classes(t: Sequence[int]) -> Partition:
     """Classes on which every t-invariant function is constant: the weakly
-    connected components of t's functional graph.  Each holds one cycle,
-    so a forward walk from the least unlabelled x joins the class of the
-    first labelled point it meets, or closes a new cycle and starts a
-    class whose least point is x; each point is walked once."""
-    class_of = [-1] * len(t)
+    connected components of t's functional graph, from `_label_classes`."""
+    class_of, reps, _ = _label_classes(t)
+    return Partition(class_of, tuple(reps))
+
+
+def _label_classes(t: Sequence[int]
+                   ) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """(class_of, representatives, on_cycle) of t's invariance classes,
+    with on_cycle[c] a point on class c's one cycle.
+
+    A forward walk from each least unlabelled x labels the points it
+    reaches with the walk's own id until it meets a labelled point.  Its
+    own id there closes a new cycle, and a class whose least point is x;
+    any other id joins the class of that walk.  Each point is walked
+    once, and one map of the walk ids gives every point its class.
+    """
+    walk_of = [-1] * len(t)
+    class_of_walk: list[int] = []
     reps: list[int] = []
+    on_cycle: list[int] = []
     for x in range(len(t)):
-        path, y = [], x
-        while class_of[y] == -1:
-            class_of[y] = -2  # on this walk
-            path.append(y)
+        if walk_of[x] != -1:
+            continue
+        w = len(class_of_walk)
+        y = x
+        while walk_of[y] == -1:
+            walk_of[y] = w
             y = t[y]
-        c = class_of[y]
-        if c == -2:
-            c = len(reps)
+        if walk_of[y] == w:
+            class_of_walk.append(len(reps))
             reps.append(x)
-        for p in path:
-            class_of[p] = c
-    return Partition(tuple(class_of), tuple(reps))
+            on_cycle.append(y)
+        else:
+            class_of_walk.append(class_of_walk[walk_of[y]])
+    return tuple(map(class_of_walk.__getitem__, walk_of)), reps, on_cycle
 
 
 def rho(t: Sequence[int], x: int) -> tuple[list[int], int]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
@@ -40,6 +39,8 @@ from .core import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .lattice import LatticeWindow
 
 
@@ -96,6 +97,8 @@ def _ratio(value: Any, path: str) -> tuple[int, int]:
 
 
 def frac_from_json(value: Any, path: str = "value") -> Fraction:
+    from fractions import Fraction
+
     return Fraction(*_ratio(value, path))
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import random
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .check import (
@@ -70,6 +69,8 @@ def check_star(system: CommutingSystem,
     z = next((z for z, value in enumerate(row) if value), None)
     if z is None:
         return None
+    from fractions import Fraction
+
     instance = StarInstance(tuple((j,) for j in range(n)), tuple(range(n)),
                             (1,) * n, (), z)
     return StarViolation(instance, Fraction(row[z], denom),
@@ -111,6 +112,8 @@ def check_star_abelian(shifts: Sequence[int],
     hit = window_scan(shifts, f_num)
     if hit is None:
         return None
+    from fractions import Fraction
+
     blocks, offsets, z, value = hit
     heads = tuple(block[0] for block in blocks)
     kvec = tuple(o // shifts[h] for h, o in zip(heads, offsets))

@@ -1305,11 +1305,21 @@ SMALL_INSTANCES = {
 # dataclasses and the inspect module it loads
 SLOW_IMPORTS = {"dataclasses", "inspect"}
 
+# fractions and the modules it loads: perdec imports Fraction only where a
+# result carries a rational, so only those runs and their replays load it
+RATIONAL_MODULES = {"fractions", "decimal", "numbers"}
+
+# the runs above whose result carries a rational: a transfer bound or
+# obstruction total, and the value of the z-window's star violation
+RATIONAL_RESULTS = {("bounded-transfer", "finite"),
+                    ("bounded-transfer", "cyclic-group"),
+                    ("star-check", "z-window")}
+
 
 def _fresh_run(argv):
-    """Exit code, stdout and the perdec modules of a run in a fresh
-    interpreter, which must load only the standard library and perdec,
-    and none of SLOW_IMPORTS."""
+    """Exit code, stdout, and the perdec modules and RATIONAL_MODULES of a
+    run in a fresh interpreter, which must load only the standard library
+    and perdec, and none of SLOW_IMPORTS."""
     src = str(Path(perdec.__file__).resolve().parent.parent)
     run = subprocess.run([sys.executable, "-S", "-c", _FRESH_RUN, src,
                           *argv], capture_output=True, text=True, timeout=60)
@@ -1318,7 +1328,8 @@ def _fresh_run(argv):
     assert tops - {"__main__", "perdec"} <= sys.stdlib_module_names
     assert not SLOW_IMPORTS & tops
     return (int(code), run.stdout,
-            {name for name in names if name.partition(".")[0] == "perdec"})
+            {name for name in names if name in RATIONAL_MODULES
+             or name.partition(".")[0] == "perdec"})
 
 
 def _perdec(*modules):
@@ -1345,7 +1356,7 @@ def test_cli_loads_only_the_standard_library_and_perdec_sources():
             if n.partition(".")[0] == "perdec"} == SHARED_MODULES
     tops = {name.partition(".")[0] for name in names.split()}
     assert tops - {"__main__", "perdec"} <= sys.stdlib_module_names
-    assert not SLOW_IMPORTS & tops
+    assert not (SLOW_IMPORTS | RATIONAL_MODULES) & tops
     assert all(path.endswith(".py") for path in files.split())
 
 
@@ -1360,14 +1371,35 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, command,
         assert loaded == SHARED_MODULES
         return
     assert code in (0, 1)
-    assert loaded == _perdec(*LOADS[command])
+    rational = (RATIONAL_MODULES if (command, kind) in RATIONAL_RESULTS
+                else set())
+    assert loaded == _perdec(*LOADS[command]) | rational
     if command == "validate":
         return
     cert = tmp_path / "cert.json"
     cert.write_text(out)
     code, _, loaded = _fresh_run([command, instance, "--verify", str(cert)])
     assert code == 0
-    assert loaded == _perdec(*VERIFY_LOADS[command])
+    assert loaded == _perdec(*VERIFY_LOADS[command]) | rational
+
+
+@pytest.mark.parametrize("kind", sorted(PASSING_STAR_CHECKS))
+@pytest.mark.parametrize("code, instances", [(0, PASSING_STAR_CHECKS),
+                                             (1, REFUSING_INSTANCES)])
+def test_an_oracle_verdict_and_its_replay_load_no_rationals(tmp_path, code,
+                                                           instances, kind):
+    # a split's parts and a dual's weights are numerators over one
+    # denominator, so neither verdict builds a Fraction
+    instance = _write(tmp_path, "inst.json", instances[kind])
+    verdict, out, loaded = _fresh_run(["oracle", instance])
+    assert verdict == code
+    assert not RATIONAL_MODULES & loaded
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    verdict, _, loaded = _fresh_run(["oracle", instance, "--verify",
+                                     str(cert)])
+    assert verdict == 0
+    assert not RATIONAL_MODULES & loaded
 
 
 @pytest.mark.parametrize("command", ["validate", "oracle", "star-check",
@@ -1405,7 +1437,8 @@ def test_a_search_candidate_is_checked_by_its_stored_dual(tmp_path):
     assert (code, json.loads(out)) == (1, {
         "result": "verified", "agrees": False,
         "reason": "candidate from trial 4 does not re-verify"})
-    assert loaded == _perdec("check", "orbits")
+    # the candidate's values are read through the Fraction constructor
+    assert loaded == _perdec("check", "orbits") | RATIONAL_MODULES
 
 
 def test_search_verify_refuses_counts_no_search_produces(tmp_path, capsys):

@@ -2,10 +2,10 @@
 canonical pair is the same whichever way a function is built, and a run
 builds no Fraction per point."""
 
+import fractions
 import json
 import pickle
 import random
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -14,14 +14,6 @@ from hypothesis import strategies as st
 
 import perdec.check
 import perdec.cli
-import perdec.cohomology
-import perdec.decomp
-import perdec.generators
-import perdec.lattice
-import perdec.oracle
-import perdec.orbits
-import perdec.serialize
-import perdec.star
 from perdec.core import RationalFunction, _from_integers
 from perdec.serialize import (dumps, frac_to_str, values_from_json,
                               values_to_json)
@@ -55,6 +47,27 @@ def test_every_construction_gives_the_canonical_pair(items, scale):
         assert values_to_json(f) == [frac_to_str(v) for v in values]
 
 
+@given(st.lists(st.tuples(st.integers(-9, 9),
+                          st.sampled_from((1, 2, 3, 5, 7, 11, 13))),
+                max_size=8),
+       st.integers(1, 6), st.booleans())
+def test_from_integers_gives_the_pair_the_fractions_reduce_to(items, scale,
+                                                              balance):
+    # values k / p over small primes p, so the reduced denominators are
+    # pairwise coprime, with zeros, over a multiple of their lcm; balanced,
+    # the numerators sum to 0, so the gcd with the sum is the whole denom
+    denom = lcm(*(p for _, p in items)) * scale
+    numerators = [k * (denom // p) for k, p in items]
+    if balance:
+        numerators.append(-sum(numerators))
+    values = [Fraction(v, denom) for v in numerators]
+    common = lcm(*(v.denominator for v in values))
+    f = _from_integers(numerators, denom)
+    assert f.denom == common
+    assert f.numerators == tuple(v.numerator * (common // v.denominator)
+                                 for v in values)
+
+
 def _planted_cyclic(modulus: int, shifts, rng: random.Random) -> list:
     """Values on Z_modulus that sum one part per shift, part j periodic
     with period gcd(a_j, modulus): decomposable by construction."""
@@ -85,11 +98,9 @@ def test_large_runs_build_fractions_only_per_distinct_output_value(
             built[0] += 1
             return super().__new__(cls, *args, **kwargs)
 
-    modules = [module for name, module in sorted(sys.modules.items())
-               if name.startswith("perdec.") and hasattr(module, "Fraction")]
-    assert perdec.core in modules and perdec.serialize in modules
-    for module in modules:
-        monkeypatch.setattr(module, "Fraction", Counted)
+    # perdec imports Fraction inside the functions that build one, so
+    # each reads the patched class at call time
+    monkeypatch.setattr(fractions, "Fraction", Counted)
     written = set()
     for command in ("decompose", "oracle"):
         assert perdec.cli.run_command([command, str(instance)]) == 0

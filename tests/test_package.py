@@ -81,6 +81,46 @@ def test_the_checker_imports_only_core_orbits_and_the_standard_library():
     assert stdlib - {"__future__"} <= sys.stdlib_module_names
 
 
+def _load_time_imports(nodes) -> set:
+    """Top-level names of the modules that statements import when their
+    module loads: every statement outside a function body, except those
+    under `if TYPE_CHECKING:`."""
+    found = set()
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if (isinstance(node, ast.If)
+                and ast.unparse(node.test) == "TYPE_CHECKING"):
+            found |= _load_time_imports(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+        found |= _load_time_imports(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_module_imports_fractions_when_it_loads():
+    # Fraction is imported inside the functions that build or test one,
+    # so loading any perdec module loads no fractions (nor decimal and
+    # numbers, which it imports)
+    paths = sorted((ROOT / "src" / "perdec").glob("*.py"))
+    loaded = [path.name for path in paths if "fractions"
+              in _load_time_imports(ast.parse(path.read_text()).body)]
+    assert loaded == []
+    # the guard sees a load-time import in a nested block or a class body,
+    # and none inside a function or under TYPE_CHECKING
+    for source, expected in [
+            ("try:\n    from fractions import Fraction\nexcept ImportError:"
+             "\n    pass\n", {"fractions"}),
+            ("class A:\n    import fractions\n", {"fractions"}),
+            ("def f():\n    from fractions import Fraction\n", set()),
+            ("if TYPE_CHECKING:\n    from fractions import Fraction\n"
+             "else:\n    import json\n", {"json"})]:
+        assert _load_time_imports(ast.parse(source).body) == expected
+
+
 # top-level names that no code in src/perdec reads, each with its reason;
 # a name in perdec's export table is not read by being listed there
 DEAD_CODE_ALLOWLIST = {
@@ -96,6 +136,9 @@ DEAD_CODE_ALLOWLIST = {
     ("core", "RationalFunction.compose"),
     # the benchmark record names the scan implementation through it
     ("kernels", "implementation_name"),
+    # the public coercion of one value; the library coerces whole lists
+    # through _as_fractions, which imports fractions once per list
+    ("core", "as_fraction"),
     # PEP 562 hooks of the package: called by the import system
     ("__init__", "__getattr__"),
     ("__init__", "__dir__"),
