@@ -68,6 +68,10 @@ def _label_classes(t: Sequence[int]
             on_cycle.append(y)
         else:
             class_of_walk.append(class_of_walk[walk_of[y]])
+    if len(reps) == len(class_of_walk):
+        # every walk closed its own cycle, as in a permutation: the walk
+        # ids are the class ids
+        return tuple(walk_of), reps, on_cycle
     return tuple(map(class_of_walk.__getitem__, walk_of)), reps, on_cycle
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from perdec.core import RangeError, iterate
 from perdec.orbits import (
     Partition,
+    _label_classes,
     find_relation,
     induced_map,
     invariance_classes,
@@ -70,6 +71,17 @@ def test_invariance_classes_equal_the_union_find_components(sized):
     # least points
     size, t = sized
     assert invariance_classes(t) == union_find_classes(size, [t])
+
+
+@given(sized_maps(max_size=12))
+def test_the_class_walk_records_a_point_on_each_cycle(sized):
+    # scaled_cycle_means turns around each class's cycle from that point
+    size, t = sized
+    class_of, reps, on_cycle = _label_classes(t)
+    assert len(on_cycle) == len(reps)
+    for c, y in enumerate(on_cycle):
+        assert class_of[y] == c
+        assert rho(t, y)[1] == 0
 
 
 def test_rho_of_a_tail_into_a_cycle():
