@@ -18,6 +18,11 @@ builds its methods with `exec`, 0.64 ms a class against 0.013 ms for a
 `_Record` subclass.  `import perdec.cli` fell from 39.8 to 29.1 ms
 (medians of 21 fresh interpreters without a bytecode cache, 2-core
 shared VM, Python 3.11).
+
+For the same reason every perdec module imports `fractions` (which loads
+`decimal` and `numbers`) inside the functions that build or test a
+Fraction, never when it loads: only a run whose result carries a
+rational, or a caller reading `.values`, pays for it.
 """
 
 from __future__ import annotations
