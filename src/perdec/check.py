@@ -209,14 +209,12 @@ def verify_lattice_parts(f: LatticeWindow,
 
 
 def stencil_value(f: RationalFunction, z: int,
-                  steps: Iterable[Callable[[int], int]]
-                  ) -> Optional[Fraction]:
-    """The mixed difference of f at z with factors g -> g o step - g, or
-    None when a step leaves [0, len(f)).  Walked as point -> integer
-    coefficient, each factor sending c at w to -c at w and +c at step(w),
-    so at most min(len(f), 2^factors) points are live and read."""
-    from fractions import Fraction
-
+                  steps: Iterable[Callable[[int], int]]) -> Optional[int]:
+    """The numerator over f.denom of the mixed difference of f at z with
+    factors g -> g o step - g, or None when a step leaves [0, len(f)).
+    Walked as point -> integer coefficient, each factor sending c at w to
+    -c at w and +c at step(w), so at most min(len(f), 2^factors) points
+    are live and read."""
     size = len(f)
     coeffs = {z: 1}
     for step in steps:
@@ -228,10 +226,8 @@ def stencil_value(f: RationalFunction, z: int,
                 return None
             moved[u] = moved.get(u, 0) + c
         coeffs = {w: c for w, c in moved.items() if c}
-    # one Fraction at the end, over f's denominator
     numerators = f.numerators
-    return Fraction(sum(c * numerators[w] for w, c in coeffs.items()),
-                    f.denom)
+    return sum(c * numerators[w] for w, c in coeffs.items())
 
 
 def _well_formed(inst: StarInstance, n: int, size: int) -> bool:
@@ -268,10 +264,11 @@ def _replays(violation: StarViolation, n: int, f: RationalFunction,
             for i in block}
     if not all(premise(i, l, l2, *head[i]) for i, l, l2 in inst.premises):
         return False
-    value = stencil_value(f, inst.z,
-                          [step(h, k) for h, k
-                           in zip(inst.distinguished, inst.exponents)])
-    return value == violation.value and value != 0
+    num = stencil_value(f, inst.z,
+                        [step(h, k) for h, k
+                         in zip(inst.distinguished, inst.exponents)])
+    v = violation.value
+    return bool(num) and num * v.denominator == v.numerator * f.denom
 
 
 def replay_violation(system: CommutingSystem, f: RationalFunction,

@@ -85,12 +85,6 @@ def solve_transfer(
     return solution
 
 
-def _check_commute(t: Sequence[int], s: Sequence[int]) -> None:
-    w = commute_witness(t, s)
-    if w is not None:
-        raise PreconditionError(f"maps do not commute at x={w}")
-
-
 def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
                        g: RationalFunction):
     """(solution, classes, induced): h(t(x)) - h(x) = g(x) with h
@@ -106,7 +100,9 @@ def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
     otherwise the solution is that witness with its nonzero sum, a
     ConstrainedObstruction that `verify_bounded_transfer` has replayed.
     """
-    _check_commute(t, s)
+    w = commute_witness(t, s)
+    if w is not None:
+        raise PreconditionError(f"maps do not commute at x={w}")
     if not is_invariant(s, g):
         raise PreconditionError("right side is not s-invariant")
     part, induced = induced_map(t, s)

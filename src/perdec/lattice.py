@@ -7,11 +7,11 @@ A window is a list of total maps (`LatticeWindow.axis_maps`): the map of
 axis j steps toward one slice x_j = k_j and fixes the points on it, the
 upper face unless a base is given.  A fixed point constrains no
 invariant function, and every slice gives the same lines as classes, so
-the witness, the oracle and the checkers are `star`'s, `oracle`'s and
-`check`'s on the upper-face tables, and the decomposition is
-`decomp.decompose_n` on the base-slice tables; `star`, `decomp` and
-`oracle` load only when a witness, a decomposition or an oracle verdict
-is asked for.
+the witness is `core._mixed_difference` on the upper-face tables, the
+oracle and the checkers are `oracle`'s and `check`'s on them, and the
+decomposition is `decomp.decompose_n` on the base-slice tables; `decomp`
+and `oracle` load only when a decomposition or an oracle verdict is asked
+for.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from .check import (
     verify_point_violation,
 )
 from .core import (
-    CommutingSystem,
     PreconditionError,
     RangeError,
     RationalFunction,
     RationalLike,
+    _mixed_difference,
     _set_field,
 )
 
@@ -124,16 +124,16 @@ def mixed_delta_witness(f: LatticeWindow) -> Optional[tuple[int, ...]]:
     """First point where the d-fold mixed forward difference is nonzero,
     or None when it vanishes wherever evaluable.
 
-    This is `check_star` on the axis maps: on an upper face of axis j the
-    axis-j difference is 0, and it stays 0 because no other map moves
-    coordinate j, so the first nonzero point is a stencil base.
+    This is `_mixed_difference` on the axis maps and f's numerators: on
+    an upper face of axis j the axis-j difference is 0, and it stays 0
+    because no other map moves coordinate j, so the first nonzero point is
+    a stencil base.
     """
-    from .star import check_star
-
-    violation = check_star(CommutingSystem(f.size, f.axis_maps()), f)
-    if violation is None:
+    row = _mixed_difference(f.axis_maps(), f.numerators)
+    z = next((z for z, value in enumerate(row) if value), None)
+    if z is None:
         return None
-    point = f.coords(violation.instance.z)
+    point = f.coords(z)
     verify_point_violation(f, point).require("point certificate")
     return point
 

@@ -182,6 +182,18 @@ def _int_list(items: Any, path: str) -> List[int]:
     return items
 
 
+def _dims(doc: dict) -> tuple[tuple[int, ...], int]:
+    """A window's dims and point count; ParseError at "dims" unless
+    `lattice.window_size` accepts them."""
+    from .lattice import window_size
+
+    dims = tuple(_int_list(doc.get("dims"), "dims"))
+    try:
+        return dims, window_size(dims)
+    except RangeError as exc:
+        raise ParseError(str(exc), "dims")
+
+
 def _certificate(doc: dict) -> dict:
     cert = doc.get("certificate")
     if not isinstance(cert, dict):
@@ -280,13 +292,9 @@ def parse_instance(doc: Any) -> Instance:
             raise ParseError("expected nonnegative shifts", "shifts")
         f = _values(doc, length)
         return Instance(kind, f=f, shifts=tuple(shifts), length=length)
-    from .lattice import _trusted, window_size
+    from .lattice import _trusted
 
-    dims = tuple(_int_list(doc.get("dims"), "dims"))
-    try:
-        size = window_size(dims)
-    except RangeError as exc:
-        raise ParseError(str(exc), "dims")
+    dims, size = _dims(doc)
     f = _values(doc, size)
     return Instance(kind, f=f, window=_trusted(dims, f))
 
@@ -465,13 +473,9 @@ def parse_result(doc: Any) -> Any:
         return tuple(_int_list(_certificate(doc).get("point"),
                                "certificate.point"))
     if tag == "lattice-decomposition":
-        from .lattice import _trusted, window_size
+        from .lattice import _trusted
 
-        dims = tuple(_int_list(doc.get("dims"), "dims"))
-        try:
-            size = window_size(dims)
-        except RangeError as exc:
-            raise ParseError(str(exc), "dims")
+        dims, size = _dims(doc)
         parts = _parts(doc.get("parts"), "parts")
         for i, part in enumerate(parts):
             if len(part) != size:

@@ -1275,13 +1275,14 @@ LOADS = {
 VERIFY_LOADS = dict.fromkeys(LOADS, {"check", "orbits"})
 
 # reading a lattice window loads lattice, check and orbits, and each
-# subcommand adds the producer it runs (lattice-decompose asks the star
-# check for a witness, then runs decompose_n); a search trial runs the
-# generators, the star check and the oracle
+# subcommand adds the producer it runs (the witness is lattice's own
+# integer stencil, and on a passing window lattice-decompose then runs
+# decompose_n); a search trial runs the generators, the star check and
+# the oracle
 WINDOW_LOADS = {"check", "lattice", "orbits"}
 LATTICE_LOADS = {"validate": WINDOW_LOADS,
                  "oracle": WINDOW_LOADS | {"oracle"},
-                 "star-check": WINDOW_LOADS | {"star"},
+                 "star-check": WINDOW_LOADS,
                  "lattice-decompose": WINDOW_LOADS | {"decomp", "star"}}
 SEARCH_LOADS = {"check", "generators", "oracle", "orbits", "star"}
 
@@ -1411,6 +1412,23 @@ def test_a_lattice_window_loads_the_lattice_modules(tmp_path, command):
     assert loaded == _perdec(*LATTICE_LOADS[command])
     if command == "validate":
         return
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    code, _, loaded = _fresh_run([command, instance, "--verify", str(cert)])
+    assert code == 0
+    assert loaded == _perdec(*WINDOW_LOADS)
+
+
+@pytest.mark.parametrize("command", ["star-check", "lattice-decompose"])
+def test_a_refusing_window_and_its_point_replay_load_no_rationals(tmp_path,
+                                                                  command):
+    # the witness and its replay read the integer stencil alone: no star
+    # check, no decomposition and no Fraction
+    instance = _write(tmp_path, "inst.json",
+                      dict(LATTICE_CORNER, values=["1", "0", "0", "0"]))
+    code, out, loaded = _fresh_run([command, instance])
+    assert code == 1
+    assert loaded == _perdec(*WINDOW_LOADS)
     cert = tmp_path / "cert.json"
     cert.write_text(out)
     code, _, loaded = _fresh_run([command, instance, "--verify", str(cert)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perdec.core
 from perdec.core import (
     PreconditionError,
     RangeError,
@@ -393,6 +394,20 @@ def perturbed_windows(draw):
 @settings(max_examples=150, deadline=None)
 def test_mixed_delta_witness_equals_the_stencil_scan(f):
     assert mixed_delta_witness(f) == _reference_mixed_delta_witness(f)
+
+
+@given(st.one_of(perturbed_windows(), arbitrary_windows()))
+@settings(max_examples=60, deadline=None)
+def test_mixed_delta_witness_checks_no_commutation(f):
+    # the window's axis maps commute by construction, so the witness reads
+    # the stencil without building a system that checks them again
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perdec.core, "commute_witness", _no_commute_check)
+        assert mixed_delta_witness(f) == _reference_mixed_delta_witness(f)
+
+
+def _no_commute_check(t, s):
+    raise AssertionError("the witness checked its axis maps commute")
 
 
 @given(perturbed_windows())

@@ -6,8 +6,10 @@ import random
 import tempfile
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import lcm
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -416,6 +418,20 @@ def test_window_difference_equals_the_corner_sum(offsets, data):
                 for z in range(len(values))]
     assert [got.get(z) for z in range(len(values))] == expected
     assert len(got) == sum(value is not None for value in expected)
+
+
+@given(st.lists(st.integers(-4, 6), max_size=5),
+       st.integers(1, 16).flatmap(value_functions), st.data())
+@settings(max_examples=100, deadline=None)
+def test_stencil_value_is_the_corner_sum_numerator(offsets, f, data):
+    # an int over f.denom wherever every corner lies in the domain
+    z = data.draw(st.integers(0, len(f) - 1))
+    expected = corner_stencil(f.values, offsets, z)
+    if expected is None:
+        return
+    got = check.stencil_value(f, z, [partial(add, o) for o in offsets])
+    assert type(got) is int
+    assert got == expected * f.denom
 
 
 def _reference_abelian_replay(shifts, f, violation):
