@@ -1,10 +1,10 @@
 """Batch command line: parse instance files, dispatch, emit JSON verdicts.
 
 Exit codes: 0 = pass/decomposed, 1 = violation/infeasible (certificate in
-the output), 2 = input error.  With --verify CERTFILE a subcommand re-checks
-a previously emitted result file against the instance instead of recomputing,
-with `check`'s one checker for that certificate type, exiting 0 when it
-replays and 1 when it does not.
+the output), 2 = input error, a non-UTF-8 file too.  With --verify CERTFILE
+a subcommand re-checks a previously emitted result file against the
+instance instead of recomputing, with `check`'s one checker for that
+certificate type, exiting 0 when it replays and 1 when it does not.
 
 Every subcommand that reads an instance and answers with a result takes
 one skeleton, `_cmd_decide`: read the instance, check that its kind fits
@@ -41,25 +41,21 @@ from .core import (
 from .serialize import Instance, ParseError, dumps, load_json, parse_instance
 
 
-def _read_instance(path: str) -> Instance:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read instance file: {exc}")
-    return parse_instance(load_json(text))
-
-
-def _read_result(path: str) -> Any:
+def _read(path: str, what: str) -> Any:
+    """The JSON document of the instance or certificate file at path (the
+    instance "-" is standard input), its bytes decoded as strict UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        if path == "-" and what == "instance":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read certificate file: {exc}")
-    return serialize.parse_result(load_json(text))
+        raise ParseError(f"cannot read {what} file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} file is not UTF-8: {exc}")
+    return load_json(text)
 
 
 # a handler's (exit code, document), or the verdict of a --verify run
@@ -145,7 +141,7 @@ def _verify_result(command: str, inst: Optional[Instance],
 
 
 def _cmd_validate(args) -> Outcome:
-    inst = _read_instance(args.instance)
+    inst = parse_instance(_read(args.instance, "instance"))
     doc: dict = {"result": "ok", "kind": inst.kind}
     if inst.system is not None:
         doc["size"] = inst.system.size
@@ -169,7 +165,7 @@ def _cmd_decide(args) -> Outcome:
     stored result or run the subcommand's producer and write its result;
     a refusal carries a certificate and exits 1."""
     command = args.command
-    inst = _read_instance(args.instance)
+    inst = parse_instance(_read(args.instance, "instance"))
     kinds = _READS.get(command)
     if kinds and inst.kind not in kinds:
         raise ParseError(f"{command} needs a {' or '.join(kinds)} instance, "
@@ -178,7 +174,8 @@ def _cmd_decide(args) -> Outcome:
         raise ParseError("bounded-transfer needs exactly two transforms "
                          "(T, S) with values giving the right-hand side")
     if args.verify:
-        return _verify_result(command, inst, _read_result(args.verify))
+        result = serialize.parse_result(_read(args.verify, "certificate"))
+        return _verify_result(command, inst, result)
     # an input error whatever the window holds, so decided before the witness
     if command == "lattice-decompose" and args.base < 0:
         raise PreconditionError(
@@ -220,7 +217,8 @@ def _cmd_decide(args) -> Outcome:
 
 def _cmd_search(args) -> Outcome:
     if args.verify:
-        return _verify_result("search", None, _read_result(args.verify))
+        report = serialize.parse_result(_read(args.verify, "certificate"))
+        return _verify_result("search", None, report)
     from .star import search_counterexample
 
     report = search_counterexample(n=args.n, max_size=args.max_size,

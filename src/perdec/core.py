@@ -27,9 +27,10 @@ rational, or a caller reading `.values`, pays for it.
 
 from __future__ import annotations
 
+import re
 from math import gcd, lcm
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -125,28 +126,50 @@ class _Record:
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints and "p/q" strings; a Fraction comes back unchanged and
-    floats are rejected."""
+    """An int or "p"/"p/q" string by `_ratio`; a Fraction comes back."""
     return _as_fractions((value,))[0]
+
+
+_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(value: Any) -> tuple[int, int]:
+    """(p, q) in lowest terms, q >= 1, of an int or a "p"/"p/q" literal of
+    ASCII decimal integers: the one grammar of the library and the wire.
+    Any other type raises TypeError, any other str ValueError; unlike
+    Fraction(str), no sign, space, "_", decimal point or exponent."""
+    if type(value) is str:
+        match = _LITERAL.fullmatch(value)
+        if not match:
+            raise ValueError(f"bad rational literal {value!r}: expected "
+                             "\"p\" or \"p/q\" with decimal integers")
+        try:
+            p, q = map(int, match.groups("1"))
+        except ValueError as exc:  # past the int-to-string digit limit
+            raise ValueError(f"bad rational literal {value!r}: {exc}") from None
+        if not q:
+            raise ValueError(f"bad rational literal {value!r}: "
+                             f"Fraction({p}, 0)")
+        g = gcd(p, q)
+        return p // g, q // g
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected exact rational, got {value!r}")
+    raise TypeError(f"expected exact rational, got {type(value).__name__}")
 
 
 def _as_fractions(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     """`as_fraction` over values, importing `fractions` once per call, not
     once per value.  A tuple of exact Fractions comes back as it is after
-    one type pass."""
+    one type pass; a Fraction subclass becomes a Fraction."""
     from fractions import Fraction
 
     if type(values) is tuple and set(map(type, values)) <= {Fraction}:
         return values
-    out = []
-    for value in values:
-        if type(value) is not Fraction:
-            if isinstance(value, float):
-                raise TypeError(f"float {value!r} rejected: values must be "
-                                "exact rationals")
-            value = Fraction(value)
-        out.append(value)
-    return tuple(out)
+    return tuple([value if type(value) is Fraction
+                  else Fraction(value) if isinstance(value, Fraction)
+                  else Fraction(*_ratio(value)) for value in values])
 
 
 def validate_transform(table: Sequence[int], size: int) -> tuple[int, ...]:
@@ -258,9 +281,10 @@ class RationalFunction(_Record):
     denom >= 1 the lcm of the values' reduced denominators, so that
     gcd(denom, *numerators) == 1 and equal functions have equal fields.
 
-    The constructor takes ints, "p/q" strings or Fractions; the library
-    builds its functions from numerators with `_from_integers`.  `values`,
-    the Fractions, is built on its first read and kept outside the fields.
+    The constructor takes Fractions and what `_ratio` takes, ints and
+    "p"/"p/q" strings; the library builds its functions from numerators
+    with `_from_integers`.  `values`, the Fractions, is built on its first
+    read and kept outside the fields.
     """
 
     numerators: tuple[int, ...]

@@ -16,6 +16,7 @@ for.
 
 from __future__ import annotations
 
+import sys
 from typing import Optional, Sequence, Tuple, Union
 
 from .check import (
@@ -34,15 +35,21 @@ from .core import (
 
 
 def window_size(dims: Sequence[int]) -> int:
-    """Point count of a box window; RangeError unless it has an axis and
-    every extent is an integer >= 2."""
+    """Point count of a box window; RangeError unless it has an axis,
+    every extent is an integer >= 2 and the count has few enough digits
+    to print in a mismatch message.  Linear in the axes: the product
+    stops growing past 4 bits per digit allowed."""
     if not dims:
         raise RangeError("window needs at least one axis")
+    limit = sys.get_int_max_str_digits()
     size = 1
     for w in dims:
         if not isinstance(w, int) or isinstance(w, bool) or w < 2:
             raise RangeError(f"extent {w!r} must be an integer >= 2")
-        size *= w
+        if not limit or size.bit_length() <= 4 * limit:
+            size *= w
+    if limit and size.bit_length() > 3 * limit and size >= 10 ** limit:
+        raise RangeError(f"window point count has more than {limit} digits")
     return size
 
 

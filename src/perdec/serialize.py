@@ -1,9 +1,10 @@
 """JSON wire formats with exact rationals.
 
 Rationals travel as strings "p" or "p/q" in lowest terms; no floating
-point appears anywhere.  Parsing accepts exactly the ASCII forms
--?[0-9]+ and -?[0-9]+/[0-9]+ (lowest terms not required).  A value list
-is a function's numerators over its one denominator, both ways and with
+point appears anywhere.  Values parse by `core._ratio`, the library's one
+literal grammar (ints and the ASCII forms -?[0-9]+ and -?[0-9]+/[0-9]+);
+this module only attaches the JSON path of a bad one.  A value list is
+a function's numerators over its one denominator, both ways and with
 no Fraction: it parses each of its distinct literals once, and formats
 each of its distinct numerators once.  Invariant parts, duals and
 planted values repeat a few literals many times.
@@ -22,13 +23,13 @@ one, so parsing an instance loads no algorithm module.
 from __future__ import annotations
 
 import json
-import re
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, List, Optional
 
+from . import core
 from .core import (
     CommutingSystem,
     Decomposition,
@@ -64,42 +65,14 @@ def frac_to_str(q: Fraction) -> str:
         raise RangeError(f"result rational too large to write: {exc}")
 
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def _ratio(value: Any, path: str) -> tuple[int, int]:
-    """(p, q) in lowest terms with q >= 1, of a "p" or "p/q" literal or an
-    int; any other value is a ParseError at path."""
-    if isinstance(value, str):
-        # only the "p" / "p/q" form is accepted: Fraction(str) would also
-        # take exponents, whose parse cost grows with the exponent
-        # ("1e300000")
-        match = _RATIONAL.fullmatch(value)
-        if not match:
-            raise ParseError(f"bad rational literal {value!r}: expected "
-                             "\"p\" or \"p/q\" with decimal integers", path)
-        numerator, denominator = match.groups()
-        try:
-            p = int(numerator)
-            q = 1 if denominator is None else int(denominator)
-        except ValueError as exc:
-            raise ParseError(f"bad rational literal {value!r}: {exc}", path)
-        if not q:
-            raise ParseError(f"bad rational literal {value!r}: "
-                             f"Fraction({p}, 0)", path)
-        g = gcd(p, q)
-        return p // g, q // g
-    if isinstance(value, (bool, float)):
-        raise ParseError(f"expected exact rational, got {value!r}", path)
-    if isinstance(value, int):
-        return value, 1
-    raise ParseError(f"expected exact rational, got {type(value).__name__}", path)
-
-
 def frac_from_json(value: Any, path: str = "value") -> Fraction:
+    """`core._ratio`'s Fraction of value; its error a ParseError at path."""
     from fractions import Fraction
 
-    return Fraction(*_ratio(value, path))
+    try:
+        return Fraction(*core._ratio(value))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(str(exc), path) from None
 
 
 def values_to_json(f: RationalFunction) -> List[str]:
@@ -130,35 +103,32 @@ def values_from_json(items: Any, path: str = "values") -> RationalFunction:
     numerators each as long as all the denominators together, quadratic
     time and memory in N.
 
-    A bad literal is reported at its first index: in first-appearance
-    order the first bad literal is the first bad item.  No other JSON
-    value equals a str, so the distinct literals are all str exactly when
-    the items are.  Any other list is parsed item by item: True, 1 and 1.0
-    hash alike, so a bool or float item is still refused at its index.
+    Str and int items take one path, as no str equals an int.  A type
+    pass over the distinct items, and over all of them when an int is
+    among them (True and 1.0 hash like 1), refuses any other type.  A bad
+    item is reported at its first index, with its message alone.
     """
     if not isinstance(items, list) or not items:
         raise ParseError("expected a nonempty list of rationals", path)
     try:
         parsed = dict.fromkeys(items)
-    except TypeError:  # a list or object item
-        parsed = {}
-    keys = items
-    if set(map(type, parsed)) != {str}:
-        parsed = {i: _ratio(v, f"{path}[{i}]") for i, v in enumerate(items)}
-        keys = range(len(items))
-    else:
-        try:
-            for literal in parsed:
-                parsed[literal] = _ratio(literal, "")
-        except ParseError as exc:
-            raise ParseError(str(exc),
-                             f"{path}[{items.index(literal)}]") from None
+        types = set(map(type, parsed))
+        if not types <= {str, int} or (
+                int in types and not set(map(type, items)) <= {str, int}):
+            raise TypeError
+        for value in parsed:
+            parsed[value] = core._ratio(value)
+    except (TypeError, ValueError):
+        # some item is bad, so this walk raises at the first
+        for i, value in enumerate(items):
+            frac_from_json(value, f"{path}[{i}]")
+        raise
     denom = lcm(*{q for _, q in parsed.values()})
     for key, (p, q) in parsed.items():
         parsed[key] = p * (denom // q)
     # canonical: a prime power dividing denom divides some q exactly, and
     # that literal's p and denom // q are both prime to it
-    return _canonical(tuple(map(parsed.__getitem__, keys)), denom)
+    return _canonical(tuple(map(parsed.__getitem__, items)), denom)
 
 
 def _int(value: Any, path: str) -> int:

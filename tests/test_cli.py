@@ -1148,10 +1148,64 @@ def test_mutated_search_reports_never_crash_or_hang(path, value):
 
 
 def test_stdin_instance(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(Z_WINDOW_LINEAR)))
+    # the reader takes stdin's bytes, as from a shell pipe
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(json.dumps(Z_WINDOW_LINEAR).encode())))
     code, doc = _run(capsys, ["star-check", "-"])
     assert code == 1
     assert doc["result"] == "violation"
+
+
+def _clean_error(capsys, argv, error):
+    # an input error: exit 2, the JSON error on stdout, nothing on stderr
+    code = run_command(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out)["error"].startswith(error)
+
+
+def test_a_byte_that_is_not_utf8_is_an_input_error(tmp_path, capsys,
+                                                   monkeypatch):
+    good = _write(tmp_path, "good.json", Z_WINDOW_LINEAR)
+    text = json.dumps(Z_WINDOW_LINEAR).encode().replace(b'"9"', b'"\xff"')
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    _clean_error(capsys, ["star-check", str(bad)],
+                 "instance file is not UTF-8: 'utf-8' codec can't decode "
+                 "byte 0xff")
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(b'{"result": "\xff"}')
+    _clean_error(capsys, ["star-check", good, "--verify", str(cert)],
+                 "certificate file is not UTF-8")
+    # stdin is decoded by the same reader, not by the locale's handler
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))
+    _clean_error(capsys, ["validate", "-"], "instance file is not UTF-8")
+
+
+# a window whose point count, 10 ** 6000, has more digits than str(int)
+# prints by default
+HUGE_DIMS = [10 ** 3000, 10 ** 3000]
+
+
+def test_a_window_too_large_to_count_is_an_input_error(tmp_path, capsys):
+    error = (f"dims: window point count has more than "
+             f"{sys.get_int_max_str_digits()} digits")
+    huge = _write(tmp_path, "huge.json", {"kind": "lattice-window",
+                                          "dims": HUGE_DIMS,
+                                          "values": ["1", "2"]})
+    _clean_error(capsys, ["validate", huge], error)
+    window = _write(tmp_path, "window.json", LATTICE_SEPARABLE)
+    parts = _write(tmp_path, "parts.json", {
+        "result": "lattice-decomposition", "dims": HUGE_DIMS,
+        "parts": [["1", "2"], ["3", "4"]]})
+    _clean_error(capsys, ["lattice-decompose", window, "--verify", parts],
+                 error)
+    # a count that prints is still named in the mismatch
+    dims = [10 ** 2150, 10 ** 2149]
+    printable = _write(tmp_path, "printable.json", {
+        "kind": "lattice-window", "dims": dims, "values": ["1", "2"]})
+    _clean_error(capsys, ["validate", printable],
+                 f"values: expected {10 ** 4299} values, got 2")
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -26,6 +27,7 @@ from perdec.lattice import (
     lattice_decompose,
     lattice_oracle_decompose,
     mixed_delta_witness,
+    window_size,
 )
 from perdec.orbits import invariance_classes
 from perdec.star import check_star_abelian
@@ -496,3 +498,31 @@ def test_z_window_counterexample_all_lengths(length):
     viol = check_star_abelian((1, 1), f)
     assert viol is not None
     assert replay_abelian_violation((1, 1), f, viol)
+
+
+class _CountedExtent(int):
+    """An extent that counts the products it enters: `size *= w` calls
+    the subclass's reflected product first."""
+
+    products = 0
+
+    def __rmul__(self, other):
+        _CountedExtent.products += 1
+        return int(other) * int(self)
+
+
+def test_window_size_stops_multiplying_past_the_digit_limit():
+    # linear in the axes: 400k axes of extent 2 take about as many
+    # products as the limit has bits, not one per axis on a growing count
+    limit = sys.get_int_max_str_digits()
+    _CountedExtent.products = 0
+    with pytest.raises(RangeError, match=f"more than {limit} digits"):
+        window_size([_CountedExtent(2)] * 400_000)
+    assert _CountedExtent.products <= 4 * limit + 1
+    # the last count that prints, and the first that does not
+    assert window_size((10,) * (limit - 1) + (9,)) == 9 * 10 ** (limit - 1)
+    with pytest.raises(RangeError):
+        window_size((10,) * limit)
+    # every extent is still checked, after the count stops growing
+    with pytest.raises(RangeError, match="extent 1 must be"):
+        window_size((2,) * 20_000 + (1,))

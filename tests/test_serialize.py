@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from perdec import serialize
+from perdec import core, serialize
 from perdec.cli import _EMITS
 from perdec.check import (
     BoundedTransfer,
@@ -23,6 +23,7 @@ from perdec.core import (
     NotCommutingError,
     RangeError,
     RationalFunction,
+    as_fraction,
 )
 from perdec.lattice import LatticeWindow
 from perdec.serialize import (
@@ -107,6 +108,28 @@ _GOOD_LITERALS = _LITERALS.filter(
     lambda s: "/" not in s or int(s.partition("/")[2]) != 0)
 
 
+@given(st.lists(st.one_of(_GOOD_LITERALS, st.integers(-10 ** 30, 10 ** 30)),
+                min_size=1, max_size=30))
+def test_the_constructor_and_the_wire_parse_alike(items):
+    # one grammar: the library's constructor reads what the wire reads
+    assert RationalFunction(items) == values_from_json(items)
+    assert RationalFunction(tuple(items)).values == tuple(
+        frac_from_json(v) for v in items)
+
+
+@pytest.mark.parametrize("bad", ["1e3", "0.5", " 1", "+2", "1_0", "\u0663",
+                                 True, 0.5])
+def test_the_constructor_refuses_what_the_wire_refuses(bad):
+    error = ValueError if isinstance(bad, str) else TypeError
+    for make in (as_fraction, lambda v: RationalFunction(("1", v)),
+                 lambda v: LatticeWindow((2,), ("1", v))):
+        with pytest.raises(error):
+            make(bad)
+    with pytest.raises(ParseError) as exc:
+        values_from_json(["1", bad])
+    assert exc.value.path == "values[1]"
+
+
 @given(st.lists(st.one_of(_SPELLINGS, _GOOD_LITERALS,
                           st.integers(-10 ** 6, 10 ** 6)),
                 min_size=1, max_size=5), st.data())
@@ -167,16 +190,16 @@ def test_values_from_json_reports_the_first_bad_item(pool, data):
 
 
 def _counting_ratio(monkeypatch):
-    # _ratio is the one literal parser: frac_from_json wraps it, and
+    # core._ratio is the one literal grammar: frac_from_json wraps it, and
     # values_from_json calls it once per distinct literal
     calls = [0]
-    original = serialize._ratio
+    original = core._ratio
 
-    def counted(value, path):
+    def counted(value):
         calls[0] += 1
-        return original(value, path)
+        return original(value)
 
-    monkeypatch.setattr(serialize, "_ratio", counted)
+    monkeypatch.setattr(core, "_ratio", counted)
     return calls
 
 
