@@ -208,14 +208,13 @@ def verify_lattice_parts(f: LatticeWindow,
                                      f"{f.coords(idx)}")
 
 
-def stencil_value(f: RationalFunction, z: int,
-                  steps: Iterable[Callable[[int], int]]) -> Optional[int]:
-    """The numerator over f.denom of the mixed difference of f at z with
-    factors g -> g o step - g, or None when a step leaves [0, len(f)).
-    Walked as point -> integer coefficient, each factor sending c at w to
-    -c at w and +c at step(w), so at most min(len(f), 2^factors) points
-    are live and read."""
-    size = len(f)
+def stencil_weights(z: int, steps: Iterable[Callable[[int], int]],
+                    size: int) -> Optional[Dict[int, int]]:
+    """The point weights of the mixed difference at z with factors
+    g -> g o step - g, as {point: nonzero integer}, or None when a step
+    leaves [0, size).  Walked one factor at a time, each sending c at w to
+    -c at w and +c at step(w), so at most min(size, 2^factors) points are
+    live."""
     coeffs = {z: 1}
     for step in steps:
         moved: Dict[int, int] = {}
@@ -226,6 +225,18 @@ def stencil_value(f: RationalFunction, z: int,
                 return None
             moved[u] = moved.get(u, 0) + c
         coeffs = {w: c for w, c in moved.items() if c}
+    return coeffs
+
+
+def stencil_value(f: RationalFunction, z: int,
+                  steps: Iterable[Callable[[int], int]]) -> Optional[int]:
+    """The numerator over f.denom of the mixed difference of f at z with
+    factors g -> g o step - g, or None when a step leaves [0, len(f)):
+    f paired with `stencil_weights`, so only the stencil's points are
+    read."""
+    coeffs = stencil_weights(z, steps, len(f))
+    if coeffs is None:
+        return None
     numerators = f.numerators
     return sum(c * numerators[w] for w, c in coeffs.items())
 

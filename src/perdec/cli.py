@@ -15,7 +15,8 @@ states once which result types each subcommand emits; any other type is
 refused with "unexpected result type <T> for <command>".  Every instance
 kind is a list of total maps (`serialize.Instance.maps`), so `oracle` runs
 `verified_split` on all four kinds (on a lattice window through
-`lattice.lattice_oracle_decompose`, whose parts carry the window's dims).
+`lattice.lattice_oracle_decompose`, whose parts carry the window's dims;
+on a z-window with its shifts, from which the refusal's dual is built).
 
 Loading this module loads only `serialize` and `core`, which every
 subcommand needs.  Each producer is imported inside its branch, so a run
@@ -46,6 +47,9 @@ def _read(path: str, what: str) -> Any:
     instance "-" is standard input), its bytes decoded as strict UTF-8."""
     try:
         if path == "-" and what == "instance":
+            if sys.stdin is None:
+                raise ParseError("cannot read instance file: standard "
+                                 "input is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as fh:
@@ -183,7 +187,7 @@ def _cmd_decide(args) -> Outcome:
     if command == "decompose":
         from .decomp import decompose_n
 
-        result = decompose_n(inst.system.transforms, inst.f)
+        result = decompose_n(inst.system, inst.f)
     elif command == "bounded-transfer":
         from .cohomology import solve_bounded_transfer
 
@@ -195,7 +199,8 @@ def _cmd_decide(args) -> Outcome:
     elif command == "oracle":
         from .oracle import verified_split
 
-        result = verified_split(inst.maps(), inst.f)
+        result = verified_split(inst.maps(), inst.f, inst.shifts
+                                if inst.kind == "z-window" else None)
     elif inst.window is not None:
         # star-check or lattice-decompose: a window fails at a point
         from .lattice import lattice_decompose, mixed_delta_witness

@@ -17,6 +17,7 @@ from typing import Sequence, Tuple, Union
 
 from .check import StarViolation, verify_decomposition
 from .core import (
+    CommutingSystem,
     Decomposition,
     InternalContractViolation,
     PreconditionError,
@@ -57,16 +58,18 @@ def scaled_cycle_means(t: Sequence[int], values: Sequence[int]
                       in zip(lengths, sums)], scale
 
 
-def decompose_n(transforms: Sequence[Sequence[int]],
+def decompose_n(system: CommutingSystem,
                 f: RationalFunction) -> DecompOutcome:
-    """Split f into one T_j-invariant part per transform, or refuse.
+    """Split f into one T_j-invariant part per transform of the system,
+    or refuse.
 
     Project, subtract, repeat: f_j = E_j(f - f_1 - ... - f_{j-1}) for
     j < n, where E_j is the cycle average under T_j (`scaled_cycle_means`),
-    and f_n is what remains.  Parts come back in the order of
-    `transforms`.  When f does not split the refusal is check_star's
-    violation, a point where the mixed difference D_1...D_n f
-    (D_j f = f o T_j - f) is nonzero.
+    and f_n is what remains.  Parts come back in the order of the
+    system's transforms; the system checked once that they commute, so
+    nothing here checks it again.  When f does not split the refusal is
+    check_star's violation, a point where the mixed difference
+    D_1...D_n f (D_j f = f o T_j - f) is nonzero.
 
     Why this splits every f whose mixed difference vanishes: let P f =
     f o T.  If (P - I)^2 f = 0 then D f is constant on each component of
@@ -121,9 +124,10 @@ def decompose_n(transforms: Sequence[Sequence[int]],
     E_j reads the base slice and spreads it along axis j, and every scale
     is 1.
     """
-    if not transforms:
+    if not system.n:
         raise PreconditionError("decomposition needs at least one transform")
-    system = validate_system(transforms, len(f))
+    if len(f) != system.size:
+        raise PreconditionError("function length does not match the domain")
     rest, denom = list(f.numerators), f.denom
     means = []
     for t in system.transforms[:-1]:
@@ -149,11 +153,13 @@ def decompose_n(transforms: Sequence[Sequence[int]],
 
 def decompose_two(s: Sequence[int], t: Sequence[int],
                   f: RationalFunction) -> DecompOutcome:
-    """`decompose_n([s, t], f)`: parts ordered like the arguments."""
-    return decompose_n([s, t], f)
+    """`decompose_n` on the system of s and t: parts ordered like the
+    arguments."""
+    return decompose_n(validate_system([s, t], len(f)), f)
 
 
 def decompose_three(t: Sequence[int], s: Sequence[int], u: Sequence[int],
                     f: RationalFunction) -> DecompOutcome:
-    """`decompose_n([t, s, u], f)`: parts ordered like the arguments."""
-    return decompose_n([t, s, u], f)
+    """`decompose_n` on the system of t, s and u: parts ordered like the
+    arguments."""
+    return decompose_n(validate_system([t, s, u], len(f)), f)

@@ -5,8 +5,9 @@ invariance-class indicators of the maps.  Every instance kind is a list of
 total maps on {0..N-1}: a window shift that would leave the window fixes
 the point instead, and a fixed point constrains no invariant function.  So
 `verified_split` decides every kind: `split_over_classes` on the maps'
-invariance classes, then the parts are checked on the map tables.  Either
-way the answer is verified parts or an exact dual functional.
+invariance classes, then the parts are checked on the map tables.  The
+solvers only decide; a refusal's certificate, an exact dual functional,
+is read off the instance by one of the two proofs at the end.
 
 Only the finest distinct partitions are solved over.  Write V_j for the
 functions constant on the classes of partition j.  If partition i refines
@@ -16,34 +17,24 @@ identity, a power T^k of another map T, a duplicate, or a shift of Z_m
 whose gcd with m is a multiple of another's.  So every partition that
 another one refines is dropped (of equal ones the first is kept), and its
 part is zero: any split over the kept partitions, with zeros added, is a
-split over all of them.  A dual functional of the kept family sums to zero
-on every kept class.  Each class of a dropped partition is a union of
-classes of a kept one, so the dual sums to zero there too, and it is a
-dual of the full family.  Each dual is verified once, against the full
-family.  The kept partitions are solved by one of three routes.
+split over all of them.  The kept partitions are solved by one of three
+routes.
 
 One partition: a class scan.  f lies in V_1 iff it is constant on every
-class, and then f is the part.  Otherwise some x differs from its class
-representative r, and the weights +1 at x and −1 at r sum to zero on
-every class but pair to f(x) − f(r) ≠ 0 with f.
+class, and then f is the part.
 
 Two partitions a and b: a spanning forest of the class graph.  Its nodes
 are the a-classes and the b-classes, and each point x is an edge between
 a(x) and b(x).  f = u∘a + v∘b asks for node potentials with p(a(x)) +
 p(b(x)) = f(x) on every edge.  The graph is bipartite, so a cycle
-x_1 … x_2k alternates between the sides; with weights +1, −1, +1, … on its
-edges, every node on it meets two edges of opposite sign.  Hence the
-weights sum to 0 on every class, and the alternating sum of f around the
-cycle is the alternating sum of p(a(x)) + p(b(x)), which telescopes to 0.
-So a cycle whose alternating sum of f is nonzero is a dual functional.
-Conversely, fix the gauge: adding c to every a-class of one tree and −c
-to its b-classes changes no p(a(x)) + p(b(x)), so each tree's root may
-be set to 0.  Then propagate p(far end) = f(x) − p(near end) along tree
-edges.  Every tree edge holds, and a non-tree edge holds iff the cycle it
-closes through the tree has alternating sum 0.  So the forest decides in
-O(N), and the first failing edge gives a dual with ±1 weights.  A simple
-cycle visits each class at most once and alternates sides, so its
-support is even and at most 2·min(K_a, K_b).
+x_1 … x_2k alternates between the sides, and the alternating sum of
+p(a(x)) + p(b(x)) around it telescopes to 0.  So a cycle whose
+alternating sum of f is nonzero rules a split out.  Conversely, fix the
+gauge: adding c to every a-class of one tree and −c to its b-classes
+changes no p(a(x)) + p(b(x)), so each tree's root may be set to 0.  Then
+propagate p(far end) = f(x) − p(near end) along tree edges.  Every tree
+edge holds, and a non-tree edge holds iff the cycle it closes through the
+tree has alternating sum 0.  So the forest decides in O(N).
 
 Three or more partitions a, b, P_3, …, P_n (a and b the first two kept):
 the forest of a and b, then elimination on the cycle rows.  f splits iff
@@ -62,49 +53,80 @@ own columns minus the columns carried along the same two paths.
 
 Rows repeat: points with equal labels in every partition have equal
 rows, and on a box of Z^3 each plane spanned by the first two axes
-repeats the same rows.  Each distinct row is solved once, and two cases
-give a dual with no elimination.  If R_x = R_y and their right sides
-differ, w_x − w_y sums to 0 on every class of a and b (each cycle does)
-and of each P_j (the rows agree), but pairs to the difference with f;
-for equal labels it is +1 at x and −1 at y.  If R_x is empty and its
-right side is not, w_x is a dual.  Otherwise the distinct rows go to the
-elimination.  Its dual z lifts to Σ z_k w_{x_k} over the rows' first
-points x_k.  That sums to 0 on the a- and b-classes and to Σ z_k
-R_{x_k}(j, c) = 0 on class c of P_j, and it pairs to Σ z_k (right side
-k) ≠ 0 with f.  The lift is one pass up the forest, so no cycle is
-walked.  A solution u meets every row, repeated ones included, so every
-cycle sum of the rest r is 0, and the forest's potentials of r split it.
-The rest is taken on integers: the solution's numerators over its scale
-s are subtracted from s times f's numerators.
+repeats the same rows.  Each distinct row is solved once.  A row repeated
+with another right side, or an empty row with a nonzero one, cannot hold,
+so f is refused with no elimination; the other distinct rows go to the
+elimination.  A solution u meets every row, repeated ones included, so
+every cycle sum of the rest r is 0, and the forest's potentials of r
+split it.  The rest is taken on integers: the solution's numerators over
+its scale s are subtracted from s times f's numerators.
 
 The elimination is fraction-free.  It works on integer rows (function
-values are scaled by a common denominator), tracks the row operations,
-and therefore hands out an exact dual functional whenever the system is
-infeasible.  Rows are stored sparsely, as {column: nonzero int}, so the
-elimination (integer row combinations, gcd-reduced) touches only
-nonzeros instead of m·(K + 1 + m) dense cells for m rows and K columns.
-Its pivot rule (smallest magnitude, first row on ties) and row arithmetic
-are those of the dense elimination it replaced, so the solutions, duals
-and nullspace bases are the same.  Back-substitution runs on integers
-too: `_back_substitute` solves the pivot rows on numerators over one
-common scale, and a part is its classes' numerators spread over the
-points, over that scale times f's denominator.  No route builds a
-Fraction: every part and every dual is a pair of integer numerators and
-one denominator.
+values are scaled by a common denominator) and tracks no row operation:
+a row that it reduces to its right side alone proves infeasibility.  Rows
+are stored sparsely, as {column: nonzero int}, so the elimination
+(integer row combinations, gcd-reduced) touches only nonzeros instead of
+m·(K + 1) dense cells for m rows and K columns.  Its pivot rule
+(smallest magnitude, first row on ties) and row arithmetic are those of
+the dense elimination it replaced, so the solutions and nullspace bases
+are the same.  Back-substitution runs on integers too:
+`_back_substitute` solves the pivot rows on numerators over one common
+scale, and a part is its classes' numerators spread over the points,
+over that scale times f's denominator.  No route builds a Fraction: every
+part and every dual is a pair of integer numerators and one denominator.
+
+The dual of a refusal proves that f lies outside V_1 + … + V_n: it pairs
+to 0 with every V_j and to nonzero with f.  Both proofs work on the
+kernels alone, so the solvers need not say why they refuse.
+
+(a) Commuting maps (finite, cyclic-group and lattice-window instances):
+the mixed-difference stencil of the kept maps T_1 … T_k at the first
+point z where D_1…D_k f is nonzero, D_j g = g∘T_j − g.  The adjoint of
+D_j sends weight c at w to −c at w and +c at T_j w, so the stencil
+w = D_k^*…D_1^* δ_z pairs with g to (D_1…D_k g)(z).  The D_j commute,
+and D_j kills V_j, so the adjoint of a mixed difference over commuting
+maps kills each V_j: w sums to 0 on every kept class, and so on every
+class of a dropped partition, a union of kept ones.  It pairs with f to
+D_1…D_k f(z) ≠ 0.  `decomp.decompose_n`'s theorem, on the kept maps,
+says such a z exists whenever f does not split over them, that is,
+whenever it does not split.  `check.stencil_weights` walks it, at most
+2^k points.
+
+(b) A window [0, L) of Z with shifts a_1 … a_n, whose completed maps
+need not commute: x^z·P, where P = ∏_{d ∈ D} Φ_d, D holds the divisors
+of the shifts a with 0 < a < L and Φ_d is the d-th cyclotomic
+polynomial.  Write a functional w as W(x) = Σ_y w_y x^y.  For 0 < a < L
+the classes of the shift a are the residue classes mod a, and W mod
+(x^a − 1) holds w's sums over them, so w kills V_a iff (x^a − 1)
+divides W.  Hence w kills every V_{a_j} iff the lcm of the x^{a_j} − 1,
+which is P, divides W: the functionals that kill them are spanned by the
+x^z·P with z ≤ L − 1 − deg P.  f splits iff it pairs to 0 with all of
+them, so at the first z where Σ_i p_i f(z + i) ≠ 0, x^z·P is a dual with
+at most deg P + 1 points.  A shift of 0 or of at least L has singleton
+classes, and then every f splits.  `_window_dual` builds P from the
+binomials x^g − 1 alone, g the gcds of sets of shifts.
+
+If the elimination refuses and no such z exists, it contradicts the
+theorem behind (a) or (b): `verified_split` raises
+InternalContractViolation rather than return an unproved refusal.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .check import DualCertificate, verify_dual, verify_parts
+from .check import DualCertificate, stencil_weights, verify_dual, verify_parts
 from .core import (
     CommutingSystem,
     Decomposition,
+    InternalContractViolation,
     PreconditionError,
     RationalFunction,
+    _canonical,
     _from_integers,
+    _mixed_difference,
 )
 from .orbits import Partition, invariance_classes
 
@@ -123,17 +145,12 @@ def _add(row: Dict[int, int], entries: Iterable[Tuple[int, int]],
 def _reduce_row(row: Dict[int, int]) -> None:
     """Divide by the gcd of all entries and make the entry at the smallest
     column positive; an empty row stays empty."""
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
+    g = gcd(*row.values())
+    if row and row[min(row)] < 0:
+        g = -g
+    if g not in (0, 1):
         for k in row:
             row[k] //= g
-    if row and row[min(row)] < 0:
-        for k in row:
-            row[k] = -row[k]
 
 
 def _eliminate(work: List[Dict[int, int]], ncols: int
@@ -141,13 +158,13 @@ def _eliminate(work: List[Dict[int, int]], ncols: int
     """Fraction-free forward elimination on the first ncols columns, in place.
 
     Each row is a sparse dict {column: nonzero int}.  Whole rows are
-    combined, so columns past ncols (a right side, tracking columns) follow
-    along.  The pivot in a column is the row of smallest nonzero magnitude,
-    the first in the current row order on ties, which keeps the integer
-    entries from growing; each combined row is a·row − b·pivot row,
-    gcd-reduced, with the entry at its smallest column made positive.  The
-    cost grows with the nonzeros touched, not with m·(ncols + 1 + m) dense
-    cells.  Returns (column, row) per pivot.
+    combined, so a right side at column ncols follows along.  The pivot in
+    a column is the row of smallest nonzero magnitude, the first in the
+    current row order on ties, which keeps the integer entries from
+    growing; each combined row is a·row − b·pivot row, gcd-reduced, with
+    the entry at its smallest column made positive.  The cost grows with
+    the nonzeros touched, not with m·(ncols + 1) dense cells.  Returns
+    (column, row) per pivot.
     """
     m = len(work)
     rank = 0
@@ -182,26 +199,20 @@ def _eliminate(work: List[Dict[int, int]], ncols: int
 
 
 def _solve(work: List[Dict[int, int]], rhs: Sequence[int], ncols: int
-           ) -> Tuple[Optional[Tuple[List[int], int]],
-                      Optional[Tuple[int, ...]]]:
+           ) -> Optional[Tuple[List[int], int]]:
     """Exact feasibility of the sparse rows against rhs, over the
     rationals: (numerators, scale) of a solution with free unknowns pinned
-    to 0, or an integer dual y with y A = 0 and y b != 0.  The rows are
-    extended in place by the right side, at column ncols, and identity
-    tracking entry i, at ncols + 1 + i."""
-    m = len(work)
-    for i, (row, b) in enumerate(zip(work, rhs)):
+    to 0, or None when there is none.  The rows are extended in place by
+    the right side, at column ncols; a row below the rank that keeps it
+    reads 0 = b != 0."""
+    for row, b in zip(work, rhs):
         if b:
             row[ncols] = b
-        row[ncols + 1 + i] = 1
     pivots = _eliminate(work, ncols)
-    for i in range(len(pivots), m):
-        if work[i].get(ncols):
-            # the tracked row combination proves infeasibility
-            return None, tuple(work[i].get(ncols + 1 + j, 0)
-                               for j in range(m))
+    if any(ncols in row for row in work[len(pivots):]):
+        return None
     # the right side is column ncols held at -1: A c - b = 0
-    return _back_substitute(work, pivots, ncols, ncols, -1), None
+    return _back_substitute(work, pivots, ncols, ncols, -1)
 
 
 def nullspace(rows: Sequence[Sequence[int]], ncols: int
@@ -221,8 +232,8 @@ def _back_substitute(work: List[Dict[int, int]],
                      pivots: List[Tuple[int, int]], ncols: int,
                      fixed: int, value: int) -> Tuple[List[int], int]:
     """Back-solve the eliminated rows as homogeneous equations in columns
-    0..ncols: column fixed holds value, every other non-pivot column holds
-    0, and columns past ncols (tracking entries) are ignored.
+    0..ncols: column fixed holds value and every other non-pivot column
+    holds 0.
 
     The unknowns are integer numerators over one common scale.  Pivot
     column col gets acc / (piv · scale), acc = −Σ v · num[c] over the
@@ -259,8 +270,7 @@ class _Forest:
     hold the tree edge (point) and parent node of every non-root node (−1
     at roots), `order` every node in visiting order, and `conflict` the
     first edge of that scan whose potentials disagree (None if none).
-    With stop, the scan ends at that edge, and `order` holds the nodes
-    visited so far, which include both its ends and their tree paths.
+    With stop, the scan ends at that edge.
     """
 
     def __init__(self, a: Partition, b: Partition, num: Sequence[int],
@@ -271,8 +281,7 @@ class _Forest:
         for x, (i, j) in enumerate(zip(a.class_of, b.class_of)):
             edges[i].append(x)
             edges[ka + j].append(x)
-        potential: List[Optional[int]] = [None] * len(edges)
-        self.potential = potential
+        self.potential = potential = [None] * len(edges)
         self.via = via = [-1] * len(edges)
         self.parent = parent = [-1] * len(edges)
         self.order: List[int] = []
@@ -298,7 +307,6 @@ class _Forest:
                     elif seen != want and self.conflict is None:
                         self.conflict = x
                         if stop:
-                            self.order += queue
                             return
             self.order += queue
 
@@ -310,47 +318,16 @@ class _Forest:
                 for side, part in ((potential[:self.ka], self.a),
                                    (potential[self.ka:], self.b))]
 
-    def dual(self, cycles: Dict[int, int]) -> DualCertificate:
-        """The point weights of Σ k·(cycle of x) over cycles' items (x, k).
 
-        The cycle of x is +1 at x minus the edges that carry num[x] into
-        the potentials of a(x) and b(x): a tree edge into node w enters the
-        potential of each node v below it with sign (−1)^(depth v − depth
-        w).  So the tree edge into w weighs −S(w), S(w) = ν(w) − Σ S(c) over
-        w's children c, where ν(v) sums k over the items with an end at v;
-        one pass in reverse visiting order.  The parts of a(x)'s and b(x)'s
-        root paths above their lowest common ancestor cancel, so one cycle
-        is the ±1 simple cycle that x closes through the tree.
-        """
-        a, b, ka = self.a, self.b, self.ka
-        weights = dict(cycles)
-        pull = [0] * len(self.via)
-        for x, k in cycles.items():
-            pull[a.class_of[x]] += k
-            pull[ka + b.class_of[x]] += k
-        for node in reversed(self.order):
-            s = pull[node]
-            up = self.parent[node]
-            if s and up >= 0:
-                y = self.via[node]
-                weights[y] = weights.get(y, 0) - s
-                pull[up] -= s
-        values = [0] * len(a.class_of)
-        for x, w in weights.items():
-            values[x] = w
-        return DualCertificate(_from_integers(values, 1))
-
-
-def _split_two(a: Partition, b: Partition, f: RationalFunction
-               ) -> Union[List[RationalFunction], DualCertificate]:
+def _split_two(partitions: Sequence[Partition], f: RationalFunction
+               ) -> Optional[List[RationalFunction]]:
     """`split_over_classes` for two partitions, by the `_Forest` of their
-    class graph on f's numerators: the potentials are the parts, and the
-    first edge whose potentials disagree closes a cycle whose alternating
-    ±1 weights are the dual."""
+    class graph on f's numerators: the potentials are the parts, and an
+    edge whose potentials disagree closes a cycle that refutes a split."""
+    a, b = partitions
     forest = _Forest(a, b, f.numerators, stop=True)
-    if forest.conflict is not None:
-        return forest.dual({forest.conflict: 1})
-    return forest.split(forest.potential, f.denom)
+    return (None if forest.conflict is not None
+            else forest.split(forest.potential, f.denom))
 
 
 def _finest(partitions: Sequence[Partition]) -> List[int]:
@@ -381,27 +358,22 @@ def _finest(partitions: Sequence[Partition]) -> List[int]:
     return sorted(kept)
 
 
-def _split_one(part: Partition, f: RationalFunction
-               ) -> Union[List[RationalFunction], DualCertificate]:
+def _split_one(partitions: Sequence[Partition], f: RationalFunction
+               ) -> Optional[List[RationalFunction]]:
     """`split_over_classes` for one partition, by a class scan: f itself
-    when f is constant on every class, else +1 at the first point whose
-    value differs from its class representative's and −1 there.  The
-    representatives' numerators are spread over their classes and compared
-    with f's as one tuple comparison.
+    when f is constant on every class.  The representatives' numerators
+    are spread over their classes and compared with f's as one tuple
+    comparison.
     """
+    (part,) = partitions
     values = f.numerators
-    reps = part.representative
-    spread = tuple(map([values[r] for r in reps].__getitem__, part.class_of))
-    if spread == values:
-        return [f]
-    x = next(x for x, (u, v) in enumerate(zip(spread, values)) if u != v)
-    weights = [0] * len(f)
-    weights[x], weights[reps[part.class_of[x]]] = 1, -1
-    return DualCertificate(_from_integers(weights, 1))
+    spread = tuple(map([values[r] for r in part.representative].__getitem__,
+                       part.class_of))
+    return [f] if spread == values else None
 
 
 def _split_many(partitions: Sequence[Partition], f: RationalFunction
-                ) -> Union[List[RationalFunction], DualCertificate]:
+                ) -> Optional[List[RationalFunction]]:
     """`split_over_classes` for three or more partitions: the `_Forest` of
     the first two, then elimination on the distinct cycle rows of the rest.
 
@@ -417,10 +389,11 @@ def _split_many(partitions: Sequence[Partition], f: RationalFunction
     potential: a tree edge y gives its far end y's columns minus the near
     end's.  Point x's row is its own columns minus those of its two ends,
     its right side num[x] minus its ends' potentials.  Rows are scanned in
-    point order, and one representative of each distinct row, with its
-    right side, goes to `_solve`; a repeated joint label or row with
-    another right side, or an empty row with a nonzero one, is a dual at
-    once.
+    point order.  A joint label maps to the index of its row, whose row
+    is built only the first time; rows equal as dicts share one index,
+    and row 0 is the empty one, with right side 0.  A row met again with
+    another right side refuses f at once; every other distinct row goes
+    to `_solve` once.
     """
     a, b, *rest = partitions
     num, denom = f.numerators, f.denom
@@ -440,37 +413,28 @@ def _split_many(partitions: Sequence[Partition], f: RationalFunction
             coefficients[node] = row = {c: -v for c, v in
                                         coefficients[up].items()}
             _add(row, ((c, 1) for c in columns[via[node]]), 1)
-    first: Dict[tuple, Tuple[int, int]] = {}
-    index: Dict[frozenset, int] = {}
-    rows: List[Dict[int, int]] = []
-    rhs: List[int] = []
-    reps: List[int] = []
+    first: Dict[tuple, int] = {}
+    index: Dict[frozenset, int] = {frozenset(): 0}
+    rows: List[Dict[int, int]] = [{}]
+    rhs = [0]
     for x, key in enumerate(zip(a.class_of, b.class_of, columns)):
         i, j, own = key
         r = num[x] - potential[i] - potential[ka + j]
-        y, s = first.setdefault(key, (x, r))
-        if y != x:
-            if s != r:
-                return forest.dual({x: 1, y: -1})
-            continue
-        row = {c: 1 for c in own}
-        _add(row, coefficients[i].items(), -1)
-        _add(row, coefficients[ka + j].items(), -1)
-        if not row:
-            if r:
-                return forest.dual({x: 1})
-            continue
-        k = index.setdefault(frozenset(row.items()), len(rows))
-        if k < len(rows):
-            if rhs[k] != r:
-                return forest.dual({x: 1, reps[k]: -1})
-            continue
-        rows.append(row)
-        rhs.append(r)
-        reps.append(x)
-    solved, dual = _solve(rows, rhs, ncols)
-    if dual is not None:
-        return forest.dual({reps[k]: z for k, z in enumerate(dual) if z})
+        k = first.get(key)
+        if k is None:
+            row = {c: 1 for c in own}
+            _add(row, coefficients[i].items(), -1)
+            _add(row, coefficients[ka + j].items(), -1)
+            k = first[key] = index.setdefault(frozenset(row.items()),
+                                              len(rows))
+            if k == len(rows):
+                rows.append(row)
+                rhs.append(r)
+        if rhs[k] != r:
+            return None
+    solved = _solve(rows[1:], rhs[1:], ncols)
+    if solved is None:
+        return None
     nums, scale = solved
     # a potential is linear in the values on the tree: the potentials of
     # the rest f − Σ u_j∘P_j, on integers over scale · denom
@@ -481,63 +445,126 @@ def _split_many(partitions: Sequence[Partition], f: RationalFunction
         _from_integers(map(nums.__getitem__, label), d) for label in labels]
 
 
-def split_over_classes(partitions: Sequence[Partition], f: RationalFunction
-                       ) -> Union[List[RationalFunction], DualCertificate]:
+def split_over_classes(partitions: Sequence[Partition], f: RationalFunction,
+                       kept: Optional[List[int]] = None
+                       ) -> Optional[List[RationalFunction]]:
     """Exact split of f into parts, part j constant on the classes of
-    partitions[j].
+    partitions[j], or None when f has none.
 
-    Returns the parts (some feasible point, with no
-    minimality), or a DualCertificate that `verify_dual` has accepted
-    against every partition.  If partitions[i] refines partitions[j],
-    every function constant on j's classes is constant on i's, so
-    dropping j leaves the sum of the spaces unchanged: `_finest` keeps
-    the partitions no other one refines (the first of equal ones).  One
-    kept partition goes to the class scan `_split_one`, two to
-    `_split_two` and more to `_split_many`; an empty family is refused.
-    A dropped partition's part is zero.  A dual of the kept family is a
-    dual of the full family: each class of a dropped partition is a union
-    of classes of a kept one, so the weights sum to zero on it too.
+    Returns the parts (some feasible point, with no minimality).  If
+    partitions[i] refines partitions[j], every function constant on j's
+    classes is constant on i's, so dropping j leaves the sum of the
+    spaces unchanged: `_finest` keeps the partitions no other one refines
+    (the first of equal ones), unless the caller passes what it returns
+    as kept.  One kept partition goes to the class scan `_split_one`, two
+    to `_split_two` and more to `_split_many`; an empty family is refused.
+    A dropped partition's part is zero.
     """
     if not partitions:
         raise PreconditionError("split needs at least one partition")
-    kept = _finest(partitions)
+    if kept is None:
+        kept = _finest(partitions)
     finest = [partitions[j] for j in kept]
-    if len(finest) == 1:
-        outcome = _split_one(finest[0], f)
-    elif len(finest) == 2:
-        outcome = _split_two(*finest, f)
-    else:
-        outcome = _split_many(finest, f)
-    if isinstance(outcome, DualCertificate):
-        verify_dual(partitions, f, outcome).require("dual certificate")
-        return outcome
+    route = (_split_one, _split_two, _split_many)[min(len(finest), 3) - 1]
+    outcome = route(finest, f)
+    if outcome is None:
+        return None
     parts = [_from_integers((0,) * len(f), 1)] * len(partitions)
     for j, part in zip(kept, outcome):
         parts[j] = part
     return parts
 
 
-def verified_split(maps: Sequence[Sequence[int]], f: RationalFunction
+def _stencil_dual(tables: Sequence[Sequence[int]], f: RationalFunction
+                  ) -> Optional[DualCertificate]:
+    """Proof (a): the mixed-difference stencil of the commuting tables at
+    the first point where D_1…D_k f is nonzero, or None when it vanishes
+    everywhere.  The first k − 1 factors are O(N) passes, the last one
+    stops at z, and the walk has at most 2^k points."""
+    row, last = _mixed_difference(tables[:-1], f.numerators), tables[-1]
+    z = next((z for z, v in enumerate(row) if row[last[z]] != v), None)
+    if z is None:
+        return None
+    weights = [0] * len(f)
+    for x, w in stencil_weights(z, [t.__getitem__ for t in tables],
+                                len(f)).items():
+        weights[x] = w
+    return DualCertificate(_canonical(tuple(weights), 1))
+
+
+def _window_dual(shifts: Sequence[int], f: RationalFunction
+                 ) -> Optional[DualCertificate]:
+    """Proof (b): x^z·P on a window [0, len(f)) of Z, at the first z where
+    Σ_i p_i f(z + i) is nonzero, or None when there is none.
+
+    P is built from binomials, by exact integer products and quotients.
+    Φ_d divides x^g − 1 iff d divides g, so x^{gcd S} − 1, for a set S of
+    in-window shifts, holds Φ_d iff d divides every shift of S.  Hence
+    P = ∏_{S ≠ ∅} (x^{gcd S} − 1)^{(−1)^{|S|+1}}: Φ_d's exponent there is
+    1 − (1 − 1)^m = 1, m ≥ 1 the shifts d divides, and 0 when m = 0.  The
+    exponents are summed per gcd, one shift at a time, and the positive
+    ones are multiplied in first, so every quotient is exact.  The scan
+    is O(L·deg P).
+    """
+    size = len(f)
+    powers: Dict[int, int] = {}
+    for a in {a for a in shifts if 0 < a < size}:
+        for g, c in list(powers.items()):
+            powers[gcd(g, a)] = powers.get(gcd(g, a), 0) - c
+        powers[a] = powers.get(a, 0) + 1
+    p = [1]
+    for g, c in sorted(powers.items(), key=lambda item: -item[1]):
+        for _ in range(abs(c)):
+            if c > 0:
+                p = [v - u for u, v in zip(p + [0] * g, [0] * g + p)]
+                continue
+            # p = q·(x^g − 1) gives q_k = q_{k−g} − p_k
+            q: List[int] = []
+            for k in range(len(p) - g):
+                q.append((q[k - g] if k >= g else 0) - p[k])
+            p = q
+    num = f.numerators
+    for z in range(size - len(p) + 1):
+        if sum(map(mul, p, num[z:z + len(p)])):
+            return DualCertificate(_canonical(
+                (0,) * z + tuple(p) + (0,) * (size - z - len(p)), 1))
+    return None
+
+
+def verified_split(maps: Sequence[Sequence[int]], f: RationalFunction,
+                   shifts: Optional[Sequence[int]] = None
                    ) -> Union[Decomposition, DualCertificate]:
     """Exact split of f into parts, part j invariant under maps[j], over
-    the maps' invariance classes.  Each result is verified once: parts by
-    `verify_parts` here, duals inside `split_over_classes`."""
-    outcome = split_over_classes([invariance_classes(t) for t in maps], f)
-    if isinstance(outcome, DualCertificate):
-        return outcome
-    decomposition = Decomposition(tuple(outcome))
-    verify_parts(maps, f, decomposition.parts).require("oracle solution")
-    return decomposition
+    the maps' invariance classes, or a dual functional.
+
+    The maps commute, or they are a z-window's completed shifts, and
+    shifts holds those shifts.  The solvers decide; a refusal's dual is
+    `_stencil_dual` on the kept maps or, given shifts, `_window_dual`.
+    Each result is verified once: parts by `verify_parts`, a dual by
+    `verify_dual` against every map's classes.  A refusal with no dual
+    contradicts the theorems behind both, so it raises
+    InternalContractViolation."""
+    partitions = [invariance_classes(t) for t in maps]
+    kept = _finest(partitions)
+    parts = split_over_classes(partitions, f, kept)
+    if parts is not None:
+        verify_parts(maps, f, parts).require("oracle solution")
+        return Decomposition(tuple(parts))
+    dual = (_stencil_dual([maps[j] for j in kept], f)
+            if shifts is None else _window_dual(shifts, f))
+    if dual is None:
+        raise InternalContractViolation("f is refused, but has no dual")
+    verify_dual(partitions, f, dual).require("dual certificate")
+    return dual
 
 
 def oracle_decompose(system: CommutingSystem, f: RationalFunction):
     """Decide decomposability exactly, by `verified_split`.
 
     Returns a verified Decomposition on feasibility, else a DualCertificate.
-    The unknowns are one coefficient per (transform, invariance class).
+    The unknowns are one coefficient per (transform, invariance class); a
+    system with no transform is refused by `split_over_classes`.
     """
-    if system.n < 1:
-        raise PreconditionError("system needs at least one transformation")
     if len(f) != system.size:
         raise PreconditionError("function length does not match the domain")
     return verified_split(system.transforms, f)

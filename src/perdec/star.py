@@ -24,18 +24,11 @@ import os
 import random
 from typing import Optional, Sequence
 
-from .check import (
-    Candidate,
-    DualCertificate,
-    SearchReport,
-    StarInstance,
-    StarViolation,
-    verify_candidate,
-    window_scan,
-)
+from .check import SearchReport, StarInstance, StarViolation, window_scan
 from .core import (
     CommutingSystem,
     Decomposition,
+    InternalContractViolation,
     PreconditionError,
     RangeError,
     RationalFunction,
@@ -132,7 +125,6 @@ def _run_trials(n: int, max_size: int, start: int, stop: int,
     counts = {key: 0 for key in (
         "star_pass", "star_fail", "oracle_feasible", "oracle_infeasible",
         "necessity_checked", "necessity_violations", "discrepancies")}
-    candidates = []
     smoke = n <= 3
     for trial in range(start, stop):
         rng = random.Random(f"{seed}:{trial}")
@@ -141,21 +133,17 @@ def _run_trials(n: int, max_size: int, start: int, stop: int,
         violation = check_star(system, f)
         if violation is None:
             counts["star_pass"] += 1
-            res = oracle_decompose(system, f)
-            if isinstance(res, DualCertificate):
-                counts["oracle_infeasible"] += 1
-                if smoke:
-                    counts["discrepancies"] += 1
-                candidate = Candidate(
-                    trial, system.size, system.transforms,
-                    tuple(str(v) for v in f),
-                    tuple(str(w) for w in res.weights))
-                if verify_candidate(candidate):
-                    candidates.append(candidate)
-                else:
-                    counts["discrepancies"] += 1
-            else:
+            # f splits (decomp.decompose_n), so a refusal has no dual and
+            # raises; it is an infeasible verdict and a discrepancy
+            try:
+                res = oracle_decompose(system, f)
+            except InternalContractViolation:
+                res = None
+            if isinstance(res, Decomposition):
                 counts["oracle_feasible"] += 1
+            else:
+                counts["oracle_infeasible"] += 1
+                counts["discrepancies"] += 1
         else:
             counts["star_fail"] += 1
             if smoke or trial % 7 == 0:
@@ -166,7 +154,6 @@ def _run_trials(n: int, max_size: int, start: int, stop: int,
                     counts["discrepancies"] += 1
                 else:
                     counts["oracle_infeasible"] += 1
-    counts["candidates"] = candidates
     return counts
 
 
@@ -176,11 +163,12 @@ def search_counterexample(n: int, max_size: int, trials: int, seed: int,
 
     The systems are finite, where `check_star` is exact for every n, so
     no n finds a candidate: the search is a regression of that theorem
-    and of the oracle.  With n <= 3 any star/oracle disagreement counts as
-    a discrepancy.  With n >= 4 a star-pass oracle-infeasible instance
-    would be shipped with its dual certificate once
-    `check.verify_candidate` accepts it.  Star-fail instances are
-    spot-checked (every 7th trial for n >= 4) for the necessity direction.
+    and of the oracle, and any star/oracle disagreement counts as a
+    discrepancy.  On a star pass the oracle's dual, the mixed-difference
+    stencil, cannot exist, so an oracle refusal there raises
+    InternalContractViolation and is counted as such.  Star-fail
+    instances are spot-checked (every 7th trial for n >= 4) for the
+    necessity direction.
 
     Deterministic under a fixed seed: each trial reseeds from (seed,
     trial), so the worker count never changes the outcome.  At most one
@@ -211,13 +199,9 @@ def search_counterexample(n: int, max_size: int, trials: int, seed: int,
             shards = list(pool.map(_shard_entry,
                                    [(n, max_size, lo, hi, seed)
                                     for lo, hi in spans]))
-    merged = {key: sum(s[key] for s in shards)
-              for key in shards[0] if key != "candidates"}
-    all_candidates = sorted(
-        (c for s in shards for c in s["candidates"]), key=lambda c: c.trial)
-    return SearchReport(
-        n=n, max_size=max_size, trials=trials, seed=seed,
-        candidates=tuple(all_candidates), **merged)
+    merged = {key: sum(s[key] for s in shards) for key in shards[0]}
+    return SearchReport(n=n, max_size=max_size, trials=trials, seed=seed,
+                        candidates=(), **merged)
 
 
 def _shard_entry(args) -> dict:

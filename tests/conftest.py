@@ -130,15 +130,15 @@ def constrained_transfer(t, s, g: RationalFunction):
 
 
 def linear_feasibility(rows, rhs, ncols):
-    """`oracle._solve` on dense integer rows A and right side b: (solution,
-    dual) with exactly one side present, a Fraction solution of A c = b
-    with free unknowns pinned to 0, or an integer y with y A = 0, y b != 0."""
-    solved, dual = _solve([{c: v for c, v in enumerate(row) if v}
-                           for row in rows], rhs, ncols)
+    """`oracle._solve` on dense integer rows A and right side b: (verdict,
+    solution), the verdict whether A c = b has a solution and the solution
+    the Fraction one with free unknowns pinned to 0, or None."""
+    solved = _solve([{c: v for c, v in enumerate(row) if v}
+                     for row in rows], rhs, ncols)
     if solved is None:
-        return None, dual
+        return False, None
     numerators, scale = solved
-    return [Fraction(v, scale) for v in numerators], None
+    return True, [Fraction(v, scale) for v in numerators]
 
 
 def restrict(window: LatticeWindow, new_dims) -> LatticeWindow:

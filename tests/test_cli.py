@@ -21,7 +21,7 @@ import perdec.cli
 import perdec.oracle
 from perdec import serialize
 from perdec.cli import run_command
-from perdec.core import RationalFunction
+from perdec.core import RationalFunction, validate_system
 from perdec.decomp import decompose_n
 from tests.conftest import seeded_window as _seeded_window
 
@@ -407,6 +407,24 @@ def test_decompose_three_shifts_of_z192_is_fast_and_verifies(tmp_path,
     assert code == 0 and verdict["agrees"] is True
 
 
+def test_decompose_checks_commutation_once(tmp_path, capsys, monkeypatch):
+    # parse_instance builds the system, which checks each of the three
+    # pairs; decompose_n takes that system and checks none again
+    calls = []
+    witness = perdec.core.commute_witness
+
+    def counted(t, s):
+        calls.append(1)
+        return witness(t, s)
+
+    monkeypatch.setattr(perdec.core, "commute_witness", counted)
+    m = 12
+    inst = {"kind": "cyclic-group", "modulus": m, "shifts": [1, 4, 6],
+            "values": [str((x % 4) ** 2 + 7) for x in range(m)]}
+    code, _ = _run(capsys, ["decompose", _write(tmp_path, "inst.json", inst)])
+    assert (code, len(calls)) == (0, 3)
+
+
 def test_decompose_three_shifts_answers_with_decompose_n(tmp_path, capsys):
     # every transform count goes to decompose_n, in the order of the shifts
     m, shifts = 12, (1, 4, 6)
@@ -417,7 +435,7 @@ def test_decompose_three_shifts_answers_with_decompose_n(tmp_path, capsys):
     code, doc = _run(capsys, ["decompose", path])
     tables = [tuple((x + a) % m for x in range(m)) for a in shifts]
     f = RationalFunction(tuple(Fraction(v) for v in values))
-    parts = decompose_n(tables, f)
+    parts = decompose_n(validate_system(tables, m), f)
     assert (code, doc) == (0, json.loads(serialize.dumps(
         serialize.result_to_json(parts))))
     saved = _write(tmp_path, "parts.json", doc)

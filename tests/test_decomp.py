@@ -45,18 +45,18 @@ from tests.conftest import (
 def test_decompose_n_of_one_transform_is_an_invariance_check():
     t = (1, 2, 2, 3)
     f = RationalFunction((Fraction(5), Fraction(5), Fraction(5), Fraction(-1)))
-    got = decompose_n([t], f)
+    got = decompose_n(validate_system([t], 4), f)
     assert isinstance(got, Decomposition)
     assert got.parts == (f,)
     bad = RationalFunction((Fraction(0), Fraction(1), Fraction(1), Fraction(0)))
-    viol = decompose_n([t], bad)
+    viol = decompose_n(validate_system([t], 4), bad)
     assert isinstance(viol, StarViolation)
     assert viol == StarViolation(
         StarInstance(blocks=((0,),), distinguished=(0,), exponents=(1,),
                      premises=(), z=0), Fraction(1), "MixedDeltaNonzero")
     assert replay_violation(validate_system([t], 4), bad, viol)
     with pytest.raises(PreconditionError):
-        decompose_n([], f)
+        decompose_n(validate_system([], 4), f)
 
 
 def test_decompose_two_double_swap_fails_mixed():
@@ -118,7 +118,7 @@ def test_decompose_n_matches_the_fraction_reference(case):
     # the integer projections give the reference's Fractions, part for
     # part, or exactly check_star's violation when its last part moves
     system, f = case
-    got = decompose_n(system.transforms, f)
+    got = decompose_n(system, f)
     parts = project_subtract(system.transforms, f)
     if is_invariant(system.transforms[-1], parts[-1]):
         assert isinstance(got, Decomposition)
@@ -151,13 +151,13 @@ def test_decompose_n_on_adversarial_denominators():
     planted = (generators.random_invariant_part(rng, maps[0])
                + generators.random_invariant_part(rng, maps[1])
                + generators.random_invariant_part(rng, maps[2]))
-    got = decompose_n(maps, planted)
+    got = decompose_n(system, planted)
     assert isinstance(got, Decomposition)
     assert got.parts == project_subtract(maps, planted)
     generic = generators.random_function(rng, system, "generic")
     parts = project_subtract(maps, generic)
     assert not is_invariant(maps[2], parts[-1])
-    assert decompose_n(maps, generic) == check_star(system, generic)
+    assert decompose_n(system, generic) == check_star(system, generic)
 
 
 def test_decompose_n_refuses_before_building_parts(monkeypatch):
@@ -181,12 +181,13 @@ def test_decompose_n_refuses_before_building_parts(monkeypatch):
     m = 12
     shifts = [tuple((x + k) % m for x in range(m)) for k in (2, 3)]
     line = RationalFunction(tuple(Fraction(x) for x in range(m)))
-    assert isinstance(decompose_n(shifts, line), StarViolation)
+    system = validate_system(shifts, m)
+    assert isinstance(decompose_n(system, line), StarViolation)
     assert calls == {"verify": 0, "star": 1, "parts": 0}
     periodic = RationalFunction(tuple(Fraction(5 * (x % 2) + (x % 3) ** 2)
                                       for x in range(m)))
     calls.update(verify=0, star=0)
-    assert isinstance(decompose_n(shifts, periodic), Decomposition)
+    assert isinstance(decompose_n(system, periodic), Decomposition)
     assert calls["verify"] == 1 and calls["star"] == 0
 
 
@@ -247,7 +248,7 @@ def test_mixed_difference_kernel_decomposes_on_every_small_system():
                 continue  # already a one-part decomposition
             oracle_calls += 1
             assert isinstance(oracle_decompose(system, f), Decomposition)
-            assert isinstance(decompose_n(maps, f), Decomposition)
+            assert isinstance(decompose_n(system, f), Decomposition)
     # multisets of maps on 4, 3, 2 and 1 points
     assert counts == {2: 1540 + 84 + 7 + 1, 3: 5012 + 175 + 10 + 1}
     assert oracle_calls > 0
@@ -258,7 +259,7 @@ def test_mixed_difference_kernel_decomposes_on_every_small_system():
 @settings(max_examples=100, deadline=None)
 def test_decompose_n_matches_oracle(case):
     system, f = case
-    got = decompose_n(system.transforms, f)
+    got = decompose_n(system, f)
     oracle = oracle_decompose(system, f)
     assert isinstance(got, Decomposition) == isinstance(oracle, Decomposition)
     if isinstance(got, StarViolation):
@@ -288,7 +289,7 @@ def test_decompose_n_denominators_divide_denom_f_times_cycle_lengths(case):
     # part j < n - 1 at x: denom(f) L_1(x)...L_{j+1}(x); the last part
     # needs n - 1 lengths (the bound proved in decompose_n)
     system, f = case
-    got = decompose_n(system.transforms, f)
+    got = decompose_n(system, f)
     assert isinstance(got, Decomposition)
     denom = f.denom
     n = system.n
@@ -331,7 +332,7 @@ def test_decompose_three_accepts_planted_sums(system, seed):
          + generators.random_invariant_part(rng, s)
          + generators.random_invariant_part(rng, u))
     got = decompose_three(t, s, u, f)
-    assert got == decompose_n([t, s, u], f)
+    assert got == decompose_n(system, f)
     assert isinstance(got, Decomposition)
     g, h, l = got.parts
     assert g + h + l == f
@@ -346,7 +347,7 @@ def test_decompose_three_matches_oracle(case):
     system, f = case
     t, s, u = system.transforms
     got = decompose_three(t, s, u, f)
-    assert got == decompose_n(system.transforms, f)
+    assert got == decompose_n(system, f)
     oracle = oracle_decompose(system, f)
     if isinstance(got, Decomposition):
         assert not isinstance(oracle, DualCertificate)

@@ -10,6 +10,8 @@ error on stdout and nothing on stderr.
 import codecs
 import io
 import json
+import os
+import subprocess
 import sys
 
 from perdec.cli import _READS, run_command
@@ -102,3 +104,15 @@ def test_every_corruption_of_every_input_is_a_json_input_error(
             failures += [(name, corruption, "validate -", p)
                          for p in _refused(capsys, ["validate", "-"], error)]
     assert failures == []
+
+
+def test_a_closed_standard_input_is_a_json_input_error(capsys, monkeypatch):
+    # with file descriptor 0 closed, Python starts with sys.stdin None
+    error = "standard input is closed"
+    monkeypatch.setattr("sys.stdin", None)
+    assert _refused(capsys, ["validate", "-"], error) == []
+    run = subprocess.run([sys.executable, "-m", "perdec.cli", "validate", "-"],
+                         capture_output=True, text=True,
+                         preexec_fn=lambda: os.close(0))
+    assert (run.returncode, json.loads(run.stdout)["error"], run.stderr) == (
+        2, f"cannot read instance file: {error}", "")

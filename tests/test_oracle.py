@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from perdec import generators, lattice, oracle
 from perdec.core import (
     Decomposition,
+    InternalContractViolation,
     PreconditionError,
     RationalFunction,
     is_invariant,
@@ -80,18 +81,13 @@ def _matrices(max_rows=6, max_cols=6):
 def test_linear_feasibility_matches_fraction_reference(case):
     rows, rhs = case
     ncols = len(rows[0])
-    solution, dual = linear_feasibility(rows, rhs, ncols)
+    verdict, solution = linear_feasibility(rows, rhs, ncols)
     _, feasible = _ref_eliminate(rows, rhs)
+    assert verdict == feasible
     assert (solution is not None) == feasible
-    assert (dual is not None) == (not feasible)
     if solution is not None:
         for row, b in zip(rows, rhs):
             assert sum(a * c for a, c in zip(row, solution)) == b
-    else:
-        # dual: y A = 0 and y b != 0, both over the integers
-        for col in range(ncols):
-            assert sum(y * rows[i][col] for i, y in enumerate(dual)) == 0
-        assert sum(y * b for y, b in zip(dual, rhs)) != 0
 
 
 @given(_matrices())
@@ -159,13 +155,10 @@ def _dense_eliminate(work, ncols):
 
 
 def _dense_linear_feasibility(rows, rhs, ncols):
-    m = len(rows)
-    work = [list(rows[i]) + [rhs[i]] + [1 if j == i else 0 for j in range(m)]
-            for i in range(m)]
+    work = [list(row) + [b] for row, b in zip(rows, rhs)]
     pivots = _dense_eliminate(work, ncols)
-    for i in range(len(pivots), m):
-        if work[i][ncols]:
-            return None, tuple(work[i][ncols + 1:])
+    if any(row[ncols] for row in work[len(pivots):]):
+        return False, None
     solution = [Fraction(0)] * ncols
     for col, row in reversed(pivots):
         acc = Fraction(work[row][ncols])
@@ -173,7 +166,7 @@ def _dense_linear_feasibility(rows, rhs, ncols):
             if work[row][c]:
                 acc -= work[row][c] * solution[c]
         solution[col] = acc / work[row][col]
-    return solution, None
+    return True, solution
 
 
 def _dense_nullspace(rows, ncols):
@@ -270,13 +263,11 @@ def _finest_reference(partitions) -> list:
 
 
 def _assert_split_matches_the_dense_verdict(partitions, f, got):
-    """got is a dual exactly when the dense class incidence is infeasible;
-    a dual passes `verify_dual` against every partition, and parts sum to
-    f, each constant on its partition's classes."""
-    _, dual = linear_feasibility(*_class_incidence(partitions, f))
-    assert isinstance(got, DualCertificate) == (dual is not None)
-    if isinstance(got, DualCertificate):
-        assert verify_dual(partitions, f, got)
+    """got is None exactly when the dense class incidence is infeasible,
+    and parts sum to f, each constant on its partition's classes."""
+    feasible, _ = linear_feasibility(*_class_incidence(partitions, f))
+    assert (got is not None) == feasible
+    if got is None:
         return
     assert [sum(column) for column in zip(*got)] == list(f.values)
     for part, values in zip(partitions, (p.values for p in got)):
@@ -317,10 +308,8 @@ def test_split_over_three_to_five_partitions_matches_the_dense_verdict(
     assert oracle._finest(partitions) == kept
     got = split_over_classes(partitions, f)
     _assert_split_matches_the_dense_verdict(partitions, f, got)
-    if isinstance(got, DualCertificate):
-        if len(kept) == 1:
-            # the class scan's dual: a point and its class representative
-            assert sorted(w for w in got.weights.values if w) == [-1, 1]
+    if got is None:
+        _assert_stencil_dual(system.transforms, f)
         return
     assert verify_parts(system.transforms, f, got)
     assert all(not any(got[j]) for j in range(n) if j not in kept)
@@ -348,6 +337,22 @@ def test_split_over_three_or_four_label_partitions_matches_the_dense_verdict(
     f = RationalFunction(tuple(values))
     got = split_over_classes(partitions, f)
     _assert_split_matches_the_dense_verdict(partitions, f, got)
+
+
+def _assert_stencil_dual(maps, f):
+    """The oracle refuses f on the commuting maps with a dual that passes
+    `verify_dual` and has at most 2^k points, k the kept maps; one kept
+    map gives the two-point ±1 dual f(T z) − f(z).  Returns the dual."""
+    got = verified_split(maps, f)
+    assert isinstance(got, DualCertificate)
+    partitions = [invariance_classes(t) for t in maps]
+    assert verify_dual(partitions, f, got)
+    support = [w for w in got.weights.numerators if w]
+    kept = oracle._finest(partitions)
+    assert len(support) <= 2 ** len(kept)
+    if len(kept) == 1:
+        assert sorted(support) == [-1, 1]
+    return got
 
 
 def test_split_over_no_partitions_is_refused(monkeypatch):
@@ -402,12 +407,12 @@ def test_nested_families_solve_over_the_finest_partitions(case, seed):
     partitions = [invariance_classes(t) for t in maps]
     kept = oracle._finest(partitions)
     assert kept == _finest_reference(partitions)
-    _, dual = linear_feasibility(
-        *_class_incidence(partitions, f))
+    feasible, _ = linear_feasibility(*_class_incidence(partitions, f))
     got = split_over_classes(partitions, f)
-    assert isinstance(got, DualCertificate) == (dual is not None)
-    if isinstance(got, DualCertificate):
-        assert verify_dual(partitions, f, got)
+    assert (got is not None) == feasible
+    if got is None:
+        # one kept partition: the two-point ±1 dual
+        _assert_stencil_dual(maps, f)
     else:
         assert verify_parts(maps, f, got)
         assert all(not any(got[j]) for j in range(len(maps))
@@ -462,17 +467,11 @@ def test_spanning_forest_agrees_with_the_elimination(case):
     if window is not None:
         assert [invariance_classes(t) for t in window.axis_maps()] \
             == partitions
-    got = oracle._split_two(a, b, f)
-    _, dual = linear_feasibility(
-        *_class_incidence(partitions, f))
-    assert isinstance(got, DualCertificate) == (dual is not None)
-    if isinstance(got, DualCertificate):
-        weights = got.weights.values
-        assert set(weights) <= {-1, 0, 1}
-        support = sum(1 for w in weights if w)
-        assert support % 2 == 0
-        assert support <= 2 * min(a.n_classes, b.n_classes)
-        assert verify_dual(partitions, f, got)
+    got = oracle._split_two([a, b], f)
+    feasible, _ = linear_feasibility(*_class_incidence(partitions, f))
+    assert (got is not None) == feasible
+    if got is None:
+        _assert_stencil_dual(system.transforms, f)
     else:
         parts = Decomposition(tuple(RationalFunction(p) for p in got))
         assert verify_decomposition(system, f, parts)
@@ -502,11 +501,11 @@ def test_two_partitions_skip_the_elimination_and_read_labels_linearly(
     early = list(planted.values)
     early[1] += 1
     # each point's two labels: once to list the edges, once per edge end in
-    # the forest, once to build a part or check the dual; the failing
-    # edge's two labels to lift its cycle; and _finest's equal-count
-    # comparison of the two label tuples, which stops at the first
-    # differing pair, the second label.  The forest stops at its first
-    # failing edge, so an early one leaves most edges unread.
+    # the forest, once to build a part; the dual's four stencil points'
+    # labels to check it; and _finest's equal-count comparison of the two
+    # label tuples, which stops at the first differing pair, the second
+    # label.  The forest stops at its first failing edge, so an early one
+    # leaves most edges unread.
     for values, splits, bound in ((planted.values, True, 6 * size + 2),
                                   (broken, False, 6 * size + 2),
                                   (early, False, 3 * size)):
@@ -591,8 +590,8 @@ def _count_elimination(monkeypatch):
 
 def _box_elimination_work(monkeypatch, w):
     """The work of `split_over_classes` on a planted and a random w×w×w
-    window's three axis partitions; the random one must be refused by an
-    8-point ±1 dual."""
+    window's three axis partitions; the oracle must refuse the random one
+    with an 8-point ±1 dual."""
     work = _count_elimination(monkeypatch)
     rng = random.Random(10)
     axes = [[Fraction(rng.randint(-9, 9), rng.randint(1, 3))
@@ -607,13 +606,14 @@ def _box_elimination_work(monkeypatch, w):
         got = split_over_classes([invariance_classes(t)
                                   for t in window.axis_maps()],
                                  RationalFunction(values))
-        assert isinstance(got, DualCertificate) != splits
-        if not splits:
-            # one row repeated by two planes with different right sides:
-            # the corner stencil of a unit cube
-            support = sorted(v for v in got.weights.values if v)
-            assert support == [-1] * 4 + [1] * 4
+        assert (got is not None) == splits
         counts.append(list(work))
+        if not splits:
+            # the mixed difference of the three axes: the corner stencil
+            # of a unit cube
+            dual = verified_split(window.axis_maps(), window)
+            support = sorted(v for v in dual.weights.values if v)
+            assert support == [-1] * 4 + [1] * 4
     return counts
 
 
@@ -623,8 +623,8 @@ def test_three_partitions_bound_the_elimination_work(monkeypatch):
     # all ten planes; pivoting from the highest class ids down, each row
     # pivots on its own class (i, j) and no row is combined (0 combined
     # rows when pinned, 1,944 in the order of increasing ids).  The
-    # random window repeats a row with another right side, so nothing is
-    # eliminated.
+    # random window repeats a row with another right side, so it is
+    # refused before anything is eliminated.
     planted, broken = _box_elimination_work(monkeypatch, 10)
     assert planted[0] <= 81
     assert planted[1] <= 81
@@ -659,9 +659,10 @@ def test_periodic_shifts_send_at_most_one_row_per_joint_class(monkeypatch):
         assert isinstance(got, DualCertificate) != splits
         assert work[0] <= 30
         if not splits:
-            # the last point against the first of its joint class
+            # the last point against the first of its joint class, before
+            # any elimination; the dual is the three shifts' stencil
             assert work == [0, 0, 0]
-            assert sorted(w for w in got.weights.values if w) == [-1, 1]
+            assert sum(1 for w in got.weights.numerators if w) <= 8
 
 
 def test_class_indicators_span_invariant_functions():
@@ -805,7 +806,7 @@ def _z_window_split(shifts, values):
     inst = parse_instance({"kind": "z-window", "length": len(values),
                            "shifts": shifts,
                            "values": [str(v) for v in values]})
-    return inst.f, verified_split(inst.maps(), inst.f)
+    return inst.f, verified_split(inst.maps(), inst.f, inst.shifts)
 
 
 @given(_z_windows())
@@ -838,3 +839,104 @@ def test_feasible_z_windows_pass_the_abelian_star_check(case):
     f, got = _z_window_split(shifts, values)
     if isinstance(got, Decomposition):
         assert check_star_abelian(shifts, f) is None
+
+
+@st.composite
+def _commuting_kinds(draw):
+    """(maps, f) on a commuting kind: a random finite system of 1 to 4
+    maps, 1 to 4 shifts of Z_m, or the axis maps of a window of 2 or 3
+    axes; f random, planted, or planted and bumped at one point."""
+    kind = draw(st.sampled_from(["finite", "cyclic", "window"]))
+    rng = random.Random(f"kinds:{kind}:{draw(st.integers(0, 10 ** 9))}")
+    n = rng.randint(1, 4)
+    if kind == "finite":
+        maps = generators.random_commuting_system(rng, n, 8).transforms
+    elif kind == "cyclic":
+        m = rng.randint(1, 16)
+        maps = [tuple((x + a) % m for x in range(m))
+                for a in (rng.randrange(m) for _ in range(n))]
+    else:
+        dims = tuple(rng.randint(2, 4) for _ in range(rng.randint(2, 3)))
+        maps = LatticeWindow(dims, (0,) * math.prod(dims)).axis_maps()
+    system = validate_system(maps, len(maps[0]))
+    f = generators.random_function(rng, system)
+    if rng.random() < 0.3:
+        bump = [0] * system.size
+        bump[rng.randrange(system.size)] = 1
+        f = f + RationalFunction(bump)
+    return list(maps), f
+
+
+@given(_commuting_kinds())
+@settings(max_examples=150, deadline=None)
+def test_commuting_duals_are_stencils_of_the_kept_maps(case):
+    # the verdict is the dense class incidence's, and a refusal's dual has
+    # at most 2^k points, k the maps `_finest` keeps
+    maps, f = case
+    partitions = [invariance_classes(t) for t in maps]
+    feasible, _ = linear_feasibility(*_class_incidence(partitions, f))
+    got = verified_split(maps, f)
+    assert isinstance(got, Decomposition) == feasible
+    if not feasible:
+        _assert_stencil_dual(maps, f)
+
+
+def _euler_phi(d):
+    return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+
+@given(st.lists(st.integers(0, 10), min_size=1, max_size=4),
+       st.integers(2, 30), st.integers(0, 10 ** 9), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_z_window_duals_are_shifts_of_the_cyclotomic_product(
+        shifts, length, seed, planted):
+    # shifts of 0 and of at least the length make every f split; otherwise
+    # a refusal's dual is x^z·P, at most deg P + 1 consecutive points with
+    # deg P the sum of φ(d) over the divisors d of the in-window shifts
+    rng = random.Random(f"zdual:{seed}")
+    if planted:
+        values = [Fraction(0)] * length
+        for a in shifts:
+            labels = _residue_labels(a, length)
+            picks = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                     for _ in range(length)]
+            values = [v + picks[c] for v, c in zip(values, labels)]
+        if rng.random() < 0.5:
+            values[rng.randrange(length)] += 1
+    else:
+        values = [Fraction(rng.randint(-3, 3)) for _ in range(length)]
+    inst = parse_instance({"kind": "z-window", "length": length,
+                           "shifts": shifts,
+                           "values": [str(v) for v in values]})
+    partitions = [invariance_classes(t) for t in inst.maps()]
+    feasible, _ = linear_feasibility(*_class_incidence(partitions, inst.f))
+    got = verified_split(inst.maps(), inst.f, inst.shifts)
+    assert isinstance(got, Decomposition) == feasible
+    if any(a == 0 or a >= length for a in shifts):
+        assert feasible
+    if not feasible:
+        assert verify_dual(partitions, inst.f, got)
+        divisors = {d for a in shifts for d in range(1, a + 1)
+                    if a % d == 0}
+        degree = sum(_euler_phi(d) for d in divisors)
+        support = [x for x, w in enumerate(got.weights.numerators) if w]
+        assert support[-1] - support[0] <= degree
+
+
+def test_a_refusal_without_a_dual_violates_the_internal_contract(
+        monkeypatch):
+    # the solvers refuse a splittable f: its stencil vanishes everywhere,
+    # so no dual can be built, and the oracle raises rather than refuse
+    monkeypatch.setattr(oracle, "split_over_classes", lambda *args: None)
+    m = 12
+    maps = [tuple((x + a) % m for x in range(m)) for a in (2, 3)]
+    f = generators.decomposable_function(random.Random(12),
+                                         validate_system(maps, m))
+    with pytest.raises(InternalContractViolation):
+        verified_split(maps, f)
+    shifts, values = (2, 3), [x % 2 + 5 * (x % 3) for x in range(12)]
+    inst = parse_instance({"kind": "z-window", "length": 12,
+                           "shifts": list(shifts),
+                           "values": [str(v) for v in values]})
+    with pytest.raises(InternalContractViolation):
+        verified_split(inst.maps(), inst.f, inst.shifts)

@@ -7,6 +7,7 @@ from perdec.check import (Candidate, SearchReport, verify_candidate,
                           verify_report)
 from perdec.core import (NotCommutingError, PreconditionError, RangeError,
                          VerificationResult)
+from perdec import oracle
 from perdec.serialize import parse_result, result_to_json
 from perdec.star import search_counterexample
 
@@ -86,6 +87,21 @@ def test_search_four_transforms_smoke():
     assert verify_report(report)
     # the report survives the wire format
     assert parse_result(result_to_json(report)) == report
+
+
+def test_a_refusal_on_a_star_pass_is_a_discrepancy(monkeypatch):
+    # a star pass splits, so an oracle refusal there has no dual: it is
+    # counted as an infeasible verdict and a discrepancy, with no candidate
+    clean = search_counterexample(n=4, max_size=4, trials=60, seed=3)
+    monkeypatch.setattr(oracle, "split_over_classes", lambda *args: None)
+    report = search_counterexample(n=4, max_size=4, trials=60, seed=3)
+    assert clean.star_pass > 0
+    assert (report.oracle_feasible, report.discrepancies) == (
+        0, clean.star_pass)
+    assert report.oracle_infeasible == (clean.oracle_infeasible
+                                        + clean.oracle_feasible)
+    assert report.candidates == ()
+    assert verify_report(report)
 
 
 # counts a search can produce: 10 trials, 6 star passes (6 feasible), 4
