@@ -61,19 +61,23 @@ every cycle sum of the rest r is 0, and the forest's potentials of r
 split it.  The rest is taken on integers: the solution's numerators over
 its scale s are subtracted from s times f's numerators.
 
-The elimination is fraction-free.  It works on integer rows (function
-values are scaled by a common denominator) and tracks no row operation:
-a row that it reduces to its right side alone proves infeasibility.  Rows
-are stored sparsely, as {column: nonzero int}, so the elimination
-(integer row combinations, gcd-reduced) touches only nonzeros instead of
-m·(K + 1) dense cells for m rows and K columns.  Its pivot rule
-(smallest magnitude, first row on ties) and row arithmetic are those of
-the dense elimination it replaced, so the solutions and nullspace bases
-are the same.  Back-substitution runs on integers too:
-`_back_substitute` solves the pivot rows on numerators over one common
-scale, and a part is its classes' numerators spread over the points,
-over that scale times f's denominator.  No route builds a Fraction: every
-part and every dual is a pair of integer numerators and one denominator.
+The elimination is fraction-free and online.  It works on integer rows
+(function values are scaled by a common denominator), stored sparsely as
+{column: nonzero int}, and takes them one at a time: each is reduced
+against the pivot row of its lowest column until that column is free,
+and then becomes its pivot or cancels.  It tracks no row operation: a
+row that reduces to its right side alone proves infeasibility, and ends
+the elimination at once.  Its cost grows with the nonzeros touched, not
+with m·(K + 1) dense cells for m rows and K columns.  Whatever the row
+order, the pivot columns are the leading columns of the row space, so
+the solution with the free unknowns pinned to 0, and each nullspace
+vector with one free unknown 1 and the others 0, are unique: any
+elimination order gives the same parts.  Back-substitution runs on
+integers too: `_back_substitute` solves the pivot rows on numerators
+over one common scale, and a part is its classes' numerators spread
+over the points, over that scale times f's denominator.  No route builds
+a Fraction: every part and every dual is a pair of integer numerators
+and one denominator.
 
 The dual of a refusal proves that f lies outside V_1 + … + V_n: it pairs
 to 0 with every V_j and to nonzero with f.  Both proofs work on the
@@ -108,11 +112,13 @@ binomials x^g − 1 alone, g the gcds of sets of shifts.
 
 If the elimination refuses and no such z exists, it contradicts the
 theorem behind (a) or (b): `verified_split` raises
-InternalContractViolation rather than return an unproved refusal.
+InternalContractViolation rather than return an unproved refusal, or
+NotCommutingError when maps passed without shifts do not commute.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -122,11 +128,13 @@ from .core import (
     CommutingSystem,
     Decomposition,
     InternalContractViolation,
+    NotCommutingError,
     PreconditionError,
     RationalFunction,
     _canonical,
     _from_integers,
     _mixed_difference,
+    commute_witness,
 )
 from .orbits import Partition, invariance_classes
 
@@ -143,76 +151,44 @@ def _add(row: Dict[int, int], entries: Iterable[Tuple[int, int]],
 
 
 def _reduce_row(row: Dict[int, int]) -> None:
-    """Divide by the gcd of all entries and make the entry at the smallest
-    column positive; an empty row stays empty."""
+    """Divide by the gcd of all entries; an empty row stays empty."""
     g = gcd(*row.values())
-    if row and row[min(row)] < 0:
-        g = -g
-    if g not in (0, 1):
+    if g > 1:
         for k in row:
             row[k] //= g
 
 
-def _eliminate(work: List[Dict[int, int]], ncols: int
-               ) -> List[Tuple[int, int]]:
-    """Fraction-free forward elimination on the first ncols columns, in place.
+def _eliminate(work: Iterable[Dict[int, int]], ncols: int
+               ) -> Optional[Dict[int, Dict[int, int]]]:
+    """Fraction-free online elimination: {leading column: pivot row}.
 
-    Each row is a sparse dict {column: nonzero int}.  Whole rows are
-    combined, so a right side at column ncols follows along.  The pivot in
-    a column is the row of smallest nonzero magnitude, the first in the
-    current row order on ties, which keeps the integer entries from
-    growing; each combined row is a·row − b·pivot row, gcd-reduced, with
-    the entry at its smallest column made positive.  The cost grows with
-    the nonzeros touched, not with m·(ncols + 1) dense cells.  Returns
-    (column, row) per pivot.
+    Each row is a sparse dict {column: nonzero int}, and a right side, if
+    any, sits at column ncols.  Rows are taken in order; each is combined
+    with the pivot row of its lowest column, a·row − b·pivot row divided
+    by its gcd, until that column has no pivot.  Then the row becomes that
+    column's pivot, or it has cancelled and is dropped.  A row left with
+    column ncols alone reads 0 = b ≠ 0, and then None is returned at once.
+    Rows may be changed in place.  The cost grows with the nonzeros
+    touched, not with m·(ncols + 1) dense cells.
     """
-    m = len(work)
-    rank = 0
-    pivots: List[Tuple[int, int]] = []
-    for col in range(ncols):
-        hits = [i for i in range(rank, m) if col in work[i]]
-        if not hits:
-            continue
-        best = min(hits, key=lambda i: abs(work[i][col]))
-        work[rank], work[best] = work[best], work[rank]
-        prow = work[rank]
-        piv = prow[col]
-        # the row that sat at rank now sits at best
-        for i in hits:
-            if i == best:
-                continue
-            if i == rank:
-                i = best
-            row = work[i]
-            v = row[col]
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in work:
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                if col == ncols:
+                    return None
+                pivots[col] = row
+                break
+            piv, v = prow[col], row[col]
             g = gcd(piv, v)
             a, b = piv // g, v // g
-            new = {k: a * x for k, x in row.items()} if a != 1 else row
-            _add(new, prow.items(), -b)
-            _reduce_row(new)
-            work[i] = new
-        pivots.append((col, rank))
-        rank += 1
-        if rank == m:
-            break
+            if a != 1:
+                row = {k: a * x for k, x in row.items()}
+            _add(row, prow.items(), -b)
+            _reduce_row(row)
     return pivots
-
-
-def _solve(work: List[Dict[int, int]], rhs: Sequence[int], ncols: int
-           ) -> Optional[Tuple[List[int], int]]:
-    """Exact feasibility of the sparse rows against rhs, over the
-    rationals: (numerators, scale) of a solution with free unknowns pinned
-    to 0, or None when there is none.  The rows are extended in place by
-    the right side, at column ncols; a row below the rank that keeps it
-    reads 0 = b != 0."""
-    for row, b in zip(work, rhs):
-        if b:
-            row[ncols] = b
-    pivots = _eliminate(work, ncols)
-    if any(ncols in row for row in work[len(pivots):]):
-        return None
-    # the right side is column ncols held at -1: A c - b = 0
-    return _back_substitute(work, pivots, ncols, ncols, -1)
 
 
 def nullspace(rows: Sequence[Sequence[int]], ncols: int
@@ -221,17 +197,15 @@ def nullspace(rows: Sequence[Sequence[int]], ncols: int
     length ncols per free column: that column is 1 and the pivot columns
     are back-solved.
     """
-    work = [{c: v for c, v in enumerate(row) if v} for row in rows]
-    pivots = _eliminate(work, ncols)
-    pivot_cols = {col for col, _ in pivots}
-    return [_from_integers(*_back_substitute(work, pivots, ncols, free, 1))
-            for free in range(ncols) if free not in pivot_cols]
+    pivots = _eliminate(({c: v for c, v in enumerate(row) if v}
+                         for row in rows), ncols)
+    return [_from_integers(*_back_substitute(pivots, ncols, free, 1))
+            for free in range(ncols) if free not in pivots]
 
 
-def _back_substitute(work: List[Dict[int, int]],
-                     pivots: List[Tuple[int, int]], ncols: int,
+def _back_substitute(pivots: Dict[int, Dict[int, int]], ncols: int,
                      fixed: int, value: int) -> Tuple[List[int], int]:
-    """Back-solve the eliminated rows as homogeneous equations in columns
+    """Back-solve the pivot rows as homogeneous equations in columns
     0..ncols: column fixed holds value and every other non-pivot column
     holds 0.
 
@@ -244,11 +218,11 @@ def _back_substitute(work: List[Dict[int, int]],
     num = [0] * (ncols + 1)
     num[fixed] = value
     scale = 1
-    for col, row in reversed(pivots):
-        entry = work[row]
+    for col in sorted(pivots, reverse=True):
+        entry = pivots[col]
         acc = 0
         for c, v in entry.items():
-            if col < c <= ncols and num[c]:
+            if c > col and num[c]:
                 acc -= v * num[c]
         piv = entry[col]
         k = abs(piv) // gcd(acc, piv)
@@ -379,9 +353,9 @@ def _split_many(partitions: Sequence[Partition], f: RationalFunction
 
     Unknown (j, c), for the j-th partition past the first two, is column
     offset_j + K_j − 1 − c, K_j its class count.  Class ids follow the
-    points, and the tree grows from low ids, so the columns it carries are
-    mostly low, and a row's own columns are often the highest it has.
-    Pivoting from the highest ids down then takes columns that few rows
+    points, and the tree grows from low ids, so the classes it carries are
+    mostly low, and a row's own classes are often the highest it has:
+    its lowest columns.  Each row then pivots on a column that few rows
     share, which keeps the elimination from filling in: a planted box of
     Z^3 combines no rows at all.
 
@@ -390,10 +364,11 @@ def _split_many(partitions: Sequence[Partition], f: RationalFunction
     end's.  Point x's row is its own columns minus those of its two ends,
     its right side num[x] minus its ends' potentials.  Rows are scanned in
     point order.  A joint label maps to the index of its row, whose row
-    is built only the first time; rows equal as dicts share one index,
-    and row 0 is the empty one, with right side 0.  A row met again with
-    another right side refuses f at once; every other distinct row goes
-    to `_solve` once.
+    is built only the first time, with its right side at column ncols;
+    rows equal as dicts share one index, and row 0 is the empty one, with
+    right side 0.  A row met again with another right side refuses f at
+    once; every other distinct row goes to `_eliminate` once, and
+    `_back_substitute` solves the pivots.
     """
     a, b, *rest = partitions
     num, denom = f.numerators, f.denom
@@ -416,7 +391,6 @@ def _split_many(partitions: Sequence[Partition], f: RationalFunction
     first: Dict[tuple, int] = {}
     index: Dict[frozenset, int] = {frozenset(): 0}
     rows: List[Dict[int, int]] = [{}]
-    rhs = [0]
     for x, key in enumerate(zip(a.class_of, b.class_of, columns)):
         i, j, own = key
         r = num[x] - potential[i] - potential[ka + j]
@@ -428,14 +402,16 @@ def _split_many(partitions: Sequence[Partition], f: RationalFunction
             k = first[key] = index.setdefault(frozenset(row.items()),
                                               len(rows))
             if k == len(rows):
+                if r:
+                    row[ncols] = r
                 rows.append(row)
-                rhs.append(r)
-        if rhs[k] != r:
+        if rows[k].get(ncols, 0) != r:
             return None
-    solved = _solve(rows[1:], rhs[1:], ncols)
-    if solved is None:
+    pivots = _eliminate(rows[1:], ncols)
+    if pivots is None:
         return None
-    nums, scale = solved
+    # the right side is column ncols held at -1: A c - b = 0
+    nums, scale = _back_substitute(pivots, ncols, ncols, -1)
     # a potential is linear in the values on the tree: the potentials of
     # the rest f − Σ u_j∘P_j, on integers over scale · denom
     rest_potential = [scale * p - sum(v * nums[c] for c, v in q.items())
@@ -541,9 +517,10 @@ def verified_split(maps: Sequence[Sequence[int]], f: RationalFunction,
     shifts holds those shifts.  The solvers decide; a refusal's dual is
     `_stencil_dual` on the kept maps or, given shifts, `_window_dual`.
     Each result is verified once: parts by `verify_parts`, a dual by
-    `verify_dual` against every map's classes.  A refusal with no dual
-    contradicts the theorems behind both, so it raises
-    InternalContractViolation."""
+    `verify_dual` against every map's classes.  A refusal with no dual,
+    or with one that fails, contradicts the theorems behind both: without
+    shifts it raises NotCommutingError when two kept maps do not commute,
+    which the caller owes, and InternalContractViolation otherwise."""
     partitions = [invariance_classes(t) for t in maps]
     kept = _finest(partitions)
     parts = split_over_classes(partitions, f, kept)
@@ -552,9 +529,17 @@ def verified_split(maps: Sequence[Sequence[int]], f: RationalFunction,
         return Decomposition(tuple(parts))
     dual = (_stencil_dual([maps[j] for j in kept], f)
             if shifts is None else _window_dual(shifts, f))
-    if dual is None:
-        raise InternalContractViolation("f is refused, but has no dual")
-    verify_dual(partitions, f, dual).require("dual certificate")
+    checked = dual is not None and verify_dual(partitions, f, dual)
+    if not checked:
+        if shifts is None:
+            # the stencil proves refusals over commuting maps only
+            for i, j in combinations(kept, 2):
+                x = commute_witness(maps[i], maps[j])
+                if x is not None:
+                    raise NotCommutingError(i, j, x)
+        if dual is None:
+            raise InternalContractViolation("f is refused, but has no dual")
+        checked.require("dual certificate")
     return dual
 
 

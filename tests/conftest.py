@@ -13,7 +13,7 @@ from perdec.check import ConstrainedObstruction, CycleObstruction
 from perdec.cohomology import _solve_on_quotient
 from perdec.core import RangeError, RationalFunction, _from_integers, compose
 from perdec.lattice import LatticeWindow, _trusted, window_size
-from perdec.oracle import _solve, nullspace
+from perdec.oracle import _back_substitute, _eliminate, nullspace
 from perdec.orbits import Partition, invariance_classes, rho
 
 
@@ -130,14 +130,17 @@ def constrained_transfer(t, s, g: RationalFunction):
 
 
 def linear_feasibility(rows, rhs, ncols):
-    """`oracle._solve` on dense integer rows A and right side b: (verdict,
-    solution), the verdict whether A c = b has a solution and the solution
-    the Fraction one with free unknowns pinned to 0, or None."""
-    solved = _solve([{c: v for c, v in enumerate(row) if v}
-                     for row in rows], rhs, ncols)
-    if solved is None:
+    """`oracle._eliminate` and `oracle._back_substitute` on dense integer
+    rows A and right side b: (verdict, solution), the verdict whether
+    A c = b has a solution and the solution the Fraction one with free
+    unknowns pinned to 0, or None."""
+    work = [{c: v for c, v in enumerate(list(row) + [b]) if v}
+            for row, b in zip(rows, rhs)]
+    pivots = _eliminate(work, ncols)
+    if pivots is None:
         return False, None
-    numerators, scale = solved
+    # the right side is column ncols held at -1: A c - b = 0
+    numerators, scale = _back_substitute(pivots, ncols, ncols, -1)
     return True, [Fraction(v, scale) for v in numerators]
 
 

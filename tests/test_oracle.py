@@ -10,6 +10,7 @@ from perdec import generators, lattice, oracle
 from perdec.core import (
     Decomposition,
     InternalContractViolation,
+    NotCommutingError,
     PreconditionError,
     RationalFunction,
     is_invariant,
@@ -106,7 +107,9 @@ def test_nullspace_dimension_and_membership(case):
 
 
 # The dense elimination that the sparse one replaced, kept as the reference
-# for bit-identical outputs: same pivots, same row arithmetic, same signs.
+# for bit-identical outputs.  Its pivot rule differs, but the solution with
+# the free unknowns pinned to 0 is unique, and so is each nullspace vector,
+# so any correct elimination returns the same Fractions.
 
 
 def _dense_reduce_row(row):
@@ -211,11 +214,14 @@ def _sparse_matrices(draw):
 
 
 def _assert_identical(rows, rhs, ncols):
-    # equal, not merely equivalent: same Fractions in the same places
-    assert (linear_feasibility(rows, rhs, ncols)
-            == _dense_linear_feasibility(rows, rhs, ncols))
-    assert ([list(vec.values) for vec in nullspace(rows, ncols)]
-            == _dense_nullspace(rows, ncols))
+    # equal, not merely equivalent: same Fractions in the same places, and
+    # the same again with the rows taken in reverse order
+    solution = _dense_linear_feasibility(rows, rhs, ncols)
+    basis = _dense_nullspace(rows, ncols)
+    for ordered, right in ((rows, rhs), (rows[::-1], rhs[::-1])):
+        assert linear_feasibility(ordered, right, ncols) == solution
+        assert ([list(vec.values) for vec in nullspace(ordered, ncols)]
+                == basis)
 
 
 @given(_sparse_matrices())
@@ -362,7 +368,7 @@ def test_split_over_no_partitions_is_refused(monkeypatch):
         raise AssertionError("no partition reached a solver")
 
     for name in ("_finest", "_split_one", "_split_two", "_split_many",
-                 "_solve"):
+                 "_eliminate"):
         monkeypatch.setattr(oracle, name, refuse)
     for f in (zero(3), zero(0),
               RationalFunction((Fraction(0), Fraction(-2, 3), Fraction(5)))):
@@ -488,7 +494,7 @@ def test_two_partitions_skip_the_elimination_and_read_labels_linearly(
         return counted_partition(invariance_classes(t), reads)
 
     monkeypatch.setattr(oracle, "_split_many", refuse)
-    monkeypatch.setattr(oracle, "_solve", refuse)
+    monkeypatch.setattr(oracle, "_eliminate", refuse)
     monkeypatch.setattr(oracle, "invariance_classes", counted_classes)
     rng = random.Random(100)
     dims = (100, 100)
@@ -541,7 +547,7 @@ def test_nested_maps_skip_the_solvers_and_read_labels_linearly(
     def counted_classes(t):
         return counted_partition(invariance_classes(t), reads)
 
-    monkeypatch.setattr(oracle, "_solve", refuse)
+    monkeypatch.setattr(oracle, "_eliminate", refuse)
     monkeypatch.setattr(oracle, "_split_two", refuse)
     monkeypatch.setattr(oracle, "_split_many", refuse)
     monkeypatch.setattr(oracle, "invariance_classes", counted_classes)
@@ -640,6 +646,17 @@ def test_a_20_cubed_window_bounds_the_elimination_work(monkeypatch):
     assert planted[1] <= 361
     assert planted[2] <= 4_000
     assert broken == [0, 0, 0]
+
+
+def test_a_contradiction_ends_the_elimination_at_once(monkeypatch):
+    # x = 1, then x = 2, then 100 rows x + y_i = i: the second row reduces
+    # to 0 = 1 against the first, and no later row is combined
+    work = _count_elimination(monkeypatch)
+    rows = [[1] + [0] * 100, [1] + [0] * 100] + [
+        [1] + [int(c == i) for c in range(100)] for i in range(100)]
+    rhs = [1, 2] + list(range(100))
+    assert linear_feasibility(rows, rhs, 101) == (False, None)
+    assert work[1] <= 1
 
 
 def test_periodic_shifts_send_at_most_one_row_per_joint_class(monkeypatch):
@@ -940,3 +957,21 @@ def test_a_refusal_without_a_dual_violates_the_internal_contract(
                            "values": [str(v) for v in values]})
     with pytest.raises(InternalContractViolation):
         verified_split(inst.maps(), inst.f, inst.shifts)
+
+
+def test_maps_that_do_not_commute_are_the_callers_error():
+    # a z-window's completed shifts 2, 3 and 5 on [0, 16) do not commute,
+    # so without the shifts the kept maps' stencil proves nothing: the
+    # refusal of f(x) = x names the first pair that does not commute, by
+    # its index among the maps passed, where a dropped duplicate counts
+    inst = parse_instance({"kind": "z-window", "length": 16,
+                           "shifts": [2, 3, 5],
+                           "values": [str(x) for x in range(16)]})
+    maps = inst.maps()
+    for passed, witness in ((maps, (0, 1, 11)),
+                            ((maps[0],) + maps, (0, 2, 11))):
+        with pytest.raises(NotCommutingError) as caught:
+            verified_split(passed, inst.f)
+        assert caught.value.witness == witness
+    got = verified_split(maps, inst.f, inst.shifts)
+    assert verify_dual([invariance_classes(t) for t in maps], inst.f, got)
