@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     "BoundedTransfer": "check",
-    "Candidate": "check",
     "CommutingSystem": "core",
     "ConstrainedObstruction": "check",
     "CycleObstruction": "check",

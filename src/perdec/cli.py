@@ -229,8 +229,7 @@ def _cmd_search(args) -> Outcome:
     report = search_counterexample(n=args.n, max_size=args.max_size,
                                    trials=args.trials, seed=args.seed,
                                    workers=args.workers)
-    clean = (report.discrepancies == 0 and report.necessity_violations == 0
-             and not report.candidates)
+    clean = report.discrepancies == 0 and report.necessity_violations == 0
     return (0 if clean else 1), serialize.result_to_json(report)
 
 

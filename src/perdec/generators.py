@@ -10,7 +10,7 @@ Every generated system still goes through full commutativity validation.
 from __future__ import annotations
 
 import random
-from math import lcm
+from math import lcm, prod
 from operator import sub
 from typing import List, Optional, Sequence
 
@@ -46,9 +46,6 @@ def _product_system(rng: random.Random, n: int, max_size: int) -> CommutingSyste
         d = rng.randint(2, cap)
         dims.append(d)
         cap //= d
-    size = 1
-    for d in dims:
-        size *= d
     bases = []
     for d in dims:
         if rng.random() < 0.5:
@@ -56,25 +53,16 @@ def _product_system(rng: random.Random, n: int, max_size: int) -> CommutingSyste
             bases.append(tuple((c + a) % d for c in range(d)))
         else:
             bases.append(tuple(rng.randrange(d) for _ in range(d)))
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
     transforms = []
     for _ in range(n):
-        exps = [rng.randint(0, 2) for _ in dims]
-        table = []
-        for x in range(size):
-            y = 0
-            rem = x
-            for i, d in enumerate(dims):
-                c = rem // strides[i] % d
-                rem -= c * strides[i]
-                for _ in range(exps[i]):
-                    c = bases[i][c]
-                y += c * strides[i]
-            table.append(y)
+        # each map is a power of each factor's base, points in row-major
+        # order with the first factor slowest
+        table = [0]
+        for base, d in zip(bases, dims):
+            factor = power(base, rng.randint(0, 2))
+            table = [y * d + c for y in table for c in factor]
         transforms.append(tuple(table))
-    return validate_system(transforms, size)
+    return validate_system(transforms, prod(dims))
 
 
 def _random_values(rng: random.Random, count: int, top: int,

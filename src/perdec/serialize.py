@@ -306,6 +306,13 @@ def _parts(items: Any, path: str) -> tuple[RationalFunction, ...]:
                  for i, p in enumerate(items))
 
 
+def _no_candidates(items: Any, path: str) -> tuple:
+    if items != []:
+        raise ParseError("expected an empty list: a search over finite "
+                         "systems finds no candidate", path)
+    return ()
+
+
 def _violation_kind(kind: Any, path: str) -> str:
     if kind not in ("MixedDeltaNonzero", "CompatibilityFailure"):
         raise ParseError(f"unknown violation kind {kind!r}", path)
@@ -320,10 +327,8 @@ _OPTIONAL_INT_ROWS = (_INT_ROWS[0], _int_rows, [])
 _FRACTION = (frac_to_str, frac_from_json, None)
 _VALUES = (values_to_json, values_from_json, None)
 _PARTS = (lambda parts: [values_to_json(p) for p in parts], _parts, None)
-# rationals kept in their canonical string form
-_RATIONAL_STRINGS = (list, lambda items, path: tuple(
-    values_to_json(values_from_json(items, path))), None)
 _VIOLATION_KIND = (str, _violation_kind, None)
+_NO_CANDIDATES = (list, _no_candidates, None)
 
 
 def _fields(*entries: tuple) -> tuple:
@@ -345,28 +350,12 @@ def _codecs() -> tuple[dict, dict]:
     """Each record result's row by tag, and each tag by type.  Built on
     the first call: the types are `check`'s, which importing this module
     does not load."""
-    from .check import (BoundedTransfer, Candidate, ConstrainedObstruction,
+    from .check import (BoundedTransfer, ConstrainedObstruction,
                         CycleObstruction, DualCertificate, SearchReport,
                         StarInstance, StarViolation)
 
     def row(cls, certificate, *fields, build=None):
         return (cls, build or cls, certificate, _fields(*fields))
-
-    candidate = _fields(("trial", "trial", _INT), ("size", "size", _INT),
-                        ("transforms", "transforms", _OPTIONAL_INT_ROWS),
-                        ("values", "values", _RATIONAL_STRINGS),
-                        ("dual_weights", "dual_weights", _RATIONAL_STRINGS))
-
-    def read_candidates(items: Any, path: str) -> tuple:
-        if not isinstance(items, list):
-            raise ParseError("expected candidates list", path)
-        out = []
-        for i, c in enumerate(items):
-            if not isinstance(c, dict):
-                raise ParseError("expected candidate object", f"{path}[{i}]")
-            out.append(Candidate(*_read_fields(candidate, c,
-                                               f"{path}[{i}].")))
-        return tuple(out)
 
     def violation(*fields):
         # the certificate's first five fields are the star instance's
@@ -399,9 +388,7 @@ def _codecs() -> tuple[dict, dict]:
         "report": row(
             SearchReport, False,
             *[(name, name, _INT) for name in SearchReport._fields[:-1]],
-            ("candidates", "candidates",
-             (lambda cs: [_write_fields(candidate, c) for c in cs],
-              read_candidates, None))),
+            ("candidates", "candidates", _NO_CANDIDATES)),
     }
     return rows, {cls: tag for tag, (cls, *_) in rows.items()}
 

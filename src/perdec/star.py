@@ -162,9 +162,9 @@ def search_counterexample(n: int, max_size: int, trials: int, seed: int,
     """Randomized hunt for star-pass but non-decomposable instances.
 
     The systems are finite, where `check_star` is exact for every n, so
-    no n finds a candidate: the search is a regression of that theorem
-    and of the oracle, and any star/oracle disagreement counts as a
-    discrepancy.  On a star pass the oracle's dual, the mixed-difference
+    no n finds a candidate and the report's `candidates` is always
+    empty: the search is a regression of that theorem and of the oracle,
+    and any star/oracle disagreement counts as a discrepancy.  On a star pass the oracle's dual, the mixed-difference
     stencil, cannot exist, so an oracle refusal there raises
     InternalContractViolation and is counted as such.  Star-fail
     instances are spot-checked (every 7th trial for n >= 4) for the
@@ -201,7 +201,7 @@ def search_counterexample(n: int, max_size: int, trials: int, seed: int,
                                     for lo, hi in spans]))
     merged = {key: sum(s[key] for s in shards) for key in shards[0]}
     return SearchReport(n=n, max_size=max_size, trials=trials, seed=seed,
-                        candidates=(), **merged)
+                        **merged)
 
 
 def _shard_entry(args) -> dict:

@@ -306,15 +306,11 @@ REFUSING_INSTANCES = {
     "z-window": Z_WINDOW_LINEAR,
     "lattice-window": LATTICE_CORNER,
 }
-# the identity passes the star check on any f, so f splits and no dual
-# verifies: the candidate is refused from its own fields, in a report whose
-# counts a search can produce
-FALSE_CANDIDATE_REPORT = dict(
-    result="report", n=2, max_size=2, trials=5, seed=1, star_pass=1,
+# a report whose star passes and fails do not add up to its six trials
+NO_SEARCH_REPORT = dict(
+    result="report", n=2, max_size=2, trials=6, seed=1, star_pass=1,
     star_fail=4, oracle_feasible=0, oracle_infeasible=1, necessity_checked=0,
-    necessity_violations=0, discrepancies=0, candidates=[
-        {"trial": 4, "size": 2, "transforms": [[0, 1], [0, 1]],
-         "values": ["1", "2"], "dual_weights": ["1", "-1"]}])
+    necessity_violations=0, discrepancies=0, candidates=[])
 # one stored document per result tag: its parsed type, and the reason its
 # checker gives on every instance above
 STORED_RESULTS = {
@@ -346,8 +342,8 @@ STORED_RESULTS = {
                                                  "l2": 0, "total": "1"}},
                                 "ConstrainedObstruction",
                                 "witness point or exponent out of range"),
-    "report": (FALSE_CANDIDATE_REPORT, "SearchReport",
-               "candidate from trial 4 does not re-verify"),
+    "report": (NO_SEARCH_REPORT, "SearchReport",
+               "report counts no search produces"),
 }
 # the result tags each subcommand emits, by instance kind (None: search)
 EMITTED = {
@@ -894,20 +890,21 @@ def test_decompose_four_transforms_near_the_digit_limit_never_crashes(
             assert doc["result"] == "decomposition"
 
 
-def test_search_verify_rejects_a_non_rational_candidate(tmp_path, capsys):
-    report = {"result": "report", "n": 4, "max_size": 2, "trials": 1,
-              "seed": 0, "bound": None, "star_pass": 1, "star_fail": 0,
-              "oracle_feasible": 0, "oracle_infeasible": 1,
-              "necessity_checked": 0, "necessity_violations": 0,
-              "discrepancies": 0,
-              "candidates": [{"trial": 0, "size": 2,
-                              "transforms": [[1, 0], [1, 0], [0, 1], [0, 1]],
-                              "values": ["abc", "1"],
-                              "dual_weights": ["1", "-1"]}]}
-    saved = _write(tmp_path, "report.json", report)
-    code, doc = _run(capsys, ["search", "--verify", saved])
-    assert code == 2
-    assert doc["path"] == "candidates[0].values[0]"
+def test_search_verify_refuses_a_report_that_lists_a_candidate(tmp_path,
+                                                               capsys):
+    # a search over finite systems finds none, so a listed candidate is an
+    # input error, whatever its fields hold
+    report = dict(NO_SEARCH_REPORT, trials=5, candidates=[
+        {"trial": 4, "size": 2, "transforms": [[0, 1], [0, 1]],
+         "values": ["1", "2"], "dual_weights": ["1", "-1"]}])
+    code = run_command(["search", "--verify",
+                        _write(tmp_path, "report.json", report)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert json.loads(captured.out) == {
+        "error": "candidates: expected an empty list: a search over "
+                 "finite systems finds no candidate",
+        "path": "candidates"}
 
 
 def test_star_check_verify_replays_huge_exponents_quickly(tmp_path, capsys):
@@ -1139,17 +1136,12 @@ def test_mutated_instances_never_crash_or_hang(site, value):
             _assert_clean_run([command, inst_path])
 
 
-# the report shape `search` emits, with one candidate so that its fields
-# can be mutated too (a clean search reports none)
+# the report shape `search` emits
 SEARCH_REPORT = {"result": "report", "n": 2, "max_size": 2, "trials": 1,
                  "seed": 0, "star_pass": 1, "star_fail": 0,
                  "oracle_feasible": 0, "oracle_infeasible": 1,
                  "necessity_checked": 0, "necessity_violations": 0,
-                 "discrepancies": 0,
-                 "candidates": [{"trial": 0, "size": 2,
-                                 "transforms": [[1, 0], [0, 1]],
-                                 "values": ["0", "1"],
-                                 "dual_weights": ["1", "-1"]}]}
+                 "discrepancies": 0, "candidates": []}
 REPORT_SITES = _field_paths(SEARCH_REPORT)
 
 
@@ -1520,22 +1512,11 @@ def test_search_loads_the_trial_modules_and_its_replay_the_checker(tmp_path):
         0, _perdec("check", "orbits"))
 
 
-def test_a_search_candidate_is_checked_by_its_stored_dual(tmp_path):
-    # the candidate is refused without running the star check or the oracle
-    cert = _write(tmp_path, "cert.json", FALSE_CANDIDATE_REPORT)
-    code, out, loaded = _fresh_run(["search", "--verify", cert])
-    assert (code, json.loads(out)) == (1, {
-        "result": "verified", "agrees": False,
-        "reason": "candidate from trial 4 does not re-verify"})
-    # the candidate's values are read through the Fraction constructor
-    assert loaded == _perdec("check", "orbits") | RATIONAL_MODULES
-
-
 def test_search_verify_refuses_counts_no_search_produces(tmp_path, capsys):
     # five trials with no star verdict, and three necessity violations
     # that are neither checked trials nor discrepancies
     report = dict(SEARCH_REPORT, trials=5, star_pass=0, star_fail=0,
-                  necessity_violations=3, discrepancies=0, candidates=[])
+                  necessity_violations=3, discrepancies=0)
     code, verdict = _run(capsys, ["search", "--verify",
                                   _write(tmp_path, "report.json", report)])
     assert (code, verdict) == (1, {"result": "verified", "agrees": False,
@@ -1543,26 +1524,13 @@ def test_search_verify_refuses_counts_no_search_produces(tmp_path, capsys):
                                              "produces"})
 
 
-# each a report the search never writes, refused before any candidate is
-# replayed
+# each a report with parameters the search never takes
 NO_SEARCH_PARAMETERS = {
-    # one transform on at most -3 points, with no trials and no candidates
+    # one transform on at most -3 points, with no trials
     "n=1, max_size=-3": dict(n=1, max_size=-3, trials=0, star_pass=0,
-                             oracle_infeasible=0, candidates=[]),
-    "n=1": dict(n=1, candidates=[]),
-    "max_size=1": dict(max_size=1, candidates=[]),
-    # a candidate on more points than max_size, or on fewer than two
-    "size 3 > max_size": dict(candidates=[dict(
-        SEARCH_REPORT["candidates"][0], size=3,
-        transforms=[[1, 2, 0], [0, 1, 2]], values=["0", "1", "2"],
-        dual_weights=["1", "-1", "0"])]),
-    "size 1": dict(candidates=[dict(
-        SEARCH_REPORT["candidates"][0], size=1, transforms=[[0], [0]],
-        values=["0"], dual_weights=["1"])]),
-    # a candidate with three transforms in a two-transform search
-    "3 transforms": dict(candidates=[dict(
-        SEARCH_REPORT["candidates"][0],
-        transforms=[[1, 0], [0, 1], [0, 1]])]),
+                             oracle_infeasible=0),
+    "n=1": dict(n=1),
+    "max_size=1": dict(max_size=1),
 }
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import perdec
+from perdec import check
 from tests import golden
 
 # exported functions that no corpus case calls, each with its reason
@@ -20,13 +21,19 @@ UNREACHED_EXPORTS = {
 
 @pytest.fixture(scope="module")
 def corpus_run(tmp_path_factory):
-    """The corpus document and the code objects of every Python call its
-    cases made, recorded by a profile hook that is removed afterwards."""
+    """The corpus document, the code objects of every Python call its
+    cases made, and the return values of each function of `perdec.check`
+    by code object, recorded by a profile hook that is removed
+    afterwards."""
     called = set()
+    returns = {fn.__code__: [] for fn in vars(check).values()
+               if inspect.isfunction(fn) and fn.__module__ == check.__name__}
 
     def record(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
+        elif event == "return" and frame.f_code in returns:
+            returns[frame.f_code].append(arg)
 
     previous = sys.getprofile()
     sys.setprofile(record)
@@ -34,13 +41,13 @@ def corpus_run(tmp_path_factory):
         got = golden.run_corpus(tmp_path_factory.mktemp("corpus"))
     finally:
         sys.setprofile(previous)
-    return got, called
+    return got, called, returns
 
 
 def test_every_cli_case_matches_the_golden_corpus(corpus_run):
     # any moved output byte, exit code or instance names its case ids;
     # regenerate with `PYTHONPATH=src python -m tests.golden --write`
-    got, _ = corpus_run
+    got, _, _ = corpus_run
     pinned = golden.GOLDEN.read_text()
     assert golden.dumps(got) == pinned, golden.differences(
         json.loads(pinned), got)
@@ -49,11 +56,25 @@ def test_every_cli_case_matches_the_golden_corpus(corpus_run):
 def test_the_corpus_calls_every_exported_function(corpus_run):
     # a public function that no CLI path reaches is dead library code,
     # unless its allowlist entry says who calls it
-    _, called = corpus_run
+    _, called, _ = corpus_run
     functions = {name: getattr(perdec, name) for name in perdec.__all__}
     unreached = [name for name, fn in functions.items()
                  if inspect.isfunction(fn) and fn.__code__ not in called]
     assert sorted(unreached) == sorted(UNREACHED_EXPORTS)
+
+
+def test_the_corpus_calls_every_checker_and_sees_it_accept(corpus_run):
+    # a checker that no CLI path reaches, or that refuses every time it
+    # runs, guards nothing a user can produce
+    _, _, returns = corpus_run
+    checkers = {name: returns[fn.__code__] for name, fn in vars(check).items()
+                if name.startswith(("verify_", "replay_"))
+                and inspect.isfunction(fn)}
+    assert checkers
+    # each idle checker with its call count, every call a refusal
+    idle = {name: len(seen) for name, seen in checkers.items()
+            if not any(seen)}
+    assert idle == {}
 
 
 def test_the_corpus_reads_every_kind_and_replays_every_result():

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from perdec.check import (BoundedTransfer, Candidate, ConstrainedObstruction,
+from perdec.check import (BoundedTransfer, ConstrainedObstruction,
                           CycleObstruction, DualCertificate, SearchReport,
                           StarInstance, StarViolation)
 from perdec.core import (CommutingSystem, Decomposition, RationalFunction,
@@ -32,10 +32,6 @@ def _star():
 
 def _violation():
     return StarViolation(_star(), F(3, 2), "MixedDeltaNonzero")
-
-
-def _candidate():
-    return Candidate(4, 2, ((1, 0), (0, 1)), ("1", "-1/2"), ("1", "-1"))
 
 
 # one builder per record type with the repr its frozen dataclass printed
@@ -79,18 +75,12 @@ RECORDS = {
         lambda: BoundedTransfer(_f(), F(5, 2)),
         "BoundedTransfer(solution=RationalFunction(numerators=(2, -1), "
         "denom=2), bound=Fraction(5, 2))"),
-    "Candidate": (
-        _candidate,
-        "Candidate(trial=4, size=2, transforms=((1, 0), (0, 1)), "
-        "values=('1', '-1/2'), dual_weights=('1', '-1'))"),
     "SearchReport": (
-        lambda: SearchReport(2, 4, 10, 7, 6, 4, 5, 1, 3, 0, 0,
-                             (_candidate(),)),
+        lambda: SearchReport(2, 4, 10, 7, 6, 4, 5, 1, 3, 0, 0),
         "SearchReport(n=2, max_size=4, trials=10, seed=7, star_pass=6, "
         "star_fail=4, oracle_feasible=5, oracle_infeasible=1, "
         "necessity_checked=3, necessity_violations=0, discrepancies=0, "
-        "candidates=(Candidate(trial=4, size=2, transforms=((1, 0), "
-        "(0, 1)), values=('1', '-1/2'), dual_weights=('1', '-1')),))"),
+        "candidates=())"),
     "Partition": (
         lambda: Partition((0, 0, 1), (0, 2)),
         "Partition(class_of=(0, 0, 1), representative=(0, 2))"),

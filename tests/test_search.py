@@ -3,10 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from perdec.check import (Candidate, SearchReport, verify_candidate,
-                          verify_report)
-from perdec.core import (NotCommutingError, PreconditionError, RangeError,
-                         VerificationResult)
+from perdec.check import SearchReport, verify_report
+from perdec.core import PreconditionError, VerificationResult
 from perdec import oracle
 from perdec.serialize import parse_result, result_to_json
 from perdec.star import search_counterexample
@@ -112,16 +110,8 @@ CONSISTENT_COUNTS = dict(
     necessity_violations=0, discrepancies=0)
 
 
-def _candidate(trial, size=2, n=4):
-    # a shift and n - 1 identities on `size` points
-    shift = tuple((x + 1) % size for x in range(size))
-    return Candidate(trial, size, (shift, *[tuple(range(size))] * (n - 1)),
-                     tuple(map(str, range(size))),
-                     ("1", "-1", *["0"] * (size - 2)))
-
-
 def test_a_report_with_counts_a_search_produces_verifies():
-    assert verify_report(SearchReport(candidates=(), **CONSISTENT_COUNTS))
+    assert verify_report(SearchReport(**CONSISTENT_COUNTS))
 
 
 # each change breaks exactly one rule that every search report keeps
@@ -143,62 +133,16 @@ def test_a_report_with_counts_a_search_produces_verifies():
     dict(oracle_feasible=5),
     # a necessity violation that is no discrepancy
     dict(necessity_violations=1, oracle_feasible=5),
-    # more candidates than infeasible verdicts
-    dict(candidates=(_candidate(3), _candidate(5))),
-    # candidates out of trial order, repeated, or outside the trials
-    dict(candidates=(_candidate(5), _candidate(3)), oracle_infeasible=2,
-         oracle_feasible=5),
-    dict(candidates=(_candidate(3), _candidate(3)), oracle_infeasible=2,
-         oracle_feasible=5),
-    dict(candidates=(_candidate(10),)),
-    dict(candidates=(_candidate(-1),)),
     # parameters the search refuses: fewer than two transforms, or fewer
     # than two points
     dict(n=1),
     dict(max_size=1),
     dict(max_size=-3),
-    # a candidate outside [2, max_size] points, or without n transforms
-    dict(candidates=(_candidate(3, size=1),)),
-    dict(candidates=(_candidate(3, size=5),)),
-    dict(candidates=(_candidate(3, n=3),)),
-    dict(candidates=(_candidate(3, n=5),)),
 ])
 def test_a_report_with_counts_no_search_produces_is_refused(change):
-    report = SearchReport(**{**CONSISTENT_COUNTS, "candidates": (),
-                             **change})
+    report = SearchReport(**{**CONSISTENT_COUNTS, **change})
     assert verify_report(report) == VerificationResult(
         False, "report counts no search produces")
-
-
-def test_a_report_is_refused_before_its_candidates_are_replayed():
-    # the one candidate's table leaves its two points, so replaying it
-    # raises; a one-transform report is refused before that
-    broken = Candidate(3, 2, ((0, 5),), ("1", "2"), ("1", "-1"))
-    with pytest.raises(RangeError):
-        verify_candidate(broken)
-    report = SearchReport(**{**CONSISTENT_COUNTS, "n": 1,
-                             "candidates": (broken,)})
-    assert verify_report(report) == VerificationResult(
-        False, "report counts no search produces")
-
-
-def test_a_candidate_raises_the_errors_of_its_fields_in_order():
-    # the system first, then the value count, then the transform count;
-    # a well-formed candidate whose star check passes has no valid dual
-    def candidate(transforms, values, weights=("1", "-1")):
-        return Candidate(0, 2, transforms, values, weights)
-
-    with pytest.raises(NotCommutingError):
-        verify_candidate(candidate(((1, 0), (0, 0)), ("1",)))
-    with pytest.raises(RangeError):
-        verify_candidate(candidate(((0, 5),), ("1",)))
-    with pytest.raises(PreconditionError, match="function length"):
-        verify_candidate(candidate((), ("1",)))
-    with pytest.raises(PreconditionError, match="at least one"):
-        verify_candidate(candidate((), ("1", "2")))
-    assert verify_candidate(candidate(((1, 0),), ("1", "2"))).reason == (
-        "the star check fails on this instance")
-    assert not verify_candidate(candidate(((0, 1),), ("1", "2")))
 
 
 def test_search_seed_controls_the_stream():
