@@ -353,6 +353,46 @@ def mixed_kernel_reference(rng: random.Random, system) -> RationalFunction:
     return RationalFunction(tuple(values))
 
 
+def product_system_reference(rng: random.Random, n: int,
+                             max_size: int) -> tuple[int, tuple]:
+    """Reference `generators._product_system`: the same factor and base
+    draws, then each map built point by point, with one rng.randint(0, 2)
+    per factor per map applied to each mixed-radix digit (first factor
+    slowest).  Returns the domain size and the tables."""
+    dims = []
+    cap = max_size
+    while cap >= 2 and (not dims or rng.random() < 0.5):
+        dims.append(rng.randint(2, cap))
+        cap //= dims[-1]
+    bases = []
+    for d in dims:
+        if rng.random() < 0.5:
+            a = rng.randrange(d)
+            bases.append([(c + a) % d for c in range(d)])
+        else:
+            bases.append([rng.randrange(d) for _ in range(d)])
+    size = 1
+    for d in dims:
+        size *= d
+    tables = []
+    for _ in range(n):
+        exps = [rng.randint(0, 2) for _ in dims]
+        table = []
+        for x in range(size):
+            digits, rest = [], x
+            for d in reversed(dims):
+                rest, c = divmod(rest, d)
+                digits.append(c)
+            y = 0
+            for d, base, k, c in zip(dims, bases, exps, reversed(digits)):
+                for _ in range(k):
+                    c = base[c]
+                y = y * d + c
+            table.append(y)
+        tables.append(tuple(table))
+    return size, tuple(tables)
+
+
 SYSTEM_STYLES = ("translation", "power", "product")
 
 

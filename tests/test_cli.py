@@ -907,6 +907,23 @@ def test_search_verify_refuses_a_report_that_lists_a_candidate(tmp_path,
         "path": "candidates"}
 
 
+def test_search_verify_rejects_a_non_rational_candidate(tmp_path, capsys):
+    # the list is refused whole, before any of its values is read
+    report = {"result": "report", "n": 4, "max_size": 2, "trials": 1,
+              "seed": 0, "bound": None, "star_pass": 1, "star_fail": 0,
+              "oracle_feasible": 0, "oracle_infeasible": 1,
+              "necessity_checked": 0, "necessity_violations": 0,
+              "discrepancies": 0,
+              "candidates": [{"trial": 0, "size": 2,
+                              "transforms": [[1, 0], [1, 0], [0, 1], [0, 1]],
+                              "values": ["abc", "1"],
+                              "dual_weights": ["1", "-1"]}]}
+    saved = _write(tmp_path, "report.json", report)
+    code, doc = _run(capsys, ["search", "--verify", saved])
+    assert code == 2
+    assert doc["path"] == "candidates"
+
+
 def test_star_check_verify_replays_huge_exponents_quickly(tmp_path, capsys):
     # 0 -> 1 -> 2 -> 2, so t^(10**11) sends 0 to the fixed point 2
     inst = {"kind": "finite", "size": 3, "transforms": [[1, 2, 2]],
@@ -1103,7 +1120,8 @@ def _mutate(doc, path, value):
 
 
 def _assert_clean_run(argv):
-    """Exit 0, 1 or 2 within a second, one JSON document, no traceback."""
+    """Exit 0, 1 or 2 within a second, one JSON document, no traceback;
+    returns the exit code and the document."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1112,7 +1130,7 @@ def _assert_clean_run(argv):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert elapsed < 1.0
-    json.loads(out.getvalue())
+    return code, json.loads(out.getvalue())
 
 
 INSTANCE_SITES = [(inst, path)
@@ -1142,19 +1160,29 @@ SEARCH_REPORT = {"result": "report", "n": 2, "max_size": 2, "trials": 1,
                  "oracle_feasible": 0, "oracle_infeasible": 1,
                  "necessity_checked": 0, "necessity_violations": 0,
                  "discrepancies": 0, "candidates": []}
-REPORT_SITES = _field_paths(SEARCH_REPORT)
+# the same report listing one candidate, which no search writes, so that
+# the fields of a listed candidate can be mutated too
+LISTED_CANDIDATE_REPORT = dict(SEARCH_REPORT, candidates=[
+    {"trial": 0, "size": 2, "transforms": [[1, 0], [0, 1]],
+     "values": ["0", "1"], "dual_weights": ["1", "-1"]}])
+CANDIDATE_SITES = [p for p in _field_paths(LISTED_CANDIDATE_REPORT)
+                   if p[0] == "candidates" and len(p) > 1]
+REPORT_SITES = ([(SEARCH_REPORT, p) for p in _field_paths(SEARCH_REPORT)]
+                + [(LISTED_CANDIDATE_REPORT, p) for p in CANDIDATE_SITES])
 
 
-@pytest.mark.parametrize("path", REPORT_SITES,
-                         ids=[".".join(map(str, p)) for p in REPORT_SITES])
+@pytest.mark.parametrize("report,path", REPORT_SITES,
+                         ids=[".".join(map(str, p)) for _, p in REPORT_SITES])
 @given(value=_FIELD_VALUES)
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_mutated_search_reports_never_crash_or_hang(path, value):
+def test_mutated_search_reports_never_crash_or_hang(report, path, value):
     with tempfile.TemporaryDirectory() as tmp:
-        saved = _write(Path(tmp), "report.json",
-                       _mutate(SEARCH_REPORT, path, value))
-        _assert_clean_run(["search", "--verify", saved])
+        saved = _write(Path(tmp), "report.json", _mutate(report, path, value))
+        code, doc = _assert_clean_run(["search", "--verify", saved])
+    if report is LISTED_CANDIDATE_REPORT:
+        # whatever a listed candidate holds, the list is refused whole
+        assert (code, doc["path"]) == (2, "candidates")
 
 
 def test_stdin_instance(capsys, monkeypatch):
@@ -1510,6 +1538,18 @@ def test_search_loads_the_trial_modules_and_its_replay_the_checker(tmp_path):
     # a report replays without the star check or the oracle
     assert _fresh_run(["search", "--verify", str(cert)])[::2] == (
         0, _perdec("check", "orbits"))
+
+
+def test_a_listed_candidate_is_refused_before_the_counts_are_checked(
+        tmp_path, capsys):
+    # one transform is a parameter no search takes (a verdict, exit 1),
+    # but the reader refuses the candidate first (an input error, exit 2)
+    report = dict(LISTED_CANDIDATE_REPORT, n=1)
+    code = run_command(["search", "--verify",
+                        _write(tmp_path, "report.json", report)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert json.loads(captured.out)["path"] == "candidates"
 
 
 def test_search_verify_refuses_counts_no_search_produces(tmp_path, capsys):

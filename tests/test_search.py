@@ -122,8 +122,12 @@ def test_a_report_with_counts_a_search_produces_verifies():
          discrepancies=0),
     # star passes and fails do not add up to the trials
     dict(trials=11),
+    dict(trials=9),
     # a count below zero
     dict(oracle_feasible=-1, oracle_infeasible=8),
+    dict(star_pass=-1, star_fail=11, oracle_feasible=0, oracle_infeasible=0),
+    dict(oracle_infeasible=-1, oracle_feasible=8),
+    dict(necessity_violations=-1, oracle_infeasible=2),
     # more necessity violations than checked trials
     dict(necessity_violations=2, discrepancies=2, oracle_feasible=5,
          oracle_infeasible=0),
@@ -131,6 +135,7 @@ def test_a_report_with_counts_a_search_produces_verifies():
     dict(necessity_checked=5, oracle_infeasible=5),
     # oracle verdicts that are not one per pass and checked failure
     dict(oracle_feasible=5),
+    dict(oracle_feasible=7),
     # a necessity violation that is no discrepancy
     dict(necessity_violations=1, oracle_feasible=5),
     # parameters the search refuses: fewer than two transforms, or fewer
@@ -143,6 +148,22 @@ def test_a_report_with_counts_no_search_produces_is_refused(change):
     report = SearchReport(**{**CONSISTENT_COUNTS, **change})
     assert verify_report(report) == VerificationResult(
         False, "report counts no search produces")
+
+
+@pytest.mark.parametrize("n,max_size", [(1, 2), (2, 1), (0, 0), (2, 2),
+                                        (5, 3)])
+def test_the_search_takes_the_parameters_its_checker_accepts(n, max_size):
+    # a zero-trial report with these parameters verifies exactly when the
+    # search runs on them, and then the search's own report verifies too
+    idle = dict(trials=0, seed=0, star_pass=0, star_fail=0,
+                oracle_feasible=0, oracle_infeasible=0, necessity_checked=0,
+                necessity_violations=0, discrepancies=0)
+    if verify_report(SearchReport(n=n, max_size=max_size, **idle)):
+        assert verify_report(search_counterexample(
+            n=n, max_size=max_size, trials=5, seed=0))
+    else:
+        with pytest.raises(PreconditionError):
+            search_counterexample(n=n, max_size=max_size, trials=5, seed=0)
 
 
 def test_search_seed_controls_the_stream():

@@ -499,13 +499,20 @@ def test_parse_result_errors_name_the_path():
     with pytest.raises(ParseError) as exc:
         parse_result(doc)
     assert exc.value.path == "trials"
-    # a search over finite systems finds no candidate: only [] reads
-    for bad in ([{}], [[]], [0], None, {}, ""):
-        doc = result_to_json(_sample_results()[6])
-        doc["candidates"] = bad
-        with pytest.raises(ParseError) as exc:
-            parse_result(doc)
-        assert exc.value.path == "candidates"
+
+
+# a search over finite systems finds no candidate: only [] reads, and a
+# well-formed candidate is refused like any other value
+@pytest.mark.parametrize("bad", [
+    [{"trial": 7, "size": 2, "transforms": [[1, 0], [0, 1]],
+      "values": ["1", "-1/2"], "dual_weights": ["2", "0"]}],
+    [{}], [[]], [0], None, {}, ""])
+def test_parse_result_refuses_any_candidate(bad):
+    doc = result_to_json(_sample_results()[6])
+    doc["candidates"] = bad
+    with pytest.raises(ParseError) as exc:
+        parse_result(doc)
+    assert exc.value.path == "candidates"
 
 
 def test_dumps_is_canonical():
