@@ -18,7 +18,6 @@ _EXPORTS = {
     "BoundedTransfer": "check",
     "CommutingSystem": "core",
     "ConstrainedObstruction": "check",
-    "CycleObstruction": "check",
     "Decomposition": "core",
     "DualCertificate": "check",
     "InternalContractViolation": "core",

@@ -66,13 +66,6 @@ class DualCertificate(_Record):
     weights: RationalFunction
 
 
-class CycleObstruction(_Record):
-    """A T-cycle whose g-sum is nonzero, so h(Tx) - h(x) = g(x) is unsolvable."""
-
-    points: tuple[int, ...]
-    total: Fraction
-
-
 class ConstrainedObstruction(_Record):
     """Witness T^k S^l x = S^{l2} x whose orbit sum of G is nonzero."""
 
@@ -499,28 +492,10 @@ def _check_bounded(t: Sequence[int], s: Sequence[int], g: RationalFunction,
     return VerificationResult(True)
 
 
-def verify_cycle_obstruction(t: Sequence[int], g: RationalFunction,
-                             obstruction: CycleObstruction
-                             ) -> VerificationResult:
-    """Check an obstruction of `cohomology.solve_transfer`: its points are
-    distinct points of the domain that t walks in order and back to the
-    first, and its total is their g-sum and nonzero.  Any solution h
-    telescopes to 0 around a cycle, so none exists."""
-    from fractions import Fraction
-
-    if len(t) != len(g):
+def _match_lengths(g: RationalFunction, *maps: Sequence[int]) -> None:
+    """Refuse maps whose tables are not as long as g's domain."""
+    if any(len(m) != len(g) for m in maps):
         raise PreconditionError("transform length does not match function")
-    points = obstruction.points
-    if (len(set(points)) != len(points)
-            or not all(0 <= p < len(g) for p in points)):
-        return VerificationResult(
-            False, "cycle points are not distinct points of the domain")
-    if any(t[p] != q for p, q in zip(points, points[1:] + points[:1])):
-        return VerificationResult(False, "points do not form a cycle of t")
-    total = Fraction(sum(map(g.numerators.__getitem__, points)), g.denom)
-    if total != obstruction.total or total == 0:
-        return VerificationResult(False, "obstruction sum does not replay")
-    return VerificationResult(True)
 
 
 def orbit_sum(t: Sequence[int], g: RationalFunction, x: int,
@@ -545,7 +520,8 @@ def verify_bounded_transfer(
     result: Union[BoundedTransfer, ConstrainedObstruction],
 ) -> VerificationResult:
     """Check either answer of `cohomology.solve_bounded_transfer` against
-    (t, s, g).
+    (t, s, g), or `cohomology.solve_transfer`'s refusal with s the
+    identity.  Tables not as long as g raise PreconditionError.
 
     A BoundedTransfer (H, C) must solve h(t(x)) - h(x) = g(x) with H
     s-invariant and sup |H| <= 2C, and C must equal the recomputed
@@ -554,6 +530,7 @@ def verify_bounded_transfer(
     i < k, must equal its nonzero total.  Exponents are reduced along the
     rho shape of each map, so any exponents replay in O(N) steps.
     """
+    _match_lengths(g, t, s)
     size = len(g)
     if isinstance(result, BoundedTransfer):
         if len(result.solution) != size:

@@ -4,7 +4,8 @@ s-invariant variant.
 Both solvers work directly on the functional-graph structure of the
 acting map (orbit walks, cycle sums, quotients), so none of them needs an
 exponent search bound.  Absence is always certified: the caller gets the
-offending cycle or self-relation together with its nonzero sum.
+offending self-relation T^k S^l x = S^{l2} x (a cycle: S the identity)
+together with its nonzero sum.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from typing import Dict, Sequence, Union
 from .check import (
     BoundedTransfer,
     ConstrainedObstruction,
-    CycleObstruction,
     _check_bounded,
+    _match_lengths,
     partial_sum_bound,
     verify_bounded_transfer,
-    verify_cycle_obstruction,
     verify_transfer,
 )
 from .core import (
@@ -35,21 +35,23 @@ from .orbits import find_relation, induced_map, invariance_classes
 
 def solve_transfer(
     t: Sequence[int], g: RationalFunction
-) -> Union[RationalFunction, CycleObstruction]:
+) -> Union[RationalFunction, ConstrainedObstruction]:
     """Solve h(t(x)) - h(x) = g(x) exactly, with h = 0 at each weak
     class's least point.
 
     A solution exists iff the g-sum around every cycle vanishes; the
-    first nonzero cycle (by class order) is returned otherwise, verified
-    by `check.verify_cycle_obstruction`.  One
-    forward walk from each unsolved x, in point order: a walk that meets
-    a solved point fills h backward along its path; a walk that closes a
+    first nonzero cycle (by class order) is returned otherwise, as the
+    witness T^k x = x, the ConstrainedObstruction with S the identity and
+    l = l2 = 0, verified by `check.verify_bounded_transfer`.  One forward
+    walk from each unsolved x, in point order: a walk that meets a solved
+    point fills h backward along its path; a walk that closes a
     new cycle started at that class's least point, so once the cycle sum
     checks out h(x) = 0 and h fills forward.  Each point is walked once,
     on g's numerators: h has g's denominator.
     """
     from fractions import Fraction
 
+    _match_lengths(g, t)
     numerators = g.numerators
     values: list = [None] * len(g)
     for x in range(len(g)):
@@ -66,9 +68,11 @@ def solve_transfer(
             cycle = path[index[y]:]
             total = sum(map(numerators.__getitem__, cycle))
             if total:
-                obstruction = CycleObstruction(tuple(cycle),
-                                               Fraction(total, g.denom))
-                verify_cycle_obstruction(t, g, obstruction).require(
+                obstruction = ConstrainedObstruction(
+                    cycle[0], len(cycle), 0, 0, Fraction(total, g.denom))
+                # with l = l2 = 0 the identity table is never read
+                verify_bounded_transfer(t, range(len(g)), g,
+                                        obstruction).require(
                     "cycle obstruction")
                 return obstruction
             h = 0
@@ -100,6 +104,7 @@ def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
     otherwise the solution is that witness with its nonzero sum, a
     ConstrainedObstruction that `verify_bounded_transfer` has replayed.
     """
+    _match_lengths(g, t, s)
     w = commute_witness(t, s)
     if w is not None:
         raise PreconditionError(f"maps do not commute at x={w}")
@@ -109,15 +114,15 @@ def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
     g_q = _from_integers(map(g.numerators.__getitem__, part.representative),
                          g.denom)
     h_q = solve_transfer(induced, g_q)
-    if isinstance(h_q, CycleObstruction):
-        x = part.representative[h_q.points[0]]
-        k = len(h_q.points)
+    if isinstance(h_q, ConstrainedObstruction):
+        x, k = part.representative[h_q.x], h_q.k
         link = find_relation(s, iterate(t, k, x), x)
         if link is None:
             raise InternalContractViolation(
                 "quotient cycle without a ground self-relation")
         obstruction = ConstrainedObstruction(x, k, *link, h_q.total)
-        verify_bounded_transfer(t, s, g, obstruction).require("obstruction")
+        verify_bounded_transfer(t, s, g, obstruction).require(
+            "constrained obstruction")
         return obstruction, part, induced
     return h_q, part, induced
 

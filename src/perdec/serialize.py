@@ -351,8 +351,8 @@ def _codecs() -> tuple[dict, dict]:
     the first call: the types are `check`'s, which importing this module
     does not load."""
     from .check import (BoundedTransfer, ConstrainedObstruction,
-                        CycleObstruction, DualCertificate, SearchReport,
-                        StarInstance, StarViolation)
+                        DualCertificate, SearchReport, StarInstance,
+                        StarViolation)
 
     def row(cls, certificate, *fields, build=None):
         return (cls, build or cls, certificate, _fields(*fields))
@@ -378,9 +378,6 @@ def _codecs() -> tuple[dict, dict]:
         "bounded-transfer": row(BoundedTransfer, False,
                                 ("values", "solution", _VALUES),
                                 ("bound", "bound", _FRACTION)),
-        "obstruction": row(CycleObstruction, True,
-                           ("points", "points", _INT_LIST),
-                           ("total", "total", _FRACTION)),
         "constrained-obstruction": row(
             ConstrainedObstruction, True,
             ("x", "x", _INT), ("k", "k", _INT), ("l", "l", _INT),

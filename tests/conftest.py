@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from perdec import generators
-from perdec.check import ConstrainedObstruction, CycleObstruction
+from perdec.check import ConstrainedObstruction
 from perdec.cohomology import _solve_on_quotient
 from perdec.core import RangeError, RationalFunction, _from_integers, compose
 from perdec.lattice import LatticeWindow, _trusted, window_size
@@ -164,7 +164,8 @@ def reference_solve_transfer(t, g: RationalFunction):
     with least point x0, h(x) = sum_{i<n} g(t^i x0) - sum_{j<m} g(t^j x)
     where t^m x = t^n x0 is the first meeting of the two forward orbits;
     the first class (by least point) whose cycle sum is nonzero is
-    returned as its CycleObstruction instead."""
+    returned instead, as the ConstrainedObstruction (x, k, 0, 0, total)
+    of the cycle's first point x on that orbit and its length k."""
     part = invariance_classes(t)
     values: list = [None] * len(g)
     for x0, members in zip(part.representative, class_members(part)):
@@ -175,7 +176,8 @@ def reference_solve_transfer(t, g: RationalFunction):
             prefix.append(prefix[-1] + g[p])
         cycle_total = prefix[len(orbit)] - prefix[start]
         if cycle_total != 0:
-            return CycleObstruction(tuple(orbit[start:]), cycle_total)
+            return ConstrainedObstruction(orbit[start], len(orbit) - start,
+                                          0, 0, cycle_total)
         for x in members:
             partial = Fraction(0)
             q = x

@@ -253,8 +253,9 @@ def test_criterion_6_transfer_solver_matches_cycle_enumeration():
             solvable_count += 1
         else:
             assert not expected, "solver refused though every cycle sum is zero"
-            assert set(solved.points) in [set(c) for c in _cycles(t)]
-            assert sum(g[p] for p in solved.points) == solved.total != 0
+            cycle = next(c for c in _cycles(t) if solved.x in c)
+            assert (solved.k, solved.l, solved.l2) == (len(cycle), 0, 0)
+            assert sum(g[p] for p in cycle) == solved.total != 0
             obstructed_count += 1
     elapsed = time.perf_counter() - start
     assert solvable_count > 0 and obstructed_count > 0

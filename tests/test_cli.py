@@ -312,7 +312,8 @@ NO_SEARCH_REPORT = dict(
     star_fail=4, oracle_feasible=0, oracle_infeasible=1, necessity_checked=0,
     necessity_violations=0, discrepancies=0, candidates=[])
 # one stored document per result tag: its parsed type, and the reason its
-# checker gives on every instance above
+# checker gives on every instance above; a tag that no subcommand emits
+# has no type, and its reason is the input error at the tag
 STORED_RESULTS = {
     "pass": ({"result": "pass"}, "pass",
              "the star check fails on this instance"),
@@ -336,7 +337,7 @@ STORED_RESULTS = {
                          "solution length differs from domain"),
     "obstruction": ({"result": "obstruction",
                      "certificate": {"points": [0], "total": "1"}},
-                    "CycleObstruction", None),
+                    None, "unknown result tag 'obstruction'"),
     "constrained-obstruction": ({"result": "constrained-obstruction",
                                  "certificate": {"x": 99, "k": 1, "l": 0,
                                                  "l2": 0, "total": "1"}},
@@ -376,6 +377,11 @@ def test_verify_answers_every_result_tag_by_its_checker_or_its_type(
     if kind is not None:
         argv.insert(1, _write(tmp_path, "inst.json",
                               REFUSING_INSTANCES[kind]))
+    if name is None:
+        code, out, err = _answer(capsys, argv)
+        assert (code, json.loads(out), err) == (
+            2, {"error": f"result: {reason}", "path": "result"}, "")
+        return
     if tag not in EMITTED[command, kind]:
         where = (" on a lattice window"
                  if (command, kind) == ("star-check", "lattice-window")

@@ -9,10 +9,8 @@ from perdec import cohomology, orbits
 from perdec.check import (
     BoundedTransfer,
     ConstrainedObstruction,
-    CycleObstruction,
     partial_sum_bound,
     verify_bounded_transfer,
-    verify_cycle_obstruction,
 )
 from perdec.cohomology import solve_bounded_transfer, solve_transfer
 from perdec.core import (
@@ -73,7 +71,7 @@ def test_solve_transfer_swap_example():
 
 def test_solve_transfer_obstruction_on_fixed_point():
     got = solve_transfer((0,), RationalFunction((Fraction(2),)))
-    assert got == CycleObstruction((0,), Fraction(2))
+    assert got == ConstrainedObstruction(0, 1, 0, 0, Fraction(2))
 
 
 @given(sized_maps(), st.data())
@@ -98,14 +96,12 @@ def test_solve_transfer_verdict_matches_cycle_enumeration(sized, data):
         assert not bad
         assert delta(t, got) == g
     else:
-        assert bad
-        assert sorted(got.points) in [sorted(c) for c in bad]
-        assert got.total == sum(g[p] for p in got.points)
-        assert got.total != 0
-        # returned points really form one t-cycle
-        for p, q in zip(got.points, got.points[1:] + got.points[:1]):
-            assert t[p] == q
-        assert verify_cycle_obstruction(t, g, got)
+        # x lies on a bad cycle, k is its length, and the witness replays
+        # with S the identity
+        cycle = next(c for c in bad if got.x in c)
+        assert (got.k, got.l, got.l2) == (len(cycle), 0, 0)
+        assert got.total == sum(g[p] for p in cycle) != 0
+        assert verify_bounded_transfer(t, range(size), g, got)
 
 
 # t = the 3-cycle 0 -> 1 -> 2 -> 0 with the fixed point 3; g sums to 3
@@ -115,39 +111,62 @@ _CYCLE_G = RationalFunction((Fraction(1), Fraction(1), Fraction(1),
                              Fraction(0)))
 
 
-@pytest.mark.parametrize("points, total", [((0, 1, 2), 3), ((1, 2, 0), 3)])
-def test_verify_cycle_obstruction_accepts_every_rotation(points, total):
-    assert verify_cycle_obstruction(
-        _CYCLE_T, _CYCLE_G, CycleObstruction(points, Fraction(total))).ok
+@pytest.mark.parametrize("x, k, total", [(0, 3, 3), (1, 3, 3), (0, 6, 6)])
+def test_verify_bounded_transfer_accepts_a_cycle_with_s_the_identity(
+        x, k, total):
+    assert verify_bounded_transfer(
+        _CYCLE_T, range(4), _CYCLE_G,
+        ConstrainedObstruction(x, k, 0, 0, Fraction(total))).ok
 
 
-@pytest.mark.parametrize("points, total, reason", [
-    ((0, 1, 2, 0), 4, "cycle points are not distinct points of the domain"),
-    ((0, 1, 2, 4), 3, "cycle points are not distinct points of the domain"),
-    ((-1, 0, 1, 2), 3, "cycle points are not distinct points of the domain"),
-    ((0, 2, 1), 3, "points do not form a cycle of t"),
-    ((0, 1), 2, "points do not form a cycle of t"),
-    ((0, 1, 2), 2, "obstruction sum does not replay"),
-    ((3,), 0, "obstruction sum does not replay"),
-    ((), 0, "obstruction sum does not replay"),
+@pytest.mark.parametrize("x, k, total, reason", [
+    (0, 3, 2, "obstruction sum does not replay"),
+    (3, 1, 0, "obstruction sum does not replay"),
+    (0, 0, 0, "obstruction sum does not replay"),
+    (0, 2, 2, "witness relation does not hold"),
+    (4, 3, 3, "witness point or exponent out of range"),
+    (-1, 3, 3, "witness point or exponent out of range"),
+    (0, -3, 3, "witness point or exponent out of range"),
 ])
-def test_verify_cycle_obstruction_refuses_each_defect(points, total, reason):
-    got = verify_cycle_obstruction(_CYCLE_T, _CYCLE_G,
-                                   CycleObstruction(points, Fraction(total)))
+def test_verify_bounded_transfer_refuses_each_cycle_defect(x, k, total,
+                                                           reason):
+    got = verify_bounded_transfer(
+        _CYCLE_T, range(4), _CYCLE_G,
+        ConstrainedObstruction(x, k, 0, 0, Fraction(total)))
     assert (got.ok, got.reason) == (False, reason)
 
 
-def test_verify_cycle_obstruction_needs_matching_lengths():
-    with pytest.raises(PreconditionError):
-        verify_cycle_obstruction((0,), _CYCLE_G,
-                                 CycleObstruction((0,), Fraction(1)))
+_G2 = RationalFunction((Fraction(1), Fraction(2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_transfer((1, 2, 0), _G2),
+    lambda: solve_bounded_transfer((1, 2, 0), (0, 1), _G2),
+    lambda: solve_bounded_transfer((1, 0), (0, 1, 2), _G2),
+    lambda: solve_bounded_transfer((1, 0), (0, 1), _CYCLE_G),
+    lambda: verify_bounded_transfer((1, 0), (0, 1, 2), _G2,
+                                    BoundedTransfer(_G2, Fraction(1))),
+    lambda: verify_bounded_transfer((1, 0), (0, 1, 2), _G2,
+                                    ConstrainedObstruction(0, 2, 0, 0,
+                                                           Fraction(3))),
+    lambda: verify_bounded_transfer((0,), range(4), _CYCLE_G,
+                                    ConstrainedObstruction(0, 1, 0, 0,
+                                                           Fraction(1))),
+], ids=["solve-long-t", "bounded-long-t", "bounded-long-s",
+        "bounded-long-g", "verify-solution", "verify-obstruction",
+        "verify-short-t"])
+def test_transfer_length_mismatch_is_a_precondition_error(call):
+    with pytest.raises(PreconditionError,
+                       match="transform length does not match function"):
+        call()
 
 
 def test_solve_transfer_verifies_its_obstruction(monkeypatch):
     # a wrong total is caught before the obstruction is returned
-    monkeypatch.setattr(cohomology, "CycleObstruction",
-                        lambda points, total: CycleObstruction(points,
-                                                               total + 1))
+    monkeypatch.setattr(
+        cohomology, "ConstrainedObstruction",
+        lambda x, k, l, l2, total: ConstrainedObstruction(x, k, l, l2,
+                                                          total + 1))
     with pytest.raises(InternalContractViolation, match="cycle obstruction"):
         solve_transfer(_CYCLE_T, _CYCLE_G)
 

@@ -9,8 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 from perdec.check import (BoundedTransfer, ConstrainedObstruction,
-                          CycleObstruction, DualCertificate, SearchReport,
-                          StarInstance, StarViolation)
+                          DualCertificate, SearchReport, StarInstance,
+                          StarViolation)
 from perdec.core import (CommutingSystem, Decomposition, RationalFunction,
                          VerificationResult, _Record)
 from perdec.lattice import LatticeWindow
@@ -64,9 +64,6 @@ RECORDS = {
         lambda: DualCertificate(RationalFunction((1, -1))),
         "DualCertificate(weights=RationalFunction(numerators=(1, -1), "
         "denom=1))"),
-    "CycleObstruction": (
-        lambda: CycleObstruction((0, 1), F(1, 2)),
-        "CycleObstruction(points=(0, 1), total=Fraction(1, 2))"),
     "ConstrainedObstruction": (
         lambda: ConstrainedObstruction(1, 2, 0, 1, F(-3)),
         "ConstrainedObstruction(x=1, k=2, l=0, l2=1, "

@@ -11,7 +11,6 @@ from perdec.cli import _EMITS
 from perdec.check import (
     BoundedTransfer,
     ConstrainedObstruction,
-    CycleObstruction,
     DualCertificate,
     SearchReport,
     StarInstance,
@@ -399,7 +398,6 @@ def _sample_results():
     dual = DualCertificate(RationalFunction((Fraction(1), Fraction(-1))))
     bounded = BoundedTransfer(RationalFunction((Fraction(1, 2), Fraction(0))),
                               Fraction(3, 4))
-    cycle = CycleObstruction((2, 5, 3), Fraction(7))
     constrained = ConstrainedObstruction(1, 3, 0, 2, Fraction(-2, 9))
     report = SearchReport(
         n=4, max_size=5, trials=10, seed=3,
@@ -411,7 +409,7 @@ def _sample_results():
                                Fraction(0), Fraction(1))),
     )
     # a passing star check, a point certificate and the empty one
-    return [decomposition, violation, dual, bounded, cycle, constrained,
+    return [decomposition, violation, dual, bounded, constrained,
             report, lattice_parts, None, (1, 0, 2), ()]
 
 
@@ -440,7 +438,6 @@ RECORDS = {
                                       "CompatibilityFailure"])),
     "DualCertificate": st.builds(DualCertificate, _FUNCTIONS),
     "BoundedTransfer": st.builds(BoundedTransfer, _FUNCTIONS, rationals()),
-    "CycleObstruction": st.builds(CycleObstruction, _INT_TUPLES, rationals()),
     "ConstrainedObstruction": st.builds(ConstrainedObstruction, _INTS, _INTS,
                                         _INTS, _INTS, rationals()),
     "SearchReport": st.builds(SearchReport, *[_INTS] * 11),
@@ -452,6 +449,14 @@ def test_every_record_type_emitted_or_in_the_table_has_a_strategy():
                for name in names} - {"pass", "point", "parts"}
     assert emitted <= set(RECORDS)
     assert set(RECORDS) == {cls.__name__ for cls in serialize._codecs()[1]}
+
+
+def test_every_codec_type_is_emitted_by_some_subcommand():
+    # a certificate that no subcommand emits and none replays has no place
+    # on the wire
+    emitted = {name for pair in _EMITS.values() for names in pair
+               for name in names}
+    assert {cls.__name__ for cls in serialize._codecs()[1]} <= emitted
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -494,7 +499,7 @@ def test_parse_result_errors_name_the_path():
     with pytest.raises(ParseError) as exc:
         parse_result(doc)
     assert exc.value.path == "parts"
-    doc = result_to_json(_sample_results()[6])
+    doc = result_to_json(_sample_results()[5])
     del doc["trials"]
     with pytest.raises(ParseError) as exc:
         parse_result(doc)
@@ -508,7 +513,7 @@ def test_parse_result_errors_name_the_path():
       "values": ["1", "-1/2"], "dual_weights": ["2", "0"]}],
     [{}], [[]], [0], None, {}, ""])
 def test_parse_result_refuses_any_candidate(bad):
-    doc = result_to_json(_sample_results()[6])
+    doc = result_to_json(_sample_results()[5])
     doc["candidates"] = bad
     with pytest.raises(ParseError) as exc:
         parse_result(doc)
