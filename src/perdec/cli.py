@@ -18,6 +18,12 @@ kind is a list of total maps (`serialize.Instance.maps`), so `oracle` runs
 `lattice.lattice_oracle_decompose`, whose parts carry the window's dims;
 on a z-window with its shifts, from which the refusal's dual is built).
 
+Each subcommand's grammar is stated once, in `_GRAMMAR`.  A well-formed
+argv (a subcommand name, its instance and its options spelt out in full)
+is read by `_plain`; every other argv, help and usage errors among them,
+goes to the argparse tree built from the same table, so a successful run
+never loads argparse.
+
 Loading this module loads only `serialize` and `core`, which every
 subcommand needs.  Each producer is imported inside its branch, so a run
 loads only what it calls; the dispatcher imports only `check` (and
@@ -27,10 +33,10 @@ code that made the result.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import lru_cache
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Union
 
 from . import serialize
 from .core import (
@@ -40,6 +46,13 @@ from .core import (
     VerificationResult,
 )
 from .serialize import Instance, ParseError, dumps, load_json, parse_instance
+
+if TYPE_CHECKING:
+    import argparse
+
+    # the top-level parser and each subcommand's own parser by name
+    Parsers = Tuple[argparse.ArgumentParser,
+                    Dict[str, argparse.ArgumentParser]]
 
 
 def _read(path: str, what: str) -> Any:
@@ -233,51 +246,118 @@ def _cmd_search(args) -> Outcome:
     return (0 if clean else 1), serialize.result_to_json(report)
 
 
-# the top-level parser and each subcommand's own parser by name
-Parsers = Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]
+# each subcommand's grammar, the one place its options are named: its
+# handler, whether it reads an instance, and per option, in help order,
+# (spelling, type, default, metavar, help); argparse's tree and the plain
+# reader are both built from it
+_VERIFY = ("--verify", None, None, "CERTFILE",
+           "re-check a previously emitted result file against the instance")
+_GRAMMAR = {
+    "validate": (_cmd_validate, True, ()),
+    "decompose": (_cmd_decide, True, (_VERIFY,)),
+    "star-check": (_cmd_decide, True, (_VERIFY,)),
+    "oracle": (_cmd_decide, True, (_VERIFY,)),
+    "lattice-decompose": (_cmd_decide, True, (
+        _VERIFY,
+        ("--base", int, 0, None, "base hyperplane coordinate for the lift"))),
+    "bounded-transfer": (_cmd_decide, True, (_VERIFY,)),
+    "search": (_cmd_search, False, (
+        _VERIFY,
+        ("--n", int, 2, None, None),
+        ("--max-size", int, 6, None, None),
+        ("--trials", int, 1000, None, None),
+        ("--seed", int, 0, None, None),
+        ("--workers", int, 1, None, None))),
+}
+
+
+def _dest(option: str) -> str:
+    """The attribute argparse stores an option's value under."""
+    return option[2:].replace("-", "_")
+
+
+def _plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The arguments of an argv in the plain grammar, with exactly the
+    attributes argparse would set, or None for any other argv.
+
+    The plain grammar is a subcommand name, then, in any order, its one
+    instance where it takes one (a token that does not start with "-", or
+    "-" itself) and its options, each spelt out in full as "--opt VALUE"
+    (VALUE not starting with "-") or "--opt=VALUE"; a repeated option
+    keeps its last value.  Typed values are converted with the callable
+    argparse uses.  Help, usage errors and every form argparse reads
+    differently (abbreviations, "--", a separate value starting with "-")
+    are left to argparse.
+    """
+    grammar = _GRAMMAR.get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    handler, needs_instance, options = grammar
+    args: Dict[str, Any] = {"command": argv[0], "handler": handler}
+    kinds = {}
+    for option, kind, default, _, _ in options:
+        kinds[option] = kind
+        args[_dest(option)] = default
+    instance = None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "-" or not token.startswith("-"):
+            if instance is not None or not needs_instance:
+                return None
+            instance = token
+            continue
+        option, eq, value = token.partition("=")
+        if option not in kinds:
+            return None
+        if not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        elif value == "--":
+            # argparse drops a "--" value, leaving an empty list
+            return None
+        kind = kinds[option]
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        args[_dest(option)] = value
+    if needs_instance:
+        if instance is None:
+            return None
+        args["instance"] = instance
+    return SimpleNamespace(**args)
 
 
 def _build_parser() -> Parsers:
+    """The argparse tree of `_GRAMMAR`, which reads every argv that
+    `_plain` leaves: it alone writes help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="perdec",
         description="Decide and construct sums of invariant functions over "
                     "commuting transformations, with exact certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-
-    def add(name, handler, needs_instance=True, verify=True):
+    for name, (handler, needs_instance, options) in _GRAMMAR.items():
         p = commands[name] = sub.add_parser(name)
         if needs_instance:
             p.add_argument("instance",
                            help="instance file path, or - for standard input")
-        if verify:
-            p.add_argument("--verify", metavar="CERTFILE", default=None,
-                           help="re-check a previously emitted result file "
-                                "against the instance")
+        for option, kind, default, metavar, text in options:
+            p.add_argument(option, type=kind, default=default,
+                           metavar=metavar, help=text)
         p.set_defaults(handler=handler, command=name)
-        return p
-
-    add("validate", _cmd_validate, verify=False)
-    add("decompose", _cmd_decide)
-    add("star-check", _cmd_decide)
-    add("oracle", _cmd_decide)
-    lat = add("lattice-decompose", _cmd_decide)
-    lat.add_argument("--base", type=int, default=0,
-                     help="base hyperplane coordinate for the lift")
-    add("bounded-transfer", _cmd_decide)
-    p = add("search", _cmd_search, needs_instance=False)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--max-size", type=int, default=6)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     return parser, commands
 
 
 @lru_cache(maxsize=None)
 def _parser() -> Parsers:
-    """The parsers, built on the first call rather than at import: parsing
-    leaves them unchanged, so every later call in the process reuses them."""
+    """The parsers, built on the first call that needs them rather than at
+    import: parsing leaves them unchanged, so every later call in the
+    process reuses them."""
     return _build_parser()
 
 
@@ -293,8 +373,9 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def run_command(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        args = _plain(argv) or _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -275,6 +275,18 @@ def validate_system(transforms: Iterable[Sequence[int]], size: int) -> Commuting
     return CommutingSystem(size, tuple(tuple(t) for t in transforms))
 
 
+def _trusted_system(size: int, tables: tuple[tuple[int, ...], ...]
+                    ) -> CommutingSystem:
+    """The CommutingSystem of tables the library built itself, which are
+    in range and commute by construction (a cyclic group's rotations, a
+    window's axis maps), without the constructor's checks.  Tables that
+    come from outside take `validate_system`."""
+    system = object.__new__(CommutingSystem)
+    _set_field(system, "size", size)
+    _set_field(system, "transforms", tables)
+    return system
+
+
 class RationalFunction(_Record):
     """A function on {0..N-1} with exact rational values, stored as integer
     numerators over one denominator: f(x) = numerators[x] / denom, with

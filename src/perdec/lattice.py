@@ -31,7 +31,7 @@ from .core import (
     RationalLike,
     _mixed_difference,
     _set_field,
-    validate_system,
+    _trusted_system,
 )
 
 
@@ -161,7 +161,8 @@ def lattice_decompose(f: LatticeWindow,
         raise PreconditionError(f"base hyperplane must be >= 0, got {base}")
     from .decomp import decompose_n
 
-    outcome = decompose_n(validate_system(f.axis_maps(base)[::-1], len(f)), f)
+    outcome = decompose_n(_trusted_system(len(f), f.axis_maps(base)[::-1]),
+                          f)
     if isinstance(outcome, StarViolation):
         raise PreconditionError(
             f"mixed difference is nonzero at {mixed_delta_witness(f)}")

@@ -37,6 +37,7 @@ from .core import (
     RationalFunction,
     _canonical,
     _Record,
+    _trusted_system,
 )
 
 if TYPE_CHECKING:
@@ -249,8 +250,8 @@ def parse_instance(doc: Any) -> Instance:
         shifts = tuple(a % modulus for a in shifts)
         # x -> (x + a) % m is range(m) rotated left by a
         points = tuple(range(modulus))
-        system = CommutingSystem(modulus, tuple(points[a:] + points[:a]
-                                                for a in shifts))
+        system = _trusted_system(modulus, tuple(points[a:] + points[:a]
+                                                 for a in shifts))
         return Instance(kind, system=system, f=f, shifts=shifts,
                         modulus=modulus)
     if kind == "z-window":

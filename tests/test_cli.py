@@ -409,9 +409,8 @@ def test_decompose_three_shifts_of_z192_is_fast_and_verifies(tmp_path,
     assert code == 0 and verdict["agrees"] is True
 
 
-def test_decompose_checks_commutation_once(tmp_path, capsys, monkeypatch):
-    # parse_instance builds the system, which checks each of the three
-    # pairs; decompose_n takes that system and checks none again
+def _commute_checks(tmp_path, capsys, monkeypatch, inst):
+    """Exit code of decompose on inst and its commute_witness calls."""
     calls = []
     witness = perdec.core.commute_witness
 
@@ -420,11 +419,30 @@ def test_decompose_checks_commutation_once(tmp_path, capsys, monkeypatch):
         return witness(t, s)
 
     monkeypatch.setattr(perdec.core, "commute_witness", counted)
-    m = 12
-    inst = {"kind": "cyclic-group", "modulus": m, "shifts": [1, 4, 6],
-            "values": [str((x % 4) ** 2 + 7) for x in range(m)]}
     code, _ = _run(capsys, ["decompose", _write(tmp_path, "inst.json", inst)])
-    assert (code, len(calls)) == (0, 3)
+    return code, len(calls)
+
+
+# three shifts of Z/12
+SHIFTS_OF_Z12 = {"kind": "cyclic-group", "modulus": 12, "shifts": [1, 4, 6],
+                 "values": [str((x % 4) ** 2 + 7) for x in range(12)]}
+
+
+def test_decompose_checks_commutation_once(tmp_path, capsys, monkeypatch):
+    # parse_instance builds the system, which checks each of the three
+    # pairs; decompose_n takes that system and checks none again
+    inst = {"kind": "finite", "size": 12, "values": SHIFTS_OF_Z12["values"],
+            "transforms": [[(x + a) % 12 for x in range(12)]
+                           for a in SHIFTS_OF_Z12["shifts"]]}
+    assert _commute_checks(tmp_path, capsys, monkeypatch, inst) == (0, 3)
+
+
+def test_a_cyclic_groups_rotations_are_not_checked(tmp_path, capsys,
+                                                    monkeypatch):
+    # rotations commute by construction, so the parsed system is built
+    # without the pairwise pass
+    assert _commute_checks(tmp_path, capsys, monkeypatch,
+                           SHIFTS_OF_Z12) == (0, 0)
 
 
 def test_decompose_three_shifts_answers_with_decompose_n(tmp_path, capsys):
@@ -1313,8 +1331,10 @@ def _answer(capsys, argv):
 
 def test_direct_dispatch_answers_like_the_top_level_parser(tmp_path, capsys,
                                                            monkeypatch):
-    # a named subcommand skips the top-level parser; with the name map
-    # emptied every argv takes it, which is what each call must equal
+    # a well-formed argv is read by the plain reader, and any other named
+    # subcommand skips the top-level parser; with the reader answering
+    # nothing and the name map emptied every argv takes the top-level
+    # parser, which is what each call must equal
     monkeypatch.setenv("COLUMNS", "80")
     parser, commands = perdec.cli._parser()
     assert set(commands) == set(DISPATCH_INSTANCES)
@@ -1322,31 +1342,99 @@ def test_direct_dispatch_answers_like_the_top_level_parser(tmp_path, capsys,
     calls = [[], ["-h"], ["--help"], ["frobnicate"], ["frobnicate", "x"],
              ["oracle"], ["oracle", "-h"], ["search", "--n", "x"],
              ["oracle", str(tmp_path / "missing.json")]]
+    certs = {}
     for command, doc in DISPATCH_INSTANCES.items():
         argv = ([command, "--trials", "5", "--max-size", "3"]
                 if doc is None else
                 [command, _write(tmp_path, f"{command}.json", doc)])
-        cert = tmp_path / f"{command}-cert.json"
-        cert.write_text(_answer(capsys, argv)[1])
+        cert = certs[command] = str(tmp_path / f"{command}-cert.json")
+        Path(cert).write_text(_answer(capsys, argv)[1])
         calls += [argv] + ([] if command == "validate"
-                           else [argv + ["--verify", str(cert)]])
-    unknown = ["oracle", oracle_inst, "--bogus"]
+                           else [argv + ["--verify", cert]])
+    lattice = str(tmp_path / "lattice-decompose.json")
+    oracle_cert = certs["oracle"]
+    # the plain grammar: options before the instance, "=" spellings, an
+    # empty value and a repeated option; then forms argparse alone reads
+    calls += [["search", "--verify", certs["search"]],
+              ["lattice-decompose", lattice, "--base", "0"],
+              ["lattice-decompose", "--base=1", lattice],
+              ["oracle", "--verify", oracle_cert, oracle_inst],
+              ["oracle", oracle_inst, f"--verify={oracle_cert}"],
+              ["oracle", oracle_inst, "--verify="],
+              ["search", "--trials=5", "--max-size", "3", "--trials", "4",
+               "--seed", " 2"],
+              ["lattice-decompose", lattice, "--base", "-1"],
+              ["lattice-decompose", lattice, "--base=-1"],
+              ["oracle", oracle_inst, "--ver", oracle_cert],
+              ["oracle", oracle_inst, "--verify=--"],
+              ["oracle", "--", oracle_inst], ["search", "--n"]]
+    unrecognized = [["oracle", oracle_inst, "--bogus"],
+                    ["oracle", oracle_inst, oracle_inst], ["search", "x"]]
     codes = []
-    for argv in calls + [unknown]:
+    for argv in calls + unrecognized:
         direct = _answer(capsys, argv)
         codes.append(direct[0])
         with monkeypatch.context() as m:
+            m.setattr(perdec.cli, "_plain", lambda argv: None)
             m.setattr(perdec.cli, "_parser", lambda: (parser, {}))
             top = _answer(capsys, argv)
-        if argv is unknown:
+        if argv in unrecognized:
             # the one stderr difference: the usage line of the subcommand
             assert direct[:2] == top[:2] == (2, "")
-            assert direct[2].startswith("usage: perdec oracle [-h]")
-            assert direct[2].endswith("perdec oracle: error: unrecognized "
-                                      "arguments: --bogus\n")
+            assert direct[2].startswith(f"usage: perdec {argv[0]} [-h]")
+            assert direct[2].endswith(f"perdec {argv[0]}: error: "
+                                      f"unrecognized arguments: {argv[-1]}\n")
         else:
             assert direct == top, argv
     assert codes[:9] == [2, 0, 0, 2, 2, 2, 0, 2, 2]
+    assert codes[-16:] == [0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 2, 2, 2, 2]
+
+
+# every token kind of an argv: each subcommand name and an unknown one,
+# each exact option, abbreviations, help, "--", "-", "", "=" spellings
+# with empty, "--" and negative values, numbers with a sign or a space,
+# and plain words
+ARGV_TOKENS = [*DISPATCH_INSTANCES, "frobnicate", "--verify", "--base",
+               "--n", "--max-size", "--trials", "--seed", "--workers",
+               "--ver", "--max", "--b", "--bogus", "-h", "--help", "--", "-",
+               "", "--verify=", "--verify=x", "--verify=--", "--base=-1",
+               "--base=3", "--n=2", "--max-size=x", "-1", "3", " 3", "x"]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.sampled_from([*DISPATCH_INSTANCES, "frobnicate", "-h", "--", ""]),
+       st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+def test_the_plain_reader_answers_only_as_argparse_does(command, rest):
+    argv = [command, *rest]
+    plain = perdec.cli._plain(argv)
+    if plain is None:
+        return
+    parser, _ = perdec.cli._parser()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            reference = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}, which the reader read")
+    assert vars(plain) == vars(reference), argv
+
+
+@pytest.mark.parametrize("command", sorted(DISPATCH_INSTANCES))
+def test_the_plain_reader_answers_what_the_workloads_send(command):
+    # the shapes the benchmark's ops and replays send, on every subcommand
+    # that takes them
+    shapes = ([["search", "--verify", "report.json"],
+               ["search", "--n", "3", "--trials", "5", "--workers", "1"]]
+              if command == "search" else [[command, "inst.json"]])
+    if command not in ("search", "validate"):
+        shapes.append([command, "inst.json", "--verify", "cert.json"])
+    if command == "lattice-decompose":
+        shapes.append([command, "inst.json", "--base", "0"])
+    parser, _ = perdec.cli._parser()
+    for argv in shapes:
+        plain = perdec.cli._plain(argv)
+        assert plain is not None, argv
+        assert vars(plain) == vars(parser.parse_args(argv))
 
 
 # a fresh interpreter without site-packages: load the CLI, run argv[2:],
@@ -1415,18 +1503,32 @@ RATIONAL_RESULTS = {("bounded-transfer", "finite"),
                     ("star-check", "z-window")}
 
 
-def _fresh_run(argv):
-    """Exit code, stdout, and the perdec modules and RATIONAL_MODULES of a
-    run in a fresh interpreter, which must load only the standard library
-    and perdec, and none of SLOW_IMPORTS."""
+# argparse and the gettext it loads: only help and usage errors need them
+PARSER_MODULES = {"argparse", "gettext"}
+
+
+def _fresh_modules(argv):
+    """Exit code, stdout, stderr and the loaded modules of a run in a
+    fresh interpreter, which must load only the standard library and
+    perdec, and none of SLOW_IMPORTS."""
     src = str(Path(perdec.__file__).resolve().parent.parent)
     run = subprocess.run([sys.executable, "-S", "-c", _FRESH_RUN, src,
                           *argv], capture_output=True, text=True, timeout=60)
-    code, *names = run.stderr.split()
+    *lines, last = run.stderr.splitlines(keepends=True)
+    code, *names = last.split()
     tops = {name.partition(".")[0] for name in names}
     assert tops - {"__main__", "perdec"} <= sys.stdlib_module_names
     assert not SLOW_IMPORTS & tops
-    return (int(code), run.stdout,
+    return int(code), run.stdout, "".join(lines), set(names)
+
+
+def _fresh_run(argv):
+    """Exit code, stdout, and the perdec modules and RATIONAL_MODULES of a
+    run of a well-formed argv in a fresh interpreter, which must load
+    neither PARSER_MODULES nor anything past `_fresh_modules`' limits."""
+    code, out, _, names = _fresh_modules(argv)
+    assert not PARSER_MODULES & names
+    return (code, out,
             {name for name in names if name in RATIONAL_MODULES
              or name.partition(".")[0] == "perdec"})
 
@@ -1455,8 +1557,20 @@ def test_cli_loads_only_the_standard_library_and_perdec_sources():
             if n.partition(".")[0] == "perdec"} == SHARED_MODULES
     tops = {name.partition(".")[0] for name in names.split()}
     assert tops - {"__main__", "perdec"} <= sys.stdlib_module_names
-    assert not (SLOW_IMPORTS | RATIONAL_MODULES) & tops
+    assert not (SLOW_IMPORTS | RATIONAL_MODULES | PARSER_MODULES) & tops
     assert all(path.endswith(".py") for path in files.split())
+
+
+def test_help_and_usage_errors_load_argparse(tmp_path, capsys, monkeypatch):
+    # the argv the plain reader leaves take argparse, with the exit code,
+    # stdout and stderr of an in-process run
+    monkeypatch.setenv("COLUMNS", "80")
+    instance = _write(tmp_path, "inst.json", CYCLIC_SPLIT)
+    for argv, code in [(["-h"], 0), (["oracle", instance, "--bogus"], 2)]:
+        fresh = _fresh_modules(argv)
+        assert PARSER_MODULES <= fresh[3]
+        assert fresh[:3] == (code, *_answer(capsys, argv)[1:])
+    assert fresh[2].endswith("unrecognized arguments: --bogus\n")
 
 
 @pytest.mark.parametrize("kind", sorted(SMALL_INSTANCES))

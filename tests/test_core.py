@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perdec.decomp
 from perdec.core import (
     CommutingSystem,
     Decomposition,
     NotCommutingError,
+    PreconditionError,
     RangeError,
     RationalFunction,
     VerificationResult,
@@ -23,7 +25,8 @@ from perdec.core import (
     validate_transform,
 )
 from perdec.check import verify_decomposition
-from perdec.lattice import LatticeWindow
+from perdec.lattice import LatticeWindow, lattice_decompose, window_size
+from perdec.serialize import parse_instance
 from perdec.orbits import invariance_classes
 from tests.conftest import (
     delta,
@@ -181,6 +184,37 @@ def test_commuting_system_validates_pairs():
 def test_commuting_system_rejects_empty_domain():
     with pytest.raises(RangeError):
         CommutingSystem(0, ())
+
+
+@given(st.integers(1, 12), st.lists(st.integers(-30, 30), min_size=1,
+                                    max_size=4))
+def test_a_cyclic_groups_unchecked_system_is_the_validated_one(modulus,
+                                                                shifts):
+    # parse_instance builds the rotations without validate_system's checks
+    doc = {"kind": "cyclic-group", "modulus": modulus, "shifts": shifts,
+           "values": ["0"] * modulus}
+    rotations = [[(x + a) % modulus for x in range(modulus)] for a in shifts]
+    assert parse_instance(doc).system == validate_system(rotations, modulus)
+
+
+@given(st.lists(st.integers(2, 4), min_size=1, max_size=3),
+       st.integers(0, 4), st.data())
+def test_a_windows_unchecked_system_is_the_validated_one(dims, base, data):
+    # lattice_decompose builds its axis maps' system without the checks
+    f = LatticeWindow(dims, data.draw(st.lists(
+        st.integers(-3, 3), min_size=window_size(dims),
+        max_size=window_size(dims))))
+    systems = []
+    decompose_n = perdec.decomp.decompose_n
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(perdec.decomp, "decompose_n",
+                  lambda system, g: systems.append(system)
+                  or decompose_n(system, g))
+        try:
+            lattice_decompose(f, base)
+        except PreconditionError:
+            pass
+    assert systems == [validate_system(f.axis_maps(base)[::-1], len(f))]
 
 
 @given(sized_maps())
