@@ -33,17 +33,26 @@ from .core import (
 from .orbits import find_relation, induced_map, invariance_classes
 
 
-def _transfer_walk(t: Sequence[int], g: Sequence[int]):
-    """The integers h with h(t(x)) - h(x) = g(x) and h = 0 at each weak
-    class's least point, as a list, or (x, k, total) for the first cycle
-    T^k x = x (by class order) whose g-sum total is nonzero.
+def solve_transfer(
+    t: Sequence[int], g: RationalFunction
+) -> Union[RationalFunction, ConstrainedObstruction]:
+    """Solve h(t(x)) - h(x) = g(x) exactly, with h = 0 at each weak
+    class's least point.
 
-    One forward walk from each unsolved x, in point order: a walk that
-    meets a solved point fills h backward along its path; a walk that
-    closes a new cycle started at that class's least point, so once the
-    cycle sum checks out h(x) = 0 and h fills forward.  Each point is
-    walked once.
+    A solution exists iff the g-sum around every cycle vanishes; the
+    first nonzero cycle (by class order) is returned otherwise, as the
+    witness T^k x = x, the ConstrainedObstruction with S the identity and
+    l = l2 = 0, verified by `check.verify_bounded_transfer`.  One forward
+    walk from each unsolved x, in point order: a walk that meets a solved
+    point fills h backward along its path; a walk that closes a
+    new cycle started at that class's least point, so once the cycle sum
+    checks out h(x) = 0 and h fills forward.  Each point is walked once,
+    on g's numerators: h has g's denominator.
     """
+    from fractions import Fraction
+
+    _match_lengths(g, t)
+    numerators = g.numerators
     values: list = [None] * len(g)
     for x in range(len(g)):
         if values[x] is not None:
@@ -57,46 +66,25 @@ def _transfer_walk(t: Sequence[int], g: Sequence[int]):
             y = t[y]
         if values[y] is None:
             cycle = path[index[y]:]
-            total = sum(map(g.__getitem__, cycle))
+            total = sum(map(numerators.__getitem__, cycle))
             if total:
-                return cycle[0], len(cycle), total
+                obstruction = ConstrainedObstruction(
+                    cycle[0], len(cycle), 0, 0, Fraction(total, g.denom))
+                # with l = l2 = 0 the identity table is never read
+                verify_bounded_transfer(t, range(len(g)), g,
+                                        obstruction).require(
+                    "cycle obstruction")
+                return obstruction
             h = 0
             for p in path:
                 values[p] = h
-                h += g[p]
+                h += numerators[p]
         else:
             h = values[y]
             for p in reversed(path):
-                h -= g[p]
+                h -= numerators[p]
                 values[p] = h
-    return values
-
-
-def solve_transfer(
-    t: Sequence[int], g: RationalFunction
-) -> Union[RationalFunction, ConstrainedObstruction]:
-    """Solve h(t(x)) - h(x) = g(x) exactly, with h = 0 at each weak
-    class's least point.
-
-    A solution exists iff the g-sum around every cycle vanishes; the
-    first nonzero cycle (by class order) is returned otherwise, as the
-    witness T^k x = x, the ConstrainedObstruction with S the identity and
-    l = l2 = 0, verified by `check.verify_bounded_transfer`.  The walk
-    (`_transfer_walk`) runs on g's numerators, so h has g's denominator.
-    """
-    _match_lengths(g, t)
-    walk = _transfer_walk(t, g.numerators)
-    if isinstance(walk, tuple):
-        from fractions import Fraction
-
-        x, k, total = walk
-        obstruction = ConstrainedObstruction(x, k, 0, 0,
-                                             Fraction(total, g.denom))
-        # with l = l2 = 0 the identity table is never read
-        verify_bounded_transfer(t, range(len(g)), g, obstruction).require(
-            "cycle obstruction")
-        return obstruction
-    solution = _from_integers(walk, g.denom)
+    solution = _from_integers(values, g.denom)
     verify_transfer(t, g, solution).require("transfer solution")
     return solution
 
@@ -104,18 +92,17 @@ def solve_transfer(
 def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
                        g: RationalFunction):
     """(solution, classes, induced): h(t(x)) - h(x) = g(x) with h
-    s-invariant, as `_transfer_walk` on the quotient by s's invariance
+    s-invariant, as `solve_transfer` on the quotient by s's invariance
     classes, with those classes and the map t induces on them.
 
     The solution is h_q over the classes, and h_q lifted to points solves
-    the equation: the maps commute and g is s-invariant (both checked up
-    front), so t sends each s-class c into induced(c), g is g_q(c) on c,
-    and the identity the walk solved on the quotient holds at each point.
-    It is not checked here: `solve_bounded_transfer` checks the solution
-    it returns.  It is solvable iff the g-sum along T^i x, i < k, vanishes
-    whenever T^k S^l x = S^{l2} x; otherwise the solution is that witness
-    with its nonzero sum, a ConstrainedObstruction replayed once, by
-    `verify_bounded_transfer`, on the ground.
+    the equation with no second check: the maps commute and g is
+    s-invariant (both checked up front), so t sends each s-class c into
+    induced(c), g is g_q(c) on c, and the identity `solve_transfer`
+    checked on the quotient holds at each point.  It is solvable iff the
+    g-sum along T^i x, i < k, vanishes whenever T^k S^l x = S^{l2} x;
+    otherwise the solution is that witness with its nonzero sum, a
+    ConstrainedObstruction that `verify_bounded_transfer` has replayed.
     """
     _match_lengths(g, t, s)
     w = commute_witness(t, s)
@@ -124,23 +111,19 @@ def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
     if not is_invariant(s, g):
         raise PreconditionError("right side is not s-invariant")
     part, induced = induced_map(t, s)
-    walk = _transfer_walk(induced, [g.numerators[r]
-                                    for r in part.representative])
-    if isinstance(walk, tuple):
-        from fractions import Fraction
-
-        c, k, total = walk
-        x = part.representative[c]
+    g_q = _from_integers(map(g.numerators.__getitem__, part.representative),
+                         g.denom)
+    h_q = solve_transfer(induced, g_q)
+    if isinstance(h_q, ConstrainedObstruction):
+        x, k = part.representative[h_q.x], h_q.k
         link = find_relation(s, iterate(t, k, x), x)
         if link is None:
             raise InternalContractViolation(
                 "quotient cycle without a ground self-relation")
-        obstruction = ConstrainedObstruction(x, k, *link,
-                                             Fraction(total, g.denom))
+        obstruction = ConstrainedObstruction(x, k, *link, h_q.total)
         verify_bounded_transfer(t, s, g, obstruction).require(
             "constrained obstruction")
         return obstruction, part, induced
-    h_q = _from_integers(walk, g.denom)
     return h_q, part, induced
 
 

@@ -285,38 +285,6 @@ def test_solve_transfer_constrained_deterministic_witness():
     assert got == ConstrainedObstruction(0, 1, 1, 0, Fraction(1))
 
 
-def test_a_refused_bounded_transfer_is_replayed_once(monkeypatch):
-    # the quotient walk's cycle is not replayed: only the ground witness
-    # that comes back is
-    replays = []
-    monkeypatch.setattr(cohomology, "verify_bounded_transfer",
-                        lambda *args: replays.append(args[3])
-                        or verify_bounded_transfer(*args))
-    t = (1, 0)
-    got = solve_bounded_transfer(t, t, constant(2, Fraction(1)))
-    assert got == ConstrainedObstruction(0, 1, 1, 0, Fraction(1))
-    assert replays == [got]
-
-
-def test_a_bounded_transfer_solution_is_checked_once(monkeypatch):
-    # the quotient solution is not checked: only the recentred ground one
-    checks = []
-    check_bounded = cohomology._check_bounded
-
-    def forbidden(*args):
-        raise AssertionError("the quotient solution was checked")
-
-    monkeypatch.setattr(cohomology, "verify_transfer", forbidden)
-    monkeypatch.setattr(cohomology, "_check_bounded",
-                        lambda *args: checks.append(args[3])
-                        or check_bounded(*args))
-    t = (1, 2, 0)
-    g = RationalFunction((Fraction(1), Fraction(-1), Fraction(0)))
-    got = solve_bounded_transfer(t, (0, 1, 2), g)
-    assert isinstance(got, BoundedTransfer)
-    assert checks == [got.solution]
-
-
 def test_partial_sum_bound_three_cycle():
     t = (1, 2, 0)
     g = RationalFunction((Fraction(1), Fraction(-1), Fraction(0)))

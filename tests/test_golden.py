@@ -16,10 +16,6 @@ UNREACHED_EXPORTS = {
                        "construct workload calls",
     "as_fraction": "the coercion of ints and 'p/q' strings that README "
                    "documents; the CLI parses its literals itself",
-    "solve_transfer": "the unconstrained transfer solver that README "
-                      "documents; bounded-transfer runs its walk "
-                      "(cohomology._transfer_walk) on the quotient, where "
-                      "only the ground answer is checked",
 }
 
 

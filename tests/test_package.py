@@ -139,9 +139,6 @@ DEAD_CODE_ALLOWLIST = {
     # the public coercion of one value; the library coerces whole lists
     # through _as_fractions, which imports fractions once per list
     ("core", "as_fraction"),
-    # the public unconstrained transfer solver; bounded-transfer runs its
-    # walk, cohomology._transfer_walk, and checks only the ground answer
-    ("cohomology", "solve_transfer"),
     # PEP 562 hooks of the package: called by the import system
     ("__init__", "__getattr__"),
     ("__init__", "__dir__"),
