@@ -52,7 +52,6 @@ _EXPORTS = {
     "replay_violation": "check",
     "search_counterexample": "star",
     "solve_bounded_transfer": "cohomology",
-    "solve_transfer": "cohomology",
     "validate_system": "core",
     "validate_transform": "core",
     "verify_decomposition": "check",

@@ -520,8 +520,8 @@ def verify_bounded_transfer(
     result: Union[BoundedTransfer, ConstrainedObstruction],
 ) -> VerificationResult:
     """Check either answer of `cohomology.solve_bounded_transfer` against
-    (t, s, g), or `cohomology.solve_transfer`'s refusal with s the
-    identity.  Tables not as long as g raise PreconditionError.
+    (t, s, g); with s the identity an obstruction is a cycle of t.  Tables
+    not as long as g raise PreconditionError.
 
     A BoundedTransfer (H, C) must solve h(t(x)) - h(x) = g(x) with H
     s-invariant and sup |H| <= 2C, and C must equal the recomputed

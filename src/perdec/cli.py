@@ -19,10 +19,10 @@ kind is a list of total maps (`serialize.Instance.maps`), so `oracle` runs
 on a z-window with its shifts, from which the refusal's dual is built).
 
 Each subcommand's grammar is stated once, in `_GRAMMAR`.  A well-formed
-argv (a subcommand name, its instance and its options spelt out in full)
-is read by `_plain`; every other argv, help and usage errors among them,
-goes to the argparse tree built from the same table, so a successful run
-never loads argparse.
+argv (a subcommand name, then its instance, then its options spelt out in
+full, each followed by its value) is read by `_plain`; every other argv,
+help and usage errors among them, goes to the argparse tree built from
+the same table, so a successful run never loads argparse.
 
 Loading this module loads only `serialize` and `core`, which every
 subcommand needs.  Each producer is imported inside its branch, so a run
@@ -240,8 +240,7 @@ def _cmd_search(args) -> Outcome:
     from .star import search_counterexample
 
     report = search_counterexample(n=args.n, max_size=args.max_size,
-                                   trials=args.trials, seed=args.seed,
-                                   workers=args.workers)
+                                   trials=args.trials, seed=args.seed)
     clean = report.discrepancies == 0 and report.necessity_violations == 0
     return (0 if clean else 1), serialize.result_to_json(report)
 
@@ -266,8 +265,7 @@ _GRAMMAR = {
         ("--n", int, 2, None, None),
         ("--max-size", int, 6, None, None),
         ("--trials", int, 1000, None, None),
-        ("--seed", int, 0, None, None),
-        ("--workers", int, 1, None, None))),
+        ("--seed", int, 0, None, None))),
 }
 
 
@@ -280,14 +278,12 @@ def _plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     """The arguments of an argv in the plain grammar, with exactly the
     attributes argparse would set, or None for any other argv.
 
-    The plain grammar is a subcommand name, then, in any order, its one
-    instance where it takes one (a token that does not start with "-", or
-    "-" itself) and its options, each spelt out in full as "--opt VALUE"
-    (VALUE not starting with "-") or "--opt=VALUE"; a repeated option
-    keeps its last value.  Typed values are converted with the callable
-    argparse uses.  Help, usage errors and every form argparse reads
-    differently (abbreviations, "--", a separate value starting with "-")
-    are left to argparse.
+    The plain grammar is a subcommand name, then its instance where it
+    takes one (a token that does not start with "-", or "-" itself), then
+    "--opt VALUE" pairs, each option spelt out in full and its VALUE not
+    starting with "-"; a repeated option keeps its last value.  Typed
+    values are converted with the callable argparse uses.  Every other
+    argv, help and usage errors among them, is left to argparse.
     """
     grammar = _GRAMMAR.get(argv[0]) if argv else None
     if grammar is None:
@@ -298,23 +294,16 @@ def _plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     for option, kind, default, _, _ in options:
         kinds[option] = kind
         args[_dest(option)] = default
-    instance = None
-    tokens = iter(argv[1:])
-    for token in tokens:
-        if token == "-" or not token.startswith("-"):
-            if instance is not None or not needs_instance:
-                return None
-            instance = token
-            continue
-        option, eq, value = token.partition("=")
-        if option not in kinds:
+    rest = argv[1:]
+    if needs_instance:
+        if not rest or rest[0] != "-" and rest[0].startswith("-"):
             return None
-        if not eq:
-            value = next(tokens, "-")
-            if value.startswith("-"):
-                return None
-        elif value == "--":
-            # argparse drops a "--" value, leaving an empty list
+        args["instance"] = rest[0]
+        rest = rest[1:]
+    if len(rest) % 2:
+        return None
+    for option, value in zip(rest[::2], rest[1::2]):
+        if option not in kinds or value.startswith("-"):
             return None
         kind = kinds[option]
         if kind is not None:
@@ -323,10 +312,6 @@ def _plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
             except ValueError:
                 return None
         args[_dest(option)] = value
-    if needs_instance:
-        if instance is None:
-            return None
-        args["instance"] = instance
     return SimpleNamespace(**args)
 
 

@@ -19,7 +19,6 @@ from .check import (
     _match_lengths,
     partial_sum_bound,
     verify_bounded_transfer,
-    verify_transfer,
 )
 from .core import (
     InternalContractViolation,
@@ -33,21 +32,21 @@ from .core import (
 from .orbits import find_relation, induced_map, invariance_classes
 
 
-def solve_transfer(
+def _transfer_walk(
     t: Sequence[int], g: RationalFunction
 ) -> Union[RationalFunction, ConstrainedObstruction]:
     """Solve h(t(x)) - h(x) = g(x) exactly, with h = 0 at each weak
-    class's least point.
+    class's least point, with no check of the answer: its one caller,
+    `_solve_on_quotient`, has each answer checked once, on the ground maps.
 
     A solution exists iff the g-sum around every cycle vanishes; the
     first nonzero cycle (by class order) is returned otherwise, as the
     witness T^k x = x, the ConstrainedObstruction with S the identity and
-    l = l2 = 0, verified by `check.verify_bounded_transfer`.  One forward
-    walk from each unsolved x, in point order: a walk that meets a solved
-    point fills h backward along its path; a walk that closes a
-    new cycle started at that class's least point, so once the cycle sum
-    checks out h(x) = 0 and h fills forward.  Each point is walked once,
-    on g's numerators: h has g's denominator.
+    l = l2 = 0.  One forward walk from each unsolved x, in point order: a
+    walk that meets a solved point fills h backward along its path; a
+    walk that closes a new cycle started at that class's least point, so
+    once the cycle sum checks out h(x) = 0 and h fills forward.  Each
+    point is walked once, on g's numerators: h has g's denominator.
     """
     from fractions import Fraction
 
@@ -68,13 +67,8 @@ def solve_transfer(
             cycle = path[index[y]:]
             total = sum(map(numerators.__getitem__, cycle))
             if total:
-                obstruction = ConstrainedObstruction(
+                return ConstrainedObstruction(
                     cycle[0], len(cycle), 0, 0, Fraction(total, g.denom))
-                # with l = l2 = 0 the identity table is never read
-                verify_bounded_transfer(t, range(len(g)), g,
-                                        obstruction).require(
-                    "cycle obstruction")
-                return obstruction
             h = 0
             for p in path:
                 values[p] = h
@@ -84,25 +78,25 @@ def solve_transfer(
             for p in reversed(path):
                 h -= numerators[p]
                 values[p] = h
-    solution = _from_integers(values, g.denom)
-    verify_transfer(t, g, solution).require("transfer solution")
-    return solution
+    return _from_integers(values, g.denom)
 
 
 def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
                        g: RationalFunction):
     """(solution, classes, induced): h(t(x)) - h(x) = g(x) with h
-    s-invariant, as `solve_transfer` on the quotient by s's invariance
+    s-invariant, as `_transfer_walk` on the quotient by s's invariance
     classes, with those classes and the map t induces on them.
 
     The solution is h_q over the classes, and h_q lifted to points solves
-    the equation with no second check: the maps commute and g is
-    s-invariant (both checked up front), so t sends each s-class c into
-    induced(c), g is g_q(c) on c, and the identity `solve_transfer`
-    checked on the quotient holds at each point.  It is solvable iff the
-    g-sum along T^i x, i < k, vanishes whenever T^k S^l x = S^{l2} x;
-    otherwise the solution is that witness with its nonzero sum, a
-    ConstrainedObstruction that `verify_bounded_transfer` has replayed.
+    the equation: the maps commute and g is s-invariant (both checked up
+    front), so t sends each s-class c into induced(c), g is g_q(c) on c,
+    and the walk's identity on the quotient holds at each point; the
+    caller checks the lifted solution.  It is solvable iff the g-sum along
+    T^i x, i < k, vanishes whenever T^k S^l x = S^{l2} x; otherwise the
+    solution is that witness with its nonzero sum, lifted from the
+    quotient cycle to the ground maps, a ConstrainedObstruction that
+    `verify_bounded_transfer` has replayed there, the one check of a
+    refusal.
     """
     _match_lengths(g, t, s)
     w = commute_witness(t, s)
@@ -113,7 +107,7 @@ def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
     part, induced = induced_map(t, s)
     g_q = _from_integers(map(g.numerators.__getitem__, part.representative),
                          g.denom)
-    h_q = solve_transfer(induced, g_q)
+    h_q = _transfer_walk(induced, g_q)
     if isinstance(h_q, ConstrainedObstruction):
         x, k = part.representative[h_q.x], h_q.k
         link = find_relation(s, iterate(t, k, x), x)

@@ -20,7 +20,6 @@ re-derive from scratch.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Optional, Sequence
 
@@ -117,8 +116,7 @@ def check_star_abelian(shifts: Sequence[int],
     return StarViolation(instance, Fraction(value, denom), "MixedDeltaNonzero")
 
 
-def _run_trials(n: int, max_size: int, start: int, stop: int,
-                seed: int) -> dict:
+def _run_trials(n: int, max_size: int, trials: int, seed: int) -> dict:
     from . import generators
     from .oracle import oracle_decompose
 
@@ -126,7 +124,7 @@ def _run_trials(n: int, max_size: int, start: int, stop: int,
         "star_pass", "star_fail", "oracle_feasible", "oracle_infeasible",
         "necessity_checked", "necessity_violations", "discrepancies")}
     smoke = n <= 3
-    for trial in range(start, stop):
+    for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
         system = generators.random_commuting_system(rng, n, max_size)
         f = generators.random_function(rng, system)
@@ -157,8 +155,8 @@ def _run_trials(n: int, max_size: int, start: int, stop: int,
     return counts
 
 
-def search_counterexample(n: int, max_size: int, trials: int, seed: int,
-                          workers: int = 1) -> SearchReport:
+def search_counterexample(n: int, max_size: int, trials: int,
+                          seed: int) -> SearchReport:
     """Randomized hunt for star-pass but non-decomposable instances.
 
     The systems are finite, where `check_star` is exact for every n, so
@@ -171,9 +169,7 @@ def search_counterexample(n: int, max_size: int, trials: int, seed: int,
     necessity direction.
 
     Deterministic under a fixed seed: each trial reseeds from (seed,
-    trial), so the worker count never changes the outcome.  At most one
-    worker process runs per CPU and per trial (the pool starts all of
-    them at once).
+    trial).
     """
     if n < 2:
         raise PreconditionError("search needs at least two transformations")
@@ -181,28 +177,5 @@ def search_counterexample(n: int, max_size: int, trials: int, seed: int,
         raise PreconditionError("max_size must be at least 2")
     if trials < 0:
         raise PreconditionError("trials must be nonnegative")
-    if workers < 1:
-        raise PreconditionError("workers must be at least 1")
-    workers = min(workers, trials)
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
-    shards: list
-    if workers <= 1:
-        shards = [_run_trials(n, max_size, 0, trials, seed)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = (trials + workers - 1) // workers
-        spans = [(lo, min(lo + step, trials))
-                 for lo in range(0, trials, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(_shard_entry,
-                                   [(n, max_size, lo, hi, seed)
-                                    for lo, hi in spans]))
-    merged = {key: sum(s[key] for s in shards) for key in shards[0]}
     return SearchReport(n=n, max_size=max_size, trials=trials, seed=seed,
-                        **merged)
-
-
-def _shard_entry(args) -> dict:
-    return _run_trials(*args)
+                        **_run_trials(n, max_size, trials, seed))

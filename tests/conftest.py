@@ -1,11 +1,8 @@
-import concurrent.futures
-import os
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-import pytest
 from hypothesis import strategies as st
 
 from perdec import generators
@@ -15,32 +12,6 @@ from perdec.core import RangeError, RationalFunction, _from_integers, compose
 from perdec.lattice import LatticeWindow, _trusted, window_size
 from perdec.oracle import _back_substitute, _eliminate, nullspace
 from perdec.orbits import Partition, invariance_classes, rho
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of every process pool the test asks for, on a
-    three-CPU machine; the pool runs its shards in this process, so no
-    worker process ever starts."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    return sizes
 
 
 def counted_tuple(values, reads: list, limit=None) -> tuple:

@@ -188,7 +188,8 @@ BARE_CASES = {
     "error: not a certificate": ["oracle",
                                  "{dir}/finite-n2-generic.json",
                                  "--verify", "{dir}/bad-kind.json"],
-    "error: zero workers": ["search", "--trials", "5", "--workers", "0"],
+    "error: unknown search option": ["search", "--trials", "5",
+                                     "--workers", "1"],
 }
 
 # files the input-error cases read, besides the instances

@@ -823,19 +823,12 @@ def test_search_smoke_and_verify(tmp_path, capsys):
     assert code == 0 and verdict["agrees"] is True
 
 
-def test_search_workers_are_capped_and_must_be_positive(capsys, pool_sizes):
-    argv = ["search", "--n", "2", "--max-size", "5", "--trials", "40",
-            "--seed", "11"]
-    assert run_command(argv) == 0
-    serial = capsys.readouterr().out
-    assert run_command(argv + ["--workers", "100000"]) == 0
-    assert capsys.readouterr().out == serial
-    assert pool_sizes == [3]
-    for workers in ("0", "-1"):
-        code, doc = _run(capsys, argv + ["--workers", workers])
-        assert code == 2
-        assert "workers" in doc["error"]
-    assert pool_sizes == [3]
+def test_search_refuses_a_workers_option(capsys):
+    # the search runs in this process alone: --workers is a usage error
+    code, out, err = _answer(capsys, ["search", "--trials", "5",
+                                      "--workers", "1"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --workers 1" in err
 
 
 def test_search_verify_ignores_a_legacy_bound_key(tmp_path, capsys):
@@ -1353,8 +1346,8 @@ def test_direct_dispatch_answers_like_the_top_level_parser(tmp_path, capsys,
                            else [argv + ["--verify", cert]])
     lattice = str(tmp_path / "lattice-decompose.json")
     oracle_cert = certs["oracle"]
-    # the plain grammar: options before the instance, "=" spellings, an
-    # empty value and a repeated option; then forms argparse alone reads
+    # the plain grammar with a repeated option; then forms argparse alone
+    # reads: options before the instance, "=" spellings and an empty value
     calls += [["search", "--verify", certs["search"]],
               ["lattice-decompose", lattice, "--base", "0"],
               ["lattice-decompose", "--base=1", lattice],
@@ -1424,7 +1417,7 @@ def test_the_plain_reader_answers_what_the_workloads_send(command):
     # the shapes the benchmark's ops and replays send, on every subcommand
     # that takes them
     shapes = ([["search", "--verify", "report.json"],
-               ["search", "--n", "3", "--trials", "5", "--workers", "1"]]
+               ["search", "--n", "3", "--trials", "5"]]
               if command == "search" else [[command, "inst.json"]])
     if command not in ("search", "validate"):
         shapes.append([command, "inst.json", "--verify", "cert.json"])
@@ -1435,6 +1428,29 @@ def test_the_plain_reader_answers_what_the_workloads_send(command):
         plain = perdec.cli._plain(argv)
         assert plain is not None, argv
         assert vars(plain) == vars(parser.parse_args(argv))
+
+
+@pytest.mark.parametrize("spelling, canonical", [
+    (["oracle", "--verify={cert}", "{inst}"],
+     ["oracle", "{inst}", "--verify", "{cert}"]),
+    (["oracle", "--verify", "{cert}", "{inst}"],
+     ["oracle", "{inst}", "--verify", "{cert}"]),
+    (["search", "--n=3"], ["search", "--n", "3"]),
+], ids=["equals-value", "instance-last", "search-equals-value"])
+def test_other_spellings_go_to_argparse_and_answer_alike(tmp_path, capsys,
+                                                          spelling,
+                                                          canonical):
+    inst = _write(tmp_path, "inst.json", CYCLIC_SPLIT)
+    cert = str(tmp_path / "cert.json")
+    Path(cert).write_text(_answer(capsys, ["oracle", inst])[1])
+
+    def filled(argv):
+        return [token.format(inst=inst, cert=cert) for token in argv]
+
+    assert perdec.cli._plain(filled(spelling)) is None
+    assert perdec.cli._plain(filled(canonical)) is not None
+    assert _answer(capsys, filled(spelling))[:2] == \
+        _answer(capsys, filled(canonical))[:2]
 
 
 # a fresh interpreter without site-packages: load the CLI, run argv[2:],
@@ -1649,8 +1665,7 @@ def test_a_refusing_window_and_its_point_replay_load_no_rationals(tmp_path,
 
 
 def test_search_loads_the_trial_modules_and_its_replay_the_checker(tmp_path):
-    code, out, loaded = _fresh_run(["search", "--n", "3", "--trials", "5",
-                                    "--workers", "1"])
+    code, out, loaded = _fresh_run(["search", "--n", "3", "--trials", "5"])
     assert code == 0
     assert loaded == _perdec(*SEARCH_LOADS)
     cert = tmp_path / "cert.json"

@@ -1,18 +1,19 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perdec import cohomology, orbits
+from perdec import check, cohomology, orbits
 from perdec.check import (
     BoundedTransfer,
     ConstrainedObstruction,
     partial_sum_bound,
     verify_bounded_transfer,
 )
-from perdec.cohomology import solve_bounded_transfer, solve_transfer
+from perdec.cohomology import _transfer_walk, solve_bounded_transfer
 from perdec.core import (
     InternalContractViolation,
     PreconditionError,
@@ -64,22 +65,22 @@ def _invariant_function(s, data):
                                   for x in range(len(s))))
 
 
-def test_solve_transfer_swap_example():
-    h = solve_transfer((1, 0), RationalFunction((Fraction(1), Fraction(-1))))
+def test_transfer_walk_swap_example():
+    h = _transfer_walk((1, 0), RationalFunction((Fraction(1), Fraction(-1))))
     assert h == RationalFunction((Fraction(0), Fraction(1)))
 
 
-def test_solve_transfer_obstruction_on_fixed_point():
-    got = solve_transfer((0,), RationalFunction((Fraction(2),)))
+def test_transfer_walk_obstruction_on_fixed_point():
+    got = _transfer_walk((0,), RationalFunction((Fraction(2),)))
     assert got == ConstrainedObstruction(0, 1, 0, 0, Fraction(2))
 
 
 @given(sized_maps(), st.data())
-def test_solve_transfer_round_trip(sized, data):
+def test_transfer_walk_round_trip(sized, data):
     size, t = sized
     h0 = data.draw(value_functions(size))
     g = delta(t, h0)
-    h = solve_transfer(t, g)
+    h = _transfer_walk(t, g)
     assert isinstance(h, RationalFunction)
     assert delta(t, h) == g
     # solutions differ by a t-invariant function only
@@ -87,10 +88,10 @@ def test_solve_transfer_round_trip(sized, data):
 
 
 @given(sized_maps(), st.data())
-def test_solve_transfer_verdict_matches_cycle_enumeration(sized, data):
+def test_transfer_walk_verdict_matches_cycle_enumeration(sized, data):
     size, t = sized
     g = data.draw(value_functions(size))
-    got = solve_transfer(t, g)
+    got = _transfer_walk(t, g)
     bad = [c for c in _all_cycles(t) if sum(g[p] for p in c) != 0]
     if isinstance(got, RationalFunction):
         assert not bad
@@ -140,7 +141,7 @@ _G2 = RationalFunction((Fraction(1), Fraction(2)))
 
 
 @pytest.mark.parametrize("call", [
-    lambda: solve_transfer((1, 2, 0), _G2),
+    lambda: _transfer_walk((1, 2, 0), _G2),
     lambda: solve_bounded_transfer((1, 2, 0), (0, 1), _G2),
     lambda: solve_bounded_transfer((1, 0), (0, 1, 2), _G2),
     lambda: solve_bounded_transfer((1, 0), (0, 1), _CYCLE_G),
@@ -152,7 +153,7 @@ _G2 = RationalFunction((Fraction(1), Fraction(2)))
     lambda: verify_bounded_transfer((0,), range(4), _CYCLE_G,
                                     ConstrainedObstruction(0, 1, 0, 0,
                                                            Fraction(1))),
-], ids=["solve-long-t", "bounded-long-t", "bounded-long-s",
+], ids=["walk-long-t", "bounded-long-t", "bounded-long-s",
         "bounded-long-g", "verify-solution", "verify-obstruction",
         "verify-short-t"])
 def test_transfer_length_mismatch_is_a_precondition_error(call):
@@ -161,18 +162,21 @@ def test_transfer_length_mismatch_is_a_precondition_error(call):
         call()
 
 
-def test_solve_transfer_verifies_its_obstruction(monkeypatch):
+def test_solve_bounded_transfer_verifies_its_obstruction(monkeypatch):
     # a wrong total is caught before the obstruction is returned
-    monkeypatch.setattr(
-        cohomology, "ConstrainedObstruction",
-        lambda x, k, l, l2, total: ConstrainedObstruction(x, k, l, l2,
-                                                          total + 1))
-    with pytest.raises(InternalContractViolation, match="cycle obstruction"):
-        solve_transfer(_CYCLE_T, _CYCLE_G)
+    class WrongTotal(ConstrainedObstruction):
+        def __init__(self, x, k, l, l2, total):
+            super().__init__(x, k, l, l2, total + 1)
+
+    monkeypatch.setattr(cohomology, "ConstrainedObstruction", WrongTotal)
+    with pytest.raises(InternalContractViolation,
+                       match="constrained obstruction"):
+        solve_bounded_transfer(_CYCLE_T, tuple(range(4)), _CYCLE_G)
 
 
-def test_solve_transfer_verifies_its_solution(monkeypatch):
-    # a wrong value is caught before the solution is returned
+def test_solve_bounded_transfer_verifies_its_solution(monkeypatch):
+    # a wrong value is caught before the solution is returned; the tail
+    # point 1 -> 0 keeps the shifted quotient right side solvable
     build = cohomology._from_integers
 
     def off_by_one(numerators, denom):
@@ -181,20 +185,45 @@ def test_solve_transfer_verifies_its_solution(monkeypatch):
         return build(numerators, denom)
 
     monkeypatch.setattr(cohomology, "_from_integers", off_by_one)
-    with pytest.raises(InternalContractViolation, match="transfer solution"):
-        solve_transfer((1, 0), RationalFunction((Fraction(1),
-                                                 Fraction(-1))))
+    with pytest.raises(InternalContractViolation,
+                       match="recentered solution"):
+        solve_bounded_transfer((0, 0), (0, 1),
+                               RationalFunction((Fraction(0), Fraction(1))))
+
+
+@pytest.mark.parametrize("g, answer", [
+    ((1, 0, 0, 0), ConstrainedObstruction),
+    ((1, -1, 0, 0), BoundedTransfer),
+])
+def test_each_bounded_transfer_answer_is_checked_once(monkeypatch, g,
+                                                      answer):
+    # a refusal is replayed once by verify_bounded_transfer and a
+    # solution once by verify_transfer, both on the ground maps
+    calls = Counter()
+    for name in ("verify_bounded_transfer", "verify_transfer"):
+        def counted(*args, name=name, real=getattr(check, name)):
+            calls[name] += 1
+            return real(*args)
+
+        for module in (check, cohomology):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    got = solve_bounded_transfer((1, 2, 3, 0), (0, 1, 2, 3),
+                                 RationalFunction(tuple(map(Fraction, g))))
+    assert isinstance(got, answer)
+    checker = ("verify_bounded_transfer" if answer is ConstrainedObstruction
+               else "verify_transfer")
+    assert calls == {checker: 1}
 
 
 @given(sized_maps(max_size=12), st.booleans(), st.data())
 @settings(max_examples=200)
-def test_solve_transfer_equals_the_quadratic_reference(sized, planted, data):
+def test_transfer_walk_equals_the_quadratic_reference(sized, planted, data):
     # same values, or the same first cycle with the same total
     size, t = sized
     g = data.draw(value_functions(size))
     if planted:
         g = delta(t, g)
-    assert solve_transfer(t, g) == reference_solve_transfer(t, g)
+    assert _transfer_walk(t, g) == reference_solve_transfer(t, g)
 
 
 def test_transfer_solvers_read_a_long_path_a_linear_number_of_times(
@@ -206,7 +235,7 @@ def test_transfer_solvers_read_a_long_path_a_linear_number_of_times(
     t = counted_tuple(swaps, reads, 5 * size)
     g = RationalFunction(tuple(Fraction(1 if x % 2 else -1)
                                for x in range(size)))
-    h = solve_transfer(t, g)
+    h = _transfer_walk(t, g)
     assert reads[0] <= 2 * size
     assert isinstance(h, RationalFunction) and delta(swaps, h) == g
 
@@ -217,7 +246,7 @@ def test_transfer_solvers_read_a_long_path_a_linear_number_of_times(
     reads = [0]
     t = counted_tuple((0,) + tuple(range(size - 1)), reads, 5 * size)
     g = RationalFunction((Fraction(0),) + (Fraction(-1),) * (size - 1))
-    h = solve_transfer(t, g)
+    h = _transfer_walk(t, g)
     assert h == RationalFunction(tuple(Fraction(x) for x in range(size)))
     assert reads[0] <= 2 * size
 

@@ -19,34 +19,6 @@ def test_search_rejects_bad_parameters():
         search_counterexample(n=2, max_size=5, trials=-1, seed=0)
 
 
-def test_search_rejects_non_positive_workers(pool_sizes):
-    for workers in (0, -4):
-        with pytest.raises(PreconditionError):
-            search_counterexample(n=2, max_size=5, trials=10, seed=0,
-                                  workers=workers)
-    assert pool_sizes == []
-
-
-def test_search_workers_are_capped_at_the_cpu_count(pool_sizes):
-    serial = search_counterexample(n=2, max_size=5, trials=40, seed=4)
-    for workers in (2, 3, 100000):
-        assert search_counterexample(n=2, max_size=5, trials=40, seed=4,
-                                     workers=workers) == serial
-    assert pool_sizes == [2, 3, 3]
-    search_counterexample(n=2, max_size=5, trials=2, seed=4, workers=100000)
-    assert pool_sizes[-1] == 2
-
-
-def test_search_without_a_cpu_count_runs_in_this_process(pool_sizes,
-                                                         monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    report = search_counterexample(n=2, max_size=5, trials=20, seed=4,
-                                   workers=8)
-    assert pool_sizes == []
-    assert report == search_counterexample(n=2, max_size=5, trials=20,
-                                           seed=4)
-
-
 def test_search_counts_are_consistent():
     report = search_counterexample(n=2, max_size=5, trials=80, seed=5)
     assert report.star_pass + report.star_fail == 80
@@ -59,18 +31,14 @@ def test_search_counts_are_consistent():
     assert report.candidates == ()
 
 
-def test_search_is_deterministic_across_worker_counts():
-    one = search_counterexample(n=2, max_size=5, trials=60, seed=9, workers=1)
-    two = search_counterexample(n=2, max_size=5, trials=60, seed=9, workers=2)
-    assert one == two
-    again = search_counterexample(n=2, max_size=5, trials=60, seed=9,
-                                  workers=1)
+def test_search_is_deterministic_under_a_seed():
+    one = search_counterexample(n=2, max_size=5, trials=60, seed=9)
+    again = search_counterexample(n=2, max_size=5, trials=60, seed=9)
     assert again == one
 
 
-def test_search_single_trial_with_many_workers():
-    report = search_counterexample(n=2, max_size=4, trials=1, seed=0,
-                                   workers=8)
+def test_search_single_trial():
+    report = search_counterexample(n=2, max_size=4, trials=1, seed=0)
     assert report.trials == 1
     assert report.star_pass + report.star_fail == 1
 
