@@ -21,7 +21,6 @@ _EXPORTS = {
     "Decomposition": "core",
     "DualCertificate": "check",
     "InternalContractViolation": "core",
-    "LatticeWindow": "lattice",
     "NotCommutingError": "core",
     "Partition": "orbits",
     "PreconditionError": "core",
@@ -42,9 +41,6 @@ _EXPORTS = {
     "find_relation": "orbits",
     "invariance_classes": "orbits",
     "is_invariant": "core",
-    "lattice_decompose": "lattice",
-    "lattice_oracle_decompose": "lattice",
-    "mixed_delta_witness": "lattice",
     "oracle_decompose": "oracle",
     "partial_sum_bound": "check",
     "power": "core",

@@ -30,8 +30,6 @@ from .orbits import Partition, rho
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .lattice import LatticeWindow
-
 
 class StarInstance(_Record):
     """One premise/conclusion instance of the partition condition.
@@ -176,24 +174,6 @@ def verify_decomposition(system: CommutingSystem, f: RationalFunction,
     return verify_parts(system.transforms, f, decomposition.parts)
 
 
-def verify_lattice_parts(f: LatticeWindow,
-                         parts: Sequence[LatticeWindow]) -> VerificationResult:
-    """Check a lattice decomposition: one part per axis, shaped like f,
-    summing to f, part j constant along axis j (`first_parts_defect` on
-    the axis maps)."""
-    if len(parts) != len(f.dims) or any(p.dims != f.dims for p in parts):
-        return VerificationResult(False, "parts do not match the window shape")
-    defect = first_parts_defect(f.axis_maps(), f, parts)
-    if defect is None:
-        return VerificationResult(True)
-    if defect[0] == "SumMismatch":
-        return VerificationResult(
-            False, f"parts do not sum to f at {f.coords(defect[1])}")
-    _, j, idx = defect
-    return VerificationResult(False, f"part {j} varies along axis {j} at "
-                                     f"{f.coords(idx)}")
-
-
 def stencil_weights(z: int, steps: Iterable[Callable[[int], int]],
                     size: int) -> Optional[Dict[int, int]]:
     """The point weights of the mixed difference at z with factors
@@ -299,22 +279,6 @@ def replay_abelian_violation(shifts: Sequence[int], f: RationalFunction,
 
     return _replays(violation, len(shifts), f, premise,
                     lambda h, k: partial(add, k * shifts[h]))
-
-
-def verify_point_violation(f: LatticeWindow,
-                           point: Sequence[int]) -> VerificationResult:
-    """Check a point certificate: the d-fold mixed forward difference of f
-    is evaluable and nonzero there, so no split into axis-constant parts
-    exists."""
-    if len(point) != len(f.dims) or any(not 0 <= c < w - 1
-                                        for c, w in zip(point, f.dims)):
-        return VerificationResult(
-            False, "point is not a stencil base inside the window")
-    if stencil_value(f, f.index(point),
-                     [partial(add, stride) for stride in f.strides()]) == 0:
-        return VerificationResult(False,
-                                  "mixed difference vanishes at the point")
-    return VerificationResult(True)
 
 
 def _block_offset(shifts: Sequence[int], block: tuple[int, ...],

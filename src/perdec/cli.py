@@ -14,9 +14,11 @@ and write what it returns with `serialize.result_to_json`.  The dispatcher
 states once which result types each subcommand emits; any other type is
 refused with "unexpected result type <T> for <command>".  Every instance
 kind is a list of total maps (`serialize.Instance.maps`), so `oracle` runs
-`verified_split` on all four kinds (on a lattice window through
-`lattice.lattice_oracle_decompose`, whose parts carry the window's dims;
-on a z-window with its shifts, from which the refusal's dual is built).
+`verified_split` on all four kinds (on a z-window with its shifts, from
+which the refusal's dual is built).  A lattice window is the finite
+commuting system of its axis maps (`lattice.axis_maps`), so every
+subcommand runs on it the producer and the checkers of a finite instance;
+`lattice-decompose` is `decompose` on lattice windows alone.
 
 Each subcommand's grammar is stated once, in `_GRAMMAR`.  A well-formed
 argv (a subcommand name, then its instance, then its options spelt out in
@@ -95,35 +97,26 @@ def _verify_doc(verdict: VerificationResult) -> Tuple[int, dict]:
 # --verify: check's one checker for the result type
 
 
-# the result types each subcommand emits, on an instance that is not a
-# lattice window (or on none, for search) and on one that is; a point
-# certificate and lattice parts both parse to tuples
+# the result types each subcommand emits
 _EMITS = {
-    "decompose": (("Decomposition", "StarViolation"), ()),
-    "star-check": (("pass", "StarViolation"), ("pass", "point")),
-    "oracle": (("DualCertificate", "Decomposition"),
-               ("DualCertificate", "parts")),
-    "lattice-decompose": ((), ("parts", "point")),
-    "bounded-transfer": (("BoundedTransfer", "ConstrainedObstruction"), ()),
-    "search": (("SearchReport",), ()),
+    "decompose": ("Decomposition", "StarViolation"),
+    "star-check": ("pass", "StarViolation"),
+    "oracle": ("DualCertificate", "Decomposition"),
+    "lattice-decompose": ("Decomposition", "StarViolation"),
+    "bounded-transfer": ("BoundedTransfer", "ConstrainedObstruction"),
+    "search": ("SearchReport",),
 }
 
 
 def _verify_result(command: str, inst: Optional[Instance],
                    result: Any) -> VerificationResult:
     """Replay a stored result with `check`'s checker for its type, or
-    refuse a type the subcommand never emits on this instance."""
+    refuse a type the subcommand never emits."""
     from . import check
 
-    window = inst is not None and inst.window is not None
-    key = name = "pass" if result is None else type(result).__name__
-    if isinstance(result, tuple):
-        # parse_result yields lattice parts only nonempty, so () is a point
-        key = "parts" if result and not isinstance(result[0], int) else "point"
-    if key not in _EMITS[command][window]:
-        if command == "star-check" and window:
-            command += " on a lattice window"
-        return VerificationResult(False, f"unexpected result type {name} for "
+    key = "pass" if result is None else type(result).__name__
+    if key not in _EMITS[command]:
+        return VerificationResult(False, f"unexpected result type {key} for "
                                          f"{command}")
     if key == "pass":
         # a pass carries no certificate: the condition is re-run
@@ -143,10 +136,6 @@ def _verify_result(command: str, inst: Optional[Instance],
 
         return check.verify_dual([invariance_classes(t) for t in inst.maps()],
                                  inst.f, result)
-    if key == "parts":
-        return check.verify_lattice_parts(inst.window, result)
-    if key == "point":
-        return check.verify_point_violation(inst.window, result)
     if key == "SearchReport":
         return check.verify_report(result)
     t, s = inst.system.transforms
@@ -160,19 +149,19 @@ def _verify_result(command: str, inst: Optional[Instance],
 def _cmd_validate(args) -> Outcome:
     inst = parse_instance(_read(args.instance, "instance"))
     doc: dict = {"result": "ok", "kind": inst.kind}
-    if inst.system is not None:
-        doc["size"] = inst.system.size
-        doc["transforms"] = inst.system.n
     if inst.kind == "z-window":
         doc["length"] = inst.length
         doc["shifts"] = list(inst.shifts)
-    if inst.kind == "lattice-window":
-        doc["dims"] = list(inst.window.dims)
+    elif inst.kind == "lattice-window":
+        doc["dims"] = list(inst.dims)
+    else:
+        doc["size"] = inst.system.size
+        doc["transforms"] = inst.system.n
     return 0, doc
 
 
 # the instance kinds a subcommand reads, where it does not read every kind
-_READS = {"decompose": ("finite", "cyclic-group"),
+_READS = {"decompose": ("finite", "cyclic-group", "lattice-window"),
           "bounded-transfer": ("finite", "cyclic-group"),
           "lattice-decompose": ("lattice-window",)}
 
@@ -193,11 +182,7 @@ def _cmd_decide(args) -> Outcome:
     if args.verify:
         result = serialize.parse_result(_read(args.verify, "certificate"))
         return _verify_result(command, inst, result)
-    # an input error whatever the window holds, so decided before the witness
-    if command == "lattice-decompose" and args.base < 0:
-        raise PreconditionError(
-            f"base hyperplane must be >= 0, got {args.base}")
-    if command == "decompose":
+    if command in ("decompose", "lattice-decompose"):
         from .decomp import decompose_n
 
         result = decompose_n(inst.system, inst.f)
@@ -205,22 +190,11 @@ def _cmd_decide(args) -> Outcome:
         from .cohomology import solve_bounded_transfer
 
         result = solve_bounded_transfer(*inst.system.transforms, inst.f)
-    elif command == "oracle" and inst.window is not None:
-        from .lattice import lattice_oracle_decompose
-
-        result = lattice_oracle_decompose(inst.window)
     elif command == "oracle":
         from .oracle import verified_split
 
         result = verified_split(inst.maps(), inst.f, inst.shifts
                                 if inst.kind == "z-window" else None)
-    elif inst.window is not None:
-        # star-check or lattice-decompose: a window fails at a point
-        from .lattice import lattice_decompose, mixed_delta_witness
-
-        result = mixed_delta_witness(inst.window)
-        if result is None and command == "lattice-decompose":
-            result = lattice_decompose(inst.window, base=args.base)
     elif inst.kind == "z-window":
         from .star import check_star_abelian
 
@@ -256,9 +230,7 @@ _GRAMMAR = {
     "decompose": (_cmd_decide, True, (_VERIFY,)),
     "star-check": (_cmd_decide, True, (_VERIFY,)),
     "oracle": (_cmd_decide, True, (_VERIFY,)),
-    "lattice-decompose": (_cmd_decide, True, (
-        _VERIFY,
-        ("--base", int, 0, None, "base hyperplane coordinate for the lift"))),
+    "lattice-decompose": (_cmd_decide, True, (_VERIFY,)),
     "bounded-transfer": (_cmd_decide, True, (_VERIFY,)),
     "search": (_cmd_search, False, (
         _VERIFY,

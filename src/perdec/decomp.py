@@ -119,10 +119,10 @@ def decompose_n(system: CommutingSystem,
     `_from_integers`; the parts are verified on those numerators before
     they are returned.
 
-    `lattice.lattice_decompose` is this construction on a window's axis
-    maps that fix their base slices: every cycle is a fixed point, so
-    E_j reads the base slice and spreads it along axis j, and every scale
-    is 1.
+    On a lattice window's axis maps (`lattice.axis_maps`) every cycle is
+    a point of an upper face, fixed by its map, so E_j reads the rest off
+    the upper face x_j = w_j - 1 and spreads it along axis j, and every
+    scale is 1.
     """
     if not system.n:
         raise PreconditionError("decomposition needs at least one transform")

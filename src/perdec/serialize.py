@@ -11,13 +11,12 @@ planted values repeat a few literals many times.
 
 Each record result's wire form is stated once, as the row of its tag in
 one table (`_codecs`) that `result_to_json` and `parse_result` each read
-in one loop.  Every result type round-trips, a passing star check
-(None), a point certificate (a tuple of ints) and lattice parts included:
-parse_result(result_to_json(r)) == r.
+in one loop.  Every result type round-trips, a passing star check (None)
+included: parse_result(result_to_json(r)) == r.
 
-Only `core` loads with this module: the certificate types of `check` and
-the windows of `lattice` are imported where a document builds or tests
-one, so parsing an instance loads no algorithm module.
+Only `core` loads with this module: the certificate types of `check` are
+imported where a document builds or tests one, and `lattice` where an
+instance is a window, so parsing an instance loads no algorithm module.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ from .core import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .lattice import LatticeWindow
 
 
 class ParseError(ValueError):
@@ -153,25 +150,6 @@ def _int_list(items: Any, path: str) -> List[int]:
     return items
 
 
-def _dims(doc: dict) -> tuple[tuple[int, ...], int]:
-    """A window's dims and point count; ParseError at "dims" unless
-    `lattice.window_size` accepts them."""
-    from .lattice import window_size
-
-    dims = tuple(_int_list(doc.get("dims"), "dims"))
-    try:
-        return dims, window_size(dims)
-    except RangeError as exc:
-        raise ParseError(str(exc), "dims")
-
-
-def _certificate(doc: dict) -> dict:
-    cert = doc.get("certificate")
-    if not isinstance(cert, dict):
-        raise ParseError("expected a certificate object", "certificate")
-    return cert
-
-
 def _values(doc: dict, size: int) -> RationalFunction:
     """The instance's values, exactly size of them."""
     f = values_from_json(doc.get("values"))
@@ -193,9 +171,10 @@ KINDS = ("finite", "cyclic-group", "z-window", "lattice-window")
 class Instance(_Record):
     """A parsed instance file of any kind.
 
-    Every kind carries f.  finite and cyclic-group also carry a
-    CommutingSystem; z-window keeps its shifts on a segment of Z;
-    lattice-window carries the window.  Cyclic-group shifts are reduced
+    Every kind carries f.  finite and cyclic-group carry a
+    CommutingSystem, and lattice-window carries its dims and the
+    CommutingSystem of its axis maps (`lattice.axis_maps`); z-window
+    keeps its shifts on a segment of Z.  Cyclic-group shifts are reduced
     modulo the modulus.
     """
 
@@ -205,15 +184,13 @@ class Instance(_Record):
     shifts: Optional[tuple[int, ...]] = None
     modulus: Optional[int] = None
     length: Optional[int] = None
-    window: Optional[LatticeWindow] = None
+    dims: Optional[tuple[int, ...]] = None
 
     def maps(self) -> tuple[tuple[int, ...], ...]:
         """One total map on {0..N-1} per transform.  A window shift that
         would leave the window fixes the point instead, which keeps its
         invariant functions; z-window maps so completed need not commute,
         and nothing that reads these tables relies on it."""
-        if self.window is not None:
-            return self.window.axis_maps()
         if self.system is not None:
             return self.system.transforms
         return tuple(tuple(x + a if x + a < self.length else x
@@ -263,11 +240,16 @@ def parse_instance(doc: Any) -> Instance:
             raise ParseError("expected nonnegative shifts", "shifts")
         f = _values(doc, length)
         return Instance(kind, f=f, shifts=tuple(shifts), length=length)
-    from .lattice import _trusted
+    from .lattice import axis_maps, window_size
 
-    dims, size = _dims(doc)
+    dims = tuple(_int_list(doc.get("dims"), "dims"))
+    try:
+        size = window_size(dims)
+    except RangeError as exc:
+        raise ParseError(str(exc), "dims")
     f = _values(doc, size)
-    return Instance(kind, f=f, window=_trusted(dims, f))
+    return Instance(kind, system=_trusted_system(size, axis_maps(dims)), f=f,
+                    dims=dims)
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -280,7 +262,7 @@ def instance_to_json(inst: Instance) -> dict:
     elif inst.kind == "z-window":
         doc.update(length=inst.length, shifts=list(inst.shifts))
     else:
-        doc["dims"] = list(inst.window.dims)
+        doc["dims"] = list(inst.dims)
     return doc
 
 
@@ -392,28 +374,17 @@ def _codecs() -> tuple[dict, dict]:
 
 
 def result_to_json(result: Any) -> dict:
-    """Serialize any library result: None is a passing star check, a tuple
-    of ints a point certificate (the empty one too) and a tuple of windows
-    lattice parts."""
+    """Serialize any library result: None is a passing star check."""
     if result is None:
         return {"result": "pass"}
     rows, tags = _codecs()
     tag = tags.get(type(result))
-    if tag is not None:
-        _, _, certificate, fields = rows[tag]
-        body = _write_fields(fields, result)
-        return ({"result": tag, "certificate": body} if certificate
-                else {"result": tag, **body})
-    if isinstance(result, tuple):
-        from .lattice import LatticeWindow
-
-        if all(isinstance(c, int) for c in result):
-            return {"result": "point-violation",
-                    "certificate": {"point": list(result)}}
-        if all(isinstance(p, LatticeWindow) for p in result):
-            return {"result": "lattice-decomposition",
-                    "dims": list(result[0].dims), "parts": _PARTS[0](result)}
-    raise TypeError(f"no serialization for {type(result).__name__}")
+    if tag is None:
+        raise TypeError(f"no serialization for {type(result).__name__}")
+    _, _, certificate, fields = rows[tag]
+    body = _write_fields(fields, result)
+    return ({"result": tag, "certificate": body} if certificate
+            else {"result": tag, **body})
 
 
 def parse_result(doc: Any) -> Any:
@@ -424,27 +395,17 @@ def parse_result(doc: Any) -> Any:
     tag = doc.get("result")
     if tag == "pass":
         return None
-    if tag == "point-violation":
-        return tuple(_int_list(_certificate(doc).get("point"),
-                               "certificate.point"))
-    if tag == "lattice-decomposition":
-        from .lattice import _trusted
-
-        dims, size = _dims(doc)
-        parts = _parts(doc.get("parts"), "parts")
-        for i, part in enumerate(parts):
-            if len(part) != size:
-                raise ParseError(f"expected {size} values for dims {dims}, "
-                                 f"got {len(part)}", f"parts[{i}]")
-        return tuple(_trusted(dims, part) for part in parts)
     rows = _codecs()[0]
     # a list or object tag is unhashable: refused before the lookup
     if not isinstance(tag, str) or tag not in rows:
         raise ParseError(f"unknown result tag {tag!r}", "result")
     _, build, certificate, fields = rows[tag]
-    if certificate:
-        return build(*_read_fields(fields, _certificate(doc), "certificate."))
-    return build(*_read_fields(fields, doc, ""))
+    if not certificate:
+        return build(*_read_fields(fields, doc, ""))
+    cert = doc.get("certificate")
+    if not isinstance(cert, dict):
+        raise ParseError("expected a certificate object", "certificate")
+    return build(*_read_fields(fields, cert, "certificate."))
 
 
 def _write(value: Any, indent: str) -> str:

@@ -1,15 +1,13 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from hypothesis import strategies as st
 
 from perdec import generators
 from perdec.check import ConstrainedObstruction
 from perdec.cohomology import _solve_on_quotient
-from perdec.core import RangeError, RationalFunction, _from_integers, compose
-from perdec.lattice import LatticeWindow, _trusted, window_size
+from perdec.core import RationalFunction, compose
 from perdec.oracle import _back_substitute, _eliminate, nullspace
 from perdec.orbits import Partition, invariance_classes, rho
 
@@ -81,11 +79,6 @@ def constant(size: int, value) -> RationalFunction:
     return RationalFunction((Fraction(value),) * size)
 
 
-def window_value(window: LatticeWindow, coords) -> Fraction:
-    """The window's value at coords, RangeError outside it."""
-    return window.values[window.index(coords)]
-
-
 def pairing(dual, f: RationalFunction) -> Fraction:
     """sum_x w(x) f(x) of a DualCertificate's weights w with f."""
     return sum((w * v for w, v in zip(dual.weights, f)), Fraction(0))
@@ -113,21 +106,6 @@ def linear_feasibility(rows, rhs, ncols):
     # the right side is column ncols held at -1: A c - b = 0
     numerators, scale = _back_substitute(pivots, ncols, ncols, -1)
     return True, [Fraction(v, scale) for v in numerators]
-
-
-def restrict(window: LatticeWindow, new_dims) -> LatticeWindow:
-    """Reference sub-window keeping coordinates below new_dims on every
-    axis, its indices summed from one offset per axis, built from the
-    window's numerators without the constructor's checks."""
-    nd = tuple(new_dims)
-    if len(nd) != len(window.dims) or any(a > b for a, b
-                                          in zip(nd, window.dims)):
-        raise RangeError("restriction must shrink within the window")
-    window_size(nd)
-    offsets = product(*(range(0, w * stride, stride)
-                        for w, stride in zip(nd, window.strides())))
-    return _trusted(nd, _from_integers(
-        [window.numerators[sum(o)] for o in offsets], window.denom))
 
 
 def reference_solve_transfer(t, g: RationalFunction):

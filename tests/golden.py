@@ -158,39 +158,36 @@ def instances() -> dict:
     return docs
 
 
-# argv without an instance: the searches and the input errors; "{dir}" is
-# the directory the corpus runs in
-BARE_CASES = {
-    "search n=2": ["search", "--n", "2", "--max-size", "5", "--trials",
-                   "30", "--seed", "1"],
-    "search n=3": ["search", "--n", "3", "--max-size", "5", "--trials",
-                   "30", "--seed", "2"],
-    "search n=4": ["search", "--n", "4", "--max-size", "4", "--trials",
-                   "30", "--seed", "3"],
-    "error: no subcommand": [],
-    "error: unknown subcommand": ["frobnicate"],
-    "error: unknown option": ["oracle", "{dir}/bad-kind.json", "--bound",
-                              "3"],
+# (id, argv) of each case without an instance: the searches and the input
+# errors; "{dir}" is the directory the corpus runs in
+BARE_CASES = (
+    ("search n=2", ["search", "--n", "2", "--max-size", "5", "--trials",
+                    "30", "--seed", "1"]),
+    ("search n=3", ["search", "--n", "3", "--max-size", "5", "--trials",
+                    "30", "--seed", "2"]),
+    ("search n=4", ["search", "--n", "4", "--max-size", "4", "--trials",
+                    "30", "--seed", "3"]),
+    ("error: no subcommand", []),
+    ("error: unknown subcommand", ["frobnicate"]),
+    ("error: unknown option", ["oracle", "{dir}/bad-kind.json", "--bound",
+                               "3"]),
     # relative paths, since the error text holds the path
-    "error: missing instance": ["oracle", "no-such-instance.json"],
-    "error: not json": ["validate", "{dir}/not-json.json"],
-    "error: bad kind": ["validate", "{dir}/bad-kind.json"],
-    "error: not commuting": ["validate", "{dir}/not-commuting.json"],
-    "error: short values": ["oracle", "{dir}/short-values.json"],
-    "error: zero modulus": ["validate", "{dir}/zero-modulus.json"],
-    "error: short window": ["star-check", "{dir}/short-window.json"],
-    "error: empty lattice axis": ["validate", "{dir}/empty-axis.json"],
-    "error: negative base": ["lattice-decompose",
-                             "{dir}/lattice-3x4-planted.json", "--base",
-                             "-1"],
-    "error: missing certificate": ["oracle", "{dir}/bad-kind.json",
-                                   "--verify", "no-such-result.json"],
-    "error: not a certificate": ["oracle",
-                                 "{dir}/finite-n2-generic.json",
-                                 "--verify", "{dir}/bad-kind.json"],
-    "error: unknown search option": ["search", "--trials", "5",
-                                     "--workers", "1"],
-}
+    ("error: missing instance", ["oracle", "no-such-instance.json"]),
+    ("error: not json", ["validate", "{dir}/not-json.json"]),
+    ("error: bad kind", ["validate", "{dir}/bad-kind.json"]),
+    ("error: not commuting", ["validate", "{dir}/not-commuting.json"]),
+    ("error: short values", ["oracle", "{dir}/short-values.json"]),
+    ("error: zero modulus", ["validate", "{dir}/zero-modulus.json"]),
+    ("error: short window", ["star-check", "{dir}/short-window.json"]),
+    ("error: empty lattice axis", ["validate", "{dir}/empty-axis.json"]),
+    ("error: missing certificate", ["oracle", "{dir}/bad-kind.json",
+                                    "--verify", "no-such-result.json"]),
+    ("error: not a certificate", ["oracle",
+                                  "{dir}/finite-n2-generic.json",
+                                  "--verify", "{dir}/bad-kind.json"]),
+    ("error: unknown search option", ["search", "--trials", "5",
+                                      "--workers", "1"]),
+)
 
 # files the input-error cases read, besides the instances
 BAD_FILES = {
@@ -234,8 +231,12 @@ def run_corpus(workdir: Path) -> dict:
         (workdir / f"{name}.json").write_text(text)
         digests[name] = _sha256(text)
     cases = []
+    ids = set()
 
     def case(case_id: str, argv: list, **paths) -> tuple[int, str]:
+        if case_id in ids:
+            raise ValueError(f"repeated case id {case_id!r}")
+        ids.add(case_id)
         code, out = _run([a.format(dir=workdir, **paths) for a in argv])
         cases.append({"id": case_id, "argv": argv, "exit": code,
                       "stdout_sha256": _sha256(out)})
@@ -254,11 +255,7 @@ def run_corpus(workdir: Path) -> dict:
         for command in SUBCOMMANDS:
             replayed(f"{name}/{command}", [command, "{instance}"],
                      instance=path)
-        if docs[name]["kind"] == "lattice-window":
-            replayed(f"{name}/lattice-decompose --base 2",
-                     ["lattice-decompose", "{instance}", "--base", "2"],
-                     instance=path)
-    for case_id, argv in BARE_CASES.items():
+    for case_id, argv in BARE_CASES:
         replayed(case_id, argv)
     # a result replayed by subcommands that never emit its type
     first = workdir / "finite-n2-decomposable.json"

@@ -10,6 +10,7 @@ file.  Run alone it still passes: criterion 4 regenerates a small batch.
 """
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -20,8 +21,8 @@ from perdec import cohomology, decomp, generators, lattice, oracle, serialize, s
 from perdec.cli import run_command
 from perdec.core import (
     Decomposition,
-    PreconditionError,
     RationalFunction,
+    _trusted_system,
     is_invariant,
     validate_system,
     window_difference,
@@ -29,6 +30,7 @@ from perdec.core import (
 from perdec.check import (
     BoundedTransfer,
     DualCertificate,
+    StarViolation,
     partial_sum_bound,
     replay_abelian_violation,
     verify_decomposition,
@@ -265,39 +267,44 @@ def test_criterion_6_transfer_solver_matches_cycle_enumeration():
                  f"{obstructed_count} obstructed) in {elapsed:.1f}s")
 
 
+def _strides(dims):
+    """Row-major strides, last axis fastest."""
+    return [math.prod(dims[i + 1:]) for i in range(len(dims))]
+
+
+def _coords(dims, idx):
+    return tuple(idx // stride % w for w, stride in zip(dims, _strides(dims)))
+
+
 def _separable_values(rng, dims):
     """Sum over axes of random functions that ignore their own axis."""
-    window = lattice.LatticeWindow(
-        dims, tuple(Fraction(0) for _ in range(_prod(dims))))
-    values = [Fraction(0)] * window.size
+    size = math.prod(dims)
+    values = [Fraction(0)] * size
     for j in range(len(dims)):
         table = {}
-        for idx in range(window.size):
-            coords = window.coords(idx)
+        for idx in range(size):
+            coords = _coords(dims, idx)
             key = tuple(c for i, c in enumerate(coords) if i != j)
             if key not in table:
                 table[key] = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
             values[idx] += table[key]
-    return tuple(values)
+    return RationalFunction(values)
 
 
-def _prod(dims):
-    total = 1
-    for d in dims:
-        total *= d
-    return total
+def _axis_constant(dims, part: RationalFunction, axis: int) -> bool:
+    stride = _strides(dims)[axis]
+    return all(part.values[idx + stride] == part.values[idx]
+               for idx in range(len(part))
+               if _coords(dims, idx)[axis] + 1 < dims[axis])
 
 
-def _axis_constant(window: lattice.LatticeWindow, axis: int) -> bool:
-    stride = window.strides()[axis]
-    for idx in range(window.size):
-        if window.coords(idx)[axis] + 1 < window.dims[axis]:
-            if window.values[idx + stride] != window.values[idx]:
-                return False
-    return True
+def _window_system(dims):
+    return _trusted_system(math.prod(dims), lattice.axis_maps(dims))
 
 
 def test_criterion_7_window_decomposition_matches_feasibility_oracle():
+    # a window is the finite system of its axis maps: decompose_n splits
+    # it and the oracle confirms the split, or both refuse
     start = time.perf_counter()
     rng = random.Random(20260807)
     shapes = [(6, 6, 6), (6, 6, 6), (6, 6, 6)]
@@ -306,33 +313,34 @@ def test_criterion_7_window_decomposition_matches_feasibility_oracle():
         shapes.append(tuple(rng.randint(2, 6) for _ in range(d)))
     separable = 0
     for dims in shapes:
-        window = lattice.LatticeWindow(dims, _separable_values(rng, dims))
-        assert lattice.mixed_delta_witness(window) is None
-        parts = lattice.lattice_decompose(window, base=rng.randrange(3))
+        window = _separable_values(rng, dims)
+        assert star.check_star(_window_system(dims), window) is None
+        parts = decomp.decompose_n(_window_system(dims), window).parts
         assert len(parts) == len(dims)
-        totals = [Fraction(0)] * window.size
+        totals = [Fraction(0)] * len(window)
         for j, part in enumerate(parts):
-            assert _axis_constant(part, j)
-            for i in range(window.size):
+            assert _axis_constant(dims, part, j)
+            for i in range(len(window)):
                 totals[i] += part.values[i]
         assert tuple(totals) == window.values
-        assert isinstance(lattice.lattice_oracle_decompose(window), tuple)
+        assert isinstance(oracle.verified_split(lattice.axis_maps(dims),
+                                                window), Decomposition)
         separable += 1
     rejected = 0
     for _ in range(60):
         d = rng.randint(2, 3)
         dims = tuple(rng.randint(2, 4) for _ in range(d))
-        values = tuple(Fraction(rng.randint(-4, 4)) for _ in range(_prod(dims)))
-        window = lattice.LatticeWindow(dims, values)
-        decided = lattice.lattice_oracle_decompose(window)
-        if lattice.mixed_delta_witness(window) is None:
-            assert isinstance(decided, tuple)
-            lattice.lattice_decompose(window)
+        window = RationalFunction([rng.randint(-4, 4)
+                                   for _ in range(math.prod(dims))])
+        decided = oracle.verified_split(lattice.axis_maps(dims), window)
+        constructed = decomp.decompose_n(_window_system(dims), window)
+        if star.check_star(_window_system(dims), window) is None:
+            assert isinstance(decided, Decomposition)
+            assert isinstance(constructed, Decomposition)
         else:
             assert isinstance(decided, DualCertificate)
-            assert pairing(decided, RationalFunction(window.values)) != 0
-            with pytest.raises(PreconditionError):
-                lattice.lattice_decompose(window)
+            assert pairing(decided, window) != 0
+            assert isinstance(constructed, StarViolation)
             rejected += 1
     elapsed = time.perf_counter() - start
     assert separable >= 200 and rejected > 0

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -5,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import perdec.decomp
 from perdec.core import (
     CommutingSystem,
     Decomposition,
     NotCommutingError,
-    PreconditionError,
     RangeError,
     RationalFunction,
     VerificationResult,
@@ -25,7 +24,6 @@ from perdec.core import (
     validate_transform,
 )
 from perdec.check import verify_decomposition
-from perdec.lattice import LatticeWindow, lattice_decompose, window_size
 from perdec.serialize import parse_instance
 from perdec.orbits import invariance_classes
 from tests.conftest import (
@@ -55,12 +53,9 @@ def test_as_fraction_returns_a_fraction_unchanged():
     f = RationalFunction((q, 2, "3/6"))
     assert f.values[0] is q
     assert f.values[1:] == (Fraction(2), Fraction(1, 2))
-    assert LatticeWindow((2, 2), (q, q, 1, "1/2")).values[0] is q
-    for values in ((q, 0.5), (0.0, 1)):
+    for values in ((q, 0.5), (0.0, 1), (q, q, q, 0.5)):
         with pytest.raises(TypeError):
             RationalFunction(values)
-    with pytest.raises(TypeError):
-        LatticeWindow((2, 2), (q, q, q, 0.5))
 
 
 class _Half(Fraction):
@@ -70,19 +65,17 @@ class _Half(Fraction):
 def test_a_tuple_of_exact_fractions_is_kept_as_it_is():
     exact = tuple(Fraction(i, 3) for i in range(4))
     assert RationalFunction(exact).values is exact
-    assert LatticeWindow((2, 2), exact).values is exact
-    for make in (RationalFunction, lambda v: LatticeWindow((2, 2), v)):
-        for values in ((1, "1/2", Fraction(2), -3),
-                       (_Half(1, 2),) * 4,
-                       [Fraction(1)] * 4):
-            got = make(values).values
-            assert type(got) is tuple
-            assert set(map(type, got)) == {Fraction}
-            assert got == tuple(map(Fraction, values))
-        for values in ((Fraction(1), Fraction(2), Fraction(3), 0.5),
-                       (1.0, 1, 1, 1)):
-            with pytest.raises(TypeError):
-                make(values)
+    for values in ((1, "1/2", Fraction(2), -3),
+                   (_Half(1, 2),) * 4,
+                   [Fraction(1)] * 4):
+        got = RationalFunction(values).values
+        assert type(got) is tuple
+        assert set(map(type, got)) == {Fraction}
+        assert got == tuple(map(Fraction, values))
+    for values in ((Fraction(1), Fraction(2), Fraction(3), 0.5),
+                   (1.0, 1, 1, 1)):
+        with pytest.raises(TypeError):
+            RationalFunction(values)
 
 
 def test_validate_transform_range_checks():
@@ -197,24 +190,14 @@ def test_a_cyclic_groups_unchecked_system_is_the_validated_one(modulus,
     assert parse_instance(doc).system == validate_system(rotations, modulus)
 
 
-@given(st.lists(st.integers(2, 4), min_size=1, max_size=3),
-       st.integers(0, 4), st.data())
-def test_a_windows_unchecked_system_is_the_validated_one(dims, base, data):
-    # lattice_decompose builds its axis maps' system without the checks
-    f = LatticeWindow(dims, data.draw(st.lists(
-        st.integers(-3, 3), min_size=window_size(dims),
-        max_size=window_size(dims))))
-    systems = []
-    decompose_n = perdec.decomp.decompose_n
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(perdec.decomp, "decompose_n",
-                  lambda system, g: systems.append(system)
-                  or decompose_n(system, g))
-        try:
-            lattice_decompose(f, base)
-        except PreconditionError:
-            pass
-    assert systems == [validate_system(f.axis_maps(base)[::-1], len(f))]
+@given(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+def test_a_windows_unchecked_system_is_the_validated_one(dims):
+    # parse_instance builds the axis maps' system without the checks
+    size = math.prod(dims)
+    doc = {"kind": "lattice-window", "dims": dims, "values": ["0"] * size}
+    system = parse_instance(doc).system
+    assert system == validate_system(system.transforms, size)
+    assert len(system.transforms) == len(dims)
 
 
 @given(sized_maps())

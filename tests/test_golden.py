@@ -87,3 +87,13 @@ def test_the_corpus_reads_every_kind_and_replays_every_result():
         if case["exit"] != 2 and argv[0] != "validate" \
                 and "--verify" not in argv:
             assert case["id"] + " --verify" in ids
+
+
+def test_a_repeated_case_id_fails_the_corpus(tmp_path, monkeypatch):
+    # a repeated id would let one case silently replace another's entry
+    monkeypatch.setattr(golden, "instances", dict)
+    monkeypatch.setattr(golden, "BARE_CASES", (
+        ("error: no subcommand", []), ("error: no subcommand", ["-h"])))
+    with pytest.raises(ValueError, match="repeated case id 'error: no "
+                                         "subcommand'"):
+        golden.run_corpus(tmp_path)

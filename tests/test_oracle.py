@@ -29,7 +29,6 @@ from perdec.oracle import (
     split_over_classes,
     verified_split,
 )
-from perdec.lattice import LatticeWindow
 from perdec.orbits import Partition, invariance_classes
 from perdec.serialize import parse_instance
 from perdec.star import check_star_abelian
@@ -440,7 +439,7 @@ def _two_transform_cases(draw):
     system, two shifts of Z_m, the torus of a 2-D window (whose shifts
     have the window's slices as classes), one map twice, or the identity
     (all-singleton classes) against a random map.  Returns (system,
-    window or None, f)."""
+    the window's dims or None, f)."""
     kind = draw(st.sampled_from(
         ["finite", "cyclic", "window", "twice", "singletons"]))
     rng = random.Random(f"two:{kind}:{draw(st.integers(0, 10 ** 9))}")
@@ -462,7 +461,7 @@ def _two_transform_cases(draw):
         system = validate_system([t, other], len(t))
     f = generators.random_function(rng, system)
     if kind == "window":
-        window = LatticeWindow(dims, f.values)
+        window = dims
     return system, window, f
 
 
@@ -471,7 +470,7 @@ def test_spanning_forest_agrees_with_the_elimination(case):
     system, window, f = case
     a, b = partitions = [invariance_classes(t) for t in system.transforms]
     if window is not None:
-        assert [invariance_classes(t) for t in window.axis_maps()] \
+        assert [invariance_classes(t) for t in lattice.axis_maps(window)] \
             == partitions
     got = oracle._split_two([a, b], f)
     feasible, _ = linear_feasibility(*_class_incidence(partitions, f))
@@ -501,10 +500,10 @@ def test_two_partitions_skip_the_elimination_and_read_labels_linearly(
     size = dims[0] * dims[1]
     rows = [Fraction(rng.randint(-9, 9)) for _ in range(dims[0])]
     cols = [Fraction(rng.randint(-9, 9), 2) for _ in range(dims[1])]
-    planted = LatticeWindow(dims, tuple(r + c for r in rows for c in cols))
-    broken = list(planted.values)
+    planted = [r + c for r in rows for c in cols]
+    broken = list(planted)
     broken[-1] += 1
-    early = list(planted.values)
+    early = list(planted)
     early[1] += 1
     # each point's two labels: once to list the edges, once per edge end in
     # the forest, once to build a part; the dual's four stencil points'
@@ -512,11 +511,12 @@ def test_two_partitions_skip_the_elimination_and_read_labels_linearly(
     # label tuples, which stops at the first differing pair, the second
     # label.  The forest stops at its first failing edge, so an early one
     # leaves most edges unread.
-    for values, splits, bound in ((planted.values, True, 6 * size + 2),
+    for values, splits, bound in ((planted, True, 6 * size + 2),
                                   (broken, False, 6 * size + 2),
                                   (early, False, 3 * size)):
         reads[0] = 0
-        got = lattice.lattice_oracle_decompose(LatticeWindow(dims, values))
+        got = verified_split(lattice.axis_maps(dims),
+                             RationalFunction(values))
         assert isinstance(got, DualCertificate) != splits
         assert reads[0] <= bound
 
@@ -608,16 +608,16 @@ def _box_elimination_work(monkeypatch, w):
     counts = []
     for values, splits in ((planted, True), (broken, False)):
         work[:] = [0, 0, 0]
-        window = LatticeWindow((w, w, w), values)
-        got = split_over_classes([invariance_classes(t)
-                                  for t in window.axis_maps()],
-                                 RationalFunction(values))
+        maps = lattice.axis_maps((w, w, w))
+        window = RationalFunction(values)
+        got = split_over_classes([invariance_classes(t) for t in maps],
+                                 window)
         assert (got is not None) == splits
         counts.append(list(work))
         if not splits:
             # the mixed difference of the three axes: the corner stencil
             # of a unit cube
-            dual = verified_split(window.axis_maps(), window)
+            dual = verified_split(maps, window)
             support = sorted(v for v in dual.weights.values if v)
             assert support == [-1] * 4 + [1] * 4
     return counts
@@ -874,7 +874,7 @@ def _commuting_kinds(draw):
                 for a in (rng.randrange(m) for _ in range(n))]
     else:
         dims = tuple(rng.randint(2, 4) for _ in range(rng.randint(2, 3)))
-        maps = LatticeWindow(dims, (0,) * math.prod(dims)).axis_maps()
+        maps = lattice.axis_maps(dims)
     system = validate_system(maps, len(maps[0]))
     f = generators.random_function(rng, system)
     if rng.random() < 0.3:

@@ -77,7 +77,7 @@ def test_the_checker_imports_only_core_orbits_and_the_standard_library():
         elif isinstance(node, ast.Import):
             stdlib.update(a.name.partition(".")[0] for a in node.names)
     assert runtime == {"core", "orbits"}
-    assert annotations == {"lattice"}
+    assert annotations == set()
     assert stdlib - {"__future__"} <= sys.stdlib_module_names
 
 

@@ -13,7 +13,6 @@ from perdec.check import (BoundedTransfer, ConstrainedObstruction,
                           StarViolation)
 from perdec.core import (CommutingSystem, Decomposition, RationalFunction,
                          VerificationResult, _Record)
-from perdec.lattice import LatticeWindow
 from perdec.orbits import Partition
 from perdec.serialize import Instance
 
@@ -51,7 +50,7 @@ RECORDS = {
         lambda: Instance("finite", system=_system(), f=_f()),
         "Instance(kind='finite', system=CommutingSystem(size=2, "
         "transforms=((1, 0),)), f=RationalFunction(numerators=(2, -1), "
-        "denom=2), shifts=None, modulus=None, length=None, window=None)"),
+        "denom=2), shifts=None, modulus=None, length=None, dims=None)"),
     "StarInstance": (
         _star, "StarInstance(blocks=((0, 1),), distinguished=(0,), "
                "exponents=(1,), premises=((1, 0, 1),), z=0)"),
@@ -81,9 +80,6 @@ RECORDS = {
     "Partition": (
         lambda: Partition((0, 0, 1), (0, 2)),
         "Partition(class_of=(0, 0, 1), representative=(0, 2))"),
-    "LatticeWindow": (
-        lambda: LatticeWindow((2, 2), (1, 2, 3, F(9, 2))),
-        "LatticeWindow(numerators=(2, 4, 6, 9), denom=2, dims=(2, 2))"),
 }
 
 

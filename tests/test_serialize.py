@@ -23,7 +23,7 @@ from perdec.core import (
     RationalFunction,
     as_fraction,
 )
-from perdec.lattice import LatticeWindow
+from perdec.lattice import axis_maps
 from perdec.serialize import (
     ParseError,
     dumps,
@@ -119,8 +119,7 @@ def test_the_constructor_and_the_wire_parse_alike(items):
                                  True, 0.5])
 def test_the_constructor_refuses_what_the_wire_refuses(bad):
     error = ValueError if isinstance(bad, str) else TypeError
-    for make in (as_fraction, lambda v: RationalFunction(("1", v)),
-                 lambda v: LatticeWindow((2,), ("1", v))):
+    for make in (as_fraction, lambda v: RationalFunction(("1", v))):
         with pytest.raises(error):
             make(bad)
     with pytest.raises(ParseError) as exc:
@@ -233,9 +232,9 @@ def test_values_to_json_formats_each_distinct_value_once(monkeypatch):
         ("1/2", "-1", "0")[i % 3] for i in range(10000)]
     assert calls[0] == 3
     calls[0] = 0
-    doc = result_to_json(
-        (LatticeWindow((2, 3), (Fraction(5),) * 6),
-         LatticeWindow((2, 3), (Fraction(0), Fraction(7, 3)) * 3)))
+    doc = result_to_json(Decomposition(
+        (RationalFunction((Fraction(5),) * 6),
+         RationalFunction((Fraction(0), Fraction(7, 3)) * 3))))
     assert doc["parts"] == [["5"] * 6, ["0", "7/3"] * 3]
     assert calls[0] == 3
 
@@ -359,7 +358,8 @@ def test_parse_instance_lattice_window():
     doc = {"kind": "lattice-window", "dims": [2, 2],
            "values": ["0", "1", "2", "3"]}
     inst = parse_instance(doc)
-    assert inst.window.dims == (2, 2)
+    assert inst.dims == (2, 2)
+    assert inst.maps() == axis_maps((2, 2))
     assert instance_to_json(inst) == doc
     with pytest.raises(ParseError):
         parse_instance(dict(doc, dims=[2, 1]))
@@ -403,14 +403,9 @@ def _sample_results():
         n=4, max_size=5, trials=10, seed=3,
         star_pass=6, star_fail=4, oracle_feasible=5, oracle_infeasible=1,
         necessity_checked=2, necessity_violations=0, discrepancies=0)
-    lattice_parts = (
-        LatticeWindow((2, 2), (Fraction(1),) * 4),
-        LatticeWindow((2, 2), (Fraction(0), Fraction(1),
-                               Fraction(0), Fraction(1))),
-    )
-    # a passing star check, a point certificate and the empty one
+    # and a passing star check
     return [decomposition, violation, dual, bounded, constrained,
-            report, lattice_parts, None, (1, 0, 2), ()]
+            report, None]
 
 
 def test_every_result_type_round_trips():
@@ -445,8 +440,7 @@ RECORDS = {
 
 
 def test_every_record_type_emitted_or_in_the_table_has_a_strategy():
-    emitted = {name for pair in _EMITS.values() for names in pair
-               for name in names} - {"pass", "point", "parts"}
+    emitted = {name for names in _EMITS.values() for name in names} - {"pass"}
     assert emitted <= set(RECORDS)
     assert set(RECORDS) == {cls.__name__ for cls in serialize._codecs()[1]}
 
@@ -454,8 +448,7 @@ def test_every_record_type_emitted_or_in_the_table_has_a_strategy():
 def test_every_codec_type_is_emitted_by_some_subcommand():
     # a certificate that no subcommand emits and none replays has no place
     # on the wire
-    emitted = {name for pair in _EMITS.values() for names in pair
-               for name in names}
+    emitted = {name for names in _EMITS.values() for name in names}
     assert {cls.__name__ for cls in serialize._codecs()[1]} <= emitted
 
 
@@ -466,12 +459,6 @@ def test_every_record_type_round_trips_byte_for_byte(name, data):
     doc = result_to_json(record)
     assert parse_result(doc) == record
     assert dumps(result_to_json(parse_result(doc))) == dumps(doc)
-
-
-def test_point_violation_round_trip():
-    doc = result_to_json((1, 0, 2))
-    assert doc["result"] == "point-violation"
-    assert parse_result(doc) == (1, 0, 2)
 
 
 def test_result_to_json_rejects_unknown():
@@ -553,7 +540,6 @@ def test_dumps_equals_json_dumps(doc):
 
 def test_dumps_equals_json_dumps_on_every_round_trip_document():
     docs = [result_to_json(r) for r in _sample_results()]
-    docs.append(result_to_json((1, 0, 2)))
     docs += [instance_to_json(parse_instance(doc)) for doc in (
         {"kind": "finite", "size": 2, "transforms": [[1, 0]],
          "values": ["1/2", "-3"]},
