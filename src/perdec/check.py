@@ -2,7 +2,10 @@
 
 The producers run these checkers on their results before returning them
 and --verify runs them on stored ones, so this module imports only `core`
-and `orbits`: a replay loads none of the code it checks.
+and `orbits`: a replay loads none of the code it checks.  A star
+violation on a finite kind is checked as the one all-singleton stencil
+`star.check_star` emits; on a z-window, as the partition instance the
+window scan found.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class StarViolation(_Record):
 
     instance: StarInstance
     value: Fraction
-    kind: str  # "MixedDeltaNonzero" | "CompatibilityFailure" (older output)
+    kind: str  # "MixedDeltaNonzero", the one kind
 
 
 class DualCertificate(_Record):
@@ -226,59 +229,48 @@ def _well_formed(inst: StarInstance, n: int, size: int) -> bool:
     return 0 <= inst.z < size
 
 
-def _replays(violation: StarViolation, n: int, f: RationalFunction,
-             premise: Callable[[int, int, int, int, int], bool],
-             step: Callable[[int, int], Callable[[int], int]]) -> bool:
-    """The body of both violation replays: the instance is well formed,
-    premise(i, l, l2, h, k) holds for each premise triple of index i whose
-    block head h sits at exponent k, and the mixed difference at z with
-    the factors step(h, k) of the heads equals the stored nonzero value."""
+def replay_violation(system: CommutingSystem, f: RationalFunction,
+                     violation: StarViolation) -> bool:
+    """Re-derive a stored finite violation: the instance `check_star`
+    emits (blocks (0,), ..., (n-1,), heads 0..n-1 at exponent 1, no
+    premises, z in range) whose mixed difference at z, one
+    `stencil_value` over the map tables, is the stored nonzero value.
+    Any other instance is refused: on a finite domain the all-singleton
+    condition decides alone (`decomp.decompose_n`), so no producer emits
+    another.  The stencil reads the tables O(n * min(N, 2^n)) times."""
     inst = violation.instance
-    if not _well_formed(inst, n, len(f)):
-        return False
-    head = {i: (h, k) for block, h, k
-            in zip(inst.blocks, inst.distinguished, inst.exponents)
-            for i in block}
-    if not all(premise(i, l, l2, *head[i]) for i, l, l2 in inst.premises):
+    n = system.n
+    if (inst.blocks != tuple((j,) for j in range(n))
+            or inst.distinguished != tuple(range(n))
+            or inst.exponents != (1,) * n or inst.premises
+            or not 0 <= inst.z < len(f)):
         return False
     num = stencil_value(f, inst.z,
-                        [step(h, k) for h, k
-                         in zip(inst.distinguished, inst.exponents)])
+                        [t.__getitem__ for t in system.transforms])
     v = violation.value
     return bool(num) and num * v.denominator == v.numerator * f.denom
 
 
-def replay_violation(system: CommutingSystem, f: RationalFunction,
-                     violation: StarViolation) -> bool:
-    """Re-derive a stored violation: structure, premises, and exact value.
-
-    Each `iterate` call walks at most N steps, and `stencil_value`
-    evaluates the value block by block on at most N live points, so the
-    replay costs O(blocks * N^2 + premises * N) whatever the exponents.
-    """
-    tables = system.transforms
-    z = violation.instance.z
-
-    def premise(i, l, l2, h, k):
-        return (l >= 0 and l2 >= 0
-                and iterate(tables[h], k, iterate(tables[i], l, z))
-                == iterate(tables[i], l2, z))
-
-    return _replays(violation, system.n, f, premise,
-                    lambda h, k: partial(iterate, tables[h], k))
-
-
 def replay_abelian_violation(shifts: Sequence[int], f: RationalFunction,
                              violation: StarViolation) -> bool:
-    """Re-derive a window violation arithmetically: premise (i, 0, mult)
-    says mult * a_i = k * a_head, and the value is `stencil_value` with
-    steps w -> w + k * a_head, which fails when a step leaves the
+    """Re-derive a window violation arithmetically: the instance is well
+    formed, each premise (i, 0, mult) says mult * a_i = k * a_head for
+    the head of i's block at exponent k, and the value is `stencil_value`
+    with steps w -> w + k * a_head, which fails when a step leaves the
     window."""
-    def premise(i, l, mult, h, k):
-        return l == 0 and mult >= 0 and mult * shifts[i] == k * shifts[h]
-
-    return _replays(violation, len(shifts), f, premise,
-                    lambda h, k: partial(add, k * shifts[h]))
+    inst = violation.instance
+    if not _well_formed(inst, len(shifts), len(f)):
+        return False
+    offset = {i: k * shifts[h] for block, h, k
+              in zip(inst.blocks, inst.distinguished, inst.exponents)
+              for i in block}
+    if not all(l == 0 and mult >= 0 and mult * shifts[i] == offset[i]
+               for i, l, mult in inst.premises):
+        return False
+    num = stencil_value(f, inst.z, [partial(add, offset[h])
+                                    for h in inst.distinguished])
+    v = violation.value
+    return bool(num) and num * v.denominator == v.numerator * f.denom
 
 
 def _block_offset(shifts: Sequence[int], block: tuple[int, ...],

@@ -297,7 +297,7 @@ def _no_candidates(items: Any, path: str) -> tuple:
 
 
 def _violation_kind(kind: Any, path: str) -> str:
-    if kind not in ("MixedDeltaNonzero", "CompatibilityFailure"):
+    if kind != "MixedDeltaNonzero":
         raise ParseError(f"unknown violation kind {kind!r}", path)
     return kind
 

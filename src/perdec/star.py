@@ -14,8 +14,10 @@ difference alone is not sufficient and the multi-element partitions of
 partition; they are still only necessary there, and
 `oracle.verified_split` decides windows exactly.
 
-Violations carry a full replayable instance, which `check`'s replays
-re-derive from scratch.
+A finite violation is always the all-singleton instance, the only one
+`check.replay_violation` accepts: one stencil over the map tables.  A
+window violation carries a full partition instance, premises included,
+which `check.replay_abelian_violation` re-derives from scratch.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ def check_star(system: CommutingSystem,
     mixed difference D_1...D_n f (D_j f = f o T_j - f) vanishes, so that is
     all that is computed: n unit-difference passes over the map tables on
     f's integer numerators, O(nN).  The first nonzero point z is returned
-    as the all-singleton instance (every head at exponent 1, no premises);
-    the other partitions can never add a violation.
+    as the all-singleton instance (every head at exponent 1, no premises),
+    the one instance `check.replay_violation` accepts; the other
+    partitions can never add a violation.
 
     The proof that the mixed difference suffices on a finite domain is
     constructive and lives in `decomp.decompose_n`, which builds the parts

@@ -187,10 +187,33 @@ BARE_CASES = (
                                   "--verify", "{dir}/bad-kind.json"]),
     ("error: unknown search option", ["search", "--trials", "5",
                                       "--workers", "1"]),
+    # a true two-block violation of the partition condition: on a finite
+    # kind only the all-singleton instance replays
+    ("refused: two-block finite violation",
+     ["star-check", "{dir}/three-swaps.json", "--verify",
+      "{dir}/two-block-violation.json"]),
+    ("error: compatibility violation kind",
+     ["decompose", "{dir}/three-swaps.json", "--verify",
+      "{dir}/compatibility-violation.json"]),
 )
 
-# files the input-error cases read, besides the instances
+# swaps 0 and 1 in one block headed by 1 (premise 1^1 0^0 z = 0^1 z), 2
+# alone, and the mixed difference of 1 and 2 at z = 0
+_TWO_BLOCKS = {"blocks": [[0, 1], [2]], "distinguished": [1, 2],
+               "exponents": [1, 1], "premises": [[0, 0, 1]], "z": 0,
+               "value": "-2"}
+
+# files the refusal and input-error cases read, besides the instances
 BAD_FILES = {
+    "three-swaps.json": json.dumps(
+        {"kind": "finite", "size": 2, "transforms": [[1, 0]] * 3,
+         "values": ["0", "1"]}),
+    "two-block-violation.json": json.dumps(
+        {"result": "violation",
+         "certificate": {**_TWO_BLOCKS, "kind": "MixedDeltaNonzero"}}),
+    "compatibility-violation.json": json.dumps(
+        {"result": "violation",
+         "certificate": {**_TWO_BLOCKS, "kind": "CompatibilityFailure"}}),
     "not-json.json": "{not json",
     "bad-kind.json": json.dumps({"kind": "torus", "values": []}),
     "not-commuting.json": json.dumps(
@@ -244,7 +267,7 @@ def run_corpus(workdir: Path) -> dict:
 
     def replayed(case_id: str, argv: list, **paths) -> None:
         code, out = case(case_id, argv, **paths)
-        if code != 2 and argv[0] != "validate":
+        if code != 2 and argv[0] != "validate" and "--verify" not in argv:
             result = workdir / "result.json"
             result.write_text(out)
             case(f"{case_id} --verify", argv + ["--verify", "{result}"],

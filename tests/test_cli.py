@@ -16,14 +16,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import perdec
-import perdec.check
 import perdec.cli
 import perdec.oracle
 from perdec import serialize
 from perdec.cli import run_command
 from perdec.core import RationalFunction, validate_system
 from perdec.decomp import decompose_n
-from tests.conftest import seeded_window as _seeded_window
+from tests.conftest import counted_tuple, seeded_window as _seeded_window
 
 FINITE_DOUBLE_SWAP = {
     "kind": "finite",
@@ -140,18 +139,28 @@ def test_decompose_violation_and_verify(tmp_path, capsys):
     assert doc["agrees"] is False
 
 
-def test_decompose_verify_accepts_an_earlier_compatibility_certificate(
+def test_decompose_verify_refuses_a_compatibility_kind_and_a_premise_instance(
         tmp_path, capsys):
-    # decompose no longer emits this kind, but saved certificates replay
+    # swap/swap with one block headed by 1, premise 1^1 0^0 z = 0^1 z: a
+    # true partition-condition violation, but no producer emits its kind
+    # (an input error) or, on a finite kind, any instance but the
+    # all-singleton one (no replay)
     path = _write(tmp_path, "inst.json", FINITE_DOUBLE_SWAP)
-    cert = _write(tmp_path, "cert.json", {
-        "result": "violation",
-        "certificate": {"kind": "CompatibilityFailure", "blocks": [[0, 1]],
-                        "distinguished": [1], "exponents": [1],
-                        "premises": [[0, 0, 1]], "z": 0, "value": "1"}})
+    certificate = {"kind": "CompatibilityFailure", "blocks": [[0, 1]],
+                   "distinguished": [1], "exponents": [1],
+                   "premises": [[0, 0, 1]], "z": 0, "value": "1"}
+    cert = _write(tmp_path, "cert.json", {"result": "violation",
+                                          "certificate": certificate})
     code, doc = _run(capsys, ["decompose", path, "--verify", cert])
-    assert code == 0
-    assert doc == {"result": "verified", "agrees": True}
+    assert (code, doc["path"]) == (2, "certificate.kind")
+    certificate["kind"] = "MixedDeltaNonzero"
+    cert = _write(tmp_path, "cert.json", {"result": "violation",
+                                          "certificate": certificate})
+    for command in ("decompose", "star-check"):
+        code, doc = _run(capsys, [command, path, "--verify", cert])
+        assert code == 1
+        assert doc == {"result": "verified", "agrees": False,
+                       "reason": "violation does not replay"}
 
 
 def test_decompose_success_and_verify(tmp_path, capsys):
@@ -895,8 +904,10 @@ def test_search_verify_rejects_a_non_rational_candidate(tmp_path, capsys):
     assert doc["path"] == "candidates"
 
 
-def test_star_check_verify_replays_huge_exponents_quickly(tmp_path, capsys):
-    # 0 -> 1 -> 2 -> 2, so t^(10**11) sends 0 to the fixed point 2
+def test_star_check_verify_refuses_huge_exponents_quickly(tmp_path, capsys):
+    # 0 -> 1 -> 2 -> 2, so t^(10**11) sends 0 to the fixed point 2 and
+    # the stored value is true, but a finite replay accepts exponent 1
+    # alone, and refuses at once
     inst = {"kind": "finite", "size": 3, "transforms": [[1, 2, 2]],
             "values": ["0", "0", "5"]}
     cert = {"result": "violation",
@@ -908,33 +919,59 @@ def test_star_check_verify_replays_huge_exponents_quickly(tmp_path, capsys):
     start = time.perf_counter()
     code, doc = _run(capsys, ["star-check", path, "--verify", saved])
     assert time.perf_counter() - start < 1.0
-    assert code == 0 and doc["agrees"] is True
+    assert code == 1 and doc["agrees"] is False
 
 
-@pytest.mark.parametrize("command", ["star-check", "decompose"])
-def test_verify_replays_many_blocks_in_polynomial_time(tmp_path, capsys,
-                                                       monkeypatch, command):
-    # 16 swaps of a 2-point set: a corner walk would visit 2^16 stencil
-    # points, the block-by-block replay at most N per block
-    n, size = 16, 2
-    inst = {"kind": "cyclic-group", "modulus": size, "shifts": [1] * n,
-            "values": ["0", "1"]}
-    path = _write(tmp_path, "inst.json", inst)
+def _random_values(size: int, seed: str) -> list:
+    rng = random.Random(seed)
+    return [str(rng.randint(-9, 9)) for _ in range(size)]
+
+
+# 16 swaps of a 2-point set, where a corner walk would visit 2^16 stencil
+# points, and three maps on 10^4 points, where a replay that walked each
+# map's orbit would read 10^4 entries per map
+REPLAY_READ_CASES = {
+    "16-swaps": ("cyclic-group", 16, 2, {
+        "modulus": 2, "shifts": [1] * 16, "values": ["0", "1"]}),
+    "3-shifts": ("cyclic-group", 3, 10 ** 4, {
+        "modulus": 10 ** 4, "shifts": [1, 10, 100],
+        "values": _random_values(10 ** 4, "three shifts")}),
+    "3-axes": ("lattice-window", 3, 10 ** 4, {
+        "dims": [25, 20, 20],
+        "values": _random_values(10 ** 4, "three axes")}),
+}
+
+
+@pytest.mark.parametrize("command,case", [
+    pytest.param(command, case, id=f"{command}-{name}")
+    for name, case in REPLAY_READ_CASES.items()
+    for command in ("star-check", "decompose", "lattice-decompose")
+    if command != "lattice-decompose" or case[0] == "lattice-window"])
+def test_verify_reads_the_map_tables_at_most_n_min_n_2_to_the_n_times(
+        tmp_path, capsys, monkeypatch, command, case):
+    # the finite replay is one stencil over the map tables: at most
+    # min(N, 2^j) live points before factor j, so n * min(N, 2^n) reads
+    kind, n, size, fields = case
+    path = _write(tmp_path, "inst.json", {"kind": kind, **fields})
     code, doc = _run(capsys, [command, path])
     assert code == 1 and doc["certificate"]["premises"] == []
     saved = _write(tmp_path, "cert.json", doc)
-    calls = [0]
-    iterate = perdec.check.iterate
+    limit = n * min(size, 2 ** n)
+    reads = [0]
+    parse_instance = perdec.cli.parse_instance
 
-    def counted(*args):
-        calls[0] += 1
-        if calls[0] > n * size:  # blocks * N, and no premises
-            raise AssertionError("replay iterated past blocks * N")
-        return iterate(*args)
+    def counted(doc):
+        # the parsed tables, swapped for counting tuples past the frozen
+        # record's refusing __setattr__
+        inst = parse_instance(doc)
+        object.__setattr__(inst.system, "transforms", tuple(
+            counted_tuple(t, reads, limit) for t in inst.system.transforms))
+        return inst
 
-    monkeypatch.setattr(perdec.check, "iterate", counted)
+    monkeypatch.setattr(perdec.cli, "parse_instance", counted)
     code, doc = _run(capsys, [command, path, "--verify", saved])
     assert code == 0 and doc["agrees"] is True
+    assert 0 < reads[0] <= limit
 
 
 def test_bounded_transfer_verify_replays_huge_exponents_quickly(tmp_path,

@@ -429,8 +429,7 @@ RECORDS = {
         StarViolation,
         st.builds(StarInstance, _INT_ROWS, _INT_TUPLES, _INT_TUPLES,
                   _INT_ROWS, _INTS),
-        rationals(), st.sampled_from(["MixedDeltaNonzero",
-                                      "CompatibilityFailure"])),
+        rationals(), st.just("MixedDeltaNonzero")),
     "DualCertificate": st.builds(DualCertificate, _FUNCTIONS),
     "BoundedTransfer": st.builds(BoundedTransfer, _FUNCTIONS, rationals()),
     "ConstrainedObstruction": st.builds(ConstrainedObstruction, _INTS, _INTS,

@@ -37,6 +37,7 @@ from tests.conftest import (
     constant,
     corner_stencil,
     counted_tuple,
+    mixed_difference_rows,
     ordered_partitions,
     power_table,
     systems,
@@ -174,27 +175,75 @@ def test_check_star_matches_the_definition(style, n, lmin, data):
                                                           lmin)
 
 
-def test_replay_reduces_huge_exponents_by_the_orbit():
-    # 0 -> 1 -> 2 -> 2: a tail of two steps into a fixed point
+def test_replay_refuses_huge_exponents_quickly():
+    # 0 -> 1 -> 2 -> 2: t^(10**11) sends 0 to the fixed point 2, so the
+    # stored value is true, but a finite replay accepts exponent 1 alone
     system = validate_system([(1, 2, 2)], 3)
     f = RationalFunction((Fraction(0), Fraction(0), Fraction(5)))
     far = StarViolation(StarInstance(((0,),), (0,), (10 ** 11,), (), 0),
                         Fraction(5), "MixedDeltaNonzero")
-    # two swaps in one block: premise and value depend on exponent parity
+    # two swaps in one block, premise 1^(10**11) 0 = 1^1 0
     swaps = validate_system([(1, 0), (1, 0)], 2)
     g = RationalFunction((Fraction(0), Fraction(1)))
     odd = StarViolation(
         StarInstance(((0, 1),), (0,), (10 ** 11 + 1,),
                      ((1, 10 ** 11, 1),), 0),
         Fraction(1), "MixedDeltaNonzero")
-    even = StarViolation(
-        StarInstance(((0, 1),), (0,), (10 ** 11,), ((1, 10 ** 11, 0),), 0),
-        Fraction(1), "MixedDeltaNonzero")
     start = time.perf_counter()
-    assert replay_violation(system, f, far)
-    assert replay_violation(swaps, g, odd)
-    assert not replay_violation(swaps, g, even)  # even exponent: value 0
+    assert not replay_violation(system, f, far)
+    assert not replay_violation(swaps, g, odd)
     assert time.perf_counter() - start < 1.0
+
+
+def _reference_finite_replay(system, f, violation):
+    """Reference finite replay from the definition: the instance is the
+    all-singleton one at exponent 1 with z in range, and the stored value
+    is the nonzero mixed difference D_1...D_n f at z, summed over the row
+    of `mixed_difference_rows`."""
+    n, z = system.n, violation.instance.z
+    if violation.instance != StarInstance(tuple((j,) for j in range(n)),
+                                          tuple(range(n)), (1,) * n, (), z) \
+            or not 0 <= z < system.size:
+        return False
+    value = sum(w * v for w, v in zip(mixed_difference_rows(system)[z],
+                                      f.values))
+    return value != 0 and value == violation.value
+
+
+@given(systems_with_functions(max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_finite_replay_equals_the_definition_on_violations_and_twins(case):
+    # each check_star violation and its tampered twins: z +- 1, value + 1,
+    # an added block, the blocks reversed, the first head at exponent 2
+    # and a stray premise
+    system, f = case
+    violation = check_star(system, f)
+    if violation is None:
+        return
+    inst, value, n = violation.instance, violation.value, system.n
+    twins = [StarViolation(StarInstance(inst.blocks, inst.distinguished,
+                                        inst.exponents, (), inst.z + dz),
+                           value, violation.kind) for dz in (-1, 1)]
+    twins += [
+        StarViolation(inst, value + 1, violation.kind),
+        StarViolation(StarInstance(inst.blocks + ((n,),),
+                                   inst.distinguished + (n,),
+                                   inst.exponents + (1,), (), inst.z),
+                      value, violation.kind),
+        StarViolation(StarInstance(inst.blocks[::-1], inst.distinguished,
+                                   inst.exponents, (), inst.z),
+                      value, violation.kind),
+        StarViolation(StarInstance(inst.blocks, inst.distinguished,
+                                   (2,) + inst.exponents[1:], (), inst.z),
+                      value, violation.kind),
+        StarViolation(StarInstance(inst.blocks, inst.distinguished,
+                                   inst.exponents, ((0, 0, 0),), inst.z),
+                      value, violation.kind)]
+    assert replay_violation(system, f, violation)
+    assert _reference_finite_replay(system, f, violation)
+    for twin in twins:
+        assert replay_violation(system, f, twin) \
+            == _reference_finite_replay(system, f, twin)
 
 
 @given(systems_with_functions(max_size=4))
@@ -629,18 +678,20 @@ def test_abelian_rejects_bad_inputs():
         check_star_abelian((1.5,), f)
 
 
-def test_replay_accepts_a_compatibility_failure_certificate():
-    # check_star emits only MixedDeltaNonzero, but the older kind still
-    # replays: swap/swap with one block headed by 1, premise 1^1 0^0 z = 0^1 z
+def test_replay_refuses_a_true_partition_instance_on_a_finite_kind():
+    # swap/swap with one block headed by 1, premise 1^1 0^0 z = 0^1 z:
+    # a true violation of the partition condition, but no producer emits
+    # it on a finite domain, where the all-singleton instance decides
     swap = (1, 0)
     system = validate_system([swap, swap], 2)
     inst = StarInstance(blocks=((0, 1),), distinguished=(1,), exponents=(1,),
                         premises=((0, 0, 1),), z=0)
     f = RationalFunction((Fraction(0), Fraction(1)))
-    viol = StarViolation(inst, Fraction(1), "CompatibilityFailure")
-    assert replay_violation(system, f, viol)
     assert not replay_violation(
-        system, f, StarViolation(inst, Fraction(2), "CompatibilityFailure"))
-    assert not replay_violation(system, zero(2),
-                                StarViolation(inst, Fraction(0),
-                                              "CompatibilityFailure"))
+        system, f, StarViolation(inst, Fraction(1), "MixedDeltaNonzero"))
+    singletons = check_star(system, f)
+    assert singletons.instance.blocks == ((0,), (1,))
+    assert replay_violation(system, f, singletons)
+    # the right shape with a zero value is no violation
+    assert not replay_violation(system, zero(2), StarViolation(
+        singletons.instance, Fraction(0), "MixedDeltaNonzero"))
