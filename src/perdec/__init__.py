@@ -44,13 +44,12 @@ _EXPORTS = {
     "oracle_decompose": "oracle",
     "partial_sum_bound": "check",
     "power": "core",
-    "replay_abelian_violation": "check",
     "replay_violation": "check",
     "search_counterexample": "star",
     "solve_bounded_transfer": "cohomology",
     "validate_system": "core",
     "validate_transform": "core",
-    "verify_decomposition": "check",
+    "verify_parts": "check",
 }
 
 

@@ -2,10 +2,14 @@
 
 The producers run these checkers on their results before returning them
 and --verify runs them on stored ones, so this module imports only `core`
-and `orbits`: a replay loads none of the code it checks.  A star
-violation on a finite kind is checked as the one all-singleton stencil
-`star.check_star` emits; on a z-window, as the partition instance the
-window scan found.
+and `orbits`: a replay loads none of the code it checks.  Each result
+type that --verify reads has one public checker here: `verify_parts` for
+a decomposition, `replay_violation` for a star violation,
+`verify_star_pass` for a pass, `verify_dual`, `verify_bounded_transfer`
+and `verify_report`.  A star violation replays only as the one instance
+its producer emits: on map tables the all-singleton stencil
+`star.check_star` emits, on a z-window the `window_instance` of its
+blocks that `star.check_star_abelian` emits.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Optional,
                     Sequence, Union)
 
 from .core import (
-    CommutingSystem,
-    Decomposition,
     PreconditionError,
     RationalFunction,
     VerificationResult,
@@ -105,14 +107,21 @@ class SearchReport(_Record):
     candidates: tuple = ()
 
 
-def first_parts_defect(tables: Sequence[Sequence[int]], f: RationalFunction,
-                       parts: Sequence[RationalFunction]
-                       ) -> Optional[tuple[str, ...]]:
-    """First defect of parts as a split of f, part j invariant under the
-    map tables[j]: ("LengthMismatch", j), then ("SumMismatch", x), then
-    ("NotInvariant", j, x) where part j differs at x and at tables[j][x];
-    None when there is none.  A fixed point constrains nothing, so a
-    window shift completed by fixed points checks its in-window pairs.
+def _match_lengths(g: RationalFunction, *maps: Sequence[int]) -> None:
+    """Refuse maps whose tables are not as long as g's domain."""
+    if any(len(m) != len(g) for m in maps):
+        raise PreconditionError("transform length does not match function")
+
+
+def verify_parts(tables: Sequence[Sequence[int]], f: RationalFunction,
+                 parts: Sequence[RationalFunction]) -> VerificationResult:
+    """Exact check that parts split f, one part per map table, part j
+    invariant under tables[j]; tables not as long as f raise
+    PreconditionError.  The reason names the first defect:
+    "LengthMismatch(j)", then "SumMismatch(x)", then "NotInvariant(j,x)"
+    where part j differs at x and at tables[j][x].  A fixed point
+    constrains nothing, so a window shift completed by fixed points
+    checks its in-window pairs.
 
     All on integers: f and the parts are scaled to one lcm of their n + 1
     denominators and summed point by point, and a part is invariant when
@@ -123,58 +132,37 @@ def first_parts_defect(tables: Sequence[Sequence[int]], f: RationalFunction,
     input when the denominators are pairwise coprime (see
     `values_from_json`).
     """
+    _match_lengths(f, *tables)
+    if len(parts) != len(tables):
+        return VerificationResult(False,
+                                  "part count differs from transform count")
     for j, part in enumerate(parts):
         if len(part) != len(f):
-            return ("LengthMismatch", j)
+            return VerificationResult(False, f"LengthMismatch({j})")
     denom = lcm(f.denom, *(part.denom for part in parts))
 
     def scaled(g: RationalFunction) -> list[int]:
         k = denom // g.denom
         return list(g.numerators) if k == 1 else [k * v for v in g.numerators]
 
+    def first_difference(a: Sequence[int], b: Sequence[int]) -> int:
+        return next(x for x, (u, v) in enumerate(zip(a, b)) if u != v)
+
     total = [0] * len(f)
     for part in parts:
         total = list(map(add, total, scaled(part)))
     want = scaled(f)
     if total != want:
-        return ("SumMismatch", next(x for x, (a, b)
-                                    in enumerate(zip(total, want)) if a != b))
+        return VerificationResult(
+            False, f"SumMismatch({first_difference(total, want)})")
     for j, (t, part) in enumerate(zip(tables, parts)):
         numerators = part.numerators
         moved = tuple(map(numerators.__getitem__, t))
         if moved != numerators:
-            return ("NotInvariant", j, next(x for x, (a, b) in enumerate(
-                zip(moved, numerators)) if a != b))
-    return None
-
-
-def verify_parts(tables: Sequence[Sequence[int]], f: RationalFunction,
-                 parts: Sequence[RationalFunction]) -> VerificationResult:
-    """One part per map, checked by `first_parts_defect`; the reason tag
-    is "LengthMismatch(j)", "SumMismatch(x)" or "NotInvariant(j,x)"."""
-    if len(parts) != len(tables):
-        return VerificationResult(False,
-                                  "part count differs from transform count")
-    defect = first_parts_defect(tables, f, parts)
-    if defect is None:
-        return VerificationResult(True)
-    tag, *where = defect
-    return VerificationResult(False, f"{tag}({','.join(map(str, where))})")
-
-
-def verify_decomposition(system: CommutingSystem, f: RationalFunction,
-                         decomposition: Decomposition) -> VerificationResult:
-    """Exact check that parts sum to f and part j is T_j-invariant, by
-    `verify_parts` on the system's tables."""
-    if len(decomposition.parts) != system.n:
-        raise PreconditionError(
-            f"decomposition has {len(decomposition.parts)} parts, "
-            f"system has {system.n} transforms")
-    if not decomposition.parts:
-        raise PreconditionError("empty decomposition has no ambient size")
-    if len(f) != system.size:
-        raise PreconditionError("function length does not match the domain")
-    return verify_parts(system.transforms, f, decomposition.parts)
+            return VerificationResult(
+                False,
+                f"NotInvariant({j},{first_difference(moved, numerators)})")
+    return VerificationResult(True)
 
 
 def stencil_weights(z: int, steps: Iterable[Callable[[int], int]],
@@ -210,93 +198,83 @@ def stencil_value(f: RationalFunction, z: int,
     return sum(c * numerators[w] for w, c in coeffs.items())
 
 
-def _well_formed(inst: StarInstance, n: int, size: int) -> bool:
-    """Blocks partition range(n), each with a head in it and an exponent
-    >= 1; one (i, l, l2) premise per non-head index; z in [0, size)."""
-    if not len(inst.blocks) == len(inst.distinguished) == len(inst.exponents):
-        return False
-    covered = sorted(i for block in inst.blocks for i in block)
-    if covered != list(range(n)):
-        return False
-    for block, h, k in zip(inst.blocks, inst.distinguished, inst.exponents):
-        if h not in block or k < 1:
-            return False
-    expected = sorted(i for block, h in zip(inst.blocks, inst.distinguished)
-                      for i in block if i != h)
-    if any(len(p) != 3 for p in inst.premises) \
-            or sorted(p[0] for p in inst.premises) != expected:
-        return False
-    return 0 <= inst.z < size
-
-
-def replay_violation(system: CommutingSystem, f: RationalFunction,
-                     violation: StarViolation) -> bool:
-    """Re-derive a stored finite violation: the instance `check_star`
-    emits (blocks (0,), ..., (n-1,), heads 0..n-1 at exponent 1, no
-    premises, z in range) whose mixed difference at z, one
-    `stencil_value` over the map tables, is the stored nonzero value.
-    Any other instance is refused: on a finite domain the all-singleton
-    condition decides alone (`decomp.decompose_n`), so no producer emits
-    another.  The stencil reads the tables O(n * min(N, 2^n)) times."""
-    inst = violation.instance
-    n = system.n
-    if (inst.blocks != tuple((j,) for j in range(n))
-            or inst.distinguished != tuple(range(n))
-            or inst.exponents != (1,) * n or inst.premises
-            or not 0 <= inst.z < len(f)):
-        return False
-    num = stencil_value(f, inst.z,
-                        [t.__getitem__ for t in system.transforms])
-    v = violation.value
-    return bool(num) and num * v.denominator == v.numerator * f.denom
-
-
-def replay_abelian_violation(shifts: Sequence[int], f: RationalFunction,
-                             violation: StarViolation) -> bool:
-    """Re-derive a window violation arithmetically: the instance is well
-    formed, each premise (i, 0, mult) says mult * a_i = k * a_head for
-    the head of i's block at exponent k, and the value is `stencil_value`
-    with steps w -> w + k * a_head, which fails when a step leaves the
-    window."""
-    inst = violation.instance
-    if not _well_formed(inst, len(shifts), len(f)):
-        return False
-    offset = {i: k * shifts[h] for block, h, k
-              in zip(inst.blocks, inst.distinguished, inst.exponents)
-              for i in block}
-    if not all(l == 0 and mult >= 0 and mult * shifts[i] == offset[i]
-               for i, l, mult in inst.premises):
-        return False
-    num = stencil_value(f, inst.z, [partial(add, offset[h])
-                                    for h in inst.distinguished])
-    v = violation.value
-    return bool(num) and num * v.denominator == v.numerator * f.denom
-
-
-def _block_offset(shifts: Sequence[int], block: tuple[int, ...],
-                  size: int) -> Optional[int]:
+def _block_offset(shifts: Sequence[int],
+                  block: tuple[int, ...]) -> Optional[int]:
     """The block's signed offset: the least common multiple of its member
     shifts, the least k * a_head, k >= 1, that passes the block's premises
-    whichever member is the head.  None when it leaves the window
-    (|offset| >= size) or when the block holds a zero shift (whose
-    stencil is zero) or shifts of both signs (no common multiple)."""
+    whichever member is the head.  None when the block is empty, holds a
+    zero shift (whose stencil is zero) or shifts of both signs (no common
+    multiple)."""
     members = [shifts[i] for i in block]
-    if min(members) <= 0 <= max(members):
+    if not members or min(members) <= 0 <= max(members):
         return None
     step = lcm(*members)
-    if step >= size:
-        return None
     return step if members[0] > 0 else -step
+
+
+def window_instance(shifts: Sequence[int], blocks: tuple[tuple[int, ...], ...],
+                    z: int) -> Optional[StarInstance]:
+    """The instance `star.check_star_abelian` emits for these blocks at z:
+    each block headed by its first index, at the exponent that takes the
+    head's shift to the block's signed offset o (`_block_offset`), with
+    one premise (i, 0, o / a_i) per other member, sorted.  None when a
+    block has no offset."""
+    offsets = [_block_offset(shifts, block) for block in blocks]
+    if None in offsets:
+        return None
+    premises = sorted((i, 0, o // shifts[i])
+                      for block, o in zip(blocks, offsets) for i in block[1:])
+    return StarInstance(blocks, tuple(block[0] for block in blocks),
+                        tuple(o // shifts[block[0]]
+                              for block, o in zip(blocks, offsets)),
+                        tuple(premises), z)
+
+
+def replay_violation(f: RationalFunction, violation: StarViolation,
+                     tables: Sequence[Sequence[int]] = (),
+                     shifts: Optional[Sequence[int]] = None) -> bool:
+    """Re-derive a stored violation as the one instance its producer
+    emits, with z in range, whose mixed difference at z, one
+    `stencil_value`, is the stored nonzero value.  Any other instance
+    does not replay.
+
+    On total map tables that is the all-singleton instance `check_star`
+    emits (blocks (0,), ..., (n-1,), heads 0..n-1 at exponent 1, no
+    premises), its stencil read over the tables O(n * min(N, 2^n))
+    times: on a finite domain the all-singleton condition decides alone
+    (`decomp.decompose_n`), so no producer emits another.  On a window
+    of Z with the given shifts, the stored blocks must partition the
+    shift indices and the instance must be their `window_instance`, the
+    one `star.check_star_abelian` emits; its stencil steps w -> w +
+    k * a_head fail when they leave the window."""
+    inst = violation.instance
+    if shifts is None:
+        n = len(tables)
+        want = StarInstance(tuple((j,) for j in range(n)), tuple(range(n)),
+                            (1,) * n, (), inst.z)
+    else:
+        covered = sorted(i for block in inst.blocks for i in block)
+        if covered != list(range(len(shifts))):
+            return False
+        want = window_instance(shifts, inst.blocks, inst.z)
+    if inst != want or not 0 <= inst.z < len(f):
+        return False
+    steps = ([t.__getitem__ for t in tables] if shifts is None
+             else [partial(add, k * shifts[h])
+                   for h, k in zip(inst.distinguished, inst.exponents)])
+    num = stencil_value(f, inst.z, steps)
+    v = violation.value
+    return bool(num) and num * v.denominator == v.numerator * f.denom
 
 
 def window_scan(shifts: Sequence[int], f_num: Sequence[int]
                 ) -> Optional[tuple]:
     """The partition condition on a window of Z with maps x -> x + a_i:
-    (blocks, offsets, z, value) of the first stencil nonzero in-window,
-    or None when all vanish.  One stencil per set partition of the shift
-    indices, most blocks first, then lexicographic, each block at its
-    signed least common multiple (`_block_offset`); a partition with a
-    block out of reach has none.  A window pass carries no certificate,
+    (blocks, z, value) of the first stencil nonzero in-window, or None
+    when all vanish.  One stencil per set partition of the shift indices,
+    most blocks first, then lexicographic, each block at its signed least
+    common multiple (`_block_offset`); a partition with a block that has
+    none, or whose offset leaves the window, has no stencil.  A window pass carries no certificate,
     so this scan is its checker, and `star.check_star_abelian` builds its
     violation from the first hit.
 
@@ -312,25 +290,25 @@ def window_scan(shifts: Sequence[int], f_num: Sequence[int]
     blocks still to come, is dropped with its extensions too."""
     size = len(f_num)
 
-    def walk(blocks, offsets, lo, row, rest, count):
+    def walk(blocks, lo, row, rest, count):
         # the first hit among the partitions that end in count blocks of
         # rest, below a prefix with a nonzero row
         if not count:
             j = next(j for j, v in enumerate(row) if v)
-            return blocks, offsets, lo + j, row[j]
+            return blocks, lo + j, row[j]
         # (block, indices that may join it), popped in lexicographic order
         stack = [(rest, ())] if count == 1 else [(rest[:1], rest[1:])]
         while stack:
             block, later = stack.pop()
-            offset = _block_offset(shifts, block, size)
-            if offset is None or len(rest) - len(block) < count - 1:
+            offset = _block_offset(shifts, block)
+            if offset is None or abs(offset) >= size \
+                    or len(rest) - len(block) < count - 1:
                 continue
             shift, below = window_difference(row, (offset,))
             if not any(below):
                 continue
-            hit = walk(blocks + (block,), offsets + [offset], lo + shift,
-                       below, tuple(i for i in rest if i not in block),
-                       count - 1)
+            hit = walk(blocks + (block,), lo + shift, below,
+                       tuple(i for i in rest if i not in block), count - 1)
             if hit is not None:
                 return hit
             stack += [(block + (later[k],), later[k + 1:])
@@ -338,7 +316,7 @@ def window_scan(shifts: Sequence[int], f_num: Sequence[int]
         return None
 
     for count in range(len(shifts), 0, -1):
-        hit = walk((), [], 0, f_num, tuple(range(len(shifts))), count)
+        hit = walk((), 0, f_num, tuple(range(len(shifts))), count)
         if hit is not None:
             return hit
     return None
@@ -421,37 +399,22 @@ def partial_sum_bound(t: Sequence[int], g: RationalFunction,
     return Fraction(top, g.denom)
 
 
-def verify_transfer(t: Sequence[int], g: RationalFunction,
-                    h: RationalFunction) -> VerificationResult:
+def _check_bounded(t: Sequence[int], s: Sequence[int], g: RationalFunction,
+                   h: RationalFunction,
+                   bound_c: Fraction) -> VerificationResult:
     """h solves h(t(x)) - h(x) = g(x) at every x, on numerators over the
-    lcm of the two denominators."""
+    lcm of the two denominators, is s-invariant and stays within 2C."""
     denom = lcm(h.denom, g.denom)
     a, b = denom // h.denom, denom // g.denom
     hn, gn = h.numerators, g.numerators
     for x in range(len(g)):
         if a * (hn[t[x]] - hn[x]) != b * gn[x]:
             return VerificationResult(False, f"transfer identity fails at {x}")
-    return VerificationResult(True)
-
-
-def _check_bounded(t: Sequence[int], s: Sequence[int], g: RationalFunction,
-                   h: RationalFunction,
-                   bound_c: Fraction) -> VerificationResult:
-    """h solves h(t(x)) - h(x) = g(x), is s-invariant and stays within 2C."""
-    solves = verify_transfer(t, g, h)
-    if not solves.ok:
-        return solves
     if not is_invariant(s, h):
         return VerificationResult(False, "solution is not s-invariant")
     if h.max_abs() > 2 * bound_c:
         return VerificationResult(False, "solution exceeds twice the bound")
     return VerificationResult(True)
-
-
-def _match_lengths(g: RationalFunction, *maps: Sequence[int]) -> None:
-    """Refuse maps whose tables are not as long as g's domain."""
-    if any(len(m) != len(g) for m in maps):
-        raise PreconditionError("transform length does not match function")
 
 
 def orbit_sum(t: Sequence[int], g: RationalFunction, x: int,

@@ -118,19 +118,18 @@ def _verify_result(command: str, inst: Optional[Instance],
     if key not in _EMITS[command]:
         return VerificationResult(False, f"unexpected result type {key} for "
                                          f"{command}")
-    if key == "pass":
-        # a pass carries no certificate: the condition is re-run
-        if inst.kind == "z-window":
-            return check.verify_star_pass(inst.f, shifts=inst.shifts)
-        return check.verify_star_pass(inst.f, inst.maps())
-    if key == "Decomposition":
-        return check.verify_parts(inst.maps(), inst.f, result.parts)
-    if key == "StarViolation":
-        ok = (check.replay_abelian_violation(inst.shifts, inst.f, result)
-              if inst.kind == "z-window"
-              else check.replay_violation(inst.system, inst.f, result))
+    if key in ("pass", "StarViolation"):
+        # a z-window is checked on its shifts, with no completed maps
+        shifts = inst.shifts if inst.kind == "z-window" else None
+        tables = inst.maps() if shifts is None else ()
+        if key == "pass":
+            # a pass carries no certificate: the condition is re-run
+            return check.verify_star_pass(inst.f, tables, shifts)
+        ok = check.replay_violation(inst.f, result, tables, shifts)
         return VerificationResult(ok,
                                   None if ok else "violation does not replay")
+    if key == "Decomposition":
+        return check.verify_parts(inst.maps(), inst.f, result.parts)
     if key == "DualCertificate":
         from .orbits import invariance_classes
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Sequence, Tuple, Union
 
-from .check import StarViolation, verify_decomposition
+from .check import StarViolation, verify_parts
 from .core import (
     CommutingSystem,
     Decomposition,
@@ -146,7 +146,7 @@ def decompose_n(system: CommutingSystem,
              for class_of, sums, part_denom in means]
     parts.append(_from_integers(rest, denom))
     decomposition = Decomposition(tuple(parts))
-    verify_decomposition(system, f, decomposition).require(
+    verify_parts(system.transforms, f, decomposition.parts).require(
         "projection construction")
     return decomposition
 

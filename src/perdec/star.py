@@ -14,10 +14,11 @@ difference alone is not sufficient and the multi-element partitions of
 partition; they are still only necessary there, and
 `oracle.verified_split` decides windows exactly.
 
-A finite violation is always the all-singleton instance, the only one
-`check.replay_violation` accepts: one stencil over the map tables.  A
-window violation carries a full partition instance, premises included,
-which `check.replay_abelian_violation` re-derives from scratch.
+Each producer emits one fixed shape of violation, and
+`check.replay_violation` accepts only that shape: on a finite domain the
+all-singleton instance, one stencil over the map tables; on a window the
+`check.window_instance` of the blocks the scan hit, each headed by its
+least index at the block's least common multiple, with its premises.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from .check import SearchReport, StarInstance, StarViolation, window_scan
+from .check import (SearchReport, StarInstance, StarViolation,
+                    window_instance, window_scan)
 from .core import (
     CommutingSystem,
     Decomposition,
@@ -95,7 +97,8 @@ def check_star_abelian(shifts: Sequence[int],
     for a one-element block that is the cap at exponent 1.  The same lemma
     lets the scan drop every partition below a vanishing prefix of
     blocks, and with it the prefixes that extend its last block.  The
-    stored premise triples are (i, 0, l // a_i).  Translations of Z_m are
+    instance is `check.window_instance` of the hit's blocks, so its
+    premise triples are (i, 0, l // a_i).  Translations of Z_m are
     total maps on a finite set, where `check_star` decides alone.
     """
     for a in shifts:
@@ -109,14 +112,9 @@ def check_star_abelian(shifts: Sequence[int],
         return None
     from fractions import Fraction
 
-    blocks, offsets, z, value = hit
-    heads = tuple(block[0] for block in blocks)
-    kvec = tuple(o // shifts[h] for h, o in zip(heads, offsets))
-    premises = tuple(sorted(
-        (i, 0, o // shifts[i])
-        for block, o in zip(blocks, offsets) for i in block[1:]))
-    instance = StarInstance(blocks, heads, kvec, premises, z)
-    return StarViolation(instance, Fraction(value, denom), "MixedDeltaNonzero")
+    blocks, z, value = hit
+    return StarViolation(window_instance(shifts, blocks, z),
+                         Fraction(value, denom), "MixedDeltaNonzero")
 
 
 def _run_trials(n: int, max_size: int, trials: int, seed: int) -> dict:

@@ -195,6 +195,14 @@ BARE_CASES = (
     ("error: compatibility violation kind",
      ["decompose", "{dir}/three-swaps.json", "--verify",
       "{dir}/compatibility-violation.json"]),
+    # true window violations of the partition condition that are not the
+    # instance the window scan emits for their blocks
+    ("refused: window violation at exponent 2",
+     ["star-check", "{dir}/window-squares.json", "--verify",
+      "{dir}/window-exponent-2.json"]),
+    ("refused: window violation headed by a later index",
+     ["star-check", "{dir}/window-squares.json", "--verify",
+      "{dir}/window-later-head.json"]),
 )
 
 # swaps 0 and 1 in one block headed by 1 (premise 1^1 0^0 z = 0^1 z), 2
@@ -202,6 +210,11 @@ BARE_CASES = (
 _TWO_BLOCKS = {"blocks": [[0, 1], [2]], "distinguished": [1, 2],
                "exponents": [1, 1], "premises": [[0, 0, 1]], "z": 0,
                "value": "-2"}
+
+# on x^2 with shifts (1, 1), one block {0, 1}: at offset 2, premise
+# 0^2 z = 1^2 z and value f(2) - f(0); at offset 1 headed by 1, premise
+# 1^1 z = 0^1 z and value f(1) - f(0)
+_WINDOW_BLOCK = {"blocks": [[0, 1]], "z": 0, "kind": "MixedDeltaNonzero"}
 
 # files the refusal and input-error cases read, besides the instances
 BAD_FILES = {
@@ -214,6 +227,19 @@ BAD_FILES = {
     "compatibility-violation.json": json.dumps(
         {"result": "violation",
          "certificate": {**_TWO_BLOCKS, "kind": "CompatibilityFailure"}}),
+    "window-squares.json": json.dumps(
+        {"kind": "z-window", "length": 12, "shifts": [1, 1],
+         "values": [str(x * x) for x in range(12)]}),
+    "window-exponent-2.json": json.dumps(
+        {"result": "violation",
+         "certificate": {**_WINDOW_BLOCK, "distinguished": [0],
+                         "exponents": [2], "premises": [[1, 0, 2]],
+                         "value": "4"}}),
+    "window-later-head.json": json.dumps(
+        {"result": "violation",
+         "certificate": {**_WINDOW_BLOCK, "distinguished": [1],
+                         "exponents": [1], "premises": [[0, 0, 1]],
+                         "value": "1"}}),
     "not-json.json": "{not json",
     "bad-kind.json": json.dumps({"kind": "torus", "values": []}),
     "not-commuting.json": json.dumps(

@@ -1090,12 +1090,17 @@ MUTATION_SITES = [(command, inst, doc, path)
                   for command, inst, doc in CERTIFICATES
                   for path in _field_paths(doc)]
 
+# nested int lists a violation's blocks or premises may hold: an empty
+# block, a negative index and an index past the last transform
+_NESTED_ROWS = [[[]], [[0, -1]], [[0, 9]]]
+
 _FIELD_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3),
     st.sampled_from([10 ** 11, -10 ** 11, 2 ** 64]),
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(["0", "1", "-1", "1/2", "-7/3", "abc", "1/0", ""]),
     st.lists(st.integers(-3, 3), max_size=4),
+    st.sampled_from(_NESTED_ROWS),
     st.lists(st.sampled_from(["0", "1", "-1/2"]), max_size=7),
     st.dictionaries(st.sampled_from(["x", "point", "weights"]),
                     st.integers(-2, 2), max_size=2),
@@ -1115,6 +1120,28 @@ def test_mutated_certificates_never_crash_or_hang(site, value):
         inst_path = _write(Path(tmp), "inst.json", inst)
         cert_path = _write(Path(tmp), "cert.json", _mutate(doc, path, value))
         _assert_clean_run([command, inst_path, "--verify", cert_path])
+
+
+ROW_SITES = [(command, inst, doc, path)
+             for command, inst, doc, path in MUTATION_SITES
+             if path[1:2] in (("blocks",), ("premises",))]
+
+
+@pytest.mark.parametrize("value", _NESTED_ROWS)
+@pytest.mark.parametrize(
+    "site", ROW_SITES,
+    ids=[f"{command}:{'.'.join(map(str, path))}"
+         for command, _, _, path in ROW_SITES])
+def test_nested_rows_in_a_violation_are_refused_cleanly(site, value):
+    # every such instance is malformed or no producer's: it does not
+    # replay (exit 1) or is not read (exit 2), and never raises
+    command, inst, doc, path = site
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = _write(Path(tmp), "inst.json", inst)
+        cert_path = _write(Path(tmp), "cert.json", _mutate(doc, path, value))
+        code, _ = _assert_clean_run([command, inst_path, "--verify",
+                                     cert_path])
+    assert code in (1, 2)
 
 
 def _mutate(doc, path, value):

@@ -198,9 +198,9 @@ def test_solve_bounded_transfer_verifies_its_solution(monkeypatch):
 def test_each_bounded_transfer_answer_is_checked_once(monkeypatch, g,
                                                       answer):
     # a refusal is replayed once by verify_bounded_transfer and a
-    # solution once by verify_transfer, both on the ground maps
+    # solution once by _check_bounded, both on the ground maps
     calls = Counter()
-    for name in ("verify_bounded_transfer", "verify_transfer"):
+    for name in ("verify_bounded_transfer", "_check_bounded"):
         def counted(*args, name=name, real=getattr(check, name)):
             calls[name] += 1
             return real(*args)
@@ -211,7 +211,7 @@ def test_each_bounded_transfer_answer_is_checked_once(monkeypatch, g,
                                  RationalFunction(tuple(map(Fraction, g))))
     assert isinstance(got, answer)
     checker = ("verify_bounded_transfer" if answer is ConstrainedObstruction
-               else "verify_transfer")
+               else "_check_bounded")
     assert calls == {checker: 1}
 
 

@@ -10,6 +10,7 @@ from perdec.core import (
     CommutingSystem,
     Decomposition,
     NotCommutingError,
+    PreconditionError,
     RangeError,
     RationalFunction,
     VerificationResult,
@@ -23,7 +24,7 @@ from perdec.core import (
     validate_system,
     validate_transform,
 )
-from perdec.check import verify_decomposition
+from perdec.check import verify_parts
 from perdec.serialize import parse_instance
 from perdec.orbits import invariance_classes
 from tests.conftest import (
@@ -280,43 +281,53 @@ def test_is_invariant_iff_delta_zero(sized, data):
     assert is_invariant(t, f) == (not any(delta(t, f).values))
 
 
-def test_verify_decomposition_reports_sum_mismatch():
+def test_verify_parts_reports_sum_mismatch():
     system = validate_system([(0, 1)], 2)
     f = RationalFunction([1, 1])
     bad = Decomposition((RationalFunction([0, 0]),))
-    res = verify_decomposition(system, f, bad)
+    res = verify_parts(system.transforms, f, bad.parts)
     assert not res
     assert res.reason == "SumMismatch(0)"
 
 
-def test_verify_decomposition_reports_short_parts():
+def test_verify_parts_reports_short_parts():
     system = validate_system([(1, 2, 0), (0, 1, 2)], 3)
     f = RationalFunction([1, 1, 1])
     short = Decomposition((RationalFunction([1, 1]),
                            RationalFunction([0, 0])))
-    res = verify_decomposition(system, f, short)
+    res = verify_parts(system.transforms, f, short.parts)
     assert not res
     assert res.reason == "LengthMismatch(0)"
 
 
-def test_verify_decomposition_reports_non_invariance():
+def test_verify_parts_reports_non_invariance():
     system = validate_system([(1, 0)], 2)
     f = RationalFunction([0, 1])
     bad = Decomposition((f,))
-    res = verify_decomposition(system, f, bad)
+    res = verify_parts(system.transforms, f, bad.parts)
     assert not res
     assert res.reason == "NotInvariant(0,0)"
 
 
-def test_verify_decomposition_accepts_valid_split():
+def test_verify_parts_accepts_valid_split():
     system = validate_system([(1, 0), (0, 1)], 2)
     f = RationalFunction([3, 5])
-    parts = Decomposition((
+    split = Decomposition((
         RationalFunction([4, 4]),
         RationalFunction([-1, 1]),
     ))
-    res = verify_decomposition(system, f, parts)
+    res = verify_parts(system.transforms, f, split.parts)
     assert res.ok and bool(res)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_verify_parts_refuses_tables_not_as_long_as_f(size):
+    # a table of another length than f is the caller's error, raised
+    # before any part is read, not a defect of the parts
+    tables = [(1, 0), (0, 1)]
+    f = RationalFunction([1] * size)
+    with pytest.raises(PreconditionError):
+        verify_parts(tables, f, (f, f))
 
 
 def test_decomposition_total():
@@ -327,7 +338,7 @@ def test_decomposition_total():
     assert (parts[0] + parts[1]).values == (Fraction(4), Fraction(6))
 
 
-def _fraction_verify_decomposition(system, f, decomposition):
+def _fraction_verify_parts(system, f, decomposition):
     """The Fraction-arithmetic verifier that the integer one replaced."""
     for j, part in enumerate(decomposition.parts):
         if len(part) != system.size:
@@ -373,7 +384,7 @@ def mutated_splits(draw):
 
 @settings(max_examples=300)
 @given(mutated_splits())
-def test_verify_decomposition_matches_the_fraction_reference(case):
+def test_verify_parts_matches_the_fraction_reference(case):
     system, f, decomposition = case
-    assert (verify_decomposition(system, f, decomposition)
-            == _fraction_verify_decomposition(system, f, decomposition))
+    assert (verify_parts(system.transforms, f, decomposition.parts)
+            == _fraction_verify_parts(system, f, decomposition))

@@ -20,7 +20,7 @@ from perdec.check import (
     StarInstance,
     StarViolation,
     replay_violation,
-    verify_decomposition,
+    verify_parts,
 )
 from perdec.decomp import (
     decompose_n,
@@ -54,7 +54,7 @@ def test_decompose_n_of_one_transform_is_an_invariance_check():
     assert viol == StarViolation(
         StarInstance(blocks=((0,),), distinguished=(0,), exponents=(1,),
                      premises=(), z=0), Fraction(1), "MixedDeltaNonzero")
-    assert replay_violation(validate_system([t], 4), bad, viol)
+    assert replay_violation(bad, viol, validate_system([t], 4).transforms)
     with pytest.raises(PreconditionError):
         decompose_n(validate_system([], 4), f)
 
@@ -65,7 +65,7 @@ def test_decompose_two_double_swap_fails_mixed():
     viol = decompose_two(swap, swap, f)
     assert isinstance(viol, StarViolation)
     assert viol.kind == "MixedDeltaNonzero"
-    assert replay_violation(validate_system([swap, swap], 2), f, viol)
+    assert replay_violation(f, viol, (swap, swap))
 
 
 @given(systems(n=2), st.integers(0, 10 ** 9))
@@ -93,7 +93,7 @@ def test_decompose_two_matches_oracle(case):
         assert not isinstance(oracle, DualCertificate)
     else:
         assert isinstance(oracle, DualCertificate)
-        assert replay_violation(system, f, got)
+        assert replay_violation(f, got, system.transforms)
 
 
 @given(systems_with_functions(n=2, max_size=6))
@@ -107,7 +107,7 @@ def test_decompose_two_matches_the_cycle_average_and_check_star(case):
         assert got.parts == (g, f - g)
     else:
         assert got == check_star(system, f)
-        assert replay_violation(system, f, got)
+        assert replay_violation(f, got, system.transforms)
 
 
 @given(st.integers(2, 4).flatmap(lambda n: st.sampled_from(
@@ -173,8 +173,8 @@ def test_decompose_n_refuses_before_building_parts(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(decomp, "verify_decomposition",
-                        counted("verify", verify_decomposition))
+    monkeypatch.setattr(decomp, "verify_parts",
+                        counted("verify", verify_parts))
     monkeypatch.setattr(decomp, "check_star", counted("star", check_star))
     monkeypatch.setattr(decomp, "_from_integers",
                         counted("parts", decomp._from_integers))
@@ -213,7 +213,7 @@ def test_decompose_two_on_every_small_commuting_pair():
             assert (isinstance(got, Decomposition)
                     == isinstance(oracle, Decomposition))
             if isinstance(got, StarViolation):
-                assert replay_violation(system, f, got)
+                assert replay_violation(f, got, system.transforms)
     assert pairs == 2976
 
 
@@ -264,7 +264,7 @@ def test_decompose_n_matches_oracle(case):
     assert isinstance(got, Decomposition) == isinstance(oracle, Decomposition)
     if isinstance(got, StarViolation):
         assert got == check_star(system, f)
-        assert replay_violation(system, f, got)
+        assert replay_violation(f, got, system.transforms)
 
 
 def _cycle_length(t, x):
@@ -320,7 +320,7 @@ def test_decompose_three_splits_a_z4_instance():
                           Fraction(0)))
     got = decompose_three(t, s, u, f)
     assert isinstance(got, Decomposition)
-    assert verify_decomposition(validate_system([t, s, u], 4), f, got)
+    assert verify_parts([t, s, u], f, got.parts)
 
 
 @given(systems(n=3, max_size=5), st.integers(0, 10 ** 9))
@@ -353,7 +353,7 @@ def test_decompose_three_matches_oracle(case):
         assert not isinstance(oracle, DualCertificate)
     else:
         assert isinstance(oracle, DualCertificate)
-        assert replay_violation(system, f, got)
+        assert replay_violation(f, got, system.transforms)
 
 
 @pytest.mark.parametrize("family", SHIFT_FAMILIES)
@@ -368,13 +368,13 @@ def test_decompose_three_splits_planted_shift_families(family):
         f = planted[0] + planted[1] + planted[2]
         got = decompose_three(t, s, u, f)
         assert isinstance(got, Decomposition)
-        assert verify_decomposition(system, f, got)
+        assert verify_parts(system.transforms, f, got.parts)
         # a point mass is no sum of invariant parts on these shifts
         spike = RationalFunction(tuple(Fraction(int(x == 0))
                                        for x in range(m)))
         refused = decompose_three(t, s, u, spike)
         assert not isinstance(refused, Decomposition)
-        assert replay_violation(system, spike, refused)
+        assert replay_violation(spike, refused, system.transforms)
         assert isinstance(oracle_decompose(system, spike), DualCertificate)
 
 
@@ -390,8 +390,7 @@ def test_decompose_three_is_blind_to_the_order_of_the_maps(case):
         got = decompose_three(*maps, f)
         assert isinstance(got, Decomposition) == splits
         if splits:
-            assert verify_decomposition(validate_system(maps, system.size),
-                                        f, got)
+            assert verify_parts(maps, f, got.parts)
 
 
 @given(systems_with_functions(n=2, max_size=6))

@@ -18,7 +18,6 @@ from perdec.check import (
     DualCertificate,
     StarInstance,
     StarViolation,
-    replay_abelian_violation,
     replay_violation,
     verify_dual,
     verify_parts,
@@ -290,7 +289,7 @@ def test_a_window_refuses_exactly_at_the_first_nonzero_stencil(window):
         tuple((j,) for j in range(d)), tuple(range(d)), (1,) * d, (), witness)
     assert violation.value == corner_stencil(f.values, _strides(dims),
                                              witness)
-    assert replay_violation(_system(dims), f, violation)
+    assert replay_violation(f, violation, _system(dims).transforms)
 
 
 @given(st.one_of(perturbed_windows(), arbitrary_windows()))
@@ -308,7 +307,7 @@ def test_a_stored_violation_replays_exactly_at_a_nonzero_stencil_base(window):
                                 tuple(range(d)), (1,) * d, (), z)
         for stored in {value, Fraction(1)}:
             violation = StarViolation(instance, stored, "MixedDeltaNonzero")
-            assert replay_violation(_system(dims), f, violation) \
+            assert replay_violation(f, violation, _system(dims).transforms) \
                 == (stored == value != 0)
 
 
@@ -433,7 +432,7 @@ def test_z_window_counterexample():
     assert inst.blocks == ((0, 1),)
     assert inst.exponents == (1,)
     assert viol.value == 1
-    assert replay_abelian_violation((1, 1), f, viol)
+    assert replay_violation(f, viol, shifts=(1, 1))
 
 
 @given(st.integers(3, 24))
@@ -442,7 +441,7 @@ def test_z_window_counterexample_all_lengths(length):
     assert not any(window_difference(f.values, (1, 1))[1])
     viol = check_star_abelian((1, 1), f)
     assert viol is not None
-    assert replay_abelian_violation((1, 1), f, viol)
+    assert replay_violation(f, viol, shifts=(1, 1))
 
 
 class _CountedExtent(int):

@@ -171,6 +171,6 @@ def test_pairwise_coprime_denominators_multiply_into_one_denom(
     tables = [[(x + a) % modulus for x in range(modulus)]
               for a in (len(items), 1)]
     bumped = values_from_json(values_to_json(parts[1])[:-1] + ["1/2"])
-    assert perdec.check.first_parts_defect(
-        tables, values_from_json(items * 2), [parts[0], bumped]) == (
-            "SumMismatch", modulus - 1)
+    assert perdec.check.verify_parts(
+        tables, values_from_json(items * 2), [parts[0], bumped]).reason \
+        == f"SumMismatch({modulus - 1})"

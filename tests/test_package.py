@@ -81,6 +81,22 @@ def test_the_checker_imports_only_core_orbits_and_the_standard_library():
     assert stdlib - {"__future__"} <= sys.stdlib_module_names
 
 
+def test_the_public_checkers_are_the_ones_verify_dispatches_to():
+    # one checker per result type: a public verify_/replay_ function of
+    # `check` that `cli._verify_result` never calls is a second path
+    from perdec import check, cli
+
+    tree = ast.parse(inspect.getsource(cli._verify_result))
+    dispatched = {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "check"}
+    public = {name for name, fn in vars(check).items()
+              if name.startswith(("verify_", "replay_"))
+              and inspect.isfunction(fn) and fn.__module__ == check.__name__}
+    assert public == dispatched
+
+
 def _load_time_imports(nodes) -> set:
     """Top-level names of the modules that statements import when their
     module loads: every statement outside a function body, except those

@@ -19,7 +19,6 @@ from perdec import check, generators
 from perdec.check import (
     StarInstance,
     StarViolation,
-    replay_abelian_violation,
     replay_violation,
     verify_star_pass,
 )
@@ -72,7 +71,7 @@ def test_check_star_single_swap_violation():
     assert viol.instance == StarInstance(
         blocks=((0,),), distinguished=(0,), exponents=(1,), premises=(), z=0)
     assert viol.value == 1
-    assert replay_violation(system, f, viol)
+    assert replay_violation(f, viol, system.transforms)
 
 
 def test_replay_rejects_tampered_violations():
@@ -80,16 +79,16 @@ def test_replay_rejects_tampered_violations():
     f = RationalFunction((Fraction(0), Fraction(1)))
     viol = check_star(system, f)
     inst = viol.instance
-    assert not replay_violation(system, f, StarViolation(
-        inst, viol.value + 1, viol.kind))
+    assert not replay_violation(f, StarViolation(
+        inst, viol.value + 1, viol.kind), system.transforms)
     moved = StarInstance(inst.blocks, inst.distinguished, inst.exponents,
                          inst.premises, z=1)
     # z=1 flips the sign, so the stored value no longer matches
-    assert not replay_violation(system, f, StarViolation(
-        moved, viol.value, viol.kind))
+    assert not replay_violation(f, StarViolation(
+        moved, viol.value, viol.kind), system.transforms)
     dropped = StarInstance(((0,), (1,)), (0, 1), (1, 1), (), 0)
-    assert not replay_violation(system, f, StarViolation(
-        dropped, viol.value, viol.kind))
+    assert not replay_violation(f, StarViolation(
+        dropped, viol.value, viol.kind), system.transforms)
 
 
 def test_check_star_values_are_exact_past_64_bits():
@@ -115,7 +114,7 @@ def test_check_star_violations_replay(case):
     system, f = case
     viol = check_star(system, f)
     if viol is not None:
-        assert replay_violation(system, f, viol)
+        assert replay_violation(f, viol, system.transforms)
 
 
 def _premise_witness(pow_tables, h, k, i, z, lmin, bound):
@@ -190,8 +189,8 @@ def test_replay_refuses_huge_exponents_quickly():
                      ((1, 10 ** 11, 1),), 0),
         Fraction(1), "MixedDeltaNonzero")
     start = time.perf_counter()
-    assert not replay_violation(system, f, far)
-    assert not replay_violation(swaps, g, odd)
+    assert not replay_violation(f, far, system.transforms)
+    assert not replay_violation(g, odd, swaps.transforms)
     assert time.perf_counter() - start < 1.0
 
 
@@ -239,10 +238,10 @@ def test_finite_replay_equals_the_definition_on_violations_and_twins(case):
         StarViolation(StarInstance(inst.blocks, inst.distinguished,
                                    inst.exponents, ((0, 0, 0),), inst.z),
                       value, violation.kind)]
-    assert replay_violation(system, f, violation)
+    assert replay_violation(f, violation, system.transforms)
     assert _reference_finite_replay(system, f, violation)
     for twin in twins:
-        assert replay_violation(system, f, twin) \
+        assert replay_violation(f, twin, system.transforms) \
             == _reference_finite_replay(system, f, twin)
 
 
@@ -287,7 +286,7 @@ def test_abelian_window_shift_two():
     viol = check_star_abelian((2,), f)
     assert viol is not None
     assert viol.value == 2
-    assert replay_abelian_violation((2,), f, viol)
+    assert replay_violation(f, viol, shifts=(2,))
     periodic = RationalFunction(tuple(Fraction(x % 2) for x in range(5)))
     assert check_star_abelian((2,), periodic) is None
 
@@ -304,7 +303,7 @@ def test_abelian_failing_singleton_stencil_skips_the_partitions(
     assert viol is not None
     assert viol.instance.exponents == (1,) * 16 and viol.instance.z == 0
     assert viol.value == 20922789888000
-    assert replay_abelian_violation(shifts, f, viol)
+    assert replay_violation(f, viol, shifts=shifts)
     assert calls[0] <= 16
 
 
@@ -443,7 +442,7 @@ def _plain_window_scan(shifts, values):
         lo, row = window_difference(values, offsets)
         for j, value in enumerate(row):
             if value:
-                return blocks, offsets, lo + j, value
+                return blocks, lo + j, value
     return None
 
 
@@ -484,19 +483,31 @@ def test_stencil_value_is_the_corner_sum_numerator(offsets, f, data):
 
 
 def _reference_abelian_replay(shifts, f, violation):
-    """Reference window replay: the premises' arithmetic, then the stored
-    value against the corner sum."""
+    """Reference window replay from the definitions: the blocks partition
+    the shift indices, each nonempty with member shifts of one sign and
+    least common multiple l; the head is the block's first index h at
+    exponent l / |a_h|, each other member i has the premise
+    (i, 0, l / |a_i|); and the stored value is the nonzero corner sum at
+    z with one offset +-l per block."""
     inst = violation.instance
-    if not check._well_formed(inst, len(shifts), len(f)):
+    if sorted(i for block in inst.blocks for i in block) \
+            != list(range(len(shifts))):
         return False
-    offset_of = {i: k * shifts[h] for block, h, k
-                 in zip(inst.blocks, inst.distinguished, inst.exponents)
-                 for i in block}
-    if any(l != 0 or mult < 0 or mult * shifts[i] != offset_of[i]
-           for i, l, mult in inst.premises):
+    members = [[shifts[i] for i in block] for block in inst.blocks]
+    if any(not m or min(m) <= 0 <= max(m) for m in members):
         return False
-    value = corner_stencil(f.values, [k * shifts[h] for h, k in zip(
-        inst.distinguished, inst.exponents)], inst.z)
+    lcms = [lcm(*m) for m in members]
+    premises = sorted((i, 0, l // abs(a))
+                      for block, m, l in zip(inst.blocks, members, lcms)
+                      for i, a in zip(block[1:], m[1:]))
+    if (inst.distinguished != tuple(block[0] for block in inst.blocks)
+            or inst.exponents != tuple(l // abs(m[0])
+                                       for m, l in zip(members, lcms))
+            or inst.premises != tuple(premises)):
+        return False
+    value = corner_stencil(f.values, [l if m[0] > 0 else -l
+                                      for m, l in zip(members, lcms)],
+                           inst.z)
     return value is not None and value == violation.value and value != 0
 
 
@@ -516,15 +527,42 @@ def test_the_pass_checker_agrees_with_the_finite_check(case):
         check_star(system, f) is None)
 
 
+def _window_twins(violation):
+    """Tampered twins of a window violation: its first block at twice the
+    exponent with matching premises, its first head moved to the block's
+    last index, a premise dropped, and an empty block before and after."""
+    inst, value, kind = violation.instance, violation.value, violation.kind
+    block = inst.blocks[0]
+    doubled = tuple((i, l, 2 * m) if i in block else (i, l, m)
+                    for i, l, m in inst.premises)
+    twins = [
+        StarInstance(inst.blocks, inst.distinguished,
+                     (2 * inst.exponents[0],) + inst.exponents[1:], doubled,
+                     inst.z),
+        StarInstance(inst.blocks, (block[-1],) + inst.distinguished[1:],
+                     inst.exponents, inst.premises, inst.z),
+        StarInstance(inst.blocks, inst.distinguished, inst.exponents,
+                     inst.premises[1:], inst.z),
+        StarInstance(((),) + inst.blocks, (0,) + inst.distinguished,
+                     (1,) + inst.exponents, inst.premises, inst.z),
+        StarInstance(inst.blocks + ((),), inst.distinguished + (0,),
+                     inst.exponents + (1,), inst.premises, inst.z)]
+    return [StarViolation(twin, value, kind) for twin in twins]
+
+
 @given(windows())
+@_with_examples(_LCM_WINDOWS)
 @settings(max_examples=150, deadline=None)
 def test_abelian_replay_equals_the_corner_reference(case):
-    # the genuine certificate moved to every z in [-1, L], with its value
-    # and its value +- 1
+    # the genuine certificate replays; moved to every z in [-1, L], with
+    # its value and its value +- 1, and each tampered twin, it replays
+    # exactly when the reference built from the definitions accepts it
     shifts, f = case
     violation = check_star_abelian(shifts, f)
     if violation is None:
         return
+    assert replay_violation(f, violation, shifts=shifts)
+    assert _reference_abelian_replay(shifts, f, violation)
     inst = violation.instance
     for z in range(-1, len(f) + 1):
         for value in (violation.value - 1, violation.value,
@@ -533,8 +571,11 @@ def test_abelian_replay_equals_the_corner_reference(case):
                 StarInstance(inst.blocks, inst.distinguished,
                              inst.exponents, inst.premises, z),
                 value, violation.kind)
-            assert replay_abelian_violation(shifts, f, moved) \
+            assert replay_violation(f, moved, shifts=shifts) \
                 == _reference_abelian_replay(shifts, f, moved)
+    for twin in _window_twins(violation):
+        assert replay_violation(f, twin, shifts=shifts) \
+            == _reference_abelian_replay(shifts, f, twin)
 
 
 def _counted_stencils(monkeypatch, limit):
@@ -618,7 +659,7 @@ def test_abelian_check_of_sixteen_shifts_scans_at_most_sixteen_stencils(
     violation = check_star_abelian(shifts, f)
     if periodic:
         assert violation.instance.blocks == tuple((i,) for i in range(16))
-        assert replay_abelian_violation(shifts, f, violation)
+        assert replay_violation(f, violation, shifts=shifts)
     else:
         assert violation is None
     assert calls[0] <= 16
@@ -647,7 +688,7 @@ def test_abelian_check_and_replay_of_forty_shifts_read_f_linearly(
     violation = check_star_abelian(shifts, counting(reads))
     assert violation is not None
     assert violation.instance.blocks == tuple((i,) for i in range(40))
-    assert replay_abelian_violation(shifts, counting(replay_reads), violation)
+    assert replay_violation(counting(replay_reads), violation, shifts=shifts)
     assert reads[0] <= limit and replay_reads[0] <= limit
     path = tmp_path / "inst.json"
     path.write_text(dumps({"kind": "z-window", "length": len(f),
@@ -666,8 +707,8 @@ def test_abelian_replay_rejects_out_of_window_points():
     inst = viol.instance
     shifted = StarInstance(inst.blocks, inst.distinguished, inst.exponents,
                            inst.premises, z=4)  # z + 2 leaves the window
-    assert not replay_abelian_violation((2,), f, StarViolation(
-        shifted, viol.value, viol.kind))
+    assert not replay_violation(f, StarViolation(
+        shifted, viol.value, viol.kind), shifts=(2,))
 
 
 def test_abelian_rejects_bad_inputs():
@@ -688,10 +729,12 @@ def test_replay_refuses_a_true_partition_instance_on_a_finite_kind():
                         premises=((0, 0, 1),), z=0)
     f = RationalFunction((Fraction(0), Fraction(1)))
     assert not replay_violation(
-        system, f, StarViolation(inst, Fraction(1), "MixedDeltaNonzero"))
+        f, StarViolation(inst, Fraction(1), "MixedDeltaNonzero"),
+        system.transforms)
     singletons = check_star(system, f)
     assert singletons.instance.blocks == ((0,), (1,))
-    assert replay_violation(system, f, singletons)
+    assert replay_violation(f, singletons, system.transforms)
     # the right shape with a zero value is no violation
-    assert not replay_violation(system, zero(2), StarViolation(
-        singletons.instance, Fraction(0), "MixedDeltaNonzero"))
+    assert not replay_violation(zero(2), StarViolation(
+        singletons.instance, Fraction(0), "MixedDeltaNonzero"),
+        system.transforms)
