@@ -42,7 +42,6 @@ _EXPORTS = {
     "invariance_classes": "orbits",
     "is_invariant": "core",
     "oracle_decompose": "oracle",
-    "partial_sum_bound": "check",
     "power": "core",
     "replay_violation": "check",
     "search_counterexample": "star",

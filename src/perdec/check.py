@@ -6,10 +6,11 @@ and `orbits`: a replay loads none of the code it checks.  Each result
 type that --verify reads has one public checker here: `verify_parts` for
 a decomposition, `replay_violation` for a star violation,
 `verify_star_pass` for a pass, `verify_dual`, `verify_bounded_transfer`
-and `verify_report`.  A star violation replays only as the one instance
-its producer emits: on map tables the all-singleton stencil
-`star.check_star` emits, on a z-window the `window_instance` of its
-blocks that `star.check_star_abelian` emits.
+(its bound C is `transfer_bound` of the solution, read once the solution
+solves the transfer) and `verify_report`.  A star violation replays only
+as the one instance its producer emits: on map tables the all-singleton
+stencil `star.check_star` emits, on a z-window the `window_instance` of
+its blocks that `star.check_star_abelian` emits.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from .core import (
     _Record,
     _mixed_difference,
     is_invariant,
-    iterate,
     window_difference,
 )
-from .orbits import Partition, rho
+from .orbits import Partition, iterate, rho, rho_steps
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -80,7 +80,8 @@ class ConstrainedObstruction(_Record):
 
 
 class BoundedTransfer(_Record):
-    """solution plus the partial-sum bound C controlling its sup norm."""
+    """solution plus the bound C on its sup norm: its largest change along
+    a forward orbit of t, the largest |partial sum| of g."""
 
     solution: RationalFunction
     bound: Fraction
@@ -373,32 +374,6 @@ def verify_dual(partitions: Sequence[Partition], f: RationalFunction,
     return VerificationResult(True)
 
 
-def partial_sum_bound(t: Sequence[int], g: RationalFunction,
-                      horizon: Optional[int] = None) -> Fraction:
-    """max |sum_{i<m} g(t^i x)| over x and 1 <= m <= horizon (default 2N).
-
-    On solvable instances the partial sums are eventually periodic in m
-    with preperiod plus period at most N, so the default horizon sees
-    every value.  The sums run on g's numerators, over its denominator.
-    """
-    from fractions import Fraction
-
-    size = len(g)
-    if horizon is None:
-        horizon = 2 * size
-    numerators = g.numerators
-    top = 0
-    for x in range(size):
-        partial = 0
-        p = x
-        for _ in range(horizon):
-            partial += numerators[p]
-            p = t[p]
-            if abs(partial) > top:
-                top = abs(partial)
-    return Fraction(top, g.denom)
-
-
 def _check_bounded(t: Sequence[int], s: Sequence[int], g: RationalFunction,
                    h: RationalFunction,
                    bound_c: Fraction) -> VerificationResult:
@@ -417,20 +392,51 @@ def _check_bounded(t: Sequence[int], s: Sequence[int], g: RationalFunction,
     return VerificationResult(True)
 
 
+def transfer_bound(t: Sequence[int], h: RationalFunction) -> Fraction:
+    """max |h(t^m x) - h(x)| over x and m >= 1: the largest |partial sum|
+    of g from x when h solves h(t(x)) - h(x) = g(x).  One pass over t's
+    functional graph: hi[x] and lo[x], h's extremes over t(x), t^2(x),
+    ..., are its extremes over the cycle at a cycle point, and filled
+    backward from the cycle, hi[x] = max(h(t(x)), hi[t(x)])."""
+    from fractions import Fraction
+
+    numerators = h.numerators
+    hi: list = [None] * len(h)
+    lo: list = [None] * len(h)
+    for x in range(len(h)):
+        path: list[int] = []
+        index: Dict[int, int] = {}
+        y = x
+        while hi[y] is None and y not in index:
+            index[y] = len(path)
+            path.append(y)
+            y = t[y]
+        if hi[y] is None:
+            # a new cycle at y: each of its points sees all of it
+            values = [numerators[p] for p in path[index[y]:]]
+            hi[y], lo[y] = max(values), min(values)
+        high, low, v = hi[y], lo[y], numerators[y]
+        for p in reversed(path):
+            hi[p] = high = max(high, v)
+            lo[p] = low = min(low, v)
+            v = numerators[p]
+    return Fraction(max((max(a - v, v - b) for a, v, b
+                         in zip(hi, numerators, lo)), default=0), h.denom)
+
+
 def orbit_sum(t: Sequence[int], g: RationalFunction, x: int,
               steps: int) -> Fraction:
     """sum_{i < steps} g(t^i x) for any steps >= 0, in at most N steps:
-    the sum over x's tail, whole turns of its cycle, then a partial turn."""
+    the sum over x's `rho` orbit up to `rho_steps`' point, plus its whole
+    turns of the cycle."""
     from fractions import Fraction
 
     orbit, start = rho(t, x)
     prefix = [0]
     for p in orbit:
         prefix.append(prefix[-1] + g.numerators[p])
-    if steps <= len(orbit):
-        return Fraction(prefix[steps], g.denom)
-    turns, rest = divmod(steps - start, len(orbit) - start)
-    total = prefix[start + rest] + turns * (prefix[-1] - prefix[start])
+    turns, i = rho_steps(orbit, start, steps)
+    total = prefix[i] + turns * (prefix[-1] - prefix[start])
     return Fraction(total, g.denom)
 
 
@@ -442,9 +448,10 @@ def verify_bounded_transfer(
     (t, s, g); with s the identity an obstruction is a cycle of t.  Tables
     not as long as g raise PreconditionError.
 
-    A BoundedTransfer (H, C) must solve h(t(x)) - h(x) = g(x) with H
-    s-invariant and sup |H| <= 2C, and C must equal the recomputed
-    `partial_sum_bound`.  A ConstrainedObstruction (x, k, l, l2, total)
+    A BoundedTransfer (H, C) must solve h(t(x)) - h(x) = g(x), which
+    makes H's changes along t's orbits g's partial sums, before C must
+    equal their largest, `transfer_bound` of H; H must be s-invariant
+    with sup |H| <= 2C.  A ConstrainedObstruction (x, k, l, l2, total)
     must satisfy T^k S^l x = S^{l2} x, and the g-sum along T^i S^l x,
     i < k, must equal its nonzero total.  Exponents are reduced along the
     rho shape of each map, so any exponents replay in O(N) steps.
@@ -456,12 +463,10 @@ def verify_bounded_transfer(
             return VerificationResult(False,
                                       "solution length differs from domain")
         verdict = _check_bounded(t, s, g, result.solution, result.bound)
-        if not verdict:
-            return verdict
-        if partial_sum_bound(t, g) != result.bound:
+        if verdict and transfer_bound(t, result.solution) != result.bound:
             return VerificationResult(False,
                                       "stored bound differs from recomputed")
-        return VerificationResult(True)
+        return verdict
     if isinstance(result, ConstrainedObstruction):
         if not 0 <= result.x < size or min(result.k, result.l, result.l2) < 0:
             return VerificationResult(

@@ -3,9 +3,9 @@ s-invariant variant.
 
 Both solvers work directly on the functional-graph structure of the
 acting map (orbit walks, cycle sums, quotients), so none of them needs an
-exponent search bound.  Absence is always certified: the caller gets the
-offending self-relation T^k S^l x = S^{l2} x (a cycle: S the identity)
-together with its nonzero sum.
+exponent search bound; the bound C is one more pass over that graph.
+Absence is always certified: the caller gets the offending self-relation
+T^k S^l x = S^{l2} x (a cycle: S the identity) with its nonzero sum.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .check import (
     ConstrainedObstruction,
     _check_bounded,
     _match_lengths,
-    partial_sum_bound,
+    transfer_bound,
     verify_bounded_transfer,
 )
 from .core import (
@@ -27,9 +27,8 @@ from .core import (
     _from_integers,
     commute_witness,
     is_invariant,
-    iterate,
 )
-from .orbits import find_relation, induced_map, invariance_classes
+from .orbits import find_relation, induced_map, invariance_classes, iterate
 
 
 def _transfer_walk(
@@ -126,8 +125,8 @@ def solve_bounded_transfer(
 ) -> Union[BoundedTransfer, ConstrainedObstruction]:
     """Constrained transfer solution recentered to a certified sup-norm bound.
 
-    Returns (H, C) with h(t(x)) - h(x) = g(x), H s-invariant, C the
-    partial-sum bound, and sup |H| <= 2C; recentering subtracts the
+    Returns (H, C) with h(t(x)) - h(x) = g(x), H s-invariant, C =
+    `transfer_bound` of H, and sup |H| <= 2C; recentering subtracts the
     midrange of H on each joint (s,t)-class, which preserves both defining
     identities.  Absent exactly when the constrained solve is absent.
 
@@ -145,7 +144,6 @@ def solve_bounded_transfer(
     h_q, part, induced = _solve_on_quotient(t, s, g)
     if isinstance(h_q, ConstrainedObstruction):
         return h_q
-    bound_c = partial_sum_bound(t, g)
     joint = invariance_classes(induced)
     members: list = [[] for _ in range(joint.n_classes)]
     for c, value in zip(joint.class_of, h_q.numerators):
@@ -154,6 +152,7 @@ def solve_bounded_transfer(
     centered = _from_integers(
         [2 * h_q.numerators[c] - mids[joint.class_of[c]]
          for c in part.class_of], 2 * h_q.denom)
+    bound_c = transfer_bound(t, centered)
     _check_bounded(t, s, g, centered, bound_c).require(
         "recentered solution")
     return BoundedTransfer(centered, bound_c)

@@ -210,25 +210,6 @@ def power(t: Sequence[int], k: int) -> tuple[int, ...]:
     return out
 
 
-def iterate(t: Sequence[int], steps: int, x: int) -> int:
-    """t^steps(x) for any steps >= 0, in at most len(t) steps.
-
-    Walks x's forward orbit until it repeats, then reduces the remaining
-    steps modulo the cycle it entered.
-    """
-    path: list[int] = []
-    first: dict[int, int] = {}
-    while steps:
-        if x in first:
-            mu = first[x]
-            return path[mu + steps % (len(path) - mu)]
-        first[x] = len(path)
-        path.append(x)
-        x = t[x]
-        steps -= 1
-    return x
-
-
 def commute_witness(t: Sequence[int], s: Sequence[int]) -> Optional[int]:
     """First x with t(s(x)) != s(t(x)), or None when the maps commute."""
     for x in range(len(t)):

@@ -92,6 +92,22 @@ def rho(t: Sequence[int], x: int) -> tuple[list[int], int]:
     return orbit, index[x]
 
 
+def rho_steps(orbit: Sequence[int], start: int,
+              steps: int) -> tuple[int, int]:
+    """(turns, i): steps >= 0 along a `rho` shape as its point orbit[i]
+    plus whole turns of its cycle, steps = i + turns * (len(orbit) -
+    start), with turns = 0 when steps < len(orbit)."""
+    turns = max(0, (steps - start) // (len(orbit) - start))
+    return turns, steps - turns * (len(orbit) - start)
+
+
+def iterate(t: Sequence[int], steps: int, x: int) -> int:
+    """t^steps(x) for any steps >= 0, in at most len(t) steps: x's `rho`
+    orbit, read at `rho_steps`."""
+    orbit, start = rho(t, x)
+    return orbit[rho_steps(orbit, start, steps)[1]]
+
+
 def induced_map(t: Sequence[int],
                 s: Sequence[int]) -> tuple[Partition, tuple[int, ...]]:
     """(classes, induced): s's invariance classes and the map t induces

@@ -137,6 +137,24 @@ def reference_solve_transfer(t, g: RationalFunction):
     return RationalFunction(tuple(values))
 
 
+def fraction_partial_sum_bound(t, g: RationalFunction) -> Fraction:
+    """The bound C by its definition: max |sum_{i<m} g(t^i x)| over x and
+    1 <= m <= 2N, in Fractions.  On solvable g the partial sums are
+    eventually periodic in m with preperiod plus period at most N, so
+    the horizon 2N sees every value."""
+    size = len(g)
+    best = Fraction(0)
+    for x in range(size):
+        partial = Fraction(0)
+        p = x
+        for _ in range(2 * size):
+            partial += g[p]
+            p = t[p]
+            if abs(partial) > best:
+                best = abs(partial)
+    return best
+
+
 def partition_of_labels(labels) -> Partition:
     """The Partition with one class per distinct label, numbered by first
     appearance scanning points upward, so each representative is its

@@ -31,7 +31,6 @@ from perdec.check import (
     BoundedTransfer,
     DualCertificate,
     StarViolation,
-    partial_sum_bound,
     replay_violation,
     verify_parts,
     verify_report,
@@ -40,6 +39,7 @@ from tests.conftest import (
     SHIFT_FAMILIES,
     constant,
     delta,
+    fraction_partial_sum_bound,
     pairing,
     shift_table,
 )
@@ -367,7 +367,7 @@ def test_criterion_8_bounded_transfer_with_certified_sup_norm():
             h, c = result.solution, result.bound
             assert delta(t, h) == g
             assert is_invariant(s, h)
-            assert c == partial_sum_bound(t, g)
+            assert c == fraction_partial_sum_bound(t, g)
             assert h.max_abs() <= 2 * c
             assert c <= 2 * h.max_abs()
             solvable += 1

@@ -990,6 +990,35 @@ def test_bounded_transfer_verify_replays_huge_exponents_quickly(tmp_path,
     assert code == 0 and doc["agrees"] is True
 
 
+def test_bounded_transfer_verify_reads_the_map_tables_at_most_10_n_times(
+        tmp_path, capsys, monkeypatch):
+    # a 2-cycle 0 <-> 1 under the path x -> x - 1, S the identity, and
+    # the solution h(x) = x, so C = N - 1 (from N - 1 down to 0): the
+    # identity, the invariance and C are each one pass over a table
+    size = 10 ** 4
+    t = [1, 0, *range(1, size - 1)]
+    path = _write(tmp_path, "inst.json", {
+        "kind": "finite", "size": size, "transforms": [t, list(range(size))],
+        "values": [str(y - x) for x, y in enumerate(t)]})
+    saved = _write(tmp_path, "cert.json", {
+        "result": "bounded-transfer", "bound": str(size - 1),
+        "values": [str(x) for x in range(size)]})
+    limit = 10 * size
+    reads = [0]
+    parse_instance = perdec.cli.parse_instance
+
+    def counted(doc):
+        inst = parse_instance(doc)
+        object.__setattr__(inst.system, "transforms", tuple(
+            counted_tuple(t, reads, limit) for t in inst.system.transforms))
+        return inst
+
+    monkeypatch.setattr(perdec.cli, "parse_instance", counted)
+    code, doc = _run(capsys, ["bounded-transfer", path, "--verify", saved])
+    assert code == 0 and doc["agrees"] is True
+    assert 0 < reads[0] <= limit
+
+
 def test_bounded_transfer_verify_rejects_an_out_of_range_point(tmp_path,
                                                                capsys):
     cert = {"result": "constrained-obstruction",

@@ -10,7 +10,7 @@ from perdec import check, cohomology, orbits
 from perdec.check import (
     BoundedTransfer,
     ConstrainedObstruction,
-    partial_sum_bound,
+    transfer_bound,
     verify_bounded_transfer,
 )
 from perdec.cohomology import _transfer_walk, solve_bounded_transfer
@@ -27,6 +27,7 @@ from tests.conftest import (
     constrained_transfer,
     counted_tuple,
     delta,
+    fraction_partial_sum_bound,
     rationals,
     reference_solve_transfer,
     sized_maps,
@@ -103,6 +104,20 @@ def test_transfer_walk_verdict_matches_cycle_enumeration(sized, data):
         assert (got.k, got.l, got.l2) == (len(cycle), 0, 0)
         assert got.total == sum(g[p] for p in cycle) != 0
         assert verify_bounded_transfer(t, range(size), g, got)
+
+
+@given(sized_maps(), st.data())
+def test_orbit_sum_equals_the_walked_sum(sized, data):
+    # before, at and past the end of x's rho, where whole turns count
+    size, t = sized
+    g = data.draw(value_functions(size))
+    x = data.draw(st.integers(0, size - 1))
+    total = Fraction(0)
+    p = x
+    for steps in range(4 * size + 1):
+        assert check.orbit_sum(t, g, x, steps) == total
+        total += g[p]
+        p = t[p]
 
 
 # t = the 3-cycle 0 -> 1 -> 2 -> 0 with the fixed point 3; g sums to 3
@@ -250,14 +265,29 @@ def test_transfer_solvers_read_a_long_path_a_linear_number_of_times(
     assert h == RationalFunction(tuple(Fraction(x) for x in range(size)))
     assert reads[0] <= 2 * size
 
+    limit = 5 * size
+
     def counted_induced(t, s):
+        # reads `limit` at each call: 5N here, 10N for the bounded solver
         part, induced = induced_map(t, s)
-        return part, counted_tuple(induced, reads, 5 * size)
+        return part, counted_tuple(induced, reads, limit)
 
     monkeypatch.setattr(cohomology, "induced_map", counted_induced)
     reads[0] = 0
     s = tuple(range(size))
     assert constrained_transfer(t, s, g) == h
+
+    # the bounded solver on that path and on a rho, the 2-cycle 0 <-> 1
+    # under it, with h(x) = x: C = N - 1 either way, read off the
+    # solution in one orbit pass
+    limit = 10 * size
+    for table in ((0,) + tuple(range(size - 1)),
+                  (1, 0) + tuple(range(1, size - 1))):
+        reads[0] = 0
+        got = solve_bounded_transfer(counted_tuple(table, reads, limit), s,
+                                     delta(table, h))
+        assert got.bound == size - 1
+        assert reads[0] <= limit
 
 
 def test_solve_transfer_constrained_rejects_bad_inputs():
@@ -314,66 +344,49 @@ def test_solve_transfer_constrained_deterministic_witness():
     assert got == ConstrainedObstruction(0, 1, 1, 0, Fraction(1))
 
 
-def test_partial_sum_bound_three_cycle():
+def test_bounded_transfer_bound_on_a_three_cycle():
+    # partial sums from 0 are 1, 0, 0, ...: C = 1
     t = (1, 2, 0)
     g = RationalFunction((Fraction(1), Fraction(-1), Fraction(0)))
-    assert partial_sum_bound(t, g) == Fraction(1)
+    assert solve_bounded_transfer(t, (0, 1, 2), g).bound == Fraction(1)
 
 
 @given(sized_maps(), st.data())
-def test_partial_sum_bound_stable_past_default_horizon(sized, data):
+def test_bounded_transfer_bound_dominates_each_prefix(sized, data):
+    # C bounds every partial sum, also past the 2N steps in which each
+    # value first shows
     size, t = sized
-    h0 = data.draw(value_functions(size))
-    g = delta(t, h0)  # solvable, so partial sums are eventually periodic
-    assert partial_sum_bound(t, g) == partial_sum_bound(t, g, 4 * size)
-
-
-@given(sized_maps(), st.data())
-def test_partial_sum_bound_dominates_each_prefix(sized, data):
-    size, t = sized
-    g = data.draw(value_functions(size))
+    g = delta(t, data.draw(value_functions(size)))
+    bound = solve_bounded_transfer(t, tuple(range(size)), g).bound
     x = data.draw(st.integers(0, size - 1))
-    m = data.draw(st.integers(1, 2 * size))
+    m = data.draw(st.integers(1, 4 * size))
     partial = Fraction(0)
     p = x
     for _ in range(m):
         partial += g[p]
         p = t[p]
-    assert abs(partial) <= partial_sum_bound(t, g)
-
-
-def _fraction_partial_sum_bound(t, g, horizon=None):
-    """The Fraction loop that the integer partial sums replaced."""
-    size = len(g)
-    if horizon is None:
-        horizon = 2 * size
-    best = Fraction(0)
-    for x in range(size):
-        partial = Fraction(0)
-        p = x
-        for _ in range(horizon):
-            partial += g[p]
-            p = t[p]
-            if abs(partial) > best:
-                best = abs(partial)
-    return best
+    assert abs(partial) <= bound
 
 
 @given(st.lists(sized_maps(max_size=6), min_size=1, max_size=3), st.data())
-def test_partial_sum_bound_matches_the_fraction_reference(pieces, data):
+def test_bounded_transfer_bound_matches_the_fraction_reference(pieces, data):
     # several weak classes with tails, and denominators that differ from
-    # class to class and within a class
-    t = []
+    # class to class and within a class; C is read off the centered
+    # solution and off any other solution alike.  The first class is the
+    # 3-cycle 0 -> 1 -> 2 -> 0 with a tail 3 -> 2 that joins it past 0,
+    # where the first walk enters it, so C must see all of the cycle from
+    # where the tail joins
+    t = [1, 2, 0, 2]
     for size, piece in pieces:
         offset = len(t)
         t.extend(offset + y for y in piece)
     denominators = st.sampled_from([1, 2, 3, 5, 7, 12, 35, 2 ** 40])
-    g = RationalFunction(tuple(
+    h = RationalFunction(tuple(
         Fraction(data.draw(st.integers(-50, 50)), data.draw(denominators))
         for _ in t))
-    horizon = data.draw(st.one_of(st.none(), st.integers(0, 3 * len(t))))
-    got = partial_sum_bound(t, g, horizon)
-    assert got == _fraction_partial_sum_bound(t, g, horizon)
+    g = delta(t, h)
+    got = solve_bounded_transfer(t, tuple(range(len(t))), g).bound
+    assert got == fraction_partial_sum_bound(t, g) == transfer_bound(t, h)
     assert type(got) is Fraction
 
 
@@ -386,7 +399,7 @@ def test_solve_bounded_transfer_round_trip(system, data):
     assert isinstance(got, BoundedTransfer)
     assert delta(t, got.solution) == g
     assert is_invariant(s, got.solution)
-    assert got.bound == partial_sum_bound(t, g)
+    assert got.bound == fraction_partial_sum_bound(t, g)
     assert got.solution.max_abs() <= 2 * got.bound
 
 

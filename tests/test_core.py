@@ -19,14 +19,13 @@ from perdec.core import (
     compose,
     _mixed_difference,
     is_invariant,
-    iterate,
     power,
     validate_system,
     validate_transform,
 )
 from perdec.check import verify_parts
 from perdec.serialize import parse_instance
-from perdec.orbits import invariance_classes
+from perdec.orbits import invariance_classes, iterate
 from tests.conftest import (
     delta,
     power_table,

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perdec.core import RangeError, iterate
+from perdec.core import RangeError
 from perdec.orbits import (
     Partition,
     _label_classes,
     find_relation,
     induced_map,
     invariance_classes,
+    iterate,
     rho,
 )
 from tests.conftest import (
