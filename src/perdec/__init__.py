@@ -27,7 +27,6 @@ _EXPORTS = {
     "RangeError": "core",
     "RationalFunction": "core",
     "SearchReport": "check",
-    "StarInstance": "check",
     "StarViolation": "check",
     "VerificationResult": "core",
     "as_fraction": "core",

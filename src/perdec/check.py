@@ -7,10 +7,10 @@ type that --verify reads has one public checker here: `verify_parts` for
 a decomposition, `replay_violation` for a star violation,
 `verify_star_pass` for a pass, `verify_dual`, `verify_bounded_transfer`
 (its bound C is `transfer_bound` of the solution, read once the solution
-solves the transfer) and `verify_report`.  A star violation replays only
-as the one instance its producer emits: on map tables the all-singleton
-stencil `star.check_star` emits, on a z-window the `window_instance` of
-its blocks that `star.check_star_abelian` emits.
+solves the transfer) and `verify_report`.  A star violation is its
+blocks, z and nonzero value, and replays as the one stencil its blocks
+give: on map tables the n singletons, on a z-window one step per block
+at the block's signed least common multiple.
 """
 
 from __future__ import annotations
@@ -36,27 +36,15 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class StarInstance(_Record):
-    """One premise/conclusion instance of the partition condition.
-
-    blocks partition the transform indices; distinguished[b] is block b's
-    head; exponents[b] its k; premises holds one (i, l, l2) triple per
-    non-distinguished index i, witnessing head^k i^l z = i^{l2} z.
-    """
+class StarViolation(_Record):
+    """A nonzero mixed difference of the partition condition: the blocks
+    of the transform indices, the point z and the stencil's value there.
+    The heads, exponents and premises of the paper's instance follow from
+    the blocks (`star`), so a violation stores none of them."""
 
     blocks: tuple[tuple[int, ...], ...]
-    distinguished: tuple[int, ...]
-    exponents: tuple[int, ...]
-    premises: tuple[tuple[int, int, int], ...]
     z: int
-
-
-class StarViolation(_Record):
-    """A premise-satisfying instance whose conclusion value is nonzero."""
-
-    instance: StarInstance
     value: Fraction
-    kind: str  # "MixedDeltaNonzero", the one kind
 
 
 class DualCertificate(_Record):
@@ -88,11 +76,9 @@ class BoundedTransfer(_Record):
 
 
 class SearchReport(_Record):
-    """Outcome of a randomized search over commuting systems.
-
-    The systems are finite, where a star pass splits, so the search finds
-    no candidate and `candidates` is always empty; the field stays so the
-    report keeps its shape on the wire."""
+    """Outcome of a randomized search over commuting systems: its
+    parameters and its counts.  The systems are finite, where a star pass
+    splits, so there is no candidate to list."""
 
     n: int
     max_size: int
@@ -105,7 +91,6 @@ class SearchReport(_Record):
     necessity_checked: int
     necessity_violations: int
     discrepancies: int
-    candidates: tuple = ()
 
 
 def _match_lengths(g: RationalFunction, *maps: Sequence[int]) -> None:
@@ -213,57 +198,36 @@ def _block_offset(shifts: Sequence[int],
     return step if members[0] > 0 else -step
 
 
-def window_instance(shifts: Sequence[int], blocks: tuple[tuple[int, ...], ...],
-                    z: int) -> Optional[StarInstance]:
-    """The instance `star.check_star_abelian` emits for these blocks at z:
-    each block headed by its first index, at the exponent that takes the
-    head's shift to the block's signed offset o (`_block_offset`), with
-    one premise (i, 0, o / a_i) per other member, sorted.  None when a
-    block has no offset."""
-    offsets = [_block_offset(shifts, block) for block in blocks]
-    if None in offsets:
-        return None
-    premises = sorted((i, 0, o // shifts[i])
-                      for block, o in zip(blocks, offsets) for i in block[1:])
-    return StarInstance(blocks, tuple(block[0] for block in blocks),
-                        tuple(o // shifts[block[0]]
-                              for block, o in zip(blocks, offsets)),
-                        tuple(premises), z)
-
-
 def replay_violation(f: RationalFunction, violation: StarViolation,
                      tables: Sequence[Sequence[int]] = (),
                      shifts: Optional[Sequence[int]] = None) -> bool:
-    """Re-derive a stored violation as the one instance its producer
-    emits, with z in range, whose mixed difference at z, one
-    `stencil_value`, is the stored nonzero value.  Any other instance
-    does not replay.
+    """A stored violation replays when its blocks fit the instance, z is
+    in range and the mixed difference at z, one `stencil_value`, is the
+    stored nonzero value.
 
-    On total map tables that is the all-singleton instance `check_star`
-    emits (blocks (0,), ..., (n-1,), heads 0..n-1 at exponent 1, no
-    premises), its stencil read over the tables O(n * min(N, 2^n))
-    times: on a finite domain the all-singleton condition decides alone
-    (`decomp.decompose_n`), so no producer emits another.  On a window
-    of Z with the given shifts, the stored blocks must partition the
-    shift indices and the instance must be their `window_instance`, the
-    one `star.check_star_abelian` emits; its stencil steps w -> w +
-    k * a_head fail when they leave the window."""
-    inst = violation.instance
+    On total map tables the blocks must be the n singletons in order, the
+    all-singleton stencil `check_star` emits, read over the tables
+    O(n * min(N, 2^n)) times: on a finite domain that condition decides
+    alone (`decomp.decompose_n`), so no producer emits another.  On a
+    window of Z with the given shifts, the blocks must partition the shift
+    indices, each with a signed offset (`_block_offset`); the stencil
+    steps w -> w + offset fail when they leave the window."""
+    blocks, z = violation.blocks, violation.z
     if shifts is None:
-        n = len(tables)
-        want = StarInstance(tuple((j,) for j in range(n)), tuple(range(n)),
-                            (1,) * n, (), inst.z)
+        if blocks != tuple((j,) for j in range(len(tables))):
+            return False
+        steps = [t.__getitem__ for t in tables]
     else:
-        covered = sorted(i for block in inst.blocks for i in block)
+        covered = sorted(i for block in blocks for i in block)
         if covered != list(range(len(shifts))):
             return False
-        want = window_instance(shifts, inst.blocks, inst.z)
-    if inst != want or not 0 <= inst.z < len(f):
+        offsets = [_block_offset(shifts, block) for block in blocks]
+        if None in offsets:
+            return False
+        steps = [partial(add, offset) for offset in offsets]
+    if not 0 <= z < len(f):
         return False
-    steps = ([t.__getitem__ for t in tables] if shifts is None
-             else [partial(add, k * shifts[h])
-                   for h, k in zip(inst.distinguished, inst.exponents)])
-    num = stencil_value(f, inst.z, steps)
+    num = stencil_value(f, z, steps)
     v = violation.value
     return bool(num) and num * v.denominator == v.numerator * f.denom
 
@@ -275,9 +239,9 @@ def window_scan(shifts: Sequence[int], f_num: Sequence[int]
     when all vanish.  One stencil per set partition of the shift indices,
     most blocks first, then lexicographic, each block at its signed least
     common multiple (`_block_offset`); a partition with a block that has
-    none, or whose offset leaves the window, has no stencil.  A window pass carries no certificate,
-    so this scan is its checker, and `star.check_star_abelian` builds its
-    violation from the first hit.
+    none, or whose offset leaves the window, has no stencil.  A window
+    pass carries no certificate, so this scan is its checker, and the
+    first hit is the violation `star.check_star_abelian` emits.
 
     Partitions are built block by block, each block grown from its least
     index and the last taking what is left, and the prefix stencil's row
@@ -487,8 +451,9 @@ def verify_report(report: SearchReport) -> VerificationResult:
     The search takes n >= 2 and max_size >= 2.  Every trial passes or
     fails the star check; every pass and every checked failure that is no
     necessity violation gets one oracle verdict; and every violation is a
-    discrepancy.  A report never lists a candidate: its reader refuses
-    any."""
+    discrepancy.  A stored report is read by these fields alone: any
+    other key, such as the "candidates" list of earlier releases, is
+    ignored."""
     r = report
     if not (r.n >= 2 and r.max_size >= 2
             and min(r.star_pass, r.star_fail, r.oracle_feasible,

@@ -16,9 +16,10 @@ refused with "unexpected result type <T> for <command>".  Every instance
 kind is a list of total maps (`serialize.Instance.maps`), so `oracle` runs
 `verified_split` on all four kinds (on a z-window with its shifts, from
 which the refusal's dual is built).  A lattice window is the finite
-commuting system of its axis maps (`lattice.axis_maps`), so every
-subcommand runs on it the producer and the checkers of a finite instance;
-`lattice-decompose` is `decompose` on lattice windows alone.
+commuting system of its axis maps (`serialize.Instance.finite_system`,
+built on first use), so every subcommand runs on it the producer and the
+checkers of a finite instance; `lattice-decompose` is `decompose` on
+lattice windows alone.
 
 Each subcommand's grammar is stated once, in `_GRAMMAR`.  A well-formed
 argv (a subcommand name, then its instance, then its options spelt out in
@@ -184,7 +185,7 @@ def _cmd_decide(args) -> Outcome:
     if command in ("decompose", "lattice-decompose"):
         from .decomp import decompose_n
 
-        result = decompose_n(inst.system, inst.f)
+        result = decompose_n(inst.finite_system, inst.f)
     elif command == "bounded-transfer":
         from .cohomology import solve_bounded_transfer
 
@@ -201,7 +202,7 @@ def _cmd_decide(args) -> Outcome:
     else:
         from .star import check_star
 
-        result = check_star(inst.system, inst.f)
+        result = check_star(inst.finite_system, inst.f)
     doc = serialize.result_to_json(result)
     return (1 if "certificate" in doc else 0), doc
 

@@ -11,7 +11,7 @@ Fractions and back.
 All operations here are pure; every value is immutable after construction
 and safe to share between threads.
 
-The library's 12 value types derive from `_Record`, not from frozen
+The library's 11 value types derive from `_Record`, not from frozen
 dataclasses, for start-up time: importing `dataclasses` loads `inspect`
 (with `ast`, `dis` and `tokenize`), 9.1 ms, and each frozen dataclass
 builds its methods with `exec`, 0.64 ms a class against 0.013 ms for a

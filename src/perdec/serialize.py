@@ -12,7 +12,11 @@ planted values repeat a few literals many times.
 Each record result's wire form is stated once, as the row of its tag in
 one table (`_codecs`) that `result_to_json` and `parse_result` each read
 in one loop.  Every result type round-trips, a passing star check (None)
-included: parse_result(result_to_json(r)) == r.
+included: parse_result(result_to_json(r)) == r.  A result document is
+read by its row's keys alone and any other key is ignored, so documents
+of earlier releases that carry more fields (a violation's heads,
+exponents, premises and kind, a report's empty candidate list) read as
+the fields their checkers read.
 
 Only `core` loads with this module: the certificate types of `check` are
 imported where a document builds or tests one, and `lattice` where an
@@ -22,7 +26,7 @@ instance is a window, so parsing an instance loads no algorithm module.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import attrgetter
@@ -172,10 +176,9 @@ class Instance(_Record):
     """A parsed instance file of any kind.
 
     Every kind carries f.  finite and cyclic-group carry a
-    CommutingSystem, and lattice-window carries its dims and the
-    CommutingSystem of its axis maps (`lattice.axis_maps`); z-window
-    keeps its shifts on a segment of Z.  Cyclic-group shifts are reduced
-    modulo the modulus.
+    CommutingSystem, lattice-window carries its dims, and z-window keeps
+    its shifts on a segment of Z.  Cyclic-group shifts are reduced modulo
+    the modulus.
     """
 
     kind: str
@@ -186,13 +189,26 @@ class Instance(_Record):
     length: Optional[int] = None
     dims: Optional[tuple[int, ...]] = None
 
+    @cached_property
+    def finite_system(self) -> Optional[CommutingSystem]:
+        """The finite commuting system of every kind but z-window (None):
+        the parsed `system`, or the system of a lattice window's axis maps
+        (`lattice.axis_maps`), built on the first read and kept, so a run
+        that reads no map, such as `validate`, builds none."""
+        if self.dims is None:
+            return self.system
+        from .lattice import axis_maps
+
+        return _trusted_system(len(self.f), axis_maps(self.dims))
+
     def maps(self) -> tuple[tuple[int, ...], ...]:
         """One total map on {0..N-1} per transform.  A window shift that
         would leave the window fixes the point instead, which keeps its
         invariant functions; z-window maps so completed need not commute,
         and nothing that reads these tables relies on it."""
-        if self.system is not None:
-            return self.system.transforms
+        system = self.finite_system
+        if system is not None:
+            return system.transforms
         return tuple(tuple(x + a if x + a < self.length else x
                            for x in range(self.length))
                      for a in self.shifts)
@@ -240,16 +256,14 @@ def parse_instance(doc: Any) -> Instance:
             raise ParseError("expected nonnegative shifts", "shifts")
         f = _values(doc, length)
         return Instance(kind, f=f, shifts=tuple(shifts), length=length)
-    from .lattice import axis_maps, window_size
+    from .lattice import window_size
 
     dims = tuple(_int_list(doc.get("dims"), "dims"))
     try:
         size = window_size(dims)
     except RangeError as exc:
         raise ParseError(str(exc), "dims")
-    f = _values(doc, size)
-    return Instance(kind, system=_trusted_system(size, axis_maps(dims)), f=f,
-                    dims=dims)
+    return Instance(kind, f=_values(doc, size), dims=dims)
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -269,10 +283,10 @@ def instance_to_json(inst: Instance) -> dict:
 # ---------------------------------------------------------------------------
 # result documents
 #
-# A row holds a record type, the callable that builds it from its field
-# values, whether the fields sit under "certificate", and one (wire key,
-# attribute, kind) entry per field in declaration order.  A kind is a
-# (write, read, absent) triple; a missing key reads as absent.
+# A row holds a record type, built from its field values, whether the
+# fields sit under "certificate", and one (wire key, attribute, kind)
+# entry per field in declaration order.  A kind is a (write, read) pair;
+# a missing key reads as None, which every reader refuses.
 
 
 def _int_rows(items: Any, path: str) -> tuple[tuple[int, ...], ...]:
@@ -289,29 +303,11 @@ def _parts(items: Any, path: str) -> tuple[RationalFunction, ...]:
                  for i, p in enumerate(items))
 
 
-def _no_candidates(items: Any, path: str) -> tuple:
-    if items != []:
-        raise ParseError("expected an empty list: a search over finite "
-                         "systems finds no candidate", path)
-    return ()
-
-
-def _violation_kind(kind: Any, path: str) -> str:
-    if kind != "MixedDeltaNonzero":
-        raise ParseError(f"unknown violation kind {kind!r}", path)
-    return kind
-
-
-_INT = (int, _int, None)
-_INT_LIST = (list, lambda items, path: tuple(_int_list(items, path)), None)
-_INT_ROWS = (lambda rows: [list(row) for row in rows], _int_rows, None)
-# rows that older documents may leave out: a missing key reads as no rows
-_OPTIONAL_INT_ROWS = (_INT_ROWS[0], _int_rows, [])
-_FRACTION = (frac_to_str, frac_from_json, None)
-_VALUES = (values_to_json, values_from_json, None)
-_PARTS = (lambda parts: [values_to_json(p) for p in parts], _parts, None)
-_VIOLATION_KIND = (str, _violation_kind, None)
-_NO_CANDIDATES = (list, _no_candidates, None)
+_INT = (int, _int)
+_INT_ROWS = (lambda rows: [list(row) for row in rows], _int_rows)
+_FRACTION = (frac_to_str, frac_from_json)
+_VALUES = (values_to_json, values_from_json)
+_PARTS = (lambda parts: [values_to_json(p) for p in parts], _parts)
 
 
 def _fields(*entries: tuple) -> tuple:
@@ -320,12 +316,12 @@ def _fields(*entries: tuple) -> tuple:
 
 
 def _write_fields(fields: tuple, record: Any) -> dict:
-    return {key: write(get(record)) for key, get, (write, _, _) in fields}
+    return {key: write(get(record)) for key, get, (write, _) in fields}
 
 
 def _read_fields(fields: tuple, src: dict, prefix: str) -> list:
-    return [read(src.get(key, absent), prefix + key)
-            for key, _, (_, read, absent) in fields]
+    return [read(src.get(key), prefix + key)
+            for key, _, (_, read) in fields]
 
 
 @lru_cache(maxsize=None)
@@ -334,28 +330,17 @@ def _codecs() -> tuple[dict, dict]:
     the first call: the types are `check`'s, which importing this module
     does not load."""
     from .check import (BoundedTransfer, ConstrainedObstruction,
-                        DualCertificate, SearchReport, StarInstance,
-                        StarViolation)
+                        DualCertificate, SearchReport, StarViolation)
 
-    def row(cls, certificate, *fields, build=None):
-        return (cls, build or cls, certificate, _fields(*fields))
-
-    def violation(*fields):
-        # the certificate's first five fields are the star instance's
-        return StarViolation(StarInstance(*fields[:5]), *fields[5:])
+    def row(cls, certificate, *fields):
+        return (cls, certificate, _fields(*fields))
 
     rows = {
         "decomposition": row(Decomposition, False,
                              ("parts", "parts", _PARTS)),
-        "violation": row(
-            StarViolation, True,
-            ("blocks", "instance.blocks", _INT_ROWS),
-            ("distinguished", "instance.distinguished", _INT_LIST),
-            ("exponents", "instance.exponents", _INT_LIST),
-            ("premises", "instance.premises", _OPTIONAL_INT_ROWS),
-            ("z", "instance.z", _INT),
-            ("value", "value", _FRACTION),
-            ("kind", "kind", _VIOLATION_KIND), build=violation),
+        "violation": row(StarViolation, True,
+                         ("blocks", "blocks", _INT_ROWS), ("z", "z", _INT),
+                         ("value", "value", _FRACTION)),
         "infeasible": row(DualCertificate, True,
                           ("weights", "weights", _VALUES)),
         "bounded-transfer": row(BoundedTransfer, False,
@@ -365,10 +350,8 @@ def _codecs() -> tuple[dict, dict]:
             ConstrainedObstruction, True,
             ("x", "x", _INT), ("k", "k", _INT), ("l", "l", _INT),
             ("l2", "l2", _INT), ("total", "total", _FRACTION)),
-        "report": row(
-            SearchReport, False,
-            *[(name, name, _INT) for name in SearchReport._fields[:-1]],
-            ("candidates", "candidates", _NO_CANDIDATES)),
+        "report": row(SearchReport, False,
+                      *[(name, name, _INT) for name in SearchReport._fields]),
     }
     return rows, {cls: tag for tag, (cls, *_) in rows.items()}
 
@@ -381,7 +364,7 @@ def result_to_json(result: Any) -> dict:
     tag = tags.get(type(result))
     if tag is None:
         raise TypeError(f"no serialization for {type(result).__name__}")
-    _, _, certificate, fields = rows[tag]
+    _, certificate, fields = rows[tag]
     body = _write_fields(fields, result)
     return ({"result": tag, "certificate": body} if certificate
             else {"result": tag, **body})
@@ -399,13 +382,13 @@ def parse_result(doc: Any) -> Any:
     # a list or object tag is unhashable: refused before the lookup
     if not isinstance(tag, str) or tag not in rows:
         raise ParseError(f"unknown result tag {tag!r}", "result")
-    _, build, certificate, fields = rows[tag]
+    cls, certificate, fields = rows[tag]
     if not certificate:
-        return build(*_read_fields(fields, doc, ""))
+        return cls(*_read_fields(fields, doc, ""))
     cert = doc.get("certificate")
     if not isinstance(cert, dict):
         raise ParseError("expected a certificate object", "certificate")
-    return build(*_read_fields(fields, cert, "certificate."))
+    return cls(*_read_fields(fields, cert, "certificate."))
 
 
 def _write(value: Any, indent: str) -> str:

@@ -3,22 +3,25 @@
 For a partition of the transform indices into blocks with one distinguished
 index per block, exponents k per block, and a base point z, the condition
 says: whenever every non-distinguished index i in a block with head h
-admits l, l2 with h^k i^l z = i^{l2} z, the mixed difference of f taken
-with the heads at their exponents must vanish at z.  This is necessary for
-decomposability for every n.  On a finite domain it is also sufficient,
-and already its all-singleton instance, the mixed difference, decides it
-(`check_star`), which is one O(nN) pass of `core`'s integer stencil over
-the map tables.  On windows of Z, where the maps are partial, the mixed
-difference alone is not sufficient and the multi-element partitions of
-`check_star_abelian` add conclusions of their own, one stencil per set
-partition; they are still only necessary there, and
-`oracle.verified_split` decides windows exactly.
+admits l, l2 with h^k i^l z = i^{l2} z (its premises), the mixed
+difference of f taken with the heads at their exponents must vanish at
+z.  This is necessary for decomposability for every n.  On a finite
+domain it is also sufficient, and already its all-singleton instance,
+the mixed difference, decides it (`check_star`), which is one O(nN) pass
+of `core`'s integer stencil over the map tables.  On windows of Z, where
+the maps are partial, the mixed difference alone is not sufficient and
+the multi-element partitions of `check_star_abelian` add conclusions of
+their own, one stencil per set partition; they are still only necessary
+there, and `oracle.verified_split` decides windows exactly.
 
-Each producer emits one fixed shape of violation, and
-`check.replay_violation` accepts only that shape: on a finite domain the
-all-singleton instance, one stencil over the map tables; on a window the
-`check.window_instance` of the blocks the scan hit, each headed by its
-least index at the block's least common multiple, with its premises.
+A violation (`check.StarViolation`) stores only its blocks, z and the
+nonzero value; the rest of the instance follows from the blocks.  On a
+finite domain the blocks are the n singletons, each its own head at
+exponent 1 with no premise.  On a window each block is headed by its
+least index h at the exponent that takes a_h to the block's signed least
+common multiple l, and each other member i has the premise
+h^k i^0 z = i^{l / a_i} z.  `check.replay_violation` rebuilds the stencil
+from the blocks alone.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from .check import (SearchReport, StarInstance, StarViolation,
-                    window_instance, window_scan)
+from .check import SearchReport, StarViolation, window_scan
 from .core import (
     CommutingSystem,
     Decomposition,
@@ -47,9 +49,9 @@ def check_star(system: CommutingSystem,
     mixed difference D_1...D_n f (D_j f = f o T_j - f) vanishes, so that is
     all that is computed: n unit-difference passes over the map tables on
     f's integer numerators, O(nN).  The first nonzero point z is returned
-    as the all-singleton instance (every head at exponent 1, no premises),
-    the one instance `check.replay_violation` accepts; the other
-    partitions can never add a violation.
+    with the all-singleton blocks (every head at exponent 1, no premises),
+    the one violation `check.replay_violation` accepts on map tables; the
+    other partitions can never add a violation.
 
     The proof that the mixed difference suffices on a finite domain is
     constructive and lives in `decomp.decompose_n`, which builds the parts
@@ -68,10 +70,8 @@ def check_star(system: CommutingSystem,
         return None
     from fractions import Fraction
 
-    instance = StarInstance(tuple((j,) for j in range(n)), tuple(range(n)),
-                            (1,) * n, (), z)
-    return StarViolation(instance, Fraction(row[z], denom),
-                         "MixedDeltaNonzero")
+    return StarViolation(tuple((j,) for j in range(n)), z,
+                         Fraction(row[z], denom))
 
 
 def check_star_abelian(shifts: Sequence[int],
@@ -97,24 +97,22 @@ def check_star_abelian(shifts: Sequence[int],
     for a one-element block that is the cap at exponent 1.  The same lemma
     lets the scan drop every partition below a vanishing prefix of
     blocks, and with it the prefixes that extend its last block.  The
-    instance is `check.window_instance` of the hit's blocks, so its
-    premise triples are (i, 0, l // a_i).  Translations of Z_m are
-    total maps on a finite set, where `check_star` decides alone.
+    violation is the scan's first hit, its blocks, z and value.
+    Translations of Z_m are total maps on a finite set, where
+    `check_star` decides alone.
     """
     for a in shifts:
         if not isinstance(a, int) or isinstance(a, bool):
             raise RangeError(f"shift {a!r} is not an integer")
     if not shifts:
         return None
-    f_num, denom = f.numerators, f.denom
-    hit = window_scan(shifts, f_num)
+    hit = window_scan(shifts, f.numerators)
     if hit is None:
         return None
     from fractions import Fraction
 
     blocks, z, value = hit
-    return StarViolation(window_instance(shifts, blocks, z),
-                         Fraction(value, denom), "MixedDeltaNonzero")
+    return StarViolation(blocks, z, Fraction(value, f.denom))
 
 
 def _run_trials(n: int, max_size: int, trials: int, seed: int) -> dict:
@@ -161,13 +159,13 @@ def search_counterexample(n: int, max_size: int, trials: int,
     """Randomized hunt for star-pass but non-decomposable instances.
 
     The systems are finite, where `check_star` is exact for every n, so
-    no n finds a candidate and the report's `candidates` is always
-    empty: the search is a regression of that theorem and of the oracle,
-    and any star/oracle disagreement counts as a discrepancy.  On a star pass the oracle's dual, the mixed-difference
-    stencil, cannot exist, so an oracle refusal there raises
-    InternalContractViolation and is counted as such.  Star-fail
-    instances are spot-checked (every 7th trial for n >= 4) for the
-    necessity direction.
+    no n finds a candidate and the report holds counts alone: the search
+    is a regression of that theorem and of the oracle, and any
+    star/oracle disagreement counts as a discrepancy.  On a star pass the
+    oracle's dual, the mixed-difference stencil, cannot exist, so an
+    oracle refusal there raises InternalContractViolation and is counted
+    as such.  Star-fail instances are spot-checked (every 7th trial for
+    n >= 4) for the necessity direction.
 
     Deterministic under a fixed seed: each trial reseeds from (seed,
     trial).

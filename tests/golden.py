@@ -10,7 +10,8 @@ process through `perdec.cli.run_command`.
 `tests/golden.json` holds the sha256 of each instance document and, per
 case, its id, its argv (instance path "{instance}", replayed result
 "{result}"), its exit code and the sha256 of its stdout.  Regenerate the
-file, or list the instances and case ids that differ from it:
+file, or list the instances and case ids that differ from it, each case
+with its pinned and its current exit code:
 
     PYTHONPATH=src python -m tests.golden --write
     PYTHONPATH=src python -m tests.golden
@@ -187,16 +188,20 @@ BARE_CASES = (
                                   "--verify", "{dir}/bad-kind.json"]),
     ("error: unknown search option", ["search", "--trials", "5",
                                       "--workers", "1"]),
-    # a true two-block violation of the partition condition: on a finite
-    # kind only the all-singleton instance replays
+    # documents in the wire of earlier releases, with heads, exponents,
+    # premises and a kind, which are read as their blocks, z and value
+    # alone.  A true two-block violation of the partition condition: on a
+    # finite kind only the all-singleton blocks replay, whatever the kind
     ("refused: two-block finite violation",
      ["star-check", "{dir}/three-swaps.json", "--verify",
       "{dir}/two-block-violation.json"]),
     ("error: compatibility violation kind",
      ["decompose", "{dir}/three-swaps.json", "--verify",
       "{dir}/compatibility-violation.json"]),
-    # true window violations of the partition condition that are not the
-    # instance the window scan emits for their blocks
+    # true window violations of the partition condition: at exponent 2 the
+    # stored value is not that of the block's least common multiple, so it
+    # does not replay; headed by a later index, its blocks, z and value
+    # are the scan's, so it does
     ("refused: window violation at exponent 2",
      ["star-check", "{dir}/window-squares.json", "--verify",
       "{dir}/window-exponent-2.json"]),
@@ -350,9 +355,14 @@ def main(argv=None) -> int:
         GOLDEN.write_text(dumps(got))
         print(f"wrote {len(got['cases'])} cases to {GOLDEN}")
         return 0
-    changed = differences(json.loads(GOLDEN.read_text()), got)
+    pinned = json.loads(GOLDEN.read_text())
+    changed = differences(pinned, got)
+    exits = [{c["id"]: c["exit"] for c in corpus["cases"]}
+             for corpus in (pinned, got)]
     for key in changed:
-        print(key)
+        old, new = (codes.get(key, "-") for codes in exits)
+        print(key if key in pinned["instances"] or key in got["instances"]
+              else f"{key}: exit {old} -> {new}")
     return 1 if changed else 0
 
 

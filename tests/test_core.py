@@ -192,10 +192,10 @@ def test_a_cyclic_groups_unchecked_system_is_the_validated_one(modulus,
 
 @given(st.lists(st.integers(2, 4), min_size=1, max_size=3))
 def test_a_windows_unchecked_system_is_the_validated_one(dims):
-    # parse_instance builds the axis maps' system without the checks
+    # a window builds its axis maps' system without the checks
     size = math.prod(dims)
     doc = {"kind": "lattice-window", "dims": dims, "values": ["0"] * size}
-    system = parse_instance(doc).system
+    system = parse_instance(doc).finite_system
     assert system == validate_system(system.transforms, size)
     assert len(system.transforms) == len(dims)
 

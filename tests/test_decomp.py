@@ -17,7 +17,6 @@ from perdec.core import (
 )
 from perdec.check import (
     DualCertificate,
-    StarInstance,
     StarViolation,
     replay_violation,
     verify_parts,
@@ -51,9 +50,7 @@ def test_decompose_n_of_one_transform_is_an_invariance_check():
     bad = RationalFunction((Fraction(0), Fraction(1), Fraction(1), Fraction(0)))
     viol = decompose_n(validate_system([t], 4), bad)
     assert isinstance(viol, StarViolation)
-    assert viol == StarViolation(
-        StarInstance(blocks=((0,),), distinguished=(0,), exponents=(1,),
-                     premises=(), z=0), Fraction(1), "MixedDeltaNonzero")
+    assert viol == StarViolation(blocks=((0,),), z=0, value=Fraction(1))
     assert replay_violation(bad, viol, validate_system([t], 4).transforms)
     with pytest.raises(PreconditionError):
         decompose_n(validate_system([], 4), f)
@@ -63,8 +60,7 @@ def test_decompose_two_double_swap_fails_mixed():
     swap = (1, 0)
     f = RationalFunction((Fraction(0), Fraction(1)))
     viol = decompose_two(swap, swap, f)
-    assert isinstance(viol, StarViolation)
-    assert viol.kind == "MixedDeltaNonzero"
+    assert viol == StarViolation(((0,), (1,)), 0, Fraction(-2))
     assert replay_violation(f, viol, (swap, swap))
 
 
@@ -302,6 +298,36 @@ def test_decompose_n_denominators_divide_denom_f_times_cycle_lengths(case):
             assert value.denominator <= denom * system.size ** (n - 1)
 
 
+@given(_decomposable_cases())
+@settings(max_examples=100, deadline=None)
+def test_decompose_n_parts_are_within_2_to_the_j_minus_1_of_f(case):
+    # ||f_j|| <= 2^(j-1) ||f|| for j < n and ||f_n|| <= 2^(n-1) ||f||, the
+    # bound proved in decompose_n: 2^(j-1) for every part j = 1..n
+    system, f = case
+    got = decompose_n(system, f)
+    assert isinstance(got, Decomposition)
+    for j, part in enumerate(got.parts, 1):
+        assert part.max_abs() <= 2 ** (j - 1) * f.max_abs()
+
+
+def test_decompose_n_nearly_reaches_its_part_bound_on_z9_cubed():
+    # the three axis translations of Z_9^3 and f constant along the third
+    # axis: +1 at (0, 0), -1 on the rest of row 0 and column 0, and +1
+    # elsewhere.  The third part reaches (2 (m - 1) / m)^2 = 256/81 of
+    # sup f, above 3 of the bound 2^(n-1) = 4; a construction that moves
+    # it must say what it does to the constant
+    m = 9
+    points = list(product(range(m), repeat=3))
+    index = {p: i for i, p in enumerate(points)}
+    maps = [tuple(index[p[:j] + ((p[j] + 1) % m,) + p[j + 1:]]
+                  for p in points) for j in range(3)]
+    f = RationalFunction(tuple(
+        Fraction(1 if (a == 0) == (b == 0) else -1) for a, b, _ in points))
+    parts = decompose_n(validate_system(maps, m ** 3), f).parts
+    assert f.max_abs() == 1
+    assert parts[2].max_abs() == Fraction(256, 81) > 3
+
+
 def test_decompose_two_bound_too_small():
     # the construction searches no exponents: the cycle average puts the
     # whole of a constant f into the first part
@@ -406,7 +432,4 @@ def test_decompose_two_refuses_exactly_at_a_nonzero_double_difference(case):
         assert isinstance(got, Decomposition)
         return
     z, value = nonzero[0]
-    assert got == StarViolation(
-        StarInstance(blocks=((0,), (1,)), distinguished=(0, 1),
-                     exponents=(1, 1), premises=(), z=z),
-        value, "MixedDeltaNonzero")
+    assert got == StarViolation(((0,), (1,)), z, value)

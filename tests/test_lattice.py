@@ -16,7 +16,6 @@ import perdec.core
 import perdec.lattice
 from perdec.check import (
     DualCertificate,
-    StarInstance,
     StarViolation,
     replay_violation,
     verify_dual,
@@ -164,8 +163,9 @@ def test_axis_map_classes_are_the_lines_along_each_axis(dims):
 
 def test_a_window_builds_its_system_once_and_checks_no_commutation(
         monkeypatch):
-    # the axis maps commute by construction, so parsing a window builds
-    # them once and does not check them again
+    # the axis maps commute by construction, so the first read of a
+    # window's maps builds them once, parsing builds none, and neither
+    # checks them
     calls = []
     build = perdec.lattice.axis_maps
 
@@ -180,10 +180,11 @@ def test_a_window_builds_its_system_once_and_checks_no_commutation(
     monkeypatch.setattr(perdec.core, "commute_witness", no_commute_check)
     inst = parse_instance({"kind": "lattice-window", "dims": [2, 3],
                            "values": ["1"] * 6})
-    assert calls == [(2, 3)]
+    assert calls == [] and inst.system is None
     assert inst.dims == (2, 3)
-    assert inst.system.size == 6
-    assert inst.maps() is inst.system.transforms == build((2, 3))
+    assert inst.finite_system.size == 6
+    assert calls == [(2, 3)]
+    assert inst.maps() is inst.finite_system.transforms == build((2, 3))
     assert calls == [(2, 3)]
 
 
@@ -285,10 +286,9 @@ def test_a_window_refuses_exactly_at_the_first_nonzero_stencil(window):
         return
     d = len(dims)
     assert violation == outcome
-    assert violation.instance == StarInstance(
-        tuple((j,) for j in range(d)), tuple(range(d)), (1,) * d, (), witness)
-    assert violation.value == corner_stencil(f.values, _strides(dims),
-                                             witness)
+    assert violation == StarViolation(
+        tuple((j,) for j in range(d)), witness,
+        corner_stencil(f.values, _strides(dims), witness))
     assert replay_violation(f, violation, _system(dims).transforms)
 
 
@@ -303,10 +303,9 @@ def test_a_stored_violation_replays_exactly_at_a_nonzero_stencil_base(window):
     for z in range(len(f)):
         base = all(c + 1 < w for c, w in zip(_coords(dims, z), dims))
         value = corner_stencil(f.values, _strides(dims), z) if base else 0
-        instance = StarInstance(tuple((j,) for j in range(d)),
-                                tuple(range(d)), (1,) * d, (), z)
         for stored in {value, Fraction(1)}:
-            violation = StarViolation(instance, stored, "MixedDeltaNonzero")
+            violation = StarViolation(tuple((j,) for j in range(d)), z,
+                                      stored)
             assert replay_violation(f, violation, _system(dims).transforms) \
                 == (stored == value != 0)
 
@@ -390,7 +389,7 @@ def test_every_window_command_gives_one_verdict_and_each_result_verifies(
     assert codes == {0 if _reference_witness(dims, f) is None else 1}
 
 
-@pytest.mark.parametrize("command", ["oracle", "decompose",
+@pytest.mark.parametrize("command", ["oracle", "decompose", "star-check",
                                      "lattice-decompose"])
 @pytest.mark.parametrize("values", [["1"] * 6, ["0", "0", "0", "0", "1",
                                                 "0"]],
@@ -417,6 +416,25 @@ def test_a_window_run_and_its_replay_each_build_the_maps_once(
     assert calls == [(2, 3)]
 
 
+def test_validate_reads_a_windows_dims_and_builds_no_maps(tmp_path,
+                                                         monkeypatch):
+    calls = []
+    build = perdec.lattice.axis_maps
+
+    def counted(dims):
+        calls.append(dims)
+        return build(dims)
+
+    monkeypatch.setattr(perdec.lattice, "axis_maps", counted)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "lattice-window", "dims": [2, 3],
+                                "values": ["1"] * 6}))
+    code, out = _cli(["validate", str(inst)])
+    assert (code, json.loads(out)) == (
+        0, {"result": "ok", "kind": "lattice-window", "dims": [2, 3]})
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # windows of Z
 
@@ -427,11 +445,7 @@ def test_z_window_counterexample():
     f = RationalFunction(tuple(Fraction(x) for x in range(10)))
     assert not any(window_difference(f.values, (1, 1))[1])
     viol = check_star_abelian((1, 1), f)
-    assert viol is not None
-    inst = viol.instance
-    assert inst.blocks == ((0, 1),)
-    assert inst.exponents == (1,)
-    assert viol.value == 1
+    assert viol == StarViolation(((0, 1),), 0, Fraction(1))
     assert replay_violation(f, viol, shifts=(1, 1))
 
 

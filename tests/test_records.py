@@ -9,8 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from perdec.check import (BoundedTransfer, ConstrainedObstruction,
-                          DualCertificate, SearchReport, StarInstance,
-                          StarViolation)
+                          DualCertificate, SearchReport, StarViolation)
 from perdec.core import (CommutingSystem, Decomposition, RationalFunction,
                          VerificationResult, _Record)
 from perdec.orbits import Partition
@@ -25,12 +24,8 @@ def _system():
     return CommutingSystem(2, ((1, 0),))
 
 
-def _star():
-    return StarInstance(((0, 1),), (0,), (1,), ((1, 0, 1),), 0)
-
-
 def _violation():
-    return StarViolation(_star(), F(3, 2), "MixedDeltaNonzero")
+    return StarViolation(((0, 1),), 0, F(3, 2))
 
 
 # one builder per record type with the repr its frozen dataclass printed
@@ -51,14 +46,9 @@ RECORDS = {
         "Instance(kind='finite', system=CommutingSystem(size=2, "
         "transforms=((1, 0),)), f=RationalFunction(numerators=(2, -1), "
         "denom=2), shifts=None, modulus=None, length=None, dims=None)"),
-    "StarInstance": (
-        _star, "StarInstance(blocks=((0, 1),), distinguished=(0,), "
-               "exponents=(1,), premises=((1, 0, 1),), z=0)"),
     "StarViolation": (
         _violation,
-        "StarViolation(instance=StarInstance(blocks=((0, 1),), "
-        "distinguished=(0,), exponents=(1,), premises=((1, 0, 1),), z=0), "
-        "value=Fraction(3, 2), kind='MixedDeltaNonzero')"),
+        "StarViolation(blocks=((0, 1),), z=0, value=Fraction(3, 2))"),
     "DualCertificate": (
         lambda: DualCertificate(RationalFunction((1, -1))),
         "DualCertificate(weights=RationalFunction(numerators=(1, -1), "
@@ -75,8 +65,7 @@ RECORDS = {
         lambda: SearchReport(2, 4, 10, 7, 6, 4, 5, 1, 3, 0, 0),
         "SearchReport(n=2, max_size=4, trials=10, seed=7, star_pass=6, "
         "star_fail=4, oracle_feasible=5, oracle_infeasible=1, "
-        "necessity_checked=3, necessity_violations=0, discrepancies=0, "
-        "candidates=())"),
+        "necessity_checked=3, necessity_violations=0, discrepancies=0)"),
     "Partition": (
         lambda: Partition((0, 0, 1), (0, 2)),
         "Partition(class_of=(0, 0, 1), representative=(0, 2))"),

@@ -28,7 +28,6 @@ def test_search_counts_are_consistent():
     assert report.oracle_infeasible == report.star_fail
     assert report.necessity_violations == 0
     assert report.discrepancies == 0
-    assert report.candidates == ()
 
 
 def test_search_is_deterministic_under_a_seed():
@@ -57,7 +56,7 @@ def test_search_four_transforms_smoke():
 
 def test_a_refusal_on_a_star_pass_is_a_discrepancy(monkeypatch):
     # a star pass splits, so an oracle refusal there has no dual: it is
-    # counted as an infeasible verdict and a discrepancy, with no candidate
+    # counted as an infeasible verdict and a discrepancy
     clean = search_counterexample(n=4, max_size=4, trials=60, seed=3)
     monkeypatch.setattr(oracle, "split_over_classes", lambda *args: None)
     report = search_counterexample(n=4, max_size=4, trials=60, seed=3)
@@ -66,7 +65,6 @@ def test_a_refusal_on_a_star_pass_is_a_discrepancy(monkeypatch):
         0, clean.star_pass)
     assert report.oracle_infeasible == (clean.oracle_infeasible
                                         + clean.oracle_feasible)
-    assert report.candidates == ()
     assert verify_report(report)
 
 

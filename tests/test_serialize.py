@@ -13,7 +13,6 @@ from perdec.check import (
     ConstrainedObstruction,
     DualCertificate,
     SearchReport,
-    StarInstance,
     StarViolation,
 )
 from perdec.core import (
@@ -391,10 +390,7 @@ def _sample_results():
         RationalFunction((Fraction(1, 3), Fraction(1, 3))),
         RationalFunction((Fraction(0), Fraction(2))),
     ))
-    violation = StarViolation(
-        StarInstance(blocks=((0, 1), (2,)), distinguished=(1, 2),
-                     exponents=(2, 1), premises=((0, 1, 3),), z=4),
-        Fraction(-5, 2), "MixedDeltaNonzero")
+    violation = StarViolation(((0, 1), (2,)), 4, Fraction(-5, 2))
     dual = DualCertificate(RationalFunction((Fraction(1), Fraction(-1))))
     bounded = BoundedTransfer(RationalFunction((Fraction(1, 2), Fraction(0))),
                               Fraction(3, 4))
@@ -425,11 +421,7 @@ _FUNCTIONS = st.lists(rationals(-10 ** 9, 10 ** 9, 10 ** 6), min_size=1,
 RECORDS = {
     "Decomposition": st.builds(
         Decomposition, st.lists(_FUNCTIONS, min_size=1, max_size=3).map(tuple)),
-    "StarViolation": st.builds(
-        StarViolation,
-        st.builds(StarInstance, _INT_ROWS, _INT_TUPLES, _INT_TUPLES,
-                  _INT_ROWS, _INTS),
-        rationals(), st.just("MixedDeltaNonzero")),
+    "StarViolation": st.builds(StarViolation, _INT_ROWS, _INTS, rationals()),
     "DualCertificate": st.builds(DualCertificate, _FUNCTIONS),
     "BoundedTransfer": st.builds(BoundedTransfer, _FUNCTIONS, rationals()),
     "ConstrainedObstruction": st.builds(ConstrainedObstruction, _INTS, _INTS,
@@ -476,10 +468,10 @@ def test_parse_result_errors_name_the_path():
             parse_result({"result": tag})
         assert exc.value.path == "result"
     doc = result_to_json(_sample_results()[1])
-    doc["certificate"]["kind"] = "Other"
+    del doc["certificate"]["z"]
     with pytest.raises(ParseError) as exc:
         parse_result(doc)
-    assert exc.value.path == "certificate.kind"
+    assert exc.value.path == "certificate.z"
     doc = result_to_json(_sample_results()[0])
     doc["parts"] = []
     with pytest.raises(ParseError) as exc:
@@ -492,18 +484,34 @@ def test_parse_result_errors_name_the_path():
     assert exc.value.path == "trials"
 
 
-# a search over finite systems finds no candidate: only [] reads, and a
-# well-formed candidate is refused like any other value
-@pytest.mark.parametrize("bad", [
-    [{"trial": 7, "size": 2, "transforms": [[1, 0], [0, 1]],
-      "values": ["1", "-1/2"], "dual_weights": ["2", "0"]}],
+# a report is read by its counts alone: the "candidates" list of earlier
+# releases, empty or not, is ignored like any other key
+@pytest.mark.parametrize("listed", [
+    [], [{"trial": 7, "size": 2, "transforms": [[1, 0], [0, 1]],
+          "values": ["1", "-1/2"], "dual_weights": ["2", "0"]}],
     [{}], [[]], [0], None, {}, ""])
-def test_parse_result_refuses_any_candidate(bad):
-    doc = result_to_json(_sample_results()[5])
-    doc["candidates"] = bad
-    with pytest.raises(ParseError) as exc:
-        parse_result(doc)
-    assert exc.value.path == "candidates"
+def test_parse_result_reads_a_report_that_lists_candidates_as_its_counts(
+        listed):
+    report = _sample_results()[5]
+    doc = result_to_json(report)
+    assert "candidates" not in doc
+    assert parse_result({**doc, "candidates": listed}) == report
+
+
+def test_a_legacy_violation_reads_as_its_blocks_z_and_value():
+    # earlier releases also wrote the heads, exponents, premises and a
+    # kind; the reader reads the fields its checker reads and ignores the
+    # rest, whatever they hold
+    violation = _sample_results()[1]
+    doc = result_to_json(violation)
+    assert set(doc["certificate"]) == {"blocks", "z", "value"}
+    for legacy in ({"distinguished": [1, 2], "exponents": [2, 1],
+                    "premises": [[0, 1, 3]], "kind": "MixedDeltaNonzero"},
+                   {"distinguished": "x", "exponents": None,
+                    "premises": [[]], "kind": "CompatibilityFailure"}):
+        cert = {**doc["certificate"], **legacy}
+        assert parse_result({"result": "violation",
+                             "certificate": cert}) == violation
 
 
 def test_dumps_is_canonical():

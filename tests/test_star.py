@@ -16,12 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perdec import check, generators
-from perdec.check import (
-    StarInstance,
-    StarViolation,
-    replay_violation,
-    verify_star_pass,
-)
+from perdec.check import StarViolation, replay_violation, verify_star_pass
 from perdec.cli import run_command
 from perdec.core import (
     PreconditionError,
@@ -66,11 +61,7 @@ def test_check_star_single_swap_violation():
     system = validate_system([(1, 0)], 2)
     f = RationalFunction((Fraction(0), Fraction(1)))
     viol = check_star(system, f)
-    assert viol is not None
-    assert viol.kind == "MixedDeltaNonzero"
-    assert viol.instance == StarInstance(
-        blocks=((0,),), distinguished=(0,), exponents=(1,), premises=(), z=0)
-    assert viol.value == 1
+    assert viol == StarViolation(blocks=((0,),), z=0, value=Fraction(1))
     assert replay_violation(f, viol, system.transforms)
 
 
@@ -78,24 +69,20 @@ def test_replay_rejects_tampered_violations():
     system = validate_system([(1, 0)], 2)
     f = RationalFunction((Fraction(0), Fraction(1)))
     viol = check_star(system, f)
-    inst = viol.instance
     assert not replay_violation(f, StarViolation(
-        inst, viol.value + 1, viol.kind), system.transforms)
-    moved = StarInstance(inst.blocks, inst.distinguished, inst.exponents,
-                         inst.premises, z=1)
+        viol.blocks, viol.z, viol.value + 1), system.transforms)
     # z=1 flips the sign, so the stored value no longer matches
     assert not replay_violation(f, StarViolation(
-        moved, viol.value, viol.kind), system.transforms)
-    dropped = StarInstance(((0,), (1,)), (0, 1), (1, 1), (), 0)
+        viol.blocks, 1, viol.value), system.transforms)
     assert not replay_violation(f, StarViolation(
-        dropped, viol.value, viol.kind), system.transforms)
+        ((0,), (1,)), 0, viol.value), system.transforms)
 
 
 def test_check_star_values_are_exact_past_64_bits():
     system = validate_system([(1, 0)], 2)
     for big in (Fraction(1 << 62), Fraction(1 << 62, 3), Fraction(1, 1 << 62)):
         viol = check_star(system, RationalFunction((Fraction(0), big)))
-        assert viol.instance.z == 0
+        assert viol.z == 0
         assert viol.value == big
         assert type(viol.value) is Fraction
 
@@ -129,7 +116,8 @@ def _premise_witness(pow_tables, h, k, i, z, lmin, bound):
 def _reference_check_star(system, f, bound, lmin, cap_singletons=True):
     """check_star from the definition: explicit premise loops, one-element
     blocks at exponent 1 (up to bound too unless cap_singletons), every
-    other head exponent up to bound."""
+    other head exponent up to bound; the first nonzero stencil as its
+    blocks, z and value."""
     pow_tables = [power_table(t, bound) for t in system.transforms]
     for blocks in ordered_partitions(system.n):
         for heads in product(*blocks):
@@ -153,10 +141,7 @@ def _reference_check_star(system, f, bound, lmin, cap_singletons=True):
                         sign = (-1) ** (len(blocks) - sum(subset))
                         value += sign * f[w]
                     if value:
-                        return StarViolation(
-                            StarInstance(blocks, heads, kvec,
-                                         tuple(sorted(premises)), z),
-                            value, "MixedDeltaNonzero")
+                        return StarViolation(blocks, z, value)
     return None
 
 
@@ -176,18 +161,15 @@ def test_check_star_matches_the_definition(style, n, lmin, data):
 
 def test_replay_refuses_huge_exponents_quickly():
     # 0 -> 1 -> 2 -> 2: t^(10**11) sends 0 to the fixed point 2, so the
-    # stored value is true, but a finite replay accepts exponent 1 alone
+    # value 5 is true at that exponent, but a violation stores none and a
+    # finite replay reads exponent 1 alone
     system = validate_system([(1, 2, 2)], 3)
     f = RationalFunction((Fraction(0), Fraction(0), Fraction(5)))
-    far = StarViolation(StarInstance(((0,),), (0,), (10 ** 11,), (), 0),
-                        Fraction(5), "MixedDeltaNonzero")
-    # two swaps in one block, premise 1^(10**11) 0 = 1^1 0
+    far = StarViolation(((0,),), 0, Fraction(5))
+    # two swaps in one block, true with premise 1^(10**11) 0 = 1^1 0
     swaps = validate_system([(1, 0), (1, 0)], 2)
     g = RationalFunction((Fraction(0), Fraction(1)))
-    odd = StarViolation(
-        StarInstance(((0, 1),), (0,), (10 ** 11 + 1,),
-                     ((1, 10 ** 11, 1),), 0),
-        Fraction(1), "MixedDeltaNonzero")
+    odd = StarViolation(((0, 1),), 0, Fraction(1))
     start = time.perf_counter()
     assert not replay_violation(f, far, system.transforms)
     assert not replay_violation(g, odd, swaps.transforms)
@@ -195,13 +177,12 @@ def test_replay_refuses_huge_exponents_quickly():
 
 
 def _reference_finite_replay(system, f, violation):
-    """Reference finite replay from the definition: the instance is the
-    all-singleton one at exponent 1 with z in range, and the stored value
-    is the nonzero mixed difference D_1...D_n f at z, summed over the row
-    of `mixed_difference_rows`."""
-    n, z = system.n, violation.instance.z
-    if violation.instance != StarInstance(tuple((j,) for j in range(n)),
-                                          tuple(range(n)), (1,) * n, (), z) \
+    """Reference finite replay from the definition: the blocks are the n
+    singletons with z in range, and the stored value is the nonzero mixed
+    difference D_1...D_n f at z, summed over the row of
+    `mixed_difference_rows`."""
+    n, z = system.n, violation.z
+    if violation.blocks != tuple((j,) for j in range(n)) \
             or not 0 <= z < system.size:
         return False
     value = sum(w * v for w, v in zip(mixed_difference_rows(system)[z],
@@ -213,31 +194,19 @@ def _reference_finite_replay(system, f, violation):
 @settings(max_examples=80, deadline=None)
 def test_finite_replay_equals_the_definition_on_violations_and_twins(case):
     # each check_star violation and its tampered twins: z +- 1, value + 1,
-    # an added block, the blocks reversed, the first head at exponent 2
-    # and a stray premise
+    # an added block, an empty block, the blocks reversed and the first
+    # two blocks merged
     system, f = case
     violation = check_star(system, f)
     if violation is None:
         return
-    inst, value, n = violation.instance, violation.value, system.n
-    twins = [StarViolation(StarInstance(inst.blocks, inst.distinguished,
-                                        inst.exponents, (), inst.z + dz),
-                           value, violation.kind) for dz in (-1, 1)]
-    twins += [
-        StarViolation(inst, value + 1, violation.kind),
-        StarViolation(StarInstance(inst.blocks + ((n,),),
-                                   inst.distinguished + (n,),
-                                   inst.exponents + (1,), (), inst.z),
-                      value, violation.kind),
-        StarViolation(StarInstance(inst.blocks[::-1], inst.distinguished,
-                                   inst.exponents, (), inst.z),
-                      value, violation.kind),
-        StarViolation(StarInstance(inst.blocks, inst.distinguished,
-                                   (2,) + inst.exponents[1:], (), inst.z),
-                      value, violation.kind),
-        StarViolation(StarInstance(inst.blocks, inst.distinguished,
-                                   inst.exponents, ((0, 0, 0),), inst.z),
-                      value, violation.kind)]
+    blocks, z, value = violation.blocks, violation.z, violation.value
+    n = system.n
+    twins = [StarViolation(blocks, z + dz, value) for dz in (-1, 1)]
+    merged = [(blocks[0] + blocks[1],) + blocks[2:]] if n > 1 else []
+    twins += [StarViolation(twin, z, value) for twin in (
+        blocks + ((n,),), blocks + ((),), blocks[::-1], *merged)]
+    twins.append(StarViolation(blocks, z, value + 1))
     assert replay_violation(f, violation, system.transforms)
     assert _reference_finite_replay(system, f, violation)
     for twin in twins:
@@ -301,7 +270,7 @@ def test_abelian_failing_singleton_stencil_skips_the_partitions(
     f = RationalFunction(tuple(Fraction(x ** 16) for x in range(18)))
     viol = check_star_abelian(shifts, f)
     assert viol is not None
-    assert viol.instance.exponents == (1,) * 16 and viol.instance.z == 0
+    assert viol.blocks == tuple((i,) for i in range(16)) and viol.z == 0
     assert viol.value == 20922789888000
     assert replay_violation(f, viol, shifts=shifts)
     assert calls[0] <= 16
@@ -321,7 +290,7 @@ def _unpruned_abelian(shifts, f, cap_singletons=True):
     """Reference window check: every partition, head choice and exponent
     vector up to 2 * len(f) (singleton blocks at 1 unless not
     cap_singletons), in scan order, with no stencil skipped, each summed
-    corner by corner."""
+    corner by corner; the first nonzero one as its blocks, z and value."""
     bound = 2 * len(f)
     for blocks in ordered_partitions(len(shifts)):
         for heads in product(*blocks):
@@ -339,10 +308,7 @@ def _unpruned_abelian(shifts, f, cap_singletons=True):
                 for z in range(len(f)):
                     value = corner_stencil(f.values, offsets, z)
                     if value:
-                        return StarViolation(
-                            StarInstance(blocks, heads, kvec,
-                                         tuple(sorted(premises)), z),
-                            value, "MixedDeltaNonzero")
+                        return StarViolation(blocks, z, value)
     return None
 
 
@@ -485,29 +451,18 @@ def test_stencil_value_is_the_corner_sum_numerator(offsets, f, data):
 def _reference_abelian_replay(shifts, f, violation):
     """Reference window replay from the definitions: the blocks partition
     the shift indices, each nonempty with member shifts of one sign and
-    least common multiple l; the head is the block's first index h at
-    exponent l / |a_h|, each other member i has the premise
-    (i, 0, l / |a_i|); and the stored value is the nonzero corner sum at
-    z with one offset +-l per block."""
-    inst = violation.instance
-    if sorted(i for block in inst.blocks for i in block) \
+    least common multiple l, the least offset whose premises hold
+    whichever member heads the block; and the stored value is the nonzero
+    corner sum at z with one offset +-l per block."""
+    blocks = violation.blocks
+    if sorted(i for block in blocks for i in block) \
             != list(range(len(shifts))):
         return False
-    members = [[shifts[i] for i in block] for block in inst.blocks]
+    members = [[shifts[i] for i in block] for block in blocks]
     if any(not m or min(m) <= 0 <= max(m) for m in members):
         return False
-    lcms = [lcm(*m) for m in members]
-    premises = sorted((i, 0, l // abs(a))
-                      for block, m, l in zip(inst.blocks, members, lcms)
-                      for i, a in zip(block[1:], m[1:]))
-    if (inst.distinguished != tuple(block[0] for block in inst.blocks)
-            or inst.exponents != tuple(l // abs(m[0])
-                                       for m, l in zip(members, lcms))
-            or inst.premises != tuple(premises)):
-        return False
-    value = corner_stencil(f.values, [l if m[0] > 0 else -l
-                                      for m, l in zip(members, lcms)],
-                           inst.z)
+    value = corner_stencil(f.values, [lcm(*m) if m[0] > 0 else -lcm(*m)
+                                      for m in members], violation.z)
     return value is not None and value == violation.value and value != 0
 
 
@@ -528,26 +483,15 @@ def test_the_pass_checker_agrees_with_the_finite_check(case):
 
 
 def _window_twins(violation):
-    """Tampered twins of a window violation: its first block at twice the
-    exponent with matching premises, its first head moved to the block's
-    last index, a premise dropped, and an empty block before and after."""
-    inst, value, kind = violation.instance, violation.value, violation.kind
-    block = inst.blocks[0]
-    doubled = tuple((i, l, 2 * m) if i in block else (i, l, m)
-                    for i, l, m in inst.premises)
-    twins = [
-        StarInstance(inst.blocks, inst.distinguished,
-                     (2 * inst.exponents[0],) + inst.exponents[1:], doubled,
-                     inst.z),
-        StarInstance(inst.blocks, (block[-1],) + inst.distinguished[1:],
-                     inst.exponents, inst.premises, inst.z),
-        StarInstance(inst.blocks, inst.distinguished, inst.exponents,
-                     inst.premises[1:], inst.z),
-        StarInstance(((),) + inst.blocks, (0,) + inst.distinguished,
-                     (1,) + inst.exponents, inst.premises, inst.z),
-        StarInstance(inst.blocks + ((),), inst.distinguished + (0,),
-                     inst.exponents + (1,), inst.premises, inst.z)]
-    return [StarViolation(twin, value, kind) for twin in twins]
+    """Tampered twins of a window violation: an empty block before and
+    after, the blocks in reverse order, and its first block with its
+    members reversed, split into singletons or short of its last index."""
+    blocks, z, value = violation.blocks, violation.z, violation.value
+    first, rest = blocks[0], blocks[1:]
+    twins = [((),) + blocks, blocks + ((),), blocks[::-1],
+             (first[::-1],) + rest, tuple((i,) for i in first) + rest,
+             (first[:-1],) + rest]
+    return [StarViolation(twin, z, value) for twin in twins]
 
 
 @given(windows())
@@ -563,14 +507,10 @@ def test_abelian_replay_equals_the_corner_reference(case):
         return
     assert replay_violation(f, violation, shifts=shifts)
     assert _reference_abelian_replay(shifts, f, violation)
-    inst = violation.instance
     for z in range(-1, len(f) + 1):
         for value in (violation.value - 1, violation.value,
                       violation.value + 1):
-            moved = StarViolation(
-                StarInstance(inst.blocks, inst.distinguished,
-                             inst.exponents, inst.premises, z),
-                value, violation.kind)
+            moved = StarViolation(violation.blocks, z, value)
             assert replay_violation(f, moved, shifts=shifts) \
                 == _reference_abelian_replay(shifts, f, moved)
     for twin in _window_twins(violation):
@@ -658,7 +598,7 @@ def test_abelian_check_of_sixteen_shifts_scans_at_most_sixteen_stencils(
     calls = _counted_stencils(monkeypatch, 16)
     violation = check_star_abelian(shifts, f)
     if periodic:
-        assert violation.instance.blocks == tuple((i,) for i in range(16))
+        assert violation.blocks == tuple((i,) for i in range(16))
         assert replay_violation(f, violation, shifts=shifts)
     else:
         assert violation is None
@@ -687,7 +627,7 @@ def test_abelian_check_and_replay_of_forty_shifts_read_f_linearly(
 
     violation = check_star_abelian(shifts, counting(reads))
     assert violation is not None
-    assert violation.instance.blocks == tuple((i,) for i in range(40))
+    assert violation.blocks == tuple((i,) for i in range(40))
     assert replay_violation(counting(replay_reads), violation, shifts=shifts)
     assert reads[0] <= limit and replay_reads[0] <= limit
     path = tmp_path / "inst.json"
@@ -704,11 +644,9 @@ def test_abelian_check_and_replay_of_forty_shifts_read_f_linearly(
 def test_abelian_replay_rejects_out_of_window_points():
     f = RationalFunction(tuple(Fraction(x) for x in range(5)))
     viol = check_star_abelian((2,), f)
-    inst = viol.instance
-    shifted = StarInstance(inst.blocks, inst.distinguished, inst.exponents,
-                           inst.premises, z=4)  # z + 2 leaves the window
-    assert not replay_violation(f, StarViolation(
-        shifted, viol.value, viol.kind), shifts=(2,))
+    # z + 2 leaves the window
+    assert not replay_violation(f, StarViolation(viol.blocks, 4, viol.value),
+                                shifts=(2,))
 
 
 def test_abelian_rejects_bad_inputs():
@@ -725,16 +663,12 @@ def test_replay_refuses_a_true_partition_instance_on_a_finite_kind():
     # it on a finite domain, where the all-singleton instance decides
     swap = (1, 0)
     system = validate_system([swap, swap], 2)
-    inst = StarInstance(blocks=((0, 1),), distinguished=(1,), exponents=(1,),
-                        premises=((0, 0, 1),), z=0)
     f = RationalFunction((Fraction(0), Fraction(1)))
-    assert not replay_violation(
-        f, StarViolation(inst, Fraction(1), "MixedDeltaNonzero"),
-        system.transforms)
+    assert not replay_violation(f, StarViolation(((0, 1),), 0, Fraction(1)),
+                                system.transforms)
     singletons = check_star(system, f)
-    assert singletons.instance.blocks == ((0,), (1,))
+    assert singletons.blocks == ((0,), (1,))
     assert replay_violation(f, singletons, system.transforms)
     # the right shape with a zero value is no violation
     assert not replay_violation(zero(2), StarViolation(
-        singletons.instance, Fraction(0), "MixedDeltaNonzero"),
-        system.transforms)
+        singletons.blocks, singletons.z, Fraction(0)), system.transforms)
