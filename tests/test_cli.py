@@ -1209,6 +1209,28 @@ def test_nested_rows_in_a_violation_are_refused_cleanly(site, value):
     assert code in (1, 2)
 
 
+PREMISE_SITES = [(command, inst, doc, path)
+                 for command, inst, doc, path in MUTATION_SITES
+                 if path[1:2] == ("premises",)]
+
+
+@pytest.mark.parametrize("value", _NESTED_ROWS)
+@pytest.mark.parametrize(
+    "site", PREMISE_SITES,
+    ids=[f"{command}:{'.'.join(map(str, path))}"
+         for command, _, _, path in PREMISE_SITES])
+def test_nested_rows_in_a_legacy_premise_are_not_read(site, value):
+    # earlier releases refused these rows; the replay rebuilds the
+    # premises from the blocks, so the document still verifies
+    command, inst, doc, path = site
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = _write(Path(tmp), "inst.json", inst)
+        cert_path = _write(Path(tmp), "cert.json", _mutate(doc, path, value))
+        code, verdict = _assert_clean_run([command, inst_path, "--verify",
+                                           cert_path])
+    assert (code, verdict) == (0, {"result": "verified", "agrees": True})
+
+
 def _mutate(doc, path, value):
     """A copy of doc with the field at path replaced by value."""
     mutated = json.loads(json.dumps(doc))
