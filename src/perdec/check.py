@@ -30,7 +30,7 @@ from .core import (
     is_invariant,
     window_difference,
 )
-from .orbits import Partition, iterate, rho, rho_steps
+from .orbits import Partition, cycles, iterate, rho, rho_steps
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -143,7 +143,7 @@ def verify_parts(tables: Sequence[Sequence[int]], f: RationalFunction,
             False, f"SumMismatch({first_difference(total, want)})")
     for j, (t, part) in enumerate(zip(tables, parts)):
         numerators = part.numerators
-        moved = tuple(map(numerators.__getitem__, t))
+        moved = tuple([numerators[y] for y in t])
         if moved != numerators:
             return VerificationResult(
                 False,
@@ -358,32 +358,22 @@ def _check_bounded(t: Sequence[int], s: Sequence[int], g: RationalFunction,
 
 def transfer_bound(t: Sequence[int], h: RationalFunction) -> Fraction:
     """max |h(t^m x) - h(x)| over x and m >= 1: the largest |partial sum|
-    of g from x when h solves h(t(x)) - h(x) = g(x).  One pass over t's
-    functional graph: hi[x] and lo[x], h's extremes over t(x), t^2(x),
-    ..., are its extremes over the cycle at a cycle point, and filled
-    backward from the cycle, hi[x] = max(h(t(x)), hi[t(x)])."""
+    of g from x when h solves h(t(x)) - h(x) = g(x).  hi[x] and lo[x],
+    h's extremes over t(x), t^2(x), ..., are its cycle's on a cycle of
+    `orbits.cycles`, and hi[x] = max(h(t(x)), hi[t(x)]) along the tails."""
     from fractions import Fraction
 
+    _, _, found, tails = cycles(t)
     numerators = h.numerators
-    hi: list = [None] * len(h)
-    lo: list = [None] * len(h)
-    for x in range(len(h)):
-        path: list[int] = []
-        index: Dict[int, int] = {}
-        y = x
-        while hi[y] is None and y not in index:
-            index[y] = len(path)
-            path.append(y)
-            y = t[y]
-        if hi[y] is None:
-            # a new cycle at y: each of its points sees all of it
-            values = [numerators[p] for p in path[index[y]:]]
-            hi[y], lo[y] = max(values), min(values)
-        high, low, v = hi[y], lo[y], numerators[y]
-        for p in reversed(path):
-            hi[p] = high = max(high, v)
-            lo[p] = low = min(low, v)
-            v = numerators[p]
+    hi, lo = [0] * len(h), [0] * len(h)
+    for cycle in found:
+        values = [numerators[p] for p in cycle]
+        high, low = max(values), min(values)
+        for p in cycle:
+            hi[p], lo[p] = high, low
+    for x in tails:
+        y = t[x]
+        hi[x], lo[x] = max(hi[y], numerators[y]), min(lo[y], numerators[y])
     return Fraction(max((max(a - v, v - b) for a, v, b
                          in zip(hi, numerators, lo)), default=0), h.denom)
 
@@ -450,11 +440,14 @@ def verify_report(report: SearchReport) -> VerificationResult:
     """A search report whose parameters and counts a search can produce.
     The search takes n >= 2 and max_size >= 2.  Every trial passes or
     fails the star check; every pass and every checked failure that is no
-    necessity violation gets one oracle verdict; and every violation is a
-    discrepancy.  A stored report is read by these fields alone: any
+    necessity violation gets one oracle verdict; every refusal on a pass
+    and every violation is a discrepancy.  Every failure is checked for
+    n <= 3, and for n >= 4 the failures among the spot trials, every 7th
+    from trial 0.  A stored report is read by these fields alone: any
     other key, such as the "candidates" list of earlier releases, is
     ignored."""
     r = report
+    spots = (r.trials + 6) // 7
     if not (r.n >= 2 and r.max_size >= 2
             and min(r.star_pass, r.star_fail, r.oracle_feasible,
                     r.oracle_infeasible, r.necessity_violations) >= 0
@@ -462,6 +455,10 @@ def verify_report(report: SearchReport) -> VerificationResult:
             and r.necessity_violations <= r.necessity_checked <= r.star_fail
             and r.oracle_feasible + r.oracle_infeasible == (
                 r.star_pass + r.necessity_checked - r.necessity_violations)
-            and r.discrepancies >= r.necessity_violations):
+            and r.discrepancies >= r.necessity_violations
+            and r.discrepancies == (r.star_pass - r.oracle_feasible
+                                    + r.necessity_violations)
+            and (r.necessity_checked == r.star_fail if r.n <= 3 else
+                 spots - r.star_pass <= r.necessity_checked <= spots)):
         return VerificationResult(False, "report counts no search produces")
     return VerificationResult(True)

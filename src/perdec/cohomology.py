@@ -1,16 +1,15 @@
 """Solvers for the transfer equation h(Tx) - h(x) = g(x) and its bounded,
 s-invariant variant.
 
-Both solvers work directly on the functional-graph structure of the
-acting map (orbit walks, cycle sums, quotients), so none of them needs an
-exponent search bound; the bound C is one more pass over that graph.
+Both solve on the acting map's `orbits.cycles`, on the quotient by s's
+classes, with no exponent search bound; C is one more pass over them.
 Absence is always certified: the caller gets the offending self-relation
 T^k S^l x = S^{l2} x (a cycle: S the identity) with its nonzero sum.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Union
+from typing import Sequence, Union
 
 from .check import (
     BoundedTransfer,
@@ -28,7 +27,8 @@ from .core import (
     commute_witness,
     is_invariant,
 )
-from .orbits import find_relation, induced_map, invariance_classes, iterate
+from .orbits import (cycles, find_relation, induced_map, invariance_classes,
+                     iterate)
 
 
 def _transfer_walk(
@@ -38,46 +38,31 @@ def _transfer_walk(
     class's least point, with no check of the answer: its one caller,
     `_solve_on_quotient`, has each answer checked once, on the ground maps.
 
-    A solution exists iff the g-sum around every cycle vanishes; the
-    first nonzero cycle (by class order) is returned otherwise, as the
+    A solution exists iff the g-sum around every cycle of `orbits.cycles`
+    vanishes; otherwise the first nonzero one (by class order) is the
     witness T^k x = x, the ConstrainedObstruction with S the identity and
-    l = l2 = 0.  One forward walk from each unsolved x, in point order: a
-    walk that meets a solved point fills h backward along its path; a
-    walk that closes a new cycle started at that class's least point, so
-    once the cycle sum checks out h(x) = 0 and h fills forward.  Each
-    point is walked once, on g's numerators: h has g's denominator.
+    l = l2 = 0.  h runs from 0 around each cycle and back along the tails,
+    and each class shifts to 0 at its least point, all on g's numerators.
     """
     from fractions import Fraction
 
     _match_lengths(g, t)
+    class_of, reps, found, tails = cycles(t)
     numerators = g.numerators
-    values: list = [None] * len(g)
-    for x in range(len(g)):
-        if values[x] is not None:
-            continue
-        path: list[int] = []
-        index: Dict[int, int] = {}
-        y = x
-        while values[y] is None and y not in index:
-            index[y] = len(path)
-            path.append(y)
-            y = t[y]
-        if values[y] is None:
-            cycle = path[index[y]:]
-            total = sum(map(numerators.__getitem__, cycle))
-            if total:
-                return ConstrainedObstruction(
-                    cycle[0], len(cycle), 0, 0, Fraction(total, g.denom))
-            h = 0
-            for p in path:
-                values[p] = h
-                h += numerators[p]
-        else:
-            h = values[y]
-            for p in reversed(path):
-                h -= numerators[p]
-                values[p] = h
-    return _from_integers(values, g.denom)
+    values = [0] * len(g)
+    for cycle in found:
+        h = 0
+        for p in cycle:
+            values[p] = h
+            h += numerators[p]
+        if h:
+            return ConstrainedObstruction(cycle[0], len(cycle), 0, 0,
+                                          Fraction(h, g.denom))
+    for x in tails:
+        values[x] = values[t[x]] - numerators[x]
+    base = [values[x] for x in reps]
+    return _from_integers([v - base[c] for v, c in zip(values, class_of)],
+                          g.denom)
 
 
 def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
@@ -104,7 +89,7 @@ def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
     if not is_invariant(s, g):
         raise PreconditionError("right side is not s-invariant")
     part, induced = induced_map(t, s)
-    g_q = _from_integers(map(g.numerators.__getitem__, part.representative),
+    g_q = _from_integers([g.numerators[x] for x in part.representative],
                          g.denom)
     h_q = _transfer_walk(induced, g_q)
     if isinstance(h_q, ConstrainedObstruction):

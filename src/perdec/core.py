@@ -324,7 +324,8 @@ class RationalFunction(_Record):
         """The function x -> f(t(x))."""
         if len(t) != len(self):
             raise PreconditionError("transform length does not match function")
-        return _from_integers(map(self.numerators.__getitem__, t), self.denom)
+        numerators = self.numerators
+        return _from_integers([numerators[y] for y in t], self.denom)
 
     def max_abs(self) -> Fraction:
         """Sup norm."""
@@ -410,7 +411,8 @@ def window_difference(values: Sequence, offsets: Sequence[int]
 
 def is_invariant(t: Sequence[int], f: RationalFunction) -> bool:
     """True iff f(t(x)) = f(x) for every x."""
-    return tuple(map(f.numerators.__getitem__, t)) == f.numerators
+    numerators = f.numerators
+    return tuple([numerators[y] for y in t]) == numerators
 
 
 class Decomposition(_Record):

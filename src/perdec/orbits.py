@@ -1,4 +1,4 @@
-"""Orbit partitions, orbit shapes and orbit meetings.
+"""Orbit partitions, cycles and tails, orbit shapes and orbit meetings.
 
 Class representatives are always the minimum element index of their class,
 a deterministic stand-in for an arbitrary choice, so every construction
@@ -73,6 +73,36 @@ def _label_classes(t: Sequence[int]
         # ids are the class ids
         return tuple(walk_of), reps, on_cycle
     return tuple(map(class_of_walk.__getitem__, walk_of)), reps, on_cycle
+
+
+def cycles(t: Sequence[int]) -> tuple[tuple[int, ...], list[int],
+                                      list[list[int]], list[int]]:
+    """(class_of, representatives, cycles, tails): `_label_classes`' walks,
+    each keeping its path, so each entry of t is read once.  cycles[c] is
+    class c's cycle in t-order from its `on_cycle` point, and tails lists
+    every point off a cycle after t of it: each path's rest, reversed."""
+    walk_of = [-1] * len(t)
+    class_of_walk, reps, found, tails = [], [], [], []
+    for x in range(len(t)):
+        if walk_of[x] != -1:
+            continue
+        w, path, y = len(class_of_walk), [x], t[x]
+        walk_of[x] = w
+        while walk_of[y] == -1:
+            walk_of[y] = w
+            path.append(y)
+            y = t[y]
+        if walk_of[y] == w:
+            class_of_walk.append(len(reps))
+            reps.append(x)
+            start = path.index(y)
+            found.append(path[start:])
+            del path[start:]
+        else:
+            class_of_walk.append(class_of_walk[walk_of[y]])
+        path.reverse()
+        tails += path
+    return tuple([class_of_walk[w] for w in walk_of]), reps, found, tails
 
 
 def rho(t: Sequence[int], x: int) -> tuple[list[int], int]:

@@ -318,10 +318,11 @@ REFUSING_INSTANCES = {
     "z-window": Z_WINDOW_LINEAR,
     "lattice-window": LATTICE_CORNER,
 }
-# a report whose star passes and fails do not add up to its six trials
+# a report whose star passes and fails do not add up to its six trials;
+# with five trials a search can write it
 NO_SEARCH_REPORT = dict(
     result="report", n=2, max_size=2, trials=6, seed=1, star_pass=1,
-    star_fail=4, oracle_feasible=0, oracle_infeasible=1, necessity_checked=0,
+    star_fail=4, oracle_feasible=1, oracle_infeasible=4, necessity_checked=4,
     necessity_violations=0, discrepancies=0)
 # one stored document per result tag: its parsed type, and the reason its
 # checker gives on every instance above; a tag that no subcommand emits
@@ -893,7 +894,7 @@ def test_search_verify_reads_no_value_of_a_listed_candidate(tmp_path,
     # error
     report = {"result": "report", "n": 4, "max_size": 2, "trials": 1,
               "seed": 0, "bound": None, "star_pass": 1, "star_fail": 0,
-              "oracle_feasible": 0, "oracle_infeasible": 1,
+              "oracle_feasible": 1, "oracle_infeasible": 0,
               "necessity_checked": 0, "necessity_violations": 0,
               "discrepancies": 0,
               "candidates": [{"trial": 0, "size": 2,
@@ -1276,10 +1277,10 @@ def test_mutated_instances_never_crash_or_hang(site, value):
             _assert_clean_run([command, inst_path])
 
 
-# the report shape `search` emits
+# the report `search --n 2 --max-size 2 --trials 1 --seed 0` emits
 SEARCH_REPORT = {"result": "report", "n": 2, "max_size": 2, "trials": 1,
                  "seed": 0, "star_pass": 1, "star_fail": 0,
-                 "oracle_feasible": 0, "oracle_infeasible": 1,
+                 "oracle_feasible": 1, "oracle_infeasible": 0,
                  "necessity_checked": 0, "necessity_violations": 0,
                  "discrepancies": 0}
 # the same report with the "candidates" list of earlier releases, here
@@ -1291,6 +1292,12 @@ CANDIDATE_SITES = [p for p in _field_paths(LISTED_CANDIDATE_REPORT)
                    if p[0] == "candidates"]
 REPORT_SITES = ([(SEARCH_REPORT, p) for p in _field_paths(SEARCH_REPORT)]
                 + [(LISTED_CANDIDATE_REPORT, p) for p in CANDIDATE_SITES])
+
+
+def test_the_search_report_fixture_is_what_search_emits(capsys):
+    code, doc = _run(capsys, ["search", "--n", "2", "--max-size", "2",
+                              "--trials", "1", "--seed", "0"])
+    assert (code, doc) == (0, SEARCH_REPORT)
 
 
 @pytest.mark.parametrize("report,path", REPORT_SITES,
@@ -1790,7 +1797,7 @@ def test_search_verify_refuses_counts_no_search_produces(tmp_path, capsys):
 NO_SEARCH_PARAMETERS = {
     # one transform on at most -3 points, with no trials
     "n=1, max_size=-3": dict(n=1, max_size=-3, trials=0, star_pass=0,
-                             oracle_infeasible=0),
+                             oracle_feasible=0),
     "n=1": dict(n=1),
     "max_size=1": dict(max_size=1),
 }

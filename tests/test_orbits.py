@@ -6,6 +6,7 @@ from perdec.core import RangeError
 from perdec.orbits import (
     Partition,
     _label_classes,
+    cycles,
     find_relation,
     induced_map,
     invariance_classes,
@@ -14,6 +15,7 @@ from perdec.orbits import (
 )
 from tests.conftest import (
     class_members,
+    counted_tuple,
     grid_relation,
     partition_of_labels,
     power_table,
@@ -83,6 +85,54 @@ def test_the_class_walk_records_a_point_on_each_cycle(sized):
     for c, y in enumerate(on_cycle):
         assert class_of[y] == c
         assert rho(t, y)[1] == 0
+
+
+@st.composite
+def functional_graphs(draw):
+    """A permutation, a random map or a near-path (x -> x - 1 down to 0,
+    with up to three points sent anywhere) on fewer than 30 points."""
+    size = draw(st.integers(1, 29))
+    kind = draw(st.sampled_from(["permutation", "map", "near-path"]))
+    if kind == "permutation":
+        return tuple(draw(st.permutations(range(size))))
+    if kind == "map":
+        return tuple(draw(st.lists(st.integers(0, size - 1), min_size=size,
+                                   max_size=size)))
+    t = [max(x - 1, 0) for x in range(size)]
+    for x in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        t[x] = draw(st.integers(0, size - 1))
+    return tuple(t)
+
+
+@given(functional_graphs())
+@settings(max_examples=300)
+def test_cycles_split_the_class_walks_into_cycles_and_tails(t):
+    class_of, reps, found, tails = cycles(t)
+    labels, label_reps, on_cycle = _label_classes(t)
+    assert (class_of, reps) == (labels, label_reps)
+    assert [cycle[0] for cycle in found] == on_cycle
+    for c, cycle in enumerate(found):
+        # t closes the cycle, through distinct points of class c
+        assert [t[p] for p in cycle] == cycle[1:] + cycle[:1]
+        assert len(set(cycle)) == len(cycle)
+        assert {class_of[p] for p in cycle} == {c}
+    on_cycles = [p for cycle in found for p in cycle]
+    assert sorted(on_cycles + tails) == list(range(len(t)))
+    # every tail point comes after t of it
+    seen = set(on_cycles)
+    for x in tails:
+        assert t[x] in seen
+        seen.add(x)
+
+
+@pytest.mark.parametrize("table", [
+    (0,) + tuple(range(10 ** 4 - 1)),  # x -> x - 1 down to 0
+    tuple(x ^ 1 for x in range(2000)),  # 1,000 two-cycles
+], ids=["path", "two-cycles"])
+def test_cycles_reads_each_entry_of_t_once(table):
+    reads = [0]
+    cycles(counted_tuple(table, reads, len(table)))
+    assert reads[0] == len(table)
 
 
 def test_rho_of_a_tail_into_a_cycle():

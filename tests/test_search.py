@@ -80,7 +80,8 @@ def test_a_report_with_counts_a_search_produces_verifies():
     assert verify_report(SearchReport(**CONSISTENT_COUNTS))
 
 
-# each change breaks exactly one rule that every search report keeps
+# each change breaks the rule its comment names, one that every search
+# report keeps
 @pytest.mark.parametrize("change", [
     # no star verdict for 5 trials, and 3 violations of 0 checked trials
     dict(trials=5, star_pass=0, star_fail=0, oracle_feasible=0,
@@ -90,20 +91,29 @@ def test_a_report_with_counts_a_search_produces_verifies():
     dict(trials=11),
     dict(trials=9),
     # a count below zero
-    dict(oracle_feasible=-1, oracle_infeasible=8),
+    dict(oracle_feasible=-1, oracle_infeasible=8, discrepancies=7),
     dict(star_pass=-1, star_fail=11, oracle_feasible=0, oracle_infeasible=0),
     dict(oracle_infeasible=-1, oracle_feasible=8),
     dict(necessity_violations=-1, oracle_infeasible=2),
     # more necessity violations than checked trials
-    dict(necessity_violations=2, discrepancies=2, oracle_feasible=5,
+    dict(necessity_violations=2, discrepancies=3, oracle_feasible=5,
          oracle_infeasible=0),
     # more checked trials than star fails
     dict(necessity_checked=5, oracle_infeasible=5),
     # oracle verdicts that are not one per pass and checked failure
-    dict(oracle_feasible=5),
+    dict(oracle_feasible=5, discrepancies=1),
     dict(oracle_feasible=7),
     # a necessity violation that is no discrepancy
     dict(necessity_violations=1, oracle_feasible=5),
+    # an oracle refusal on a star pass that is no discrepancy
+    dict(oracle_feasible=5, oracle_infeasible=2),
+    # for n <= 3 every star failure is checked
+    dict(n=3),
+    # for n >= 4 the checked failures are the failing spot trials, here 0
+    # and 7: more than the two spots, or fewer than the two spots that
+    # fail when no trial passes
+    dict(necessity_checked=3, oracle_infeasible=3),
+    dict(star_pass=0, star_fail=10, oracle_feasible=0),
     # parameters the search refuses: fewer than two transforms, or fewer
     # than two points
     dict(n=1),
