@@ -436,18 +436,26 @@ def verify_bounded_transfer(
         False, f"unexpected result type {type(result).__name__}")
 
 
+def spot_trials(n: int, trials: int) -> int:
+    """How many of trials 0 .. trials - 1 the search oracle-checks when
+    their star check fails: all of them for n <= 3, and for n >= 4 every
+    7th from trial 0.  The search checks trial i exactly when it raises
+    this count, so the policy has this one definition."""
+    return trials if n <= 3 else (trials + 6) // 7
+
+
 def verify_report(report: SearchReport) -> VerificationResult:
     """A search report whose parameters and counts a search can produce.
     The search takes n >= 2 and max_size >= 2.  Every trial passes or
     fails the star check; every pass and every checked failure that is no
     necessity violation gets one oracle verdict; every refusal on a pass
-    and every violation is a discrepancy.  Every failure is checked for
-    n <= 3, and for n >= 4 the failures among the spot trials, every 7th
-    from trial 0.  A stored report is read by these fields alone: any
-    other key, such as the "candidates" list of earlier releases, is
-    ignored."""
+    and every violation is a discrepancy.  The checked failures are the
+    failing spot trials (`spot_trials`): at most the spots, and at least
+    the spots that are no pass, so every failure for n <= 3.  A stored
+    report is read by these fields alone: any other key, such as the
+    "candidates" list of earlier releases, is ignored."""
     r = report
-    spots = (r.trials + 6) // 7
+    spots = spot_trials(r.n, r.trials)
     if not (r.n >= 2 and r.max_size >= 2
             and min(r.star_pass, r.star_fail, r.oracle_feasible,
                     r.oracle_infeasible, r.necessity_violations) >= 0
@@ -458,7 +466,6 @@ def verify_report(report: SearchReport) -> VerificationResult:
             and r.discrepancies >= r.necessity_violations
             and r.discrepancies == (r.star_pass - r.oracle_feasible
                                     + r.necessity_violations)
-            and (r.necessity_checked == r.star_fail if r.n <= 3 else
-                 spots - r.star_pass <= r.necessity_checked <= spots)):
+            and spots - r.star_pass <= r.necessity_checked <= spots):
         return VerificationResult(False, "report counts no search produces")
     return VerificationResult(True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from .check import SearchReport, StarViolation, window_scan
+from .check import SearchReport, StarViolation, spot_trials, window_scan
 from .core import (
     CommutingSystem,
     Decomposition,
@@ -122,7 +122,6 @@ def _run_trials(n: int, max_size: int, trials: int, seed: int) -> dict:
     counts = {key: 0 for key in (
         "star_pass", "star_fail", "oracle_feasible", "oracle_infeasible",
         "necessity_checked", "necessity_violations", "discrepancies")}
-    smoke = n <= 3
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
         system = generators.random_commuting_system(rng, n, max_size)
@@ -143,7 +142,7 @@ def _run_trials(n: int, max_size: int, trials: int, seed: int) -> dict:
                 counts["discrepancies"] += 1
         else:
             counts["star_fail"] += 1
-            if smoke or trial % 7 == 0:
+            if spot_trials(n, trial + 1) > spot_trials(n, trial):
                 counts["necessity_checked"] += 1
                 res = oracle_decompose(system, f)
                 if isinstance(res, Decomposition):
@@ -164,8 +163,9 @@ def search_counterexample(n: int, max_size: int, trials: int,
     star/oracle disagreement counts as a discrepancy.  On a star pass the
     oracle's dual, the mixed-difference stencil, cannot exist, so an
     oracle refusal there raises InternalContractViolation and is counted
-    as such.  Star-fail instances are spot-checked (every 7th trial for
-    n >= 4) for the necessity direction.
+    as such.  Star-fail instances are spot-checked (every one for n <= 3,
+    every 7th trial for n >= 4; `check.spot_trials`) for the necessity
+    direction.
 
     Deterministic under a fixed seed: each trial reseeds from (seed,
     trial).

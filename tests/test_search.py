@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from perdec.check import SearchReport, verify_report
+from perdec.check import SearchReport, spot_trials, verify_report
 from perdec.core import PreconditionError, VerificationResult
 from perdec import oracle
 from perdec.serialize import parse_result, result_to_json
@@ -80,8 +80,11 @@ def test_a_report_with_counts_a_search_produces_verifies():
     assert verify_report(SearchReport(**CONSISTENT_COUNTS))
 
 
-# each change breaks the rule its comment names, one that every search
-# report keeps
+# each change breaks exactly one rule that every search report keeps, but
+# three: the first breaks the two its comment names and more, and other
+# rules imply star_pass >= 0 (the spot and discrepancy rules) and
+# oracle_infeasible >= 0 (the discrepancy rules), so the negative
+# star_pass and oracle_infeasible cases break those as well
 @pytest.mark.parametrize("change", [
     # no star verdict for 5 trials, and 3 violations of 0 checked trials
     dict(trials=5, star_pass=0, star_fail=0, oracle_feasible=0,
@@ -94,17 +97,19 @@ def test_a_report_with_counts_a_search_produces_verifies():
     dict(oracle_feasible=-1, oracle_infeasible=8, discrepancies=7),
     dict(star_pass=-1, star_fail=11, oracle_feasible=0, oracle_infeasible=0),
     dict(oracle_infeasible=-1, oracle_feasible=8),
-    dict(necessity_violations=-1, oracle_infeasible=2),
+    dict(necessity_violations=-1, oracle_infeasible=2, discrepancies=-1),
     # more necessity violations than checked trials
     dict(necessity_violations=2, discrepancies=3, oracle_feasible=5,
          oracle_infeasible=0),
-    # more checked trials than star fails
-    dict(necessity_checked=5, oracle_infeasible=5),
+    # more checked trials than star fails: 2 spots, 1 failure
+    dict(star_pass=9, star_fail=1, oracle_feasible=9, oracle_infeasible=2,
+         necessity_checked=2),
     # oracle verdicts that are not one per pass and checked failure
     dict(oracle_feasible=5, discrepancies=1),
-    dict(oracle_feasible=7),
-    # a necessity violation that is no discrepancy
-    dict(necessity_violations=1, oracle_feasible=5),
+    dict(oracle_infeasible=2),
+    # fewer discrepancies than necessity violations: more feasible verdicts
+    # than star passes
+    dict(oracle_feasible=7, oracle_infeasible=0, discrepancies=-1),
     # an oracle refusal on a star pass that is no discrepancy
     dict(oracle_feasible=5, oracle_infeasible=2),
     # for n <= 3 every star failure is checked
@@ -114,9 +119,9 @@ def test_a_report_with_counts_a_search_produces_verifies():
     # fail when no trial passes
     dict(necessity_checked=3, oracle_infeasible=3),
     dict(star_pass=0, star_fail=10, oracle_feasible=0),
-    # parameters the search refuses: fewer than two transforms, or fewer
-    # than two points
-    dict(n=1),
+    # parameters the search refuses: fewer than two transforms (with every
+    # failure checked, as for n <= 3), or fewer than two points
+    dict(n=1, necessity_checked=4, oracle_infeasible=4),
     dict(max_size=1),
     dict(max_size=-3),
 ])
@@ -166,3 +171,12 @@ def test_a_search_trial_does_no_fraction_arithmetic(monkeypatch):
     # the counters are live
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert dict(counts) == {"__add__": 1}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_search_checks_the_failures_of_the_spot_trials(n):
+    # spot_trials counts the trials whose star failures the search checks:
+    # every one for n <= 3, every 7th from trial 0 for n >= 4
+    spots = [i for i in range(30)
+             if spot_trials(n, i + 1) > spot_trials(n, i)]
+    assert spots == (list(range(30)) if n <= 3 else [0, 7, 14, 21, 28])
