@@ -1,8 +1,9 @@
 """Solvers for the transfer equation h(Tx) - h(x) = g(x) and its bounded,
 s-invariant variant.
 
-Both solve on the acting map's `orbits.cycles`, on the quotient by s's
-classes, with no exponent search bound; C is one more pass over them.
+`solve_bounded_transfer` walks the acting map's `orbits.cycles` on the
+quotient by s's classes, with no exponent search bound, and centres each
+class of that walk; C is one more pass over the cycles.
 Absence is always certified: the caller gets the offending self-relation
 T^k S^l x = S^{l2} x (a cycle: S the identity) with its nonzero sum.
 """
@@ -23,26 +24,28 @@ from .core import (
     InternalContractViolation,
     PreconditionError,
     RationalFunction,
+    _canonical,
     _from_integers,
     commute_witness,
     is_invariant,
 )
-from .orbits import (cycles, find_relation, induced_map, invariance_classes,
-                     iterate)
+from .orbits import cycles, find_relation, induced_map, iterate
 
 
 def _transfer_walk(
     t: Sequence[int], g: RationalFunction
 ) -> Union[RationalFunction, ConstrainedObstruction]:
-    """Solve h(t(x)) - h(x) = g(x) exactly, with h = 0 at each weak
-    class's least point, with no check of the answer: its one caller,
-    `_solve_on_quotient`, has each answer checked once, on the ground maps.
+    """Solve h(t(x)) - h(x) = g(x) exactly, with h centred on each weak
+    class, max + min = 0 there, with no check of the answer: its one
+    caller, `solve_bounded_transfer`, checks each answer once, on the
+    ground maps.
 
     A solution exists iff the g-sum around every cycle of `orbits.cycles`
     vanishes; otherwise the first nonzero one (by class order) is the
     witness T^k x = x, the ConstrainedObstruction with S the identity and
     l = l2 = 0.  h runs from 0 around each cycle and back along the tails,
-    and each class shifts to 0 at its least point, all on g's numerators.
+    all on g's numerators, and each class then subtracts its midrange:
+    2h - (max + min) over twice g's denominator.
     """
     from fractions import Fraction
 
@@ -60,27 +63,38 @@ def _transfer_walk(
                                           Fraction(h, g.denom))
     for x in tails:
         values[x] = values[t[x]] - numerators[x]
-    base = [values[x] for x in reps]
-    return _from_integers([v - base[c] for v, c in zip(values, class_of)],
-                          g.denom)
+    high = [values[x] for x in reps]
+    low = high[:]
+    for v, c in zip(values, class_of):
+        if v > high[c]:
+            high[c] = v
+        elif v < low[c]:
+            low[c] = v
+    return _from_integers([2 * v - high[c] - low[c]
+                           for v, c in zip(values, class_of)], 2 * g.denom)
 
 
-def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
-                       g: RationalFunction):
-    """(solution, classes, induced): h(t(x)) - h(x) = g(x) with h
-    s-invariant, as `_transfer_walk` on the quotient by s's invariance
-    classes, with those classes and the map t induces on them.
+def solve_bounded_transfer(
+    t: Sequence[int], s: Sequence[int], g: RationalFunction
+) -> Union[BoundedTransfer, ConstrainedObstruction]:
+    """Constrained transfer solution centred to a certified sup-norm bound.
 
-    The solution is h_q over the classes, and h_q lifted to points solves
-    the equation: the maps commute and g is s-invariant (both checked up
-    front), so t sends each s-class c into induced(c), g is g_q(c) on c,
-    and the walk's identity on the quotient holds at each point; the
-    caller checks the lifted solution.  It is solvable iff the g-sum along
-    T^i x, i < k, vanishes whenever T^k S^l x = S^{l2} x; otherwise the
-    solution is that witness with its nonzero sum, lifted from the
-    quotient cycle to the ground maps, a ConstrainedObstruction that
-    `verify_bounded_transfer` has replayed there, the one check of a
-    refusal.
+    Returns (H, C) with h(t(x)) - h(x) = g(x), H s-invariant, C =
+    `transfer_bound` of H, and sup |H| <= 2C, as H's max and min cancel
+    on each joint (s,t)-class; or, when no s-invariant solution exists,
+    the ConstrainedObstruction that certifies it.
+
+    H is `_transfer_walk` on the quotient by s's invariance classes P,
+    lifted to points.  The maps commute and g is s-invariant (both checked
+    up front), so an edge y = s(x) gives t(y) = s(t(x)): t sends each
+    class c of P into induced(c), g is g_q(c) on c, and the walk's
+    identity on the quotient holds at each point.  The induced map's
+    classes lift to the joint classes, the components once t's edges join
+    P's, so the walk's centring centres H on each.  It is solvable iff the
+    g-sum along T^i x, i < k, vanishes whenever T^k S^l x = S^{l2} x;
+    otherwise the walk's quotient cycle lifts to that witness with its
+    nonzero sum, which `verify_bounded_transfer` replays on the ground
+    maps, as `_check_bounded` checks H there.
     """
     _match_lengths(g, t, s)
     w = commute_witness(t, s)
@@ -101,43 +115,10 @@ def _solve_on_quotient(t: Sequence[int], s: Sequence[int],
         obstruction = ConstrainedObstruction(x, k, *link, h_q.total)
         verify_bounded_transfer(t, s, g, obstruction).require(
             "constrained obstruction")
-        return obstruction, part, induced
-    return h_q, part, induced
-
-
-def solve_bounded_transfer(
-    t: Sequence[int], s: Sequence[int], g: RationalFunction
-) -> Union[BoundedTransfer, ConstrainedObstruction]:
-    """Constrained transfer solution recentered to a certified sup-norm bound.
-
-    Returns (H, C) with h(t(x)) - h(x) = g(x), H s-invariant, C =
-    `transfer_bound` of H, and sup |H| <= 2C; recentering subtracts the
-    midrange of H on each joint (s,t)-class, which preserves both defining
-    identities.  Absent exactly when the constrained solve is absent.
-
-    The joint classes, the components of the union graph of s and t, are
-    the lift of the invariance classes of the map t induces on the
-    s-classes P.  That map is well defined: an edge y = s(x) gives t(y) =
-    s(t(x)), as the maps commute, so t sends each class of P into one
-    class, and the lifted classes are the components once t's edges are
-    added.  Their ids stay in order of least points, each representative
-    the class minimum: P's classes are so numbered, so a joint class's
-    least s-class holds its least point.  H is h_q on each s-class, so the
-    midranges are taken over h_q on the quotient, on its numerators over
-    twice its denominator.
-    """
-    h_q, part, induced = _solve_on_quotient(t, s, g)
-    if isinstance(h_q, ConstrainedObstruction):
-        return h_q
-    joint = invariance_classes(induced)
-    members: list = [[] for _ in range(joint.n_classes)]
-    for c, value in zip(joint.class_of, h_q.numerators):
-        members[c].append(value)
-    mids = [max(values) + min(values) for values in members]
-    centered = _from_integers(
-        [2 * h_q.numerators[c] - mids[joint.class_of[c]]
-         for c in part.class_of], 2 * h_q.denom)
-    bound_c = transfer_bound(t, centered)
-    _check_bounded(t, s, g, centered, bound_c).require(
-        "recentered solution")
-    return BoundedTransfer(centered, bound_c)
+        return obstruction
+    # every class of P holds a point, so the lift keeps h_q's canonical pair
+    solution = _canonical(tuple(map(h_q.numerators.__getitem__,
+                                    part.class_of)), h_q.denom)
+    bound_c = transfer_bound(t, solution)
+    _check_bounded(t, s, g, solution, bound_c).require("recentered solution")
+    return BoundedTransfer(solution, bound_c)

@@ -223,6 +223,8 @@ def parse_instance(doc: Any) -> Instance:
                          "kind")
     if kind == "finite":
         size = _int(doc.get("size"), "size")
+        if size < 1:
+            raise ParseError("size must be >= 1", "size")
         raw = doc.get("transforms")
         if not isinstance(raw, list) or not raw:
             raise ParseError("expected a nonempty list of transform tables",

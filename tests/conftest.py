@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from perdec import generators
 from perdec.check import ConstrainedObstruction
-from perdec.cohomology import _solve_on_quotient
+from perdec.cohomology import solve_bounded_transfer
 from perdec.core import RationalFunction, compose
 from perdec.oracle import _back_substitute, _eliminate, nullspace
 from perdec.orbits import Partition, invariance_classes, rho
@@ -85,12 +85,21 @@ def pairing(dual, f: RationalFunction) -> Fraction:
 
 
 def constrained_transfer(t, s, g: RationalFunction):
-    """h(t(x)) - h(x) = g(x) with h s-invariant: `_solve_on_quotient`'s
-    h_q lifted to points, or its ConstrainedObstruction."""
-    h_q, part, _ = _solve_on_quotient(t, s, g)
-    if isinstance(h_q, ConstrainedObstruction):
-        return h_q
-    return RationalFunction(tuple(h_q[c] for c in part.class_of))
+    """h(t(x)) - h(x) = g(x) with h s-invariant: `solve_bounded_transfer`'s
+    solution, or its ConstrainedObstruction."""
+    got = solve_bounded_transfer(t, s, g)
+    if isinstance(got, ConstrainedObstruction):
+        return got
+    return got.solution
+
+
+def midrange_centred(part: Partition,
+                     h: RationalFunction) -> RationalFunction:
+    """h less its midrange (max + min) / 2 on each class of part."""
+    mids = [(max(h[x] for x in members) + min(h[x] for x in members)) / 2
+            for members in class_members(part)]
+    return RationalFunction(tuple(v - mids[c]
+                                  for v, c in zip(h, part.class_of)))
 
 
 def linear_feasibility(rows, rhs, ncols):

@@ -637,6 +637,20 @@ def test_an_instance_with_no_maps_is_refused_on_every_command(
         assert got == {"error": f"{path}: {reason}", "path": path}
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_a_finite_size_below_1_is_refused_at_size_on_every_command(
+        tmp_path, capsys, size):
+    # before the values are counted against it
+    inst = _write(tmp_path, "inst.json", {"kind": "finite", "size": size,
+                                          "transforms": [[]],
+                                          "values": ["1"]})
+    for command in ("validate", "decompose", "star-check", "oracle",
+                    "lattice-decompose", "bounded-transfer"):
+        code, got = _run(capsys, [command, inst])
+        assert code == 2
+        assert got == {"error": "size: size must be >= 1", "path": "size"}
+
+
 @pytest.mark.parametrize("shifts, reason", [
     ([], "expected at least one shift"),
     ([1, -1], "expected nonnegative shifts"),

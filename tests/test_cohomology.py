@@ -28,6 +28,8 @@ from tests.conftest import (
     counted_tuple,
     delta,
     fraction_partial_sum_bound,
+    linear_feasibility,
+    midrange_centred,
     rationals,
     reference_solve_transfer,
     sized_maps,
@@ -68,7 +70,7 @@ def _invariant_function(s, data):
 
 def test_transfer_walk_swap_example():
     h = _transfer_walk((1, 0), RationalFunction((Fraction(1), Fraction(-1))))
-    assert h == RationalFunction((Fraction(0), Fraction(1)))
+    assert h == RationalFunction((Fraction(-1, 2), Fraction(1, 2)))
 
 
 def test_transfer_walk_obstruction_on_fixed_point():
@@ -190,16 +192,16 @@ def test_solve_bounded_transfer_verifies_its_obstruction(monkeypatch):
 
 
 def test_solve_bounded_transfer_verifies_its_solution(monkeypatch):
-    # a wrong value is caught before the solution is returned; the tail
-    # point 1 -> 0 keeps the shifted quotient right side solvable
-    build = cohomology._from_integers
+    # a wrong value of the lifted solution, the one `_canonical` builds, is
+    # caught before the solution is returned
+    build = cohomology._canonical
 
     def off_by_one(numerators, denom):
         numerators = list(numerators)
         numerators[-1] += denom
-        return build(numerators, denom)
+        return build(tuple(numerators), denom)
 
-    monkeypatch.setattr(cohomology, "_from_integers", off_by_one)
+    monkeypatch.setattr(cohomology, "_canonical", off_by_one)
     with pytest.raises(InternalContractViolation,
                        match="recentered solution"):
         solve_bounded_transfer((0, 0), (0, 1),
@@ -233,12 +235,16 @@ def test_each_bounded_transfer_answer_is_checked_once(monkeypatch, g,
 @given(sized_maps(max_size=12), st.booleans(), st.data())
 @settings(max_examples=200)
 def test_transfer_walk_equals_the_quadratic_reference(sized, planted, data):
-    # same values, or the same first cycle with the same total
+    # the reference's values centred on each class's midrange, or the same
+    # first cycle with the same total
     size, t = sized
     g = data.draw(value_functions(size))
     if planted:
         g = delta(t, g)
-    assert _transfer_walk(t, g) == reference_solve_transfer(t, g)
+    expected = reference_solve_transfer(t, g)
+    if isinstance(expected, RationalFunction):
+        expected = midrange_centred(invariance_classes(t), expected)
+    assert _transfer_walk(t, g) == expected
 
 
 def test_transfer_solvers_read_a_long_path_a_linear_number_of_times(
@@ -256,37 +262,33 @@ def test_transfer_solvers_read_a_long_path_a_linear_number_of_times(
 
     # x -> x - 1 down to the fixed point 0: every point's walk to the
     # class minimum is a tail, so a walk per point would read t N^2 / 2
-    # times; the constrained solver's induced map is counted with t
+    # times
     size = 10 ** 4
     reads = [0]
     t = counted_tuple((0,) + tuple(range(size - 1)), reads, 5 * size)
     g = RationalFunction((Fraction(0),) + (Fraction(-1),) * (size - 1))
     h = _transfer_walk(t, g)
-    assert h == RationalFunction(tuple(Fraction(x) for x in range(size)))
+    assert h == RationalFunction(tuple(Fraction(2 * x - size + 1, 2)
+                                       for x in range(size)))
     assert reads[0] <= 2 * size
 
-    limit = 5 * size
+    # the bounded solver on that path and on a rho, the 2-cycle 0 <-> 1
+    # under it: both solved by that h, already centred, with C = N - 1 read
+    # off it in one orbit pass; the solver's induced map is counted with t
+    limit = 10 * size
 
     def counted_induced(t, s):
-        # reads `limit` at each call: 5N here, 10N for the bounded solver
         part, induced = induced_map(t, s)
         return part, counted_tuple(induced, reads, limit)
 
     monkeypatch.setattr(cohomology, "induced_map", counted_induced)
-    reads[0] = 0
     s = tuple(range(size))
-    assert constrained_transfer(t, s, g) == h
-
-    # the bounded solver on that path and on a rho, the 2-cycle 0 <-> 1
-    # under it, with h(x) = x: C = N - 1 either way, read off the
-    # solution in one orbit pass
-    limit = 10 * size
     for table in ((0,) + tuple(range(size - 1)),
                   (1, 0) + tuple(range(1, size - 1))):
         reads[0] = 0
         got = solve_bounded_transfer(counted_tuple(table, reads, limit), s,
                                      delta(table, h))
-        assert got.bound == size - 1
+        assert got == BoundedTransfer(h, Fraction(size - 1))
         assert reads[0] <= limit
 
 
@@ -417,40 +419,48 @@ def test_solve_bounded_transfer_centers_every_joint_class(system, data):
 
 def test_solve_bounded_transfer_labels_s_and_the_induced_map_once(
         monkeypatch):
-    # the recentering's joint classes come from the constrained solve's
-    # quotient: s's classes and the map t induces on them are each
-    # labelled once.  Z_4 x Z_6: s steps the first coordinate, t the second
-    # by 2, so the 6 s-classes fall into 2 joint classes.
-    calls = []
+    # the centring's joint classes are the walk's classes on the quotient:
+    # s's classes are labelled once, and `orbits.cycles` runs once on the
+    # map t induces on them and once on t, for C.  Z_4 x Z_6: s steps the
+    # first coordinate, t the second by 2, so the 6 s-classes fall into 2
+    # joint classes.
+    calls = {"invariance_classes": [], "cycles": []}
+    for name in calls:
+        def counted(table, name=name, real=getattr(orbits, name)):
+            calls[name].append(len(table))
+            return real(table)
 
-    def counted(table):
-        calls.append(len(table))
-        return invariance_classes(table)
-
-    monkeypatch.setattr(cohomology, "invariance_classes", counted)
-    monkeypatch.setattr(orbits, "invariance_classes", counted)
+        for module in (orbits, cohomology, check):
+            monkeypatch.setattr(module, name, counted, raising=False)
     s = tuple((x + 6) % 24 for x in range(24))
     t = tuple(x - x % 6 + (x + 2) % 6 for x in range(24))
     h = RationalFunction(tuple(Fraction(x % 6 * (x % 6 - 3), 2)
                                for x in range(24)))
     got = solve_bounded_transfer(t, s, delta(t, h))
     assert isinstance(got, BoundedTransfer)
-    assert calls == [24, 6]
+    assert calls == {"invariance_classes": [24], "cycles": [6, 24]}
     for members in class_members(union_find_classes(24, (t, s))):
         values = [got.solution[x] for x in members]
         assert max(values) + min(values) == 0
 
 
 @given(systems(n=2), st.data())
-def test_solve_bounded_transfer_obstruction_matches_constrained(system, data):
+def test_solve_bounded_transfer_refuses_exactly_the_infeasible_systems(
+        system, data):
+    # one unknown per s-class and one row h(t(x)) - h(x) = g(x) per point,
+    # over g's denominator: refused iff that linear system has no solution
     t, s = system.transforms
     g = _invariant_function(s, data)
-    constrained = constrained_transfer(t, s, g)
-    bounded = solve_bounded_transfer(t, s, g)
-    if isinstance(constrained, ConstrainedObstruction):
-        assert bounded == constrained
-    else:
-        assert isinstance(bounded, BoundedTransfer)
+    part = invariance_classes(s)
+    rows = []
+    for x in range(system.size):
+        row = [0] * part.n_classes
+        row[part.class_of[t[x]]] += g.denom
+        row[part.class_of[x]] -= g.denom
+        rows.append(row)
+    feasible, _ = linear_feasibility(rows, g.numerators, part.n_classes)
+    got = solve_bounded_transfer(t, s, g)
+    assert isinstance(got, BoundedTransfer) == feasible
 
 
 @given(systems(n=2), st.data())
